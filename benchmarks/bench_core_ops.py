@@ -7,6 +7,7 @@ PR 6 tick-engine suite (grouped-CSR kernels, shard fan-out) whose
 committed reference lives in ``BENCH_tick_engine.json``.
 """
 
+import copy
 import os
 import types
 
@@ -382,3 +383,43 @@ def test_full_trial_random_injection(benchmark):
     result = benchmark.pedantic(trial, rounds=1, iterations=1)
     assert result.completed
     assert result.runtime_factor < 2.5
+
+
+@pytest.mark.parametrize(
+    "strategy",
+    [
+        "random_injection",
+        "neighbor_injection",
+        "smart_neighbor_injection",
+        "invitation",
+    ],
+)
+def test_strategy_round(benchmark, strategy):
+    """One decision round — ``decide`` plus the round commit — on a
+    1000-node / 100k-task ring that already carries Sybils.  The
+    strategy round is the phase that dominates a Sybil trial."""
+    warm = TickEngine(
+        SimulationConfig(
+            strategy=strategy, n_nodes=1000, n_tasks=100_000, seed=1
+        )
+    )
+    # past the ideal runtime (100 ticks): most owners are idle and
+    # roaming, so the round retires and re-creates Sybils en masse
+    for _ in range(101):
+        warm.step()
+    assert warm.state.n_sybil_slots > 0
+
+    def fresh_copy():
+        return (copy.deepcopy(warm),), {}
+
+    def strategy_round(engine):
+        view = engine.view
+        view.begin_round()
+        engine.strategy.decide(view)
+        view.end_round()
+        return view.stats
+
+    stats = benchmark.pedantic(
+        strategy_round, setup=fresh_copy, rounds=10, iterations=1
+    )
+    assert stats.sybils_created + stats.invitations_sent > 0

@@ -24,9 +24,8 @@ used by the fingerprint tests and the observability smoke check.
 from __future__ import annotations
 
 import hashlib
+import json
 from typing import TYPE_CHECKING, Any, Mapping
-
-import numpy as np
 
 if TYPE_CHECKING:  # avoid an import cycle at runtime
     from repro.obs.profile import PhaseProfiler
@@ -125,12 +124,23 @@ def collect_run_metrics(
 
 
 def result_fingerprint(result: "SimulationResult") -> str:
-    """16-hex-char digest of the final load vector.
+    """16-hex-char digest of the whole canonical result.
 
     The canonical bit-identity probe: two runs are "the same result"
-    iff their fingerprints match.  Matches the pinned values in
-    ``tests/test_failure_model.py``.
+    iff their fingerprints match.  It covers everything a run measured
+    — ticks, totals, counters, time series, snapshots, final loads,
+    termination and the adversary summary — but not the config, so a
+    run and its cache-loaded copy (a ``result_to_dict`` →
+    ``result_from_dict`` round trip) digest identically.  A completed
+    run's final loads are all zeros, so a loads-only digest cannot tell
+    completed runs apart.
     """
-    return hashlib.sha256(
-        np.ascontiguousarray(result.final_loads).tobytes()
-    ).hexdigest()[:16]
+    from repro.obs.serialize import jsonable
+    from repro.sim.persistence import result_to_dict
+
+    doc = result_to_dict(result, include_final_loads=True)
+    del doc["format"], doc["config"]
+    canonical = json.dumps(
+        jsonable(doc), sort_keys=True, separators=(",", ":")
+    )
+    return hashlib.sha256(canonical.encode()).hexdigest()[:16]

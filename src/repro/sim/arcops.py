@@ -20,6 +20,7 @@ from repro.errors import IdSpaceError
 
 __all__ = [
     "in_arc_mask",
+    "count_in_arc",
     "arc_length",
     "arc_lengths",
     "responsible_slots",
@@ -42,6 +43,23 @@ def in_arc_mask(keys: np.ndarray, start: int, end: int) -> np.ndarray:
     if s < e:
         return (k > s) & (k <= e)
     return (k > s) | (k <= e)
+
+
+def count_in_arc(keys: np.ndarray, start: int, end: int, size: int) -> int:
+    """Number of ``keys`` in the clockwise arc ``(start, end]``.
+
+    ``size`` is the identifier-space size, a power of two up to
+    ``2**64``; ``start == end`` counts everything (full circle).  Equal
+    to ``in_arc_mask(keys, start, end).sum()`` with one comparison: a
+    key is in the arc iff its clockwise offset past ``start + 1`` is
+    below the arc length.
+    """
+    if start == end:
+        return int(keys.size)
+    rel = keys - _U64((start + 1) % size)
+    if size < 1 << 64:
+        rel &= _U64(size - 1)
+    return int(np.count_nonzero(rel < _U64((end - start) % size)))
 
 
 def arc_length(start: int, end: int, size: int) -> int:

@@ -8,7 +8,8 @@ loop reduces to, per tick:
 1. **strategy round** (every ``decision_interval`` ticks, starting at the
    first multiple — the paper's "this check occurs every 5 ticks", which
    yields exactly 7 load-balancing operations by the tick-35 snapshots of
-   Figures 7–14);
+   Figures 7–14); the view defers the round's Sybil actions and
+   :meth:`SimView.end_round` commits them to the ring in one batch;
 2. **churn**: each in-network node leaves with probability ``churn_rate``
    (tasks flow losslessly to its successor), each waiting node joins with
    the same probability at a random identifier and immediately acquires
@@ -292,6 +293,7 @@ class TickEngine:
     def _run_strategy_round(self) -> None:
         stats = self.view.begin_round()
         self.strategy.decide(self.view)
+        self.view.end_round()
         stats.merge_into(self.counters)
         self.counters["decision_rounds"] += 1
 

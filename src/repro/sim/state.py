@@ -67,6 +67,7 @@ __all__ = [
     "BatchRemoval",
     "BatchInsertion",
     "ConsumptionGroups",
+    "median_in_arc",
 ]
 
 _U64 = np.uint64
@@ -80,6 +81,22 @@ _MIN_CAP = 8
 
 def _pow2_at_least(n: int) -> int:
     return max(_MIN_CAP, 1 << max(0, (n - 1).bit_length()))
+
+
+def median_in_arc(keys: np.ndarray, pred: int, space: IdSpace) -> int | None:
+    """Median of ``keys`` by clockwise position after ``pred``.
+
+    ``keys`` are the remaining keys of the arc starting (exclusively) at
+    ``pred``, in any order.  Returns None for fewer than 2 keys.
+    """
+    if keys.size < 2:
+        return None
+    # clockwise distance from the arc start: uint64 subtraction wraps
+    # mod 2**64; masking reduces it to mod 2**bits (2**64 is a multiple
+    # of the space size for any bits <= 64)
+    ordered = np.sort((keys - _U64(pred)) & _U64(space.max_id))
+    mid = ordered[(ordered.size - 1) // 2]
+    return (pred + int(mid)) % space.size
 
 
 class ConsumptionGroups(NamedTuple):
@@ -903,16 +920,9 @@ class RingState:
         median key takes over half the slot's remaining tasks.  Returns
         None when the slot has fewer than 2 remaining keys.
         """
-        remaining = self.remaining_keys(slot)
-        if remaining.size < 2:
-            return None
-        pred = self.pred_id(slot)
-        # clockwise distance from the arc start: uint64 subtraction wraps
-        # mod 2**64; masking reduces it to mod 2**bits (2**64 is a multiple
-        # of the space size for any bits <= 64)
-        ordered = np.sort((remaining - _U64(pred)) & _U64(self.space.max_id))
-        mid = ordered[(ordered.size - 1) // 2]
-        return (pred + int(mid)) % self.space.size
+        return median_in_arc(
+            self.remaining_keys(slot), self.pred_id(slot), self.space
+        )
 
     # ------------------------------------------------------------------
     # validation (tests / debugging)
@@ -1389,6 +1399,56 @@ class BatchInsertion:
             lst.append(nid)
         return acquired
 
+    def add_many(self, idents, owners, *, is_main: bool) -> None:
+        """Queue several insertions at once, without acquired counts.
+
+        The bulk form of :meth:`add` for callers that already know (or
+        do not need) how many keys each identity takes: one vectorized
+        lookup replaces the per-identity range count.  The committed
+        ring is the same as after one :meth:`add` per identity, in any
+        order.
+        """
+        idents = [int(i) for i in idents]
+        if not idents:
+            return
+        size = self._size
+        for ident in (min(idents), max(idents)):
+            if ident < 0 or ident >= size:
+                self._state.space.validate(ident)  # raises
+        ids = self._ids
+        n = ids.size
+        new = np.array(idents, dtype=_U64)
+        pos = self._searchsorted(new)
+        inside = pos < n
+        if (
+            (ids[pos[inside]] == new[inside]).any()
+            or len(set(idents)) != len(idents)
+            or not self._pend_set.isdisjoint(idents)
+        ):
+            raise IdSpaceError("identifier already on the ring")
+        provenance = PROV_HONEST if is_main else PROV_BENEVOLENT
+        records = self._records
+        by_slot = self._by_slot
+        arc = self._arc
+        keys = self._keys
+        slots = np.where(inside, pos, 0)
+        # slot 0's predecessor index -1 wraps to the last slot
+        preds = ids[slots - 1].tolist()
+        remaining = self._counts[slots].tolist()
+        for ident, owner, slot, pred, count in zip(
+            idents, owners, slots.tolist(), preds, remaining
+        ):
+            records[ident] = (int(owner), is_main, provenance)
+            lst = by_slot.get(slot)
+            if lst is None:
+                by_slot[slot] = [ident]
+                if slot not in arc:
+                    arc[slot] = (pred, keys[slot][:count])
+            else:
+                lst.append(ident)
+        self._pend_ids = sorted(self._pend_ids + idents)
+        self._pend_set.update(idents)
+
     def commit(self) -> None:
         """Redistribute every affected arc and splice in one merge pass.
 
@@ -1414,9 +1474,14 @@ class BatchInsertion:
         v_slots: list[int] = []
         v_idents: list[int] = []
         multi: list[tuple[int, list[int]]] = []
+        arcs = self._arc
         if self._ids.size > 1:
             for slot, idents in self._by_slot.items():
-                if len(idents) == 1:
+                if not arcs[slot][1].size:
+                    # an arc with no remaining keys has nothing to split
+                    for ident in idents:
+                        taken[ident] = _EMPTY_KEYS
+                elif len(idents) == 1:
                     v_slots.append(slot)
                     v_idents.append(idents[0])
                 else:
@@ -1426,13 +1491,12 @@ class BatchInsertion:
             multi = list(self._by_slot.items())
 
         if v_slots:
-            arc = self._arc
-            key_parts = [arc[s][1] for s in v_slots]
+            key_parts = [arcs[s][1] for s in v_slots]
             cnts = np.fromiter(
                 (k.size for k in key_parts), dtype=_I64, count=len(v_slots)
             )
             all_keys = np.concatenate(key_parts)
-            preds = np.array([arc[s][0] for s in v_slots], dtype=_U64)
+            preds = np.array([arcs[s][0] for s in v_slots], dtype=_U64)
             bounds = np.array(v_idents, dtype=_U64)
             # key in (pred, bound] ⟺ (key - pred - 1) mod size <= span
             lo = preds + _U64(1)
@@ -1464,7 +1528,7 @@ class BatchInsertion:
 
         single = self._ids.size == 1
         for slot, idents in multi:
-            pred_id, remaining = self._arc[slot]
+            pred_id, remaining = arcs[slot]
             idents.sort(key=lambda p: (p - pred_id) % size)
             bound_offs = np.array(
                 [(p - pred_id) % size for p in idents], dtype=_U64

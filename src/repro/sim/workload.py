@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, IdSpaceError
 from repro.hashspace.hashing import uniform_ids_array
 from repro.hashspace.idspace import IdSpace
 
@@ -53,9 +53,18 @@ def draw_new_node_id(
 
     ``exists`` is a predicate (e.g. ``RingState.id_exists``).  A joining
     node or Sybil must not collide with a live identity.
+
+    Each candidate is one scalar ``rng.integers`` draw: the same
+    generator call :func:`uniform_ids_array` makes for one id, so the
+    stream is identical, without the per-draw array allocation.
     """
+    if space.bits > 64:
+        raise IdSpaceError(
+            f"draw_new_node_id supports at most 64-bit spaces, got {space.bits}"
+        )
+    high = space.size
     for _ in range(64):
-        candidate = int(uniform_ids_array(1, space, rng)[0])
+        candidate = int(rng.integers(0, high, dtype=np.uint64))
         if not exists(candidate):
             return candidate
     raise ConfigError(

@@ -393,7 +393,7 @@ PINNED_CONFIG = SimulationConfig(
 )
 
 PINNED_TICKS = 123
-PINNED_FINGERPRINT = "7a12e561363385e9"
+PINNED_FINGERPRINT = "9d033f323b856ed4"
 
 
 class TestPinnedScenario:

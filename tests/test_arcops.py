@@ -7,6 +7,7 @@ from repro.errors import IdSpaceError
 from repro.sim.arcops import (
     arc_length,
     arc_lengths,
+    count_in_arc,
     in_arc_mask,
     responsible_slots,
     slot_arc_starts,
@@ -36,6 +37,26 @@ class TestInArcMask:
         keys = np.array([0, hi, hi - 1], dtype=np.uint64)
         mask = in_arc_mask(keys, hi - 1, 0)
         assert mask.tolist() == [True, True, False]
+
+
+class TestCountInArc:
+    @pytest.mark.parametrize("bits", [8, 16, 64])
+    def test_matches_mask(self, bits):
+        rng = np.random.default_rng(bits)
+        size = 1 << bits
+        keys = rng.integers(0, size, size=200, dtype=np.uint64)
+        ends = rng.integers(0, size, size=(100, 2), dtype=np.uint64).tolist()
+        for start, end in ends + [[0, size - 1], [size - 1, 0], [5, 5]]:
+            assert count_in_arc(keys, start, end, size) == int(
+                in_arc_mask(keys, start, end).sum()
+            )
+
+    def test_boundaries(self):
+        hi = 2**64 - 1
+        keys = np.array([0, hi, hi - 1], dtype=np.uint64)
+        assert count_in_arc(keys, hi - 1, 0, 1 << 64) == 2
+        assert count_in_arc(keys, hi, hi - 1, 1 << 64) == 2
+        assert count_in_arc(keys[:0], 1, 2, 1 << 64) == 0
 
 
 class TestArcLength:

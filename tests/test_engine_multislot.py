@@ -106,6 +106,7 @@ class TestResidualPath:
         for _ in range(3):
             if view.can_add_sybil(owner):
                 view.create_sybil_random(owner)
+        view.end_round()
         loads = state.owner_loads(owners.n_total)
         want = min(rate, int(loads[owner]))
         before = int(loads[owner])

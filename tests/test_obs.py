@@ -15,7 +15,7 @@ import pytest
 
 import repro.obs.profile as obs_profile
 from repro.cli import main
-from repro.config import SimulationConfig
+from repro.config import AdversaryModel, SimulationConfig
 from repro.obs import (
     NULL_PROFILER,
     JsonlTraceSink,
@@ -28,6 +28,7 @@ from repro.obs import (
     result_fingerprint,
 )
 from repro.sim.engine import TickEngine
+from repro.sim.persistence import result_from_dict, result_to_dict
 from repro.sim.trials import RunStats, run_trial
 
 
@@ -279,6 +280,59 @@ SIM_ARGS = [
     "--strategy", "invitation", "--nodes", "50", "--tasks", "1200",
     "--churn", "0.02", "--seed", "5",
 ]
+
+
+class TestResultFingerprint:
+    def test_completed_runs_of_different_seeds_differ(self):
+        """Completed runs all end with zero final loads; the digest must
+        still tell them apart."""
+        prints = {
+            result_fingerprint(TickEngine(SimulationConfig(
+                strategy=strategy, n_nodes=100, n_tasks=5000, seed=seed,
+            )).run())
+            for strategy, seed in (
+                ("random_injection", 3),
+                ("random_injection", 4),
+                ("neighbor_injection", 3),
+            )
+        }
+        assert len(prints) == 3
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(collect_timeseries=True, snapshot_ticks=(0, 5, 10)),
+            dict(
+                churn_rate=0.02,
+                adversary=AdversaryModel(
+                    eclipse_sybils=6, attack_tick=3, detection_interval=5
+                ),
+            ),
+            dict(max_ticks=20),  # truncated: nonzero final loads
+        ],
+        ids=["series-snapshots", "adversary", "truncated"],
+    )
+    def test_survives_persistence_round_trip(self, overrides):
+        """A cache-loaded result fingerprints like the fresh one."""
+        config = SimulationConfig(
+            strategy="invitation", n_nodes=60, n_tasks=3000, seed=2,
+            **overrides,
+        )
+        fresh = TickEngine(config).run()
+        doc = json.loads(
+            json.dumps(result_to_dict(fresh, include_final_loads=True))
+        )
+        assert result_fingerprint(result_from_dict(doc)) == (
+            result_fingerprint(fresh)
+        )
+
+    def test_sees_counters_and_series(self):
+        result = TickEngine(SimulationConfig(
+            n_nodes=30, n_tasks=600, collect_timeseries=True, seed=1,
+        )).run()
+        base = result_fingerprint(result)
+        result.counters["decision_rounds"] += 1
+        assert result_fingerprint(result) != base
 
 
 class TestTraceCommand:

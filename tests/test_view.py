@@ -52,6 +52,7 @@ class TestActions:
         view.begin_round()
         owner = int(engine.owners.network_indices[3])
         acquired = view.create_sybil_random(owner)
+        view.end_round()
         assert view.n_sybils(owner) == 1
         assert view.stats.sybils_created == 1
         assert view.stats.tasks_acquired == acquired
@@ -64,6 +65,7 @@ class TestActions:
         view.create_sybil_random(owner)
         view.create_sybil_random(owner)
         removed = view.retire_sybils(owner)
+        view.end_round()
         assert removed == 2
         assert view.n_sybils(owner) == 0
         assert engine.state.n_sybil_slots == 0
@@ -77,6 +79,7 @@ class TestActions:
         target = int(view.successor_slots(base, 3)[1])
         start, end = engine.state.slot_arc(target)
         acquired = view.create_sybil_in_slot_arc(owner, target)
+        view.end_round()
         assert acquired is not None
         # the new sybil's id lies in the old target arc
         sybil_slots = np.flatnonzero(~engine.state.is_main)
@@ -100,6 +103,7 @@ class TestPlacementModes:
         target = view.heaviest_slot(int(engine.owners.network_indices[5]))
         start, end = engine.state.slot_arc(target)
         acquired = view.create_sybil_in_slot_arc(owner, target)
+        view.end_round()
         if acquired is None:
             pytest.skip("arc too small for this seed")
         sybil_slots = np.flatnonzero(~engine.state.is_main)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, IdSpaceError
+from repro.hashspace.hashing import uniform_ids_array
 from repro.hashspace.idspace import IdSpace
 from repro.sim.workload import (
     draw_new_node_id,
@@ -54,6 +55,27 @@ class TestDrawNewNodeId:
         space = IdSpace(8)
         with pytest.raises(ConfigError):
             draw_new_node_id(space, rng, lambda i: True)
+
+    @pytest.mark.parametrize("bits", [16, 63, 64])
+    def test_stream_matches_array_draws(self, bits):
+        """The scalar draw yields the ids (and leaves the generator
+        state) that one-element ``uniform_ids_array`` draws would."""
+        space = IdSpace(bits)
+        scalar = np.random.default_rng(bits)
+        array = np.random.default_rng(bits)
+        drawn = [
+            draw_new_node_id(space, scalar, lambda i: False)
+            for _ in range(10_000)
+        ]
+        expected = [
+            int(uniform_ids_array(1, space, array)[0]) for _ in range(10_000)
+        ]
+        assert drawn == expected
+        assert scalar.bit_generator.state == array.bit_generator.state
+
+    def test_rejects_wide_space(self, rng):
+        with pytest.raises(IdSpaceError):
+            draw_new_node_id(IdSpace(65), rng, lambda i: False)
 
 
 class TestIdealRuntime:
