@@ -40,12 +40,12 @@ bench-baseline:
 bench-check: bench
 	$(PYTHON) benchmarks/compare_bench.py $(BENCH_BASELINE) $(BENCH_CURRENT)
 
-# tick-engine suite (PR 6): multi-slot consumption backends + shard
-# fan-out.  The hard gate is the within-run reference-vs-numpy kernel
-# speedup (>=3x at the largest ring size) — a machine-independent
-# ratio.  The absolute baseline comparison uses a loose tolerance: the
-# sharded variants' medians are dominated by pool round-trip latency,
-# which jitters with host load.
+# tick-engine suite: multi-slot consumption, the engine's grouped-CSR
+# kernel against the lexsort reference.  The hard gate is the
+# within-run reference-vs-numpy kernel speedup (>=3x at the largest
+# ring size) — a machine-independent ratio.  The absolute baseline
+# comparison uses a loose tolerance: absolute medians jitter with host
+# load.
 bench-tick:
 	$(PYTHON) -m pytest benchmarks/bench_core_ops.py -k tick_engine \
 		--benchmark-only --benchmark-json=$(BENCH_TICK_CURRENT)

@@ -3,7 +3,7 @@
 Not a paper artifact: these track the performance engineering that makes
 the 100-trial paper-scale sweeps feasible (see DESIGN.md §5) —
 vectorized consumption, key assignment, split/merge costs, and the
-PR 6 tick-engine suite (grouped-CSR kernels, shard fan-out) whose
+tick-engine suite (grouped-CSR kernel vs the lexsort reference) whose
 committed reference lives in ``BENCH_tick_engine.json``.
 """
 
@@ -18,9 +18,8 @@ from repro.config import SimulationConfig
 from repro.hashspace.idspace import SPACE_64
 from repro.sim.arcops import responsible_slots
 from repro.sim.engine import TickEngine
-from repro.sim.kernels import HAVE_NUMBA, consume_grouped_reference
+from repro.sim.kernels import consume_grouped_reference
 from repro.sim.reference import NaiveRingState
-from repro.sim.shard import ShardedTickEngine
 from repro.sim.state import RingState
 from repro.sim.workload import draw_task_keys, draw_unique_ids
 
@@ -249,26 +248,22 @@ def test_sybil_storm(benchmark, cls, n_slots):
 
 
 # ----------------------------------------------------------------------
-# tick-engine suite: grouped-CSR kernels and shard fan-out (PR 6)
+# tick-engine suite: grouped-CSR kernel vs the lexsort reference
 # ----------------------------------------------------------------------
 # A Sybil-laden ring (every owner keeps its main identity, half carry a
 # Sybil) forces the multi-slot consumption path at 10^4 / 10^5 — and,
 # under REPRO_SCALE=full, 10^6 — slots.  The ``[reference]`` variant
 # runs the historical per-tick lexsort consumption so one JSON file
-# documents the kernel speedup; shard variants time the worker-pool
-# fan-out.  The committed reference is BENCH_tick_engine.json and
-# ``compare_bench.py`` prints/gates the reference-vs-numpy ratio.
+# documents the kernel speedup.  The committed reference is
+# BENCH_tick_engine.json and ``compare_bench.py`` prints/gates the
+# reference-vs-numpy ratio.
 
 TICK_ENGINE_SIZES = [10_000, 100_000]
 if os.environ.get("REPRO_SCALE") == "full":
     TICK_ENGINE_SIZES.append(1_000_000)
 
-TICK_ENGINE_BACKENDS = ["reference", "numpy"] + (
-    ["numba"] if HAVE_NUMBA else []
-)
 
-
-def _sybil_laden_engine(n_slots, cls=TickEngine, backend=None, **kwargs):
+def _sybil_laden_engine(n_slots):
     """Engine whose ring has ``n_slots`` slots, one third of them Sybils."""
     n_nodes = (2 * n_slots) // 3
     config = SimulationConfig(
@@ -277,7 +272,7 @@ def _sybil_laden_engine(n_slots, cls=TickEngine, backend=None, **kwargs):
         max_sybils=6,
         seed=0,
     )
-    engine = cls(config, backend=backend, **kwargs)
+    engine = TickEngine(config)
     rng = np.random.default_rng(99)
     insertion = engine.state.begin_batch_insertion()
     injected = 0
@@ -312,14 +307,14 @@ def _reference_consumption_engine(n_slots):
 
 
 @pytest.mark.parametrize("n_slots", TICK_ENGINE_SIZES)
-@pytest.mark.parametrize("variant", TICK_ENGINE_BACKENDS)
+@pytest.mark.parametrize("variant", ["reference", "numpy"])
 def test_tick_engine(benchmark, n_slots, variant):
-    """Multi-slot tick throughput per consumption backend."""
+    """Multi-slot tick throughput: the engine's kernel vs the reference."""
     if variant == "reference":
         engine = _reference_consumption_engine(n_slots)
     else:
-        engine = _sybil_laden_engine(n_slots, backend=variant)
-    engine.step()  # warm caches (owner index, CSR groups, jit)
+        engine = _sybil_laden_engine(n_slots)
+    engine.step()  # warm caches (owner index, CSR groups)
 
     def five_ticks():
         for _ in range(5):
@@ -328,31 +323,6 @@ def test_tick_engine(benchmark, n_slots, variant):
     benchmark.pedantic(five_ticks, rounds=5, iterations=1)
     assert engine.total_consumed > 0
     assert engine.state.n_sybil_slots > 0  # multi-slot path engaged
-
-
-@pytest.mark.parametrize("n_slots", TICK_ENGINE_SIZES)
-@pytest.mark.parametrize("shards", [1, 2, 4])
-def test_tick_engine_sharded(benchmark, n_slots, shards):
-    """Multi-slot tick throughput through the shard worker pool."""
-    engine = _sybil_laden_engine(
-        n_slots,
-        cls=ShardedTickEngine,
-        shards=shards,
-        min_parallel_slots=1,
-    )
-    try:
-        engine.step()  # warm caches, spawn the pool, mirror the slabs
-
-        def five_ticks():
-            for _ in range(5):
-                engine.step()
-
-        benchmark.pedantic(five_ticks, rounds=5, iterations=1)
-        assert engine.total_consumed > 0
-        if shards > 1:
-            assert engine._pool is not None  # fan-out actually engaged
-    finally:
-        engine.close()
 
 
 def test_full_trial_baseline(benchmark):

@@ -11,11 +11,9 @@ from __future__ import annotations
 
 import os
 
-# Pinned before numpy/numba ever spin up their pools: benchmark numbers
-# must not depend on the host's core count, and the tick-engine shard
-# benchmarks measure process fan-out, not hidden intra-op threading.
+# Pinned before numpy ever spins up its thread pool: benchmark numbers
+# must not depend on the host's core count.
 os.environ.setdefault("OMP_NUM_THREADS", "1")
-os.environ.setdefault("NUMBA_NUM_THREADS", "1")
 
 import pytest
 

@@ -8,9 +8,7 @@ and via the ``repro trace`` / ``repro profile`` CLI — and requires:
 2. the profiler saw every phase the run exercised;
 3. **non-interference**: the traced+profiled result is bit-identical to
    the plain run (same fingerprint, same final loads) — observability
-   must never perturb simulation state or RNG streams;
-4. **shard non-interference**: a 2-shard parallel run fingerprints
-   identically to the sequential run.
+   must never perturb simulation state or RNG streams.
 
 Under ``REPRO_SANITIZE=1`` (the CI ``sanitize-smoke`` job) the runtime
 determinism sanitizer is live for every leg; the script then also
@@ -96,13 +94,7 @@ def main() -> None:
     if not np.array_equal(plain.final_loads, observed.final_loads):
         fail("final_loads diverged between plain and observed runs")
 
-    # 4. shard non-interference: the parallel path fingerprints the same
-    sharded = run_trial(CONFIG, shards=2, min_parallel_slots=1)
-    fp_sharded = result_fingerprint(sharded)
-    if fp_sharded != fp_plain:
-        fail(f"sharded fingerprint diverged: {fp_sharded} != {fp_plain}")
-
-    # 5. sanitizer: every leg above ran instrumented when the flag is
+    # 4. sanitizer: every leg above ran instrumented when the flag is
     #    set — require a clean report list, then prove the sanitizer
     #    itself does not perturb results by rerunning without it.
     if sanitize.enabled():
@@ -120,7 +112,7 @@ def main() -> None:
             )
         print("obs-smoke: sanitizer live — zero reports, bit-identical")
 
-    # 6. the CLI subcommands agree with the library fingerprint
+    # 5. the CLI subcommands agree with the library fingerprint
     cli_trace = subprocess.run(
         [sys.executable, "-m", "repro", "trace", *SIM_ARGS,
          "--out", str(workdir / "cli_trace.jsonl"), "--json"],
@@ -142,7 +134,7 @@ def main() -> None:
     print(
         f"obs-smoke: OK — {sink.n_written} events traced, "
         f"{len(profiler.calls)} phases profiled, fingerprint {fp_plain} "
-        "identical with observability on/off and across 2 shards"
+        "identical with observability on/off"
     )
 
 

@@ -66,33 +66,17 @@ def utilization_auc(series: TickSeries) -> float:
 
 
 def profile_run(
-    config: SimulationConfig,
-    *,
-    profiler=None,
-    backend: str | None = None,
-    shards: int = 1,
+    config: SimulationConfig, *, profiler=None
 ) -> ConvergenceProfile:
     """Run one simulation with time series on and summarize its trajectory.
 
     ``profiler`` optionally attaches a
     :class:`~repro.obs.profile.PhaseProfiler` to the engine so the
     caller gets a per-phase wall-clock breakdown alongside the
-    convergence numbers (``repro profile`` does this).  ``backend`` and
-    ``shards`` select the execution engine (:mod:`repro.sim.kernels`,
-    :mod:`repro.sim.shard`); they shift where the phase time goes but
-    never the seeded trajectory.
+    convergence numbers (``repro profile`` does this).
     """
     ts_config = config.with_updates(collect_timeseries=True)
-    if shards > 1:
-        from repro.sim.shard import ShardedTickEngine
-
-        with ShardedTickEngine(
-            ts_config, shards=shards, profiler=profiler, backend=backend
-        ) as engine:
-            result = engine.run()
-    else:
-        engine = TickEngine(ts_config, profiler=profiler, backend=backend)
-        result = engine.run()
+    result = TickEngine(ts_config, profiler=profiler).run()
     series = result.timeseries
     assert series is not None
     arrays = series.as_arrays()

@@ -183,20 +183,9 @@ def build_parser() -> argparse.ArgumentParser:
         "considered hung (parallel runs)",
     )
     sim_p.add_argument(
-        "--shards", type=int, default=1,
-        help="worker processes for the consumption phase (shared-memory "
-        "sharding; results are bit-identical for any shard count)",
-    )
-    sim_p.add_argument(
-        "--backend", choices=["numpy", "numba"], default=None,
-        help="consumption kernel backend (default: numpy, or "
-        "$REPRO_SIM_BACKEND; numba requires the optional numba package)",
-    )
-    sim_p.add_argument(
         "--sanitize", action="store_true",
         help="enable the runtime determinism sanitizer (REPRO_SANITIZE=1): "
-        "raises on RNG aliasing, non-disjoint shard plans, and draws "
-        "inside RNG-free phases",
+        "raises when two concurrent consumers share one RNG stream",
     )
 
     sweep_p = sub.add_parser(
@@ -297,14 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="seconds between lease attempts while the queue is empty",
     )
     fab_worker.add_argument(
-        "--shards", type=int, default=1,
-        help="worker processes per trial (see repro.sim.shard)",
-    )
-    fab_worker.add_argument(
-        "--backend", choices=["numpy", "numba"], default=None,
-        help="consumption kernel backend (default: numpy)",
-    )
-    fab_worker.add_argument(
         "--max-units", type=int, default=None,
         help="exit after settling this many units (testing hook)",
     )
@@ -347,14 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     prof_p.add_argument(
         "--json", action="store_true",
         help="emit a machine-readable JSON document instead of tables",
-    )
-    prof_p.add_argument(
-        "--shards", type=int, default=1,
-        help="worker processes for the consumption phase",
-    )
-    prof_p.add_argument(
-        "--backend", choices=["numpy", "numba"], default=None,
-        help="consumption kernel backend (default: numpy)",
     )
 
     trace_p = sub.add_parser(
@@ -591,7 +564,7 @@ def _parse_replication(value: str) -> int | None:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.config import AdversaryModel, FailureModel
-    from repro.sim.trials import make_trial_fn, run_trials
+    from repro.sim.trials import run_trials
     from repro.util.tables import format_kv
 
     if args.sanitize:
@@ -635,7 +608,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         n_jobs=args.jobs,
         retries=args.retries,
         timeout=args.timeout,
-        trial_fn=make_trial_fn(backend=args.backend, shards=args.shards),
     )
     summary = trials.factor_summary()
     payload = {
@@ -815,15 +787,12 @@ def _cmd_fabric_worker(args: argparse.Namespace) -> int:
     from repro.errors import TransientNetworkError
     from repro.fabric.worker import run_worker
     from repro.net.transport import parse_address
-    from repro.sim.trials import make_trial_fn
 
     addr = parse_address(args.connect)
-    trial_fn = make_trial_fn(backend=args.backend, shards=args.shards)
     try:
         summary = run_worker(
             addr,
             name=args.name,
-            trial_fn=trial_fn,
             poll_interval=args.poll,
             max_units=args.max_units,
         )
@@ -953,9 +922,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     profiler = PhaseProfiler()
-    profile = profile_run(
-        config, profiler=profiler, backend=args.backend, shards=args.shards
-    )
+    profile = profile_run(config, profiler=profiler)
     if args.json:
         # sorted keys + deterministic phase ordering: byte-stable for a
         # fixed clock (tests inject one), structure-stable always

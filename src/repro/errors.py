@@ -132,9 +132,7 @@ class SanitizeError(ReproError):
     """The runtime determinism sanitizer observed a violated invariant.
 
     Raised only under ``REPRO_SANITIZE=1`` (see :mod:`repro.sanitize`):
-    a generator shared across concurrent consumers, a generator
-    smuggled into a shard-worker payload, a non-disjoint shard plan, or
-    an RNG drawn from inside a phase contracted to be RNG-free.  The
-    same condition in an unsanitized run would not crash — it would
-    silently break bit-reproducibility, which is worse.
+    one generator claimed by two concurrent consumers.  The same
+    condition in an unsanitized run would not crash — it would silently
+    break bit-reproducibility, which is worse.
     """

@@ -9,7 +9,7 @@ collected :class:`~repro.lint.base.FileContext` and produces a
   can resolve ``sleep(...)`` to ``time.sleep`` through a
   ``from time import sleep``;
 * a **symbol table** — every function and method in the tree, keyed by
-  qualified name (``repro.sim.shard._attach``,
+  qualified name (``repro.fabric.broker.Broker.run``,
   ``repro.net.node.LiveNode._heartbeat_loop``), each with its AST node,
   parameters, and async-ness;
 * a **call-graph approximation** — per function, the dotted names its
@@ -102,7 +102,7 @@ def attr_chain(node: ast.AST) -> list[str]:
 def module_name_for(path: str) -> str:
     """Dotted module name for a posix-relative file label.
 
-    ``src/repro/sim/shard.py`` → ``repro.sim.shard``; ``__init__.py``
+    ``src/repro/sim/engine.py`` → ``repro.sim.engine``; ``__init__.py``
     maps to its package; ``..`` segments (out-of-root files) and a
     leading ``src`` are dropped so labels resolve the same from any
     lint root.

@@ -205,12 +205,6 @@ _PARALLEL_MODULES = {
 #: because its merge discipline provably removes scheduling order from
 #: every fingerprinted output:
 PARALLELISM_ALLOWLIST = (
-    # The sharded consumption engine: workers mutate *disjoint* slot
-    # ranges of a shared-memory slab and per-shard totals merge in
-    # ascending shard index (pool.map order), never completion order;
-    # every RNG draw stays on the sequential global stream.  See the
-    # determinism contract in repro/sim/shard.py's module docstring.
-    "repro/sim/shard.py",
     # The trial runner's semantic surface: threading.Lock around the
     # module-level RunStats collector, which the fabric settles into
     # from its dispatch *and* listener threads.  Dispatch itself lives
@@ -356,7 +350,7 @@ class NondeterminismHazard(Rule):
                     f"`{name}` import in simulation code — process/"
                     "thread scheduling order varies run to run; "
                     "parallelism is sanctioned only in the allowlisted "
-                    "shard/trial runners (PARALLELISM_ALLOWLIST)",
+                    "trial runners (PARALLELISM_ALLOWLIST)",
                 )
 
     def _check_id_keys(
@@ -500,7 +494,7 @@ class RngStreamAliasing(ProjectRule):
       function with byte-identical non-``None`` seed expressions mint
       two cursors over one stream — the same numbers come out twice
       (spawn children from a ``SeedSequence`` instead, as
-      ``run_trials``/``shard_seed_streams`` do).
+      ``run_trials`` does).
     """
 
     rule_id = "R009"

@@ -1,12 +1,11 @@
 """R008 shared-state hazard: concurrent code must not mutate shared state.
 
-The sharded tick engine and the live node both promise bit-identical
-seeded results, and both keep that promise the same way: concurrent
-workers only ever write *disjoint* data (whole-group slab arcs planned
-by ``plan_shards``; per-trial result slots keyed by index).  Any other
-shared mutable write from concurrently-executing code is a race that a
-green test run cannot rule out.  R008 pins the discipline statically,
-using the project model's call graph:
+The trial fabric and the live node both promise bit-identical seeded
+results, and both keep that promise the same way: concurrent workers
+only ever write *disjoint* data (per-trial result slots keyed by
+index).  Any other shared mutable write from concurrently-executing
+code is a race that a green test run cannot rule out.  R008 pins the
+discipline statically, using the project model's call graph:
 
 * **Part A — module-level mutable state.**  A module-level ``dict`` /
   ``list`` / ``set`` (or ``defaultdict``/``Counter``/``deque``/... )
@@ -14,16 +13,16 @@ using the project model's call graph:
   function handed to ``pool.map``/``submit``, ``loop.create_task``,
   ``run_in_executor``, ``Thread(target=...)``, an asyncio server
   callback — is flagged at the mutation site.  Fork-inherited
-  per-process caches (like the worker-side attachment cache in
-  ``sim/shard.py``) are legitimate, but each such write carries a
-  justified inline suppression so the exemption is visible in the diff.
+  per-process caches (a worker-side attachment cache, say) are
+  legitimate, but each such write carries a justified inline
+  suppression so the exemption is visible in the diff.
 * **Part B — shared-memory slab writes.**  A NumPy view over a
   ``multiprocessing.shared_memory`` buffer (``np.frombuffer(shm.buf)``
   or the worker-side ``_attach`` helper) written through a subscript
-  outside the blessed writer (``_ShmMirror.write``, which the engine
-  calls strictly *between* parallel phases) bypasses the plan_shards
-  disjointness contract — exactly the out-of-partition write the
-  runtime sanitizer (:mod:`repro.sanitize`) hunts dynamically.
+  outside the blessed writer (``_ShmMirror.write``, called strictly
+  *between* parallel phases) bypasses the partition's disjointness
+  contract.  No module in the tree uses shared memory today; the rule
+  keeps any future one honest.
 """
 
 from __future__ import annotations
@@ -307,7 +306,7 @@ class SharedStateHazard(ProjectRule):
                         f"shared-memory view `{target.value.id}` "
                         f"written in `{info.qualname}` outside the "
                         "blessed _ShmMirror.write path — out-of-"
-                        "partition slab writes break the plan_shards "
+                        "partition slab writes break the partition's "
                         "disjointness contract (kernels may mutate "
                         "only their own arc)",
                     )

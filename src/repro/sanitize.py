@@ -15,19 +15,6 @@ Checks
   ``numpy.random.Generator`` instance belongs to; a second owner
   claiming the same ``BitGenerator`` is cross-consumer stream aliasing
   (the dynamic face of R009) and raises :class:`SanitizeError`.
-* :func:`forbid_generators` — recursively scans a payload about to
-  cross a process boundary (a shard-worker task tuple) and raises if a
-  ``Generator`` is embedded: a pickled generator forks the stream state
-  silently, the classic "every worker draws the same numbers" bug.
-* :func:`check_shard_plan` — re-derives the disjointness contract of a
-  :class:`~repro.sim.shard.ShardPlan` before the fan-out: element
-  bounds must tile ``[0, n)`` monotonically, cut only on group starts,
-  and the CSR ``order`` must be a permutation — together that makes the
-  per-shard slab write ranges provably disjoint (the dynamic face of
-  R008).
-* :func:`maybe_guard` — context manager asserting a phase is RNG-free:
-  the guarded generator's state must be bit-identical on exit (the
-  sharded consumption phase promises exactly this).
 * :func:`install_asyncio_watch` — flips the loop into asyncio debug
   mode with a tight ``slow_callback_duration`` and records every
   "Executing ... took" complaint (the dynamic face of R007's
@@ -41,10 +28,9 @@ raising from a log handler would be swallowed by the loop.
 
 from __future__ import annotations
 
-import contextlib
 import logging
 import os
-from typing import Any, Iterator, Union
+from typing import Any, Union
 
 import numpy as np
 
@@ -57,9 +43,6 @@ __all__ = [
     "reports",
     "report_count",
     "track_rng",
-    "forbid_generators",
-    "check_shard_plan",
-    "maybe_guard",
     "install_asyncio_watch",
 ]
 
@@ -132,114 +115,6 @@ def track_rng(rng: np.random.Generator, owner: str) -> None:
         )
     _RNG_OWNERS[key] = (owner, pid)
     _RNG_REFS[key] = rng.bit_generator
-
-
-def forbid_generators(obj: Any, where: str, _depth: int = 0) -> None:
-    """Raise if a ``numpy.random.Generator`` (or ``SeedSequence``-less
-    ``BitGenerator``) hides anywhere inside ``obj``.
-
-    Used on shard-task payloads: a generator crossing a process
-    boundary is duplicated by pickling, so parent and worker then emit
-    identical "random" draws.
-    """
-    if not enabled() or _depth > 6:
-        return
-    if isinstance(obj, (np.random.Generator, np.random.BitGenerator)):
-        _violate(
-            f"generator-in-payload: a numpy Generator is embedded in "
-            f"{where} — pickling forks the stream state; ship a spawned "
-            "SeedSequence and build the generator worker-side"
-        )
-    if isinstance(obj, dict):
-        for key, value in obj.items():
-            forbid_generators(key, where, _depth + 1)
-            forbid_generators(value, where, _depth + 1)
-    elif isinstance(obj, (list, tuple, set, frozenset)):
-        for item in obj:
-            forbid_generators(item, where, _depth + 1)
-
-
-# ----------------------------------------------------------------------
-# shard-plan disjointness (dynamic R008)
-# ----------------------------------------------------------------------
-def check_shard_plan(
-    el_bounds: np.ndarray,
-    starts: np.ndarray,
-    order: np.ndarray,
-    n_elements: int,
-) -> None:
-    """Verify a shard plan's write ranges are a disjoint tiling.
-
-    ``el_bounds`` are the per-shard element offsets into the CSR
-    ``order`` array, ``starts`` the group start offsets.  The contract:
-    bounds run monotonically from 0 to ``n_elements``; every interior
-    cut lands exactly on a group start (no owner group straddles a
-    shard); and ``order`` is a permutation of ``[0, n)``.  Together
-    these guarantee the slab slots written by different shards are
-    disjoint sets.
-    """
-    if not enabled():
-        return
-    bounds = np.asarray(el_bounds)
-    if bounds.size < 2 or bounds[0] != 0 or bounds[-1] != n_elements:
-        _violate(
-            "shard-plan: element bounds do not tile [0, "
-            f"{n_elements}) — got {bounds.tolist()}"
-        )
-    if np.any(np.diff(bounds) < 0):
-        _violate(
-            f"shard-plan: element bounds not monotone: {bounds.tolist()}"
-        )
-    interior = bounds[1:-1]
-    legal_cuts = np.append(np.asarray(starts), n_elements)
-    if interior.size and not np.isin(interior, legal_cuts).all():
-        bad = interior[~np.isin(interior, legal_cuts)]
-        _violate(
-            "shard-plan: cut(s) inside an owner group at element "
-            f"offset(s) {bad.tolist()} — a group straddling shards "
-            "makes two workers write the same slots"
-        )
-    order_arr = np.asarray(order)
-    if order_arr.size != n_elements or (
-        n_elements
-        and not np.array_equal(
-            np.sort(order_arr), np.arange(n_elements, dtype=order_arr.dtype)
-        )
-    ):
-        _violate(
-            "shard-plan: CSR order is not a permutation of "
-            f"[0, {n_elements}) — duplicate or missing slots mean "
-            "overlapping shard writes"
-        )
-
-
-# ----------------------------------------------------------------------
-# RNG-free phase guard
-# ----------------------------------------------------------------------
-@contextlib.contextmanager
-def maybe_guard(
-    rng: np.random.Generator, label: str
-) -> Iterator[None]:
-    """Assert no draw happens on ``rng`` inside the block.
-
-    The sharded consumption phase (and any future parallel phase)
-    promises to be RNG-free — that is *why* shard count cannot perturb
-    a trajectory.  The guard fingerprints the generator state before
-    and after; a mismatch means a draw leaked into the parallel phase.
-    No-op when the sanitizer is off.
-    """
-    if not enabled():
-        yield
-        return
-    before = repr(rng.bit_generator.state)
-    yield
-    after = repr(rng.bit_generator.state)
-    if before != after:
-        _violate(
-            f"rng-in-parallel-phase: generator state advanced inside "
-            f"{label} — this phase is contracted to be RNG-free; a "
-            "draw here makes results depend on scheduling"
-        )
 
 
 # ----------------------------------------------------------------------

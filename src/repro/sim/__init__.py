@@ -22,7 +22,6 @@ from repro.sim.trials import (
     sweep,
 )
 from repro.obs.trace import TraceEvent, TraceRecorder
-from repro.sim.shard import ShardedTickEngine
 from repro.sim.view import SimView
 from repro.sim.workload import (
     draw_new_node_id,
@@ -41,7 +40,6 @@ __all__ = [
     "RingState",
     "OwnerRegistry",
     "SimView",
-    "ShardedTickEngine",
     "run_trial",
     "run_trials",
     "sweep",

@@ -5,7 +5,7 @@ to absorb load.  This module asks what the paper cannot: does Sybil-based
 balancing survive a *hostile* Sybil attack?  Three attacker behaviors run
 as an engine phase (between churn and arrivals), all default-off and all
 drawing from the engine's seeded RNG stream so enabled scenarios stay
-bit-identical across shards and kernel backends:
+bit-identical from run to run:
 
 * **eclipse** — one coordinated attacker concentrates
   ``eclipse_sybils`` identities inside a victim arc (the arc holding the
@@ -68,7 +68,7 @@ class AdversaryPlane:
     Holds no ring state of its own: it mutates the engine's
     ``RingState``/``OwnerRegistry`` through the same batched structural
     operations the churn phase uses, so seeded trajectories stay
-    bit-identical across the plain and sharded engines.
+    bit-identical from run to run.
     """
 
     def __init__(self, engine: "TickEngine"):

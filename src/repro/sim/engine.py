@@ -25,15 +25,14 @@ factor versus the ideal are the primary outputs (§V-C).
 Performance: consumption is fully vectorized.  When no Sybils exist every
 owner has exactly one slot and the per-tick cost is two NumPy ops over
 the slot arrays; with Sybils the engine consumes over the owner-grouped
-CSR layout cached by :meth:`RingState.consumption_groups` using a
-backend kernel from :mod:`repro.sim.kernels` (pure NumPy by default, an
-optional numba-jitted variant behind ``backend="numba"``) — no per-owner
-Python loops at all, and no per-tick sort between structural mutations.
-When neither a trace sink nor a real profiler is attached, ``step()``
-takes an observer-free path that skips every piece of observability
+CSR layout cached by :meth:`RingState.consumption_groups` using the
+NumPy kernels in :mod:`repro.sim.kernels` — no per-owner Python loops
+at all, and no per-tick sort between structural mutations.  When
+neither a trace sink nor a real profiler is attached, ``step()`` takes
+an observer-free path that skips every piece of observability
 bookkeeping (no phase contexts, no event dicts); see
-``docs/scaling.md``.  :class:`repro.sim.shard.ShardedTickEngine` extends
-this engine with multiprocess consumption over shared-memory slabs.
+``docs/scaling.md``.  A trial runs in one process; parallelism lives
+at the trial layer (:mod:`repro.fabric`).
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ from repro.config import SimulationConfig
 from repro.obs.profile import NULL_PROFILER, Profiler
 from repro.obs.trace import TraceSink
 from repro.sim.adversary import AdversaryPlane
-from repro.sim.kernels import fast_kernel, grouped_kernel, resolve_backend
+from repro.sim.kernels import consume_fast, consume_grouped
 from repro.sim.owners import OwnerRegistry
 from repro.sim.results import SimulationResult
 from repro.sim.state import RingState
@@ -83,7 +82,6 @@ class TickEngine:
         rng: np.random.Generator | None = None,
         trace: TraceSink | None = None,
         profiler: Profiler | None = None,
-        backend: str | None = None,
     ):
         self.config = config
         self.trace = trace
@@ -97,15 +95,12 @@ class TickEngine:
         # real, step() takes the bookkeeping-free path
         self._tracing = trace is not None
         self._observed = self._tracing or self.profiler is not NULL_PROFILER
-        self.backend = resolve_backend(backend)
-        self._fast_kernel = fast_kernel(self.backend)
-        self._grouped_kernel = grouped_kernel(self.backend)
         self.rng = rng if rng is not None else make_rng(config.seed)
         if sanitize.enabled():
             # Every engine claims the single global stream under one
             # label: sequential engines may legitimately share it, but a
-            # concurrent consumer (a stress worker, a shard-local phase)
-            # claiming the same BitGenerator is stream aliasing.
+            # concurrent consumer (a stress worker, say) claiming the
+            # same BitGenerator is stream aliasing.
             sanitize.track_rng(self.rng, "tick-engine")
         self.space = IdSpace(config.bits)
         self.owners = OwnerRegistry(config, self.rng)
@@ -417,7 +412,7 @@ class TickEngine:
         rates = self.owners.rate
         if state.n_sybil_slots == 0:
             # FAST PATH: one slot per owner — consume directly per slot.
-            consumed = self._fast_kernel(counts, state.owner, rates)
+            consumed = consume_fast(counts, state.owner, rates)
         else:
             consumed = self._consume_multi_slot()
         state.mark_loads_dirty()
@@ -428,13 +423,13 @@ class TickEngine:
 
         Heaviest identity first, over the owner-grouped CSR layout
         cached by the state (rebuilt only on structural mutation).  The
-        arithmetic lives in :mod:`repro.sim.kernels`; the sharded engine
-        overrides this method to run the same kernel on arc chunks in
-        worker processes.
+        arithmetic lives in :mod:`repro.sim.kernels`; benchmarks and the
+        whole-trial differential test swap this method for the
+        reference oracle.
         """
         state = self.state
         groups = state.consumption_groups()
-        return self._grouped_kernel(
+        return consume_grouped(
             state.counts,
             self.owners.rate,
             groups.order,
@@ -507,8 +502,6 @@ class TickEngine:
         return dict(self._snapshot_loads)
 
 
-def run_simulation(
-    config: SimulationConfig, *, backend: str | None = None
-) -> SimulationResult:
+def run_simulation(config: SimulationConfig) -> SimulationResult:
     """Convenience wrapper: build an engine from config and run it."""
-    return TickEngine(config, backend=backend).run()
+    return TickEngine(config).run()

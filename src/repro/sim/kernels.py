@@ -1,16 +1,14 @@
-"""Consumption kernels: the tick loop's hottest arithmetic, per backend.
+"""Consumption kernels: the tick loop's hottest arithmetic.
 
 The engine's consumption phase distributes each owner's per-tick rate
 across its ring identities, heaviest identity first (§V of the paper).
-This module isolates that arithmetic into standalone kernels so it can
-be (a) swapped between a pure-NumPy implementation and an optional
-numba-jitted one, (b) executed by shard workers against shared-memory
-slab views (:mod:`repro.sim.shard`), and (c) property-checked against
-the historical lexsort implementation, the same reference-equivalence
-pattern the slab rewrite used (``NaiveRingState`` vs ``RingState``).
+This module isolates that arithmetic into standalone NumPy kernels so
+it can be property-checked against the historical lexsort
+implementation, the same reference-equivalence pattern the slab rewrite
+used (``NaiveRingState`` vs ``RingState``).
 
-Consumption semantics (the contract every backend must meet bit-for-bit)
------------------------------------------------------------------------
+Consumption semantics (the contract the kernels meet bit-for-bit)
+-----------------------------------------------------------------
 
 Given per-slot remaining ``counts``, per-owner ``rates``, and a CSR
 grouping of the live slots by owner (see
@@ -28,101 +26,33 @@ Step 3's tie-break deserves a note: the historical engine used
 ``max_sybils + 1 <= 7`` slots and NumPy's introsort degenerates to a
 (stable) insertion sort below 16 elements, so the stable rule above is
 bit-identical to every trajectory the old code could produce — but
-unlike "whatever introsort does", it is implementable identically in
-NumPy, numba, and any future compiled backend.
+unlike "whatever introsort does", it is a rule a reference
+implementation can state and a test can pin.
 
-Backends
---------
-
-``numpy``
-    Default.  Fully vectorized: segmented max / first-of-max via
-    ``ufunc.reduceat`` over the cached CSR grouping — O(n) per tick
-    instead of the old per-tick ``lexsort`` — and a vectorized
-    cumulative-clip pass for the (rare) residual slots.
-``numba``
-    Optional, feature-flagged, off by default.  A ``@njit`` translation
-    of the same contract.  Requires the ``numba`` package; selecting it
-    without numba installed raises :class:`~repro.errors.ConfigError`
-    (the dependency is never auto-installed).  Enable per run with
-    ``TickEngine(config, backend="numba")``, ``repro simulate --backend
-    numba``, or globally with ``REPRO_SIM_BACKEND=numba``.
-
-Consumption draws no randomness and the kernels are pure integer
-arithmetic over ``int64`` arrays, so seeded results are bit-identical
-across backends and across any partition of the CSR grouping into
-contiguous chunks — the property the sharded engine is built on.
+The grouped kernel is fully vectorized: segmented max / first-of-max
+via ``ufunc.reduceat`` over the cached CSR grouping — O(n) per tick
+instead of the old per-tick ``lexsort`` — and a vectorized
+cumulative-clip pass for the (rare) residual slots.  Consumption draws
+no randomness and the kernels are pure integer arithmetic over
+``int64`` arrays, so the grouped kernel's output is also invariant
+under any partition of the CSR grouping into contiguous chunks.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Callable
-
 import numpy as np
 
-from repro.errors import ConfigError
-
 __all__ = [
-    "BACKEND_ENV",
-    "BACKENDS",
-    "DEFAULT_BACKEND",
-    "HAVE_NUMBA",
-    "available_backends",
     "consume_fast",
     "consume_grouped",
     "consume_grouped_reference",
-    "grouped_kernel",
-    "fast_kernel",
-    "resolve_backend",
 ]
-
-try:  # feature-flagged accelerator: absence is a supported configuration
-    import numba  # type: ignore[import-not-found, import-untyped]
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised on numba-less installs
-    numba = None
-    HAVE_NUMBA = False
-
-#: Recognized backend names, in preference order.
-BACKENDS = ("numpy", "numba")
-DEFAULT_BACKEND = "numpy"
-#: Environment override consulted when no explicit backend is passed.
-BACKEND_ENV = "REPRO_SIM_BACKEND"
 
 _I64 = np.int64
 
 
-def available_backends() -> tuple[str, ...]:
-    """The backends usable in this environment."""
-    return BACKENDS if HAVE_NUMBA else ("numpy",)
-
-
-def resolve_backend(name: str | None = None) -> str:
-    """Validate a backend request (or the env default) to a usable name.
-
-    ``None`` falls back to ``$REPRO_SIM_BACKEND``, then ``"numpy"``.
-    Requesting ``"numba"`` without numba installed is an explicit
-    :class:`~repro.errors.ConfigError`, never a silent fallback — a
-    benchmark that silently ran the wrong backend would lie.
-    """
-    if name is None:
-        name = os.environ.get(BACKEND_ENV) or DEFAULT_BACKEND
-    if name not in BACKENDS:
-        raise ConfigError(
-            f"unknown simulation backend {name!r}; expected one of "
-            f"{BACKENDS}"
-        )
-    if name == "numba" and not HAVE_NUMBA:
-        raise ConfigError(
-            "backend 'numba' requested but the numba package is not "
-            "installed; install numba or use backend 'numpy'"
-        )
-    return name
-
-
 # ----------------------------------------------------------------------
-# numpy backend
+# kernels
 # ----------------------------------------------------------------------
 def consume_fast(counts: np.ndarray, owner: np.ndarray,
                  rates: np.ndarray) -> int:
@@ -150,9 +80,9 @@ def consume_grouped(
     ``gorder`` lists slot indices grouped by owner (ascending ring
     position within a group); group ``g`` spans
     ``gorder[starts[g] : starts[g] + sizes[g]]`` and belongs to owner
-    ``group_owner[g]``.  ``starts`` must begin at 0 — shard workers pass
-    re-based CSR chunks, and the kernel's output is invariant under any
-    contiguous partition into such chunks.
+    ``group_owner[g]``.  ``starts`` must begin at 0; the kernel's output
+    is invariant under any contiguous partition of the grouping into
+    re-based chunks.
 
     Mutates ``counts`` in place; returns the total consumed.
     """
@@ -173,13 +103,13 @@ def consume_grouped(
 
     residual = want - take
     if residual.any():
-        consumed += _drain_residual_numpy(
+        consumed += _drain_residual(
             counts, gorder, starts, sizes, residual
         )
     return consumed
 
 
-def _drain_residual_numpy(
+def _drain_residual(
     counts: np.ndarray,
     gorder: np.ndarray,
     starts: np.ndarray,
@@ -223,8 +153,8 @@ def consume_grouped_reference(
 
     One ``lexsort`` groups slots by owner with counts descending; the
     first slot of each group absorbs what it can of the owner's demand
-    and a Python loop settles the residual.  Property tests pin every
-    backend against this, the same way slab structural ops are pinned
+    and a Python loop settles the residual.  Property tests pin the
+    kernels against this, the same way slab structural ops are pinned
     against ``NaiveRingState``.
     """
     loads = np.bincount(
@@ -258,87 +188,3 @@ def consume_grouped_reference(
                 r -= grab
                 consumed += grab
     return consumed
-
-
-# ----------------------------------------------------------------------
-# numba backend (optional)
-# ----------------------------------------------------------------------
-if HAVE_NUMBA:
-
-    @numba.njit(cache=False)
-    def _consume_fast_numba(counts, owner, rates):  # pragma: no cover
-        consumed = 0
-        for i in range(counts.shape[0]):
-            c = counts[i]
-            r = rates[owner[i]]
-            t = r if r < c else c
-            counts[i] = c - t
-            consumed += t
-        return consumed
-
-    @numba.njit(cache=False)
-    def _consume_grouped_numba(  # pragma: no cover
-        counts, rates, gorder, starts, sizes, group_owner
-    ):
-        consumed = 0
-        for g in range(starts.shape[0]):
-            s = starts[g]
-            m = sizes[g]
-            load = 0
-            heaviest = -1
-            heavy_at = -1
-            for j in range(m):
-                c = counts[gorder[s + j]]
-                load += c
-                if c > heaviest:
-                    heaviest = c
-                    heavy_at = s + j
-            rate = rates[group_owner[g]]
-            want = rate if rate < load else load
-            if want <= 0:
-                continue
-            take = want if want < heaviest else heaviest
-            counts[gorder[heavy_at]] -= take
-            consumed += take
-            r = want - take
-            # stable descending drain: repeatedly take the first-of-max
-            # (full takes zero the slot; a partial take ends the loop)
-            while r > 0:
-                best = 0
-                pick = -1
-                for j in range(m):
-                    c = counts[gorder[s + j]]
-                    if c > best:
-                        best = c
-                        pick = s + j
-                grab = r if r < best else best
-                counts[gorder[pick]] -= grab
-                r -= grab
-                consumed += grab
-        return consumed
-
-    def _numba_fast(counts, owner, rates):
-        # type: (np.ndarray, np.ndarray, np.ndarray) -> int
-        return int(_consume_fast_numba(counts, owner, rates))
-
-    def _numba_grouped(counts, rates, gorder, starts, sizes, group_owner):
-        # type: (...) -> int
-        return int(
-            _consume_grouped_numba(
-                counts, rates, gorder, starts, sizes, group_owner
-            )
-        )
-
-
-def fast_kernel(backend: str) -> Callable[..., int]:
-    """The one-slot-per-owner kernel for a resolved backend name."""
-    if backend == "numba" and HAVE_NUMBA:
-        return _numba_fast
-    return consume_fast
-
-
-def grouped_kernel(backend: str) -> Callable[..., int]:
-    """The grouped (multi-slot) kernel for a resolved backend name."""
-    if backend == "numba" and HAVE_NUMBA:
-        return _numba_grouped
-    return consume_grouped

@@ -69,8 +69,7 @@ class OwnerRegistry:
         else:
             self.rate = np.ones(total, dtype=np.int64)
         # Adversaries accept keys but never consume: rate 0.  The rate
-        # array is write-once after this, which keeps the sharded
-        # engine's shared-memory rates mirror valid for the whole run.
+        # array is write-once after this.
         self.rate[self.adversary_start:] = 0
 
         if config.heterogeneous:

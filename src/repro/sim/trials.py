@@ -36,7 +36,6 @@ Environment knobs
 
 from __future__ import annotations
 
-import functools
 import os
 import threading
 from dataclasses import dataclass, replace
@@ -53,7 +52,6 @@ from repro.obs.trace import TraceSink
 from repro.sim.cache import TrialCache
 from repro.sim.engine import TickEngine
 from repro.sim.results import SimulationResult, TrialSet
-from repro.sim.shard import ShardedTickEngine
 from repro.util.rng import make_rng
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -65,7 +63,6 @@ __all__ = [
     "sweep",
     "sweep_grid",
     "default_n_jobs",
-    "make_trial_fn",
     "TrialFailure",
     "RunStats",
     "reset_run_stats",
@@ -83,9 +80,6 @@ def run_trial(
     *,
     trace: "TraceSink | None" = None,
     profiler: "Profiler | None" = None,
-    backend: str | None = None,
-    shards: int = 1,
-    min_parallel_slots: int | None = None,
 ) -> SimulationResult:
     """Run one trial; ``seed_seq`` overrides the config seed when given.
 
@@ -94,52 +88,9 @@ def run_trial(
     bit-identical.  They are keyword-only and unpicklable-by-design
     sinks stay out of multi-process paths: :func:`run_trials` always
     calls this without them.
-
-    ``backend`` and ``shards`` are *execution* parameters (see
-    :mod:`repro.sim.kernels` / :mod:`repro.sim.shard`): they change how
-    fast the trial runs, never its seeded result, and are deliberately
-    not part of :class:`SimulationConfig` so the trial cache keys stay
-    purely semantic — a result cached under ``shards=4`` is bit-valid
-    for a ``shards=1`` re-run and vice versa.
     """
     rng = make_rng(seed_seq) if seed_seq is not None else None
-    if shards > 1:
-        kwargs = {}
-        if min_parallel_slots is not None:
-            kwargs["min_parallel_slots"] = min_parallel_slots
-        with ShardedTickEngine(
-            config, shards=shards, rng=rng, trace=trace,
-            profiler=profiler, backend=backend, **kwargs,
-        ) as engine:
-            return engine.run()
-    eng = TickEngine(
-        config, rng=rng, trace=trace, profiler=profiler, backend=backend
-    )
-    return eng.run()
-
-
-def make_trial_fn(
-    *,
-    backend: str | None = None,
-    shards: int = 1,
-    min_parallel_slots: int | None = None,
-) -> TrialFn:
-    """A picklable :data:`TrialFn` pinning execution parameters.
-
-    ``functools.partial`` over the module-level :func:`run_trial`
-    survives the spawn-context pickling that ``run_trials(n_jobs > 1)``
-    requires, unlike a closure; the CLI uses this to honor
-    ``--backend`` / ``--shards`` on multi-process trial runs and
-    ``repro fabric worker``.
-    """
-    if backend is None and shards == 1 and min_parallel_slots is None:
-        return run_trial
-    return functools.partial(
-        run_trial,
-        backend=backend,
-        shards=shards,
-        min_parallel_slots=min_parallel_slots,
-    )
+    return TickEngine(config, rng=rng, trace=trace, profiler=profiler).run()
 
 
 def default_n_jobs() -> int:

@@ -3,37 +3,18 @@
 The interplay the scale work must not disturb: a run is ``finished``
 only when no tasks remain *and* the arrival window has closed; it is
 ``terminated`` when it can never finish (ring death, unrecoverable
-loss); ``max_ticks`` is a truncation, not a completion.  Each edge is
-parametrized over shard counts — the sharded engine inherits the
-termination logic unchanged and must agree exactly.
+loss); ``max_ticks`` is a truncation, not a completion.
 """
-
-import numpy as np
-import pytest
 
 from repro.config import AdversaryModel, FailureModel, SimulationConfig
 from repro.sim.engine import TickEngine
-from repro.sim.shard import ShardedTickEngine
-
-SHARD_COUNTS = [1, 2, 4]
 
 
-def build_engine(config, shards):
-    if shards == 1:
-        return TickEngine(config)
-    return ShardedTickEngine(config, shards=shards, min_parallel_slots=1)
+def run_engine(config):
+    engine = TickEngine(config)
+    return engine, engine.run()
 
 
-def run_engine(config, shards):
-    engine = build_engine(config, shards)
-    try:
-        return engine, engine.run()
-    finally:
-        if isinstance(engine, ShardedTickEngine):
-            engine.close()
-
-
-@pytest.mark.parametrize("shards", SHARD_COUNTS)
 class TestRingDeathMidArrivals:
     CONFIG = SimulationConfig(
         n_nodes=12,
@@ -47,8 +28,8 @@ class TestRingDeathMidArrivals:
         seed=3,
     )
 
-    def test_terminates_while_arrivals_still_pending(self, shards):
-        engine, result = run_engine(self.CONFIG, shards)
+    def test_terminates_while_arrivals_still_pending(self):
+        engine, result = run_engine(self.CONFIG)
         assert engine.terminated
         assert engine.termination_reason == "ring_empty"
         # the arrival window was still open when the ring died: the run
@@ -59,8 +40,8 @@ class TestRingDeathMidArrivals:
         assert not result.completed
         assert result.runtime_ticks < self.CONFIG.arrival_until
 
-    def test_lost_tasks_are_accounted(self, shards):
-        engine, result = run_engine(self.CONFIG, shards)
+    def test_lost_tasks_are_accounted(self):
+        engine, result = run_engine(self.CONFIG)
         assert engine.tasks_lost > 0
         assert (
             result.total_consumed + engine.tasks_lost
@@ -68,7 +49,6 @@ class TestRingDeathMidArrivals:
         )
 
 
-@pytest.mark.parametrize("shards", SHARD_COUNTS)
 class TestRingEmptiesOfTasksMidArrivals:
     """``remaining == 0`` inside the arrival window must not finish."""
 
@@ -80,32 +60,27 @@ class TestRingEmptiesOfTasksMidArrivals:
         seed=11,
     )
 
-    def test_drained_ring_keeps_ticking_through_window(self, shards):
-        engine = build_engine(self.CONFIG, shards)
-        try:
-            saw_drained_but_pending = False
-            while not engine.finished:
-                engine.step()
-                if engine.remaining == 0 and engine.arrivals_pending:
-                    assert not engine.finished
-                    saw_drained_but_pending = True
-            # 25 nodes drain 25 initial tasks in one tick while ~4/tick
-            # arrive: the drained-but-pending state must occur
-            assert saw_drained_but_pending
-            assert engine.tick >= self.CONFIG.arrival_until
-        finally:
-            if isinstance(engine, ShardedTickEngine):
-                engine.close()
+    def test_drained_ring_keeps_ticking_through_window(self):
+        engine = TickEngine(self.CONFIG)
+        saw_drained_but_pending = False
+        while not engine.finished:
+            engine.step()
+            if engine.remaining == 0 and engine.arrivals_pending:
+                assert not engine.finished
+                saw_drained_but_pending = True
+        # 25 nodes drain 25 initial tasks in one tick while ~4/tick
+        # arrive: the drained-but-pending state must occur
+        assert saw_drained_but_pending
+        assert engine.tick >= self.CONFIG.arrival_until
 
-    def test_run_completes_after_window(self, shards):
-        _, result = run_engine(self.CONFIG, shards)
+    def test_run_completes_after_window(self):
+        _, result = run_engine(self.CONFIG)
         assert result.completed
         assert result.termination_reason is None
         assert result.runtime_ticks >= self.CONFIG.arrival_until
         assert result.total_injected > self.CONFIG.n_tasks
 
 
-@pytest.mark.parametrize("shards", SHARD_COUNTS)
 class TestMaxTicksOnFinalConsumptionTick:
     """One node, ten tasks, rate one: the run needs exactly ten ticks."""
 
@@ -114,35 +89,28 @@ class TestMaxTicksOnFinalConsumptionTick:
             n_nodes=1, n_tasks=10, max_ticks=max_ticks, seed=0
         )
 
-    def test_cap_equal_to_runtime_still_completes(self, shards):
-        engine, result = run_engine(self.config(max_ticks=10), shards)
+    def test_cap_equal_to_runtime_still_completes(self):
+        engine, result = run_engine(self.config(max_ticks=10))
         assert result.runtime_ticks == 10
         assert engine.finished
         assert result.completed
         assert result.termination_reason is None
         assert result.total_consumed == 10
 
-    def test_cap_one_short_truncates(self, shards):
-        engine, result = run_engine(self.config(max_ticks=9), shards)
+    def test_cap_one_short_truncates(self):
+        engine, result = run_engine(self.config(max_ticks=9))
         assert result.runtime_ticks == 9
         assert not engine.finished
         assert engine.remaining == 1
         assert not result.completed
         assert result.termination_reason == "max_ticks"
 
-    def test_trajectories_agree_across_shard_counts(self, shards):
-        _, result = run_engine(self.config(max_ticks=10), shards)
-        _, base = run_engine(self.config(max_ticks=10), 1)
-        assert result.runtime_ticks == base.runtime_ticks
-        np.testing.assert_array_equal(result.final_loads, base.final_loads)
 
-
-@pytest.mark.parametrize("shards", SHARD_COUNTS)
 class TestFreeRiderTruncation:
     """Free-riding adversaries strand tasks: with no churn there is no
     rejoin path to recapture them, so the run must truncate at
     ``max_ticks`` — never report completion — and the stranded work must
-    show up in the adversary summary, identically for every shard count.
+    show up in the adversary summary.
     """
 
     CONFIG = SimulationConfig(
@@ -153,17 +121,11 @@ class TestFreeRiderTruncation:
         seed=21,
     )
 
-    def test_truncates_with_stranded_tasks(self, shards):
-        engine, result = run_engine(self.CONFIG, shards)
+    def test_truncates_with_stranded_tasks(self):
+        engine, result = run_engine(self.CONFIG)
         assert not engine.finished
         assert not result.completed
         assert result.termination_reason == "max_ticks"
         assert result.adversary is not None
         assert result.adversary["stranded_tasks"] > 0
         assert result.adversary["slots_joined"] == 3
-
-    def test_agrees_with_plain_engine(self, shards):
-        _, result = run_engine(self.CONFIG, shards)
-        _, base = run_engine(self.CONFIG, 1)
-        assert result.adversary == base.adversary
-        np.testing.assert_array_equal(result.final_loads, base.final_loads)

@@ -1,30 +1,31 @@
 """Property tests for the consumption kernels (repro.sim.kernels).
 
-The vectorized grouped kernel (and, when installed, the numba-jitted
-one) must agree *bit for bit* with ``consume_grouped_reference`` — the
-historical per-tick lexsort implementation — on the post-tick counts
-vector and the consumed total, the same slab-vs-naive equivalence
-pattern the ring rewrite used.  A partition-invariance property checks
-the math the sharded engine relies on: running the kernel on contiguous
-CSR chunks is indistinguishable from one sequential pass.
+The vectorized grouped kernel must agree *bit for bit* with
+``consume_grouped_reference`` — the historical per-tick lexsort
+implementation — on the post-tick counts vector and the consumed total,
+the same slab-vs-naive equivalence pattern the ring rewrite used.  A
+partition-invariance property checks that running the kernel on
+contiguous CSR chunks is indistinguishable from one sequential pass.
+A whole-trial differential test runs seeded trials through
+:class:`~repro.sim.engine.TickEngine` twice — once as shipped, once
+with multi-slot consumption swapped for the reference — and requires
+identical results and RNG stream positions.
 """
+
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigError
-from repro.sim import kernels
+from repro.config import AdversaryModel, FailureModel, SimulationConfig
+from repro.obs.metrics import result_fingerprint
+from repro.sim.engine import TickEngine
 from repro.sim.kernels import (
-    HAVE_NUMBA,
-    available_backends,
     consume_fast,
     consume_grouped,
     consume_grouped_reference,
-    fast_kernel,
-    grouped_kernel,
-    resolve_backend,
 )
 
 I64 = np.int64
@@ -89,10 +90,7 @@ def test_grouped_numpy_matches_reference(params):
 @settings(max_examples=40, deadline=None)
 @given(params=workload_params, n_chunks=st.integers(1, 6))
 def test_grouped_kernel_is_partition_invariant(params, n_chunks):
-    """Consuming CSR chunks independently == one sequential pass.
-
-    This is the exact property the sharded engine's correctness rests
-    on (shard workers each run the kernel on one contiguous chunk)."""
+    """Consuming CSR chunks independently == one sequential pass."""
     rng = np.random.default_rng(params["seed"])
     counts, owner, rates = random_workload(
         rng,
@@ -158,66 +156,97 @@ def test_grouped_handles_empty_ring():
     assert consume_grouped(empty, empty, empty, empty, empty, empty) == 0
 
 
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-@settings(max_examples=30, deadline=None)
-@given(params=workload_params)
-def test_grouped_numba_matches_numpy(params):
-    rng = np.random.default_rng(params["seed"])
-    counts, owner, rates = random_workload(
-        rng,
-        params["n_owners"],
-        params["max_group"],
-        params["max_count"],
-        params["max_rate"],
+# ----------------------------------------------------------------------
+# whole trials: TickEngine vs the reference consumption oracle
+# ----------------------------------------------------------------------
+#: Invitation on a heterogeneous ring with strength-scaled work and
+#: churn: Sybils, uneven rates and residual drains all reach the kernel.
+SYBIL_CONFIG = SimulationConfig(
+    strategy="invitation",
+    n_nodes=50,
+    n_tasks=3000,
+    churn_rate=0.02,
+    heterogeneous=True,
+    work_measurement="strength",
+    max_sybils=5,
+    seed=424242,
+)
+
+#: The same ring under active attack with both defenses on: eclipse
+#: joins, free-riders, budget refills, density evictions and targeted
+#: crashes all reshape the ring between consumption phases.
+ADVERSARIAL_CONFIG = SimulationConfig(
+    strategy="invitation",
+    n_nodes=50,
+    n_tasks=3000,
+    churn_rate=0.02,
+    max_sybils=5,
+    seed=424242,
+    adversary=AdversaryModel(
+        eclipse_sybils=12,
+        eclipse_arc_fraction=0.01,
+        free_riders=2,
+        churn_amplification=0.05,
+        attack_tick=5,
+        join_cost=2,
+        detection_interval=10,
+    ),
+    max_ticks=1500,
+)
+
+#: Random injection with streaming arrivals and crash-stop failures.
+ARRIVALS_CRASHES_CONFIG = SimulationConfig(
+    strategy="random_injection",
+    n_nodes=40,
+    n_tasks=1500,
+    churn_rate=0.05,
+    arrival_rate=30.0,
+    arrival_until=20,
+    max_sybils=4,
+    failures=FailureModel(crash_fraction=0.3, replication_factor=1),
+    seed=77,
+)
+
+
+def _reference_engine(config):
+    """An engine whose multi-slot consumption is the lexsort oracle
+    (the swap ``benchmarks/bench_core_ops.py`` times as ``reference``);
+    ``calls`` counts how often the oracle ran."""
+    engine = TickEngine(config)
+    engine.calls = 0
+
+    def _consume_reference(self):
+        self.calls += 1
+        state = self.state
+        return consume_grouped_reference(
+            state.counts, state.owner, self.owners.rate
+        )
+
+    engine._consume_multi_slot = types.MethodType(
+        _consume_reference, engine
     )
-    gorder, starts, sizes, gowner = build_csr(owner)
-
-    ref = counts.copy()
-    ref_total = consume_grouped(ref, rates, gorder, starts, sizes, gowner)
-
-    jit = counts.copy()
-    jit_total = grouped_kernel("numba")(
-        jit, rates, gorder, starts, sizes, gowner
-    )
-    assert jit_total == ref_total
-    np.testing.assert_array_equal(jit, ref)
-
-    fast_ref = counts.copy()
-    fast_ref_total = consume_fast(fast_ref, owner, rates)
-    fast_jit = counts.copy()
-    fast_jit_total = fast_kernel("numba")(fast_jit, owner, rates)
-    assert fast_jit_total == fast_ref_total
-    np.testing.assert_array_equal(fast_jit, fast_ref)
+    return engine
 
 
-class TestBackendRegistry:
-    def test_default_is_numpy(self, monkeypatch):
-        monkeypatch.delenv(kernels.BACKEND_ENV, raising=False)
-        assert resolve_backend(None) == "numpy"
-        assert resolve_backend("numpy") == "numpy"
+@pytest.mark.parametrize(
+    "config",
+    [SYBIL_CONFIG, ADVERSARIAL_CONFIG, ARRIVALS_CRASHES_CONFIG],
+    ids=["sybil", "adversarial", "arrivals-crashes"],
+)
+def test_trial_matches_reference_consumption(config):
+    engine = TickEngine(config)
+    oracle = _reference_engine(config)
+    # lockstep: every tick consumes the same tasks from the same slots
+    while not (engine.finished or engine.terminated) and (
+        engine.tick < config.max_ticks
+    ):
+        assert engine.step() == oracle.step()
+        np.testing.assert_array_equal(
+            engine.state.counts, oracle.state.counts
+        )
+    result = engine.run()
+    expected = oracle.run()
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(kernels.BACKEND_ENV, "numpy")
-        assert resolve_backend(None) == "numpy"
-        monkeypatch.setenv(kernels.BACKEND_ENV, "not-a-backend")
-        with pytest.raises(ConfigError, match="unknown simulation backend"):
-            resolve_backend(None)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigError, match="unknown simulation backend"):
-            resolve_backend("fortran")
-
-    def test_numba_without_numba_is_explicit(self):
-        if HAVE_NUMBA:
-            pytest.skip("numba installed: request is satisfiable")
-        with pytest.raises(ConfigError, match="numba"):
-            resolve_backend("numba")
-
-    def test_available_backends(self):
-        avail = available_backends()
-        assert "numpy" in avail
-        assert ("numba" in avail) == HAVE_NUMBA
-
-    def test_kernel_lookup_defaults_to_numpy(self):
-        assert fast_kernel("numpy") is consume_fast
-        assert grouped_kernel("numpy") is consume_grouped
+    assert oracle.calls > 0  # the multi-slot path was exercised
+    assert result_fingerprint(result) == result_fingerprint(expected)
+    assert engine.rng.bit_generator.state == oracle.rng.bit_generator.state

@@ -144,8 +144,7 @@ class TestR002NondeterminismHazard:
         write_tree(
             tmp_path,
             {
-                # the sanctioned fixed-order-merge modules
-                "repro/sim/shard.py": source,
+                # the sanctioned fixed-order-merge module
                 "repro/sim/trials.py": source,
                 # out-of-scope layer: the analysis CLI may pool freely
                 "repro/viz/pool.py": source,

@@ -1,7 +1,6 @@
 """Runtime determinism sanitizer (``repro.sanitize``): the env toggle,
-RNG ownership tracking, payload scanning, shard-plan disjointness,
-RNG-free phase guards, the asyncio watch, and end-to-end proof that a
-sanitized sharded trial stays bit-identical to a plain one."""
+RNG ownership tracking, the asyncio watch, and end-to-end proof that a
+sanitized trial stays bit-identical to a plain one."""
 
 from __future__ import annotations
 
@@ -53,9 +52,6 @@ class TestToggle:
         rng = make_rng(1)
         sanitize.track_rng(rng, "a")
         sanitize.track_rng(rng, "b")  # would raise when armed
-        sanitize.forbid_generators((rng,), "payload")
-        with sanitize.maybe_guard(rng, "phase"):
-            rng.integers(10)  # a draw: would raise when armed
         assert sanitize.report_count() == 0
 
 
@@ -99,76 +95,6 @@ class TestTrackRng:
         assert sanitize.report_count() == 0
 
 
-class TestForbidGenerators:
-    def test_nested_generator_raises(self, monkeypatch):
-        arm(monkeypatch)
-        task = ("shm-name", 0, 4, {"rng": make_rng(3)})
-        with pytest.raises(SanitizeError, match="generator-in-payload"):
-            sanitize.forbid_generators(task, "shard worker task")
-
-    def test_bit_generator_also_raises(self, monkeypatch):
-        arm(monkeypatch)
-        with pytest.raises(SanitizeError):
-            sanitize.forbid_generators([make_rng(3).bit_generator], "task")
-
-    def test_clean_payload_passes(self, monkeypatch):
-        arm(monkeypatch)
-        sanitize.forbid_generators(
-            ("name", 0, 4, np.arange(3), {"k": [1, 2]}), "task"
-        )
-        assert sanitize.report_count() == 0
-
-
-class TestCheckShardPlan:
-    GOOD = dict(
-        el_bounds=np.array([0, 4, 8]),
-        starts=np.array([0, 2, 4, 6]),
-        order=np.arange(8),
-        n_elements=8,
-    )
-
-    def test_good_plan_passes(self, monkeypatch):
-        arm(monkeypatch)
-        sanitize.check_shard_plan(**self.GOOD)
-        assert sanitize.report_count() == 0
-
-    def test_bounds_must_tile(self, monkeypatch):
-        arm(monkeypatch)
-        bad = {**self.GOOD, "el_bounds": np.array([0, 4, 7])}
-        with pytest.raises(SanitizeError, match="tile"):
-            sanitize.check_shard_plan(**bad)
-
-    def test_cut_inside_group_raises(self, monkeypatch):
-        arm(monkeypatch)
-        bad = {**self.GOOD, "el_bounds": np.array([0, 3, 8])}
-        with pytest.raises(SanitizeError, match="straddling"):
-            sanitize.check_shard_plan(**bad)
-
-    def test_order_must_be_permutation(self, monkeypatch):
-        arm(monkeypatch)
-        order = np.arange(8)
-        order[0] = 1  # duplicate slot
-        bad = {**self.GOOD, "order": order}
-        with pytest.raises(SanitizeError, match="permutation"):
-            sanitize.check_shard_plan(**bad)
-
-
-class TestMaybeGuard:
-    def test_draw_inside_guard_raises(self, monkeypatch):
-        arm(monkeypatch)
-        rng = make_rng(5)
-        with pytest.raises(SanitizeError, match="rng-in-parallel-phase"):
-            with sanitize.maybe_guard(rng, "sharded consumption"):
-                rng.integers(10)
-
-    def test_rng_free_block_passes(self, monkeypatch):
-        arm(monkeypatch)
-        rng = make_rng(5)
-        with sanitize.maybe_guard(rng, "sharded consumption"):
-            sum(range(10))
-        assert sanitize.report_count() == 0
-
-
 class TestAsyncioWatch:
     def test_blocking_callback_is_reported(self, monkeypatch):
         arm(monkeypatch)
@@ -196,12 +122,9 @@ class TestAsyncioWatch:
 
 @pytest.mark.slow
 class TestSanitizedTrials:
-    def test_sharded_trial_bit_identical_under_sanitizer(self, monkeypatch):
+    def test_trial_bit_identical_under_sanitizer(self, monkeypatch):
         plain = result_fingerprint(run_trial(CONFIG))
         arm(monkeypatch)
         sanitized = result_fingerprint(run_trial(CONFIG))
-        sharded = result_fingerprint(
-            run_trial(CONFIG, shards=2, min_parallel_slots=1)
-        )
-        assert plain == sanitized == sharded
+        assert plain == sanitized
         assert sanitize.report_count() == 0
