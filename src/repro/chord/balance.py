@@ -124,19 +124,17 @@ class ProtocolView(NetworkView):
             host.node_ids, key=lambda nid: node_of(nid).store.primary_count
         )
 
-    def successor_slots(self, slot: int, k: int) -> np.ndarray:
+    def successor_slots(self, slot: int, k: int) -> list[int]:
         node = self._sim.ring.network.node(slot)
         alive = self._sim.ring.network.is_alive
-        succ = [s for s in node.successor_list if s != slot and alive(s)][:k]
-        return np.asarray(succ, dtype=object)
+        return [s for s in node.successor_list if s != slot and alive(s)][:k]
 
-    def predecessor_slots(self, slot: int, k: int) -> np.ndarray:
+    def predecessor_slots(self, slot: int, k: int) -> list[int]:
         node = self._sim.ring.network.node(slot)
         alive = self._sim.ring.network.is_alive
-        preds = [
+        return [
             p for p in node.predecessor_list if p != slot and alive(p)
         ][:k]
-        return np.asarray(preds, dtype=object)
 
     def slot_owner(self, slot: int) -> int:
         return self._sim.owner_of(slot)

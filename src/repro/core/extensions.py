@@ -33,8 +33,6 @@ injection with zero Sybil identities.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.neighbor import NeighborInjection
 from repro.core.invitation import Invitation
 from repro.core.strategy import NetworkView, Strategy
@@ -55,15 +53,15 @@ class StrengthAwareInvitation(Invitation):
         self,
         view: NetworkView,
         inviter: int,
-        pred_slots: np.ndarray,
+        pred_slots: list[int],
         threshold: int,
         helped: set[int],
     ) -> int | None:
         best_owner: int | None = None
         best_key: tuple[float, float] | None = None
         seen: set[int] = set()
-        for slot in pred_slots.tolist():
-            owner = view.slot_owner(int(slot))
+        for slot in pred_slots:
+            owner = view.slot_owner(slot)
             if owner == inviter or owner in seen:
                 continue
             seen.add(owner)
@@ -92,19 +90,15 @@ class StrengthProportionalInjection(Strategy):
     name = "proportional_injection"
 
     def decide(self, view: NetworkView) -> None:
-        threshold = view.config.sybil_threshold
         scale = (
             float(max(view.config.max_sybils, 1))
             if view.config.heterogeneous
             else 1.0
         )
-        loads = view.owner_loads()
-        for owner in self.shuffled(view, view.network_owners()):
-            owner = int(owner)
-            load = int(loads[owner])
+        for owner, load in self.underloaded_actors(view):
             if load == 0 and view.n_sybils(owner) > 0:
                 view.retire_sybils(owner)
-            if load > threshold or not view.can_add_sybil(owner):
+            if not view.can_add_sybil(owner):
                 continue
             p = view.owner_strength(owner) / scale
             # short-circuit at p >= 1 so the homogeneous case consumes no
@@ -127,12 +121,7 @@ class Relocation(NeighborInjection):
     smart = False
 
     def decide(self, view: NetworkView) -> None:
-        threshold = view.config.sybil_threshold
-        loads = view.owner_loads()
-        for owner in self.shuffled(view, view.network_owners()):
-            owner = int(owner)
-            if int(loads[owner]) > threshold:
-                continue
+        for owner, _ in self.underloaded_actors(view):
             target = self._pick_target(view, owner)
             if target is None:
                 view.stats.actions_skipped += 1

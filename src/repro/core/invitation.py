@@ -26,8 +26,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from repro.core.strategy import NetworkView, Strategy
 
 __all__ = ["Invitation"]
@@ -62,7 +60,7 @@ class Invitation(Strategy):
                 target, view.config.num_successors
             )
             # the announcement reaches every tracked predecessor
-            view.count_messages(int(preds.size))
+            view.count_messages(len(preds))
             view.stats.invitations_sent += 1
 
             helper = self._pick_helper(
@@ -82,7 +80,7 @@ class Invitation(Strategy):
         self,
         view: NetworkView,
         inviter: int,
-        pred_slots: np.ndarray,
+        pred_slots: list[int],
         threshold: int,
         helped: set[int],
     ) -> int | None:
@@ -91,8 +89,8 @@ class Invitation(Strategy):
         best_owner: int | None = None
         best_load = math.inf
         seen: set[int] = set()
-        for slot in pred_slots.tolist():
-            owner = view.slot_owner(int(slot))
+        for slot in pred_slots:
+            owner = view.slot_owner(slot)
             if owner == inviter or owner in seen:
                 continue
             seen.add(owner)

@@ -24,8 +24,6 @@ whose injection acquired nothing.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.strategy import NetworkView, Strategy
 
 __all__ = ["NeighborInjection", "SmartNeighborInjection"]
@@ -43,14 +41,10 @@ class NeighborInjection(Strategy):
 
     # ------------------------------------------------------------------
     def decide(self, view: NetworkView) -> None:
-        threshold = view.config.sybil_threshold
-        loads = view.owner_loads()
-        for owner in self.shuffled(view, view.network_owners()):
-            owner = int(owner)
-            load = int(loads[owner])
+        for owner, load in self.underloaded_actors(view):
             if load == 0 and view.n_sybils(owner) > 0:
                 view.retire_sybils(owner)
-            if load > threshold or not view.can_add_sybil(owner):
+            if not view.can_add_sybil(owner):
                 continue
             target = self._pick_target(view, owner)
             if target is None:
@@ -63,46 +57,49 @@ class NeighborInjection(Strategy):
                 # remember the arc (by its start id) as a dead end
                 pred_slot = view.predecessor_slots(target, 1)[0]
                 self._failed_ranges.setdefault(owner, set()).add(
-                    view.slot_id(int(pred_slot))
+                    view.slot_id(pred_slot)
                 )
 
     # ------------------------------------------------------------------
-    def _candidate_slots(self, view: NetworkView, owner: int) -> np.ndarray:
+    def _candidate_slots(self, view: NetworkView, owner: int) -> list[int]:
         """The owner's tracked successors, minus its own identities and
-        any ranges previously marked invalid."""
-        base = view.main_slot(owner)
-        succ = view.successor_slots(base, view.config.num_successors)
-        keep = [s for s in succ.tolist() if view.slot_owner(int(s)) != owner]
+        any ranges previously marked invalid.  Slots are ring indices in
+        the tick simulator but full-width node identifiers in the
+        protocol adapter: plain ints either way."""
+        succ = view.successor_slots(
+            view.main_slot(owner), view.config.num_successors
+        )
+        slot_owner = view.slot_owner
+        keep = [s for s in succ if slot_owner(s) != owner]
         if view.config.avoid_failed_ranges and owner in self._failed_ranges:
             failed = self._failed_ranges[owner]
             keep = [
                 s
                 for s in keep
-                if view.slot_id(int(view.predecessor_slots(int(s), 1)[0]))
-                not in failed
+                if view.slot_id(view.predecessor_slots(s, 1)[0]) not in failed
             ]
-        # dtype=object: slots are ring indices in the tick simulator but
-        # full-width node identifiers in the protocol adapter
-        return np.asarray(keep, dtype=object)
+        return keep
 
     def _pick_target(self, view: NetworkView, owner: int) -> int | None:
+        """The candidate with the largest estimated (or, when smart,
+        queried) workload; the first of equal maxima wins."""
         candidates = self._candidate_slots(view, owner)
-        if candidates.size == 0:
+        if not candidates:
             return None
         if self.smart:
             # one workload query per successor, then split the heaviest
-            view.count_messages(int(candidates.size))
-            counts = np.array(
-                [view.slot_count(int(s)) for s in candidates], dtype=np.int64
-            )
-            if counts.max() <= 0:
+            view.count_messages(len(candidates))
+            counts = [view.slot_count(s) for s in candidates]
+            best = max(counts)
+            if best <= 0:
                 return None
-            return int(candidates[int(np.argmax(counts))])
-        # estimate: biggest range <=> most potential tasks; no messages
-        gaps = np.array(
-            [view.slot_gap(int(s)) for s in candidates], dtype=np.float64
-        )
-        return int(candidates[int(np.argmax(gaps))])
+            return candidates[counts.index(best)]
+        # estimate: biggest range <=> most potential tasks; no messages.
+        # Gaps compare as float64: two arcs closer than float resolution
+        # tie, and the first one wins.
+        slot_gap = view.slot_gap
+        gaps = [float(slot_gap(s)) for s in candidates]
+        return candidates[gaps.index(max(gaps))]
 
 
 class SmartNeighborInjection(NeighborInjection):

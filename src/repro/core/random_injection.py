@@ -31,12 +31,8 @@ class RandomInjection(Strategy):
     name = "random_injection"
 
     def decide(self, view: NetworkView) -> None:
-        threshold = view.config.sybil_threshold
-        loads = view.owner_loads()
-        for owner in self.shuffled(view, view.network_owners()):
-            owner = int(owner)
-            load = int(loads[owner])
+        for owner, load in self.underloaded_actors(view):
             if load == 0 and view.n_sybils(owner) > 0:
                 view.retire_sybils(owner)
-            if load <= threshold and view.can_add_sybil(owner):
+            if view.can_add_sybil(owner):
                 view.create_sybil_random(owner)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import ClassVar
+from typing import ClassVar, Iterator
 
 import numpy as np
 
@@ -120,10 +120,15 @@ class NetworkView(abc.ABC):
         """The owner's slot holding the most remaining tasks."""
 
     @abc.abstractmethod
-    def successor_slots(self, slot: int, k: int) -> np.ndarray: ...
+    def successor_slots(self, slot: int, k: int) -> list[int]:
+        """The slots clockwise after ``slot``, nearest first: a plain
+        list of at most ``k`` entries that never includes ``slot``
+        itself (a ring of ``n`` slots yields at most ``n - 1``)."""
 
     @abc.abstractmethod
-    def predecessor_slots(self, slot: int, k: int) -> np.ndarray: ...
+    def predecessor_slots(self, slot: int, k: int) -> list[int]:
+        """The slots counter-clockwise before ``slot``, nearest first,
+        under the same list contract as :meth:`successor_slots`."""
 
     @abc.abstractmethod
     def slot_owner(self, slot: int) -> int: ...
@@ -206,6 +211,24 @@ class Strategy(abc.ABC):
         """Randomize actor order — nodes act concurrently in reality, so no
         deterministic priority should leak into the simulation."""
         return view.rng.permutation(owners)
+
+    def underloaded_actors(
+        self, view: NetworkView
+    ) -> Iterator[tuple[int, int]]:
+        """``(owner, load)`` pairs, as Python ints, of the owners at or
+        below ``sybil_threshold``, in one shuffled order of the whole
+        network (a single :meth:`shuffled` draw over
+        ``network_owners()``, loads from the round-start snapshot).
+
+        Owners above the threshold are dropped up front: they neither
+        inject (that needs ``load <= threshold``) nor retire (that needs
+        ``load == 0``, and the threshold is validated ``>= 0``).
+        """
+        loads = view.owner_loads()
+        order = self.shuffled(view, view.network_owners())
+        order_loads = loads[order]
+        keep = order_loads <= view.config.sybil_threshold
+        return zip(order[keep].tolist(), order_loads[keep].tolist())
 
 
 @dataclass

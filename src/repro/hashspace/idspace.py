@@ -15,6 +15,7 @@ indistinguishable for load-balance purposes (see DESIGN.md).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -50,12 +51,14 @@ class IdSpace:
         if self.bits <= 0:
             raise IdSpaceError(f"bits must be positive, got {self.bits}")
 
-    @property
+    # cached: modular arithmetic reads these on every call, and a frozen
+    # instance's ``bits`` never changes
+    @cached_property
     def size(self) -> int:
         """Number of identifiers in the space (``2**bits``)."""
         return 1 << self.bits
 
-    @property
+    @cached_property
     def max_id(self) -> int:
         """Largest valid identifier (``2**bits - 1``)."""
         return self.size - 1

@@ -40,7 +40,8 @@ sequential ``remove_slot``/``insert_slot`` calls, but apply the slot
 array restructuring as one compress or merge pass at commit time.
 Seeded trajectories are bit-identical to the sequential path; the
 structural cost drops from O(events × n) array rebuilds to O(n + events)
-per batch.
+per batch.  Removals that move no keys — a strategy round's retired
+Sybils — skip the replay: :meth:`drop_keyless_slots` is one compress.
 
 An incrementally maintained owner → slot-positions inverted index backs
 :meth:`slots_of_owner` / :meth:`main_slot_of` (the former full-array
@@ -897,6 +898,34 @@ class RingState:
             removed += 1
         return removed
 
+    def drop_keyless_slots(self, positions: list[int]) -> None:
+        """Remove the slots at ``positions`` (any order) in one pass.
+
+        Every listed slot must hold no remaining keys, so no keys move
+        and no merge reshuffle draws from the RNG: the result equals
+        removing them one by one with :meth:`remove_slot`.  Raises
+        :class:`RingError`, before changing anything, if a position is
+        out of range, a slot still holds keys, or the ring would be left
+        empty.
+        """
+        if not positions:
+            return
+        n = self._n
+        dead = sorted(set(positions))
+        if dead[0] < 0 or dead[-1] >= n:
+            raise RingError(f"slot position out of range for {n} slots")
+        if len(dead) == n:
+            raise RingError("cannot remove the last slot on the ring")
+        idx = np.asarray(dead, dtype=np.intp)
+        if self._counts_view[idx].any():
+            raise RingError("cannot drop a slot that holds remaining keys")
+        alive = np.ones(n, dtype=bool)
+        alive[idx] = False
+        keys = self.keys
+        for p in dead:
+            self._pool.give(keys[p])
+        self._compress_alive(alive, dead=dead)
+
     # ------------------------------------------------------------------
     # batch structure changes (used by the engine's churn phase)
     # ------------------------------------------------------------------
@@ -999,11 +1028,11 @@ class RingState:
 class BatchRemoval:
     """Batched slot removal with sequential-equivalent key movement.
 
-    ``remove_owner``/``retire_sybils`` replay the exact merge-and-shuffle
-    sequence of repeated :meth:`RingState.remove_slot` calls (ascending
-    slot order, as the sequential loop produced) against *stable* slot
-    positions; :meth:`commit` compresses the slab once.  RNG consumption
-    is bit-identical to the sequential path.
+    ``remove_owner``/``remove_owner_guarded`` replay the exact
+    merge-and-shuffle sequence of repeated :meth:`RingState.remove_slot`
+    calls (ascending slot order, as the sequential loop produced) against
+    *stable* slot positions; :meth:`commit` compresses the slab once.
+    RNG consumption is bit-identical to the sequential path.
     """
 
     def __init__(self, state: RingState, owners=None):
@@ -1185,23 +1214,6 @@ class BatchRemoval:
                 if len(bucket) < 32:
                     bucket.append(buf)
         return recovered, lost
-
-    def retire_sybils(self, owner: int) -> int:
-        """Queue removal of the owner's Sybil slots; returns how many.
-
-        Mirrors :meth:`RingState.retire_sybils`: the last live slot is
-        never queued, so a batch can't empty the ring either.
-        """
-        is_main = self._state.is_main
-        alive = self._alive
-        removed = 0
-        for slot in self._owner_slots(owner):
-            if alive[slot] and not is_main[slot]:
-                if self._live <= 1:
-                    break
-                self._remove_one(slot)
-                removed += 1
-        return removed
 
     def _next_alive(self, slot: int) -> int:
         n = self._n

@@ -18,9 +18,10 @@ afterwards — slot indices, arcs, gaps, owners, counts, ``id_exists``,
 ``heaviest_slot``, ``live_owner_load`` — answers from the overlay
 exactly as the ring would after applying each action on the spot.  The
 engine calls :meth:`SimView.end_round` after ``decide``; it commits the
-round through one :class:`~repro.sim.state.BatchRemoval` and one
-:class:`~repro.sim.state.BatchInsertion`, so the slab is restructured
-once per round instead of once per Sybil.
+round with one :meth:`~repro.sim.state.RingState.drop_keyless_slots`
+for the retired Sybils and one :class:`~repro.sim.state.BatchInsertion`
+for the new ones, so the slab is restructured once per round instead
+of once per Sybil.
 
 Deferral is exact because neither half draws randomness:
 
@@ -30,8 +31,9 @@ Deferral is exact because neither half draws randomness:
 * **retirements are deferred only when they move no keys** — every
   retired slot held no remaining tasks at round start (true of every
   retirement the paper's strategies make: an owner retires only when
-  its whole load is zero).  A keyless departure never reaches the
-  merge reshuffle, so the shared RNG stream is untouched.
+  its whole load is zero), and only while the round-start ring keeps a
+  slot.  A keyless departure never reaches the merge reshuffle, so the
+  shared RNG stream is untouched.
 
 An action the overlay cannot replay exactly — a retirement that would
 move keys (or retire a Sybil created this round), and every
@@ -84,8 +86,8 @@ class _RoundOverlay:
         # pending Sybil creations: ident -> owner, and owner -> idents
         self.pending: dict[int, int] = {}
         self.pending_by_owner: dict[int, list[int]] = {}
-        # owners whose base Sybils retired, and those Sybils' identifiers
-        self.retiring: list[int] = []
+        # base positions of the retired (keyless) Sybils, and their ids
+        self.dropped: list[int] = []
         self.retired_ids: set[int] = set()
 
     # -- reads -----------------------------------------------------------
@@ -147,10 +149,13 @@ class _RoundOverlay:
         ids = self.ids
         pos = bisect_left(ids, ident)
         succ = pos if pos < len(ids) else 0
-        keys = self._base_keys(ident)
+        # the new arc is part of the successor's: an empty successor
+        # has nothing to hand over
         acquired = (
-            count_in_arc(keys, ids[succ - 1], ident, self.size)
-            if keys.size
+            count_in_arc(
+                self._base_keys(ident), ids[succ - 1], ident, self.size
+            )
+            if self.counts[succ]
             else 0
         )
         if acquired:
@@ -170,8 +175,9 @@ class _RoundOverlay:
         """Remove the owner's Sybils; None when that would move keys.
 
         Deferred only if every Sybil is a base slot that held no keys
-        at round start and the ring keeps a slot; otherwise the caller
-        commits and retires on the ring itself.
+        at round start and the round-start ring keeps a slot once the
+        round's retirements are dropped; otherwise the caller commits
+        and retires on the ring itself.
         """
         if self.pending_by_owner.get(owner):
             return None  # a Sybil created this round may hold keys
@@ -184,29 +190,27 @@ class _RoundOverlay:
         targets = self._base_sybils.pop(owner, None)
         if not targets:
             return 0
-        ids = self.ids
-        if len(ids) <= len(targets):
+        base = self.base_ids
+        if len(base) - len(self.dropped) <= len(targets):
             return None
         counts = self.base_counts
         for p in targets:
             if counts[p]:
                 return None
-        base = self.base_ids
+        ids = self.ids
         for p in reversed(targets):
             m = bisect_left(ids, base[p])
             del ids[m], self.owner[m], self.counts[m]
             self.retired_ids.add(base[p])
-        self.retiring.append(owner)
+        self.dropped.extend(targets)
         return len(targets)
 
     def commit(self) -> None:
-        """Apply the round to the ring: one batch removal, one insertion."""
+        """Apply the round to the ring: one keyless drop of the retired
+        Sybils, then one batch insertion of the new ones."""
         state = self.state
-        if self.retiring:
-            removal = state.begin_batch_removal(self.retiring)
-            for owner in self.retiring:
-                removal.retire_sybils(owner)
-            removal.commit()
+        if self.dropped:
+            state.drop_keyless_slots(self.dropped)
         if self.pending:
             insertion = state.begin_batch_insertion()
             insertion.add_many(
@@ -339,42 +343,44 @@ class SimView(NetworkView):
         # max() keeps the first of equal counts, like np.argmax
         return max(overlay.owner_slots(owner), key=overlay.counts.__getitem__)
 
-    def successor_slots(self, slot: int, k: int) -> np.ndarray:
-        if self._round is None:
-            k = min(k, self._state.n_slots - 1)
-            return self._state.successor_slots(slot, k)
-        n = len(self._round.ids)
-        return (slot + 1 + np.arange(min(k, n - 1))) % n
+    def _n_slots(self) -> int:
+        overlay = self._round
+        return self._state.n_slots if overlay is None else len(overlay.ids)
 
-    def predecessor_slots(self, slot: int, k: int) -> np.ndarray:
-        if self._round is None:
-            k = min(k, self._state.n_slots - 1)
-            return self._state.predecessor_slots(slot, k)
-        n = len(self._round.ids)
-        return (slot - 1 - np.arange(min(k, n - 1))) % n
+    def successor_slots(self, slot: int, k: int) -> list[int]:
+        n = self._n_slots()
+        return [(slot + i) % n for i in range(1, min(k, n - 1) + 1)]
+
+    def predecessor_slots(self, slot: int, k: int) -> list[int]:
+        n = self._n_slots()
+        return [(slot - i) % n for i in range(1, min(k, n - 1) + 1)]
 
     def slot_owner(self, slot: int) -> int:
-        if self._round is None:
+        overlay = self._round
+        if overlay is None:
             return int(self._state.owner[slot])
-        return self._round.owner[slot]
+        return overlay.owner[slot]
 
     def slot_count(self, slot: int) -> int:
-        if self._round is None:
+        overlay = self._round
+        if overlay is None:
             return int(self._state.counts[slot])
-        return self._round.counts[slot]
+        return overlay.counts[slot]
 
     def slot_gap(self, slot: int) -> int:
-        if self._round is None:
+        overlay = self._round
+        if overlay is None:
             return self._state.slot_gap(slot)
-        ids = self._round.ids
+        ids = overlay.ids
         if len(ids) == 1:
-            return self._round.size - 1  # saturated full circle
-        return (ids[slot] - ids[slot - 1]) % self._round.size
+            return overlay.size - 1  # saturated full circle
+        return (ids[slot] - ids[slot - 1]) % overlay.size
 
     def slot_id(self, slot: int) -> int:
-        if self._round is None:
+        overlay = self._round
+        if overlay is None:
             return int(self._state.ids[slot])
-        return self._round.ids[slot]
+        return overlay.ids[slot]
 
     # ------------------------------------------------------------------
     # NetworkView: actions

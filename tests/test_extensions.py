@@ -46,8 +46,8 @@ class TestStrengthAwareInvitation:
         helper = strategy._pick_helper(view, inviter, preds, 0, set())
         if helper is not None:
             # no *stronger* qualifying predecessor was skipped
-            for slot in preds.tolist():
-                other = view.slot_owner(int(slot))
+            for slot in preds:
+                other = view.slot_owner(slot)
                 if other in (inviter, helper):
                     continue
                 if (

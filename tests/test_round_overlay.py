@@ -1,7 +1,7 @@
 """Deferred strategy rounds against the per-call oracle.
 
 ``SimView`` defers a round's Sybil creations and retirements into an
-overlay that ``end_round`` commits in one batch removal plus one batch
+overlay that ``end_round`` commits in one keyless drop plus one batch
 insertion.  :class:`~tests.percall_view.PerCallSimView` applies every
 action to the ring immediately, as the simulator did before.  Both must
 produce the same results: the same whole-result fingerprint, the same
@@ -149,8 +149,8 @@ def read_everything(view, engine) -> dict:
         "owners": [view.slot_owner(s) for s in slots],
         "counts": [view.slot_count(s) for s in slots],
         "gaps": [view.slot_gap(s) for s in slots],
-        "succ": view.successor_slots(n - 1, 3).tolist(),
-        "pred": view.predecessor_slots(0, 3).tolist(),
+        "succ": view.successor_slots(n - 1, 3),
+        "pred": view.predecessor_slots(0, 3),
         "main": [view.main_slot(o) for o in owners],
         "heaviest": [view.heaviest_slot(o) for o in owners],
         "live": [view.live_owner_load(o) for o in owners],
@@ -212,8 +212,9 @@ def test_reads_match_after_every_action(placement):
 class TestCommitShape:
     def test_paper_strategies_never_use_per_slot_primitives(self):
         """Every Sybil action of a default run is deferred: the ring's
-        single-slot insert and retire are never called, and each round
-        opens at most one batch of each kind."""
+        single-slot insert and retire are never called, retirements
+        never open a batch removal, and each round makes at most one
+        keyless drop and opens at most one batch insertion."""
         for strategy in ("random_injection", "neighbor_injection",
                          "smart_neighbor_injection", "invitation"):
             engine = TickEngine(SimulationConfig(
@@ -246,13 +247,15 @@ class TestCommitShape:
             engine._run_strategy_round = round_once
             counted("begin_batch_removal")
             counted("begin_batch_insertion")
+            counted("drop_keyless_slots")
             engine.run()
             assert calls.get("insert_slot", 0) == 0
             assert calls.get("retire_sybils", 0) == 0
             assert calls.get("remove_slot", 0) == 0
+            assert calls.get("begin_batch_removal", 0) == 0
             assert engine.counters["sybils_created"] > 0
             for per_round in rounds:
-                assert per_round.get("begin_batch_removal", 0) <= 1
+                assert per_round.get("drop_keyless_slots", 0) <= 1
                 assert per_round.get("begin_batch_insertion", 0) <= 1
 
     def test_idle_rounds_open_no_overlay(self, monkeypatch):

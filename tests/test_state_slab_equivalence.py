@@ -257,21 +257,6 @@ class TestRetireSybilsEdgeCases:
         naive.verify_invariants()
         assert_equivalent(slab, naive)
 
-    def test_batch_retire_matches_sequential_guard(self):
-        """BatchRemoval.retire_sybils applies the same last-slot guard
-        as the sequential path."""
-        slab, naive = _orphan_sybil_pair(n_extra_sybils=1)
-        slab.remove_owner(1)
-        naive.remove_owner(1)
-        removal = slab.begin_batch_removal()
-        got = removal.retire_sybils(0)
-        removal.commit()
-        assert got == naive.retire_sybils(0)
-        assert slab.n_slots == naive.n_slots == 1
-        slab.verify_invariants()
-        naive.verify_invariants()
-        assert_equivalent(slab, naive)
-
     def test_retire_with_live_main_is_unchanged(self):
         """The guard never fires in the normal case: main alive, every
         Sybil retires."""

@@ -54,7 +54,7 @@ class TestHelperSelection:
         if helper is not None:
             assert view.live_owner_load(helper) <= engine.config.sybil_threshold
             assert view.can_add_sybil(helper)
-            pred_owners = {view.slot_owner(int(s)) for s in preds.tolist()}
+            pred_owners = {view.slot_owner(s) for s in preds}
             assert helper in pred_owners
 
     def test_helper_skips_already_helped(self):

@@ -26,10 +26,8 @@ class TestTargetSelection:
         owner = int(engine.owners.network_indices[0])
         candidates = strategy._candidate_slots(view, owner)
         base = view.main_slot(owner)
-        succ = set(
-            view.successor_slots(base, engine.config.num_successors).tolist()
-        )
-        for slot in candidates.tolist():
+        succ = set(view.successor_slots(base, engine.config.num_successors))
+        for slot in candidates:
             assert slot in succ
             assert view.slot_owner(int(slot)) != owner
 
@@ -41,7 +39,7 @@ class TestTargetSelection:
         owner = int(engine.owners.network_indices[0])
         target = strategy._pick_target(view, owner)
         candidates = strategy._candidate_slots(view, owner)
-        gaps = [view.slot_gap(int(s)) for s in candidates.tolist()]
+        gaps = [view.slot_gap(s) for s in candidates]
         assert view.slot_gap(target) == max(gaps)
 
     def test_smart_picks_heaviest_and_counts_messages(self):
@@ -53,9 +51,89 @@ class TestTargetSelection:
         before = view.stats.messages
         target = strategy._pick_target(view, owner)
         candidates = strategy._candidate_slots(view, owner)
-        counts = [view.slot_count(int(s)) for s in candidates.tolist()]
+        counts = [view.slot_count(s) for s in candidates]
         assert view.slot_count(target) == max(counts)
         assert view.stats.messages - before == len(counts)
+
+
+class _PickView:
+    """Only the reads NeighborInjection's target pick makes: slots are
+    their own labels, none belongs to the deciding owner."""
+
+    def __init__(self, succ, *, gaps=None, counts=None):
+        self.config = SimulationConfig(num_successors=len(succ))
+        self._succ = list(succ)
+        self._gaps = gaps or {}
+        self._counts = counts or {}
+        self.messages = 0
+
+    def main_slot(self, owner):
+        return -1
+
+    def successor_slots(self, slot, k):
+        return self._succ[:k]
+
+    def slot_owner(self, slot):
+        return 1000 + slot
+
+    def slot_gap(self, slot):
+        return self._gaps[slot]
+
+    def slot_count(self, slot):
+        return self._counts[slot]
+
+    def count_messages(self, n=1):
+        self.messages += n
+
+
+class TestPickSemantics:
+    def test_equal_gaps_first_candidate_wins(self):
+        view = _PickView([3, 1, 2], gaps={3: 10, 1: 10, 2: 5})
+        assert NeighborInjection()._pick_target(view, 0) == 3
+
+    def test_equal_counts_first_candidate_wins(self):
+        view = _PickView([3, 1, 2], counts={3: 7, 1: 9, 2: 9})
+        assert SmartNeighborInjection()._pick_target(view, 0) == 1
+        assert view.messages == 3
+
+    @pytest.mark.parametrize("succ", [[1, 2], [2, 1]])
+    def test_gaps_compare_at_float64_resolution(self, succ):
+        """2**60 and 2**60 + 1 are one float64: they tie, so the first
+        candidate wins, exactly as the float64 argmax picked."""
+        view = _PickView(succ, gaps={1: 2**60, 2: 2**60 + 1})
+        assert NeighborInjection()._pick_target(view, 0) == succ[0]
+
+    def test_estimate_matches_float64_argmax(self):
+        rng = np.random.default_rng(3)
+        strategy = NeighborInjection()
+        for _ in range(300):
+            k = int(rng.integers(1, 8))
+            base = int(rng.integers(0, 2**64 - 2**12, dtype=np.uint64))
+            gaps = [base + int(rng.integers(0, 2**12)) for _ in range(k)]
+            succ = list(range(k))
+            view = _PickView(succ, gaps=dict(zip(succ, gaps)))
+            expected = succ[int(np.argmax(np.array(gaps, dtype=np.float64)))]
+            assert strategy._pick_target(view, 0) == expected
+
+    def test_smart_all_idle_returns_none_but_counts_queries(self):
+        view = _PickView([4, 5, 6], counts={4: 0, 5: 0, 6: 0})
+        assert SmartNeighborInjection()._pick_target(view, 0) is None
+        assert view.messages == 3
+
+    def test_two_slot_ring_has_one_neighbour(self):
+        engine = TickEngine(SimulationConfig(
+            strategy="neighbor_injection", n_nodes=2, n_tasks=50, bits=16,
+            seed=1,
+        ))
+        view = engine.view
+        view.begin_round()
+        for slot in (0, 1):
+            assert view.successor_slots(slot, 5) == [1 - slot]
+            assert view.predecessor_slots(slot, 5) == [1 - slot]
+        view._open_round()  # the same reads through a round overlay
+        for slot in (0, 1):
+            assert view.successor_slots(slot, 5) == [1 - slot]
+            assert view.predecessor_slots(slot, 5) == [1 - slot]
 
 
 class TestSybilLocality:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.config import SimulationConfig
+from repro.core.random_injection import RandomInjection
 from repro.sim.engine import TickEngine, run_simulation
 
 
@@ -153,3 +154,45 @@ class TestInvariantsDuringRun:
         assert engine.state.n_sybil_slots == int(
             engine.owners.n_sybils.sum()
         )
+
+
+class _ActorView:
+    """The census reads the shared actor loop makes."""
+
+    def __init__(self, owners, loads, threshold, seed):
+        self.config = SimulationConfig(sybil_threshold=threshold)
+        self.rng = np.random.default_rng(seed)
+        self._owners = np.asarray(owners, dtype=np.int64)
+        self._loads = np.asarray(loads, dtype=np.int64)
+
+    def network_owners(self):
+        return self._owners
+
+    def owner_loads(self):
+        return self._loads
+
+
+class TestUnderloadedActors:
+    @pytest.mark.parametrize("threshold", [0, 3])
+    def test_one_permutation_then_order_preserving_filter(self, threshold):
+        owners = [0, 2, 3, 5, 7, 8, 9]
+        loads = [0, 40, 3, 0, 9, 2, 1, 0, 4, 0]
+        view = _ActorView(owners, loads, threshold, seed=21)
+        actors = list(RandomInjection().underloaded_actors(view))
+
+        reference = np.random.default_rng(21)
+        order = reference.permutation(np.array(owners, dtype=np.int64))
+        assert actors == [
+            (int(o), loads[o]) for o in order if loads[o] <= threshold
+        ]
+        assert all(
+            type(o) is int and type(load) is int for o, load in actors
+        )
+        assert view.rng.bit_generator.state == reference.bit_generator.state
+
+    def test_empty_network_draws_one_permutation(self):
+        view = _ActorView([], [0, 0], 0, seed=4)
+        assert list(RandomInjection().underloaded_actors(view)) == []
+        reference = np.random.default_rng(4)
+        reference.permutation(np.array([], dtype=np.int64))
+        assert view.rng.bit_generator.state == reference.bit_generator.state
