@@ -937,12 +937,16 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     total = breakdown["total_seconds"]
     rows = [
         [
-            name,
-            entry["calls"],
-            f"{entry['seconds']:.4f}",
-            f"{100.0 * entry['seconds'] / total:.1f}%" if total else "-",
+            label,
+            row["calls"],
+            f"{row['seconds']:.4f}",
+            f"{100.0 * row['seconds'] / total:.1f}%" if total else "-",
         ]
         for name, entry in breakdown["phases"].items()
+        # sub-phases follow their phase, indented
+        for label, row in [(name, entry)] + [
+            ("  " + child, sub) for child, sub in entry.get("sub", {}).items()
+        ]
     ]
     print()
     print(

@@ -4,7 +4,9 @@ The engine's ``step()`` decomposes into five phases — strategy round,
 churn, arrivals, consumption, measurement — and perf work needs to know
 which of them the time goes to.  :class:`PhaseProfiler` wraps each
 phase in a context manager and accumulates call counts and seconds per
-phase name.
+phase name.  A dotted name (``churn.depart``) is a *sub-phase* timed
+inside its parent phase (``churn``): it is kept apart from the phases,
+so totals and shares never count its time twice.
 
 Two determinism rules shape the design:
 
@@ -76,10 +78,13 @@ class _PhaseTimer:
     def __exit__(self, *exc: object) -> bool:
         profiler = self._profiler
         elapsed = profiler._clock() - self._t0
-        profiler.seconds[self._name] = (
-            profiler.seconds.get(self._name, 0.0) + elapsed
-        )
-        profiler.calls[self._name] = profiler.calls.get(self._name, 0) + 1
+        name = self._name
+        if "." in name:
+            seconds, calls = profiler.sub_seconds, profiler.sub_calls
+        else:
+            seconds, calls = profiler.seconds, profiler.calls
+        seconds[name] = seconds.get(name, 0.0) + elapsed
+        calls[name] = calls.get(name, 0) + 1
         return False
 
 
@@ -100,6 +105,9 @@ class PhaseProfiler:
         self._clock = clock
         self.seconds: dict[str, float] = {}
         self.calls: dict[str, int] = {}
+        #: sub-phases (``parent.child`` names), timed inside their parent
+        self.sub_seconds: dict[str, float] = {}
+        self.sub_calls: dict[str, int] = {}
 
     # ------------------------------------------------------------------
     def phase(self, name: str) -> _PhaseTimer:
@@ -108,6 +116,7 @@ class PhaseProfiler:
 
     # ------------------------------------------------------------------
     def total_seconds(self) -> float:
+        """Wall clock across the phases; sub-phases are inside them."""
         return sum(self.seconds.values())
 
     def as_dict(self) -> dict[str, Any]:
@@ -115,20 +124,32 @@ class PhaseProfiler:
 
         Known engine phases come first in execution order, then any
         custom phase names sorted — so equal timings always serialize
-        to identical JSON.
+        to identical JSON.  A phase with sub-phases carries them, sorted,
+        under ``"sub"``; they are not phases of their own.
         """
         order = [p for p in PHASES if p in self.seconds]
         order += sorted(k for k in self.seconds if k not in PHASES)
-        return {
-            "phases": {
-                name: {
-                    "calls": self.calls.get(name, 0),
-                    "seconds": self.seconds[name],
+        phases: dict[str, Any] = {}
+        for name in order:
+            entry: dict[str, Any] = {
+                "calls": self.calls.get(name, 0),
+                "seconds": self.seconds[name],
+            }
+            sub = self._sub_phases(name)
+            if sub:
+                entry["sub"] = {
+                    child: {
+                        "calls": self.sub_calls[child],
+                        "seconds": self.sub_seconds[child],
+                    }
+                    for child in sub
                 }
-                for name in order
-            },
-            "total_seconds": self.total_seconds(),
-        }
+            phases[name] = entry
+        return {"phases": phases, "total_seconds": self.total_seconds()}
+
+    def _sub_phases(self, parent: str) -> list[str]:
+        prefix = parent + "."
+        return sorted(k for k in self.sub_seconds if k.startswith(prefix))
 
     def summary_line(self) -> str:
         if not self.seconds:
@@ -136,9 +157,10 @@ class PhaseProfiler:
         total = self.total_seconds()
         parts = []
         for name in self.as_dict()["phases"]:
-            sec = self.seconds[name]
-            share = 100.0 * sec / total if total > 0 else 0.0
-            parts.append(f"{name}={sec:.4f}s ({share:.1f}%)")
+            for part in (name, *self._sub_phases(name)):
+                sec = self.seconds.get(part, self.sub_seconds.get(part, 0.0))
+                share = 100.0 * sec / total if total > 0 else 0.0
+                parts.append(f"{part}={sec:.4f}s ({share:.1f}%)")
         return f"profile: {total:.4f}s total; " + ", ".join(parts)
 
 

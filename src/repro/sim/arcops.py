@@ -6,6 +6,12 @@ arrays.  These helpers implement the wrapping-arc predicates and geometry
 per-element Python work — they are the hot primitives behind initial task
 assignment, joins, and Sybil splits.
 
+:func:`responsible_slots` is the plain ``searchsorted`` lookup and the
+reference the tests hold :func:`bucket_responsible_slots` to; the ring
+build uses the bucketed form plus :func:`group_by_slot`, which together
+replace a binary search per key and a comparison sort by two linear
+passes.
+
 All arcs follow the Chord convention used throughout the library: the
 node with identifier ``end`` and predecessor ``start`` is responsible for
 keys in the clockwise arc ``(start, end]``, and ``start == end`` denotes
@@ -24,6 +30,8 @@ __all__ = [
     "arc_length",
     "arc_lengths",
     "responsible_slots",
+    "bucket_responsible_slots",
+    "group_by_slot",
     "slot_arc_starts",
 ]
 
@@ -104,6 +112,75 @@ def responsible_slots(ids: np.ndarray, keys: np.ndarray) -> np.ndarray:
     idx = np.searchsorted(ids, np.asarray(keys, dtype=_U64), side="left")
     idx[idx == ids.size] = 0
     return idx
+
+
+#: extra bucket-table bits over the ring size: ~16 buckets per slot, so
+#: most keys share their bucket with no slot and need no refinement
+_BUCKET_EXTRA_BITS = 4
+#: cap on the table (2**20 entries, 8 MB): a larger ring just refines more
+_MAX_BUCKET_BITS = 20
+
+
+def bucket_responsible_slots(
+    ids: np.ndarray, keys: np.ndarray, bits: int
+) -> np.ndarray:
+    """:func:`responsible_slots` through a bucket table, for bulk lookups.
+
+    Keys must lie in the ``bits``-wide space.  Bucket ``j`` covers the
+    keys whose top ``b`` bits of the *space* equal ``j``, and ``table[j]``
+    is the number of ids below the bucket's first key — the answer for
+    any key of the bucket that no id of the bucket precedes.  The table
+    width ``b`` comes from ``bits`` and the ring size (a width taken from
+    the ``uint64`` word would put every key of a narrow space in one
+    bucket).  A key whose bucket holds ids then steps past the ones below
+    it, one vectorized pass per id, over a shrinking set of keys.
+
+    The table costs O(2**b); when there are too few keys to repay it the
+    plain binary search runs instead.  Either way the result equals
+    :func:`responsible_slots`.
+    """
+    ids = np.asarray(ids, dtype=_U64)
+    keys = np.asarray(keys, dtype=_U64)
+    n = ids.size
+    if n == 0:
+        raise IdSpaceError("cannot assign keys on an empty ring")
+    b = min(bits, (n - 1).bit_length() + _BUCKET_EXTRA_BITS, _MAX_BUCKET_BITS)
+    if keys.size < 1 << b:
+        return responsible_slots(ids, keys)
+    shift = _U64(bits - b)
+    table = np.zeros((1 << b) + 1, dtype=np.intp)
+    np.cumsum(
+        np.bincount((ids >> shift).astype(np.intp), minlength=1 << b),
+        out=table[1:],
+    )
+    bucket = (keys >> shift).astype(np.intp)
+    idx = table[bucket]
+    # keys whose bucket still holds an id at or past idx (so idx < n)
+    act = np.flatnonzero(idx != table[bucket + 1])
+    while act.size:
+        act = act[ids[idx[act]] < keys[act]]
+        idx[act] += 1
+        act = act[idx[act] != table[bucket[act] + 1]]
+    idx[idx == n] = 0
+    return idx
+
+
+def group_by_slot(slot_idx: np.ndarray, n_slots: int) -> np.ndarray:
+    """Stable grouping permutation of ``slot_idx`` (values < ``n_slots``).
+
+    Equal to ``np.argsort(slot_idx, kind="stable")`` — a stable grouping
+    is unique — but computed by stable sorts on 16-bit digits, which
+    NumPy runs as radix sorts: one pass below 65,536 slots, two LSD
+    passes (low digit, then high) up to 2**32.
+    """
+    slot_idx = np.asarray(slot_idx)
+    if n_slots <= 1 << 16:
+        return np.argsort(slot_idx.astype(np.uint16), kind="stable")
+    if n_slots > 1 << 32:
+        raise IdSpaceError("group_by_slot supports at most 2**32 slots")
+    order = np.argsort((slot_idx & 0xFFFF).astype(np.uint16), kind="stable")
+    high = (slot_idx[order] >> 16).astype(np.uint16)
+    return order[np.argsort(high, kind="stable")]
 
 
 def slot_arc_starts(ids: np.ndarray) -> np.ndarray:

@@ -57,7 +57,7 @@ from repro.sim.state import RingState
 from repro.sim.view import SimView
 from repro.sim.keydist import generate_task_keys
 from repro.sim.workload import (
-    draw_new_node_id,
+    draw_new_node_ids,
     draw_unique_ids,
     ideal_runtime,
 )
@@ -224,7 +224,7 @@ class TickEngine:
                 self._run_strategy_round()
         if cfg.churn_rate > 0:
             with prof.phase("churn"):
-                self._apply_churn()
+                self._apply_churn(prof)
             if self.terminated:
                 return 0
         if self._adversary is not None:
@@ -292,72 +292,44 @@ class TickEngine:
         stats.merge_into(self.counters)
         self.counters["decision_rounds"] += 1
 
-    def _apply_churn(self) -> None:
-        """One churn phase, batched (see DESIGN.md §5).
+    def _apply_churn(self, prof: Profiler | None = None) -> None:
+        """One churn phase, committed in one slab pass (see DESIGN.md §5).
 
-        All departures are applied as one virtual-removal pass plus a
-        single slab compress; all joins as one partition pass plus a
-        single merge splice.  Key movements (and therefore RNG draws)
-        replay the sequential per-node order exactly, so seeded runs are
+        Departures queue on a :class:`~repro.sim.state.BatchRemoval`
+        that merges their keys at stable positions; the joins' ids come
+        from one sized generator draw; a
+        :class:`~repro.sim.state.BatchInsertion` begun on the open
+        removal splits the joiners' arcs and applies departures and
+        joins together.  Key movements and RNG draws replay the
+        sequential per-node order exactly, so seeded runs are
         bit-identical to the historical one-``np.insert``/``np.delete``-
         per-event loop while doing O(n + events) structural work.
+
+        ``prof`` (the observed driver only) times the ``churn.depart``,
+        ``churn.join`` and ``churn.commit`` sub-phases.
         """
         rate = self.config.churn_rate
         rng = self.rng
         cf = self.failures.crash_fraction
-        # hoisted flag: per-event _emit calls build a kwargs dict even
-        # when no sink is attached, so the no-observer path skips them
-        tracing = self._tracing
         # departures: each in-network *honest* node flips a coin (§IV-A);
         # adversarial identities never leave voluntarily.  With no
         # adversaries the honest view is the plain network view, so the
         # RNG draw (and the seeded trajectory) is unchanged.
         net = self.owners.honest_network_indices
         leaving = net[rng.random(net.size) < rate]
+        removal = None
         if leaving.size:
             # one vectorized draw, gated on cf > 0 so default configs
             # consume no extra RNG and stay bit-identical
             crashing = (
                 rng.random(leaving.size) < cf if cf > 0 else None
             )
-            ring_died = False
             removal = self.state.begin_batch_removal(leaving)
-            for i, owner in enumerate(leaving):
-                owner = int(owner)
-                if crashing is not None and crashing[i]:
-                    # crash-stop: un-replicated tasks are lost
-                    res = removal.crash_owner_guarded(
-                        owner, self.failures.replication_factor
-                    )
-                    if res is None:
-                        # the last live node crashed: the ring is dead
-                        ring_died = True
-                        continue
-                    recovered, lost = res
-                    self.counters["crashes"] += 1
-                    self.counters["churn_leaves"] += 1
-                    self.counters["churn_keys_moved"] += recovered
-                    self.counters["recovered_from_backup"] += recovered
-                    self.counters["tasks_lost"] += lost
-                    self.tasks_lost += lost
-                    self.owners.leave_network(owner)
-                    if tracing:
-                        self._emit(
-                            "churn_crash", owner=owner,
-                            recovered=recovered, lost=lost,
-                        )
-                    continue
-                # never empty the ring: the last identities stay put
-                moved = removal.remove_owner_guarded(owner)
-                if moved is None:
-                    continue
-                self.counters["churn_keys_moved"] += moved
-                self.owners.leave_network(owner)
-                self.counters["churn_leaves"] += 1
-                if tracing:
-                    self._emit("churn_leave", owner=owner, keys_moved=moved)
-            removal.commit()
+            ring_died = _in_phase(
+                prof, "churn.depart", self._depart, removal, leaving, crashing
+            )
             if ring_died:
+                removal.commit()
                 # everything still on the wreck is unrecoverable
                 lost = self.state.total_remaining()
                 self.counters["tasks_lost"] += lost
@@ -370,19 +342,85 @@ class TickEngine:
         # never resurrect through the benign waiting pool.
         waiting = self.owners.honest_waiting_indices
         joining = waiting[rng.random(waiting.size) < rate]
+        idents: list[int] = []
         if joining.size:
-            insertion = self.state.begin_batch_insertion()
-            for owner in joining:
-                owner = int(owner)
-                ident = draw_new_node_id(self.space, rng, insertion.id_exists)
-                acquired = insertion.add(ident, owner, is_main=True)
-                self.counters["churn_keys_moved"] += acquired
-                self.owners.join_network(owner, ident)
-                self.counters["churn_joins"] += 1
+            exist = (
+                self.state.ids_exist if removal is None else removal.ids_exist
+            )
+            idents = _in_phase(
+                prof, "churn.join", draw_new_node_ids,
+                joining.size, self.space, rng, exist,
+            )
+        if idents:
+            # the insertion applies the open removal with its own slots,
+            # so the removal then only closes; batch seams and phases nest
+            _in_phase(
+                prof, "churn.commit", self._commit_joins,
+                removal, joining, idents,
+            )
+        elif removal is not None:
+            _in_phase(prof, "churn.commit", removal.commit)
+
+    def _depart(self, removal, leaving: np.ndarray, crashing) -> bool:
+        """Queue the departures; returns True if the ring died."""
+        # hoisted flag: per-event _emit calls build a kwargs dict even
+        # when no sink is attached, so the no-observer path skips them
+        tracing = self._tracing
+        counters = self.counters
+        ring_died = False
+        for i, owner in enumerate(leaving.tolist()):
+            if crashing is not None and crashing[i]:
+                # crash-stop: un-replicated tasks are lost
+                res = removal.crash_owner_guarded(
+                    owner, self.failures.replication_factor
+                )
+                if res is None:
+                    # the last live node crashed: the ring is dead
+                    ring_died = True
+                    continue
+                recovered, lost = res
+                counters["crashes"] += 1
+                counters["churn_leaves"] += 1
+                counters["churn_keys_moved"] += recovered
+                counters["recovered_from_backup"] += recovered
+                counters["tasks_lost"] += lost
+                self.tasks_lost += lost
+                self.owners.leave_network(owner)
                 if tracing:
-                    self._emit("churn_join", owner=owner, ident=ident,
-                               acquired=acquired)
-            insertion.commit()
+                    self._emit(
+                        "churn_crash", owner=owner,
+                        recovered=recovered, lost=lost,
+                    )
+                continue
+            # never empty the ring: the last identities stay put
+            moved = removal.remove_owner_guarded(owner)
+            if moved is None:
+                continue
+            counters["churn_keys_moved"] += moved
+            self.owners.leave_network(owner)
+            counters["churn_leaves"] += 1
+            if tracing:
+                self._emit("churn_leave", owner=owner, keys_moved=moved)
+        return ring_died
+
+    def _commit_joins(
+        self, removal, joining: np.ndarray, idents: list[int]
+    ) -> None:
+        """Insert the joiners at their drawn ids and commit the tick."""
+        tracing = self._tracing
+        counters = self.counters
+        insertion = self.state.begin_batch_insertion(removal)
+        for owner, ident in zip(joining.tolist(), idents):
+            acquired = insertion.add(ident, owner, is_main=True)
+            counters["churn_keys_moved"] += acquired
+            self.owners.join_network(owner, ident)
+            counters["churn_joins"] += 1
+            if tracing:
+                self._emit("churn_join", owner=owner, ident=ident,
+                           acquired=acquired)
+        insertion.commit()
+        if removal is not None:
+            removal.commit()
 
     def _apply_arrivals(self) -> None:
         """Streaming-arrival extension: new tasks trickle in each tick."""
@@ -500,6 +538,17 @@ class TickEngine:
     def snapshot_loads(self) -> dict[int, np.ndarray]:
         """Raw per-owner load vectors captured at the snapshot ticks."""
         return dict(self._snapshot_loads)
+
+
+def _in_phase(prof: Profiler | None, name: str, fn, *args):
+    """``fn(*args)``, timed as phase ``name`` when ``prof`` is given.
+
+    The fast driver passes no profiler, so it enters no context at all.
+    """
+    if prof is None:
+        return fn(*args)
+    with prof.phase(name):
+        return fn(*args)
 
 
 def run_simulation(config: SimulationConfig) -> SimulationResult:

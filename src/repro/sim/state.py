@@ -23,25 +23,35 @@ its new arc, as in a real DHT with active backups.
 Storage layout (the slab)
 -------------------------
 
-The four parallel slot arrays live in preallocated *slab* buffers with
-amortized-doubling capacity; ``ids``/``owner``/``is_main``/``counts`` are
-views of the live prefix.  A single join or leave shifts the prefix in
-place (one ``memmove`` per array) instead of reallocating four arrays the
-way ``np.insert``/``np.delete`` do.  Merged/partitioned key arrays are
-drawn from a small power-of-two buffer pool so the churn hot loop does
-not hammer the allocator.  Views returned by the array properties (and
-by :meth:`remaining_keys`) are invalidated by the next structural
-mutation — read, use, and drop them.
+The five slot columns live in two preallocated *slab* buffers with
+amortized-doubling capacity — an ``int64`` one for ids (viewed as
+``uint64``), owners and counts, an ``int8`` one for the main flags
+(viewed as bool) and provenance — and ``ids``/``owner``/``is_main``/
+``counts``/``provenance`` are views of their live prefix.  A single join
+or leave shifts the prefix in place (one ``memmove`` per buffer) instead
+of reallocating arrays the way ``np.insert``/``np.delete`` do.  Views
+returned by the array properties (and by :meth:`remaining_keys`) are
+invalidated by the next structural mutation — read, use, and drop them.
+
+The initial ring is built without a comparison sort: a bucket table over
+the top bits of the id space finds each key's slot, and a stable radix
+sort on the slot index groups the keys (see :meth:`RingState.build`).
 
 Bulk structure changes go through :meth:`begin_batch_removal` /
 :meth:`begin_batch_insertion`, which replay the exact per-operation key
 movements (and therefore the exact RNG draw sequence) of the equivalent
-sequential ``remove_slot``/``insert_slot`` calls, but apply the slot
-array restructuring as one compress or merge pass at commit time.
-Seeded trajectories are bit-identical to the sequential path; the
-structural cost drops from O(events × n) array rebuilds to O(n + events)
-per batch.  Removals that move no keys — a strategy round's retired
-Sybils — skip the replay: :meth:`drop_keyless_slots` is one compress.
+sequential ``remove_slot``/``insert_slot`` calls at stable slot
+positions, and restructure the slab once, at commit, in
+:meth:`RingState._restructure`: one pass that drops the dead slots and
+splices in the new ones.  A churn tick begins its insertion on the open
+removal, so its departures and joins share that one pass (with the
+radix build, the benchmark's 1000-node / 1M-task churn trials went from
+1.015 to 0.652 ms per churn-0.01 tick and from 0.282 to 0.199 ms per
+churn-0.001 tick, host-scaled, build included).  Seeded
+trajectories are bit-identical to the sequential path; the structural
+cost drops from O(events × n) array rebuilds to O(n + events) per tick.
+Removals that move no keys — a strategy round's retired Sybils — skip
+the replay: :meth:`drop_keyless_slots` is one pass as well.
 
 An incrementally maintained owner → slot-positions inverted index backs
 :meth:`slots_of_owner` / :meth:`main_slot_of` (the former full-array
@@ -53,14 +63,18 @@ series alike.
 from __future__ import annotations
 
 import bisect
-import itertools
 from typing import NamedTuple
 
 import numpy as np
 
 from repro.errors import IdSpaceError, RingError
 from repro.hashspace.idspace import IdSpace
-from repro.sim.arcops import arc_lengths, in_arc_mask, responsible_slots
+from repro.sim.arcops import (
+    arc_lengths,
+    bucket_responsible_slots,
+    group_by_slot,
+    in_arc_mask,
+)
 from repro.sim.owners import PROV_BENEVOLENT, PROV_HONEST
 
 __all__ = [
@@ -74,10 +88,19 @@ __all__ = [
 _U64 = np.uint64
 _I64 = np.int64
 
-#: shared zero-length key array (never mutated, never pooled)
+#: shared zero-length key array (never mutated)
 _EMPTY_KEYS = np.empty(0, dtype=_U64)
 
 _MIN_CAP = 8
+
+#: a batch edits the keys list in place — one pointer ``memmove`` per
+#: event — on a ring of at most this many slots, or with at most this
+#: many events; a large batch on a large ring splices a new list once
+#: (about 1 us per event plus a touch of every slot's key array).  On a
+#: shared 2-vCPU Xeon in-place won at every batch size up to 2k slots,
+#: and up to ~128 events on 10k slots
+_EDIT_IN_PLACE_SLOTS = 2048
+_EDIT_IN_PLACE_EVENTS = 128
 
 
 def _pow2_at_least(n: int) -> int:
@@ -100,6 +123,56 @@ def median_in_arc(keys: np.ndarray, pred: int, space: IdSpace) -> int | None:
     return (pred + int(mid)) % space.size
 
 
+def _spliced(
+    keys: list[np.ndarray],
+    dead: list[int],
+    at: list[int],
+    new_keys: list[np.ndarray],
+) -> list[np.ndarray]:
+    """``keys`` without the ``dead`` positions, with ``new_keys[j]``
+    inserted before position ``at[j]`` (both ascending; an insertion at
+    a dropped position lands before it)."""
+    out: list[np.ndarray] = []
+    prev = di = 0
+    for p, k in zip(at, new_keys):
+        while di < len(dead) and dead[di] < p:
+            out.extend(keys[prev : dead[di]])
+            prev = dead[di] + 1
+            di += 1
+        out.extend(keys[prev:p])
+        out.append(k)
+        prev = p
+    for d in dead[di:]:
+        out.extend(keys[prev:d])
+        prev = d + 1
+    out.extend(keys[prev:])
+    return out
+
+
+def _ids_present(
+    ids: np.ndarray, idents: np.ndarray, alive: bytearray | None
+) -> np.ndarray:
+    """Which of ``idents`` are on the sorted ring ``ids``; with ``alive``
+    flags, only slots still flagged alive count."""
+    pos = ids.searchsorted(idents)
+    hit = ids.take(pos, mode="clip") == idents
+    if alive is not None and hit.any():
+        hit &= np.frombuffer(alive, dtype=bool).take(pos, mode="clip")
+    return hit
+
+
+class _Pending(NamedTuple):
+    """New slots awaiting :meth:`RingState._restructure`, sorted by id;
+    ``keys[j]`` holds slot ``j``'s ``counts[j]`` remaining keys."""
+
+    ids: np.ndarray
+    owner: np.ndarray
+    is_main: np.ndarray
+    counts: np.ndarray
+    provenance: np.ndarray
+    keys: list[np.ndarray]
+
+
 class ConsumptionGroups(NamedTuple):
     """CSR grouping of live slots by owner, for the consumption kernels.
 
@@ -113,46 +186,6 @@ class ConsumptionGroups(NamedTuple):
     starts: np.ndarray
     sizes: np.ndarray
     owners: np.ndarray
-
-
-class _KeyPool:
-    """Recycler for ``uint64`` key buffers in power-of-two size classes.
-
-    ``take(n)`` hands out a buffer of capacity ``>= n`` (callers use the
-    ``[:n]`` prefix); ``give`` accepts retired buffers back.  Only
-    buffers the pool could have produced (owning, power-of-two capacity)
-    are retained, so views into other arrays are silently dropped and
-    can never be handed out for reuse while aliased.
-    """
-
-    #: do not retain buffers above this capacity (bytes ≈ 8 × this)
-    MAX_POOLED = 1 << 18
-    #: retained buffers per size class
-    MAX_PER_CLASS = 32
-
-    def __init__(self) -> None:
-        self._classes: dict[int, list[np.ndarray]] = {}
-
-    def take(self, size: int) -> np.ndarray:
-        cap = _pow2_at_least(size)
-        bucket = self._classes.get(cap)
-        if bucket:
-            return bucket.pop()
-        return np.empty(cap, dtype=_U64)
-
-    def give(self, arr: np.ndarray) -> None:
-        cap = arr.size
-        if (
-            arr.base is not None
-            or arr.dtype != _U64
-            or cap < _MIN_CAP
-            or cap > self.MAX_POOLED
-            or cap & (cap - 1)
-        ):
-            return
-        bucket = self._classes.setdefault(cap, [])
-        if len(bucket) < self.MAX_PER_CLASS:
-            bucket.append(arr)
 
 
 class _OwnerIndex:
@@ -333,23 +366,17 @@ class RingState:
             provenance = np.asarray(provenance, dtype=np.int8)
 
         n = ids.size
-        cap = _pow2_at_least(n)
         self._n = n
-        self._ids_buf = np.empty(cap, dtype=_U64)
-        self._owner_buf = np.empty(cap, dtype=_I64)
-        self._main_buf = np.empty(cap, dtype=bool)
-        self._counts_buf = np.empty(cap, dtype=_I64)
-        self._prov_buf = np.empty(cap, dtype=np.int8)
-        self._ids_buf[:n] = ids
-        self._owner_buf[:n] = owner
-        self._main_buf[:n] = is_main
-        self._counts_buf[:n] = [k.size for k in keys]
-        self._prov_buf[:n] = provenance
+        self._set_slab(_pow2_at_least(n), 0)
+        self._ids_row[:n] = ids
+        self._owner_row[:n] = owner
+        self._main_row[:n] = is_main
+        self._counts_row[:n] = [k.size for k in keys]
+        self._prov_row[:n] = provenance
         self.keys: list[np.ndarray] = keys
         self.rng = rng
         self.n_sybil_slots = int((~is_main).sum()) if n else 0
 
-        self._pool = _KeyPool()
         self._index = _OwnerIndex()
         self._loads_cache: np.ndarray | None = None
         self._loads_dirty = True
@@ -363,13 +390,52 @@ class RingState:
     # ------------------------------------------------------------------
     # slab plumbing
     # ------------------------------------------------------------------
+    def _set_slab(self, cap: int, keep: int) -> None:
+        """Allocate the slab at capacity ``cap``, keeping ``keep`` slots.
+
+        Two buffers hold the five slot columns, so a structural change
+        moves them with two array operations instead of five: ``_wide``
+        (int64 rows: ids viewed as uint64, owner, counts) and
+        ``_narrow`` (int8 rows: is_main viewed as bool, provenance).
+        """
+        wide = np.empty((3, cap), dtype=_I64)
+        narrow = np.empty((2, cap), dtype=np.int8)
+        if keep:
+            wide[:, :keep] = self._wide[:, :keep]
+            narrow[:, :keep] = self._narrow[:, :keep]
+        self._wide = wide
+        self._narrow = narrow
+        self._bind_rows()
+
+    def _bind_rows(self) -> None:
+        # whole-capacity row views, for scalar and tail writes
+        wide, narrow = self._wide, self._narrow
+        self._ids_row = wide[0].view(_U64)
+        self._owner_row = wide[1]
+        self._counts_row = wide[2]
+        self._main_row = narrow[0].view(bool)
+        self._prov_row = narrow[1]
+
+    def __getstate__(self) -> dict:
+        # views do not survive a copy as views: rebuild them from the
+        # slab (see __setstate__) instead of copying them independently
+        return {
+            k: v for k, v in self.__dict__.items()
+            if not k.endswith(("_row", "_view"))
+        }
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._bind_rows()
+        self._refresh_views()
+
     def _refresh_views(self) -> None:
         n = self._n
-        self._ids_view = self._ids_buf[:n]
-        self._owner_view = self._owner_buf[:n]
-        self._main_view = self._main_buf[:n]
-        self._counts_view = self._counts_buf[:n]
-        self._prov_view = self._prov_buf[:n]
+        self._ids_view = self._ids_row[:n]
+        self._owner_view = self._owner_row[:n]
+        self._main_view = self._main_row[:n]
+        self._counts_view = self._counts_row[:n]
+        self._prov_view = self._prov_row[:n]
 
     @property
     def ids(self) -> np.ndarray:
@@ -396,19 +462,10 @@ class RingState:
         """Slot provenance codes (live-prefix view; see repro.sim.owners)."""
         return self._prov_view
 
-    def _slab_bufs(self) -> tuple[np.ndarray, ...]:
-        return (self._ids_buf, self._owner_buf, self._main_buf,
-                self._counts_buf, self._prov_buf)
-
     def _grow(self, needed: int) -> None:
-        cap = _pow2_at_least(max(needed, 2 * self._ids_buf.size))
-        n = self._n
-        for name in ("_ids_buf", "_owner_buf", "_main_buf", "_counts_buf",
-                     "_prov_buf"):
-            old = getattr(self, name)
-            new = np.empty(cap, dtype=old.dtype)
-            new[:n] = old[:n]
-            setattr(self, name, new)
+        self._set_slab(
+            _pow2_at_least(max(needed, 2 * self._ids_row.size)), self._n
+        )
 
     def _shift_insert(
         self,
@@ -420,122 +477,90 @@ class RingState:
         prov: int,
     ) -> None:
         n = self._n
-        if n + 1 > self._ids_buf.size:
+        if n + 1 > self._ids_row.size:
             self._grow(n + 1)
-        for buf in self._slab_bufs():
-            buf[pos + 1 : n + 1] = buf[pos:n]
-        self._ids_buf[pos] = nid
-        self._owner_buf[pos] = owner
-        self._main_buf[pos] = is_main
-        self._counts_buf[pos] = count
-        self._prov_buf[pos] = prov
+        self._wide[:, pos + 1 : n + 1] = self._wide[:, pos:n]
+        self._narrow[:, pos + 1 : n + 1] = self._narrow[:, pos:n]
+        self._ids_row[pos] = nid
+        self._owner_row[pos] = owner
+        self._main_row[pos] = is_main
+        self._counts_row[pos] = count
+        self._prov_row[pos] = prov
         self._n = n + 1
         self._groups_cache = None
         self._refresh_views()
 
     def _shift_remove(self, pos: int) -> None:
         n = self._n
-        for buf in self._slab_bufs():
-            buf[pos : n - 1] = buf[pos + 1 : n]
+        self._wide[:, pos : n - 1] = self._wide[:, pos + 1 : n]
+        self._narrow[:, pos : n - 1] = self._narrow[:, pos + 1 : n]
         self._n = n - 1
         self._groups_cache = None
         self._refresh_views()
 
-    def _compress_alive(
-        self, alive: np.ndarray, dead: list[int] | None = None
+    def _restructure(
+        self, dead: list[int], pending: "_Pending | None" = None
     ) -> None:
-        """Drop all slots with ``alive[i] == False`` in one pass.
+        """Drop the slots at ``dead`` and splice in ``pending``.
 
-        ``dead``, when given, lists the dropped positions (any order) so
-        the keys list can be spliced segment-wise instead of filtered
-        element-wise.
+        ``dead`` lists positions in ascending order; ``pending`` holds
+        new slots sorted by id, none equal to a surviving id (one may
+        reuse the id of a dropped slot).  The owner index, loads cache
+        and consumption groups are invalidated once.  Every batched
+        structure change — a churn tick, a keyless Sybil drop, a round's
+        insertions — ends here.
+
+        Every survivor moves with one gather per buffer.  The keys list
+        is edited in place unless both the ring and the batch are large,
+        when one splice builds a new list (see ``_EDIT_IN_PLACE_SLOTS``).
         """
-        keep = np.flatnonzero(alive)
-        k = keep.size
-        if k == self._n:
+        n = self._n
+        m = 0 if pending is None else pending.ids.size
+        events = len(dead) + m
+        if not events:
             return
-        for buf in self._slab_bufs():
-            buf[:k] = buf[: self._n][keep]
-        if dead is not None:
+        new_n = n - len(dead) + m
+        if n + m > self._ids_row.size:
+            self._grow(n + m)
+        # insertion point of each pending slot among the pre-drop slots,
+        # and its final position: past the surviving slots before it and
+        # the earlier pending slots
+        at = self._ids_view.searchsorted(pending.ids).tolist() if m else []
+        final = [p - bisect.bisect_left(dead, p) + j for j, p in enumerate(at)]
+        alive = np.ones(n, dtype=bool)
+        alive[dead] = False
+        gather = alive.nonzero()[0]
+        if m:
+            # stage the pending slots past the live prefix, so one
+            # gather places every slot
+            rows = slice(n, n + m)
+            self._ids_row[rows] = pending.ids
+            self._owner_row[rows] = pending.owner
+            self._main_row[rows] = pending.is_main
+            self._counts_row[rows] = pending.counts
+            self._prov_row[rows] = pending.provenance
+            is_old = np.ones(new_n, dtype=bool)
+            is_old[final] = False
+            survivors = gather
+            gather = np.empty(new_n, dtype=np.intp)
+            gather[is_old] = survivors
+            gather[final] = np.arange(n, n + m)
+        for buf in (self._wide, self._narrow):
+            buf[:, :new_n] = buf.take(gather, axis=1)
+        new_keys = [] if pending is None else pending.keys
+        if n <= _EDIT_IN_PLACE_SLOTS or events <= _EDIT_IN_PLACE_EVENTS:
             keys = self.keys
-            new_keys: list[np.ndarray] = []
-            prev = 0
-            for d in sorted(dead):
-                new_keys.extend(keys[prev:d])
-                prev = d + 1
-            new_keys.extend(keys[prev:])
-            self.keys = new_keys
+            for d in reversed(dead):
+                del keys[d]
+            for f, k in zip(final, new_keys):
+                keys.insert(f, k)
         else:
-            self.keys = list(itertools.compress(self.keys, alive.tolist()))
-        self._n = k
-        self._groups_cache = None
-        self._refresh_views()
-        self.n_sybil_slots = k - int(np.count_nonzero(self._main_buf[:k]))
-        self._index.dirty = True
-        self._loads_dirty = True
-
-    def _admit_pending(
-        self,
-        positions: np.ndarray,
-        pend_ids: np.ndarray,
-        pend_owner: np.ndarray,
-        pend_main: np.ndarray,
-        pend_prov: np.ndarray,
-        pend_keys: list[np.ndarray],
-    ) -> None:
-        """Splice ``m`` pre-sorted pending slots into the ring in one pass.
-
-        ``positions[j]`` is the insertion point of ``pend_ids[j]`` in the
-        *current* ``ids`` array (``np.searchsorted`` semantics).
-        """
-        n, m = self._n, pend_ids.size
-        new_n = n + m
-        targets = positions + np.arange(m, dtype=positions.dtype)
-        if new_n <= self._ids_buf.size and m <= 8:
-            # shift surviving segments right (descending, no overlap bugs)
-            bounds = np.append(positions, n)
-            for j in range(m - 1, -1, -1):
-                lo, hi = int(bounds[j]), int(bounds[j + 1])
-                if hi > lo:
-                    for buf in self._slab_bufs():
-                        buf[lo + j + 1 : hi + j + 1] = buf[lo:hi]
-        elif new_n <= self._ids_buf.size:
-            # many pending slots: one gather-scatter per buffer beats
-            # m segment shifts
-            gap = np.ones(new_n, dtype=bool)
-            gap[targets] = False
-            dst_idx = np.flatnonzero(gap)
-            for buf in self._slab_bufs():
-                tmp = buf[:n].copy()
-                buf[dst_idx] = tmp
-        else:
-            old = self._slab_bufs()
-            self._grow(new_n)
-            gap = np.ones(new_n, dtype=bool)
-            gap[targets] = False
-            dst_idx = np.flatnonzero(gap)
-            for src, dst in zip(old, self._slab_bufs()):
-                dst[dst_idx] = src[:n]
-        self._ids_buf[targets] = pend_ids
-        self._owner_buf[targets] = pend_owner
-        self._main_buf[targets] = pend_main
-        self._prov_buf[targets] = pend_prov
-        self._counts_buf[targets] = [k.size for k in pend_keys]
-
-        new_keys: list[np.ndarray] = []
-        prev = 0
-        for j in range(m):
-            p = int(positions[j])
-            new_keys.extend(self.keys[prev:p])
-            new_keys.append(pend_keys[j])
-            prev = p
-        new_keys.extend(self.keys[prev:])
-        self.keys = new_keys
+            self.keys = _spliced(self.keys, dead, at, new_keys)
 
         self._n = new_n
         self._groups_cache = None
         self._refresh_views()
-        self.n_sybil_slots += m - int(np.count_nonzero(pend_main))
+        self.n_sybil_slots = new_n - int(np.count_nonzero(self._main_view))
         self._index.dirty = True
         self._loads_dirty = True
 
@@ -584,11 +609,10 @@ class RingState:
         is_main = np.ones(ids.size, dtype=bool)
 
         task_keys = np.asarray(task_keys, dtype=_U64)
-        slot_idx = responsible_slots(ids, task_keys)
-        grouping = np.argsort(slot_idx, kind="stable")
-        grouped = task_keys[grouping]
+        slot_idx = bucket_responsible_slots(ids, task_keys, space.bits)
+        grouped = task_keys[group_by_slot(slot_idx, ids.size)]
         per_slot = np.bincount(slot_idx, minlength=ids.size)
-        offsets = np.concatenate(([0], np.cumsum(per_slot)))
+        offsets = np.concatenate(([0], np.cumsum(per_slot))).tolist()
         keys = [
             grouped[offsets[i] : offsets[i + 1]].copy()
             for i in range(ids.size)
@@ -634,6 +658,10 @@ class RingState:
         # searchsorted cast the whole uint64 array per call
         pos = int(ids.searchsorted(_U64(ident)))
         return pos < ids.size and int(ids[pos]) == ident
+
+    def ids_exist(self, idents: np.ndarray) -> np.ndarray:
+        """:meth:`id_exists` over a ``uint64`` array (bool array)."""
+        return _ids_present(self._ids_view, idents, None)
 
     def find_slot(self, key: int) -> int:
         """Index of the slot responsible for ``key``."""
@@ -732,7 +760,7 @@ class RingState:
         keys = np.asarray(keys, dtype=_U64)
         if keys.size == 0:
             return
-        slot_idx = responsible_slots(self.ids, keys)
+        slot_idx = bucket_responsible_slots(self.ids, keys, self.space.bits)
         affected = np.unique(slot_idx)
         counts = self.counts
         old_sizes = counts[affected]
@@ -760,7 +788,6 @@ class RingState:
         flat = flat[np.lexsort((ranks, labels))]
         for g, slot in enumerate(affected.tolist()):
             merged = flat[int(offsets[g]) : int(offsets[g + 1])]
-            self._pool.give(self.keys[slot])
             self.keys[slot] = merged
             counts[slot] = merged.size
         self._loads_dirty = True
@@ -797,19 +824,9 @@ class RingState:
 
         remaining = self.remaining_keys(succ)
         mask = in_arc_mask(remaining, pred, int(nid))
-        taken_n = int(np.count_nonzero(mask))
-        kept_n = remaining.size - taken_n
-        if taken_n:
-            taken = self._pool.take(taken_n)
-            np.compress(mask, remaining, out=taken[:taken_n])
-        else:
-            taken = _EMPTY_KEYS
-        if kept_n:
-            kept = self._pool.take(kept_n)
-            np.compress(~mask, remaining, out=kept[:kept_n])
-        else:
-            kept = _EMPTY_KEYS
-        old_succ_keys = self.keys[succ]
+        taken = remaining[mask]
+        kept = remaining[~mask]
+        taken_n = taken.size
 
         if provenance is None:
             provenance = PROV_HONEST if is_main else PROV_BENEVOLENT
@@ -820,8 +837,7 @@ class RingState:
 
         succ_new = succ + 1 if pos <= succ else succ
         self.keys[succ_new] = kept
-        self._counts_buf[succ_new] = kept_n
-        self._pool.give(old_succ_keys)
+        self._counts_row[succ_new] = kept.size
         self._index.note_insert(int(nid), int(owner), bool(is_main))
         self._loads_dirty = True
         return pos, taken_n
@@ -838,23 +854,19 @@ class RingState:
         succ = (slot + 1) % self.n_slots
         moved = int(self.counts[slot])
         if moved:
-            succ_rem = self.remaining_keys(succ)
-            total = moved + succ_rem.size
-            merged = self._pool.take(total)
-            merged[:moved] = self.remaining_keys(slot)
-            merged[moved:total] = succ_rem
+            merged = np.concatenate(
+                (self.remaining_keys(slot), self.remaining_keys(succ))
+            )
             # reshuffle so tail-consumption stays uniform over the merge
             # (shuffle of the concatenation == the old rng.permutation)
-            self.rng.shuffle(merged[:total])
-            self._pool.give(self.keys[succ])
+            self.rng.shuffle(merged)
             self.keys[succ] = merged
-            self._counts_buf[succ] = total
+            self._counts_row[succ] = merged.size
         removed_id = int(self._ids_view[slot])
         removed_owner = int(self.owner[slot])
         removed_main = bool(self.is_main[slot])
         if not removed_main:
             self.n_sybil_slots -= 1
-        self._pool.give(self.keys[slot])
         self.keys.pop(slot)
         self._shift_remove(slot)
         self._index.note_remove(removed_id, removed_owner, removed_main)
@@ -919,12 +931,7 @@ class RingState:
         idx = np.asarray(dead, dtype=np.intp)
         if self._counts_view[idx].any():
             raise RingError("cannot drop a slot that holds remaining keys")
-        alive = np.ones(n, dtype=bool)
-        alive[idx] = False
-        keys = self.keys
-        for p in dead:
-            self._pool.give(keys[p])
-        self._compress_alive(alive, dead=dead)
+        self._restructure(dead)
 
     # ------------------------------------------------------------------
     # batch structure changes (used by the engine's churn phase)
@@ -938,9 +945,16 @@ class RingState:
         """
         return BatchRemoval(self, owners)
 
-    def begin_batch_insertion(self) -> "BatchInsertion":
-        """Start a batched insertion; call :meth:`BatchInsertion.commit`."""
-        return BatchInsertion(self)
+    def begin_batch_insertion(
+        self, removal: "BatchRemoval | None" = None
+    ) -> "BatchInsertion":
+        """Start a batched insertion; call :meth:`BatchInsertion.commit`.
+
+        Pass the open ``removal`` of the same tick to insert into the
+        ring it leaves; the insertion's commit then applies both in one
+        pass, and ``removal.commit()`` afterwards only closes it.
+        """
+        return BatchInsertion(self, removal)
 
     def median_key(self, slot: int) -> int | None:
         """Median remaining key of the slot *by ring position within its arc*.
@@ -1032,7 +1046,9 @@ class BatchRemoval:
     merge-and-shuffle sequence of repeated :meth:`RingState.remove_slot`
     calls (ascending slot order, as the sequential loop produced) against
     *stable* slot positions; :meth:`commit` compresses the slab once.
-    RNG consumption is bit-identical to the sequential path.
+    RNG consumption is bit-identical to the sequential path.  A churn
+    tick begins its :class:`BatchInsertion` on the open batch, and that
+    insertion's commit applies both in one slab pass.
     """
 
     def __init__(self, state: RingState, owners=None):
@@ -1047,24 +1063,30 @@ class BatchRemoval:
         self._dead: list[int] = []
         self._live = n
         self._committed = False
+        # set once a BatchInsertion is begun on this batch (no further
+        # removals), and once that insertion's commit applied them
+        self._sealed = False
+        self._flushed = False
         if owners is None:
             # owner queries against pre-batch positions via the index
             state._ensure_index()
             self._slots_by_owner: dict[int, list[int]] | None = None
         else:
             # the caller knows the owner set up front (the engine's
-            # churn phase does): one flag-gather scan beats rebuilding
+            # churn phase does): one membership scan beats rebuilding
             # the full owner index for a handful of departures
             arr = np.asarray(owners, dtype=_I64)
             grouped: dict[int, list[int]] = {}
             if arr.size:
+                if arr.min() < 0:
+                    raise RingError("owner indices must be non-negative")
+                # flags past the largest listed owner stay False, and
+                # the clipped gather maps every larger owner there
+                flags = np.zeros(int(arr.max()) + 2, dtype=bool)
+                flags[arr] = True
                 ow = state.owner
-                hi = int(ow.max()) + 1 if ow.size else 1
-                flags = np.zeros(hi, dtype=bool)
-                flags[arr[(arr >= 0) & (arr < hi)]] = True
-                sel = np.flatnonzero(flags[ow])
-                for p in sel.tolist():
-                    o = int(ow[p])
+                hits = flags.take(ow, mode="clip").nonzero()[0]
+                for p, o in zip(hits.tolist(), ow[hits].tolist()):
                     if o in grouped:
                         grouped[o].append(p)
                     else:
@@ -1074,8 +1096,6 @@ class BatchRemoval:
         # no structural op rebinds the prefix views until commit()
         self._counts = state.counts
         self._keys = state.keys
-        self._pool = state._pool
-        self._pool_classes = state._pool._classes
         self._shuffle = state.rng.shuffle
 
     @property
@@ -1145,6 +1165,8 @@ class BatchRemoval:
         None if removing the owner would empty the ring (the engine
         treats that as ring death).
         """
+        if self._sealed:
+            raise RingError("removal batch already feeds an insertion")
         alive = self._alive
         slots = self._owner_slots(owner)
         if self._live != self._n:
@@ -1154,17 +1176,10 @@ class BatchRemoval:
         n = self._n
         counts = self._counts
         keys = self._keys
-        classes = self._pool_classes
         # phase 1: mark every slot dead, capturing its key buffer
-        captured: list[tuple[int, np.ndarray, int]] = []
+        captured = [(slot, keys[slot], int(counts[slot])) for slot in slots]
         for slot in slots:
-            captured.append((slot, keys[slot], int(counts[slot])))
-            keys[slot] = _EMPTY_KEYS
-            counts[slot] = 0
-            alive[slot] = 0
-            self._skip[slot] = (slot + 1) % n
-            self._dead.append(slot)
-            self._live -= 1
+            self._mark_dead(slot)
         # phase 2: resolve each slot's keys against the backup holders
         recovered = 0
         lost = 0
@@ -1186,34 +1201,13 @@ class BatchRemoval:
                     lost += moved
                 else:
                     recovered += moved
-                    n_succ = int(counts[succ])
-                    total = moved + n_succ
-                    cap = 8 if total <= 8 else 1 << (total - 1).bit_length()
-                    bucket = classes.get(cap)
-                    merged = (
-                        bucket.pop() if bucket else np.empty(cap, dtype=_U64)
-                    )
-                    merged[:moved] = buf[:moved]
-                    merged[moved:total] = keys[succ][:n_succ]
-                    self._shuffle(merged[:total])
-                    old = keys[succ]
-                    cap = old.size
-                    if (
-                        old.base is None
-                        and 8 <= cap <= 262144
-                        and not cap & (cap - 1)
-                    ):
-                        bucket = classes.setdefault(cap, [])
-                        if len(bucket) < 32:
-                            bucket.append(old)
-                    keys[succ] = merged
-                    counts[succ] = total
-            cap = buf.size
-            if buf.base is None and 8 <= cap <= 262144 and not cap & (cap - 1):
-                bucket = classes.setdefault(cap, [])
-                if len(bucket) < 32:
-                    bucket.append(buf)
+                    self._merge_into(succ, buf, moved)
         return recovered, lost
+
+    def ids_exist(self, idents: np.ndarray) -> np.ndarray:
+        """:meth:`RingState.ids_exist` on the ring this batch leaves:
+        a slot queued for removal no longer counts."""
+        return _ids_present(self._state.ids, idents, self._alive)
 
     def _next_alive(self, slot: int) -> int:
         n = self._n
@@ -1226,7 +1220,28 @@ class BatchRemoval:
             self._skip[p] = j
         return j
 
+    def _merge_into(self, succ: int, buf: np.ndarray, moved: int) -> None:
+        """Hand ``buf[:moved]`` to ``succ``: its keys become the union,
+        reshuffled exactly as :meth:`RingState.remove_slot` reshuffles
+        it."""
+        merged = np.concatenate(
+            (buf[:moved], self._keys[succ][: self._counts.item(succ)])
+        )
+        self._shuffle(merged)
+        self._keys[succ] = merged
+        self._counts[succ] = merged.size
+
+    def _mark_dead(self, slot: int) -> None:
+        self._keys[slot] = _EMPTY_KEYS
+        self._counts[slot] = 0
+        self._alive[slot] = 0
+        self._skip[slot] = (slot + 1) % self._n
+        self._dead.append(slot)
+        self._live -= 1
+
     def _remove_one(self, slot: int) -> int:
+        if self._sealed:
+            raise RingError("removal batch already feeds an insertion")
         if self._live <= 1:
             raise RingError("cannot remove the last slot on the ring")
         alive = self._alive
@@ -1237,55 +1252,24 @@ class BatchRemoval:
             succ = 0
         if not alive[succ]:
             succ = self._next_alive(slot)
-        counts = self._counts
-        keys = self._keys
-        classes = self._pool_classes
-        moved = int(counts[slot])
+        moved = self._counts.item(slot)
         if moved:
-            n_succ = int(counts[succ])
-            total = moved + n_succ
-            # pool take/give inlined: these three calls are the hottest
-            # allocator traffic in a churn batch
-            cap = 8 if total <= 8 else 1 << (total - 1).bit_length()
-            bucket = classes.get(cap)
-            merged = bucket.pop() if bucket else np.empty(cap, dtype=_U64)
-            merged[:moved] = keys[slot][:moved]
-            merged[moved:total] = keys[succ][:n_succ]
-            self._shuffle(merged[:total])
-            old = keys[succ]
-            cap = old.size
-            if (
-                old.base is None
-                and 8 <= cap <= 262144
-                and not cap & (cap - 1)
-            ):
-                bucket = classes.setdefault(cap, [])
-                if len(bucket) < 32:
-                    bucket.append(old)
-            keys[succ] = merged
-            counts[succ] = total
-        old = keys[slot]
-        cap = old.size
-        if old.base is None and 8 <= cap <= 262144 and not cap & (cap - 1):
-            bucket = classes.setdefault(cap, [])
-            if len(bucket) < 32:
-                bucket.append(old)
-        keys[slot] = _EMPTY_KEYS
-        counts[slot] = 0
-        alive[slot] = 0
-        self._skip[slot] = (slot + 1) % self._n
-        self._dead.append(slot)
-        self._live -= 1
+            self._merge_into(succ, self._keys[slot], moved)
+        self._mark_dead(slot)
         return moved
 
     def commit(self) -> None:
-        """Compress the slab, dropping every queued slot in one pass."""
+        """Drop every queued slot in one slab pass.
+
+        When a :class:`BatchInsertion` was begun on this batch its
+        commit already applied the removals together with its own
+        insertions, and this only closes the batch.
+        """
         if self._committed:
             raise RingError("batch removal already committed")
         self._committed = True
-        alive = np.frombuffer(self._alive, dtype=bool)
-        self._state._compress_alive(alive, dead=self._dead)
-        self._state._loads_dirty = True
+        if not self._flushed:
+            self._state._restructure(sorted(self._dead))
 
 
 class BatchInsertion:
@@ -1296,9 +1280,16 @@ class BatchInsertion:
     and partitions the successor's remaining keys exactly as a sequential
     :meth:`RingState.insert_slot` would; :meth:`commit` splices all
     pending slots into the slab in one pass.
+
+    Begun on an open :class:`BatchRemoval` (a churn tick's joins after
+    its departures), the batch resolves against the ring that removal
+    leaves — a slot queued for removal is not on it, and its id may be
+    drawn again — and its commit applies the removals and insertions
+    together in one :meth:`RingState._restructure` pass.  The result
+    equals committing the removal first and inserting afterwards.
     """
 
-    def __init__(self, state: RingState):
+    def __init__(self, state: RingState, removal: BatchRemoval | None = None):
         self._state = state
         self._pend_ids: list[int] = []  # sorted
         self._pend_set: set[int] = set()
@@ -1308,6 +1299,8 @@ class BatchInsertion:
         self._by_slot: dict[int, list[int]] = {}
         # live slot -> (pred_id, remaining-keys view) of its arc
         self._arc: dict[int, tuple[int, np.ndarray]] = {}
+        # live slot -> mask of the keys its first pending identity takes
+        self._taken_mask: dict[int, np.ndarray] = {}
         self._committed = False
         # hot references — stable for the lifetime of the batch, since
         # pending slots are only spliced into the slab at commit()
@@ -1320,9 +1313,16 @@ class BatchInsertion:
         # full 64 bits, so the reduce-mod-size masking can be skipped
         self._mask = None if state.space.bits == 64 else self._wrap
         self._searchsorted = self._ids.searchsorted
-        # the engine probes id_exists immediately before add: remember
-        # the last miss so add() can skip the repeated ring lookup
-        self._last_miss: tuple[int, int] | None = None
+        self._removal = removal
+        self._alive: bytearray | None = None
+        self._live = self._ids.size
+        if removal is not None:
+            if removal._committed or removal._sealed:
+                raise RingError("removal batch is already closed")
+            removal._sealed = True
+            if removal._dead:
+                self._alive = removal._alive
+                self._live = removal._live
 
     def id_exists(self, ident: int) -> bool:
         """Membership test over live plus pending identities."""
@@ -1332,10 +1332,28 @@ class BatchInsertion:
         # _U64 needle matters: a small python int infers int64 and makes
         # searchsorted cast the whole uint64 array per call
         pos = int(self._searchsorted(_U64(ident)))
-        if pos < ids.size and int(ids[pos]) == ident:
-            return True
-        self._last_miss = (int(ident), pos)
-        return False
+        return (
+            pos < ids.size
+            and int(ids[pos]) == ident
+            and (self._alive is None or bool(self._alive[pos]))
+        )
+
+    def _successor(self, slot: int) -> int:
+        """The first live slot from ``slot`` on, clockwise."""
+        n = self._ids.size
+        alive = self._alive
+        while not alive[slot]:
+            slot = slot + 1 if slot + 1 < n else 0
+        return slot
+
+    def _pred_id(self, slot: int) -> int:
+        """Id of the live slot before ``slot`` (itself on a 1-slot ring)."""
+        j = slot - 1 if slot else self._ids.size - 1
+        alive = self._alive
+        if alive is not None:
+            while not alive[j]:
+                j = j - 1 if j else self._ids.size - 1
+        return self._ids.item(j)
 
     def add(
         self,
@@ -1349,56 +1367,60 @@ class BatchInsertion:
 
         The acquired count is the number of keys the identity would take
         if inserted right now — counted by a range query over the
-        enclosing live slot's sorted arc offsets — but no keys actually
-        move until :meth:`commit` redistributes each affected arc in one
-        vectorized pass.  Since splits consume no randomness, the counts
-        and the final key layout are bit-identical to sequential
+        enclosing live slot's arc offsets — but no keys actually move
+        until :meth:`commit`.  The first identity of an arc keeps its
+        selection mask, so the commit splits that arc with two
+        compresses.  Since splits consume no randomness, the counts and
+        the final key layout are bit-identical to sequential
         :meth:`RingState.insert_slot` calls.
         """
         size = self._size
         nid = int(ident)
         if nid < 0 or nid >= size:
             self._state.space.validate(nid)  # raises with the right message
+        if nid in self._pend_set:
+            raise IdSpaceError(f"identifier {ident} already on the ring")
         ids = self._ids
-        n = ids.size
-        last = self._last_miss
-        if last is not None and last[0] == nid:
-            # the caller just probed id_exists(nid): reuse its lookup
-            self._last_miss = None
-            pos = last[1]
-            if nid in self._pend_set:
-                raise IdSpaceError(f"identifier {ident} already on the ring")
-        else:
-            pos = int(self._searchsorted(_U64(nid), side="left"))
-            if (pos < n and ids[pos] == nid) or nid in self._pend_set:
-                raise IdSpaceError(f"identifier {ident} already on the ring")
-        slot = pos if pos < n else 0
+        pos = int(self._searchsorted(_U64(nid)))
+        alive = self._alive
+        if pos < ids.size and ids.item(pos) == nid and (
+            alive is None or alive[pos]
+        ):
+            raise IdSpaceError(f"identifier {ident} already on the ring")
+        slot = pos if pos < ids.size else 0
+        if alive is not None and not alive[slot]:
+            slot = self._successor(slot)
         arc = self._arc.get(slot)
         if arc is None:
-            pred_id = int(ids[slot - 1])  # negative index wraps
-            remaining = self._keys[slot][: int(self._counts[slot])]
-            arc = (pred_id, remaining)
+            remaining = self._keys[slot][: self._counts.item(slot)]
+            arc = (self._pred_id(slot), remaining)
             self._arc[slot] = arc
         pred_id, remaining = arc
-        # own offset, and the offset of the nearest pending predecessor
-        # inside the same arc (keys below it were already claimed)
-        dv = (nid - pred_id) % size
-        dp = 0
         pend = self._pend_ids
-        if pend:
-            i = bisect.bisect_left(pend, nid)
-            p_pred = pend[i - 1] if i > 0 else pend[-1]
-            d = (nid - p_pred) % size
-            if d < dv:
-                dp = dv - d
-        # count keys whose arc offset lies in (dp, dv]: shifting the arc
-        # start past dp turns the range test into one compare — a key at
-        # offset <= dp (including 0, the arc start itself) wraps to a
-        # huge value and is excluded, matching the (pred, self] rule
-        rel = remaining - (pred_id + dp + 1) % size
-        if self._mask is not None:
-            rel &= self._mask
-        acquired = int(np.count_nonzero(rel <= dv - dp - 1))
+        if not remaining.size:
+            taken = remaining  # an empty arc: nothing to count or split
+            acquired = 0
+        else:
+            # own offset, and the offset of the nearest pending
+            # predecessor inside the same arc (keys below it were
+            # already claimed)
+            dv = (nid - pred_id) % size
+            dp = 0
+            if pend:
+                i = bisect.bisect_left(pend, nid)
+                d = (nid - pend[i - 1]) % size  # i == 0 wraps to the last
+                if d < dv:
+                    dp = dv - d
+            # count keys whose arc offset lies in (dp, dv]: shifting the
+            # arc start past dp turns the range test into one compare —
+            # a key at offset <= dp (including 0, the arc start itself)
+            # wraps to a huge value and is excluded, matching the
+            # (pred, self] rule
+            rel = remaining - _U64((pred_id + dp + 1) % size)
+            if self._mask is not None:
+                rel &= self._mask
+            taken = rel <= _U64(dv - dp - 1)
+            acquired = int(np.count_nonzero(taken))
         if provenance is None:
             provenance = PROV_HONEST if is_main else PROV_BENEVOLENT
         bisect.insort(pend, nid)
@@ -1406,7 +1428,10 @@ class BatchInsertion:
         self._records[nid] = (int(owner), bool(is_main), int(provenance))
         lst = self._by_slot.get(slot)
         if lst is None:
+            # the arc's first identity: no pending predecessor inside
+            # the arc, so dp == 0 and the mask is exactly its share
             self._by_slot[slot] = [nid]
+            self._taken_mask[slot] = taken
         else:
             lst.append(nid)
         return acquired
@@ -1428,27 +1453,30 @@ class BatchInsertion:
             if ident < 0 or ident >= size:
                 self._state.space.validate(ident)  # raises
         ids = self._ids
-        n = ids.size
         new = np.array(idents, dtype=_U64)
-        pos = self._searchsorted(new)
-        inside = pos < n
         if (
-            (ids[pos[inside]] == new[inside]).any()
+            _ids_present(ids, new, self._alive).any()
             or len(set(idents)) != len(idents)
             or not self._pend_set.isdisjoint(idents)
         ):
             raise IdSpaceError("identifier already on the ring")
+        pos = self._searchsorted(new)
+        if self._alive is None:
+            slots = np.where(pos < ids.size, pos, 0)
+            preds = slots - 1  # slot 0's predecessor wraps to the last
+        else:
+            live = np.flatnonzero(np.frombuffer(self._alive, dtype=bool))
+            k = live.searchsorted(pos)
+            slots = live[k % live.size]
+            preds = live[k - 1]
         provenance = PROV_HONEST if is_main else PROV_BENEVOLENT
         records = self._records
         by_slot = self._by_slot
         arc = self._arc
         keys = self._keys
-        slots = np.where(inside, pos, 0)
-        # slot 0's predecessor index -1 wraps to the last slot
-        preds = ids[slots - 1].tolist()
-        remaining = self._counts[slots].tolist()
         for ident, owner, slot, pred, count in zip(
-            idents, owners, slots.tolist(), preds, remaining
+            idents, owners, slots.tolist(), ids[preds].tolist(),
+            self._counts[slots].tolist(),
         ):
             records[ident] = (int(owner), is_main, provenance)
             lst = by_slot.get(slot)
@@ -1461,122 +1489,90 @@ class BatchInsertion:
         self._pend_ids = sorted(self._pend_ids + idents)
         self._pend_set.update(idents)
 
-    def commit(self) -> None:
-        """Redistribute every affected arc and splice in one merge pass.
+    def _split(self, slot: int, remaining: np.ndarray, taken: np.ndarray):
+        """Split the arc of ``slot`` by the mask of the keys its one
+        pending identity takes; returns that identity's keys and their
+        count, and leaves the rest with ``slot``."""
+        out = remaining.compress(taken)
+        kept = remaining.compress(~taken)
+        self._keys[slot] = kept
+        self._counts[slot] = kept.size
+        return out, out.size
 
-        Arcs that attracted exactly one pending identity (the common case
-        under realistic churn) are partitioned together in one vectorized
-        compress over the concatenation of their remaining keys; arcs
-        with several pending identities fall back to a per-arc pass.
+    def _split_many(self, slot: int, idents: list[int], taken: dict) -> None:
+        """Split the arc of ``slot`` among several pending identities."""
+        size = self._size
+        pred_id, remaining = self._arc[slot]
+        idents.sort(key=lambda p: (p - pred_id) % size)
+        bound_offs = np.array(
+            [(p - pred_id) % size for p in idents], dtype=_U64
+        )
+        offs = (remaining - _U64(pred_id)) & self._wrap
+        # each key goes to the first boundary at-or-past its offset;
+        # past the last boundary it stays with the live slot
+        tgt = bound_offs.searchsorted(offs, side="left")
+        if self._live == 1:
+            # full-circle arc: a key equal to the slot's own id has
+            # offset 0 but belongs to the slot itself
+            tgt[offs == 0] = len(idents)
+        grouped = remaining[np.argsort(tgt, kind="stable")]
+        seg = np.bincount(tgt, minlength=len(idents) + 1)
+        hi = 0
+        for j, ident in enumerate(idents):
+            lo, hi = hi, hi + int(seg[j])
+            taken[ident] = (grouped[lo:hi], hi - lo)
+        kept = grouped[hi:].copy()
+        self._keys[slot] = kept
+        self._counts[slot] = kept.size
+
+    def commit(self) -> None:
+        """Redistribute every affected arc, then apply the batch — and
+        the removal it was begun on, if any — in one slab pass.
+
+        An arc with one pending identity (the common case under churn)
+        splits by a selection mask: the one :meth:`add` kept, or, for
+        :meth:`add_many`, one computed here.  An arc with several
+        pending identities is partitioned by a stable sort on their
+        boundaries.
         """
         if self._committed:
             raise RingError("batch insertion already committed")
         self._committed = True
-        state = self._state
-        m = len(self._pend_ids)
-        if m == 0:
-            return
+        removal = self._removal
+        if removal is not None and removal._committed:
+            raise RingError("batch removal already committed")
+        taken: dict[int, tuple[np.ndarray, int]] = {}
         size = self._size
-        keys = self._keys
-        counts = self._counts
-        pool = state._pool
-        mask = self._mask
-        taken: dict[int, np.ndarray] = {}
+        for slot, idents in self._by_slot.items():
+            pred_id, remaining = self._arc[slot]
+            if not remaining.size:
+                # an arc with no remaining keys has nothing to split
+                for ident in idents:
+                    taken[ident] = (_EMPTY_KEYS, 0)
+            elif len(idents) > 1:
+                self._split_many(slot, idents, taken)
+            else:
+                mask = self._taken_mask.get(slot)
+                if mask is None:
+                    rel = remaining - _U64((pred_id + 1) % size)
+                    if self._mask is not None:
+                        rel &= self._mask
+                    mask = rel <= _U64((idents[0] - pred_id - 1) % size)
+                taken[idents[0]] = self._split(slot, remaining, mask)
 
-        v_slots: list[int] = []
-        v_idents: list[int] = []
-        multi: list[tuple[int, list[int]]] = []
-        arcs = self._arc
-        if self._ids.size > 1:
-            for slot, idents in self._by_slot.items():
-                if not arcs[slot][1].size:
-                    # an arc with no remaining keys has nothing to split
-                    for ident in idents:
-                        taken[ident] = _EMPTY_KEYS
-                elif len(idents) == 1:
-                    v_slots.append(slot)
-                    v_idents.append(idents[0])
-                else:
-                    multi.append((slot, idents))
-        else:
-            # the full-circle arc needs its offset-0 special case below
-            multi = list(self._by_slot.items())
-
-        if v_slots:
-            key_parts = [arcs[s][1] for s in v_slots]
-            cnts = np.fromiter(
-                (k.size for k in key_parts), dtype=_I64, count=len(v_slots)
+        pending = None
+        if self._pend_ids:
+            records = [self._records[i] for i in self._pend_ids]
+            parts = [taken[i] for i in self._pend_ids]
+            pending = _Pending(
+                ids=np.array(self._pend_ids, dtype=_U64),
+                owner=np.array([r[0] for r in records], dtype=_I64),
+                is_main=np.array([r[1] for r in records], dtype=bool),
+                counts=np.array([p[1] for p in parts], dtype=_I64),
+                provenance=np.array([r[2] for r in records], dtype=np.int8),
+                keys=[p[0] for p in parts],
             )
-            all_keys = np.concatenate(key_parts)
-            preds = np.array([arcs[s][0] for s in v_slots], dtype=_U64)
-            bounds = np.array(v_idents, dtype=_U64)
-            # key in (pred, bound] ⟺ (key - pred - 1) mod size <= span
-            lo = preds + _U64(1)
-            span = bounds - preds - _U64(1)
-            rel = all_keys - np.repeat(lo, cnts)
-            if mask is not None:
-                span &= mask
-                rel &= mask
-            tmask = rel <= np.repeat(span, cnts)
-            tk = all_keys[tmask]
-            kp = all_keys[~tmask]
-            key_rank = np.repeat(np.arange(len(v_slots)), cnts)
-            tcnt = np.bincount(key_rank[tmask], minlength=len(v_slots))
-            kcnt = cnts - tcnt
-            tends = np.cumsum(tcnt).tolist()
-            kends = np.cumsum(kcnt).tolist()
-            counts[np.array(v_slots, dtype=_I64)] = kcnt
-            prev = 0
-            for i, ident in enumerate(v_idents):
-                end = tends[i]
-                taken[ident] = tk[prev:end]
-                prev = end
-            prev = 0
-            for i, slot in enumerate(v_slots):
-                end = kends[i]
-                pool.give(keys[slot])
-                keys[slot] = kp[prev:end]
-                prev = end
-
-        single = self._ids.size == 1
-        for slot, idents in multi:
-            pred_id, remaining = arcs[slot]
-            idents.sort(key=lambda p: (p - pred_id) % size)
-            bound_offs = np.array(
-                [(p - pred_id) % size for p in idents], dtype=_U64
-            )
-            offs = (remaining - _U64(pred_id)) & self._wrap
-            # each key goes to the first boundary at-or-past its offset;
-            # past the last boundary it stays with the live slot
-            tgt = bound_offs.searchsorted(offs, side="left")
-            if single:
-                # full-circle arc: a key equal to the slot's own id has
-                # offset 0 but belongs to the slot itself
-                tgt[offs == 0] = len(idents)
-            order = np.argsort(tgt, kind="stable")
-            grouped = remaining[order]
-            seg = np.bincount(tgt, minlength=len(idents) + 1)
-            hi = 0
-            for j, ident in enumerate(idents):
-                lo, hi = hi, hi + int(seg[j])
-                taken[ident] = grouped[lo:hi]
-            kept = grouped[hi:].copy()
-            pool.give(keys[slot])
-            keys[slot] = kept
-            counts[slot] = kept.size
-
-        pend_ids = np.array(self._pend_ids, dtype=_U64)
-        records = [self._records[i] for i in self._pend_ids]
-        pend_owner = np.array([r[0] for r in records], dtype=_I64)
-        pend_main = np.array([r[1] for r in records], dtype=bool)
-        pend_prov = np.array([r[2] for r in records], dtype=np.int8)
-        pend_keys = [taken[i] for i in self._pend_ids]
-        positions = state.ids.searchsorted(pend_ids, side="left")
-        state._admit_pending(
-            positions.astype(_I64),
-            pend_ids,
-            pend_owner,
-            pend_main,
-            pend_prov,
-            pend_keys,
-        )
+        dead = sorted(removal._dead) if removal is not None else []
+        self._state._restructure(dead, pending)
+        if removal is not None:
+            removal._flushed = True

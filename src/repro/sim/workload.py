@@ -15,7 +15,16 @@ from repro.errors import ConfigError, IdSpaceError
 from repro.hashspace.hashing import uniform_ids_array
 from repro.hashspace.idspace import IdSpace
 
-__all__ = ["draw_unique_ids", "draw_task_keys", "draw_new_node_id", "ideal_runtime"]
+__all__ = [
+    "draw_unique_ids",
+    "draw_task_keys",
+    "draw_new_node_id",
+    "draw_new_node_ids",
+    "ideal_runtime",
+]
+
+#: candidate draws per identifier before the space counts as too dense
+_MAX_ID_ATTEMPTS = 64
 
 
 def draw_unique_ids(
@@ -63,13 +72,54 @@ def draw_new_node_id(
             f"draw_new_node_id supports at most 64-bit spaces, got {space.bits}"
         )
     high = space.size
-    for _ in range(64):
+    for _ in range(_MAX_ID_ATTEMPTS):
         candidate = int(rng.integers(0, high, dtype=np.uint64))
         if not exists(candidate):
             return candidate
     raise ConfigError(
         "could not find a free identifier after 64 draws; id space too dense"
     )
+
+
+def draw_new_node_ids(
+    count: int, space: IdSpace, rng: np.random.Generator, exist
+) -> list[int]:
+    """``count`` distinct identifiers not on the ring, drawn in bulk.
+
+    ``exist`` maps a ``uint64`` array to a bool array of ring membership
+    (e.g. ``RingState.ids_exist``).  The result, and the generator state
+    afterwards, equal ``count`` calls of :func:`draw_new_node_id` whose
+    predicate also rejects the ids accepted by earlier calls: one sized
+    ``rng.integers`` call yields the same stream as that many scalar
+    calls, so the candidates are replayed in stream order — a rejected
+    one is skipped and the next stream value goes to the same caller,
+    as the scalar loop's redraw would.  Only values the loop would have
+    drawn are ever drawn.
+    """
+    if space.bits > 64:
+        raise IdSpaceError(
+            f"draw_new_node_ids supports at most 64-bit spaces, got {space.bits}"
+        )
+    out: list[int] = []
+    accepted: set[int] = set()
+    misses = 0
+    while len(out) < count:
+        cands = rng.integers(
+            0, space.size, size=count - len(out), dtype=np.uint64
+        )
+        for cand, hit in zip(cands.tolist(), exist(cands).tolist()):
+            if hit or cand in accepted:
+                misses += 1
+                if misses == _MAX_ID_ATTEMPTS:
+                    raise ConfigError(
+                        "could not find a free identifier after 64 draws; "
+                        "id space too dense"
+                    )
+            else:
+                out.append(cand)
+                accepted.add(cand)
+                misses = 0
+    return out
 
 
 def ideal_runtime(n_tasks: int, initial_capacity: int) -> float:

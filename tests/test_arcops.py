@@ -7,7 +7,9 @@ from repro.errors import IdSpaceError
 from repro.sim.arcops import (
     arc_length,
     arc_lengths,
+    bucket_responsible_slots,
     count_in_arc,
+    group_by_slot,
     in_arc_mask,
     responsible_slots,
     slot_arc_starts,
@@ -119,6 +121,99 @@ class TestResponsibleSlots:
             responsible_slots(
                 np.array([], dtype=np.uint64), np.array([1], dtype=np.uint64)
             )
+
+
+def _edge_keys(ids, bits, rng, n_random=40_000):
+    """Random keys plus the edge cases: every id, every id +- 1, keys
+    above the last id, 0 and the top of the space, and duplicates."""
+    top = (1 << bits) - 1
+    ids_int = ids.astype(object)
+    edges = [0, top, *ids_int, *(i + 1 for i in ids_int),
+             *(i - 1 for i in ids_int)]
+    edges = np.array([e for e in edges if 0 <= e <= top], dtype=np.uint64)
+    fresh = rng.integers(0, top, size=n_random, dtype=np.uint64,
+                         endpoint=True)
+    keys = np.concatenate((fresh, edges, edges, fresh[:100]))
+    rng.shuffle(keys)
+    return keys
+
+
+class TestBucketResponsibleSlots:
+    """The bucketed lookup equals the plain binary search, wrap rule and
+    all; enough keys are used that the bucket table is built."""
+
+    @pytest.mark.parametrize("bits", [8, 16, 32, 48, 64])
+    @pytest.mark.parametrize("n_ids", [1, 2, 37, 200])
+    def test_equals_searchsorted(self, bits, n_ids):
+        rng = np.random.default_rng(bits * 1000 + n_ids)
+        n_ids = min(n_ids, 1 << bits)
+        ids = np.sort(rng.choice(
+            np.uint64((1 << bits) - 1), size=n_ids, replace=False
+        ).astype(np.uint64)) if bits < 64 else np.unique(
+            rng.integers(0, 2**64, size=n_ids, dtype=np.uint64)
+        )
+        keys = _edge_keys(ids, bits, rng)
+        np.testing.assert_array_equal(
+            bucket_responsible_slots(ids, keys, bits),
+            responsible_slots(ids, keys),
+        )
+
+    @pytest.mark.parametrize("bits", [8, 64])
+    def test_ids_at_the_edges_of_the_space(self, bits):
+        top = (1 << bits) - 1
+        ids = np.array([0, 1, top - 1, top], dtype=np.uint64)
+        keys = np.tile(np.array([0, 1, 2, top - 1, top], dtype=np.uint64),
+                       5000)
+        got = bucket_responsible_slots(ids, keys, bits)
+        np.testing.assert_array_equal(got, responsible_slots(ids, keys))
+        assert got[:5].tolist() == [0, 1, 2, 2, 3]
+
+    def test_clustered_ids_refine_past_many_per_bucket(self):
+        """Ids packed into one bucket take many refinement passes."""
+        bits = 32
+        ids = np.arange(1000, 1300, dtype=np.uint64)
+        rng = np.random.default_rng(5)
+        keys = np.concatenate((
+            rng.integers(900, 1400, size=30_000, dtype=np.uint64),
+            rng.integers(0, 2**32, size=30_000, dtype=np.uint64),
+        ))
+        np.testing.assert_array_equal(
+            bucket_responsible_slots(ids, keys, bits),
+            responsible_slots(ids, keys),
+        )
+
+    def test_few_keys_take_the_binary_search(self):
+        ids = np.array([10, 20, 30], dtype=np.uint64)
+        keys = np.array([25, 5, 30, 31], dtype=np.uint64)
+        assert bucket_responsible_slots(ids, keys, 8).tolist() == [2, 0, 2, 0]
+
+    def test_empty_ring_raises(self):
+        with pytest.raises(IdSpaceError):
+            bucket_responsible_slots(
+                np.array([], dtype=np.uint64),
+                np.array([1], dtype=np.uint64), 8,
+            )
+
+
+class TestGroupBySlot:
+    @pytest.mark.parametrize("n_slots", [1, 3, 1000, 65_536, 70_000])
+    def test_equals_stable_argsort(self, n_slots):
+        rng = np.random.default_rng(n_slots)
+        slot_idx = rng.integers(0, n_slots, size=50_000)
+        # pin the extremes so both radix digits see their full range
+        slot_idx[:2] = (0, n_slots - 1)
+        np.testing.assert_array_equal(
+            group_by_slot(slot_idx, n_slots),
+            np.argsort(slot_idx, kind="stable"),
+        )
+
+    def test_two_digit_path_is_stable_on_ties(self):
+        """Above 65,536 slots keys of one slot keep their input order."""
+        slot_idx = np.array([70_000, 5, 70_000, 65_536, 5, 65_536] * 3)
+        order = group_by_slot(slot_idx, 70_001)
+        np.testing.assert_array_equal(
+            order, np.argsort(slot_idx, kind="stable")
+        )
 
 
 class TestSlotArcStarts:

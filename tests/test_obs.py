@@ -183,6 +183,41 @@ class TestPhaseProfiler:
             "strategy", "measurement", "zeta_custom",
         ]
 
+    def test_sub_phases_are_not_counted_twice(self):
+        prof = PhaseProfiler(clock=FakeClock())
+        with prof.phase("churn"):
+            with prof.phase("churn.depart"):
+                pass
+        with prof.phase("consumption"):
+            pass
+        assert prof.seconds == {
+            "churn": pytest.approx(0.75), "consumption": pytest.approx(0.25),
+        }
+        assert prof.sub_seconds == {"churn.depart": pytest.approx(0.25)}
+        assert prof.total_seconds() == pytest.approx(1.0)
+        phases = prof.as_dict()["phases"]
+        assert list(phases) == ["churn", "consumption"]
+        assert phases["churn"]["sub"] == {
+            "churn.depart": {"calls": 1, "seconds": pytest.approx(0.25)}
+        }
+        assert "sub" not in phases["consumption"]
+        assert prof.as_dict()["total_seconds"] == pytest.approx(1.0)
+        assert "churn.depart=0.2500s (25.0%)" in prof.summary_line()
+
+    def test_engine_times_churn_sub_phases(self):
+        prof = PhaseProfiler()
+        config = SimulationConfig(
+            strategy="churn", n_nodes=60, n_tasks=3000, churn_rate=0.05,
+            seed=3,
+        )
+        TickEngine(config, profiler=prof).run()
+        assert set(prof.sub_calls) == {
+            "churn.depart", "churn.join", "churn.commit",
+        }
+        # every sub-phase runs inside a churn phase entry
+        assert all(c <= prof.calls["churn"] for c in prof.sub_calls.values())
+        assert sum(prof.sub_seconds.values()) <= prof.seconds["churn"]
+
     def test_null_profiler_is_inert(self):
         with NULL_PROFILER.phase("anything"):
             pass

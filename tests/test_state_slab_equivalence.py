@@ -12,33 +12,40 @@ all affected slots in a single vectorized pass, which consumes the
 stream differently, so it is held to per-slot multiset equality instead.
 """
 
+import copy
+
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import IdSpaceError
+from repro.errors import IdSpaceError, RingError
 from repro.hashspace.idspace import IdSpace
 from repro.sim.reference import NaiveRingState
-from repro.sim.state import RingState
+from repro.sim.state import RingState, _Pending
+from repro.sim.workload import draw_new_node_id, draw_new_node_ids
 
 SPACE = IdSpace(12)
+#: a space small enough that joiners collide with live ids and draw the
+#: ids of nodes that left in the same tick
+SPACE8 = IdSpace(8)
 
 
-def build_pair(seed, n_nodes, n_keys):
-    """Identically-seeded (slab, naive) rings over the same initial data."""
+def build_pair(seed, n_nodes, n_keys, space=SPACE, cls=NaiveRingState):
+    """Identically-seeded rings (slab, ``cls``) over the same data."""
     setup = np.random.default_rng(seed)
     ids = setup.choice(
-        SPACE.size, size=n_nodes, replace=False
+        space.size, size=n_nodes, replace=False
     ).astype(np.uint64)
-    keys = setup.integers(0, SPACE.size, size=n_keys, dtype=np.uint64)
+    keys = setup.integers(0, space.size, size=n_keys, dtype=np.uint64)
     owners = np.arange(n_nodes, dtype=np.int64)
     slab = RingState.build(
-        SPACE, ids, owners, keys, np.random.default_rng(seed + 1)
+        space, ids, owners, keys, np.random.default_rng(seed + 1)
     )
-    naive = NaiveRingState.build(
-        SPACE, ids, owners, keys, np.random.default_rng(seed + 1)
+    other = cls.build(
+        space, ids, owners, keys, np.random.default_rng(seed + 1)
     )
-    return slab, naive
+    return slab, other
 
 
 def assert_equivalent(slab, naive, *, exact_order=True):
@@ -209,6 +216,311 @@ def test_batched_churn_matches_sequential(
     slab.verify_invariants()
     naive.verify_invariants()
     assert_equivalent(slab, naive)
+
+
+def _fused_tick(state, events, replication, n_joins, next_owner):
+    """One churn tick in the engine's call shape: departures on a batch
+    removal, the joins' ids from one sized draw against the ring that
+    removal leaves, and — when anyone joins — a batch insertion begun on
+    the open removal whose commit applies both; without joiners the
+    removal commits alone.  ``events`` is ``[(owner, crash), ...]``."""
+    removal = state.begin_batch_removal([o for o, _ in events])
+    outcomes = []
+    for owner, crash in events:
+        if crash:
+            outcomes.append(removal.crash_owner_guarded(owner, replication))
+        else:
+            outcomes.append(removal.remove_owner_guarded(owner))
+    idents = draw_new_node_ids(
+        n_joins, state.space, state.rng, removal.ids_exist
+    )
+    acquired = []
+    if idents:
+        insertion = state.begin_batch_insertion(removal)
+        acquired = [
+            insertion.add(ident, next_owner + j, is_main=True)
+            for j, ident in enumerate(idents)
+        ]
+        insertion.commit()
+    removal.commit()
+    return outcomes, idents, acquired
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n_nodes=st.integers(2, 60),
+    n_keys=st.integers(0, 400),
+    leavers=st.lists(st.integers(0, 59), max_size=12),
+    n_joins=st.integers(0, 12),
+)
+@example(seed=0, n_nodes=3, n_keys=0, leavers=[0, 0], n_joins=0).via(
+    "a guarded repeat leave"
+)
+def test_fused_churn_tick_matches_sequential(
+    seed, n_nodes, n_keys, leavers, n_joins
+):
+    """The engine's one-pass churn tick (8-bit space) is bit-identical —
+    arrays, key order and generator state — to the sequential loop:
+    ``remove_owner`` per leaver, then one scalar ``draw_new_node_id``
+    plus ``insert_slot`` per joiner, on the naive ring."""
+    slab, naive = build_pair(seed, n_nodes, n_keys, SPACE8)
+    leavers = [o % n_nodes for o in leavers]
+    outcomes, idents, acquired = _fused_tick(
+        slab, [(o, False) for o in leavers], None, n_joins, n_nodes
+    )
+    for owner, moved in zip(leavers, outcomes):
+        if naive.n_slots - naive.slots_of_owner(owner).size >= 1:
+            assert moved == naive.remove_owner(owner)
+        else:
+            assert moved is None
+    for j, ident in enumerate(idents):
+        assert ident == draw_new_node_id(SPACE8, naive.rng, naive.id_exists)
+        _, got = naive.insert_slot(ident, n_nodes + j, is_main=True)
+        assert acquired[j] == got
+    slab.verify_invariants()
+    naive.verify_invariants()
+    assert_equivalent(slab, naive)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n_nodes=st.integers(2, 60),
+    n_keys=st.integers(0, 400),
+    events=st.lists(
+        st.tuples(st.integers(0, 59), st.booleans()), max_size=12
+    ),
+    n_joins=st.integers(0, 12),
+    replication=st.sampled_from([None, 1, 3]),
+)
+def test_fused_churn_tick_matches_two_pass(
+    seed, n_nodes, n_keys, events, n_joins, replication
+):
+    """With crash-stop departures, which no per-slot call replays, the
+    fused tick equals the two-pass path it replaces: commit the removal,
+    then draw each joiner's id by scalar draws against the committed
+    ring and insert through a second batch."""
+    fused, two_pass = build_pair(seed, n_nodes, n_keys, SPACE8, RingState)
+    events = [(o % n_nodes, crash) for o, crash in events]
+    outcomes, idents, acquired = _fused_tick(
+        fused, events, replication, n_joins, n_nodes
+    )
+
+    removal = two_pass.begin_batch_removal([o for o, _ in events])
+    for (owner, crash), got in zip(events, outcomes):
+        if crash:
+            assert got == removal.crash_owner_guarded(owner, replication)
+        else:
+            assert got == removal.remove_owner_guarded(owner)
+    removal.commit()
+    insertion = two_pass.begin_batch_insertion()
+    for j in range(n_joins):
+        ident = draw_new_node_id(SPACE8, two_pass.rng, insertion.id_exists)
+        assert ident == idents[j]
+        assert insertion.add(ident, n_nodes + j, is_main=True) == acquired[j]
+    insertion.commit()
+    fused.verify_invariants()
+    two_pass.verify_invariants()
+    assert_equivalent(fused, two_pass)
+    np.testing.assert_array_equal(fused.provenance, two_pass.provenance)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n_nodes=st.integers(2, 40),
+    leavers=st.lists(st.integers(0, 39), max_size=10),
+    idents=st.sets(st.integers(0, SPACE8.size - 1), max_size=12),
+)
+def test_bulk_insertion_on_an_open_removal(seed, n_nodes, leavers, idents):
+    """``add_many`` on a batch begun on an open removal resolves arcs
+    against the ring the removal leaves, like the two-pass path."""
+    fused, two_pass = build_pair(seed, n_nodes, 300, SPACE8, RingState)
+    leavers = [o % n_nodes for o in leavers]
+    removal = fused.begin_batch_removal(leavers)
+    for owner in leavers:
+        removal.remove_owner_guarded(owner)
+    idents = [i for i in sorted(idents)
+              if not removal.ids_exist(np.array([i], dtype=np.uint64))[0]]
+    insertion = fused.begin_batch_insertion(removal)
+    insertion.add_many(idents, range(100, 100 + len(idents)), is_main=False)
+    insertion.commit()
+    removal.commit()
+
+    removal = two_pass.begin_batch_removal(leavers)
+    for owner in leavers:
+        removal.remove_owner_guarded(owner)
+    removal.commit()
+    insertion = two_pass.begin_batch_insertion()
+    insertion.add_many(idents, range(100, 100 + len(idents)), is_main=False)
+    insertion.commit()
+    fused.verify_invariants()
+    assert_equivalent(fused, two_pass)
+
+
+def test_joiner_may_take_an_id_that_left_this_tick():
+    """A departed id no longer exists within the tick; a joiner that
+    takes it lands exactly as after a committed removal."""
+    slab, naive = build_pair(3, 6, 80, SPACE8)
+    owner = 2
+    gone = int(slab.ids[slab.slots_of_owner(owner)[0]])
+    removal = slab.begin_batch_removal([owner])
+    assert removal.ids_exist(np.array([gone], dtype=np.uint64)).tolist() == [
+        True
+    ]
+    removal.remove_owner_guarded(owner)
+    assert not removal.ids_exist(np.array([gone], dtype=np.uint64))[0]
+    insertion = slab.begin_batch_insertion(removal)
+    assert not insertion.id_exists(gone)
+    acquired = insertion.add(gone, 6, is_main=True)
+    assert insertion.id_exists(gone)
+    insertion.commit()
+    removal.commit()
+
+    naive.remove_owner(owner)
+    assert naive.insert_slot(gone, 6, is_main=True)[1] == acquired
+    slab.verify_invariants()
+    assert_equivalent(slab, naive)
+
+
+def test_removal_is_sealed_once_an_insertion_begins():
+    slab, _ = build_pair(4, 5, 40)
+    removal = slab.begin_batch_removal([0, 1])
+    removal.remove_owner_guarded(0)
+    insertion = slab.begin_batch_insertion(removal)
+    with pytest.raises(RingError):
+        removal.remove_owner_guarded(1)
+    with pytest.raises(RingError):
+        slab.begin_batch_insertion(removal)
+    insertion.commit()
+    removal.commit()
+    with pytest.raises(RingError):
+        removal.commit()
+    slab.verify_invariants()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n_nodes=st.integers(1, 300),
+    dead_frac=st.floats(0, 0.9),
+    n_new=st.integers(0, 120),
+)
+@example(seed=4, n_nodes=40, dead_frac=0.5, n_new=30)
+@example(seed=5, n_nodes=2200, dead_frac=0.1, n_new=60)
+def test_restructure_matches_per_slot_edits(seed, n_nodes, dead_frac, n_new):
+    """Dropping and splicing in one gather — with the keys list edited in
+    place, or, for a batch large against the ring, spliced anew — equals
+    deleting and inserting slot by slot."""
+    rng = np.random.default_rng(seed)
+    ids = np.sort(rng.choice(2**20, size=n_nodes, replace=False)).astype(
+        np.uint64
+    )
+    state = RingState(
+        SPACE, ids, np.arange(n_nodes), rng.random(n_nodes) < 0.5,
+        [np.full(i % 3, i, dtype=np.uint64) for i in range(n_nodes)], rng,
+    )
+    dead = sorted(
+        rng.choice(n_nodes, size=int(dead_frac * n_nodes), replace=False)
+        .tolist()
+    )
+    fresh = np.setdiff1d(
+        rng.integers(0, 2**20, size=n_new, dtype=np.uint64),
+        np.delete(ids, dead),
+    )
+    m = fresh.size
+    pending = _Pending(
+        ids=fresh,
+        owner=np.arange(1000, 1000 + m),
+        is_main=rng.random(m) < 0.5,
+        counts=np.ones(m, dtype=np.int64),
+        provenance=np.full(m, 2, dtype=np.int8),
+        keys=[np.array([k], dtype=np.uint64) for k in fresh.tolist()],
+    )
+    rows = [
+        (int(ids[i]), int(state.owner[i]), bool(state.is_main[i]),
+         int(state.counts[i]), int(state.provenance[i]), state.keys[i])
+        for i in range(n_nodes) if i not in set(dead)
+    ] + [
+        (int(fresh[j]), 1000 + j, bool(pending.is_main[j]), 1, 2,
+         pending.keys[j])
+        for j in range(m)
+    ]
+    rows.sort(key=lambda r: r[0])
+    state._restructure(dead, pending)
+    assert state.n_slots == len(rows)
+    assert state.ids.tolist() == [r[0] for r in rows]
+    assert state.owner.tolist() == [r[1] for r in rows]
+    assert state.is_main.tolist() == [r[2] for r in rows]
+    assert state.counts.tolist() == [r[3] for r in rows]
+    assert state.provenance.tolist() == [r[4] for r in rows]
+    assert all(a is r[5] for a, r in zip(state.keys, rows))
+    assert state.n_sybil_slots == sum(not r[2] for r in rows)
+
+
+@pytest.mark.parametrize("bits", [8, 16, 32, 48, 64])
+@pytest.mark.parametrize("n_nodes", [1, 7, 300])
+def test_build_matches_naive_build(bits, n_nodes):
+    """The bucketed, radix-grouped build equals the reference build:
+    ids, owners, and every slot's keys in order."""
+    space = IdSpace(bits)
+    rng = np.random.default_rng(bits + n_nodes)
+    n_nodes = min(n_nodes, space.size)
+    ids = np.unique(rng.integers(0, space.size, size=n_nodes,
+                                 dtype=np.uint64))
+    keys = np.concatenate((
+        rng.integers(0, space.size, size=30_000, dtype=np.uint64),
+        ids, ids,  # keys equal to an id, twice
+        np.array([0, space.max_id, space.max_id], dtype=np.uint64),
+    ))
+    rng.shuffle(keys)
+    owners = rng.permutation(ids.size)
+    slab = RingState.build(space, ids, owners, keys, np.random.default_rng(0))
+    naive = NaiveRingState.build(
+        space, ids, owners, keys, np.random.default_rng(0)
+    )
+    assert_equivalent(slab, naive)
+    assert [k.size for k in slab.keys] == slab.counts.tolist()
+
+
+def test_copied_ring_keeps_its_views_on_its_slab():
+    """A deep copy (as the strategy-round benchmark takes) rebinds the
+    column views to its own slab, so later edits stay consistent."""
+    slab, naive = build_pair(8, 12, 300)
+    twin = copy.deepcopy(slab)
+    for state in (slab, twin):
+        state.consume_at(np.array([3]), np.array([1]))
+        removal = state.begin_batch_removal([2, 5])
+        removal.remove_owner_guarded(2)
+        removal.remove_owner_guarded(5)
+        insertion = state.begin_batch_insertion(removal)
+        insertion.add(777, 20, is_main=True)
+        insertion.commit()
+        removal.commit()
+        state.verify_invariants()
+    assert_equivalent(twin, slab)
+    assert twin.counts.base is not None
+    assert np.shares_memory(twin.counts, twin._wide)
+
+
+def test_build_above_one_radix_digit():
+    """More than 65,535 slots takes the two-pass radix grouping."""
+    space = IdSpace(32)
+    rng = np.random.default_rng(11)
+    ids = np.unique(rng.integers(0, space.size, size=70_000,
+                                 dtype=np.uint64))
+    keys = rng.integers(0, space.size, size=300_000, dtype=np.uint64)
+    owners = np.arange(ids.size)
+    slab = RingState.build(space, ids, owners, keys, np.random.default_rng(0))
+    naive = NaiveRingState.build(
+        space, ids, owners, keys, np.random.default_rng(0)
+    )
+    assert slab.n_slots > 1 << 16
+    np.testing.assert_array_equal(slab.counts, naive.counts)
+    np.testing.assert_array_equal(
+        np.concatenate(slab.keys), np.concatenate(naive.keys)
+    )
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,7 @@ from repro.hashspace.hashing import uniform_ids_array
 from repro.hashspace.idspace import IdSpace
 from repro.sim.workload import (
     draw_new_node_id,
+    draw_new_node_ids,
     draw_task_keys,
     draw_unique_ids,
     ideal_runtime,
@@ -76,6 +77,89 @@ class TestDrawNewNodeId:
     def test_rejects_wide_space(self, rng):
         with pytest.raises(IdSpaceError):
             draw_new_node_id(IdSpace(65), rng, lambda i: False)
+
+
+class TestDrawNewNodeIds:
+    @pytest.mark.parametrize("bits", [8, 16, 31, 32, 33, 63, 64])
+    def test_sized_draw_is_the_scalar_stream(self, bits):
+        """One sized ``integers`` call yields the values, and leaves the
+        generator state, that the same number of scalar calls do."""
+        high = 1 << bits
+        sized = np.random.default_rng(bits)
+        scalar = np.random.default_rng(bits)
+        for k in (1, 2, 7, 300):
+            got = sized.integers(0, high, size=k, dtype=np.uint64).tolist()
+            want = [
+                int(scalar.integers(0, high, dtype=np.uint64))
+                for _ in range(k)
+            ]
+            assert got == want
+            assert sized.bit_generator.state == scalar.bit_generator.state
+
+    @pytest.mark.parametrize("bits", [8, 16, 64])
+    @pytest.mark.parametrize("count", [1, 5, 40])
+    def test_replays_the_scalar_loop(self, bits, count):
+        """Equal ids and generator state to ``count`` scalar draws, each
+        rejecting the ring and the ids accepted before it — in an 8-bit
+        space with half the ids taken, collisions are common."""
+        space = IdSpace(bits)
+        taken = set(range(0, min(space.size, 256), 2))
+
+        def exist(cands):
+            return np.array([int(c) in taken for c in cands.tolist()])
+
+        batched = np.random.default_rng(count)
+        looped = np.random.default_rng(count)
+        got = draw_new_node_ids(count, space, batched, exist)
+        accepted: set[int] = set()
+        want = []
+        for _ in range(count):
+            ident = draw_new_node_id(
+                space, looped, lambda i: i in taken or i in accepted
+            )
+            accepted.add(ident)
+            want.append(ident)
+        assert got == want
+        assert batched.bit_generator.state == looped.bit_generator.state
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_draw_bound_is_per_identifier(self, seed):
+        """The 64-draw bound restarts with each identifier: in a space
+        with 56 free ids, 40 joiners take far more than 64 rejected
+        draws in total, and still succeed as the scalar loop does."""
+        space = IdSpace(8)
+        taken = set(range(200))
+
+        def exist(cands):
+            return np.array([int(c) in taken for c in cands.tolist()])
+
+        batched = np.random.default_rng(seed)
+        looped = np.random.default_rng(seed)
+        got = draw_new_node_ids(40, space, batched, exist)
+        accepted: set[int] = set()
+        for ident in got:
+            assert ident == draw_new_node_id(
+                space, looped, lambda i: i in taken or i in accepted
+            )
+            accepted.add(ident)
+        assert batched.bit_generator.state == looped.bit_generator.state
+
+    def test_gives_up_when_full(self, rng):
+        def exist(cands):
+            return np.ones(cands.size, dtype=bool)
+
+        with pytest.raises(ConfigError):
+            draw_new_node_ids(3, IdSpace(8), rng, exist)
+
+    def test_gives_up_when_the_batch_fills_the_space(self, rng):
+        """The ids of one call count as taken for the ones after."""
+        space = IdSpace(8)
+        with pytest.raises(ConfigError):
+            draw_new_node_ids(257, space, rng, lambda c: np.zeros(c.size, bool))
+
+    def test_rejects_wide_space(self, rng):
+        with pytest.raises(IdSpaceError):
+            draw_new_node_ids(1, IdSpace(65), rng, lambda c: c < 0)
 
 
 class TestIdealRuntime:
