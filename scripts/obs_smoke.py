@@ -29,7 +29,8 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
 
 from repro.config import SimulationConfig  # noqa: E402
 from repro.obs import (  # noqa: E402
@@ -112,11 +113,13 @@ def main() -> None:
             )
         print("obs-smoke: sanitizer live — zero reports, bit-identical")
 
-    # 5. the CLI subcommands agree with the library fingerprint
+    # 5. the CLI subcommands agree with the library fingerprint; the
+    #    children find the package the way this script did
+    child_env = {**os.environ, "PYTHONPATH": str(SRC)}
     cli_trace = subprocess.run(
         [sys.executable, "-m", "repro", "trace", *SIM_ARGS,
          "--out", str(workdir / "cli_trace.jsonl"), "--json"],
-        capture_output=True, text=True, check=True,
+        capture_output=True, text=True, check=True, env=child_env,
     )
     summary = json.loads(cli_trace.stdout)
     if summary["fingerprint"] != fp_plain:
@@ -125,7 +128,7 @@ def main() -> None:
         )
     cli_profile = subprocess.run(
         [sys.executable, "-m", "repro", "profile", *SIM_ARGS, "--json"],
-        capture_output=True, text=True, check=True,
+        capture_output=True, text=True, check=True, env=child_env,
     )
     payload = json.loads(cli_profile.stdout)
     if not payload["profile"]["phases"]:

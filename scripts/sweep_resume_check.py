@@ -13,11 +13,10 @@ sweep-resume-check``, wired alongside ``make bench-check``):
    resume: completed trials are cache hits, missing ones are computed)
    → ``resumed.json``;
 4. assert ``resumed.json`` is byte-identical to ``baseline.json`` and
-   that the resume actually reused cached trials;
-5. repeat the kill/resume cycle through the fabric broker (``repro
-   fabric run --jobs 2``): SIGKILL the broker mid-grid, resume against
-   its cache, and demand the same bytes again — the work-queue dispatch
-   path must honor the exact contract the serial sweep does.
+   that the resume actually reused cached trials.
+
+The same kill/resume contract through the fabric broker (``repro fabric
+run --jobs 2``) is leg 3 of ``scripts/fabric_smoke.py``.
 
 Exit status 0 on success; non-zero with a diagnostic otherwise.
 """
@@ -34,7 +33,8 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 
-GRID_ARGS = [
+SWEEP_ARGS = [
+    "sweep",
     "--field", "churn_rate",
     "--values", "0,0.001,0.01",
     "--nodes", "60",
@@ -43,17 +43,9 @@ GRID_ARGS = [
     "--seed", "11",
 ]
 
-SWEEP_ARGS = ["sweep", *GRID_ARGS]
-
-FABRIC_ARGS = ["fabric", "run", *GRID_ARGS, "--jobs", "2"]
-
 
 def sweep_cmd(out: Path) -> list[str]:
     return [sys.executable, "-m", "repro.cli", *SWEEP_ARGS, "--out", str(out)]
-
-
-def fabric_cmd(out: Path) -> list[str]:
-    return [sys.executable, "-m", "repro.cli", *FABRIC_ARGS, "--out", str(out)]
 
 
 def env_for(cache_dir: Path, delay_ms: int = 0) -> dict[str, str]:
@@ -88,9 +80,8 @@ def kill_midway(cmd: list[str], cache_dir: Path, total: int) -> int:
 
     Returns the number of trials the kill preserved, or -1 on failure
     (with a diagnostic printed).  The victim runs in its own session so
-    the kill takes its whole process group — a pooled run's spawn
-    workers would otherwise outlive the parent forever, blocked on the
-    shared call-queue pipe.
+    the kill takes its whole process group, including any worker
+    processes it started.
     """
     proc = subprocess.Popen(
         cmd, env=env_for(cache_dir, delay_ms=150), cwd=REPO,
@@ -125,32 +116,30 @@ def main() -> int:
         tmp_path = Path(tmp)
         cache_a = tmp_path / "cache_uninterrupted"
         cache_b = tmp_path / "cache_killed"
-        cache_c = tmp_path / "cache_fabric_killed"
         baseline = tmp_path / "baseline.json"
         resumed = tmp_path / "resumed.json"
-        fabric_resumed = tmp_path / "fabric_resumed.json"
 
-        print("[1/6] uninterrupted sweep ...")
+        print("[1/4] uninterrupted sweep ...")
         subprocess.run(
             sweep_cmd(baseline), env=env_for(cache_a), check=True,
             cwd=REPO, timeout=300,
         )
         total = cached_trials(cache_a)
 
-        print("[2/6] starting sweep, will SIGKILL midway ...")
+        print("[2/4] starting sweep, will SIGKILL midway ...")
         partial = kill_midway(
             sweep_cmd(tmp_path / "ignored.json"), cache_b, total
         )
         if partial < 0:
             return 1
 
-        print("[3/6] resuming the killed sweep ...")
+        print("[3/4] resuming the killed sweep ...")
         subprocess.run(
             sweep_cmd(resumed), env=env_for(cache_b), check=True,
             cwd=REPO, timeout=300,
         )
 
-        print("[4/6] comparing results ...")
+        print("[4/4] comparing results ...")
         base_bytes = baseline.read_bytes()
         res_bytes = resumed.read_bytes()
         if base_bytes != res_bytes:
@@ -158,30 +147,9 @@ def main() -> int:
                   "uninterrupted run")
             return 1
         print(
-            f"      OK: bit-identical ({len(base_bytes)} bytes, {partial} "
-            f"trials reused from the interrupted cache)"
-        )
-
-        print("[5/6] starting fabric broker, will SIGKILL midway ...")
-        fab_partial = kill_midway(
-            fabric_cmd(tmp_path / "ignored2.json"), cache_c, total
-        )
-        if fab_partial < 0:
-            return 1
-
-        print("[6/6] resuming through the fabric broker ...")
-        subprocess.run(
-            fabric_cmd(fabric_resumed), env=env_for(cache_c), check=True,
-            cwd=REPO, timeout=300,
-        )
-        if fabric_resumed.read_bytes() != base_bytes:
-            print("FAIL: resumed fabric run is not bit-identical to the "
-                  "uninterrupted sweep")
-            return 1
-        print(
-            f"OK: sweep and fabric resumes both bit-identical to the "
-            f"uninterrupted run ({len(base_bytes)} bytes; fabric resume "
-            f"reused {fab_partial} cached trials)"
+            f"OK: resumed sweep bit-identical to the uninterrupted run "
+            f"({len(base_bytes)} bytes, {partial} trials reused from the "
+            f"interrupted cache)"
         )
     return 0
 

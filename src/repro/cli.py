@@ -40,9 +40,10 @@ Subcommands
     or ``REPRO_LINT_CACHE=0`` bypasses it).
 ``repro serve [--port P] [--join HOST:PORT] [--ring N] [--strategy S] ...``
     Run one live asyncio DHT node on real TCP sockets (or, with
-    ``--ring N``, a local multi-process ring).  Prints a
-    ``REPRO-SERVE-READY {...}`` line once the node is addressable; stops
-    gracefully on SIGINT/SIGTERM.  See docs/serving.md.
+    ``--ring N``, a local multi-process ring whose every node gets all
+    the node flags given).  Prints a ``REPRO-SERVE-READY {...}`` line
+    once the node is addressable; stops gracefully on SIGINT/SIGTERM.
+    See docs/serving.md.
 ``repro stress TARGET [TARGET ...] [--duration S] [--concurrency N] ...``
     Replay seeded concurrent get/put traffic against live nodes and
     report wall-clock latency percentiles plus rebalance-convergence
@@ -52,6 +53,13 @@ Subcommands
 Caching: completed trials persist under ``~/.cache/repro`` (override
 with ``REPRO_CACHE_DIR``), so re-running any experiment is a cache hit.
 ``--no-cache`` (or ``REPRO_CACHE=0``) computes everything fresh.
+
+Flags that set a config field (:class:`~repro.config.SimulationConfig`,
+``FailureModel``, ``AdversaryModel``, ``LiveNodeConfig``,
+``StressConfig``, ``RetryPolicy``) are declared once, as a
+``(flag, field, help)`` row: their type, default and choices come from
+the dataclass field, and a value the dataclass rejects is reported as a
+usage error (exit status 2).
 """
 
 from __future__ import annotations
@@ -60,11 +68,247 @@ import argparse
 import os
 import sys
 import time
+import typing
+from dataclasses import MISSING, fields
 from pathlib import Path
+from typing import Any, Callable, TypeVar
 
-from repro.config import STRATEGY_NAMES, SimulationConfig
+from repro.config import (
+    STRATEGY_NAMES,
+    AdversaryModel,
+    FailureModel,
+    SimulationConfig,
+)
+from repro.errors import ConfigError, ProtocolError
+from repro.net import node as live
+from repro.net.stress import StressConfig
+from repro.net.transport import RetryPolicy
 
 __all__ = ["main", "build_parser"]
+
+T = TypeVar("T")
+
+#: ``(flag, dataclass field, help)`` rows: each flag's type, default and
+#: choices come from the field, so a knob's default lives only on its
+#: dataclass.  The flag's dest is the field name.
+FlagTable = tuple[tuple[str, str, str | None], ...]
+
+_SIM_SIZE: FlagTable = (
+    ("--nodes", "n_nodes", None),
+    ("--tasks", "n_tasks", None),
+    ("--seed", "seed", None),
+)
+#: the flags of every one-config command (simulate, sweep, profile, trace)
+_SIM_CORE: FlagTable = (
+    (("--strategy", "strategy", None),)
+    + _SIM_SIZE
+    + (("--churn", "churn_rate", None),)
+)
+_SIM_PAPER: FlagTable = (
+    ("--heterogeneous", "heterogeneous", None),
+    ("--work-measurement", "work_measurement", None),
+    ("--max-sybils", "max_sybils", None),
+    ("--sybil-threshold", "sybil_threshold", None),
+    ("--successors", "num_successors", None),
+)
+_FAILURE_FLAGS: FlagTable = (
+    ("--crash-fraction", "crash_fraction",
+     "fraction of churn departures that crash without handoff"),
+    ("--replication", "replication_factor",
+     "backup copies per task: 'full' (default) or an integer number of "
+     "successors (0 = no replication)"),
+    ("--loss-rate", "message_loss_rate",
+     "protocol-level message loss probability (chord layer)"),
+    ("--crash-detection-ticks", "crash_detection_ticks",
+     "ticks a crashed node still looks alive (chord layer)"),
+)
+_ADVERSARY_FLAGS: FlagTable = (
+    ("--adv-eclipse-sybils", "eclipse_sybils",
+     "coordinated Sybil identities concentrated in a victim arc"),
+    ("--adv-eclipse-arc", "eclipse_arc_fraction",
+     "ring fraction the eclipse identities squeeze into"),
+    ("--adv-free-riders", "free_riders",
+     "adversarial joiners that accept keys and consume nothing"),
+    ("--adv-churn-amplification", "churn_amplification",
+     "per-round probability of crashing the heaviest honest owner"),
+    ("--adv-attack-tick", "attack_tick",
+     "tick at which the planned attack identities start joining"),
+    ("--adv-join-cost", "join_cost",
+     "defense: identity-creation cost against a per-node budget "
+     "(0 = defense off)"),
+    ("--adv-detection-interval", "detection_interval",
+     "defense: ticks between per-arc Sybil-density sweeps "
+     "(0 = defense off)"),
+    ("--adv-density-threshold", "density_threshold",
+     "slots one owner may hold in a single detection arc"),
+)
+_NODE_FLAGS: FlagTable = (
+    ("--seed", "seed", None),
+    ("--bits", "bits", None),
+    ("--successors", "n_successors", None),
+    ("--strategy", "strategy",
+     "live balancing strategy driven from the stabilize loop"),
+    ("--sybil-threshold", "sybil_threshold", None),
+    ("--max-sybils", "max_sybils", None),
+    ("--decision-interval", "decision_interval",
+     "maintenance cycles between balancer decision rounds"),
+    ("--maintenance-interval", "maintenance_interval",
+     "seconds between maintenance cycles (seeded jitter applied)"),
+    ("--heartbeat-interval", "heartbeat_interval", None),
+)
+_RETRY_FLAGS: FlagTable = (
+    ("--timeout", "timeout", "per-message transport timeout in seconds"),
+    ("--retries", "retries",
+     "transparent resends after transient transport failures"),
+)
+_STRESS_FLAGS: FlagTable = (
+    ("--duration", "duration", None),
+    ("--concurrency", "concurrency", None),
+    ("--seed", "seed", None),
+    ("--bits", "bits", None),
+    ("--key-dist", "key_distribution",
+     "key skew (same models as the simulator)"),
+    ("--n-clusters", "n_clusters", None),
+    ("--cluster-spread", "cluster_spread", None),
+    ("--zipf-exponent", "zipf_exponent", None),
+    ("--get-fraction", "get_fraction", None),
+    ("--key-pool", "key_pool", None),
+    ("--poll-interval", "poll_interval", None),
+    ("--imbalance-threshold", "imbalance_threshold",
+     "max/mean identity load counted as rebalance-converged"),
+)
+#: ``profile`` and ``trace`` default to a smaller network than the paper's
+_ONE_RUN_SIZE = {"n_nodes": 500, "n_tasks": 50_000}
+#: fields ``LocalCluster`` sets itself; ``serve --ring`` forwards every
+#: other node flag to each child verbatim
+_CLUSTER_FIELDS = (
+    "seed", "strategy", "bits", "sybil_threshold", "max_sybils",
+    "maintenance_interval",
+)
+
+
+def _replication(value: str) -> int | None:
+    """``--replication``: ``full`` (perfect backups) or a successor count."""
+    if value == "full":
+        return None
+    try:
+        return int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be 'full' or an integer, got {value!r}"
+        ) from None
+
+
+def _add_fields(
+    parser: argparse.ArgumentParser,
+    cls: type,
+    table: FlagTable,
+    **overrides: dict[str, Any],
+) -> None:
+    """Add one flag per ``table`` row, typed and defaulted by ``cls``.
+
+    A bool field becomes ``store_true``, a ``Literal`` field takes its
+    choices from the annotation, ``replication_factor`` parses ``full``
+    (its ``None``) or an integer, and any other field parses with its
+    default's type.  ``overrides[field]`` replaces derived
+    ``add_argument`` keywords (a per-command default, a ``str`` field's
+    choices).
+    """
+    hints = typing.get_type_hints(cls)
+    specs = {f.name: f for f in fields(cls)}
+    # _from_args reports a config the dataclass rejects through the
+    # parser that built its flags: a one-line usage error, not a traceback
+    parser.set_defaults(usage_error=parser.error)
+    for flag, name, help_text in table:
+        default = specs[name].default
+        assert default is not MISSING, f"{cls.__name__}.{name} has no default"
+        kwargs: dict[str, Any]
+        if isinstance(default, bool):
+            kwargs = {"action": "store_true"}
+        elif name == "replication_factor":
+            kwargs = {"type": _replication, "default": "full"}
+        elif typing.get_origin(hints[name]) is typing.Literal:
+            kwargs = {
+                "choices": typing.get_args(hints[name]),
+                "default": default,
+            }
+        elif isinstance(default, str):
+            kwargs = {"default": default}
+        else:
+            kwargs = {"type": type(default), "default": default}
+        kwargs.update(overrides.get(name, {}))
+        parser.add_argument(flag, dest=name, help=help_text, **kwargs)
+
+
+def _from_args(
+    cls: Callable[..., T], args: argparse.Namespace, table: FlagTable, **extra
+) -> T:
+    """``cls`` built from ``table``'s parsed flags plus ``extra`` fields.
+
+    A value the dataclass rejects exits as a usage error (status 2).
+    """
+    values = {name: getattr(args, name) for _, name, _ in table}
+    try:
+        return cls(**values, **extra)
+    except (ConfigError, ProtocolError) as exc:
+        args.usage_error(str(exc))
+        raise  # unreachable: usage_error exits
+
+
+def _add_sim_core(parser: argparse.ArgumentParser, **defaults: Any) -> None:
+    """The :data:`_SIM_CORE` flags, with per-command field defaults."""
+    _add_fields(
+        parser, SimulationConfig, _SIM_CORE,
+        strategy={"choices": STRATEGY_NAMES},
+        **{name: {"default": value} for name, value in defaults.items()},
+    )
+
+
+def _add_trial_options(
+    parser: argparse.ArgumentParser,
+    *,
+    trials: int,
+    jobs: int = 1,
+    jobs_help: str | None = None,
+) -> None:
+    """How a batch of trials runs: count, workers, cache, retry, timeout."""
+    parser.add_argument("--trials", type=int, default=trials)
+    parser.add_argument("--jobs", type=int, default=jobs, help=jobs_help)
+    parser.add_argument(
+        "--no-cache", action="store_true",
+        help="recompute every trial (skip the content-addressed cache)",
+    )
+    parser.add_argument(
+        "--retries", type=int, default=1,
+        help="re-dispatches of a failed trial (fresh worker, same seed)",
+    )
+    parser.add_argument(
+        "--timeout", type=float, default=None,
+        help="seconds without a trial completion before workers are "
+        "considered hung (parallel runs)",
+    )
+
+
+def _add_sweep_grid(parser: argparse.ArgumentParser, **jobs: Any) -> None:
+    """The sweep-grid flags ``sweep`` and ``fabric run`` share."""
+    parser.add_argument(
+        "--field", required=True,
+        choices=[f.name for f in fields(SimulationConfig)],
+        help="SimulationConfig field to vary",
+    )
+    parser.add_argument(
+        "--values", required=True,
+        help="comma-separated values (JSON literals: 0.01, 1000, ...)",
+    )
+    _add_sim_core(parser)
+    parser.add_argument("--out", type=Path, default=None,
+                        help="persist every TrialSet to this JSON file")
+    parser.add_argument(
+        "--crn", action="store_true",
+        help="common random numbers: reuse identical trial seeds at "
+        "every sweep point (variance reduction; off by default)",
+    )
+    _add_trial_options(parser, trials=3, **jobs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -107,114 +351,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sim_p = sub.add_parser("simulate", help="one ad-hoc simulation")
-    sim_p.add_argument("--strategy", choices=STRATEGY_NAMES, default="none")
-    sim_p.add_argument("--nodes", type=int, default=1000)
-    sim_p.add_argument("--tasks", type=int, default=100_000)
-    sim_p.add_argument("--churn", type=float, default=0.0)
-    sim_p.add_argument("--heterogeneous", action="store_true")
-    sim_p.add_argument(
-        "--work-measurement", choices=["one", "strength"], default="one"
-    )
-    sim_p.add_argument("--max-sybils", type=int, default=5)
-    sim_p.add_argument("--sybil-threshold", type=int, default=0)
-    sim_p.add_argument("--successors", type=int, default=5)
-    sim_p.add_argument(
-        "--crash-fraction", type=float, default=0.0,
-        help="fraction of churn departures that crash without handoff",
-    )
-    sim_p.add_argument(
-        "--replication", default="full",
-        help="backup copies per task: 'full' (default) or an integer "
-        "number of successors (0 = no replication)",
-    )
-    sim_p.add_argument(
-        "--loss-rate", type=float, default=0.0,
-        help="protocol-level message loss probability (chord layer)",
-    )
-    sim_p.add_argument(
-        "--crash-detection-ticks", type=int, default=0,
-        help="ticks a crashed node still looks alive (chord layer)",
-    )
-    sim_p.add_argument(
-        "--adv-eclipse-sybils", type=int, default=0,
-        help="coordinated Sybil identities concentrated in a victim arc",
-    )
-    sim_p.add_argument(
-        "--adv-eclipse-arc", type=float, default=0.05,
-        help="ring fraction the eclipse identities squeeze into",
-    )
-    sim_p.add_argument(
-        "--adv-free-riders", type=int, default=0,
-        help="adversarial joiners that accept keys and consume nothing",
-    )
-    sim_p.add_argument(
-        "--adv-churn-amplification", type=float, default=0.0,
-        help="per-round probability of crashing the heaviest honest owner",
-    )
-    sim_p.add_argument(
-        "--adv-attack-tick", type=int, default=1,
-        help="tick at which the planned attack identities start joining",
-    )
-    sim_p.add_argument(
-        "--adv-join-cost", type=int, default=0,
-        help="defense: identity-creation cost against a per-node budget "
-        "(0 = defense off)",
-    )
-    sim_p.add_argument(
-        "--adv-detection-interval", type=int, default=0,
-        help="defense: ticks between per-arc Sybil-density sweeps "
-        "(0 = defense off)",
-    )
-    sim_p.add_argument(
-        "--adv-density-threshold", type=int, default=4,
-        help="slots one owner may hold in a single detection arc",
-    )
-    sim_p.add_argument("--seed", type=int, default=0)
-    sim_p.add_argument("--trials", type=int, default=1)
-    sim_p.add_argument("--jobs", type=int, default=1)
-    sim_p.add_argument("--no-cache", action="store_true")
-    sim_p.add_argument(
-        "--retries", type=int, default=1,
-        help="re-dispatches of a failed trial (fresh worker, same seed)",
-    )
-    sim_p.add_argument(
-        "--timeout", type=float, default=None,
-        help="seconds without a trial completion before workers are "
-        "considered hung (parallel runs)",
-    )
+    _add_sim_core(sim_p)
+    _add_fields(sim_p, SimulationConfig, _SIM_PAPER)
+    _add_fields(sim_p, FailureModel, _FAILURE_FLAGS)
+    _add_fields(sim_p, AdversaryModel, _ADVERSARY_FLAGS)
+    _add_trial_options(sim_p, trials=1)
     sim_p.add_argument(
         "--sanitize", action="store_true",
         help="enable the runtime determinism sanitizer (REPRO_SANITIZE=1): "
         "raises when two concurrent consumers share one RNG stream",
     )
 
-    sweep_p = sub.add_parser(
-        "sweep", help="one-dimensional parameter sweep with resume"
+    _add_sweep_grid(
+        sub.add_parser(
+            "sweep", help="one-dimensional parameter sweep with resume"
+        )
     )
-    sweep_p.add_argument(
-        "--field", required=True, help="SimulationConfig field to vary"
-    )
-    sweep_p.add_argument(
-        "--values", required=True,
-        help="comma-separated values (JSON literals: 0.01, 1000, ...)",
-    )
-    sweep_p.add_argument("--trials", type=int, default=3)
-    sweep_p.add_argument("--strategy", choices=STRATEGY_NAMES, default="none")
-    sweep_p.add_argument("--nodes", type=int, default=1000)
-    sweep_p.add_argument("--tasks", type=int, default=100_000)
-    sweep_p.add_argument("--churn", type=float, default=0.0)
-    sweep_p.add_argument("--seed", type=int, default=0)
-    sweep_p.add_argument("--jobs", type=int, default=1)
-    sweep_p.add_argument("--out", type=Path, default=None,
-                         help="persist every TrialSet to this JSON file")
-    sweep_p.add_argument(
-        "--crn", action="store_true",
-        help="common random numbers: reuse identical trial seeds at "
-        "every sweep point (variance reduction; off by default)",
-    )
-    sweep_p.add_argument("--no-cache", action="store_true")
-    sweep_p.add_argument("--retries", type=int, default=1)
-    sweep_p.add_argument("--timeout", type=float, default=None)
 
     fab_p = sub.add_parser(
         "fabric",
@@ -227,34 +379,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a sweep grid under a fabric broker (resumable; "
         "workers may attach mid-sweep)",
     )
-    fab_run.add_argument(
-        "--field", required=True, help="SimulationConfig field to vary"
-    )
-    fab_run.add_argument(
-        "--values", required=True,
-        help="comma-separated values (JSON literals: 0.01, 1000, ...)",
-    )
-    fab_run.add_argument("--trials", type=int, default=3)
-    fab_run.add_argument("--strategy", choices=STRATEGY_NAMES, default="none")
-    fab_run.add_argument("--nodes", type=int, default=1000)
-    fab_run.add_argument("--tasks", type=int, default=100_000)
-    fab_run.add_argument("--churn", type=float, default=0.0)
-    fab_run.add_argument("--seed", type=int, default=0)
-    fab_run.add_argument(
-        "--jobs", type=int, default=0,
-        help="local worker processes (0 = auto, honors REPRO_N_JOBS; "
+    _add_sweep_grid(
+        fab_run,
+        jobs=0,
+        jobs_help="local worker processes (0 = auto, honors REPRO_N_JOBS; "
         "1 = in-process)",
     )
-    fab_run.add_argument("--out", type=Path, default=None,
-                         help="persist every TrialSet to this JSON file")
-    fab_run.add_argument(
-        "--crn", action="store_true",
-        help="common random numbers: reuse identical trial seeds at "
-        "every sweep point (variance reduction; off by default)",
-    )
-    fab_run.add_argument("--no-cache", action="store_true")
-    fab_run.add_argument("--retries", type=int, default=1)
-    fab_run.add_argument("--timeout", type=float, default=None)
     fab_run.add_argument(
         "--listen", default=None, metavar="HOST:PORT",
         help="accept remote `repro fabric worker` processes here "
@@ -320,11 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
         "profile",
         help="convergence profile and per-phase timing of one run",
     )
-    prof_p.add_argument("--strategy", choices=STRATEGY_NAMES, default="none")
-    prof_p.add_argument("--nodes", type=int, default=500)
-    prof_p.add_argument("--tasks", type=int, default=50_000)
-    prof_p.add_argument("--churn", type=float, default=0.0)
-    prof_p.add_argument("--seed", type=int, default=0)
+    _add_sim_core(prof_p, **_ONE_RUN_SIZE)
     prof_p.add_argument(
         "--json", action="store_true",
         help="emit a machine-readable JSON document instead of tables",
@@ -333,11 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace_p = sub.add_parser(
         "trace", help="one simulation with a streaming JSONL event trace"
     )
-    trace_p.add_argument("--strategy", choices=STRATEGY_NAMES, default="none")
-    trace_p.add_argument("--nodes", type=int, default=500)
-    trace_p.add_argument("--tasks", type=int, default=50_000)
-    trace_p.add_argument("--churn", type=float, default=0.0)
-    trace_p.add_argument("--seed", type=int, default=0)
+    _add_sim_core(trace_p, **_ONE_RUN_SIZE)
     trace_p.add_argument(
         "--out", type=Path, default=Path("trace.jsonl"),
         help="JSONL file the event stream is written to",
@@ -362,9 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     theory_p = sub.add_parser(
         "theory", help="closed-form predictions vs one measurement"
     )
-    theory_p.add_argument("--nodes", type=int, default=1000)
-    theory_p.add_argument("--tasks", type=int, default=100_000)
-    theory_p.add_argument("--seed", type=int, default=0)
+    _add_fields(theory_p, SimulationConfig, _SIM_SIZE)
 
     lint_p = sub.add_parser(
         "lint", help="run the reprolint determinism/correctness rules"
@@ -416,33 +536,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--ring", type=int, default=None, metavar="N",
         help="spawn a local N-node multi-process ring instead of one node",
     )
-    serve_p.add_argument("--seed", type=int, default=0)
-    serve_p.add_argument("--bits", type=int, default=64)
-    serve_p.add_argument("--successors", type=int, default=5)
-    serve_p.add_argument(
-        "--strategy", default="none",
-        choices=["none", "random_injection", "neighbor_injection", "invitation"],
-        help="live balancing strategy driven from the stabilize loop",
+    _add_fields(
+        serve_p, live.LiveNodeConfig, _NODE_FLAGS,
+        strategy={"choices": live.STRATEGY_NAMES},
     )
-    serve_p.add_argument("--sybil-threshold", type=int, default=0)
-    serve_p.add_argument("--max-sybils", type=int, default=5)
-    serve_p.add_argument(
-        "--decision-interval", type=int, default=5,
-        help="maintenance cycles between balancer decision rounds",
-    )
-    serve_p.add_argument(
-        "--maintenance-interval", type=float, default=0.2,
-        help="seconds between maintenance cycles (seeded jitter applied)",
-    )
-    serve_p.add_argument("--heartbeat-interval", type=float, default=1.0)
-    serve_p.add_argument(
-        "--timeout", type=float, default=1.0,
-        help="per-message transport timeout in seconds",
-    )
-    serve_p.add_argument(
-        "--retries", type=int, default=2,
-        help="transparent resends after transient transport failures",
-    )
+    _add_fields(serve_p, RetryPolicy, _RETRY_FLAGS)
     serve_p.add_argument(
         "--sanitize", action="store_true",
         help="enable the runtime determinism sanitizer (REPRO_SANITIZE=1): "
@@ -457,26 +555,19 @@ def build_parser() -> argparse.ArgumentParser:
         "targets", nargs="+", metavar="HOST:PORT",
         help="live node endpoints to spread requests over",
     )
-    stress_p.add_argument("--duration", type=float, default=5.0)
-    stress_p.add_argument("--concurrency", type=int, default=8)
-    stress_p.add_argument("--seed", type=int, default=0)
-    stress_p.add_argument("--bits", type=int, default=64)
-    stress_p.add_argument(
-        "--key-dist", choices=["uniform", "clustered", "zipf"],
-        default="uniform", help="key skew (same models as the simulator)",
+    _add_fields(stress_p, StressConfig, _STRESS_FLAGS)
+    # stress retries less eagerly than a node: its policy factory's values
+    policy = {f.name: f for f in fields(StressConfig)}["policy"]
+    factory = policy.default_factory
+    assert callable(factory)
+    stress_policy = factory()
+    _add_fields(
+        stress_p, RetryPolicy, _RETRY_FLAGS,
+        **{
+            name: {"default": getattr(stress_policy, name)}
+            for _, name, _ in _RETRY_FLAGS
+        },
     )
-    stress_p.add_argument("--n-clusters", type=int, default=8)
-    stress_p.add_argument("--cluster-spread", type=float, default=0.01)
-    stress_p.add_argument("--zipf-exponent", type=float, default=1.2)
-    stress_p.add_argument("--get-fraction", type=float, default=0.5)
-    stress_p.add_argument("--key-pool", type=int, default=512)
-    stress_p.add_argument("--poll-interval", type=float, default=0.5)
-    stress_p.add_argument(
-        "--imbalance-threshold", type=float, default=2.0,
-        help="max/mean identity load counted as rebalance-converged",
-    )
-    stress_p.add_argument("--timeout", type=float, default=1.0)
-    stress_p.add_argument("--retries", type=int, default=1)
     stress_p.add_argument(
         "--trace", type=Path, default=None,
         help="write a JSONL trace of every request and poll here",
@@ -551,19 +642,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_replication(value: str) -> int | None:
-    if value == "full":
-        return None
-    try:
-        return int(value)
-    except ValueError:
-        raise SystemExit(
-            f"--replication must be 'full' or an integer, got {value!r}"
-        ) from None
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    from repro.config import AdversaryModel, FailureModel
     from repro.sim.trials import run_trials
     from repro.util.tables import format_kv
 
@@ -571,33 +650,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         from repro.sanitize import ENV_FLAG
 
         os.environ[ENV_FLAG] = "1"
-    config = SimulationConfig(
-        strategy=args.strategy,
-        n_nodes=args.nodes,
-        n_tasks=args.tasks,
-        churn_rate=args.churn,
-        heterogeneous=args.heterogeneous,
-        work_measurement=args.work_measurement,
-        max_sybils=args.max_sybils,
-        sybil_threshold=args.sybil_threshold,
-        num_successors=args.successors,
-        failures=FailureModel(
-            crash_fraction=args.crash_fraction,
-            replication_factor=_parse_replication(args.replication),
-            message_loss_rate=args.loss_rate,
-            crash_detection_ticks=args.crash_detection_ticks,
-        ),
-        adversary=AdversaryModel(
-            eclipse_sybils=args.adv_eclipse_sybils,
-            eclipse_arc_fraction=args.adv_eclipse_arc,
-            free_riders=args.adv_free_riders,
-            churn_amplification=args.adv_churn_amplification,
-            attack_tick=args.adv_attack_tick,
-            join_cost=args.adv_join_cost,
-            detection_interval=args.adv_detection_interval,
-            density_threshold=args.adv_density_threshold,
-        ),
-        seed=args.seed,
+    config = _from_args(
+        SimulationConfig, args, _SIM_CORE + _SIM_PAPER,
+        failures=_from_args(FailureModel, args, _FAILURE_FLAGS),
+        adversary=_from_args(AdversaryModel, args, _ADVERSARY_FLAGS),
     )
     # perf_counter, not time.time: monotonic, so a wall-clock adjustment
     # mid-run cannot report a negative duration (R002 allowlists cli.py)
@@ -669,16 +725,6 @@ def _parse_sweep_values(spec: str) -> list:
     return values
 
 
-def _sweep_base_config(args: argparse.Namespace) -> SimulationConfig:
-    return SimulationConfig(
-        strategy=args.strategy,
-        n_nodes=args.nodes,
-        n_tasks=args.tasks,
-        churn_rate=args.churn,
-        seed=args.seed,
-    )
-
-
 def _print_sweep_result(args, values, sets, t0) -> int:
     from repro.sim.persistence import save_sweep
     from repro.sim.trials import run_stats
@@ -710,7 +756,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.sim.trials import reset_run_stats, sweep
 
     values = _parse_sweep_values(args.values)
-    base = _sweep_base_config(args)
+    base = _from_args(SimulationConfig, args, _SIM_CORE)
     reset_run_stats()
     t0 = time.perf_counter()
     sets = sweep(
@@ -747,7 +793,7 @@ def _cmd_fabric_run(args: argparse.Namespace) -> int:
     from repro.sim.trials import reset_run_stats, sweep_grid
 
     values = _parse_sweep_values(args.values)
-    base = _sweep_base_config(args)
+    base = _from_args(SimulationConfig, args, _SIM_CORE)
     grid = sweep_grid(
         base, args.field, values, args.trials, common_random_numbers=args.crn
     )
@@ -914,13 +960,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.obs import PhaseProfiler, jsonable
     from repro.util.tables import format_kv, format_table
 
-    config = SimulationConfig(
-        strategy=args.strategy,
-        n_nodes=args.nodes,
-        n_tasks=args.tasks,
-        churn_rate=args.churn,
-        seed=args.seed,
-    )
+    config = _from_args(SimulationConfig, args, _SIM_CORE)
     profiler = PhaseProfiler()
     profile = profile_run(config, profiler=profiler)
     if args.json:
@@ -976,13 +1016,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.sim.engine import TickEngine
     from repro.util.tables import format_kv
 
-    config = SimulationConfig(
-        strategy=args.strategy,
-        n_nodes=args.nodes,
-        n_tasks=args.tasks,
-        churn_rate=args.churn,
-        seed=args.seed,
-    )
+    config = _from_args(SimulationConfig, args, _SIM_CORE)
     kinds = (
         [k.strip() for k in args.kinds.split(",") if k.strip()]
         if args.kinds
@@ -1019,31 +1053,29 @@ def _cmd_theory(args: argparse.Namespace) -> int:
     from repro.sim.engine import TickEngine
     from repro.util.tables import format_table
 
-    engine = TickEngine(
-        SimulationConfig(
-            n_nodes=args.nodes, n_tasks=args.tasks, seed=args.seed
-        )
-    )
+    config = _from_args(SimulationConfig, args, _SIM_SIZE)
+    nodes, tasks = config.n_nodes, config.n_tasks
+    engine = TickEngine(config)
     stats = load_stats(engine.network_loads())
     rows = [
         [
             "median workload",
-            theory.expected_median_workload(args.nodes, args.tasks),
+            theory.expected_median_workload(nodes, tasks),
             stats.median,
         ],
         [
             "workload sigma",
-            theory.expected_workload_std(args.nodes, args.tasks),
+            theory.expected_workload_std(nodes, tasks),
             stats.std,
         ],
         [
             "max workload",
-            theory.expected_max_workload(args.nodes, args.tasks),
+            theory.expected_max_workload(nodes, tasks),
             stats.max,
         ],
         [
             "baseline runtime factor",
-            theory.expected_baseline_factor(args.nodes),
+            theory.expected_baseline_factor(nodes),
             "(run `repro simulate` to measure)",
         ],
     ]
@@ -1051,8 +1083,7 @@ def _cmd_theory(args: argparse.Namespace) -> int:
         format_table(
             ["quantity", "theory", "measured (one draw)"],
             rows,
-            title=f"Exponential-arc theory, {args.nodes} nodes / "
-            f"{args.tasks} tasks",
+            title=f"Exponential-arc theory, {nodes} nodes / {tasks} tasks",
         )
     )
     return 0
@@ -1097,6 +1128,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         from repro.sanitize import ENV_FLAG
 
         os.environ[ENV_FLAG] = "1"
+    # built for --ring too, so a bad value fails here, not in every child
+    config = _from_args(
+        live.LiveNodeConfig, args, _NODE_FLAGS,
+        policy=_from_args(RetryPolicy, args, _RETRY_FLAGS),
+    )
     if args.ring is not None:
         return _serve_ring(args)
     import asyncio
@@ -1105,23 +1141,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro import sanitize
     from repro.net.cluster import READY_PREFIX
-    from repro.net.node import LiveNode, LiveNodeConfig
-    from repro.net.transport import RetryPolicy, parse_address
+    from repro.net.transport import parse_address
 
     async def _run() -> int:
-        config = LiveNodeConfig(
-            seed=args.seed,
-            bits=args.bits,
-            n_successors=args.successors,
-            strategy=args.strategy,
-            sybil_threshold=args.sybil_threshold,
-            max_sybils=args.max_sybils,
-            decision_interval=args.decision_interval,
-            maintenance_interval=args.maintenance_interval,
-            heartbeat_interval=args.heartbeat_interval,
-            policy=RetryPolicy(timeout=args.timeout, retries=args.retries),
-        )
-        node = LiveNode(args.host, args.port, config, node_id=args.id)
+        node = live.LiveNode(args.host, args.port, config, node_id=args.id)
         bootstrap = parse_address(args.join) if args.join else None
         await node.start(bootstrap)
         print(
@@ -1156,15 +1179,17 @@ def _serve_ring(args: argparse.Namespace) -> int:
 
     from repro.net.cluster import LocalCluster
 
+    forwarded = [
+        token
+        for flag, name, _ in _NODE_FLAGS + _RETRY_FLAGS
+        if name not in _CLUSTER_FIELDS
+        for token in (flag, str(getattr(args, name)))
+    ]
     cluster = LocalCluster(
         args.ring,
-        seed=args.seed,
-        strategy=args.strategy,
-        bits=args.bits,
-        sybil_threshold=args.sybil_threshold,
-        max_sybils=args.max_sybils,
-        maintenance_interval=args.maintenance_interval,
         host=args.host,
+        extra_args=forwarded,
+        **{name: getattr(args, name) for name in _CLUSTER_FIELDS},
     )
     cluster.start()
     for node in cluster.nodes:
@@ -1188,8 +1213,8 @@ def _cmd_stress(args: argparse.Namespace) -> int:
     import contextlib
     import json as _json
 
-    from repro.net.stress import StressConfig, run_stress_sync
-    from repro.net.transport import RetryPolicy, parse_address
+    from repro.net.stress import run_stress_sync
+    from repro.net.transport import parse_address
     from repro.obs import JsonlTraceSink
     from repro.util.tables import format_kv
 
@@ -1197,21 +1222,10 @@ def _cmd_stress(args: argparse.Namespace) -> int:
         from repro.sanitize import ENV_FLAG
 
         os.environ[ENV_FLAG] = "1"
-    config = StressConfig(
+    config = _from_args(
+        StressConfig, args, _STRESS_FLAGS,
         targets=tuple(parse_address(t) for t in args.targets),
-        duration=args.duration,
-        concurrency=args.concurrency,
-        seed=args.seed,
-        bits=args.bits,
-        key_distribution=args.key_dist,
-        n_clusters=args.n_clusters,
-        cluster_spread=args.cluster_spread,
-        zipf_exponent=args.zipf_exponent,
-        get_fraction=args.get_fraction,
-        key_pool=args.key_pool,
-        poll_interval=args.poll_interval,
-        imbalance_threshold=args.imbalance_threshold,
-        policy=RetryPolicy(timeout=args.timeout, retries=args.retries),
+        policy=_from_args(RetryPolicy, args, _RETRY_FLAGS),
     )
     with contextlib.ExitStack() as stack:
         trace = (

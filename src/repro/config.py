@@ -57,6 +57,7 @@ STRATEGY_NAMES = (
 
 WorkMeasurement = Literal["one", "strength"]
 Placement = Literal["random", "midpoint", "median"]
+KeyDistribution = Literal["uniform", "clustered", "zipf"]
 
 
 @dataclass(frozen=True)
@@ -267,7 +268,7 @@ class SimulationConfig:
     avoid_failed_ranges: bool = False
 
     # -- workload-shape extensions (beyond the paper; defaults match it) --
-    key_distribution: Literal["uniform", "clustered", "zipf"] = "uniform"
+    key_distribution: KeyDistribution = "uniform"
     n_clusters: int = 8
     cluster_spread: float = 0.01
     zipf_exponent: float = 1.2

@@ -20,7 +20,7 @@ same decision logic through its own adapter.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar, Iterator
 
 import numpy as np
@@ -230,12 +230,3 @@ class Strategy(abc.ABC):
         keep = order_loads <= view.config.sybil_threshold
         return zip(order[keep].tolist(), order_loads[keep].tolist())
 
-
-@dataclass
-class StrategyInfo:
-    """Metadata used by the registry/CLI listing."""
-
-    name: str
-    proactive: bool
-    uses_sybils: bool
-    description: str = field(default="")

@@ -19,10 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-try:  # pragma: no cover - exercised indirectly
-    from scipy import stats as _scipy_stats
-except ImportError:  # pragma: no cover
-    _scipy_stats = None
+from repro.metrics.stats_tests import scipy_stats
 
 __all__ = [
     "ExponentialFit",
@@ -83,9 +80,9 @@ def ks_exponential(
     ecdf_hi = np.arange(1, n + 1) / n
     ecdf_lo = np.arange(0, n) / n
     stat = float(np.max(np.maximum(ecdf_hi - cdf, cdf - ecdf_lo)))
-    if _scipy_stats is not None:
-        p = float(_scipy_stats.kstwo.sf(stat, n))
-        return stat, p
+    stats = scipy_stats()
+    if stats is not None:
+        return stat, float(stats.kstwo.sf(stat, n))
     return stat, None
 
 

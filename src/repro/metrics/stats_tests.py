@@ -11,21 +11,31 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
-
-try:  # pragma: no cover - exercised indirectly
-    from scipy import stats as _scipy_stats
-except ImportError:  # pragma: no cover
-    _scipy_stats = None
 
 __all__ = ["mean_ci", "welch_t", "WelchResult", "compare_factors"]
 
 
+def scipy_stats() -> Any:
+    """``scipy.stats``, imported on first use; ``None`` without SciPy.
+
+    Deferred so that importing :mod:`repro` (every CLI call, serve node
+    and fabric worker) does not pay SciPy's ~70 MB and ~0.8 s.
+    """
+    try:
+        from scipy import stats
+    except ImportError:  # pragma: no cover
+        return None
+    return stats
+
+
 def _t_quantile(p: float, df: float) -> float:
     """Two-sided t quantile; normal approximation without SciPy."""
-    if _scipy_stats is not None:
-        return float(_scipy_stats.t.ppf(p, df))
+    stats = scipy_stats()
+    if stats is not None:
+        return float(stats.t.ppf(p, df))
     # Cornish-Fisher style expansion around the normal quantile
     z = math.sqrt(2) * _erfinv(2 * p - 1)
     g1 = (z**3 + z) / 4
@@ -99,8 +109,9 @@ def welch_t(a: np.ndarray, b: np.ndarray) -> WelchResult:
             )
         )
     p = None
-    if _scipy_stats is not None and math.isfinite(t_stat):
-        p = float(2 * _scipy_stats.t.sf(abs(t_stat), df))
+    stats = scipy_stats() if math.isfinite(t_stat) else None
+    if stats is not None:
+        p = float(2 * stats.t.sf(abs(t_stat), df))
     return WelchResult(
         t_statistic=t_stat,
         df=df,

@@ -38,7 +38,7 @@ from typing import Any, Protocol
 import numpy as np
 
 from repro import sanitize
-from repro.config import SimulationConfig
+from repro.config import KeyDistribution, SimulationConfig
 from repro.errors import ProtocolError, TransientNetworkError
 from repro.hashspace.idspace import IdSpace
 from repro.net.transport import Address, RetryPolicy, async_request
@@ -71,7 +71,7 @@ class StressConfig:
     seed: int = 0
     bits: int = 64
     #: key skew, straight from the simulator's workload models
-    key_distribution: str = "uniform"
+    key_distribution: KeyDistribution = "uniform"
     n_clusters: int = 8
     cluster_spread: float = 0.01
     zipf_exponent: float = 1.2
@@ -365,7 +365,7 @@ async def run_stress(
     sim_cfg = SimulationConfig(
         seed=config.seed,
         bits=config.bits,
-        key_distribution=config.key_distribution,  # type: ignore[arg-type]
+        key_distribution=config.key_distribution,
         n_clusters=config.n_clusters,
         cluster_spread=config.cluster_spread,
         zipf_exponent=config.zipf_exponent,

@@ -28,11 +28,10 @@ the slot arrays; with Sybils the engine consumes over the owner-grouped
 CSR layout cached by :meth:`RingState.consumption_groups` using the
 NumPy kernels in :mod:`repro.sim.kernels` — no per-owner Python loops
 at all, and no per-tick sort between structural mutations.  When
-neither a trace sink nor a real profiler is attached, ``step()`` takes
-an observer-free path that skips every piece of observability
-bookkeeping (no phase contexts, no event dicts); see
-``docs/scaling.md``.  A trial runs in one process; parallelism lives
-at the trial layer (:mod:`repro.fabric`).
+neither a trace sink nor a real profiler is attached, ``step()`` skips
+every piece of observability bookkeeping (no phase contexts, no event
+dicts); see ``docs/scaling.md``.  A trial runs in one process;
+parallelism lives at the trial layer (:mod:`repro.fabric`).
 """
 
 from __future__ import annotations
@@ -92,7 +91,7 @@ class TickEngine:
             profiler if profiler is not None else NULL_PROFILER
         )
         # observer flags are fixed at construction: when neither sink is
-        # real, step() takes the bookkeeping-free path
+        # real, step() times no phase
         self._tracing = trace is not None
         self._observed = self._tracing or self.profiler is not NULL_PROFILER
         self.rng = rng if rng is not None else make_rng(config.seed)
@@ -185,59 +184,30 @@ class TickEngine:
     def step(self) -> int:
         """Advance one tick; returns the number of tasks consumed.
 
-        Dispatches to one of two equivalent drivers: the observed one
-        wraps each phase in profiler contexts, the fast one runs the
-        same phases with zero observability bookkeeping.  Both mutate
-        identical state in identical order, so seeded trajectories do
-        not depend on which driver ran (obs-smoke pins this).
+        Each phase runs through :func:`_in_phase`, which times it only
+        when something observes the run: with no trace sink and no real
+        profiler, ``prof`` is ``None`` and the tick enters no profiler
+        context at all.  Observed or not, the phases mutate identical
+        state in identical order (obs-smoke pins this).
         """
         if self.finished or self.terminated:
             return 0
         self.tick += 1
-        if self._observed:
-            return self._step_observed()
-        return self._step_fast()
-
-    def _step_fast(self) -> int:
-        """The no-observer tick: no phase contexts, no event dicts."""
         cfg = self.config
+        prof = self.profiler if self._observed else None
         if cfg.decision_interval and self.tick % cfg.decision_interval == 0:
-            self._run_strategy_round()
+            _in_phase(prof, "strategy", self._run_strategy_round)
         if cfg.churn_rate > 0:
-            self._apply_churn()
+            _in_phase(prof, "churn", self._apply_churn, prof)
             if self.terminated:
                 return 0
         if self._adversary is not None:
-            self._adversary.run_tick(self.tick)
+            _in_phase(prof, "adversary", self._adversary.run_tick, self.tick)
         if cfg.arrival_rate > 0 and self.tick <= cfg.arrival_until:
-            self._apply_arrivals()
-        consumed = self._consume_tick()
+            _in_phase(prof, "arrivals", self._apply_arrivals)
+        consumed = _in_phase(prof, "consumption", self._consume_tick)
         self.total_consumed += consumed
-        self._measure(consumed)
-        return consumed
-
-    def _step_observed(self) -> int:
-        cfg = self.config
-        prof = self.profiler
-        if cfg.decision_interval and self.tick % cfg.decision_interval == 0:
-            with prof.phase("strategy"):
-                self._run_strategy_round()
-        if cfg.churn_rate > 0:
-            with prof.phase("churn"):
-                self._apply_churn(prof)
-            if self.terminated:
-                return 0
-        if self._adversary is not None:
-            with prof.phase("adversary"):
-                self._adversary.run_tick(self.tick)
-        if cfg.arrival_rate > 0 and self.tick <= cfg.arrival_until:
-            with prof.phase("arrivals"):
-                self._apply_arrivals()
-        with prof.phase("consumption"):
-            consumed = self._consume_tick()
-        self.total_consumed += consumed
-        with prof.phase("measurement"):
-            self._measure(consumed)
+        _in_phase(prof, "measurement", self._measure, consumed)
         return consumed
 
     def _measure(self, consumed: int) -> None:
@@ -305,7 +275,7 @@ class TickEngine:
         bit-identical to the historical one-``np.insert``/``np.delete``-
         per-event loop while doing O(n + events) structural work.
 
-        ``prof`` (the observed driver only) times the ``churn.depart``,
+        ``prof`` (observed runs only) times the ``churn.depart``,
         ``churn.join`` and ``churn.commit`` sub-phases.
         """
         rate = self.config.churn_rate
@@ -543,7 +513,7 @@ class TickEngine:
 def _in_phase(prof: Profiler | None, name: str, fn, *args):
     """``fn(*args)``, timed as phase ``name`` when ``prof`` is given.
 
-    The fast driver passes no profiler, so it enters no context at all.
+    An unobserved tick passes no profiler, so it enters no context at all.
     """
     if prof is None:
         return fn(*args)

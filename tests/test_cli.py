@@ -1,10 +1,87 @@
 """Tests of the command-line interface."""
 
+import argparse
 import json
+from dataclasses import fields
+from pathlib import Path, PurePath
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
+from repro.config import AdversaryModel, FailureModel, SimulationConfig
+
+#: every subcommand's flag table, captured from the parser before its
+#: flags were derived from the config dataclasses
+FLAG_SNAPSHOT = Path(__file__).with_name("cli_flags.json")
+
+
+def _jsonable(value):
+    if isinstance(value, PurePath):
+        return f"Path:{value}"
+    if isinstance(value, tuple):
+        return list(value)
+    return value
+
+
+def flag_table(parser, prefix=()):
+    """One row per argument of every (nested) subcommand; dest and help
+    are left out so that both may change."""
+    rows = []
+    for action in parser._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                rows += flag_table(sub, prefix + (name,))
+            continue
+        rows.append({
+            "command": " ".join(prefix),
+            "option_strings": list(action.option_strings) or [action.dest],
+            "action": type(action).__name__,
+            "type": getattr(action.type, "__name__", None),
+            "default": _jsonable(action.default),
+            "choices": _jsonable(action.choices),
+            "nargs": action.nargs,
+            "required": action.required,
+            "const": _jsonable(action.const),
+            "metavar": action.metavar,
+        })
+    return rows
+
+
+class TestFlagSurface:
+    def test_matches_snapshot(self):
+        def keyed(rows):
+            return {(r["command"], *r["option_strings"]): r for r in rows}
+
+        want = keyed(json.loads(FLAG_SNAPSHOT.read_text()))
+        got = keyed(flag_table(build_parser()))
+        assert len(want) == 150
+        assert sorted(got) == sorted(want)
+        # the two deliberate changes: --replication parses 'full' | int
+        # in argparse, and --field only accepts SimulationConfig fields
+        del got[("simulate", "--replication")]["type"]
+        del want[("simulate", "--replication")]["type"]
+        for command in ("sweep", "fabric run"):
+            assert got[(command, "--field")].pop("choices") == [
+                f.name for f in fields(SimulationConfig)
+            ]
+            del want[(command, "--field")]["choices"]
+        for key in want:
+            assert got[key] == want[key], key
+
+    def test_defaults_build_the_default_configs(self):
+        args = build_parser().parse_args(["simulate"])
+        assert cli._from_args(
+            SimulationConfig, args, cli._SIM_CORE + cli._SIM_PAPER
+        ) == SimulationConfig()
+        assert cli._from_args(
+            FailureModel, args, cli._FAILURE_FLAGS
+        ) == FailureModel()
+        assert cli._from_args(
+            AdversaryModel, args, cli._ADVERSARY_FLAGS
+        ) == AdversaryModel()
 
 
 class TestParser:
@@ -113,6 +190,70 @@ class TestSimulateCommand:
             main(["simulate", "--replication", "lots"])
 
 
+class TestUsageErrors:
+    """A value the config rejects is a one-line usage error, exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["simulate", "--crash-fraction", "2"], "crash_fraction must be"),
+            (["simulate", "--nodes", "0"], "n_nodes must be positive"),
+            (
+                ["stress", "127.0.0.1:1", "--duration", "0"],
+                "duration must be > 0",
+            ),
+            (
+                ["sweep", "--field", "bogus", "--values", "1"],
+                "invalid choice: 'bogus'",
+            ),
+        ],
+        ids=["crash-fraction", "nodes", "stress-duration", "sweep-field"],
+    )
+    def test_reported_as_usage_error(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        (line,) = [l for l in err.splitlines() if "error:" in l]
+        assert message in line
+
+
+class TestServeRing:
+    def test_ring_forwards_every_node_flag(self, monkeypatch):
+        import repro.net.cluster as cluster
+
+        spawned = []
+
+        def fake_popen(cmd, **kwargs):
+            spawned.append(cmd)
+            raise RuntimeError("spawn captured")
+
+        monkeypatch.setattr(cluster.subprocess, "Popen", fake_popen)
+        node_flags = {
+            "--successors": "7",
+            "--decision-interval": "3",
+            "--heartbeat-interval": "0.5",
+            "--timeout": "2.5",
+            "--retries": "4",
+            "--seed": "9",
+            "--strategy": "invitation",
+            "--bits": "32",
+            "--sybil-threshold": "1",
+            "--max-sybils": "2",
+            "--maintenance-interval": "0.1",
+        }
+        argv = ["serve", "--ring", "2"]
+        for flag, value in node_flags.items():
+            argv += [flag, value]
+        with pytest.raises(RuntimeError, match="spawn captured"):
+            main(argv)
+        (cmd,) = spawned
+        assert "serve" in cmd
+        for flag, value in node_flags.items():
+            assert cmd[cmd.index(flag) + 1] == value, flag
+
+
 class TestFiguresCommand:
     def test_writes_svgs(self, capsys, tmp_path):
         code = main(["figures", "--out", str(tmp_path)])
@@ -145,5 +286,6 @@ class TestTheoryCommand:
         code = main(["theory", "--nodes", "200", "--tasks", "20000"])
         assert code == 0
         out = capsys.readouterr().out
+        assert "200 nodes / 20000 tasks" in out
         assert "median workload" in out
         assert "baseline runtime factor" in out

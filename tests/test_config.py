@@ -39,6 +39,13 @@ class TestDefaults:
         # 6 paper strategies + 3 §VII future-work extensions
         assert len(STRATEGY_NAMES) == 9
 
+    def test_strategy_names_match_the_registry(self):
+        from repro.core.registry import STRATEGIES
+        from repro.net import node
+
+        assert STRATEGY_NAMES == tuple(STRATEGIES)
+        assert set(node.STRATEGY_NAMES) <= set(STRATEGY_NAMES)
+
 
 class TestValidation:
     @pytest.mark.parametrize(

@@ -1,8 +1,14 @@
 """Tests for confidence intervals and Welch comparisons."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.config import SimulationConfig
 from repro.metrics.stats_tests import compare_factors, mean_ci, welch_t
 from repro.sim.trials import run_trials
@@ -96,3 +102,16 @@ class TestTrialSetComparison:
             "t",
             "significant",
         }
+
+
+def test_importing_repro_does_not_load_scipy():
+    """SciPy is imported on first use only: every CLI call, serve node
+    and fabric worker would otherwise pay for it at startup."""
+    code = (
+        "import sys, repro, repro.cli, repro.sim.trials, "
+        "repro.fabric.broker, repro.net.cluster; "
+        "sys.exit('scipy' in sys.modules)"
+    )
+    src = Path(repro.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
