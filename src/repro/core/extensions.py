@@ -49,33 +49,9 @@ class StrengthAwareInvitation(Invitation):
 
     name = "strength_invitation"
 
-    def _pick_helper(
-        self,
-        view: NetworkView,
-        inviter: int,
-        pred_slots: list[int],
-        threshold: int,
-        helped: set[int],
-    ) -> int | None:
-        best_owner: int | None = None
-        best_key: tuple[float, float] | None = None
-        seen: set[int] = set()
-        for slot in pred_slots:
-            owner = view.slot_owner(slot)
-            if owner == inviter or owner in seen:
-                continue
-            seen.add(owner)
-            if owner in helped or not view.can_add_sybil(owner):
-                continue
-            load = view.live_owner_load(owner)
-            if load > threshold:
-                continue
-            # maximize strength, then minimize load
-            key = (-float(view.owner_strength(owner)), float(load))
-            if best_key is None or key < best_key:
-                best_key = key
-                best_owner = owner
-        return best_owner
+    def _helper_key(self, view: NetworkView, owner: int, load: int):
+        # maximize strength, then minimize load
+        return (-float(view.owner_strength(owner)), float(load))
 
 
 class StrengthProportionalInjection(Strategy):
@@ -121,8 +97,9 @@ class Relocation(NeighborInjection):
     smart = False
 
     def decide(self, view: NetworkView) -> None:
+        k = view.config.num_successors
         for owner, _ in self.underloaded_actors(view):
-            target = self._pick_target(view, owner)
+            target = self._pick_target(view, owner, k)
             if target is None:
                 view.stats.actions_skipped += 1
                 continue

@@ -46,6 +46,7 @@ class Invitation(Strategy):
     # ------------------------------------------------------------------
     def decide(self, view: NetworkView) -> None:
         threshold = view.config.sybil_threshold
+        k = view.config.num_successors
         loads = view.owner_loads()
         helped_this_round: set[int] = set()
 
@@ -53,18 +54,15 @@ class Invitation(Strategy):
         overloaded = overloaded[
             loads[overloaded] > self._overburden_threshold
         ]
-        for inviter in self.shuffled(view, overloaded):
-            inviter = int(inviter)
+        for inviter in self.shuffled(view, overloaded).tolist():
             target = view.heaviest_slot(inviter)
-            preds = view.predecessor_slots(
-                target, view.config.num_successors
-            )
+            preds, pred_owners = view.predecessor_window(target, k)
             # the announcement reaches every tracked predecessor
             view.count_messages(len(preds))
             view.stats.invitations_sent += 1
 
             helper = self._pick_helper(
-                view, inviter, preds, threshold, helped_this_round
+                view, inviter, pred_owners, threshold, helped_this_round
             )
             if helper is None:
                 view.stats.invitations_refused += 1
@@ -80,24 +78,27 @@ class Invitation(Strategy):
         self,
         view: NetworkView,
         inviter: int,
-        pred_slots: list[int],
+        pred_owners: list[int],
         threshold: int,
         helped: set[int],
     ) -> int | None:
-        """Least-loaded predecessor owner at/below the threshold with
-        Sybil budget that has not already helped this round."""
+        """The predecessor owner with the least :meth:`_helper_key` (the
+        first of equals) among those at/below the threshold with Sybil
+        budget, other than the inviter, that have not helped this round."""
         best_owner: int | None = None
-        best_load = math.inf
-        seen: set[int] = set()
-        for slot in pred_slots:
-            owner = view.slot_owner(slot)
-            if owner == inviter or owner in seen:
-                continue
-            seen.add(owner)
-            if owner in helped or not view.can_add_sybil(owner):
+        best_key = None
+        for owner in dict.fromkeys(pred_owners):  # distinct, in order
+            if owner == inviter or owner in helped or not (
+                view.can_add_sybil(owner)
+            ):
                 continue
             load = view.live_owner_load(owner)
-            if load <= threshold and load < best_load:
-                best_owner = owner
-                best_load = load
+            if load <= threshold:
+                key = self._helper_key(view, owner, load)
+                if best_key is None or key < best_key:
+                    best_owner, best_key = owner, key
         return best_owner
+
+    def _helper_key(self, view: NetworkView, owner: int, load: int):
+        """Invitation asks the least-loaded qualifying predecessor."""
+        return load

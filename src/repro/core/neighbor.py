@@ -41,19 +41,25 @@ class NeighborInjection(Strategy):
 
     # ------------------------------------------------------------------
     def decide(self, view: NetworkView) -> None:
+        k = view.config.num_successors
+        avoid = view.config.avoid_failed_ranges
+        # per-actor calls, looked up once per round
+        n_sybils, can_add = view.n_sybils, view.can_add_sybil
+        retire, create = view.retire_sybils, view.create_sybil_in_slot_arc
+        pick = self._pick_target
         for owner, load in self.underloaded_actors(view):
-            if load == 0 and view.n_sybils(owner) > 0:
-                view.retire_sybils(owner)
-            if not view.can_add_sybil(owner):
+            if load == 0 and n_sybils(owner) > 0:
+                retire(owner)
+            if not can_add(owner):
                 continue
-            target = self._pick_target(view, owner)
+            target = pick(view, owner, k)
             if target is None:
                 view.stats.actions_skipped += 1
                 continue
-            acquired = view.create_sybil_in_slot_arc(owner, target)
+            acquired = create(owner, target)
             if acquired is None:
                 view.stats.actions_skipped += 1
-            elif acquired == 0 and view.config.avoid_failed_ranges:
+            elif acquired == 0 and avoid:
                 # remember the arc (by its start id) as a dead end
                 pred_slot = view.predecessor_slots(target, 1)[0]
                 self._failed_ranges.setdefault(owner, set()).add(
@@ -61,45 +67,50 @@ class NeighborInjection(Strategy):
                 )
 
     # ------------------------------------------------------------------
-    def _candidate_slots(self, view: NetworkView, owner: int) -> list[int]:
-        """The owner's tracked successors, minus its own identities and
-        any ranges previously marked invalid.  Slots are ring indices in
-        the tick simulator but full-width node identifiers in the
-        protocol adapter: plain ints either way."""
-        succ = view.successor_slots(
-            view.main_slot(owner), view.config.num_successors
+    def _candidate_slots(
+        self, view: NetworkView, owner: int, k: int | None = None
+    ) -> tuple[list[int], list[int]]:
+        """``(slots, weights)`` of the owner's ``k`` tracked successors
+        (default ``num_successors``) bar its own identities and ranges
+        marked invalid, from one successor window; a weight is the gap
+        or, when smart, the remaining tasks."""
+        if k is None:
+            k = view.config.num_successors
+        slots, owners, gaps, *counts = view.successor_window(
+            view.main_slot(owner), k, counts=self.smart
         )
-        slot_owner = view.slot_owner
-        keep = [s for s in succ if slot_owner(s) != owner]
-        if view.config.avoid_failed_ranges and owner in self._failed_ranges:
-            failed = self._failed_ranges[owner]
-            keep = [
-                s
-                for s in keep
-                if view.slot_id(view.predecessor_slots(s, 1)[0]) not in failed
-            ]
-        return keep
+        weights = counts[0] if self.smart else gaps
+        # ranges are only ever marked when avoid_failed_ranges is on
+        failed = self._failed_ranges.get(owner)
+        if owner in owners or failed:
+            keep = [i for i, s in enumerate(slots) if owners[i] != owner and (
+                not failed or view.slot_id(view.predecessor_slots(s, 1)[0])
+                not in failed)]
+            slots = [slots[i] for i in keep]
+            weights = [weights[i] for i in keep]
+        return slots, weights
 
-    def _pick_target(self, view: NetworkView, owner: int) -> int | None:
+    def _pick_target(
+        self, view: NetworkView, owner: int, k: int | None = None
+    ) -> int | None:
         """The candidate with the largest estimated (or, when smart,
         queried) workload; the first of equal maxima wins."""
-        candidates = self._candidate_slots(view, owner)
+        candidates, weights = self._candidate_slots(view, owner, k)
         if not candidates:
             return None
         if self.smart:
             # one workload query per successor, then split the heaviest
             view.count_messages(len(candidates))
-            counts = [view.slot_count(s) for s in candidates]
-            best = max(counts)
+            best = max(weights)
             if best <= 0:
                 return None
-            return candidates[counts.index(best)]
-        # estimate: biggest range <=> most potential tasks; no messages.
-        # Gaps compare as float64: two arcs closer than float resolution
-        # tie, and the first one wins.
-        slot_gap = view.slot_gap
-        gaps = [float(slot_gap(s)) for s in candidates]
-        return candidates[gaps.index(max(gaps))]
+        else:
+            # estimate: biggest range <=> most potential tasks; no
+            # messages.  Gaps compare as float64: two arcs closer than
+            # float resolution tie, and the first one wins.
+            weights = list(map(float, weights))
+            best = max(weights)
+        return candidates[weights.index(best)]
 
 
 class SmartNeighborInjection(NeighborInjection):

@@ -20,7 +20,7 @@ same decision logic through its own adapter.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import ClassVar, Iterator
 
 import numpy as np
@@ -49,17 +49,8 @@ class RoundStats:
     relocations: int = 0
 
     def merge_into(self, totals: dict[str, int]) -> None:
-        for name in (
-            "sybils_created",
-            "sybils_retired",
-            "tasks_acquired",
-            "messages",
-            "invitations_sent",
-            "invitations_refused",
-            "actions_skipped",
-            "relocations",
-        ):
-            totals[name] = totals.get(name, 0) + getattr(self, name)
+        for f in fields(self):
+            totals[f.name] = totals.get(f.name, 0) + getattr(self, f.name)
 
 
 class NetworkView(abc.ABC):
@@ -129,6 +120,24 @@ class NetworkView(abc.ABC):
     def predecessor_slots(self, slot: int, k: int) -> list[int]:
         """The slots counter-clockwise before ``slot``, nearest first,
         under the same list contract as :meth:`successor_slots`."""
+
+    def successor_window(
+        self, slot: int, k: int, *, counts: bool = False
+    ) -> tuple[list[int], ...]:
+        """``(slots, owners, gaps[, counts])``: :meth:`successor_slots`
+        and each slot's reads as parallel lists (counts are a workload
+        query per slot, for the caller to count).  This default reads
+        slot by slot; the tick simulator overrides it."""
+        slots = self.successor_slots(slot, k)
+        reads = [self.slot_owner, self.slot_gap] + [self.slot_count] * counts
+        return (slots, *([read(s) for s in slots] for read in reads))
+
+    def predecessor_window(
+        self, slot: int, k: int
+    ) -> tuple[list[int], list[int]]:
+        """``(slots, owners)`` of :meth:`predecessor_slots`."""
+        slots = self.predecessor_slots(slot, k)
+        return slots, [self.slot_owner(s) for s in slots]
 
     @abc.abstractmethod
     def slot_owner(self, slot: int) -> int: ...

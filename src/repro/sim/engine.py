@@ -196,7 +196,7 @@ class TickEngine:
         cfg = self.config
         prof = self.profiler if self._observed else None
         if cfg.decision_interval and self.tick % cfg.decision_interval == 0:
-            _in_phase(prof, "strategy", self._run_strategy_round)
+            _in_phase(prof, "strategy", self._run_strategy_round, prof)
         if cfg.churn_rate > 0:
             _in_phase(prof, "churn", self._apply_churn, prof)
             if self.terminated:
@@ -255,10 +255,14 @@ class TickEngine:
         if self.trace is not None:
             self.trace.record(self.tick, kind, **fields)
 
-    def _run_strategy_round(self) -> None:
+    def _run_strategy_round(self, prof: Profiler | None = None) -> None:
+        """One decision round: the strategy decides, then the view
+        commits the round's deferred actions to the ring.  ``prof``
+        (observed runs only) times the ``strategy.decide`` and
+        ``strategy.commit`` sub-phases."""
         stats = self.view.begin_round()
-        self.strategy.decide(self.view)
-        self.view.end_round()
+        _in_phase(prof, "strategy.decide", self.strategy.decide, self.view)
+        _in_phase(prof, "strategy.commit", self.view.end_round)
         stats.merge_into(self.counters)
         self.counters["decision_rounds"] += 1
 

@@ -50,8 +50,9 @@ radix build, the benchmark's 1000-node / 1M-task churn trials went from
 churn-0.001 tick, host-scaled, build included).  Seeded
 trajectories are bit-identical to the sequential path; the structural
 cost drops from O(events × n) array rebuilds to O(n + events) per tick.
-Removals that move no keys — a strategy round's retired Sybils — skip
-the replay: :meth:`drop_keyless_slots` is one pass as well.
+A strategy round commits through :meth:`commit_round`: its retired
+Sybils hold no keys, so they skip the replay and leave in the same pass
+that splices in the round's new Sybils, each affected arc split once.
 
 An incrementally maintained owner → slot-positions inverted index backs
 :meth:`slots_of_owner` / :meth:`main_slot_of` (the former full-array
@@ -159,6 +160,50 @@ def _ids_present(
     if alive is not None and hit.any():
         hit &= np.frombuffer(alive, dtype=bool).take(pos, mode="clip")
     return hit
+
+
+def _split_arc(
+    remaining: np.ndarray,
+    pred_id: int,
+    idents: list[int],
+    size: int,
+    taken: np.ndarray | None = None,
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Partition an arc's remaining keys among new identities inside it.
+
+    ``remaining`` holds the keys of the arc ``(pred_id, slot]``, in
+    storage order; ``idents`` are the new identities in the arc.  Each
+    key goes to the first identity at or past it, clockwise, and stays
+    with the slot past the last — as sequential
+    :meth:`RingState.insert_slot` splits leave it.  Returns the keys of
+    each identity (aligned with ``idents``) and of the slot, all in
+    storage order.  ``taken`` is a lone identity's selection mask, when
+    already known.
+    """
+    if len(idents) == 1 and taken is not None:
+        return [remaining.compress(taken)], remaining.compress(~taken)
+    # offsets past pred_id + 1: a key at pred_id itself (the slot's own
+    # id on a full-circle arc) wraps to the top and stays with the slot
+    rel = remaining - _U64((pred_id + 1) % size)
+    if size < 1 << 64:
+        rel &= _U64(size - 1)
+    if len(idents) == 1:
+        taken = rel <= _U64((idents[0] - pred_id - 1) % size)
+        return [remaining.compress(taken)], remaining.compress(~taken)
+    bounds = [(p - pred_id - 1) % size for p in idents]
+    order = sorted(range(len(idents)), key=bounds.__getitem__)
+    # each key goes to the first boundary at-or-past its offset; past
+    # the last boundary it stays with the slot
+    tgt = np.array([bounds[i] for i in order], dtype=_U64).searchsorted(
+        rel, side="left"
+    )
+    grouped = remaining[np.argsort(tgt, kind="stable")]
+    parts: list[np.ndarray] = [_EMPTY_KEYS] * len(idents)
+    hi = 0
+    for i, n in zip(order, np.bincount(tgt, minlength=len(idents)).tolist()):
+        lo, hi = hi, hi + n
+        parts[i] = grouped[lo:hi]
+    return parts, grouped[hi:].copy()
 
 
 class _Pending(NamedTuple):
@@ -507,8 +552,7 @@ class RingState:
         new slots sorted by id, none equal to a surviving id (one may
         reuse the id of a dropped slot).  The owner index, loads cache
         and consumption groups are invalidated once.  Every batched
-        structure change — a churn tick, a keyless Sybil drop, a round's
-        insertions — ends here.
+        structure change — a churn tick, a strategy round — ends here.
 
         Every survivor moves with one gather per buffer.  The keys list
         is edited in place unless both the ring and the batch are large,
@@ -689,14 +733,6 @@ class RingState:
                 f"owner {owner} has {n_mains} main slots (expected 1)"
             )
         return index.main_slot(self._ids_view, owner)
-
-    def successor_slots(self, slot: int, k: int) -> np.ndarray:
-        """Indices of the ``k`` slots clockwise after ``slot``."""
-        return (slot + 1 + np.arange(k)) % self.n_slots
-
-    def predecessor_slots(self, slot: int, k: int) -> np.ndarray:
-        """Indices of the ``k`` slots counter-clockwise before ``slot``."""
-        return (slot - 1 - np.arange(k)) % self.n_slots
 
     def owner_loads(self, n_owners: int) -> np.ndarray:
         """Remaining tasks per physical owner (int64, length ``n_owners``).
@@ -910,28 +946,88 @@ class RingState:
             removed += 1
         return removed
 
-    def drop_keyless_slots(self, positions: list[int]) -> None:
-        """Remove the slots at ``positions`` (any order) in one pass.
+    def commit_round(self, dead: list[int], sybils: dict[int, int]) -> None:
+        """Drop the keyless slots at positions ``dead`` (any order) and
+        insert the Sybil slots ``sybils`` (identifier -> owner), in one
+        slab pass.
 
-        Every listed slot must hold no remaining keys, so no keys move
-        and no merge reshuffle draws from the RNG: the result equals
-        removing them one by one with :meth:`remove_slot`.  Raises
-        :class:`RingError`, before changing anything, if a position is
-        out of range, a slot still holds keys, or the ring would be left
-        empty.
+        A strategy round commits here.  The result equals removing the
+        dead slots one by one with :meth:`remove_slot` — none holds keys,
+        so no merge reshuffle draws from the RNG — then inserting each
+        Sybil with :meth:`insert_slot`, in any order: each affected arc
+        is split once, by the rule :class:`BatchInsertion` uses.  A Sybil
+        may reuse the id of a dropped slot.  Raises, before changing
+        anything, :class:`RingError` if a position is out of range, a
+        dropped slot holds keys or no slot would survive the drop, and
+        :class:`IdSpaceError` if an id is outside the space or on the
+        ring and not dropped.
         """
-        if not positions:
-            return
         n = self._n
-        dead = sorted(set(positions))
-        if dead[0] < 0 or dead[-1] >= n:
-            raise RingError(f"slot position out of range for {n} slots")
-        if len(dead) == n:
-            raise RingError("cannot remove the last slot on the ring")
-        idx = np.asarray(dead, dtype=np.intp)
-        if self._counts_view[idx].any():
-            raise RingError("cannot drop a slot that holds remaining keys")
-        self._restructure(dead)
+        dead = sorted(set(dead))
+        if dead:
+            if dead[0] < 0 or dead[-1] >= n:
+                raise RingError(f"slot position out of range for {n} slots")
+            if len(dead) == n:
+                raise RingError("cannot remove the last slot on the ring")
+            if self._counts_view[dead].any():
+                raise RingError("cannot drop a slot that holds remaining keys")
+        pending = self._sybil_pending(dead, sybils) if sybils else None
+        self._restructure(dead, pending)
+
+    def _sybil_pending(
+        self, dead: list[int], sybils: dict[int, int]
+    ) -> _Pending:
+        """Validate :meth:`commit_round`'s new Sybils and split the arcs
+        they land in; the ring's keys change only once all are valid."""
+        new_ids = sorted(sybils)
+        m = len(new_ids)
+        for ident in (new_ids[0], new_ids[-1]):
+            if ident < 0 or ident >= self.space.size:
+                self.space.validate(ident)  # raises
+        ids = self._ids_view
+        new = np.array(new_ids, dtype=_U64)
+        pos = ids.searchsorted(new)
+        hit = ids.take(pos, mode="clip") == new
+        if hit.any() and not set(pos[hit].tolist()).issubset(dead):
+            raise IdSpaceError("identifier already on the ring")
+        # each Sybil's live successor, whose arc it splits
+        if dead:
+            live = np.delete(np.arange(self._n), dead)
+            k = live.searchsorted(pos)
+            slots = live[k % live.size]
+            preds = live[k - 1]  # k == 0 wraps to the last live slot
+        else:
+            slots = np.where(pos < self._n, pos, 0)
+            preds = slots - 1
+        keys, counts = self.keys, self._counts_view
+        # only arcs with remaining keys split; the rest hand over none
+        busy = np.flatnonzero(counts[slots])
+        arcs: dict[int, tuple[int, list[int]]] = {}
+        for j, slot, pred in zip(
+            busy.tolist(), slots[busy].tolist(), ids[preds[busy]].tolist()
+        ):
+            if slot in arcs:
+                arcs[slot][1].append(j)
+            else:
+                arcs[slot] = (pred, [j])
+        part_keys = [_EMPTY_KEYS] * m
+        for slot, (pred, js) in arcs.items():
+            parts, kept = _split_arc(
+                keys[slot][: counts.item(slot)], pred,
+                [new_ids[j] for j in js], self.space.size,
+            )
+            for j, part in zip(js, parts):
+                part_keys[j] = part
+            keys[slot] = kept
+            counts[slot] = kept.size
+        return _Pending(
+            ids=new,
+            owner=np.fromiter(map(sybils.get, new_ids), dtype=_I64, count=m),
+            is_main=np.zeros(m, dtype=bool),
+            counts=np.fromiter(map(len, part_keys), dtype=_I64, count=m),
+            provenance=np.full(m, PROV_BENEVOLENT, dtype=np.int8),
+            keys=part_keys,
+        )
 
     # ------------------------------------------------------------------
     # batch structure changes (used by the engine's churn phase)
@@ -1308,10 +1404,11 @@ class BatchInsertion:
         self._keys = state.keys
         self._counts = state.counts
         self._size = state.space.size
-        self._wrap = _U64(state.space.max_id)
         # uint64 arithmetic wraps mod 2**64 already when the space is the
         # full 64 bits, so the reduce-mod-size masking can be skipped
-        self._mask = None if state.space.bits == 64 else self._wrap
+        self._mask = (
+            None if state.space.bits == 64 else _U64(state.space.max_id)
+        )
         self._searchsorted = self._ids.searchsorted
         self._removal = removal
         self._alive: bytearray | None = None
@@ -1436,104 +1533,14 @@ class BatchInsertion:
             lst.append(nid)
         return acquired
 
-    def add_many(self, idents, owners, *, is_main: bool) -> None:
-        """Queue several insertions at once, without acquired counts.
-
-        The bulk form of :meth:`add` for callers that already know (or
-        do not need) how many keys each identity takes: one vectorized
-        lookup replaces the per-identity range count.  The committed
-        ring is the same as after one :meth:`add` per identity, in any
-        order.
-        """
-        idents = [int(i) for i in idents]
-        if not idents:
-            return
-        size = self._size
-        for ident in (min(idents), max(idents)):
-            if ident < 0 or ident >= size:
-                self._state.space.validate(ident)  # raises
-        ids = self._ids
-        new = np.array(idents, dtype=_U64)
-        if (
-            _ids_present(ids, new, self._alive).any()
-            or len(set(idents)) != len(idents)
-            or not self._pend_set.isdisjoint(idents)
-        ):
-            raise IdSpaceError("identifier already on the ring")
-        pos = self._searchsorted(new)
-        if self._alive is None:
-            slots = np.where(pos < ids.size, pos, 0)
-            preds = slots - 1  # slot 0's predecessor wraps to the last
-        else:
-            live = np.flatnonzero(np.frombuffer(self._alive, dtype=bool))
-            k = live.searchsorted(pos)
-            slots = live[k % live.size]
-            preds = live[k - 1]
-        provenance = PROV_HONEST if is_main else PROV_BENEVOLENT
-        records = self._records
-        by_slot = self._by_slot
-        arc = self._arc
-        keys = self._keys
-        for ident, owner, slot, pred, count in zip(
-            idents, owners, slots.tolist(), ids[preds].tolist(),
-            self._counts[slots].tolist(),
-        ):
-            records[ident] = (int(owner), is_main, provenance)
-            lst = by_slot.get(slot)
-            if lst is None:
-                by_slot[slot] = [ident]
-                if slot not in arc:
-                    arc[slot] = (pred, keys[slot][:count])
-            else:
-                lst.append(ident)
-        self._pend_ids = sorted(self._pend_ids + idents)
-        self._pend_set.update(idents)
-
-    def _split(self, slot: int, remaining: np.ndarray, taken: np.ndarray):
-        """Split the arc of ``slot`` by the mask of the keys its one
-        pending identity takes; returns that identity's keys and their
-        count, and leaves the rest with ``slot``."""
-        out = remaining.compress(taken)
-        kept = remaining.compress(~taken)
-        self._keys[slot] = kept
-        self._counts[slot] = kept.size
-        return out, out.size
-
-    def _split_many(self, slot: int, idents: list[int], taken: dict) -> None:
-        """Split the arc of ``slot`` among several pending identities."""
-        size = self._size
-        pred_id, remaining = self._arc[slot]
-        idents.sort(key=lambda p: (p - pred_id) % size)
-        bound_offs = np.array(
-            [(p - pred_id) % size for p in idents], dtype=_U64
-        )
-        offs = (remaining - _U64(pred_id)) & self._wrap
-        # each key goes to the first boundary at-or-past its offset;
-        # past the last boundary it stays with the live slot
-        tgt = bound_offs.searchsorted(offs, side="left")
-        if self._live == 1:
-            # full-circle arc: a key equal to the slot's own id has
-            # offset 0 but belongs to the slot itself
-            tgt[offs == 0] = len(idents)
-        grouped = remaining[np.argsort(tgt, kind="stable")]
-        seg = np.bincount(tgt, minlength=len(idents) + 1)
-        hi = 0
-        for j, ident in enumerate(idents):
-            lo, hi = hi, hi + int(seg[j])
-            taken[ident] = (grouped[lo:hi], hi - lo)
-        kept = grouped[hi:].copy()
-        self._keys[slot] = kept
-        self._counts[slot] = kept.size
-
     def commit(self) -> None:
         """Redistribute every affected arc, then apply the batch — and
         the removal it was begun on, if any — in one slab pass.
 
-        An arc with one pending identity (the common case under churn)
-        splits by a selection mask: the one :meth:`add` kept, or, for
-        :meth:`add_many`, one computed here.  An arc with several
-        pending identities is partitioned by a stable sort on their
-        boundaries.
+        Each affected arc is split once, by :func:`_split_arc`: an arc
+        with one pending identity (the common case under churn) by the
+        selection mask :meth:`add` kept, one with several by a stable
+        sort on their boundaries.
         """
         if self._committed:
             raise RingError("batch insertion already committed")
@@ -1541,24 +1548,19 @@ class BatchInsertion:
         removal = self._removal
         if removal is not None and removal._committed:
             raise RingError("batch removal already committed")
-        taken: dict[int, tuple[np.ndarray, int]] = {}
-        size = self._size
+        taken: dict[int, np.ndarray] = {}
         for slot, idents in self._by_slot.items():
             pred_id, remaining = self._arc[slot]
             if not remaining.size:
                 # an arc with no remaining keys has nothing to split
-                for ident in idents:
-                    taken[ident] = (_EMPTY_KEYS, 0)
-            elif len(idents) > 1:
-                self._split_many(slot, idents, taken)
-            else:
-                mask = self._taken_mask.get(slot)
-                if mask is None:
-                    rel = remaining - _U64((pred_id + 1) % size)
-                    if self._mask is not None:
-                        rel &= self._mask
-                    mask = rel <= _U64((idents[0] - pred_id - 1) % size)
-                taken[idents[0]] = self._split(slot, remaining, mask)
+                taken.update(dict.fromkeys(idents, _EMPTY_KEYS))
+                continue
+            parts, kept = _split_arc(
+                remaining, pred_id, idents, self._size, self._taken_mask[slot]
+            )
+            taken.update(zip(idents, parts))
+            self._keys[slot] = kept
+            self._counts[slot] = kept.size
 
         pending = None
         if self._pend_ids:
@@ -1568,9 +1570,9 @@ class BatchInsertion:
                 ids=np.array(self._pend_ids, dtype=_U64),
                 owner=np.array([r[0] for r in records], dtype=_I64),
                 is_main=np.array([r[1] for r in records], dtype=bool),
-                counts=np.array([p[1] for p in parts], dtype=_I64),
+                counts=np.array([p.size for p in parts], dtype=_I64),
                 provenance=np.array([r[2] for r in records], dtype=np.int8),
-                keys=[p[0] for p in parts],
+                keys=parts,
             )
         dead = sorted(removal._dead) if removal is not None else []
         self._state._restructure(dead, pending)

@@ -16,12 +16,22 @@ the ring at round start plus the round's pending joins and departures,
 kept as plain Python lists in ring order.  Every read a strategy makes
 afterwards — slot indices, arcs, gaps, owners, counts, ``id_exists``,
 ``heaviest_slot``, ``live_owner_load`` — answers from the overlay
-exactly as the ring would after applying each action on the spot.  The
-engine calls :meth:`SimView.end_round` after ``decide``; it commits the
-round with one :meth:`~repro.sim.state.RingState.drop_keyless_slots`
-for the retired Sybils and one :class:`~repro.sim.state.BatchInsertion`
-for the new ones, so the slab is restructured once per round instead
-of once per Sybil.
+exactly as the ring would after applying each action on the spot.  A
+neighbourhood read — :meth:`SimView.successor_window` /
+:meth:`SimView.predecessor_window` — is a few list slices of the
+overlay (or of the ring while no overlay is open; a read never opens
+one).  The engine calls :meth:`SimView.end_round` after ``decide``; it
+commits the round with one
+:meth:`~repro.sim.state.RingState.commit_round`, which drops the
+retired Sybils and splices in the new ones in a single slab pass, so
+the slab is restructured once per round instead of once per Sybil.
+
+The round's Sybil census (``n_sybils``, ``can_add_sybil`` and the
+register/unregister calls behind every creation and retirement) reads
+and writes Python lists taken from the
+:class:`~repro.sim.owners.OwnerRegistry` on the round's first census
+read and written back whenever the round commits; with the join-cost
+defense on, those calls go to the registry instead.
 
 Deferral is exact because neither half draws randomness:
 
@@ -44,11 +54,11 @@ per-slot primitive.
 from __future__ import annotations
 
 from bisect import bisect_left
+from operator import sub
 
 import numpy as np
 
 from repro.core.strategy import NetworkView, RoundStats
-from repro.errors import IdSpaceError
 from repro.config import SimulationConfig
 from repro.sim.arcops import count_in_arc, in_arc_mask
 from repro.sim.owners import OwnerRegistry
@@ -56,6 +66,17 @@ from repro.sim.state import RingState, median_in_arc
 from repro.sim.workload import draw_new_node_id
 
 __all__ = ["SimView"]
+
+
+def _ring_slice(seq, lo: int, hi: int, n: int) -> list[int]:
+    """``seq[lo:hi]`` of a ring of ``n`` slots as a list, wrapping past
+    either end (``-n <= lo <= hi <= 2 * n``, ``hi - lo <= n``)."""
+    if lo < 0:
+        return _ring_slice(seq, lo + n, n, n) + _ring_slice(seq, 0, hi, n)
+    if hi > n:
+        return _ring_slice(seq, lo, n, n) + _ring_slice(seq, 0, hi - n, n)
+    part = seq[lo:hi]
+    return part if type(part) is list else part.tolist()
 
 
 class _RoundOverlay:
@@ -89,11 +110,15 @@ class _RoundOverlay:
         # base positions of the retired (keyless) Sybils, and their ids
         self.dropped: list[int] = []
         self.retired_ids: set[int] = set()
+        # (ident, position) of the last id_exists probe: placement probes
+        # the id it then inserts, and insert reuses that bisect
+        self._probe: tuple[int, int] | None = None
 
     # -- reads -----------------------------------------------------------
     def id_exists(self, ident: int) -> bool:
         ids = self.ids
         i = bisect_left(ids, ident)
+        self._probe = (ident, i)
         return i < len(ids) and ids[i] == ident
 
     def slot_arc(self, slot: int) -> tuple[int, int]:
@@ -147,7 +172,12 @@ class _RoundOverlay:
     def insert(self, ident: int, owner: int) -> int:
         """Add a pending Sybil; returns the keys it acquires."""
         ids = self.ids
-        pos = bisect_left(ids, ident)
+        probe = self._probe
+        if probe is not None and probe[0] == ident:
+            pos = probe[1]
+        else:
+            pos = bisect_left(ids, ident)
+        self._probe = None
         succ = pos if pos < len(ids) else 0
         # the new arc is part of the successor's: an empty successor
         # has nothing to hand over
@@ -198,6 +228,7 @@ class _RoundOverlay:
             if counts[p]:
                 return None
         ids = self.ids
+        self._probe = None
         for p in reversed(targets):
             m = bisect_left(ids, base[p])
             del ids[m], self.owner[m], self.counts[m]
@@ -206,17 +237,10 @@ class _RoundOverlay:
         return len(targets)
 
     def commit(self) -> None:
-        """Apply the round to the ring: one keyless drop of the retired
-        Sybils, then one batch insertion of the new ones."""
-        state = self.state
-        if self.dropped:
-            state.drop_keyless_slots(self.dropped)
-        if self.pending:
-            insertion = state.begin_batch_insertion()
-            insertion.add_many(
-                self.pending.keys(), self.pending.values(), is_main=False
-            )
-            insertion.commit()
+        """Apply the round to the ring in one slab pass: drop the retired
+        Sybils and splice in the new ones."""
+        if self.dropped or self.pending:
+            self.state.commit_round(self.dropped, self.pending)
 
 
 class SimView(NetworkView):
@@ -238,6 +262,11 @@ class SimView(NetworkView):
         self._loads: np.ndarray | None = None
         self._stats = RoundStats()
         self._round: _RoundOverlay | None = None
+        # per-round owner census: (Sybil counts, Sybil room) as lists,
+        # taken on the round's first census read (see _take_census), and
+        # whether a register/unregister has changed it since
+        self._census: tuple[list[int], list[int]] | None = None
+        self._census_dirty = False
         # hoisted flag: the hot create path skips building event fields
         # when no sink is attached
         self._tracing = event_sink is not None
@@ -261,7 +290,8 @@ class SimView(NetworkView):
         return self._stats
 
     def end_round(self) -> None:
-        """Commit the round's deferred actions to the ring.
+        """Commit the round's deferred actions to the ring, and its Sybil
+        census to the owner registry.
 
         Until this runs, ``RingState`` still holds the round-start ring;
         the engine calls it right after ``Strategy.decide``.
@@ -270,6 +300,7 @@ class SimView(NetworkView):
         if overlay is not None:
             self._round = None
             overlay.commit()
+        self._flush_census()
 
     def _open_round(self) -> _RoundOverlay:
         overlay = self._round
@@ -317,11 +348,58 @@ class SimView(NetworkView):
             return self._state.owner_load(owner)
         return self._round.live_load(owner)
 
+    def _take_census(self) -> tuple[list[int], list[int]] | None:
+        """The round's Sybil census as Python lists — each owner's Sybil
+        count, and how many more it may add (0 outside the network) —
+        read and written by the round's census calls and written back by
+        :meth:`end_round`.  None with the join-cost defense on: those
+        calls then go to the registry."""
+        owners = self._owners
+        if owners.join_budget is not None:
+            return None
+        n = owners.n_sybils
+        room = np.where(owners.in_network, owners.sybil_cap - n, 0)
+        self._census = (n.tolist(), room.tolist())
+        return self._census
+
     def n_sybils(self, owner: int) -> int:
-        return int(self._owners.n_sybils[owner])
+        census = self._census or self._take_census()
+        if census is None:
+            return int(self._owners.n_sybils[owner])
+        return census[0][owner]
 
     def can_add_sybil(self, owner: int) -> bool:
-        return self._owners.can_add_sybil(owner)
+        census = self._census or self._take_census()
+        if census is None:
+            return self._owners.can_add_sybil(owner)
+        return census[1][owner] > 0
+
+    def _flush_census(self) -> None:
+        census = self._census
+        self._census = None
+        if self._census_dirty:
+            self._census_dirty = False
+            self._owners.n_sybils[:] = census[0]
+
+    def _register_sybil(self, owner: int) -> None:
+        census = self._census or self._take_census()
+        if census is None or census[1][owner] <= 0:
+            self._flush_census()  # the registry validates (and raises)
+            self._owners.register_sybil(owner)
+            return
+        census[0][owner] += 1
+        census[1][owner] -= 1
+        self._census_dirty = True
+
+    def _unregister_sybils(self, owner: int, count: int) -> None:
+        census = self._census or self._take_census()
+        if census is None or not 0 <= count <= census[0][owner]:
+            self._flush_census()  # the registry validates (and raises)
+            self._owners.unregister_sybils(owner, count)
+            return
+        census[0][owner] -= count
+        census[1][owner] += count
+        self._census_dirty = True
 
     def join_budget_remaining(self, owner: int) -> int | None:
         return self._owners.join_budget_remaining(owner)
@@ -355,6 +433,53 @@ class SimView(NetworkView):
         n = self._n_slots()
         return [(slot - i) % n for i in range(1, min(k, n - 1) + 1)]
 
+    def _columns(self) -> tuple:
+        """``(ids, owners, counts)`` of the ring as the round leaves it:
+        the overlay's lists, or the ring's own arrays while it is closed
+        (a read never opens one)."""
+        overlay = self._round
+        if overlay is None:
+            state = self._state
+            return state.ids, state.owner, state.counts
+        return overlay.ids, overlay.owner, overlay.counts
+
+    def successor_window(
+        self, slot: int, k: int, *, counts: bool = False
+    ) -> tuple[list[int], ...]:
+        ids, owner, count = self._columns()
+        n = len(ids)
+        hi = slot + 1 + min(k, n - 1)
+        if hi <= n and type(ids) is list:
+            # the hot read: an open overlay, no wrap — plain slices
+            arc = ids[slot:hi]
+            window = (
+                list(range(slot + 1, hi)), owner[slot + 1 : hi],
+                list(map(sub, arc[1:], arc)),
+            )
+            return (*window, count[slot + 1 : hi]) if counts else window
+        arc = _ring_slice(ids, slot, hi, n)
+        gaps = list(map(sub, arc[1:], arc))
+        if hi <= n:
+            slots = list(range(slot + 1, hi))
+        else:  # the window wraps: reduce slots and the wrapped gap
+            slots = [s % n for s in range(slot + 1, hi)]
+            gaps = [g % self._state.space.size for g in gaps]
+        window = (slots, _ring_slice(owner, slot + 1, hi, n), gaps)
+        if counts:
+            return (*window, _ring_slice(count, slot + 1, hi, n))
+        return window
+
+    def predecessor_window(
+        self, slot: int, k: int
+    ) -> tuple[list[int], list[int]]:
+        _, owner, _ = self._columns()
+        n = len(owner)
+        lo = slot - min(k, n - 1)
+        owners = _ring_slice(owner, lo, slot, n)
+        owners.reverse()
+        slots = [s + n if s < 0 else s for s in range(slot - 1, lo - 1, -1)]
+        return slots, owners
+
     def slot_owner(self, slot: int) -> int:
         overlay = self._round
         if overlay is None:
@@ -386,27 +511,27 @@ class SimView(NetworkView):
     # NetworkView: actions
     # ------------------------------------------------------------------
     def create_sybil_random(self, owner: int) -> int:
-        overlay = self._open_round()
+        overlay = self._round or self._open_round()
         ident = draw_new_node_id(
             self._state.space, self._rng, overlay.id_exists
         )
         return self._create_sybil(overlay, owner, ident)
 
     def create_sybil_in_slot_arc(self, owner: int, slot: int) -> int | None:
-        overlay = self._open_round()
+        overlay = self._round or self._open_round()
         ident = self._place_in_slot(slot)
         if ident is None:
             return None
         return self._create_sybil(overlay, owner, ident)
 
     def retire_sybils(self, owner: int) -> int:
-        removed = self._open_round().retire(owner)
+        removed = (self._round or self._open_round()).retire(owner)
         if removed is None:
             # the departure moves keys: only the ring can replay its
             # merge reshuffle, so commit the round so far and retire there
             self.end_round()
             removed = self._state.retire_sybils(owner)
-        self._owners.unregister_sybils(owner, removed)
+        self._unregister_sybils(owner, removed)
         self._stats.sybils_retired += removed
         if removed and self._tracing:
             # int() coercion: strategies pass numpy-scalar owners, and
@@ -457,7 +582,7 @@ class SimView(NetworkView):
     def _create_sybil(
         self, overlay: _RoundOverlay, owner: int, ident: int
     ) -> int:
-        self._owners.register_sybil(owner)  # validates the budget
+        self._register_sybil(owner)  # validates the budget
         acquired = overlay.insert(ident, owner)
         self._stats.sybils_created += 1
         self._stats.tasks_acquired += acquired
@@ -489,11 +614,18 @@ class SimView(NetworkView):
             ):
                 return ident
             placement = "random"
+        size = space.size
+        span = (end - start) % size or size
+        if span <= 1:
+            return None  # arc too small to host a new identity
+        rng = self._rng
         for _ in range(8):
-            try:
-                ident = space.random_in_interval(self._rng, start, end)
-            except IdSpaceError:
-                return None  # arc too small to host a new identity
+            if span - 1 <= 1 << 63:
+                # IdSpace.random_in_interval's own draw, inlined: the same
+                # call with the same arguments, so the same stream
+                ident = (start + 1 + int(rng.integers(0, span - 1))) % size
+            else:
+                ident = space.random_in_interval(rng, start, end)
             if ident != end and not id_exists(ident):
                 return ident
         return None

@@ -22,7 +22,14 @@ __all__ = ["PerCallSimView"]
 
 
 class PerCallSimView(SimView):
-    """``SimView`` whose actions mutate the ring immediately."""
+    """``SimView`` whose actions mutate the ring immediately, and whose
+    Sybil census reads and writes the owner registry directly."""
+
+    def n_sybils(self, owner: int) -> int:
+        return int(self._owners.n_sybils[owner])
+
+    def can_add_sybil(self, owner: int) -> bool:
+        return self._owners.can_add_sybil(owner)
 
     def create_sybil_random(self, owner: int) -> int:
         ident = draw_new_node_id(

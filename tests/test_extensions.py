@@ -42,12 +42,11 @@ class TestStrengthAwareInvitation:
         loads = view.owner_loads()
         inviter = int(np.argmax(loads))
         target = view.heaviest_slot(inviter)
-        preds = view.predecessor_slots(target, 5)
-        helper = strategy._pick_helper(view, inviter, preds, 0, set())
+        _, pred_owners = view.predecessor_window(target, 5)
+        helper = strategy._pick_helper(view, inviter, pred_owners, 0, set())
         if helper is not None:
             # no *stronger* qualifying predecessor was skipped
-            for slot in preds:
-                other = view.slot_owner(slot)
+            for other in pred_owners:
                 if other in (inviter, helper):
                     continue
                 if (

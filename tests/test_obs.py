@@ -211,12 +211,31 @@ class TestPhaseProfiler:
             seed=3,
         )
         TickEngine(config, profiler=prof).run()
-        assert set(prof.sub_calls) == {
-            "churn.depart", "churn.join", "churn.commit",
+        churn = {"churn.depart", "churn.join", "churn.commit"}
+        # the strategy round's sub-phases run too (the churn strategy
+        # decides nothing, but its rounds are still timed)
+        assert set(prof.sub_calls) == churn | {
+            "strategy.decide", "strategy.commit",
         }
-        # every sub-phase runs inside a churn phase entry
-        assert all(c <= prof.calls["churn"] for c in prof.sub_calls.values())
-        assert sum(prof.sub_seconds.values()) <= prof.seconds["churn"]
+        # every churn sub-phase runs inside a churn phase entry
+        assert all(prof.sub_calls[p] <= prof.calls["churn"] for p in churn)
+        assert sum(prof.sub_seconds[p] for p in churn) <= prof.seconds["churn"]
+
+    def test_engine_times_strategy_sub_phases(self):
+        prof = PhaseProfiler()
+        config = SimulationConfig(
+            strategy="neighbor_injection", n_nodes=60, n_tasks=3000, seed=3,
+        )
+        TickEngine(config, profiler=prof).run()
+        assert set(prof.sub_calls) == {"strategy.decide", "strategy.commit"}
+        # one decide and one commit inside every strategy round
+        rounds = prof.calls["strategy"]
+        assert rounds > 0
+        assert prof.sub_calls["strategy.decide"] == rounds
+        assert prof.sub_calls["strategy.commit"] == rounds
+        assert sum(prof.sub_seconds.values()) <= prof.seconds["strategy"]
+        sub = prof.as_dict()["phases"]["strategy"]["sub"]
+        assert list(sub) == ["strategy.commit", "strategy.decide"]
 
     def test_null_profiler_is_inert(self):
         with NULL_PROFILER.phase("anything"):

@@ -79,11 +79,6 @@ class TestQueries:
         assert state.slots_of_owner(1).tolist() == [1]
         assert state.main_slot_of(2) == 2
 
-    def test_successor_predecessor_slots(self, rng):
-        state, _ = make_state(rng)
-        assert state.successor_slots(2, 2).tolist() == [0, 1]
-        assert state.predecessor_slots(0, 2).tolist() == [2, 1]
-
 
 class TestInsert:
     def test_insert_acquires_exact_keys(self, rng):

@@ -1,14 +1,17 @@
-"""RingState.drop_keyless_slots: one-pass removal of slots with no keys.
+"""RingState.commit_round: a strategy round's one-pass ring commit.
 
-A strategy round commits its retired Sybils through this primitive, so
-it must equal the sequential ``remove_slot`` calls it replaces and must
-refuse any drop that would move keys or empty the ring.
+A round drops its retired Sybils (slots with no keys) and splices in its
+new ones through this primitive, so it must equal the sequential
+``remove_slot`` / ``insert_slot`` calls it replaces — ids, owners,
+counts, every slot's keys in storage order, and the generator state —
+and must refuse, before changing anything, any drop that would move
+keys or empty the ring and any Sybil whose id is taken.
 """
 
 import numpy as np
 import pytest
 
-from repro.errors import RingError
+from repro.errors import IdSpaceError, RingError
 from repro.hashspace.idspace import IdSpace
 from repro.sim.state import RingState
 from repro.sim.view import _RoundOverlay
@@ -47,35 +50,57 @@ def snapshot(state: RingState) -> tuple:
         state.owner.tolist(),
         state.is_main.tolist(),
         state.counts.tolist(),
+        state.provenance.tolist(),
         [state.remaining_keys(i).tolist() for i in range(state.n_slots)],
         state.n_sybil_slots,
         state.rng.bit_generator.state,
     )
 
 
+def sequential(state: RingState, dead, sybils: dict[int, int], order) -> None:
+    """The per-call equivalent: drop each dead slot, then insert each
+    Sybil, in the given order."""
+    for slot in sorted(dead, reverse=True):
+        assert state.remove_slot(slot) == 0
+    for ident in order:
+        state.insert_slot(ident, sybils[ident], is_main=False)
+
+
+def assert_same_ring(one: RingState, ref: RingState, n_owners: int) -> None:
+    assert snapshot(one) == snapshot(ref)
+    one.verify_invariants()
+    for owner in range(n_owners):
+        assert one.slots_of_owner(owner).tolist() == (
+            ref.slots_of_owner(owner).tolist()
+        )
+    assert one.owner_loads(n_owners).tolist() == (
+        ref.owner_loads(n_owners).tolist()
+    )
+
+
 class TestDropKeylessSlots:
     def test_equals_sequential_removal(self):
-        dropped, sequential = ring_with_idle_sybils(), ring_with_idle_sybils()
+        dropped, sequential_ = ring_with_idle_sybils(), ring_with_idle_sybils()
         # warm the owner index and loads cache so the drop must invalidate
         dropped.slots_of_owner(0)
         dropped.owner_loads(3)
-        dropped.drop_keyless_slots(positions(dropped, (240, 75, 150)))
-        for slot in sorted(positions(sequential, (75, 150, 240)),
+        dropped.commit_round(positions(dropped, (240, 75, 150)), {})
+        for slot in sorted(positions(sequential_, (75, 150, 240)),
                            reverse=True):
-            assert sequential.remove_slot(slot) == 0
-        assert snapshot(dropped) == snapshot(sequential)
+            assert sequential_.remove_slot(slot) == 0
+        assert snapshot(dropped) == snapshot(sequential_)
         assert dropped.n_sybil_slots == 1
         assert dropped.slots_of_owner(0).tolist() == positions(dropped, (50,))
         assert dropped.main_slot_of(0) == positions(dropped, (50,))[0]
         assert dropped.owner_loads(3).tolist() == (
-            sequential.owner_loads(3).tolist()
+            sequential_.owner_loads(3).tolist()
         )
         dropped.verify_invariants()
 
     def test_empty_list_is_a_no_op(self):
         state = ring_with_idle_sybils()
         before = snapshot(state)
-        state.drop_keyless_slots([])
+        state.commit_round([], {})
         assert snapshot(state) == before
 
     @pytest.mark.parametrize(
@@ -85,7 +110,7 @@ class TestDropKeylessSlots:
         state = ring_with_idle_sybils()
         before = snapshot(state)
         with pytest.raises(RingError, match="keys"):
-            state.drop_keyless_slots(positions(state, idents))
+            state.commit_round(positions(state, idents), {10: 1})
         assert snapshot(state) == before
         state.verify_invariants()
 
@@ -98,24 +123,163 @@ class TestDropKeylessSlots:
             np.array([], dtype=np.uint64),
             rng,
         )
+        # even when the round's new Sybils would keep the ring non-empty
         with pytest.raises(RingError, match="last slot"):
-            state.drop_keyless_slots([0, 1])
+            state.commit_round([0, 1], {50: 0})
         assert state.n_slots == 2
-        state.drop_keyless_slots([1])
+        state.commit_round([1], {})
         assert state.ids.tolist() == [10]
         state.verify_invariants()
 
     @pytest.mark.parametrize("bad", [-1, 7])
     def test_out_of_range_position_raises(self, bad):
         state = ring_with_idle_sybils()
+        before = snapshot(state)
         with pytest.raises(RingError, match="out of range"):
-            state.drop_keyless_slots([bad])
+            state.commit_round([bad], {10: 1})
+        assert snapshot(state) == before
+
+
+def random_round(seed: int):
+    """A seeded ring with keyed and keyless Sybils, plus one round:
+    some keyless slots to drop and Sybils to insert — fresh ids, ids
+    inside dropped arcs, reused dropped ids, several per arc, and ids
+    in slot 0's wrapping arc."""
+    rng = np.random.default_rng(seed)
+    space = IdSpace(10)
+    n_main = int(rng.integers(1, 8))
+    main_ids = rng.choice(space.size, n_main, replace=False)
+    n_keys = int(rng.integers(0, 300))
+    keys = rng.integers(0, space.size, size=n_keys, dtype=np.uint64)
+    state = RingState.build(
+        space, main_ids, np.arange(n_main, dtype=np.int64), keys,
+        np.random.default_rng(seed + 1000),
+    )
+    for _ in range(int(rng.integers(0, 12))):
+        ident = int(rng.integers(0, space.size))
+        if not state.id_exists(ident):
+            state.insert_slot(ident, int(rng.integers(0, n_main)),
+                              is_main=False)
+    for slot in range(state.n_slots):
+        if rng.random() < 0.5:
+            state.consume_at(np.array([slot]), state.counts[[slot]].copy())
+    keyless = np.flatnonzero(state.counts == 0).tolist()
+    dead = [p for p in keyless if rng.random() < 0.6][: state.n_slots - 1]
+    ids = state.ids.tolist()
+    survivors = set(ids) - {ids[p] for p in dead}
+    sybils: dict[int, int] = {}
+    candidates = [int(x) for x in rng.integers(0, space.size, size=12)]
+    for p in dead:
+        # the dropped id itself, and an id inside its arc
+        candidates += [ids[p], (ids[p] - 1) % space.size]
+    # slot 0's wrapping arc, on both sides of zero
+    candidates += [space.size - 1, 0, (ids[-1] + 1) % space.size]
+    for ident in candidates:
+        if ident not in survivors and rng.random() < 0.7:
+            sybils[ident] = int(rng.integers(0, n_main + 3))
+    return state, dead, sybils, n_main + 3
+
+
+class TestCommitRound:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_equals_sequential_calls(self, seed):
+        one, dead, sybils, n_owners = random_round(seed)
+        ref, _, _, _ = random_round(seed)
+        order = list(sybils)
+        np.random.default_rng(seed).shuffle(order)
+        one.slots_of_owner(0)  # a warm index must be invalidated
+        one.commit_round(dead, sybils)
+        sequential(ref, dead, sybils, order)
+        assert_same_ring(one, ref, n_owners)
+
+    def test_reuses_an_id_retired_in_the_same_round(self):
+        one, ref = ring_with_idle_sybils(), ring_with_idle_sybils()
+        dead = positions(one, (75, 150))
+        sybils = {75: 2, 150: 1, 120: 0}
+        one.commit_round(dead, sybils)
+        sequential(ref, dead, sybils, [150, 120, 75])
+        assert_same_ring(one, ref, 3)
+        assert one.owner[positions(one, (75,))[0]] == 2
+
+    def test_sybils_inside_a_retired_arc(self):
+        # 240 is dropped: 210 and 230 fall in its (keyless) old arc, so
+        # they split the arc of 30, its live successor, which wraps
+        one, ref = ring_with_idle_sybils(), ring_with_idle_sybils()
+        dead = positions(one, (240,))
+        sybils = {210: 0, 230: 1, 250: 2, 5: 0}
+        one.commit_round(dead, sybils)
+        sequential(ref, dead, sybils, [5, 230, 210, 250])
+        assert_same_ring(one, ref, 3)
+        assert sum(one.counts.tolist()) == sum(ref.counts.tolist())
+
+    def test_several_sybils_in_one_arc(self):
+        one, ref = ring_with_idle_sybils(), ring_with_idle_sybils()
+        sybils = {160: 1, 180: 2, 190: 0, 199: 1}
+        one.commit_round([], sybils)
+        sequential(ref, [], sybils, [199, 160, 190, 180])
+        assert_same_ring(one, ref, 3)
+        assert one.counts[positions(one, tuple(sybils))].sum() > 0
+
+    def test_ring_left_with_one_slot_splits_the_full_circle(self):
+        def ring() -> RingState:
+            space = IdSpace(8)
+            # keys all round the circle, one at the survivor's own id
+            keys = np.array([0, 10, 99, 100, 101, 180, 255], dtype=np.uint64)
+            state = RingState.build(
+                space, np.array([100], dtype=np.uint64),
+                np.zeros(1, dtype=np.int64), keys, np.random.default_rng(3),
+            )
+            state.insert_slot(101, 1, is_main=False)  # takes key 101
+            state.insert_slot(102, 1, is_main=False)  # takes nothing
+            slot = positions(state, (101,))[0]
+            state.consume_at(np.array([slot]), state.counts[[slot]].copy())
+            return state
+
+        one, ref = ring(), ring()
+        dead = positions(one, (101, 102))
+        # the lone survivor (100) owns the full circle; one Sybil reuses
+        # a dropped id, one sits on each side of zero
+        sybils = {101: 1, 200: 1, 5: 0, 250: 0}
+        one.commit_round(dead, sybils)
+        sequential(ref, dead, sybils, [200, 5, 250, 101])
+        assert_same_ring(one, ref, 2)
+        assert one.remaining_keys(positions(one, (100,))[0]).tolist() == [
+            10, 99, 100,
+        ]
+        assert one.remaining_keys(positions(one, (5,))[0]).tolist() == [0, 255]
+
+    def test_only_inserts(self):
+        one, ref = ring_with_idle_sybils(), ring_with_idle_sybils()
+        sybils = {10: 0, 60: 1, 255: 2}
+        one.commit_round([], sybils)
+        sequential(ref, [], sybils, [255, 10, 60])
+        assert_same_ring(one, ref, 3)
+
+    @pytest.mark.parametrize(
+        "sybils,match",
+        [
+            ({256: 0}, "outside"),
+            ({100: 0}, "already on the ring"),
+            ({75: 0, 30: 1}, "already on the ring"),
+        ],
+        ids=["outside-space", "live-main", "live-sybil"],
+    )
+    def test_taken_or_invalid_id_raises_and_changes_nothing(
+        self, sybils, match
+    ):
+        state = ring_with_idle_sybils()
+        before = snapshot(state)
+        with pytest.raises(IdSpaceError, match=match):
+            # 75 is dropped in this round, so only 30 and 100 collide
+            state.commit_round(positions(state, (75,)), sybils)
+        assert snapshot(state) == before
+        state.verify_invariants()
 
 
 def test_round_overlay_never_drops_the_last_base_slot():
     """A round whose retirements would empty the round-start ring is not
     deferred, even when the round's new Sybils keep the merged ring
-    non-empty: the drop commits before the insertion and would fail."""
+    non-empty: the commit refuses to drop every slot."""
     state = RingState(
         IdSpace(8),
         np.array([10, 90], dtype=np.uint64),

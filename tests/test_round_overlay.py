@@ -1,8 +1,8 @@
 """Deferred strategy rounds against the per-call oracle.
 
 ``SimView`` defers a round's Sybil creations and retirements into an
-overlay that ``end_round`` commits in one keyless drop plus one batch
-insertion.  :class:`~tests.percall_view.PerCallSimView` applies every
+overlay that ``end_round`` commits in one ``RingState.commit_round``
+pass.  :class:`~tests.percall_view.PerCallSimView` applies every
 action to the ring immediately, as the simulator did before.  Both must
 produce the same results: the same whole-result fingerprint, the same
 final generator state, and the same trace event stream.
@@ -19,6 +19,7 @@ import repro.sim.engine as engine_module
 import repro.sim.view as view_module
 from repro.config import AdversaryModel, SimulationConfig
 from repro.core.registry import strategy_names
+from repro.errors import SimulationError
 from repro.obs.metrics import result_fingerprint
 from repro.obs.trace import TraceRecorder
 from repro.sim.engine import TickEngine
@@ -214,7 +215,7 @@ class TestCommitShape:
         """Every Sybil action of a default run is deferred: the ring's
         single-slot insert and retire are never called, retirements
         never open a batch removal, and each round makes at most one
-        keyless drop and opens at most one batch insertion."""
+        round commit and opens at most one batch insertion."""
         for strategy in ("random_injection", "neighbor_injection",
                          "smart_neighbor_injection", "invitation"):
             engine = TickEngine(SimulationConfig(
@@ -237,9 +238,9 @@ class TestCommitShape:
             rounds = []
             original = engine._run_strategy_round
 
-            def round_once():
+            def round_once(*args):
                 before = dict(calls)
-                original()
+                original(*args)
                 rounds.append({
                     k: calls.get(k, 0) - before.get(k, 0) for k in calls
                 })
@@ -247,7 +248,7 @@ class TestCommitShape:
             engine._run_strategy_round = round_once
             counted("begin_batch_removal")
             counted("begin_batch_insertion")
-            counted("drop_keyless_slots")
+            counted("commit_round")
             engine.run()
             assert calls.get("insert_slot", 0) == 0
             assert calls.get("retire_sybils", 0) == 0
@@ -255,7 +256,7 @@ class TestCommitShape:
             assert calls.get("begin_batch_removal", 0) == 0
             assert engine.counters["sybils_created"] > 0
             for per_round in rounds:
-                assert per_round.get("drop_keyless_slots", 0) <= 1
+                assert per_round.get("commit_round", 0) <= 1
                 assert per_round.get("begin_batch_insertion", 0) <= 1
 
     def test_idle_rounds_open_no_overlay(self, monkeypatch):
@@ -272,3 +273,88 @@ class TestCommitShape:
             seed=1,
         )).run()
         assert opened == []
+        # windowed reads answer from the ring while the overlay is closed
+        view = TickEngine(SimulationConfig(
+            strategy="smart_neighbor_injection", n_nodes=20, n_tasks=500,
+            seed=1,
+        )).view
+        view.begin_round()
+        for slot in range(20):
+            view.successor_window(slot, 4, counts=True)
+            view.predecessor_window(slot, 4)
+        assert opened == []
+
+
+class TestCensus:
+    """The round's Sybil census: Python lists taken on the first census
+    read, written back to the registry when the round commits."""
+
+    def engine(self, **overrides) -> TickEngine:
+        engine = TickEngine(SimulationConfig(
+            strategy="random_injection", n_nodes=40, n_tasks=2000, seed=11,
+            **overrides,
+        ))
+        for _ in range(26):  # into the balancing phase
+            engine.step()
+        return engine
+
+    def test_lazy_and_written_back_at_commit(self):
+        engine = self.engine()
+        view, owners = engine.view, engine.owners
+        view.begin_round()
+        assert view._census is None
+        owner = next(
+            o for o in owners.network_indices.tolist()
+            if view.can_add_sybil(o)
+        )
+        assert view._census is not None
+        before = int(owners.n_sybils[owner])
+        view.create_sybil_random(owner)
+        assert view.n_sybils(owner) == before + 1
+        assert int(owners.n_sybils[owner]) == before  # not yet committed
+        view.end_round()
+        assert view._census is None
+        assert int(owners.n_sybils[owner]) == before + 1
+        owners.validate()
+
+    def test_errors_match_the_registry(self):
+        engine = self.engine(max_sybils=1)
+        view, owners = engine.view, engine.owners
+        view.begin_round()
+        owner = int(owners.network_indices[0])
+        while view.can_add_sybil(owner):
+            view.create_sybil_random(owner)
+        with pytest.raises(SimulationError) as deferred:
+            view._register_sybil(owner)
+        with pytest.raises(SimulationError) as registry:
+            owners.register_sybil(owner)
+        assert str(deferred.value) == str(registry.value)
+        with pytest.raises(SimulationError) as deferred:
+            view._unregister_sybils(owner, 5)
+        with pytest.raises(SimulationError) as registry:
+            owners.unregister_sybils(owner, 5)
+        assert str(deferred.value) == str(registry.value)
+
+    def test_join_cost_reads_the_registry(self):
+        engine = self.engine(adversary=AdversaryModel(join_cost=2))
+        view = engine.view
+        view.begin_round()
+        for owner in engine.owners.network_indices.tolist():
+            view.n_sybils(owner)
+            view.can_add_sybil(owner)
+        assert view._census is None
+
+    def test_churn_rounds_take_no_census(self, monkeypatch):
+        taken = []
+        real = SimView._take_census
+
+        def spy(self):
+            taken.append(1)
+            return real(self)
+
+        monkeypatch.setattr(SimView, "_take_census", spy)
+        TickEngine(SimulationConfig(
+            strategy="churn", n_nodes=50, n_tasks=2000, churn_rate=0.01,
+            seed=1,
+        )).run()
+        assert taken == []

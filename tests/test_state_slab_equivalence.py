@@ -334,8 +334,9 @@ def test_fused_churn_tick_matches_two_pass(
     idents=st.sets(st.integers(0, SPACE8.size - 1), max_size=12),
 )
 def test_bulk_insertion_on_an_open_removal(seed, n_nodes, leavers, idents):
-    """``add_many`` on a batch begun on an open removal resolves arcs
-    against the ring the removal leaves, like the two-pass path."""
+    """Sybil insertions (several may share an arc) on a batch begun on
+    an open removal resolve arcs against the ring the removal leaves,
+    like the two-pass path: the same acquired counts and ring."""
     fused, two_pass = build_pair(seed, n_nodes, 300, SPACE8, RingState)
     leavers = [o % n_nodes for o in leavers]
     removal = fused.begin_batch_removal(leavers)
@@ -344,7 +345,10 @@ def test_bulk_insertion_on_an_open_removal(seed, n_nodes, leavers, idents):
     idents = [i for i in sorted(idents)
               if not removal.ids_exist(np.array([i], dtype=np.uint64))[0]]
     insertion = fused.begin_batch_insertion(removal)
-    insertion.add_many(idents, range(100, 100 + len(idents)), is_main=False)
+    acquired = [
+        insertion.add(ident, 100 + j, is_main=False)
+        for j, ident in enumerate(idents)
+    ]
     insertion.commit()
     removal.commit()
 
@@ -353,7 +357,10 @@ def test_bulk_insertion_on_an_open_removal(seed, n_nodes, leavers, idents):
         removal.remove_owner_guarded(owner)
     removal.commit()
     insertion = two_pass.begin_batch_insertion()
-    insertion.add_many(idents, range(100, 100 + len(idents)), is_main=False)
+    assert [
+        insertion.add(ident, 100 + j, is_main=False)
+        for j, ident in enumerate(idents)
+    ] == acquired
     insertion.commit()
     fused.verify_invariants()
     assert_equivalent(fused, two_pass)

@@ -47,14 +47,16 @@ class TestHelperSelection:
         loads = view.owner_loads()
         inviter = int(np.argmax(loads))
         target = view.heaviest_slot(inviter)
-        preds = view.predecessor_slots(target, engine.config.num_successors)
+        preds, pred_owners = view.predecessor_window(
+            target, engine.config.num_successors
+        )
+        assert pred_owners == [view.slot_owner(s) for s in preds]
         helper = strategy._pick_helper(
-            view, inviter, preds, engine.config.sybil_threshold, set()
+            view, inviter, pred_owners, engine.config.sybil_threshold, set()
         )
         if helper is not None:
             assert view.live_owner_load(helper) <= engine.config.sybil_threshold
             assert view.can_add_sybil(helper)
-            pred_owners = {view.slot_owner(s) for s in preds}
             assert helper in pred_owners
 
     def test_helper_skips_already_helped(self):
@@ -65,11 +67,13 @@ class TestHelperSelection:
         loads = view.owner_loads()
         inviter = int(np.argmax(loads))
         target = view.heaviest_slot(inviter)
-        preds = view.predecessor_slots(target, engine.config.num_successors)
-        first = strategy._pick_helper(view, inviter, preds, 0, set())
+        _, pred_owners = view.predecessor_window(
+            target, engine.config.num_successors
+        )
+        first = strategy._pick_helper(view, inviter, pred_owners, 0, set())
         if first is not None:
             second = strategy._pick_helper(
-                view, inviter, preds, 0, {first}
+                view, inviter, pred_owners, 0, {first}
             )
             assert second != first
 

@@ -5,6 +5,7 @@ import pytest
 
 from repro.config import SimulationConfig
 from repro.core.neighbor import NeighborInjection, SmartNeighborInjection
+from repro.core.strategy import NetworkView
 from repro.sim.engine import TickEngine, run_simulation
 from repro.sim.view import SimView
 
@@ -24,7 +25,7 @@ class TestTargetSelection:
         view = engine.view
         view.begin_round()
         owner = int(engine.owners.network_indices[0])
-        candidates = strategy._candidate_slots(view, owner)
+        candidates, _ = strategy._candidate_slots(view, owner)
         base = view.main_slot(owner)
         succ = set(view.successor_slots(base, engine.config.num_successors))
         for slot in candidates:
@@ -38,7 +39,7 @@ class TestTargetSelection:
         view.begin_round()
         owner = int(engine.owners.network_indices[0])
         target = strategy._pick_target(view, owner)
-        candidates = strategy._candidate_slots(view, owner)
+        candidates, _ = strategy._candidate_slots(view, owner)
         gaps = [view.slot_gap(s) for s in candidates]
         assert view.slot_gap(target) == max(gaps)
 
@@ -50,15 +51,19 @@ class TestTargetSelection:
         owner = int(engine.owners.network_indices[0])
         before = view.stats.messages
         target = strategy._pick_target(view, owner)
-        candidates = strategy._candidate_slots(view, owner)
+        candidates, _ = strategy._candidate_slots(view, owner)
         counts = [view.slot_count(s) for s in candidates]
         assert view.slot_count(target) == max(counts)
         assert view.stats.messages - before == len(counts)
 
 
 class _PickView:
-    """Only the reads NeighborInjection's target pick makes: slots are
-    their own labels, none belongs to the deciding owner."""
+    """Only the reads NeighborInjection's target pick makes — one
+    successor window, built by the NetworkView default from the per-slot
+    reads below: slots are their own labels, none belongs to the
+    deciding owner."""
+
+    successor_window = NetworkView.successor_window
 
     def __init__(self, succ, *, gaps=None, counts=None):
         self.config = SimulationConfig(num_successors=len(succ))
@@ -77,10 +82,10 @@ class _PickView:
         return 1000 + slot
 
     def slot_gap(self, slot):
-        return self._gaps[slot]
+        return self._gaps.get(slot, 0)
 
     def slot_count(self, slot):
-        return self._counts[slot]
+        return self._counts.get(slot, 0)
 
     def count_messages(self, n=1):
         self.messages += n
