@@ -104,13 +104,12 @@ class NeighborInjection(Strategy):
             best = max(weights)
             if best <= 0:
                 return None
-        else:
-            # estimate: biggest range <=> most potential tasks; no
-            # messages.  Gaps compare as float64: two arcs closer than
-            # float resolution tie, and the first one wins.
-            weights = list(map(float, weights))
-            best = max(weights)
-        return candidates[weights.index(best)]
+            return candidates[weights.index(best)]
+        # estimate: biggest range <=> most potential tasks; no messages.
+        # Gaps compare as float64: two arcs closer than float resolution
+        # tie, and the first one wins (max keeps the first float-maximal
+        # gap, and index finds that same one).
+        return candidates[weights.index(max(weights, key=float))]
 
 
 class SmartNeighborInjection(NeighborInjection):

@@ -21,6 +21,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.errors import IdSpaceError
+from repro.util.rng import bounded_int, uniform_word_id
 
 __all__ = ["IdSpace", "SPACE_160", "SPACE_64", "SPACE_32"]
 
@@ -144,16 +145,14 @@ class IdSpace:
         assembled from 64-bit words.
         """
         if self.bits <= 63:
-            return int(rng.integers(0, self.size))
+            return bounded_int(rng, self.size)
         if self.bits == 64:
-            # 2**64 exceeds the default int64 bound; draw as uint64
-            return int(rng.integers(0, 1 << 64, dtype=np.uint64))
+            # 2**64 exceeds the default int64 bound: one uint64 word
+            return uniform_word_id(rng, 64)
         words = (self.bits + 63) // 64
         value = 0
         for _ in range(words):
-            value = (value << 64) | int(
-                rng.integers(0, 1 << 64, dtype=np.uint64)
-            )
+            value = (value << 64) | uniform_word_id(rng, 64)
         return value & self.max_id
 
     def random_in_interval(
@@ -173,7 +172,7 @@ class IdSpace:
             )
         # offsets 1 .. span-1 keep the draw strictly inside the arc
         if span - 1 <= (1 << 63):
-            offset = 1 + int(rng.integers(0, span - 1))
+            offset = 1 + bounded_int(rng, span - 1)
         else:  # very wide arcs in >64-bit spaces
             offset = 1 + self.random_id(rng) % (span - 1)
         return self.add(start, offset)

@@ -86,7 +86,11 @@ class RngDiscipline(Rule):
       ``np.random.Generator(...)`` and friends (ad-hoc generator
       construction bypasses the SeedSequence spawn tree);
     * legacy ``np.random.<sampler>()`` calls that draw from numpy's
-      hidden global generator.
+      hidden global generator;
+    * any ``.random_raw`` (raw bit-generator words): replaying NumPy's
+      samplers over raw words is exact only as
+      :func:`repro.util.rng.bounded_int` / ``uniform_word_id`` do it, so
+      a second replay elsewhere could drift from NumPy unnoticed.
 
     RNG must arrive as a ``numpy.random.Generator`` *parameter*, built
     by :func:`repro.util.rng.make_rng` or spawned by the trial runner.
@@ -122,6 +126,15 @@ class RngDiscipline(Rule):
                         "`from random import ...` — stdlib global RNG "
                         "is not seed-reproducible here; use the "
                         "Generator parameter",
+                    )
+            elif isinstance(node, ast.Attribute):
+                if node.attr == "random_raw":
+                    yield self.finding(
+                        ctx,
+                        node,
+                        "`.random_raw` outside util/rng.py — draw through "
+                        "repro.util.rng.bounded_int / uniform_word_id, "
+                        "the one exact replay of NumPy's samplers",
                     )
             elif isinstance(node, ast.Call):
                 chain = _attr_chain(node.func)

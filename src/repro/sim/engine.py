@@ -211,22 +211,33 @@ class TickEngine:
         return consumed
 
     def _measure(self, consumed: int) -> None:
-        cfg = self.config
-        want_snapshot = self.tick in cfg.snapshot_ticks
-        if want_snapshot or self.timeseries is not None:
+        loads = None
+        if self.tick in self.config.snapshot_ticks:
             # One owner_loads pass serves both measurements.
             loads = self.network_loads()
-        if want_snapshot:
             self._snapshot_loads[self.tick] = loads.copy()
-        if self.timeseries is not None:
-            self.timeseries.append(
-                tick=self.tick,
-                consumed=consumed,
-                remaining=self.remaining,
-                n_slots=self.state.n_slots,
-                n_in_network=self.owners.n_in_network,
-                idle_owners=int((loads == 0).sum()),
-            )
+        if self.timeseries is None:
+            return
+        state = self.state
+        n_slots = state.n_slots
+        n_in_network = self.owners.n_in_network
+        if loads is None and not state.n_sybil_slots and (
+            n_slots == n_in_network
+        ):
+            # one slot per in-network owner: idle owners are empty slots
+            idle = n_slots - int(np.count_nonzero(state.counts))
+        else:
+            if loads is None:
+                loads = self.network_loads()
+            idle = int((loads == 0).sum())
+        self.timeseries.append(
+            tick=self.tick,
+            consumed=consumed,
+            remaining=self.remaining,
+            n_slots=n_slots,
+            n_in_network=n_in_network,
+            idle_owners=idle,
+        )
 
     def run(self) -> SimulationResult:
         """Run to completion (or the ``max_ticks`` cap) and package results.
@@ -427,7 +438,7 @@ class TickEngine:
             consumed = consume_fast(counts, state.owner, rates)
         else:
             consumed = self._consume_multi_slot()
-        state.mark_loads_dirty()
+        state.note_consumed(consumed)
         return consumed
 
     def _consume_multi_slot(self) -> int:

@@ -11,8 +11,10 @@ Consumption semantics (the contract the kernels meet bit-for-bit)
 -----------------------------------------------------------------
 
 Given per-slot remaining ``counts``, per-owner ``rates``, and a CSR
-grouping of the live slots by owner (see
-:meth:`repro.sim.state.RingState.consumption_groups`):
+grouping of the slots by owner (see
+:meth:`repro.sim.state.RingState.consumption_groups`, which leaves out
+slots without keys: an empty slot is never the heaviest and takes no
+residual, so grouping it changes nothing):
 
 1. an owner wants ``min(rate, sum of its slots' counts)`` tasks;
 2. the *heaviest* slot (max count; ties broken by lowest ring position)

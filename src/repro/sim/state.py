@@ -94,14 +94,21 @@ _EMPTY_KEYS = np.empty(0, dtype=_U64)
 
 _MIN_CAP = 8
 
-#: a batch edits the keys list in place — one pointer ``memmove`` per
-#: event — on a ring of at most this many slots, or with at most this
-#: many events; a large batch on a large ring splices a new list once
-#: (about 1 us per event plus a touch of every slot's key array).  On a
-#: shared 2-vCPU Xeon in-place won at every batch size up to 2k slots,
-#: and up to ~128 events on 10k slots
-_EDIT_IN_PLACE_SLOTS = 2048
+#: a batch of at most this many events edits the keys list in place —
+#: one pointer ``memmove`` per event.  A larger one builds a new list:
+#: by the slab's own gather when the ring has at most
+#: ``_GATHER_SLOTS_PER_EVENT`` slots per event (about 40 us per 1k
+#: slots), else by one splice (about 0.3 us per event plus a slice copy
+#: of the ring).  On a shared 2-vCPU Xeon, a strategy round's ~1.3k
+#: events on 2k slots took 325 us in place, 400 us spliced and 95 us
+#: gathered; 400 events on 10k slots 790 / 200 / 520 us
 _EDIT_IN_PLACE_EVENTS = 128
+_GATHER_SLOTS_PER_EVENT = 16
+
+#: a restructure places more pending slots than this (a strategy round's
+#: hundreds of Sybils) with one vectorized searchsorted; fewer (a churn
+#: tick's joins) with a bisect each, which is cheaper below ~32
+_VECTOR_FINAL = 32
 
 
 def _pow2_at_least(n: int) -> int:
@@ -219,12 +226,14 @@ class _Pending(NamedTuple):
 
 
 class ConsumptionGroups(NamedTuple):
-    """CSR grouping of live slots by owner, for the consumption kernels.
+    """CSR grouping by owner of the slots that held keys when the
+    structural epoch began, for the consumption kernels.
 
     Group ``g`` owns slot indices ``order[starts[g] : starts[g] +
     sizes[g]]`` (ascending ring position) and belongs to physical owner
-    ``owners[g]``; owners appear in ascending index order.  Arrays are
-    cached by :meth:`RingState.consumption_groups` — treat as read-only.
+    ``owners[g]``; owners appear in ascending index order, and an owner
+    with no such slot has no group.  Arrays are cached by
+    :meth:`RingState.consumption_groups` — treat as read-only.
     """
 
     order: np.ndarray
@@ -426,6 +435,8 @@ class RingState:
         self._loads_cache: np.ndarray | None = None
         self._loads_dirty = True
         self._groups_cache: ConsumptionGroups | None = None
+        # total of counts; None until read after a mutation
+        self._remaining: int | None = None
         self._refresh_views()
 
         self._check_shapes()
@@ -533,6 +544,7 @@ class RingState:
         self._prov_row[pos] = prov
         self._n = n + 1
         self._groups_cache = None
+        self._remaining = None
         self._refresh_views()
 
     def _shift_remove(self, pos: int) -> None:
@@ -541,6 +553,7 @@ class RingState:
         self._narrow[:, pos : n - 1] = self._narrow[:, pos + 1 : n]
         self._n = n - 1
         self._groups_cache = None
+        self._remaining = None
         self._refresh_views()
 
     def _restructure(
@@ -555,12 +568,14 @@ class RingState:
         structure change — a churn tick, a strategy round — ends here.
 
         Every survivor moves with one gather per buffer.  The keys list
-        is edited in place unless both the ring and the batch are large,
-        when one splice builds a new list (see ``_EDIT_IN_PLACE_SLOTS``).
+        is edited in place unless the batch is large, when a gather or a
+        splice builds a new list (see ``_EDIT_IN_PLACE_EVENTS``).
         """
         n = self._n
         m = 0 if pending is None else pending.ids.size
         events = len(dead) + m
+        # a batch's crash-stop losses changed counts before it got here
+        self._remaining = None
         if not events:
             return
         new_n = n - len(dead) + m
@@ -569,8 +584,20 @@ class RingState:
         # insertion point of each pending slot among the pre-drop slots,
         # and its final position: past the surviving slots before it and
         # the earlier pending slots
-        at = self._ids_view.searchsorted(pending.ids).tolist() if m else []
-        final = [p - bisect.bisect_left(dead, p) + j for j, p in enumerate(at)]
+        at: list[int] = []
+        final: list[int] = []
+        if m:
+            pos = self._ids_view.searchsorted(pending.ids)
+            at = pos.tolist()
+            if m > _VECTOR_FINAL:
+                if dead:
+                    pos -= np.searchsorted(dead, pos)
+                final = (pos + np.arange(m)).tolist()
+            else:
+                final = [
+                    p - bisect.bisect_left(dead, p) + j
+                    for j, p in enumerate(at)
+                ]
         alive = np.ones(n, dtype=bool)
         alive[dead] = False
         gather = alive.nonzero()[0]
@@ -592,12 +619,16 @@ class RingState:
         for buf in (self._wide, self._narrow):
             buf[:, :new_n] = buf.take(gather, axis=1)
         new_keys = [] if pending is None else pending.keys
-        if n <= _EDIT_IN_PLACE_SLOTS or events <= _EDIT_IN_PLACE_EVENTS:
+        if events <= _EDIT_IN_PLACE_EVENTS:
             keys = self.keys
             for d in reversed(dead):
                 del keys[d]
             for f, k in zip(final, new_keys):
                 keys.insert(f, k)
+        elif n <= _GATHER_SLOTS_PER_EVENT * events:
+            # the slab's own gather, over [survivors | staged pending]
+            staged = self.keys + new_keys
+            self.keys = [staged[i] for i in gather.tolist()]
         else:
             self.keys = _spliced(self.keys, dead, at, new_keys)
 
@@ -616,11 +647,20 @@ class RingState:
     def mark_loads_dirty(self) -> None:
         """Invalidate the cached owner-loads vector.
 
-        Callers that mutate ``counts`` directly (the engine's vectorized
-        consumption) must call this; all RingState mutators do it
-        automatically.
+        Callers that mutate ``counts`` directly must call this (or,
+        when they know exactly how much they took, :meth:`note_consumed`);
+        all RingState mutators do it automatically.  It also drops the cached remaining total.
         """
         self._loads_dirty = True
+        self._remaining = None
+
+    def note_consumed(self, consumed: int) -> None:
+        """Record that ``consumed`` tasks were taken from ``counts`` in
+        place (the engine's consumption kernels): the loads cache goes
+        dirty and the cached remaining total drops by ``consumed``."""
+        self._loads_dirty = True
+        if self._remaining is not None:
+            self._remaining -= consumed
 
     # ------------------------------------------------------------------
     # construction
@@ -671,8 +711,13 @@ class RingState:
         return self._n
 
     def total_remaining(self) -> int:
-        """Unfinished tasks across the whole ring."""
-        return int(self.counts.sum())
+        """Unfinished tasks across the whole ring (cached: one sum per
+        mutation, kept exact across consumption by
+        :meth:`note_consumed`)."""
+        remaining = self._remaining
+        if remaining is None:
+            remaining = self._remaining = int(self._counts_view.sum())
+        return remaining
 
     def remaining_keys(self, slot: int) -> np.ndarray:
         """View of the slot's remaining task keys (do not mutate)."""
@@ -754,20 +799,30 @@ class RingState:
         return loads
 
     def consumption_groups(self) -> ConsumptionGroups:
-        """Owner-grouped CSR layout of the live slots (cached).
+        """Owner-grouped CSR layout of the *active* slots (cached).
 
         One stable argsort per *structural* epoch replaces the per-tick
         ``lexsort`` the consumption phase historically paid: the grouping
         only changes when slots are inserted or removed, not when counts
-        are consumed, so between churn events every tick reuses it.  The
-        arrays are shared — callers must not mutate them.
+        are consumed, so between churn events every tick reuses it.
+
+        Only slots holding keys when the epoch starts are grouped.
+        Within an epoch counts only fall, and a zero-count slot is never
+        an owner's heaviest slot nor takes any residual, so the kernels
+        consume exactly what they would over every live slot.  The one
+        mutation that raises counts without a structural change,
+        :meth:`add_tasks`, drops the cache.  The arrays are shared —
+        callers must not mutate them.
         """
         cached = self._groups_cache
         if cached is not None:
             return cached
-        owner = self._owner_view
-        gorder = np.argsort(owner, kind="stable").astype(_I64)
-        owners_sorted = owner[gorder]
+        active = np.flatnonzero(self._counts_view)
+        owner = self._owner_view[active]
+        # stable: a group keeps ascending ring position
+        by_owner = np.argsort(owner, kind="stable")
+        gorder = active[by_owner].astype(_I64)
+        owners_sorted = owner[by_owner]
         first = np.ones(gorder.size, dtype=bool)
         if gorder.size:
             first[1:] = owners_sorted[1:] != owners_sorted[:-1]
@@ -827,11 +882,15 @@ class RingState:
             self.keys[slot] = merged
             counts[slot] = merged.size
         self._loads_dirty = True
+        self._remaining = None
+        # a drained slot may hold keys again: regroup
+        self._groups_cache = None
 
     def consume_at(self, slots: np.ndarray, amounts: np.ndarray) -> None:
         """Consume ``amounts[i]`` tasks from ``slots[i]`` (vectorized)."""
         self.counts[slots] -= amounts
-        self._loads_dirty = True
+        # a repeated slot takes one amount only: re-sum, don't subtract
+        self.mark_loads_dirty()
         if (self.counts[slots] < 0).any():
             raise RingError("consumed more tasks than a slot holds")
 

@@ -64,6 +64,7 @@ from repro.sim.arcops import count_in_arc, in_arc_mask
 from repro.sim.owners import OwnerRegistry
 from repro.sim.state import RingState, median_in_arc
 from repro.sim.workload import draw_new_node_id
+from repro.util.rng import bounded_int
 
 __all__ = ["SimView"]
 
@@ -622,8 +623,8 @@ class SimView(NetworkView):
         for _ in range(8):
             if span - 1 <= 1 << 63:
                 # IdSpace.random_in_interval's own draw, inlined: the same
-                # call with the same arguments, so the same stream
-                ident = (start + 1 + int(rng.integers(0, span - 1))) % size
+                # helper with the same bound, so the same stream
+                ident = (start + 1 + bounded_int(rng, span - 1)) % size
             else:
                 ident = space.random_in_interval(rng, start, end)
             if ident != end and not id_exists(ident):

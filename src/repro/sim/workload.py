@@ -14,6 +14,7 @@ import numpy as np
 from repro.errors import ConfigError, IdSpaceError
 from repro.hashspace.hashing import uniform_ids_array
 from repro.hashspace.idspace import IdSpace
+from repro.util.rng import uniform_word_id
 
 __all__ = [
     "draw_unique_ids",
@@ -63,17 +64,17 @@ def draw_new_node_id(
     ``exists`` is a predicate (e.g. ``RingState.id_exists``).  A joining
     node or Sybil must not collide with a live identity.
 
-    Each candidate is one scalar ``rng.integers`` draw: the same
-    generator call :func:`uniform_ids_array` makes for one id, so the
-    stream is identical, without the per-draw array allocation.
+    Each candidate is one :func:`~repro.util.rng.uniform_word_id` draw:
+    the value :func:`uniform_ids_array` draws for one id, from the same
+    stream, without the per-draw array allocation.
     """
     if space.bits > 64:
         raise IdSpaceError(
             f"draw_new_node_id supports at most 64-bit spaces, got {space.bits}"
         )
-    high = space.size
+    bits = space.bits
     for _ in range(_MAX_ID_ATTEMPTS):
-        candidate = int(rng.integers(0, high, dtype=np.uint64))
+        candidate = uniform_word_id(rng, bits)
         if not exists(candidate):
             return candidate
     raise ConfigError(

@@ -64,6 +64,28 @@ class TestR001RngDiscipline:
         assert rule_ids(findings) == {"R001"}
         assert len(findings) == 3
 
+    def test_fires_on_raw_words_outside_the_rng_module(self, tmp_path):
+        write_tree(
+            tmp_path,
+            {
+                "repro/sim/bad.py": (
+                    "def draw(rng, n):\n"
+                    "    raw = rng.bit_generator.random_raw\n"
+                    "    return (raw() * n) >> 64\n"
+                    "def word(rng):\n"
+                    "    return rng.bit_generator.random_raw()\n"
+                ),
+                "repro/util/rng.py": (
+                    "def word(rng):\n"
+                    "    return rng.bit_generator.random_raw()\n"
+                ),
+            },
+        )
+        findings = run_rules(tmp_path, "R001")
+        assert [(f.path.endswith("sim/bad.py"), f.line) for f in findings] == [
+            (True, 2), (True, 5),
+        ]
+
     def test_clean_generator_parameter_and_rng_module(self, tmp_path):
         write_tree(
             tmp_path,

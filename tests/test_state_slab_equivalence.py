@@ -416,10 +416,12 @@ def test_removal_is_sealed_once_an_insertion_begins():
 )
 @example(seed=4, n_nodes=40, dead_frac=0.5, n_new=30)
 @example(seed=5, n_nodes=2200, dead_frac=0.1, n_new=60)
+@example(seed=6, n_nodes=4000, dead_frac=0.03, n_new=40)
 def test_restructure_matches_per_slot_edits(seed, n_nodes, dead_frac, n_new):
     """Dropping and splicing in one gather — with the keys list edited in
-    place, or, for a batch large against the ring, spliced anew — equals
-    deleting and inserting slot by slot."""
+    place, or, for a large batch, gathered like the slab (the second
+    example) or spliced anew (the third) — equals deleting and inserting
+    slot by slot."""
     rng = np.random.default_rng(seed)
     ids = np.sort(rng.choice(2**20, size=n_nodes, replace=False)).astype(
         np.uint64
