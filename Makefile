@@ -8,7 +8,13 @@ BENCH_CURRENT  := benchmarks/.bench_current.json
 BENCH_TICK_BASELINE := benchmarks/BENCH_tick_engine.json
 BENCH_TICK_CURRENT  := benchmarks/.bench_tick_current.json
 
-.PHONY: test lint typecheck bench bench-baseline bench-check \
+# the paper's table/figure/claim benchmarks: 20 shape assertions
+PAPER_BENCHES := benchmarks/bench_table1.py benchmarks/bench_table2.py \
+	benchmarks/bench_fig*.py benchmarks/bench_text_claims.py \
+	benchmarks/bench_ablations.py benchmarks/bench_extensions.py \
+	benchmarks/bench_protocol.py
+
+.PHONY: test lint typecheck paper-check bench bench-baseline bench-check \
 	bench-tick bench-tick-baseline bench-tick-check \
 	sweep-resume-check fabric-smoke obs-smoke net-smoke adv-smoke \
 	sanitize-smoke check figures
@@ -26,6 +32,12 @@ lint:
 # CI installs the pinned version from the `dev` extra)
 typecheck:
 	$(PYTHON) scripts/typecheck.py
+
+# regenerate every paper table, figure and text claim at quick scale
+# and fail if any reproduced shape (e.g. Table II factors falling with
+# churn) no longer holds; timing is off, only the assertions gate
+paper-check:
+	$(PYTHON) -m pytest $(PAPER_BENCHES) -q --benchmark-disable
 
 bench:
 	$(PYTHON) -m pytest benchmarks/bench_core_ops.py -k "not tick_engine" \
@@ -96,10 +108,10 @@ sanitize-smoke:
 	REPRO_SANITIZE=1 $(PYTHON) scripts/adv_smoke.py
 	REPRO_SANITIZE=1 $(PYTHON) scripts/net_smoke.py
 
-# the full tier-1 gate: static analysis, unit/property tests, perf
-# regression, resume, trial fabric, observability, live serving,
-# adversary plane, sanitized smokes
-check: lint typecheck test bench-check bench-tick-check \
+# the full tier-1 gate: static analysis, unit/property tests, paper
+# claims, perf regression, resume, trial fabric, observability, live
+# serving, adversary plane, sanitized smokes
+check: lint typecheck test paper-check bench-check bench-tick-check \
 	sweep-resume-check fabric-smoke obs-smoke net-smoke adv-smoke \
 	sanitize-smoke
 

@@ -33,11 +33,9 @@ Subcommands
     cache — re-running the same command recomputes only missing trials.
 ``repro cache [--clear]``
     Show (or empty) the content-addressed trial cache.
-``repro lint [paths] [--format text|json|sarif] [--select R00x,...]``
+``repro lint [paths] [--json] [--select R00x,...]``
     Run the reprolint determinism/correctness rules (R001-R009, see
     docs/static-analysis.md); exits non-zero on any error finding.
-    Unchanged trees replay from the content-hash cache (``--no-cache``
-    or ``REPRO_LINT_CACHE=0`` bypasses it).
 ``repro serve [--port P] [--join HOST:PORT] [--ring N] [--strategy S] ...``
     Run one live asyncio DHT node on real TCP sockets (or, with
     ``--ring N``, a local multi-process ring whose every node gets all
@@ -495,13 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint_p.add_argument(
         "--json", action="store_true",
-        help="emit the deterministic JSON report (alias for --format json)",
-    )
-    lint_p.add_argument(
-        "--format", dest="format", default=None,
-        choices=["text", "json", "sarif"],
-        help="report format: human text (default), the byte-stable JSON "
-        "artifact, or SARIF 2.1.0 for code scanning",
+        help="emit the byte-stable JSON report instead of text",
     )
     lint_p.add_argument(
         "--select", default=None,
@@ -510,10 +502,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint_p.add_argument(
         "--list-rules", action="store_true",
         help="print the rule catalogue and exit",
-    )
-    lint_p.add_argument(
-        "--no-cache", action="store_true",
-        help="bypass the content-hash lint cache for this run",
     )
 
     serve_p = sub.add_parser(
@@ -1090,13 +1078,7 @@ def _cmd_theory(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.lint import (
-        all_rules,
-        lint_paths,
-        render_human,
-        render_json,
-        render_sarif,
-    )
+    from repro.lint import all_rules, lint_paths, render_human, render_json
 
     if args.list_rules:
         for rule in all_rules():
@@ -1110,12 +1092,9 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         else:
             paths = [Path(__file__).resolve().parent]
     select = args.select.split(",") if args.select else None
-    fmt = args.format or ("json" if args.json else "text")
-    report = lint_paths(paths, select=select, cache=not args.no_cache)
-    if fmt == "json":
+    report = lint_paths(paths, select=select)
+    if args.json:
         print(render_json(report), end="")
-    elif fmt == "sarif":
-        print(render_sarif(report), end="")
     else:
         print(render_human(report))
     return report.exit_code

@@ -36,10 +36,8 @@ Suppressions: trailing ``# reprolint: disable=R001[,R002...]`` on the
 offending line, or a whole-file ``# reprolint: disable-file=R002`` comment
 (see :mod:`repro.lint.suppress`).
 
-Reports render as human text, ``--json`` (``repro.lint_report.v1``,
-byte-stable), or ``--format sarif`` (SARIF 2.1.0 for code scanning);
-unchanged trees replay from the content-hash cache
-(:mod:`repro.lint.cache`, disable with ``REPRO_LINT_CACHE=0``).
+Reports render as human text or, with ``--json``, as the byte-stable
+``repro.lint_report.v1`` document.
 """
 
 from __future__ import annotations
@@ -48,7 +46,6 @@ from repro.lint.base import FileContext, ProjectRule, Rule, all_rules
 from repro.lint.engine import LintReport, lint_paths, render_human, render_json
 from repro.lint.findings import Finding, Severity
 from repro.lint.projectmodel import ProjectModel, build_project_model
-from repro.lint.sarif import render_sarif
 
 # Importing the rule modules registers every rule with the registry.
 from repro.lint import rules_rng as _rules_rng  # noqa: F401
@@ -71,5 +68,4 @@ __all__ = [
     "lint_paths",
     "render_human",
     "render_json",
-    "render_sarif",
 ]

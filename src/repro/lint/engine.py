@@ -45,10 +45,6 @@ class LintReport:
     n_files: int
     n_suppressed: int
     rules_run: list[str] = field(default_factory=list)
-    #: True when the report was served from the content-hash cache.
-    #: Not part of any rendered format — cached and uncached renders of
-    #: the same tree must stay byte-identical.
-    from_cache: bool = False
 
     @property
     def errors(self) -> list[Finding]:
@@ -97,41 +93,22 @@ def lint_paths(
     *,
     select: Union[Iterable[str], None] = None,
     root: Union[str, Path, None] = None,
-    cache: bool = True,
 ) -> LintReport:
     """Lint every python file under ``paths`` with the selected rules.
 
     ``root`` anchors the relative paths in findings (defaults to the
     current working directory); suppression comments are honored before
-    findings reach the report.  With ``cache=True`` (the default) the
-    run consults the content-hash cache (:mod:`repro.lint.cache`): an
-    unchanged tree with an unchanged rule set replays the stored report
-    without parsing or running any rule.
+    findings reach the report.
     """
-    from repro.lint import cache as lint_cache
-
     rules = resolve_rules(select)
     root_path = Path(root).resolve() if root is not None else Path.cwd()
     files = _collect_files(paths)
 
-    sources: list[tuple[str, str]] = []
-    for file in files:
-        sources.append(
-            (_relative_label(file, root_path), file.read_text(encoding="utf-8"))
-        )
-
-    cache_key: Union[str, None] = None
-    if cache and lint_cache.cache_enabled():
-        cache_key = lint_cache.tree_key(
-            [r.rule_id for r in rules], sources
-        )
-        cached = lint_cache.load(cache_key)
-        if cached is not None:
-            return cached
-
     ctxs: list[FileContext] = []
     findings: list[Finding] = []
-    for label, source in sources:
+    for file in files:
+        label = _relative_label(file, root_path)
+        source = file.read_text(encoding="utf-8")
         try:
             tree = ast.parse(source, filename=label)
         except SyntaxError as exc:
@@ -176,15 +153,12 @@ def lint_paths(
         findings.append(finding)
 
     findings.sort(key=Finding.sort_key)
-    report = LintReport(
+    return LintReport(
         findings=findings,
         n_files=len(files),
         n_suppressed=n_suppressed,
         rules_run=[r.rule_id for r in rules],
     )
-    if cache_key is not None:
-        lint_cache.store(cache_key, report)
-    return report
 
 
 def render_human(report: LintReport) -> str:

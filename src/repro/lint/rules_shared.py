@@ -5,24 +5,16 @@ results, and both keep that promise the same way: concurrent workers
 only ever write *disjoint* data (per-trial result slots keyed by
 index).  Any other shared mutable write from concurrently-executing
 code is a race that a green test run cannot rule out.  R008 pins the
-discipline statically, using the project model's call graph:
+discipline statically, using the project model's call graph.
 
-* **Part A — module-level mutable state.**  A module-level ``dict`` /
-  ``list`` / ``set`` (or ``defaultdict``/``Counter``/``deque``/... )
-  mutated by a function *reachable from a concurrent entry point* — a
-  function handed to ``pool.map``/``submit``, ``loop.create_task``,
-  ``run_in_executor``, ``Thread(target=...)``, an asyncio server
-  callback — is flagged at the mutation site.  Fork-inherited
-  per-process caches (a worker-side attachment cache, say) are
-  legitimate, but each such write carries a justified inline
-  suppression so the exemption is visible in the diff.
-* **Part B — shared-memory slab writes.**  A NumPy view over a
-  ``multiprocessing.shared_memory`` buffer (``np.frombuffer(shm.buf)``
-  or the worker-side ``_attach`` helper) written through a subscript
-  outside the blessed writer (``_ShmMirror.write``, called strictly
-  *between* parallel phases) bypasses the partition's disjointness
-  contract.  No module in the tree uses shared memory today; the rule
-  keeps any future one honest.
+A module-level ``dict`` / ``list`` / ``set`` (or
+``defaultdict``/``Counter``/``deque``/... ) mutated by a function
+*reachable from a concurrent entry point* — a function handed to
+``pool.map``/``submit``, ``loop.create_task``, ``run_in_executor``,
+``Thread(target=...)``, an asyncio server callback — is flagged at the
+mutation site.  Fork-inherited per-process caches (a worker-side
+attachment cache, say) are legitimate, but each such write carries a
+justified inline suppression so the exemption is visible in the diff.
 """
 
 from __future__ import annotations
@@ -75,11 +67,6 @@ _MUTATOR_METHODS = frozenset(
     }
 )
 
-#: Qualname suffixes sanctioned to write shared-memory views: the
-#: engine-side mirror writer runs between parallel phases, never inside
-#: one.
-_BLESSED_SHM_WRITERS = ("._ShmMirror.write",)
-
 
 def _is_mutable_literal(node: ast.AST) -> bool:
     if isinstance(
@@ -113,51 +100,13 @@ def _module_level_mutables(tree: ast.Module) -> dict[str, int]:
     return out
 
 
-def _uses_shared_memory(ctx_tree: ast.Module) -> bool:
-    for node in ast.walk(ctx_tree):
-        if isinstance(node, ast.Import):
-            if any(
-                a.name.startswith("multiprocessing") for a in node.names
-            ):
-                return True
-        elif isinstance(node, ast.ImportFrom):
-            mod = node.module or ""
-            if mod.startswith("multiprocessing") or any(
-                a.name == "shared_memory" for a in node.names
-            ):
-                return True
-    return False
-
-
-def _is_shm_view_source(node: ast.AST) -> bool:
-    """Whether an assignment RHS produces a view over a shared-memory
-    buffer: ``np.frombuffer(<anything>.buf, ...)``, or a call to a
-    worker-side attach helper (a function named ``_attach``/``attach``),
-    optionally sliced (``_attach(...)[:n]``)."""
-    if isinstance(node, ast.Subscript):
-        return _is_shm_view_source(node.value)
-    if not isinstance(node, ast.Call):
-        return False
-    chain = attr_chain(node.func)
-    if chain and chain[-1] == "frombuffer":
-        for arg in list(node.args) + [kw.value for kw in node.keywords]:
-            for sub in ast.walk(arg):
-                if isinstance(sub, ast.Attribute) and sub.attr == "buf":
-                    return True
-        return False
-    return bool(chain) and chain[-1] in ("_attach", "attach")
-
-
 @register
 class SharedStateHazard(ProjectRule):
     """R008: no shared mutable writes from concurrently-running code."""
 
     rule_id = "R008"
     name = "shared-state-hazard"
-    summary = (
-        "no module-level mutable or out-of-partition shared-memory "
-        "writes from concurrent workers"
-    )
+    summary = "no module-level mutable writes from concurrent workers"
 
     SCOPE_DIRS = ("sim", "net", "fabric")
 
@@ -178,12 +127,7 @@ class SharedStateHazard(ProjectRule):
                 yield from self._check_module_mutables(
                     project, info, via[0] if via else qualname
                 )
-            if _uses_shared_memory(info.ctx.tree):
-                yield from self._check_shm_writes(info)
 
-    # ------------------------------------------------------------------
-    # Part A: module-level mutable state
-    # ------------------------------------------------------------------
     def _check_module_mutables(
         self, project: ProjectModel, info: FunctionInfo, entry: str
     ) -> Iterator[Finding]:
@@ -260,53 +204,4 @@ class SharedStateHazard(ProjectRule):
                 ):
                     yield hit(
                         chain[0], node, f"mutated via .{chain[1]}()"
-                    )
-
-    # ------------------------------------------------------------------
-    # Part B: shared-memory slab writes
-    # ------------------------------------------------------------------
-    def _check_shm_writes(self, info: FunctionInfo) -> Iterator[Finding]:
-        if any(
-            info.qualname.endswith(suffix)
-            for suffix in _BLESSED_SHM_WRITERS
-        ):
-            return
-        views: set[str] = set()
-        for node in ast.walk(info.node):
-            if isinstance(node, ast.Assign):
-                if _is_shm_view_source(node.value):
-                    for target in node.targets:
-                        if isinstance(target, ast.Name):
-                            views.add(target.id)
-            elif isinstance(node, ast.AnnAssign):
-                if node.value is not None and _is_shm_view_source(
-                    node.value
-                ):
-                    if isinstance(node.target, ast.Name):
-                        views.add(node.target.id)
-        if not views:
-            return
-        for node in ast.walk(info.node):
-            if not isinstance(node, (ast.Assign, ast.AugAssign)):
-                continue
-            targets = (
-                node.targets
-                if isinstance(node, ast.Assign)
-                else [node.target]
-            )
-            for target in targets:
-                if (
-                    isinstance(target, ast.Subscript)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id in views
-                ):
-                    yield self.finding(
-                        info.ctx,
-                        node,
-                        f"shared-memory view `{target.value.id}` "
-                        f"written in `{info.qualname}` outside the "
-                        "blessed _ShmMirror.write path — out-of-"
-                        "partition slab writes break the partition's "
-                        "disjointness contract (kernels may mutate "
-                        "only their own arc)",
                     )
