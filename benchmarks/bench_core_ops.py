@@ -7,7 +7,6 @@ tick-engine suite (grouped-CSR kernel vs the lexsort reference) whose
 committed reference lives in ``BENCH_tick_engine.json``.
 """
 
-import copy
 import os
 import statistics
 import time
@@ -415,31 +414,22 @@ def test_full_trial_random_injection(benchmark):
     ],
 )
 def test_strategy_round(benchmark, strategy):
-    """One decision round — ``decide`` plus the round commit — on a
-    1000-node / 100k-task ring that already carries Sybils.  The
-    strategy round is the phase that dominates a Sybil trial."""
-    warm = TickEngine(
-        SimulationConfig(
+    """One whole seeded 1000-node / 100k-task trial of a Sybil strategy.
+
+    The strategy round is 80-97% of such a trial, so the trial times the
+    round over every phase of a run (early splits, mass roaming past the
+    ideal runtime, the idle tail) rather than over a few deep-copied
+    rounds, whose medians swung wider between paired runs than the 20%
+    bound of ``compare_bench``."""
+
+    def fresh_engine():
+        return (TickEngine(SimulationConfig(
             strategy=strategy, n_nodes=1000, n_tasks=100_000, seed=1
-        )
+        )),), {}
+
+    result = benchmark.pedantic(
+        lambda engine: engine.run(), setup=fresh_engine, rounds=5,
+        iterations=1,
     )
-    # past the ideal runtime (100 ticks): most owners are idle and
-    # roaming, so the round retires and re-creates Sybils en masse
-    for _ in range(101):
-        warm.step()
-    assert warm.state.n_sybil_slots > 0
-
-    def fresh_copy():
-        return (copy.deepcopy(warm),), {}
-
-    def strategy_round(engine):
-        view = engine.view
-        view.begin_round()
-        engine.strategy.decide(view)
-        view.end_round()
-        return view.stats
-
-    stats = benchmark.pedantic(
-        strategy_round, setup=fresh_copy, rounds=10, iterations=1
-    )
-    assert stats.sybils_created + stats.invitations_sent > 0
+    assert result.completed
+    assert result.counters["sybils_created"] > 0

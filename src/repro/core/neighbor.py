@@ -68,18 +68,21 @@ class NeighborInjection(Strategy):
 
     # ------------------------------------------------------------------
     def _candidate_slots(
-        self, view: NetworkView, owner: int, k: int | None = None
+        self, view: NetworkView, owner: int, k: int | None = None,
+        window: tuple[list[int], ...] | None = None,
     ) -> tuple[list[int], list[int]]:
         """``(slots, weights)`` of the owner's ``k`` tracked successors
         (default ``num_successors``) bar its own identities and ranges
-        marked invalid, from one successor window; a weight is the gap
-        or, when smart, the remaining tasks."""
-        if k is None:
-            k = view.config.num_successors
-        slots, owners, gaps, *counts = view.successor_window(
-            view.main_slot(owner), k, counts=self.smart
-        )
-        weights = counts[0] if self.smart else gaps
+        marked invalid, from one successor window (``window``, when
+        already read); a weight is the gap or, when smart, the remaining
+        tasks."""
+        if window is None:
+            window = view.successor_window(
+                view.main_slot(owner),
+                view.config.num_successors if k is None else k,
+                counts=self.smart,
+            )
+        slots, owners, weights = window[0], window[1], window[-1]
         # ranges are only ever marked when avoid_failed_ranges is on
         failed = self._failed_ranges.get(owner)
         if owner in owners or failed:
@@ -94,8 +97,19 @@ class NeighborInjection(Strategy):
         self, view: NetworkView, owner: int, k: int | None = None
     ) -> int | None:
         """The candidate with the largest estimated (or, when smart,
-        queried) workload; the first of equal maxima wins."""
-        candidates, weights = self._candidate_slots(view, owner, k)
+        queried) workload; the first of equal maxima wins.  One window
+        read, filtered through :meth:`_candidate_slots` only when it
+        holds the owner's own identities or the owner marked a range."""
+        if k is None:
+            k = view.config.num_successors
+        window = view.successor_window(
+            view.main_slot(owner), k, counts=self.smart
+        )
+        candidates, owners, weights = window[0], window[1], window[-1]
+        if owner in owners or self._failed_ranges.get(owner):
+            candidates, weights = self._candidate_slots(
+                view, owner, k, window
+            )
         if not candidates:
             return None
         if self.smart:

@@ -208,6 +208,10 @@ def _param_names(
     return tuple(params)
 
 
+#: one dispatcher call: (call, callable operands, payload args)
+_Site = tuple[ast.Call, list[ast.AST], list[ast.AST]]
+
+
 class ProjectModel:
     """The assembled whole-project view handed to every ProjectRule."""
 
@@ -219,6 +223,10 @@ class ProjectModel:
         self._by_site: dict[tuple[str, int, int, str], FunctionInfo] = {}
         self._entry_cache: Union[tuple[str, ...], None] = None
         self._sink_cache: Union[dict[str, frozenset[str]], None] = None
+        #: function node → the calls in its body, in ``ast.walk`` order
+        #: (each body is walked once), and → its dispatch sites
+        self._call_nodes: dict[ast.AST, list[ast.Call]] = {}
+        self._site_cache: dict[ast.AST, list[_Site]] = {}
         for ctx in sorted(ctxs, key=lambda c: c.path):
             self._ingest(ctx)
         # second pass: resolve call edges (needs the full symbol table)
@@ -226,8 +234,7 @@ class ProjectModel:
             info = self.functions[qualname]
             info.calls = tuple(
                 name
-                for node in ast.walk(info.node)
-                if isinstance(node, ast.Call)
+                for node in self._calls_in(info)
                 for name in [self.resolve(info, node.func)]
                 if name is not None
             )
@@ -364,15 +371,26 @@ class ProjectModel:
             frontier = sorted(nxt)
         return frozenset(seen)
 
-    def _dispatch_sites(
-        self, info: FunctionInfo
-    ) -> list[tuple[ast.Call, list[ast.AST], list[ast.AST]]]:
+    def _calls_in(self, info: FunctionInfo) -> list[ast.Call]:
+        """The calls in ``info``'s body, in ``ast.walk`` order."""
+        calls = self._call_nodes.get(info.node)
+        if calls is None:
+            calls = self._call_nodes[info.node] = [
+                node for node in ast.walk(info.node)
+                if isinstance(node, ast.Call)
+            ]
+        return calls
+
+    def _dispatch_sites(self, info: FunctionInfo) -> list[_Site]:
         """Every dispatcher call in ``info``: (call, callable-operands,
-        payload-args forwarded into the dispatched callable)."""
-        sites: list[tuple[ast.Call, list[ast.AST], list[ast.AST]]] = []
-        for node in ast.walk(info.node):
-            if not isinstance(node, ast.Call):
-                continue
+        payload-args forwarded into the dispatched callable), found once
+        per function: both concurrency rules and :meth:`dispatch_sites`
+        ask for them."""
+        sites = self._site_cache.get(info.node)
+        if sites is not None:
+            return sites
+        sites = self._site_cache[info.node] = []
+        for node in self._calls_in(info):
             chain = attr_chain(node.func)
             if not chain:
                 continue
@@ -441,9 +459,7 @@ class ProjectModel:
             rounds += 1
             for qualname in sorted(self.functions):
                 info = self.functions[qualname]
-                for node in ast.walk(info.node):
-                    if not isinstance(node, ast.Call):
-                        continue
+                for node in self._calls_in(info):
                     callee = self.resolve(info, node.func)
                     if callee not in self.functions:
                         continue
@@ -488,9 +504,7 @@ class ProjectModel:
         }
         return self._sink_cache
 
-    def dispatch_sites(
-        self, info: FunctionInfo
-    ) -> list[tuple[ast.Call, list[ast.AST], list[ast.AST]]]:
+    def dispatch_sites(self, info: FunctionInfo) -> list[_Site]:
         """Public accessor for rules (same shape as _dispatch_sites)."""
         return self._dispatch_sites(info)
 

@@ -1005,7 +1005,12 @@ class RingState:
             removed += 1
         return removed
 
-    def commit_round(self, dead: list[int], sybils: dict[int, int]) -> None:
+    def commit_round(
+        self,
+        dead: list[int],
+        sybils: dict[int, int],
+        taken: dict[int, np.ndarray] | None = None,
+    ) -> None:
         """Drop the keyless slots at positions ``dead`` (any order) and
         insert the Sybil slots ``sybils`` (identifier -> owner), in one
         slab pass.
@@ -1014,8 +1019,12 @@ class RingState:
         dead slots one by one with :meth:`remove_slot` — none holds keys,
         so no merge reshuffle draws from the RNG — then inserting each
         Sybil with :meth:`insert_slot`, in any order: each affected arc
-        is split once, by the rule :class:`BatchInsertion` uses.  A Sybil
-        may reuse the id of a dropped slot.  Raises, before changing
+        is split once, by the rule :class:`BatchInsertion` uses.
+        ``taken`` may map a Sybil to the mask of the keys it takes from
+        the remaining keys of the slot whose arc it lands in; an arc
+        that gets that Sybil as its only new identity is split with the
+        mask, every other arc by :func:`_split_arc`'s own compare.  A
+        Sybil may reuse the id of a dropped slot.  Raises, before changing
         anything, :class:`RingError` if a position is out of range, a
         dropped slot holds keys or no slot would survive the drop, and
         :class:`IdSpaceError` if an id is outside the space or on the
@@ -1030,11 +1039,16 @@ class RingState:
                 raise RingError("cannot remove the last slot on the ring")
             if self._counts_view[dead].any():
                 raise RingError("cannot drop a slot that holds remaining keys")
-        pending = self._sybil_pending(dead, sybils) if sybils else None
+        pending = (
+            self._sybil_pending(dead, sybils, taken or {}) if sybils else None
+        )
         self._restructure(dead, pending)
 
     def _sybil_pending(
-        self, dead: list[int], sybils: dict[int, int]
+        self,
+        dead: list[int],
+        sybils: dict[int, int],
+        taken: dict[int, np.ndarray],
     ) -> _Pending:
         """Validate :meth:`commit_round`'s new Sybils and split the arcs
         they land in; the ring's keys change only once all are valid."""
@@ -1071,9 +1085,11 @@ class RingState:
                 arcs[slot] = (pred, [j])
         part_keys = [_EMPTY_KEYS] * m
         for slot, (pred, js) in arcs.items():
+            idents = [new_ids[j] for j in js]
+            lone = taken.get(idents[0]) if len(idents) == 1 else None
             parts, kept = _split_arc(
-                keys[slot][: counts.item(slot)], pred,
-                [new_ids[j] for j in js], self.space.size,
+                keys[slot][: counts.item(slot)], pred, idents,
+                self.space.size, lone,
             )
             for j, part in zip(js, parts):
                 part_keys[j] = part

@@ -1,11 +1,11 @@
-"""Per-call ``SimView`` actions: the differential oracle for round overlays.
+"""Per-call ``SimView`` actions: the differential oracle for deferred rounds.
 
 :class:`PerCallSimView` applies every Sybil action to the ring the
 moment a strategy takes it — one ``RingState.insert_slot`` per creation,
 one ``RingState.retire_sybils`` per retiring owner — which is how the
-simulator worked before ``SimView`` deferred a round's actions into an
-overlay committed once by ``end_round``.  Its reads are ``SimView``'s
-own: with no action ever deferred the overlay stays closed, so every
+simulator worked before ``SimView`` deferred a round's actions into
+round lists committed once by ``end_round``.  Its reads are
+``SimView``'s own: with no action ever deferred no round opens, so every
 read goes straight to the ring.  ``tests/test_round_overlay.py`` runs
 each strategy through both views and requires identical results.
 """

@@ -7,8 +7,8 @@ from repro.errors import IdSpaceError
 from repro.sim.arcops import (
     arc_length,
     arc_lengths,
+    arc_mask,
     bucket_responsible_slots,
-    count_in_arc,
     group_by_slot,
     in_arc_mask,
     responsible_slots,
@@ -41,7 +41,7 @@ class TestInArcMask:
         assert mask.tolist() == [True, True, False]
 
 
-class TestCountInArc:
+class TestArcMask:
     @pytest.mark.parametrize("bits", [8, 16, 64])
     def test_matches_mask(self, bits):
         rng = np.random.default_rng(bits)
@@ -49,16 +49,21 @@ class TestCountInArc:
         keys = rng.integers(0, size, size=200, dtype=np.uint64)
         ends = rng.integers(0, size, size=(100, 2), dtype=np.uint64).tolist()
         for start, end in ends + [[0, size - 1], [size - 1, 0], [5, 5]]:
-            assert count_in_arc(keys, start, end, size) == int(
-                in_arc_mask(keys, start, end).sum()
+            assert np.array_equal(
+                arc_mask(keys, start, end, size),
+                in_arc_mask(keys, start, end),
             )
 
     def test_boundaries(self):
         hi = 2**64 - 1
         keys = np.array([0, hi, hi - 1], dtype=np.uint64)
-        assert count_in_arc(keys, hi - 1, 0, 1 << 64) == 2
-        assert count_in_arc(keys, hi, hi - 1, 1 << 64) == 2
-        assert count_in_arc(keys[:0], 1, 2, 1 << 64) == 0
+        assert arc_mask(keys, hi - 1, 0, 1 << 64).tolist() == [
+            True, True, False,
+        ]
+        assert arc_mask(keys, hi, hi - 1, 1 << 64).tolist() == [
+            True, False, True,
+        ]
+        assert arc_mask(keys[:0], 1, 2, 1 << 64).size == 0
 
 
 class TestArcLength:

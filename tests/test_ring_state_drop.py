@@ -8,13 +8,18 @@ and must refuse, before changing anything, any drop that would move
 keys or empty the ring and any Sybil whose id is taken.
 """
 
+from bisect import bisect_left
+
 import numpy as np
 import pytest
 
+import repro.sim.state as state_module
 from repro.errors import IdSpaceError, RingError
 from repro.hashspace.idspace import IdSpace
 from repro.sim.state import RingState
-from repro.sim.view import _RoundOverlay
+from repro.config import SimulationConfig
+from repro.sim.owners import OwnerRegistry
+from repro.sim.view import SimView
 
 
 def ring_with_idle_sybils(seed: int = 5) -> RingState:
@@ -277,9 +282,10 @@ class TestCommitRound:
 
 
 def test_round_overlay_never_drops_the_last_base_slot():
-    """A round whose retirements would empty the round-start ring is not
-    deferred, even when the round's new Sybils keep the merged ring
-    non-empty: the commit refuses to drop every slot."""
+    """A retirement that would empty the round-start ring is not
+    deferred, even when the round's new Sybils keep the ring non-empty
+    (the commit refuses to drop every slot): the round commits first and
+    the ring retires the Sybil itself."""
     state = RingState(
         IdSpace(8),
         np.array([10, 90], dtype=np.uint64),
@@ -288,10 +294,139 @@ def test_round_overlay_never_drops_the_last_base_slot():
         [np.empty(0, dtype=np.uint64)] * 2,
         np.random.default_rng(0),
     )
-    overlay = _RoundOverlay(state, state.owner_loads(3))
-    assert overlay.insert(50, 2) == 0
-    assert overlay.retire(0) == 1
-    assert overlay.retire(1) is None
-    overlay.commit()
-    assert state.ids.tolist() == [50, 90]
+    config = SimulationConfig(n_nodes=3, n_tasks=10, bits=8)
+    owners = OwnerRegistry(config, np.random.default_rng(0))
+    owners.in_network[:3] = True
+    owners.n_sybils[:2] = 1
+    view = SimView(config, state, owners, np.random.default_rng(0))
+    view.begin_round()
+    commits = []
+    commit_round = state.commit_round
+
+    def spy(dead, sybils, taken=None):
+        commits.append((list(dead), dict(sybils)))
+        commit_round(dead, sybils, taken)
+
+    state.commit_round = spy
+    view._open_round()
+    assert view._join_sybil(2, 50, 1) == 0  # between 10 and 90
+    assert view.retire_sybils(0) == 1
+    assert commits == [] and state.ids.tolist() == [10, 90]  # deferred
+    assert view.retire_sybils(1) == 1
+    assert commits == [([0], {50: 2})]
+    assert state.ids.tolist() == [50]
+    view.end_round()
     state.verify_invariants()
+    assert owners.n_sybils[:3].tolist() == [0, 0, 1]
+
+
+def sim_view(state: RingState, n_sybils: list[int]) -> SimView:
+    """A SimView over a hand-built ring whose owners 0.. are in the
+    network with the given Sybil counts."""
+    config = SimulationConfig(n_nodes=len(n_sybils), n_tasks=10, bits=8)
+    owners = OwnerRegistry(config, np.random.default_rng(0))
+    owners.in_network[: len(n_sybils)] = True
+    owners.n_sybils[: len(n_sybils)] = n_sybils
+    view = SimView(config, state, owners, np.random.default_rng(0))
+    view.begin_round()
+    view._open_round()
+    return view
+
+
+def join(view: SimView, owner: int, ident: int) -> int:
+    return view._join_sybil(owner, ident, bisect_left(view._ids, ident))
+
+
+class TestMaskReuse:
+    """A Sybil that takes keys keeps its insert-time selection mask, and
+    ``commit_round`` splits an arc that got that Sybil as its only new
+    identity with it; each case must equal the commit that recomputes
+    every split by ``_split_arc``'s own compare."""
+
+    def commit(self, view, build, monkeypatch):
+        """End the view's round, recording each split; the same round,
+        committed without masks on a fresh ring from ``build``, must
+        leave the same ring.  Returns ``(idents, mask_used)`` per split
+        and the masks the round handed over."""
+        state = view._state
+        handed: list[dict] = []
+        commit_round = state.commit_round
+
+        def spy(dead, sybils, taken=None):
+            handed.append((list(dead), dict(sybils), dict(taken or {})))
+            commit_round(dead, sybils, taken)
+
+        state.commit_round = spy
+        splits = []
+        split_arc = state_module._split_arc
+
+        def record(remaining, pred_id, idents, size, taken=None):
+            splits.append((tuple(idents), taken is not None))
+            return split_arc(remaining, pred_id, idents, size, taken)
+
+        monkeypatch.setattr(state_module, "_split_arc", record)
+        view.end_round()
+        ours = list(splits)
+        (dead, sybils, masks), = handed
+        ref = build()
+        ref.commit_round(dead, sybils)
+        assert snapshot(state) == snapshot(ref)
+        state.verify_invariants()
+        return ours, masks
+
+    def test_lone_sybils_reuse_their_masks(self, monkeypatch):
+        view = sim_view(ring_with_idle_sybils(), [2, 1, 1])
+        # 80 lands in 100's arc after 75, 190 in 200's after 150; owner
+        # 0 then retires 75 and 150, which leaves both masks valid
+        assert join(view, 1, 80) > 0
+        assert join(view, 2, 190) > 0
+        assert view.retire_sybils(0) == 2
+        splits, masks = self.commit(view, ring_with_idle_sybils, monkeypatch)
+        assert sorted(masks) == [80, 190]
+        assert sorted(splits) == [((80,), True), ((190,), True)]
+
+    def test_second_sybil_before_the_first_is_not_reused(self, monkeypatch):
+        view = sim_view(ring_with_idle_sybils(), [2, 1, 1])
+        assert join(view, 1, 190) > 0
+        join(view, 2, 160)  # takes part of what 190's mask selected
+        splits, masks = self.commit(view, ring_with_idle_sybils, monkeypatch)
+        assert 190 in masks
+        assert splits == [((160, 190), False)]
+
+    def test_sybil_in_an_arc_retired_this_round(self, monkeypatch):
+        view = sim_view(ring_with_idle_sybils(), [2, 1, 1])
+        assert view.retire_sybils(2) == 1  # drops the keyless 240
+        # 230 lands in 240's old (keyless) arc: it splits 30's arc at
+        # commit, and takes nothing
+        assert join(view, 0, 230) == 0
+        splits, masks = self.commit(view, ring_with_idle_sybils, monkeypatch)
+        assert masks == {}
+        assert splits == [((230,), False)]
+
+    @pytest.mark.parametrize("n_slots", [1, 2])
+    def test_full_circle_arc(self, n_slots, monkeypatch):
+        """The survivor of a 1-slot ring (or of a 2-slot ring whose
+        other slot retires) owns the full circle, keys at its own id
+        included; a lone Sybil's mask must leave those with it."""
+
+        def build() -> RingState:
+            space = IdSpace(8)
+            keys = np.array([0, 10, 90, 99, 180, 255], dtype=np.uint64)
+            state = RingState.build(
+                space, np.array([90], dtype=np.uint64),
+                np.zeros(1, dtype=np.int64), keys, np.random.default_rng(3),
+            )
+            if n_slots == 2:
+                state.insert_slot(95, 1, is_main=False)  # takes nothing
+            return state
+
+        view = sim_view(build(), [0, n_slots - 1])
+        if n_slots == 2:
+            assert view.retire_sybils(1) == 1
+        assert join(view, 0, 20) == 5  # 90's 99, 180, 255, 0 and 10
+        splits, masks = self.commit(view, build, monkeypatch)
+        assert sorted(masks) == [20]
+        assert splits == [((20,), True)]
+        state = view._state
+        assert state.ids.tolist() == [20, 90]
+        assert sorted(state.remaining_keys(1).tolist()) == [90]

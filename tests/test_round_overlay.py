@@ -1,11 +1,12 @@
 """Deferred strategy rounds against the per-call oracle.
 
-``SimView`` defers a round's Sybil creations and retirements into an
-overlay that ``end_round`` commits in one ``RingState.commit_round``
+``SimView`` defers a round's Sybil creations and retirements into round
+lists that ``end_round`` commits in one ``RingState.commit_round``
 pass.  :class:`~tests.percall_view.PerCallSimView` applies every
 action to the ring immediately, as the simulator did before.  Both must
 produce the same results: the same whole-result fingerprint, the same
-final generator state, and the same trace event stream.
+final generator state, and the same trace event stream — traced, and
+untraced as the benchmarks run it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import numpy as np
 import pytest
 
 import repro.sim.engine as engine_module
-import repro.sim.view as view_module
 from repro.config import AdversaryModel, SimulationConfig
 from repro.core.registry import strategy_names
 from repro.errors import SimulationError
@@ -38,12 +38,14 @@ GRID = [
 ]
 
 
-def run_with(config: SimulationConfig, view_cls, monkeypatch):
+def run_with(config: SimulationConfig, view_cls, monkeypatch, traced=True):
+    """(fingerprint, final generator state, trace events) of one run;
+    untraced, the view emits nothing and the events are None."""
     monkeypatch.setattr(engine_module, "SimView", view_cls)
-    trace = TraceRecorder()
+    trace = TraceRecorder() if traced else None
     engine = TickEngine(config, trace=trace)
     result = engine.run()
-    events = [(e.tick, e.kind, e.fields) for e in trace.events]
+    events = trace and [(e.tick, e.kind, e.fields) for e in trace.events]
     return result_fingerprint(result), engine.rng.bit_generator.state, events
 
 
@@ -55,25 +57,44 @@ def assert_same_run(config: SimulationConfig, monkeypatch) -> None:
     assert deferred[2] == per_call[2], "trace event stream"
 
 
+def grid_config(strategy, placement, churn, threshold) -> SimulationConfig:
+    return SimulationConfig(
+        strategy=strategy,
+        n_nodes=60,
+        n_tasks=3000,
+        placement=placement,
+        churn_rate=churn,
+        sybil_threshold=threshold,
+        seed=7,
+    )
+
+
+GRID_IDS = [f"{s}-{p}-c{c}-t{t}" for s, p, c, t in GRID]
+
+
 class TestDifferential:
     @pytest.mark.parametrize(
-        "strategy,placement,churn,threshold",
-        GRID,
-        ids=[f"{s}-{p}-c{c}-t{t}" for s, p, c, t in GRID],
+        "strategy,placement,churn,threshold", GRID, ids=GRID_IDS
     )
     def test_matches_per_call(
         self, strategy, placement, churn, threshold, monkeypatch
     ):
-        config = SimulationConfig(
-            strategy=strategy,
-            n_nodes=60,
-            n_tasks=3000,
-            placement=placement,
-            churn_rate=churn,
-            sybil_threshold=threshold,
-            seed=7,
-        )
+        config = grid_config(strategy, placement, churn, threshold)
         assert_same_run(config, monkeypatch)
+
+    @pytest.mark.parametrize(
+        "strategy,placement,churn,threshold", GRID, ids=GRID_IDS
+    )
+    def test_matches_per_call_untraced(
+        self, strategy, placement, churn, threshold, monkeypatch
+    ):
+        """The untraced view, which skips building event fields, is the
+        one the benchmarks run."""
+        config = grid_config(strategy, placement, churn, threshold)
+        deferred = run_with(config, SimView, monkeypatch, traced=False)
+        per_call = run_with(config, PerCallSimView, monkeypatch, traced=False)
+        assert deferred[0] == per_call[0], "result fingerprint"
+        assert deferred[1] == per_call[1], "final generator state"
 
     def test_adversary_enabled(self, monkeypatch):
         config = SimulationConfig(
@@ -160,7 +181,7 @@ def read_everything(view, engine) -> dict:
 
 @pytest.mark.parametrize("placement", ["random", "midpoint", "median"])
 def test_reads_match_after_every_action(placement):
-    """Mid-round reads through the overlay equal the ring's own reads
+    """Mid-round reads through the round equal the ring's own reads
     after the same actions applied one by one — deferred retirements of
     keyless Sybils as well as the ones that fall back to committing
     (retiring keyed or just-created Sybils)."""
@@ -261,19 +282,19 @@ class TestCommitShape:
 
     def test_idle_rounds_open_no_overlay(self, monkeypatch):
         opened = []
-        real = view_module._RoundOverlay
+        real = SimView._open_round
 
-        def spy(*args, **kwargs):
+        def spy(self):
             opened.append(1)
-            return real(*args, **kwargs)
+            return real(self)
 
-        monkeypatch.setattr(view_module, "_RoundOverlay", spy)
+        monkeypatch.setattr(SimView, "_open_round", spy)
         TickEngine(SimulationConfig(
             strategy="churn", n_nodes=50, n_tasks=2000, churn_rate=0.01,
             seed=1,
         )).run()
         assert opened == []
-        # windowed reads answer from the ring while the overlay is closed
+        # windowed reads answer from the ring while no round is open
         view = TickEngine(SimulationConfig(
             strategy="smart_neighbor_injection", n_nodes=20, n_tasks=500,
             seed=1,
@@ -325,7 +346,7 @@ class TestCensus:
         while view.can_add_sybil(owner):
             view.create_sybil_random(owner)
         with pytest.raises(SimulationError) as deferred:
-            view._register_sybil(owner)
+            view.create_sybil_random(owner)  # booked against the census
         with pytest.raises(SimulationError) as registry:
             owners.register_sybil(owner)
         assert str(deferred.value) == str(registry.value)

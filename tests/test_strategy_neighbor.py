@@ -135,7 +135,7 @@ class TestPickSemantics:
         for slot in (0, 1):
             assert view.successor_slots(slot, 5) == [1 - slot]
             assert view.predecessor_slots(slot, 5) == [1 - slot]
-        view._open_round()  # the same reads through a round overlay
+        view._open_round()  # the same reads through an open round
         for slot in (0, 1):
             assert view.successor_slots(slot, 5) == [1 - slot]
             assert view.predecessor_slots(slot, 5) == [1 - slot]

@@ -3,7 +3,7 @@
 ``NetworkView.successor_window`` / ``predecessor_window`` return a
 node's tracked neighbours with their owners (and gaps, and counts on
 request) in one call.  ``SimView`` answers them with list slices over
-the round overlay, or over the ring while the overlay is closed; the
+the open round's lists, or over the ring while no round is open; the
 protocol adapter inherits the default built from the per-slot reads.
 Every form must agree with the per-slot reads, across the wrap, for
 windows wider than the ring, and on a one-slot ring.
@@ -61,7 +61,7 @@ class TestSimView:
         n = engine.state.n_slots
         assert n > 30  # Sybils joined
         assert_windows_match(view, range(n), n)
-        assert view._round is None
+        assert view._ids is None  # the reads opened no round
 
     def test_open_overlay_reads_the_round(self):
         engine = sybil_engine()
@@ -73,7 +73,7 @@ class TestSimView:
             view.retire_sybils(owner)
             if view.can_add_sybil(owner):
                 view.create_sybil_random(owner)
-        assert view._round is not None  # still deferred
+        assert view._ids is not None  # still deferred
         n = len(view.successor_slots(0, 10**9)) + 1
         assert n != engine.state.n_slots  # the round changed the ring
         slots = sorted({0, n - 1, *script.integers(0, n, size=10).tolist()})
