@@ -124,30 +124,35 @@ class ProtocolView(NetworkView):
             host.node_ids, key=lambda nid: node_of(nid).store.primary_count
         )
 
-    def successor_slots(self, slot: int, k: int) -> list[int]:
+    def successor_window(
+        self, slot: int, k: int, *, counts: bool = False
+    ) -> tuple[list[int], ...]:
+        network = self._sim.ring.network
+        slots = self._live(network.node(slot).successor_list, slot, k)
+        owners = [self._sim.owner_of(s) for s in slots]
+        # a successor's arc runs from its own predecessor pointer
+        space, node = self._sim.space, network.node
+        gaps = []
+        for s in slots:
+            pred = node(s).predecessor
+            gaps.append(0 if pred is None else space.distance(pred, s))
+        if counts:
+            loads = [network.rpc(s, "rpc_report_load") for s in slots]
+            return slots, owners, gaps, loads
+        return slots, owners, gaps
+
+    def predecessor_window(
+        self, slot: int, k: int
+    ) -> tuple[list[int], list[int]]:
         node = self._sim.ring.network.node(slot)
+        slots = self._live(node.predecessor_list, slot, k)
+        return slots, [self._sim.owner_of(p) for p in slots]
+
+    def _live(self, neighbours: list[int], slot: int, k: int) -> list[int]:
+        """The first ``k`` of ``neighbours`` that are live and not
+        ``slot`` itself."""
         alive = self._sim.ring.network.is_alive
-        return [s for s in node.successor_list if s != slot and alive(s)][:k]
-
-    def predecessor_slots(self, slot: int, k: int) -> list[int]:
-        node = self._sim.ring.network.node(slot)
-        alive = self._sim.ring.network.is_alive
-        return [
-            p for p in node.predecessor_list if p != slot and alive(p)
-        ][:k]
-
-    def slot_owner(self, slot: int) -> int:
-        return self._sim.owner_of(slot)
-
-    def slot_count(self, slot: int) -> int:
-        return self._sim.ring.network.rpc(slot, "rpc_report_load")
-
-    def slot_gap(self, slot: int) -> int:
-        node = self._sim.ring.network.node(slot)
-        pred = node.predecessor
-        if pred is None:
-            return 0
-        return self._sim.space.distance(pred, slot)
+        return [s for s in neighbours if s != slot and alive(s)][:k]
 
     def slot_id(self, slot: int) -> int:
         return slot

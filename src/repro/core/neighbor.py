@@ -61,9 +61,8 @@ class NeighborInjection(Strategy):
                 view.stats.actions_skipped += 1
             elif acquired == 0 and avoid:
                 # remember the arc (by its start id) as a dead end
-                pred_slot = view.predecessor_slots(target, 1)[0]
                 self._failed_ranges.setdefault(owner, set()).add(
-                    view.slot_id(pred_slot)
+                    self._arc_start(view, target)
                 )
 
     # ------------------------------------------------------------------
@@ -87,11 +86,15 @@ class NeighborInjection(Strategy):
         failed = self._failed_ranges.get(owner)
         if owner in owners or failed:
             keep = [i for i, s in enumerate(slots) if owners[i] != owner and (
-                not failed or view.slot_id(view.predecessor_slots(s, 1)[0])
-                not in failed)]
+                not failed or self._arc_start(view, s) not in failed)]
             slots = [slots[i] for i in keep]
             weights = [weights[i] for i in keep]
         return slots, weights
+
+    @staticmethod
+    def _arc_start(view: NetworkView, slot: int) -> int:
+        """The id that opens ``slot``'s arc: its predecessor's."""
+        return view.slot_id(view.predecessor_window(slot, 1)[0][0])
 
     def _pick_target(
         self, view: NetworkView, owner: int, k: int | None = None

@@ -7,14 +7,20 @@ with the network through a :class:`NetworkView`, whose API deliberately
 exposes only what the paper's §V assumptions grant a node:
 
 * its own workload and Sybil census,
-* the identities/ranges/loads of its tracked successors and predecessors
-  (loads only via explicit *queries*, which are counted as messages),
+* the identities/ranges/loads of its tracked successors and predecessors,
+  read in one call each — :meth:`NetworkView.successor_window` (slots,
+  owners, range lengths and, on request, loads) and
+  :meth:`NetworkView.predecessor_window` (slots, owners); loads are
+  explicit *queries*, which the caller counts as messages,
 * the ability to search out an unoccupied identifier in a range and join
   there with a Sybil (shown to be cheap in the authors' prior work).
 
 The same interface is implemented by the fast tick simulator
-(:class:`repro.sim.view.SimView`); the protocol-level Chord stack uses the
-same decision logic through its own adapter.
+(:class:`repro.sim.view.SimView`) and by the protocol-level Chord stack
+(:class:`repro.chord.balance.ProtocolView`), so both run the same
+decision logic.  A SybilControl-style join budget is the simulator's
+defense, not a node's view: it lives on
+:class:`repro.sim.owners.OwnerRegistry`.
 """
 
 from __future__ import annotations
@@ -94,14 +100,6 @@ class NetworkView(abc.ABC):
     @abc.abstractmethod
     def can_add_sybil(self, owner: int) -> bool: ...
 
-    def join_budget_remaining(self, owner: int) -> int | None:
-        """Remaining SybilControl-style join budget, or None when the
-        join-cost defense is off.  Non-abstract: backends without the
-        defense (the protocol Chord adapter) inherit the None default;
-        the tick simulator overrides it (see AdversaryModel.join_cost).
-        """
-        return None
-
     # -- topology (local only) -------------------------------------------
     @abc.abstractmethod
     def main_slot(self, owner: int) -> int: ...
@@ -111,46 +109,27 @@ class NetworkView(abc.ABC):
         """The owner's slot holding the most remaining tasks."""
 
     @abc.abstractmethod
-    def successor_slots(self, slot: int, k: int) -> list[int]:
-        """The slots clockwise after ``slot``, nearest first: a plain
-        list of at most ``k`` entries that never includes ``slot``
-        itself (a ring of ``n`` slots yields at most ``n - 1``)."""
-
-    @abc.abstractmethod
-    def predecessor_slots(self, slot: int, k: int) -> list[int]:
-        """The slots counter-clockwise before ``slot``, nearest first,
-        under the same list contract as :meth:`successor_slots`."""
-
     def successor_window(
         self, slot: int, k: int, *, counts: bool = False
     ) -> tuple[list[int], ...]:
-        """``(slots, owners, gaps[, counts])``: :meth:`successor_slots`
-        and each slot's reads as parallel lists (counts are a workload
-        query per slot, for the caller to count).  This default reads
-        slot by slot; the tick simulator overrides it."""
-        slots = self.successor_slots(slot, k)
-        reads = [self.slot_owner, self.slot_gap] + [self.slot_count] * counts
-        return (slots, *([read(s) for s in slots] for read in reads))
+        """``(slots, owners, gaps[, counts])`` of the slots clockwise
+        after ``slot``, nearest first, as parallel lists of at most
+        ``k`` entries that never include ``slot`` itself (a ring of
+        ``n`` slots yields at most ``n - 1``).
 
+        A gap is the slot's responsibility-arc length, observable for
+        free from the successor list (ids are known locally).  A count
+        is the slot's remaining tasks: reading another owner's count
+        models a workload *query*, which the caller counts with
+        :meth:`count_messages`."""
+
+    @abc.abstractmethod
     def predecessor_window(
         self, slot: int, k: int
     ) -> tuple[list[int], list[int]]:
-        """``(slots, owners)`` of :meth:`predecessor_slots`."""
-        slots = self.predecessor_slots(slot, k)
-        return slots, [self.slot_owner(s) for s in slots]
-
-    @abc.abstractmethod
-    def slot_owner(self, slot: int) -> int: ...
-
-    @abc.abstractmethod
-    def slot_count(self, slot: int) -> int:
-        """Remaining tasks held by a slot.  Reading another owner's slot
-        count models a workload *query* — call :meth:`count_messages`."""
-
-    @abc.abstractmethod
-    def slot_gap(self, slot: int) -> int:
-        """Responsibility-arc length of a slot — observable for free from
-        the successor list (ids are known locally, no query needed)."""
+        """``(slots, owners)`` of the slots counter-clockwise before
+        ``slot``, nearest first, under the same list contract as
+        :meth:`successor_window`."""
 
     @abc.abstractmethod
     def slot_id(self, slot: int) -> int: ...

@@ -521,16 +521,19 @@ class Broker:
         Every in-flight future is cancelled and its worker killed — but
         a future that completed *between the window check and here* is
         RACE FIX (2/2): its result is real and consumed normally, where
-        the old dispatcher discarded it and re-ran the trial.
+        the old dispatcher discarded it and re-ran the trial.  The
+        completed set is taken *before* the kill: once the workers die,
+        the pool's manager thread fails the still-running futures with
+        ``BrokenProcessPool``, and those are timeouts, not worker deaths.
         """
         stranded = sorted(futures, key=futures.__getitem__)
         for fut in stranded:
             fut.cancel()
-        _kill_workers(executor)
-        executor.shutdown(wait=False, cancel_futures=True)
         finished = {
             fut for fut in stranded if fut.done() and not fut.cancelled()
         }
+        _kill_workers(executor)
+        executor.shutdown(wait=False, cancel_futures=True)
         self._consume(finished, futures)
         for fut in stranded:
             if fut in finished:

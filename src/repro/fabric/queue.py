@@ -197,9 +197,6 @@ class TrialQueue:
     def all_settled(self) -> bool:
         return all(st.status in SETTLED_STATES for st in self.state)
 
-    def any_running(self) -> bool:
-        return any(st.status == RUNNING for st in self.state)
-
     def failed_units(self) -> list[tuple[WorkUnit, UnitState]]:
         return [
             (self.units[uid], st)

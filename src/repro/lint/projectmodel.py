@@ -219,8 +219,6 @@ class ProjectModel:
         self.ctxs = ctxs
         self.modules: dict[str, ModuleInfo] = {}
         self.functions: dict[str, FunctionInfo] = {}
-        #: (path, lineno, col, name) → FunctionInfo, for node lookup
-        self._by_site: dict[tuple[str, int, int, str], FunctionInfo] = {}
         self._entry_cache: Union[tuple[str, ...], None] = None
         self._sink_cache: Union[dict[str, frozenset[str]], None] = None
         #: function node → the calls in its body, in ``ast.walk`` order
@@ -271,9 +269,6 @@ class ProjectModel:
             if info.qualname not in mod.functions:
                 mod.functions[info.qualname] = info
                 self.functions[info.qualname] = info
-                self._by_site[
-                    (ctx.path, node.lineno, node.col_offset, node.name)
-                ] = info
 
         for stmt in ctx.tree.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -291,18 +286,6 @@ class ProjectModel:
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def module_of(self, ctx: FileContext) -> Union[ModuleInfo, None]:
-        return self.modules.get(module_name_for(ctx.path))
-
-    def function_for(
-        self,
-        ctx: FileContext,
-        node: Union[ast.FunctionDef, ast.AsyncFunctionDef],
-    ) -> Union[FunctionInfo, None]:
-        return self._by_site.get(
-            (ctx.path, node.lineno, node.col_offset, node.name)
-        )
-
     def resolve(
         self, scope: FunctionInfo, func: ast.AST
     ) -> Union[str, None]:
@@ -344,13 +327,6 @@ class ProjectModel:
         if len(chain) == 1 and head in _BUILTIN_NAMES:
             return head
         return None
-
-    def resolve_reference(
-        self, scope: FunctionInfo, node: ast.AST
-    ) -> Union[str, None]:
-        """Like :meth:`resolve`, for a bare callable reference
-        (``pool.submit(worker, ...)`` hands ``worker`` uncalled)."""
-        return self.resolve(scope, node)
 
     # ------------------------------------------------------------------
     # reachability

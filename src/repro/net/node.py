@@ -222,9 +222,6 @@ class RemoteNetwork:
     def local_ids(self) -> list[int]:
         return sorted(self._local)
 
-    def local_nodes(self) -> list[ChordNode]:
-        return [self._local[i] for i in self.local_ids()]
-
     def has_node(self, node_id: int) -> bool:
         return node_id in self._local
 

@@ -735,12 +735,6 @@ class RingState:
         """Responsibility-arc length of every slot (uint64)."""
         return arc_lengths(self.ids, self.space.size)
 
-    def slot_gap(self, slot: int) -> int:
-        """Arc length of one slot."""
-        if self.n_slots == 1:
-            return self.space.size - 1  # saturated full circle
-        return (int(self.ids[slot]) - self.pred_id(slot)) % self.space.size
-
     def id_exists(self, ident: int) -> bool:
         ids = self._ids_view
         # _U64 needles matter: a small python int infers int64 and makes
@@ -1268,11 +1262,6 @@ class BatchRemoval:
         self._counts = state.counts
         self._keys = state.keys
         self._shuffle = state.rng.shuffle
-
-    @property
-    def live_slots(self) -> int:
-        """Slots still on the ring, counting pending removals."""
-        return self._live
 
     def _owner_slots(self, owner: int) -> list[int]:
         """Pre-batch slot positions of ``owner``, ascending."""

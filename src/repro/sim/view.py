@@ -98,6 +98,14 @@ def _ring_slice(seq, lo: int, hi: int, n: int) -> list[int]:
 class SimView(NetworkView):
     """Local-information window onto the simulated network."""
 
+    #: the open round's state beside ``_ids``: set by :meth:`_open_round`
+    #: and released by :meth:`end_round`, so no round outlives its commit
+    _ROUND_STATE = (
+        "_base_ids", "_base_counts", "_owner", "_counts", "_live_loads",
+        "_load_delta", "_main_ids", "_base_sybils", "_pending",
+        "_pending_by_owner", "_taken", "_dropped", "_retired_ids",
+    )
+
     def __init__(
         self,
         config: SimulationConfig,
@@ -146,7 +154,7 @@ class SimView(NetworkView):
 
     def end_round(self) -> None:
         """Commit the round's deferred actions to the ring, and its Sybil
-        census to the owner registry.
+        census to the owner registry; then release the round's state.
 
         Until this runs, ``RingState`` still holds the round-start ring;
         the engine calls it right after ``Strategy.decide``.
@@ -157,6 +165,8 @@ class SimView(NetworkView):
                 self._state.commit_round(
                     self._dropped, self._pending, self._taken
                 )
+            for name in self._ROUND_STATE:
+                delattr(self, name)
         self._flush_census()
 
     def _open_round(self) -> list[int]:
@@ -273,9 +283,6 @@ class SimView(NetworkView):
         self._flush_census()
         self._owners.unregister_sybils(owner, count)
 
-    def join_budget_remaining(self, owner: int) -> int | None:
-        return self._owners.join_budget_remaining(owner)
-
     # ------------------------------------------------------------------
     # NetworkView: topology
     # ------------------------------------------------------------------
@@ -315,18 +322,6 @@ class SimView(NetworkView):
         ids = self._ids
         slots = sorted(bisect_left(ids, i) for i in idents)
         return max(slots, key=self._counts.__getitem__)
-
-    def _n_slots(self) -> int:
-        ids = self._ids
-        return self._state.n_slots if ids is None else len(ids)
-
-    def successor_slots(self, slot: int, k: int) -> list[int]:
-        n = self._n_slots()
-        return [(slot + i) % n for i in range(1, min(k, n - 1) + 1)]
-
-    def predecessor_slots(self, slot: int, k: int) -> list[int]:
-        n = self._n_slots()
-        return [(slot - i) % n for i in range(1, min(k, n - 1) + 1)]
 
     def successor_window(
         self, slot: int, k: int, *, counts: bool = False
@@ -373,24 +368,6 @@ class SimView(NetworkView):
         owners.reverse()
         slots = [s + n if s < 0 else s for s in range(slot - 1, lo - 1, -1)]
         return slots, owners
-
-    def slot_owner(self, slot: int) -> int:
-        if self._ids is None:
-            return int(self._state.owner[slot])
-        return self._owner[slot]
-
-    def slot_count(self, slot: int) -> int:
-        if self._ids is None:
-            return int(self._state.counts[slot])
-        return self._counts[slot]
-
-    def slot_gap(self, slot: int) -> int:
-        ids = self._ids
-        if ids is None:
-            return self._state.slot_gap(slot)
-        if len(ids) == 1:
-            return self._size - 1  # saturated full circle
-        return (ids[slot] - ids[slot - 1]) % self._size
 
     def slot_id(self, slot: int) -> int:
         if self._ids is None:

@@ -11,8 +11,6 @@ of an experiment get *spawned* child sequences, so
 
 from __future__ import annotations
 
-from typing import Sequence, TypeVar
-
 import numpy as np
 
 __all__ = [
@@ -22,8 +20,6 @@ __all__ = [
     "bounded_int",
     "uniform_word_id",
 ]
-
-T = TypeVar("T")
 
 _WORD = 1 << 64
 _LOW64 = _WORD - 1
@@ -90,28 +86,3 @@ def uniform_word_id(rng: np.random.Generator, bits: int) -> int:
     if 32 < bits <= 64 and isinstance(bitgen, _RAW64):
         return bitgen.random_raw() >> (64 - bits)
     return int(rng.integers(0, 1 << bits, dtype=np.uint64))
-
-
-def rng_state_fingerprint(rng: np.random.Generator) -> int:
-    """Small integer fingerprint of generator state (determinism tests)."""
-    state = rng.bit_generator.state["state"]
-    if isinstance(state, dict):
-        return hash(tuple(sorted((k, int(v)) for k, v in state.items())))
-    return hash(int(state))
-
-
-def interleave(seqs: Sequence[Sequence[T]]) -> list[T]:
-    """Round-robin interleave several sequences (used by workload mixers)."""
-    out: list[T] = []
-    iters = [iter(s) for s in seqs]
-    alive = list(iters)
-    while alive:
-        next_alive = []
-        for it in alive:
-            try:
-                out.append(next(it))
-                next_alive.append(it)
-            except StopIteration:
-                pass
-        alive = next_alive
-    return out

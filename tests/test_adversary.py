@@ -299,14 +299,17 @@ class TestJoinBudget:
             strategy="none", n_nodes=20, n_tasks=200, seed=1, adversary=adv
         )
         engine = TickEngine(config)
-        assert engine.view.join_budget_remaining(0) == 3
+        # the view folds the registry's budget into its Sybil gate
+        assert engine.owners.join_budget_remaining(0) == 3
+        assert engine.view.can_add_sybil(0)
         engine.owners.register_sybil(0)
-        assert engine.view.join_budget_remaining(0) == 0
+        assert engine.owners.join_budget_remaining(0) == 0
+        assert not engine.view.can_add_sybil(0)
 
-    def test_view_returns_none_when_defense_off(self):
+    def test_budget_is_none_when_defense_off(self):
         config = SimulationConfig(n_nodes=20, n_tasks=200, seed=1)
         engine = TickEngine(config)
-        assert engine.view.join_budget_remaining(0) is None
+        assert engine.owners.join_budget_remaining(0) is None
 
     def test_budget_refills_capped_at_cost(self):
         adv = AdversaryModel(join_cost=2, join_budget_refill=5)

@@ -67,8 +67,8 @@ class TestQueries:
     def test_slot_arc_and_gap(self, rng):
         state, _ = make_state(rng)
         assert state.slot_arc(1) == (50, 100)
-        assert state.slot_gap(1) == 50
-        assert state.slot_gap(0) == (50 - 200) % 256
+        assert int(state.gaps()[1]) == 50
+        assert int(state.gaps()[0]) == (50 - 200) % 256
 
     def test_gaps_sum_to_space(self, rng):
         state, _ = make_state(rng)

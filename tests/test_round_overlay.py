@@ -160,19 +160,25 @@ def test_golden_fingerprints(strategy, ticks, fingerprint):
     assert result_fingerprint(result) == fingerprint
 
 
+def ring_size(view) -> int:
+    return len(view.successor_window(0, 10**9)[0]) + 1
+
+
 def read_everything(view, engine) -> dict:
-    """Every strategy-visible read, over the whole ring."""
-    n = len(view.successor_slots(0, 10**9)) + 1
+    """Every strategy-visible read, over the whole ring: each slot's
+    owner, gap and count as the one-slot window of its predecessor, and
+    the windows across the wrap."""
+    n = ring_size(view)
     owners = engine.owners.network_indices.tolist()
     slots = range(n)
     return {
         "n": n,
         "ids": [view.slot_id(s) for s in slots],
-        "owners": [view.slot_owner(s) for s in slots],
-        "counts": [view.slot_count(s) for s in slots],
-        "gaps": [view.slot_gap(s) for s in slots],
-        "succ": view.successor_slots(n - 1, 3),
-        "pred": view.predecessor_slots(0, 3),
+        "slots": [
+            view.successor_window((s - 1) % n, 1, counts=True) for s in slots
+        ],
+        "succ": view.successor_window(n - 1, 3, counts=True),
+        "pred": view.predecessor_window(0, 3),
         "main": [view.main_slot(o) for o in owners],
         "heaviest": [view.heaviest_slot(o) for o in owners],
         "live": [view.live_owner_load(o) for o in owners],
@@ -210,7 +216,7 @@ def test_reads_match_after_every_action(placement):
             if kind == 0 and view.can_add_sybil(owner):
                 outcomes.append(view.create_sybil_random(owner))
             elif kind == 1 and view.can_add_sybil(owner):
-                n = len(view.successor_slots(0, 10**9)) + 1
+                n = ring_size(view)
                 outcomes.append(view.create_sybil_in_slot_arc(owner, slot % n))
             else:
                 outcomes.append(view.retire_sybils(owner))
@@ -279,6 +285,24 @@ class TestCommitShape:
             for per_round in rounds:
                 assert per_round.get("commit_round", 0) <= 1
                 assert per_round.get("begin_batch_insertion", 0) <= 1
+
+    def test_closed_round_is_released(self):
+        """Between rounds the view holds no round state: the closed
+        round's lists, pending joins, split masks and base maps are
+        dropped when it commits, not kept through the consumption and
+        measurement phases."""
+        engine = TickEngine(SimulationConfig(
+            strategy="neighbor_injection", n_nodes=60, n_tasks=3000, seed=7,
+        ))
+        for _ in range(60):
+            engine.step()
+            held = [
+                name for name, value in vars(engine.view).items()
+                if isinstance(value, (list, dict, set))
+            ]
+            assert held == []
+        assert engine.counters["sybils_created"] > 0
+        assert engine.counters["sybils_retired"] > 0
 
     def test_idle_rounds_open_no_overlay(self, monkeypatch):
         opened = []

@@ -50,7 +50,10 @@ class TestHelperSelection:
         preds, pred_owners = view.predecessor_window(
             target, engine.config.num_successors
         )
-        assert pred_owners == [view.slot_owner(s) for s in preds]
+        n = engine.state.n_slots
+        k = min(engine.config.num_successors, n - 1)
+        assert preds == [(target - i) % n for i in range(1, k + 1)]
+        assert pred_owners == engine.state.owner[preds].tolist()
         helper = strategy._pick_helper(
             view, inviter, pred_owners, engine.config.sybil_threshold, set()
         )

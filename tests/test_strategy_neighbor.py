@@ -5,7 +5,6 @@ import pytest
 
 from repro.config import SimulationConfig
 from repro.core.neighbor import NeighborInjection, SmartNeighborInjection
-from repro.core.strategy import NetworkView
 from repro.sim.engine import TickEngine, run_simulation
 from repro.sim.view import SimView
 
@@ -27,10 +26,13 @@ class TestTargetSelection:
         owner = int(engine.owners.network_indices[0])
         candidates, _ = strategy._candidate_slots(view, owner)
         base = view.main_slot(owner)
-        succ = set(view.successor_slots(base, engine.config.num_successors))
+        succ, owners, _ = view.successor_window(
+            base, engine.config.num_successors
+        )
+        owner_of = dict(zip(succ, owners))
         for slot in candidates:
-            assert slot in succ
-            assert view.slot_owner(int(slot)) != owner
+            assert slot in owner_of
+            assert owner_of[slot] != owner
 
     def test_estimate_picks_largest_gap(self):
         engine = make_engine()
@@ -40,8 +42,11 @@ class TestTargetSelection:
         owner = int(engine.owners.network_indices[0])
         target = strategy._pick_target(view, owner)
         candidates, _ = strategy._candidate_slots(view, owner)
-        gaps = [view.slot_gap(s) for s in candidates]
-        assert view.slot_gap(target) == max(gaps)
+        slots, _, gaps = view.successor_window(
+            view.main_slot(owner), engine.config.num_successors
+        )
+        gap = dict(zip(slots, gaps))
+        assert gap[target] == max(gap[s] for s in candidates)
 
     def test_smart_picks_heaviest_and_counts_messages(self):
         engine = make_engine(strategy="smart_neighbor_injection")
@@ -52,18 +57,18 @@ class TestTargetSelection:
         before = view.stats.messages
         target = strategy._pick_target(view, owner)
         candidates, _ = strategy._candidate_slots(view, owner)
-        counts = [view.slot_count(s) for s in candidates]
-        assert view.slot_count(target) == max(counts)
-        assert view.stats.messages - before == len(counts)
+        slots, _, _, counts = view.successor_window(
+            view.main_slot(owner), engine.config.num_successors, counts=True
+        )
+        count = dict(zip(slots, counts))
+        assert count[target] == max(count[s] for s in candidates)
+        assert view.stats.messages - before == len(candidates)
 
 
 class _PickView:
     """Only the reads NeighborInjection's target pick makes — one
-    successor window, built by the NetworkView default from the per-slot
-    reads below: slots are their own labels, none belongs to the
+    successor window: slots are their own labels, none belongs to the
     deciding owner."""
-
-    successor_window = NetworkView.successor_window
 
     def __init__(self, succ, *, gaps=None, counts=None):
         self.config = SimulationConfig(num_successors=len(succ))
@@ -75,17 +80,15 @@ class _PickView:
     def main_slot(self, owner):
         return -1
 
-    def successor_slots(self, slot, k):
-        return self._succ[:k]
-
-    def slot_owner(self, slot):
-        return 1000 + slot
-
-    def slot_gap(self, slot):
-        return self._gaps.get(slot, 0)
-
-    def slot_count(self, slot):
-        return self._counts.get(slot, 0)
+    def successor_window(self, slot, k, *, counts=False):
+        slots = self._succ[:k]
+        window = (
+            slots, [1000 + s for s in slots],
+            [self._gaps.get(s, 0) for s in slots],
+        )
+        if counts:
+            return (*window, [self._counts.get(s, 0) for s in slots])
+        return window
 
     def count_messages(self, n=1):
         self.messages += n
@@ -133,12 +136,12 @@ class TestPickSemantics:
         view = engine.view
         view.begin_round()
         for slot in (0, 1):
-            assert view.successor_slots(slot, 5) == [1 - slot]
-            assert view.predecessor_slots(slot, 5) == [1 - slot]
+            assert view.successor_window(slot, 5)[0] == [1 - slot]
+            assert view.predecessor_window(slot, 5)[0] == [1 - slot]
         view._open_round()  # the same reads through an open round
         for slot in (0, 1):
-            assert view.successor_slots(slot, 5) == [1 - slot]
-            assert view.predecessor_slots(slot, 5) == [1 - slot]
+            assert view.successor_window(slot, 5)[0] == [1 - slot]
+            assert view.predecessor_window(slot, 5)[0] == [1 - slot]
 
 
 class TestSybilLocality:

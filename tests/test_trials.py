@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+import repro.fabric.broker as broker_module
 from repro.config import SimulationConfig
 from repro.errors import ConfigError, TrialError
 from repro.sim.trials import (
@@ -171,6 +172,30 @@ class TestFaultTolerance:
                 retries=0, timeout=3.0, cache=False,
             )
         assert all("timed out" in f.error for f in excinfo.value.failures)
+
+    @pytest.mark.slow
+    def test_hung_workers_time_out_on_a_slow_kill(
+        self, tiny_config, monkeypatch
+    ):
+        """A loaded host: the pool's manager thread sees the killed
+        workers die before the broker settles the window, and fails
+        their futures with BrokenProcessPool.  They still report as
+        timeouts, not as worker deaths."""
+        kill = broker_module._kill_workers
+
+        def slow_kill(executor):
+            kill(executor)
+            time.sleep(1.0)
+
+        monkeypatch.setattr(broker_module, "_kill_workers", slow_kill)
+        with pytest.raises(TrialError) as excinfo:
+            run_trials(
+                tiny_config, 2, n_jobs=2, trial_fn=_hanging_trial,
+                retries=0, timeout=2.0, cache=False,
+            )
+        errors = [f.error for f in excinfo.value.failures]
+        assert len(errors) == 2
+        assert all("timed out" in e for e in errors), errors
 
 
 class TestAggregation:

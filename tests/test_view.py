@@ -76,7 +76,7 @@ class TestActions:
         view.begin_round()
         owner = int(engine.owners.network_indices[0])
         base = view.main_slot(owner)
-        target = int(view.successor_slots(base, 3)[1])
+        target = view.successor_window(base, 3)[0][1]
         start, end = engine.state.slot_arc(target)
         acquired = view.create_sybil_in_slot_arc(owner, target)
         view.end_round()

@@ -1,13 +1,18 @@
-"""Windowed neighborhood reads equal the per-slot reads they replace.
+"""Windowed neighbourhood reads: the only neighbourhood read a view offers.
 
 ``NetworkView.successor_window`` / ``predecessor_window`` return a
 node's tracked neighbours with their owners (and gaps, and counts on
 request) in one call.  ``SimView`` answers them with list slices over
-the open round's lists, or over the ring while no round is open; the
-protocol adapter inherits the default built from the per-slot reads.
-Every form must agree with the per-slot reads, across the wrap, for
-windows wider than the ring, and on a one-slot ring.
+the open round's lists, or over the ring while no round is open: both
+forms must equal a reference built from those lists (or the ring's
+``ids``/``owner``/``counts`` arrays), across the wrap, for windows
+wider than the ring, and on one- and two-slot rings.  ``ProtocolView``
+reads each node's successor and predecessor lists and queries loads by
+RPC; its windows and the runs built on them are pinned.
 """
+
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -18,24 +23,40 @@ from repro.core.strategy import NetworkView
 from repro.sim.engine import TickEngine
 
 
-def per_slot_reads(view, slot: int, k: int):
-    succ = view.successor_slots(slot, k)
-    pred = view.predecessor_slots(slot, k)
+def reference_windows(ids, owner, counts, size: int, slot: int, k: int):
+    """``(successor window with counts, predecessor window)`` of ``slot``
+    on the ring given as parallel lists in ring order."""
+    n = len(ids)
+    m = min(k, n - 1)
+    succ = [(slot + i) % n for i in range(1, m + 1)]
+    pred = [(slot - i) % n for i in range(1, m + 1)]
     return (
         (
             succ,
-            [view.slot_owner(s) for s in succ],
-            [view.slot_gap(s) for s in succ],
-            [view.slot_count(s) for s in succ],
+            [owner[s] for s in succ],
+            [(ids[s] - ids[s - 1]) % size for s in succ],
+            [counts[s] for s in succ],
         ),
-        (pred, [view.slot_owner(s) for s in pred]),
+        (pred, [owner[s] for s in pred]),
     )
 
 
-def assert_windows_match(view, slots, n: int) -> None:
+def ring_lists(view) -> tuple[list[int], list[int], list[int]]:
+    """The lists a view's windows read: the open round's, or the ring's
+    arrays while no round is open."""
+    if view._ids is not None:
+        return view._ids, view._owner, view._counts
+    state = view._state
+    return state.ids.tolist(), state.owner.tolist(), state.counts.tolist()
+
+
+def assert_windows_match(view, slots) -> None:
+    ids, owner, counts = ring_lists(view)
+    n = len(ids)
+    size = view._size
     for slot in slots:
         for k in sorted({1, 2, 5, max(n - 1, 1), n, n + 3, 10**9}):
-            succ, pred = per_slot_reads(view, slot, k)
+            succ, pred = reference_windows(ids, owner, counts, size, slot, k)
             assert view.successor_window(slot, k, counts=True) == succ
             assert view.successor_window(slot, k) == succ[:3]
             assert view.predecessor_window(slot, k) == pred
@@ -60,7 +81,7 @@ class TestSimView:
         view.begin_round()
         n = engine.state.n_slots
         assert n > 30  # Sybils joined
-        assert_windows_match(view, range(n), n)
+        assert_windows_match(view, range(n))
         assert view._ids is None  # the reads opened no round
 
     def test_open_overlay_reads_the_round(self):
@@ -74,10 +95,11 @@ class TestSimView:
             if view.can_add_sybil(owner):
                 view.create_sybil_random(owner)
         assert view._ids is not None  # still deferred
-        n = len(view.successor_slots(0, 10**9)) + 1
+        n = len(view._ids)
         assert n != engine.state.n_slots  # the round changed the ring
+        assert len(view.successor_window(0, 10**9)[0]) == n - 1
         slots = sorted({0, n - 1, *script.integers(0, n, size=10).tolist()})
-        assert_windows_match(view, slots, n)
+        assert_windows_match(view, slots)
 
     @pytest.mark.parametrize("open_round", [False, True])
     def test_one_and_two_slot_rings(self, open_round):
@@ -90,29 +112,131 @@ class TestSimView:
             view.begin_round()
             if open_round:
                 view._open_round()
-            assert_windows_match(view, range(n_nodes), n_nodes)
+            assert_windows_match(view, range(n_nodes))
+        # the two-slot ring: each slot's one neighbour, both ways
+        ids, owner, counts = ring_lists(view)
         assert view.successor_window(0, 5, counts=True) == (
-            [1], [view.slot_owner(1)], [view.slot_gap(1)],
-            [view.slot_count(1)],
+            [1], [owner[1]], [ids[1] - ids[0]], [counts[1]],
         )
+        assert view.predecessor_window(1, 5) == ([0], [owner[0]])
+
+
+def protocol_sim(strategy="neighbor_injection", **overrides):
+    overrides.setdefault("n_nodes", 12)
+    overrides.setdefault("n_tasks", 300)
+    overrides.setdefault("seed", 3)
+    return ProtocolSimulation(SimulationConfig(
+        strategy=strategy, bits=32, **overrides
+    ))
+
+
+# ProtocolView's windows for every host's main slot (k in 1, 3, 20) of
+# the 12-host seed-3 ring, as sha256 of their JSON, with the first
+# host's k=1 and k=20 windows spelled out, and the load queries the
+# counted windows sent.  Recorded while the protocol layer still built
+# its windows from per-slot reads.
+WINDOWS_DIGEST = "f67558f57ac253c1"
+FIRST_HOST_WINDOWS = {
+    1: (
+        ([3733325604], [6], [247940140], [17]),
+        ([3441447623], [5]),
+    ),
+    20: (
+        (
+            [3733325604, 169217806, 367860371, 770692085],
+            [6, 8, 1, 2],
+            [247940140, 730859498, 198642565, 366412645],
+            [17, 50, 14, 22],
+        ),
+        ([3441447623], [5]),
+    ),
+}
+WINDOW_QUERIES = 93
+
+# Whole results of short protocol runs (16 hosts, 400 tasks, seed 5),
+# recorded before the windows moved onto ProtocolView: the result dict,
+# whose network_messages is network.total_messages() at the end.
+_RUN_COMMON = {
+    "churn_joins": 0, "churn_leaves": 0, "invitations_sent": 0,
+    "invitations_refused": 0, "relocations": 0, "ideal_ticks": 25.0,
+    "completed": True, "termination_reason": None, "total_consumed": 400,
+    "tasks_lost": 0, "network_drops": 0, "network_retries": 0,
+    "network_fallbacks": 0,
+}
+PINNED_RUNS = {
+    "neighbor_injection": {
+        **_RUN_COMMON, "decision_rounds": 7, "sybils_created": 43,
+        "sybils_retired": 28, "tasks_acquired": 153, "messages": 0,
+        "actions_skipped": 0, "runtime_ticks": 36, "runtime_factor": 1.44,
+        "strategy_messages": 0, "network_messages": 15732,
+    },
+    "smart_neighbor_injection": {
+        **_RUN_COMMON, "decision_rounds": 7, "sybils_created": 22,
+        "sybils_retired": 20, "tasks_acquired": 164, "messages": 184,
+        "actions_skipped": 21, "runtime_ticks": 35, "runtime_factor": 1.4,
+        "strategy_messages": 184, "network_messages": 14658,
+    },
+    "smart_neighbor_injection-avoid": {
+        **_RUN_COMMON, "decision_rounds": 7, "sybils_created": 22,
+        "sybils_retired": 20, "tasks_acquired": 164, "messages": 181,
+        "actions_skipped": 21, "runtime_ticks": 35, "runtime_factor": 1.4,
+        "strategy_messages": 181, "network_messages": 14658,
+    },
+    "invitation": {
+        **_RUN_COMMON, "decision_rounds": 10, "sybils_created": 9,
+        "sybils_retired": 0, "tasks_acquired": 226, "messages": 75,
+        "invitations_sent": 15, "invitations_refused": 6,
+        "actions_skipped": 0, "runtime_ticks": 52, "runtime_factor": 2.08,
+        "strategy_messages": 75, "network_messages": 18777,
+    },
+}
 
 
 class TestProtocolView:
-    def test_inherits_the_default_windows(self):
-        assert "successor_window" not in vars(ProtocolView)
-        assert "predecessor_window" not in vars(ProtocolView)
-        assert ProtocolView.successor_window is NetworkView.successor_window
+    def test_windows_are_the_only_neighbourhood_read(self):
+        assert NetworkView.successor_window.__isabstractmethod__
+        assert NetworkView.predecessor_window.__isabstractmethod__
+        assert "successor_window" in vars(ProtocolView)
+        assert "predecessor_window" in vars(ProtocolView)
+        for gone in ("successor_slots", "predecessor_slots", "slot_owner",
+                     "slot_count", "slot_gap", "join_budget_remaining"):
+            assert not hasattr(NetworkView, gone)
 
-    def test_default_windows_match_per_slot_reads(self):
-        sim = ProtocolSimulation(SimulationConfig(
-            strategy="neighbor_injection", n_nodes=12, n_tasks=300,
-            bits=32, seed=3,
-        ))
+    def test_windows_pinned(self):
+        sim = protocol_sim()
         view = sim.view
         view.begin_round()
-        slots = [h.main_id for h in sim.hosts if h.in_network]
-        for slot in slots:
+        network = sim.ring.network
+        before = network.total_messages()
+        reads = []
+        for host in sim.hosts:
+            if not host.in_network:
+                continue
+            slot = host.main_id
             for k in (1, 3, 20):
-                succ, pred = per_slot_reads(view, slot, k)
-                assert view.successor_window(slot, k, counts=True) == succ
-                assert view.predecessor_window(slot, k) == pred
+                reads.append([
+                    slot, k, list(view.successor_window(slot, k, counts=True)),
+                    list(view.successor_window(slot, k)),
+                    list(view.predecessor_window(slot, k)),
+                ])
+        assert network.total_messages() - before == WINDOW_QUERIES
+        digest = hashlib.sha256(json.dumps(reads).encode()).hexdigest()
+        assert digest[:16] == WINDOWS_DIGEST
+        slot = sim.hosts[0].main_id
+        for k, (succ, pred) in FIRST_HOST_WINDOWS.items():
+            assert view.successor_window(slot, k, counts=True) == succ
+            assert view.predecessor_window(slot, k) == pred
+
+    @pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+    def test_runs_pinned(self, name):
+        strategy, _, avoid = name.partition("-")
+        sim = protocol_sim(
+            strategy, n_nodes=16, n_tasks=400, seed=5,
+            avoid_failed_ranges=bool(avoid),
+        )
+        assert sim.run() == PINNED_RUNS[name]
+        assert sim.ring.network.total_messages() == (
+            PINNED_RUNS[name]["network_messages"]
+        )
+        if avoid:  # the run marked dead-end ranges and skipped them
+            assert sim.strategy._failed_ranges
