@@ -15,9 +15,7 @@ PAPER_BENCHES := benchmarks/bench_table1.py benchmarks/bench_table2.py \
 	benchmarks/bench_protocol.py
 
 .PHONY: test lint typecheck paper-check bench bench-baseline bench-check \
-	bench-tick bench-tick-baseline bench-tick-check \
-	sweep-resume-check fabric-smoke obs-smoke net-smoke adv-smoke \
-	sanitize-smoke check figures
+	bench-tick bench-tick-baseline bench-tick-check smoke check figures
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -70,50 +68,14 @@ bench-tick-check: bench-tick
 	$(PYTHON) benchmarks/compare_bench.py $(BENCH_TICK_BASELINE) \
 		$(BENCH_TICK_CURRENT) --tolerance 1.0 --require-tick-speedup 3.0
 
-# kill a quick-scale sweep midway (SIGKILL), resume it from the trial
-# cache, and require the merged TrialSet to be bit-identical to an
-# uninterrupted run (see scripts/sweep_resume_check.py)
-sweep-resume-check:
-	$(PYTHON) scripts/sweep_resume_check.py
-
-# distributed trial fabric end-to-end: serial baseline vs `repro fabric
-# run` with a socket-attached worker SIGKILLed mid-lease, plus a broker
-# SIGKILL + resume — both byte-identical (see scripts/fabric_smoke.py)
-fabric-smoke:
-	$(PYTHON) scripts/fabric_smoke.py
-
-# run a tiny traced+profiled simulation, assert the JSONL parses and
-# that results are bit-identical with observability on or off
-obs-smoke:
-	$(PYTHON) scripts/obs_smoke.py
-
-# boot a 4-node `repro serve` ring, run a ~5s seeded stress workload
-# per strategy (none + random_injection), require non-zero successes
-# and a clean SIGTERM shutdown (see scripts/net_smoke.py)
-net-smoke:
-	$(PYTHON) scripts/net_smoke.py
-
-# seeded adversarial-plane invariants: default-off bit identity,
-# eclipse capture + clean detection, free-rider stranding, and the
-# `repro simulate --adv-*` surface (see scripts/adv_smoke.py and
-# docs/adversarial.md)
-adv-smoke:
-	$(PYTHON) scripts/adv_smoke.py
-
-# rerun the three smoke gates with the runtime determinism sanitizer
-# live (REPRO_SANITIZE=1): zero sanitizer reports and fingerprints
-# bit-identical to unsanitized runs (see src/repro/sanitize.py)
-sanitize-smoke:
-	REPRO_SANITIZE=1 $(PYTHON) scripts/obs_smoke.py
-	REPRO_SANITIZE=1 $(PYTHON) scripts/adv_smoke.py
-	REPRO_SANITIZE=1 $(PYTHON) scripts/net_smoke.py
+# the smoke-scenario table (scripts/smoke.py): one pytest row per
+# end-to-end invariant, each sanitizable row rerun under REPRO_SANITIZE=1
+smoke:
+	$(PYTHON) -m pytest scripts/smoke.py
 
 # the full tier-1 gate: static analysis, unit/property tests, paper
-# claims, perf regression, resume, trial fabric, observability, live
-# serving, adversary plane, sanitized smokes
-check: lint typecheck test paper-check bench-check bench-tick-check \
-	sweep-resume-check fabric-smoke obs-smoke net-smoke adv-smoke \
-	sanitize-smoke
+# claims, perf regression, the smoke table
+check: lint typecheck test paper-check bench-check bench-tick-check smoke
 
 figures:
 	$(PYTHON) -m repro.cli figures --out figures/

@@ -762,8 +762,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 #: Line prefix `repro fabric run --listen` prints once its attach socket
 #: is bound, followed by a JSON object with host/port/status_file —
-#: orchestration scripts (scripts/fabric_smoke.py) wait for it exactly
-#: like net_smoke waits for REPRO-SERVE-READY.
+#: orchestration (the fabric rows of scripts/smoke.py) waits for it
+#: exactly like LocalCluster waits for REPRO-SERVE-READY.
 FABRIC_READY_PREFIX = "REPRO-FABRIC-READY "
 
 

@@ -571,7 +571,10 @@ class Broker:
                     write_frame_sync(conn, self._handle_request(request))
             # one bad/dying worker connection must never take the broker
             # down; the unit it held comes back via lease expiry
-            except (ProtocolError, OSError, ValueError):
+            except ProtocolError:
+                with self._lock:
+                    self._metrics.inc("fabric.bad_frames")
+            except (OSError, ValueError):
                 continue
 
     def _handle_request(self, request: dict) -> dict:

@@ -196,7 +196,8 @@ WALLCLOCK_ALLOWLIST = (
     # ETA estimates and status-file rate limiting are scheduling
     # metadata.  Results are assembled by unit index from seeds fixed at
     # queue-build time, so no clock read can reach a fingerprint (the
-    # fabric smoke gate holds broker output bit-identical to serial).
+    # fabric rows of `make smoke` hold broker output bit-identical to
+    # serial).
     "repro/fabric/broker.py",
 )
 
@@ -234,7 +235,7 @@ PARALLELISM_ALLOWLIST = (
     # The live layer (repro/net/) runs on real sockets by design; it is
     # strictly additive — nothing in the simulation path imports it, so
     # its scheduling nondeterminism cannot reach a fingerprinted output
-    # (the obs-smoke bit-identity gate enforces the separation):
+    # (the obs rows of `make smoke` enforce the separation):
     # asyncio + socket: the wire protocol itself.
     "repro/net/transport.py",
     # asyncio server/tasks + a thread pool for blocking protocol work;

@@ -18,11 +18,12 @@ convergence can be measured in wall-clock time:
   recording wall-clock latency through the
   :class:`~repro.obs.MetricsRegistry` and JSONL trace sink;
 * :mod:`repro.net.cluster` — a local multi-process ring launcher
-  (``repro serve --ring N``) used by tests and the CI net-smoke job.
+  (``repro serve --ring N``) used by tests and the ``net-*`` rows of
+  ``make smoke``.
 
 The live layer is strictly additive: nothing here is imported by the
 simulation path, so seeded simulation fingerprints stay bit-identical
-(enforced by the obs-smoke CI gate).
+(enforced by the ``obs-*`` rows of ``make smoke``).
 """
 
 from __future__ import annotations

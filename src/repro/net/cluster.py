@@ -13,8 +13,8 @@ A reader thread per child watches stdout for that line (and keeps
 draining output afterwards so the pipe never fills), which is how the
 launcher learns the ephemeral ports.  :meth:`LocalCluster.stop` sends
 SIGTERM and reports whether every node exited cleanly within the
-timeout — the CI net-smoke job asserts on that bool.  :meth:`kill`
-SIGKILLs one node mid-run for the failover tests.
+timeout — the ``net-*`` rows of ``make smoke`` assert on that bool.
+:meth:`kill` SIGKILLs one node mid-run for the failover tests.
 """
 
 from __future__ import annotations

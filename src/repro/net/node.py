@@ -707,7 +707,9 @@ class LiveNode:
                 try:
                     payload = await read_frame(reader)
                 except ProtocolError:
-                    break  # peer sent garbage; drop the connection
+                    # peer sent garbage: count it, drop the connection
+                    self.metrics.inc("net.bad_frames")
+                    break
                 if payload is None:
                     break
                 response = await self._handle(payload)

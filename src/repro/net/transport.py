@@ -136,7 +136,17 @@ def encode_frame(payload: dict[str, Any]) -> bytes:
 
 
 def _decode_body(body: bytes) -> dict[str, Any]:
-    payload = json.loads(body.decode("utf-8"))
+    """Parse a frame body; every malformed body is a :class:`ProtocolError`.
+
+    All readers (async, sync, both clients) share this, so a peer that
+    sends non-UTF-8 or non-JSON bytes is classified once, here, instead
+    of escaping as a ``ValueError`` past servers that catch only
+    protocol errors.
+    """
+    try:
+        payload = json.loads(body.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError, JSONDecodeError
+        raise ProtocolError(f"frame body is not UTF-8 JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise ProtocolError("frame payload must be a JSON object")
     return payload
@@ -273,7 +283,11 @@ def read_frame_sync(sock: socket.socket) -> dict[str, Any] | None:
     (length,) = _LEN.unpack(header)
     if length > MAX_FRAME_BYTES:
         raise ProtocolError(f"peer announced oversized frame ({length} bytes)")
-    return _decode_body(_recv_exactly(sock, length))
+    try:
+        body = _recv_exactly(sock, length)
+    except ConnectionError as exc:
+        raise ProtocolError("truncated frame body") from exc
+    return _decode_body(body)
 
 
 def write_frame_sync(sock: socket.socket, payload: dict[str, Any]) -> None:

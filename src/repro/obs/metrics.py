@@ -18,7 +18,7 @@ Conventions:
 
 Nothing here feeds back into simulation state; the registry is written
 after results exist.  ``result_fingerprint`` is the bit-identity probe
-used by the fingerprint tests and the observability smoke check.
+used by the fingerprint tests and the smoke table (``make smoke``).
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ Two determinism rules shape the design:
   is byte-stable.
 * Timings never touch simulation state or results.  A profiler is an
   observer: attaching one must leave seeded runs bit-identical, which
-  the observability smoke test enforces.
+  the ``obs-trace`` row of ``make smoke`` enforces.
 
 :data:`NULL_PROFILER` is the engine's default — a shared no-op whose
 ``phase()`` returns a reusable empty context, keeping the unprofiled

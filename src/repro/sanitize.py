@@ -6,7 +6,7 @@ dispatch, pickling, and scheduler interleavings live.  Everything here
 is dormant unless the ``REPRO_SANITIZE`` environment variable is ``1``:
 the guards read the flag at call time, so a test can flip it per-case,
 and the instrumented code paths cost one truthiness check when off —
-the obs-smoke zero-overhead budget still holds.
+the zero-overhead budget of the observability path still holds.
 
 Checks
 ------
@@ -22,8 +22,9 @@ Checks
 
 Violations both *raise* :class:`~repro.errors.SanitizeError` (for the
 checks with a raise site) and accumulate in :func:`reports`, which the
-smoke scripts assert empty; the asyncio watch only accumulates, since
-raising from a log handler would be swallowed by the loop.
+sanitized rows of ``scripts/smoke.py`` assert empty; the asyncio watch
+only accumulates, since raising from a log handler would be swallowed
+by the loop.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ ENV_FLAG = "REPRO_SANITIZE"
 
 def enabled() -> bool:
     """Whether the sanitizer is active (checked at every call site, so
-    tests and smoke scripts can toggle it mid-process)."""
+    tests and the smoke table can toggle it mid-process)."""
     return os.environ.get(ENV_FLAG, "") == "1"
 
 
@@ -135,8 +136,9 @@ def install_asyncio_watch(loop: Any, slow_callback_s: float = 0.5) -> None:
     Debug mode makes the loop time every callback and log a warning
     when one exceeds ``slow_callback_duration`` — exactly the blocking
     R007 hunts statically.  The warnings land in :func:`reports` (they
-    cannot raise: the loop swallows handler exceptions), and the smoke
-    scripts fail on a non-empty report list.  Idempotent per loop.
+    cannot raise: the loop swallows handler exceptions), and the
+    sanitized smoke rows fail on a non-empty report list.  Idempotent
+    per loop.
     """
     global _WATCH_HANDLER
     if not enabled():

@@ -86,7 +86,7 @@ class TickEngine:
         self.trace = trace
         # both trace and profiler are pure observers: attaching them
         # must leave seeded results bit-identical (no RNG draws, no
-        # state writes) — the observability smoke test pins this
+        # state writes) — the obs rows of `make smoke` pin this
         self.profiler: Profiler = (
             profiler if profiler is not None else NULL_PROFILER
         )
@@ -188,7 +188,8 @@ class TickEngine:
         when something observes the run: with no trace sink and no real
         profiler, ``prof`` is ``None`` and the tick enters no profiler
         context at all.  Observed or not, the phases mutate identical
-        state in identical order (obs-smoke pins this).
+        state in identical order (the ``obs-trace`` smoke row pins
+        this).
         """
         if self.finished or self.terminated:
             return 0

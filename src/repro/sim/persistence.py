@@ -208,7 +208,8 @@ def save_sweep(trialsets: list[TrialSet], path: str | Path) -> Path:
 
     The document is byte-deterministic for a given sweep: re-running the
     same sweep (cached or not) and saving it again produces identical
-    bytes, which is what ``make sweep-resume-check`` asserts.
+    bytes, which is what the ``sweep-kill-resume`` row of ``make smoke``
+    asserts.
     """
     path = Path(path)
     payload = {

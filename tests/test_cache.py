@@ -122,9 +122,9 @@ class TestSweepResume:
     def test_interrupted_sweep_resumes_bit_identical(
         self, tiny_config, tmp_path
     ):
-        """In-process version of `make sweep-resume-check`: a sweep that
-        lost part of its work resumes from the cache and serializes
-        byte-identically to an uninterrupted run."""
+        """In-process version of the `sweep-kill-resume` smoke row: a
+        sweep that lost part of its work resumes from the cache and
+        serializes byte-identically to an uninterrupted run."""
         values = [0.0, 0.01]
         baseline = sweep(
             tiny_config, "churn_rate", values, 3, cache=False

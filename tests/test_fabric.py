@@ -11,6 +11,7 @@ races fixed in this module's lineage.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 from concurrent.futures import Future
@@ -330,6 +331,31 @@ class TestBrokerRemote:
         assert snapshot["format"] == STATUS_FORMAT
         assert snapshot["total"] == 2
         thread.join(timeout=30)
+
+    def test_bad_frames_are_counted_and_survived(self, tiny_config):
+        """Garbage on the attach socket drops that connection, bumps
+        ``fabric.bad_frames`` and leaves the broker serving."""
+        broker = Broker(
+            _grid(tiny_config, 2),
+            cache=False,
+            trial_fn=_slow_trial,
+            listen=("127.0.0.1", 0),
+        )
+        addr, thread, _out = self._start(broker)
+        bad = [
+            b"\x00\x00\x00\x08abc",  # truncated body
+            b"\x00\x00\x00\x03\xff\xfe\xfd",  # not UTF-8
+            b"\x00\x00\x00\x04nope",  # not JSON
+        ]
+        for data in bad:
+            with socket.create_connection(addr, timeout=5) as sock:
+                sock.sendall(data)
+                sock.shutdown(socket.SHUT_WR)
+                assert sock.recv(1) == b""  # dropped, no reply
+        snapshot = request(addr, {"op": OP_STATUS}, policy=WORKER_POLICY)
+        assert snapshot["metrics"]["counters"]["fabric.bad_frames"] == 3
+        thread.join(timeout=30)
+        assert not thread.is_alive()
 
     def test_worker_without_broker_raises(self):
         with pytest.raises(TransientNetworkError):

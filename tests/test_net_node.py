@@ -315,6 +315,36 @@ class TestLiveRing:
 
         asyncio.run(main())
 
+    def test_bad_frames_are_counted_and_survived(self):
+        """Garbage on the wire drops that connection, bumps
+        ``net.bad_frames`` and leaves the node serving."""
+        bad = [
+            b"\x00\x00",  # truncated header
+            b"\x00\x00\x00\x03\xff\xfe\xfd",  # not UTF-8
+            b"\x00\x00\x00\x04nope",  # not JSON
+        ]
+
+        async def main():
+            nodes = await _boot_ring(1)
+            try:
+                for data in bad:
+                    reader, writer = await asyncio.open_connection(
+                        *nodes[0].addr
+                    )
+                    writer.write(data)
+                    writer.write_eof()
+                    assert await reader.read() == b""  # dropped, no reply
+                    writer.close()
+                    await writer.wait_closed()
+                stats = await async_request(
+                    nodes[0].addr, {"op": "stats"}, policy=POLICY
+                )
+                assert stats["metrics"]["counters"]["net.bad_frames"] == 3
+            finally:
+                await _stop_all(nodes)
+
+        asyncio.run(main())
+
     def test_rpc_to_unhosted_id_is_transport_error(self):
         async def main():
             nodes = await _boot_ring(1)

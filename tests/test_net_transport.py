@@ -20,6 +20,7 @@ from repro.net.transport import (
     format_address,
     parse_address,
     read_frame,
+    read_frame_sync,
     remote_error,
     request,
     write_frame,
@@ -59,6 +60,18 @@ class TestPayloadCodec:
         assert decode_payload(encoded) == {4: 9}
 
 
+#: bodies that are not a UTF-8 JSON object, each a well-framed message
+MALFORMED_BODIES = {
+    "utf8": b"\xff\xfe\xfd",
+    "json": b"not json",
+    "array": b"[1, 2]",
+}
+
+
+def _framed(body: bytes) -> bytes:
+    return len(body).to_bytes(4, "big") + body
+
+
 class TestFrames:
     def _read(self, data: bytes):
         async def go():
@@ -90,6 +103,42 @@ class TestFrames:
         header = (MAX_FRAME_BYTES + 1).to_bytes(4, "big")
         with pytest.raises(ProtocolError):
             self._read(header)
+
+    @pytest.mark.parametrize(
+        "body", list(MALFORMED_BODIES.values()), ids=list(MALFORMED_BODIES)
+    )
+    def test_malformed_body_is_protocol_error(self, body):
+        with pytest.raises(ProtocolError):
+            self._read(_framed(body))
+
+
+class TestSyncFrames:
+    """The blocking reader classifies every malformed frame the same way."""
+
+    def _read(self, data: bytes):
+        ours, theirs = socket.socketpair()
+        with ours, theirs:
+            ours.sendall(data)
+            ours.shutdown(socket.SHUT_WR)
+            return read_frame_sync(theirs)
+
+    def test_roundtrip_and_clean_eof(self):
+        assert self._read(encode_frame({"op": "x"})) == {"op": "x"}
+        assert self._read(b"") is None
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"\x00\x00",
+            encode_frame({"op": "x"})[:-2],
+            (MAX_FRAME_BYTES + 1).to_bytes(4, "big"),
+        ]
+        + [_framed(body) for body in MALFORMED_BODIES.values()],
+        ids=["header", "body", "oversized", *MALFORMED_BODIES],
+    )
+    def test_malformed_frame_is_protocol_error(self, data):
+        with pytest.raises(ProtocolError):
+            self._read(data)
 
 
 class TestRetryPolicy:
@@ -224,6 +273,28 @@ class TestSyncRequestFakeClock:
             request(
                 ("h", 1),
                 {"op": "client_get", "key": 7},
+                policy=RetryPolicy(retries=3),
+                dial=dial,
+                sleep=lambda _s: None,
+            )
+        assert len(dials) == 1
+        assert not isinstance(info.value, TransientNetworkError)
+
+    @pytest.mark.parametrize(
+        "body", list(MALFORMED_BODIES.values()), ids=list(MALFORMED_BODIES)
+    )
+    def test_malformed_reply_is_protocol_error(self, body):
+        """A garbage answer was still delivered: classified, not retried."""
+        dials = []
+
+        def dial(addr, timeout):
+            dials.append(1)
+            return _FakeSocket(_framed(body))
+
+        with pytest.raises(ProtocolError) as info:
+            request(
+                ("h", 1),
+                {"op": "stats"},
                 policy=RetryPolicy(retries=3),
                 dial=dial,
                 sleep=lambda _s: None,
