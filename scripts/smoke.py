@@ -305,7 +305,7 @@ def on_ring(n: int, act: Callable[[LocalCluster], Any], **kwargs: Any) -> dict:
     }
 
 
-def stress(strategy: str) -> Leg:
+def stress(strategy: str, sybil_threshold: int = 0) -> Leg:
     def leg(ctx: Ctx) -> dict:
         def act(cluster: LocalCluster) -> dict:
             config = StressConfig(
@@ -319,10 +319,17 @@ def stress(strategy: str) -> Leg:
                 policy=RetryPolicy(timeout=2.0, retries=1),
             )
             with JsonlTraceSink(ctx.tmp / "stress.jsonl") as trace:
-                return run_stress_sync(config, trace=trace)
+                summary = run_stress_sync(config, trace=trace)
+            summary["counters"] = [
+                request(addr, {"op": "stats"}, policy=POLICY)["metrics"][
+                    "counters"
+                ]
+                for addr in cluster.addrs()
+            ]
+            return summary
 
-        return on_ring(RING, act, strategy=strategy, sybil_threshold=0,
-                       max_sybils=3)
+        return on_ring(RING, act, strategy=strategy,
+                       sybil_threshold=sybil_threshold, max_sybils=3)
 
     return leg
 
@@ -336,6 +343,14 @@ def ring_served(_: None, ring: dict) -> str:
     assert ring["clean"], f"unclean SIGTERM stop; tails: {ring['tails']}"
     # live latencies vary run to run; the seeded ring layout does not
     return ",".join(map(str, ring["ids"]))
+
+
+def invites_crossed(_: None, ring: dict) -> str:
+    """The ring served, and some host took an ``invite`` op from another
+    process: under invitation, only an accepted invite makes a Sybil."""
+    counters = ring["value"]["counters"]
+    assert sum(c.get("net.sybils_created", 0) for c in counters), counters
+    return ring_served(None, ring)
 
 
 def hostile_node(ctx: Ctx) -> dict:
@@ -531,6 +546,9 @@ ROWS = [
     Row("net-none", None, stress("none"), ring_served, sanitize=True),
     Row("net-random_injection", None, stress("random_injection"),
         ring_served, sanitize=True),
+    # helpers at or below 64 keys qualify, so invite ops really cross
+    Row("net-invitation", None, stress("invitation", sybil_threshold=64),
+        invites_crossed, sanitize=True),
     Row("net-hostile-frames", None, hostile_node, node_counts_bad_frames),
     Row("sweep-kill-resume", baseline, killed_then_resumed("sweep"),
         resume_is_identical),

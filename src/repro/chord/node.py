@@ -276,7 +276,15 @@ class ChordNode:
             if current == self.id:
                 nxt = self.rpc_closest_preceding(key)
             else:
-                nxt = self._rpc(current, "rpc_closest_preceding", key)
+                try:
+                    nxt = self._rpc(current, "rpc_closest_preceding", key)
+                except ProtocolError as exc:
+                    if not getattr(exc, "transport_failure", False):
+                        raise
+                    # ``current`` left after naming its successor (a
+                    # retiring Sybil): walk on from that live successor
+                    avoid.add(current)
+                    nxt = succ
             if nxt == current or nxt in avoid:
                 nxt = succ  # linear fallback keeps the lookup moving
             if nxt == current:

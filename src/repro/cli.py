@@ -7,8 +7,6 @@ Subcommands
 ``repro run <id> [--scale quick|full] [--seed N] [--jobs N] [--csv PATH]
 [--json PATH]``
     Run one experiment (or ``all``) and print the paper-layout table.
-``repro experiments list`` / ``repro experiments run <id> ...``
-    Namespaced aliases of ``list`` and ``run`` (same flags).
 ``repro simulate [--strategy S] [--nodes N] [--tasks T] ...``
     Run a single ad-hoc simulation and print its summary.  Failure
     injection: ``--crash-fraction``, ``--replication`` (``full`` or an
@@ -319,33 +317,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def _add_run_arguments(run_p: argparse.ArgumentParser) -> None:
-        run_p.add_argument("experiment", help="experiment id or 'all'")
-        run_p.add_argument("--scale", choices=["quick", "full"], default=None)
-        run_p.add_argument("--seed", type=int, default=0)
-        run_p.add_argument("--jobs", type=int, default=1)
-        run_p.add_argument("--csv", type=Path, default=None)
-        run_p.add_argument("--json", type=Path, default=None)
-        run_p.add_argument(
-            "--no-cache", action="store_true",
-            help="recompute every trial (skip the content-addressed cache)",
-        )
-        run_p.add_argument(
-            "--manifest", type=Path, default=None,
-            help="write the run manifest(s) to this JSON file",
-        )
-
     sub.add_parser("list", help="list experiment ids")
-    _add_run_arguments(sub.add_parser("run", help="run an experiment (or 'all')"))
-
-    # `repro experiments {list,run}`: namespaced aliases of the above.
-    exp_p = sub.add_parser(
-        "experiments", help="experiment registry commands (list / run)"
+    run_p = sub.add_parser("run", help="run an experiment (or 'all')")
+    run_p.add_argument("experiment", help="experiment id or 'all'")
+    run_p.add_argument("--scale", choices=["quick", "full"], default=None)
+    run_p.add_argument("--seed", type=int, default=0)
+    run_p.add_argument("--jobs", type=int, default=1)
+    run_p.add_argument("--csv", type=Path, default=None)
+    run_p.add_argument("--json", type=Path, default=None)
+    run_p.add_argument(
+        "--no-cache", action="store_true",
+        help="recompute every trial (skip the content-addressed cache)",
     )
-    exp_sub = exp_p.add_subparsers(dest="experiments_command", required=True)
-    exp_sub.add_parser("list", help="list experiment ids")
-    _add_run_arguments(
-        exp_sub.add_parser("run", help="run an experiment (or 'all')")
+    run_p.add_argument(
+        "--manifest", type=Path, default=None,
+        help="write the run manifest(s) to this JSON file",
     )
 
     sim_p = sub.add_parser("simulate", help="one ad-hoc simulation")
@@ -526,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_fields(
         serve_p, live.LiveNodeConfig, _NODE_FLAGS,
-        strategy={"choices": live.STRATEGY_NAMES},
+        strategy={"choices": live.LIVE_STRATEGIES},
     )
     _add_fields(serve_p, RetryPolicy, _RETRY_FLAGS)
     serve_p.add_argument(
@@ -1250,10 +1236,6 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    if args.command == "experiments":
-        if args.experiments_command == "list":
-            return _cmd_list()
-        return _cmd_run(args)
     if args.command == "list":
         return _cmd_list()
     if args.command == "run":

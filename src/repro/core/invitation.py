@@ -24,8 +24,6 @@ lowest maintenance cost of the Sybil family.
 
 from __future__ import annotations
 
-import math
-
 from repro.core.strategy import NetworkView, Strategy
 
 __all__ = ["Invitation"]
@@ -36,12 +34,12 @@ class Invitation(Strategy):
 
     name = "invitation"
 
-    def __init__(self) -> None:
-        self._overburden_threshold: float = math.inf
-
-    def on_attach(self, view: NetworkView) -> None:
+    @staticmethod
+    def overburden_threshold(view: NetworkView) -> float:
+        """``invite_factor`` x the fair share, read each round: a live
+        host's job-size estimate moves, the simulator's does not."""
         fair_share = view.total_tasks / max(view.initial_nodes, 1)
-        self._overburden_threshold = view.config.invite_factor * fair_share
+        return view.config.invite_factor * fair_share
 
     # ------------------------------------------------------------------
     def decide(self, view: NetworkView) -> None:
@@ -52,7 +50,7 @@ class Invitation(Strategy):
 
         overloaded = view.network_owners()
         overloaded = overloaded[
-            loads[overloaded] > self._overburden_threshold
+            loads[overloaded] > self.overburden_threshold(view)
         ]
         for inviter in self.shuffled(view, overloaded).tolist():
             target = view.heaviest_slot(inviter)

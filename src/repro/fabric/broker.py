@@ -57,6 +57,7 @@ from concurrent.futures import (
     BrokenExecutor,
     Future,
     ProcessPoolExecutor,
+    ThreadPoolExecutor,
     wait,
 )
 from pathlib import Path
@@ -555,19 +556,29 @@ class Broker:
     def _serve(self) -> None:
         sock = self._lsock
         assert sock is not None
-        while not self._shutdown.is_set():
+        # a peer that connects and sends nothing holds one pool thread
+        # for the read timeout, not every other lease, settle and status
+        pool = ThreadPoolExecutor(
+            max_workers=4, thread_name_prefix="repro-broker-conn"
+        )
+        try:
+            while not self._shutdown.is_set():
+                try:
+                    conn, _peer = sock.accept()
+                except socket.timeout:
+                    continue
+                except OSError:
+                    break
+                pool.submit(self._serve_connection, conn)
+        finally:
+            pool.shutdown(wait=False, cancel_futures=True)
+
+    def _serve_connection(self, conn: socket.socket) -> None:
+        with conn:
             try:
-                conn, _peer = sock.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                break
-            try:
-                with conn:
-                    conn.settimeout(2.0)
-                    request = read_frame_sync(conn)
-                    if request is None:
-                        continue
+                conn.settimeout(2.0)
+                request = read_frame_sync(conn)
+                if request is not None:
                     write_frame_sync(conn, self._handle_request(request))
             # one bad/dying worker connection must never take the broker
             # down; the unit it held comes back via lease expiry
@@ -575,7 +586,7 @@ class Broker:
                 with self._lock:
                     self._metrics.inc("fabric.bad_frames")
             except (OSError, ValueError):
-                continue
+                pass
 
     def _handle_request(self, request: dict) -> dict:
         op = request.get("op")

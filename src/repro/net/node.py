@@ -16,14 +16,16 @@ body for it to live in:
   ``rpc`` sends exactly once and ``rpc_retry`` owns the resend budget,
   so the drops/retries/messages accounting matches the in-memory fabric
   count for count.
-* :class:`LiveBalancer` — the paper's strategy hooks driven from the
-  stabilize loop: every ``decision_interval`` maintenance cycles the
-  node compares its total load against ``sybil_threshold`` and spawns /
-  retires Sybil identities (`none`, `random_injection`,
-  `neighbor_injection`, `invitation`).
+* :class:`LiveView` — the node's
+  :class:`~repro.core.strategy.NetworkView`: a live decision round is
+  ``make_strategy(config).decide(view)``, the same :mod:`repro.core`
+  code the tick simulator and the protocol stack run.  No strategy
+  logic lives here; ``churn`` and ``relocation`` are the registry names
+  a live node cannot run.
 * :class:`LiveNode` — the asyncio shell: a TCP server for incoming
   frames, plus maintenance and gossip-heartbeat tasks with seeded
-  jitter.  Blocking protocol work runs on a small thread pool so the
+  jitter, and a decision round every ``decision_interval`` maintenance
+  cycles.  Blocking protocol work runs on a small thread pool so the
   event loop stays responsive; Chord's own stabilization absorbs the
   occasional interleaving between a served RPC and a maintenance cycle.
 
@@ -36,14 +38,25 @@ numbers), which is exactly the live/tick split ROADMAP item 1 asks for.
 from __future__ import annotations
 
 import asyncio
+import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
+
+import numpy as np
 
 from repro import sanitize
 from repro.chord.node import ChordNode
-from repro.errors import IdSpaceError, ProtocolError, TransientNetworkError
+from repro.config import SimulationConfig
+from repro.core.registry import make_strategy, strategy_names
+from repro.core.strategy import NetworkView, RoundStats
+from repro.errors import (
+    ConfigError,
+    IdSpaceError,
+    ProtocolError,
+    TransientNetworkError,
+)
 from repro.hashspace.hashing import sha1_id
 from repro.hashspace.idspace import IdSpace
 from repro.net.transport import (
@@ -59,20 +72,13 @@ from repro.obs.metrics import MetricsRegistry
 from repro.util.rng import make_rng, spawn_seeds
 
 __all__ = [
-    "LiveBalancer",
+    "LIVE_STRATEGIES",
     "LiveNode",
     "LiveNodeConfig",
+    "LiveView",
     "PeerDirectory",
     "RemoteNetwork",
-    "STRATEGY_NAMES",
 ]
-
-#: Strategy names the live balancer accepts (mirrors the sim registry).
-STRATEGY_NAMES = ("none", "random_injection", "neighbor_injection", "invitation")
-
-#: How many peers an invitation poll samples per decision round.
-_POLL_SAMPLE = 16
-
 
 class PeerDirectory:
     """Gossip-maintained map of ring identity → TCP address.
@@ -150,6 +156,10 @@ class PeerDirectory:
     def ids(self) -> list[int]:
         return sorted(self._addrs)
 
+    def n_hosts(self) -> int:
+        """Distinct addresses: the processes this directory knows."""
+        return len(set(self._addrs.values()))
+
     def __len__(self) -> int:
         return len(self._addrs)
 
@@ -157,15 +167,24 @@ class PeerDirectory:
         """JSON-ready ``{id: [host, port]}`` copy for gossip envelopes."""
         return {i: [a[0], a[1]] for i, a in self._addrs.items()}
 
-    def merge(self, snapshot: dict[int, Any]) -> None:
-        """Adopt a peer's snapshot (tombstoned ids stay dead)."""
+    def merge(
+        self, snapshot: dict[int, Any], source: Address | None = None
+    ) -> None:
+        """Adopt a peer's snapshot (tombstoned ids stay dead).
+
+        The snapshot of the process at ``source`` is authoritative for
+        the ids it hosts: an id mapped to ``source`` that it no longer
+        lists (a retired Sybil) is dropped, without a tombstone, so a
+        snapshot older than this book can only delay an id, not bury it.
+        """
         self._ops += 1
-        for node_id, addr in snapshot.items():
-            ident = int(node_id)
-            if ident in self._tombstones:
-                continue
-            host, port = addr
-            self._addrs.setdefault(ident, (str(host), int(port)))
+        adopted = {int(i): (str(a[0]), int(a[1])) for i, a in snapshot.items()}
+        for ident, addr in list(self._addrs.items()):
+            if addr == source and ident not in adopted:
+                del self._addrs[ident]
+        for ident, addr in adopted.items():
+            if ident not in self._tombstones:
+                self._addrs.setdefault(ident, addr)
         self._prune()
 
 
@@ -296,7 +315,7 @@ class RemoteNetwork:
                 # the host answered but disowned the id — stale entry
                 self.directory.remove(target_id)
             raise
-        self.directory.merge(value.get("addrs", {}))
+        self.directory.merge(value.get("addrs", {}), source=addr)
         return value.get("r")
 
     def rpc_retry(
@@ -329,130 +348,272 @@ class RemoteNetwork:
         }
 
 
-class LiveBalancer:
-    """The paper's decision round, driven from the live stabilize loop.
+#: Registry strategies a live node cannot run: ``relocation`` moves the
+#: address-derived main id, ``churn`` needs an engine's churn phase.
+EXCLUDED = ("churn", "relocation")
+LIVE_STRATEGIES = tuple(n for n in strategy_names() if n not in EXCLUDED)
 
-    Each round the node sums primary load across its identities (main +
-    Sybils) and applies the strategy:
+#: the census of a peer whose ``stats`` op failed: it cannot help
+_NO_REPLY = {"load": 0, "n_sybils": 0, "max_sybils": 0}
 
-    * any strategy: a node with Sybils but zero load retires them (they
-      were not helping where they were);
-    * ``random_injection``: at or below ``sybil_threshold`` with budget
-      left → one Sybil at a seeded-random identifier;
-    * ``neighbor_injection``: same trigger, but the Sybil lands inside
-      the arc of the most loaded *successor* that is above threshold;
-    * ``invitation``: same trigger, target chosen from a bounded poll of
-      all known peers (the live stand-in for the paper's help adverts).
 
-    At most one Sybil per round ("avoid overwhelming the network").
+def strategy_config(cfg: LiveNodeConfig) -> SimulationConfig:
+    """The strategy's view of a node config; raises :class:`ConfigError`
+    for an excluded or unknown strategy or a bad threshold or budget."""
+    if cfg.strategy in EXCLUDED:
+        raise ConfigError(f"strategy {cfg.strategy!r} cannot run live")
+    return SimulationConfig(
+        strategy=cfg.strategy, sybil_threshold=cfg.sybil_threshold,
+        max_sybils=cfg.max_sybils, num_successors=cfg.n_successors,
+        seed=cfg.seed,
+    )
+
+
+class LiveView(NetworkView):
+    """One live host's :class:`~repro.core.strategy.NetworkView`.
+
+    Owner ``0`` is this process, its main identity plus its Sybils; a
+    remote owner is an int interned from its host's address.  Windows
+    read the main node's own successor and predecessor lists (a gap is
+    the distance between consecutive ids); a load is one
+    ``rpc_report_load``; a remote owner's load and Sybil budget come from
+    one ``stats`` op per round, §IV-D's reply to an announcement.
+    Invitation is the one action on a remote owner: an ``invite`` op asks
+    the helper's host to inject into the inviter's arc under its own
+    threshold and budget.  One lock covers a round and the ``invite``
+    handler, which refuses rather than waits, so two hosts inviting each
+    other mid-round never deadlock.  Each round's :class:`RoundStats`
+    land in the node's metrics as ``net.<field>``, the simulator's names.
     """
 
-    def __init__(
-        self,
-        live: "LiveNode",
-        strategy: str,
-        *,
-        sybil_threshold: int = 0,
-        max_sybils: int = 5,
-        rng: Any = None,
-    ) -> None:
-        if strategy not in STRATEGY_NAMES:
-            raise ProtocolError(
-                f"unknown live strategy {strategy!r}; "
-                f"expected one of {', '.join(STRATEGY_NAMES)}"
+    def __init__(self, live: LiveNode) -> None:
+        self._config = strategy_config(live.config)
+        self.strategy = make_strategy(self._config)
+        self._live = live
+        self._lock = threading.Lock()
+        self._stats = RoundStats()
+        self._load = 0
+        self._owners: dict[Address, int] = {}
+        self._addrs: list[Address] = [live.addr]
+        self._replies: dict[int, dict[str, Any]] = {}
+
+    def run_round(self) -> None:
+        with self._lock:
+            self._begin()
+            try:
+                self.strategy.decide(self)
+            finally:
+                self._book()
+
+    def accept_invite(self, slot: int) -> int | None:
+        """A Sybil in ``slot``'s arc, or None when this host is above
+        threshold, out of budget or mid-round."""
+        if not self._lock.acquire(blocking=False):
+            return None
+        try:
+            self._begin()
+            if self._load > self._config.sybil_threshold or (
+                not self.can_add_sybil(0)
+            ):
+                return None
+            return self.create_sybil_in_slot_arc(0, slot)
+        finally:
+            self._book()
+            self._lock.release()
+
+    def _begin(self) -> None:
+        self._stats, self._replies = RoundStats(), {}
+        self._load = self.live_owner_load(0)
+
+    def _book(self) -> None:
+        totals: dict[str, int] = {}
+        self._stats.merge_into(totals)
+        self._live.metrics.merge_counters(totals, prefix="net.")
+
+    # -- static context -------------------------------------------------
+    @property
+    def config(self) -> SimulationConfig:
+        return self._config
+
+    @property
+    def rng(self) -> np.random.Generator:
+        return self._live.sybil_rng
+
+    @property
+    def total_tasks(self) -> int:
+        """Estimated from this host's load and the arcs it covers."""
+        space = self._live.space
+        covered = sum(
+            space.distance(n.predecessor, n.id)
+            for n in self._live.identities() if n.predecessor is not None
+        )
+        return self._load * space.size // covered if covered else self._load
+
+    @property
+    def initial_nodes(self) -> int:
+        return self._live.directory.n_hosts()
+
+    # -- owner census ----------------------------------------------------
+    def network_owners(self) -> np.ndarray:
+        return np.zeros(1, dtype=np.int64)
+
+    def owner_loads(self) -> np.ndarray:
+        return np.array([self._load], dtype=np.int64)
+
+    def live_owner_load(self, owner: int) -> int:
+        if owner:
+            return int(self._reply(owner)["load"])
+        return sum(n.store.primary_count for n in self._live.identities())
+
+    def n_sybils(self, owner: int) -> int:
+        if owner:
+            return int(self._reply(owner)["n_sybils"])
+        return len(self._live.sybils())
+
+    def can_add_sybil(self, owner: int) -> bool:
+        if owner:
+            reply = self._reply(owner)
+            return int(reply["n_sybils"]) < int(reply["max_sybils"])
+        return len(self._live.sybils()) < self._config.max_sybils
+
+    def _reply(self, owner: int) -> dict[str, Any]:
+        if owner not in self._replies:
+            self._replies[owner] = self._ask(owner, {"op": "stats"}) or _NO_REPLY
+        return self._replies[owner]
+
+    def _ask(self, owner: int, payload: dict[str, Any]) -> Any:
+        """One op to a remote owner's host; None when it fails."""
+        try:
+            return request(
+                self._addrs[owner], payload, policy=self._live.config.policy
             )
-        self.live = live
-        self.strategy = strategy
-        self.sybil_threshold = sybil_threshold
-        self.max_sybils = max_sybils
-        self.rng = rng if rng is not None else make_rng(None)
+        except ProtocolError:
+            return None
 
-    # ------------------------------------------------------------------
-    def decide(self) -> None:
-        """One decision round (runs on the maintenance executor)."""
-        if self.strategy == "none":
-            return
-        live = self.live
-        load = sum(n.store.primary_count for n in live.identities())
-        if load == 0 and live.sybils():
-            self.retire_all()
-        if load <= self.sybil_threshold and len(live.sybils()) < self.max_sybils:
-            self.inject_one()
+    def _owner(self, ident: int) -> int:
+        if self._live.network.has_node(ident):
+            return 0
+        addr = self._live.directory.get(ident)
+        if addr not in self._owners:
+            self._owners[addr] = len(self._addrs)
+            self._addrs.append(addr)
+        return self._owners[addr]
 
-    def retire_all(self) -> None:
-        for sybil in list(self.live.sybils()):
-            sybil.leave()
-            self.live.network.deregister(sybil.id)
-            self.live.drop_sybil(sybil.id)
-            self.live.metrics.inc("net.sybils_retired")
+    # -- topology (local only) -------------------------------------------
+    def main_slot(self, owner: int) -> int:
+        return self._live.main.id
 
-    def inject_one(self) -> None:
-        target_id = self._pick_identifier()
-        if target_id is None:
-            return
-        live = self.live
+    def heaviest_slot(self, owner: int) -> int:
+        nodes = self._live.identities()
+        return max(nodes, key=lambda n: n.store.primary_count).id
+
+    def successor_window(
+        self, slot: int, k: int, *, counts: bool = False
+    ) -> tuple[list[int], ...]:
+        net = self._live.network
+        slots = self._known(net.node(slot).successor_list, slot, k)
+        owners = [self._owner(s) for s in slots]
+        space = self._live.space
+        gaps = [space.distance(a, b) for a, b in zip([slot] + slots, slots)]
+        if not counts:
+            return slots, owners, gaps
+        loads = [int(net.rpc_retry(s, "rpc_report_load")) for s in slots]
+        return slots, owners, gaps, loads
+
+    def predecessor_window(
+        self, slot: int, k: int
+    ) -> tuple[list[int], list[int]]:
+        preds = self._read(slot, "predecessor_list") or []
+        slots = self._known(preds, slot, k)
+        return slots, [self._owner(s) for s in slots]
+
+    def _read(self, slot: int, field: str) -> Any:
+        """A slot's own ``field``: a local read, or one RPC to its host
+        (None when the slot has left)."""
+        net = self._live.network
+        if net.has_node(slot):
+            return getattr(net.node(slot), field)
+        try:
+            return net.rpc_retry(slot, f"rpc_get_{field}")
+        except ProtocolError:
+            return None
+
+    def _known(self, neighbours: list[int], slot: int, k: int) -> list[int]:
+        """The first ``k`` of ``neighbours``, bar ``slot``, whose host
+        is known."""
+        known = self._live.network.is_alive
+        return [s for s in neighbours if s != slot and known(s)][:k]
+
+    def slot_id(self, slot: int) -> int:
+        return slot
+
+    # -- actions -----------------------------------------------------------
+    def create_sybil_random(self, owner: int) -> int:
+        space = self._live.space
+        ident = self._free_id(lambda: space.random_id(self.rng))
+        return 0 if ident is None else self._spawn(ident)
+
+    def create_sybil_in_slot_arc(self, owner: int, slot: int) -> int | None:
+        if owner:
+            return self._ask(owner, {"op": "invite", "slot": slot})
+        pred = self._read(slot, "predecessor")
+        if pred is None:
+            return None
+        space = self._live.space
+        try:
+            ident = self._free_id(
+                lambda: space.random_in_interval(self.rng, int(pred), slot)
+            )
+        except IdSpaceError:
+            return None  # arc too tight to split
+        return None if ident is None else self._spawn(ident)
+
+    def _free_id(self, draw: Callable[[], int]) -> int | None:
+        for _ in range(8):
+            ident = draw()
+            if not self._live.network.is_alive(ident):
+                return ident
+        return None
+
+    def _spawn(self, ident: int) -> int:
+        live = self._live
         sybil = ChordNode(
-            target_id, live.space, live.network,
+            ident, live.space, live.network,
             n_successors=live.config.n_successors,
         )
         try:
             sybil.join(live.main.id)
         except ProtocolError:
-            live.network.deregister(target_id)
-            live.metrics.inc("net.sybil_join_failures")
-            return
+            live.network.deregister(ident)
+            self._stats.actions_skipped += 1
+            return 0
         live.adopt_sybil(sybil)
-        live.metrics.inc("net.sybils_created")
+        self._stats.sybils_created += 1
+        self._stats.tasks_acquired += sybil.store.primary_count
+        return sybil.store.primary_count
 
-    # ------------------------------------------------------------------
-    def _pick_identifier(self) -> int | None:
-        space = self.live.space
-        if self.strategy == "random_injection":
-            return self._free_random_id()
-        target = self._pick_target()
-        if target is None:
-            return None  # nobody is overloaded: do not inject blindly
-        try:
-            pred = self.live.network.rpc_retry(target, "rpc_get_predecessor")
-        except ProtocolError:
-            return None
-        if pred is None:
-            return self._free_random_id()
-        try:
-            return space.random_in_interval(self.rng, int(pred), int(target))
-        except IdSpaceError:
-            return None  # arc too tight to split
+    def retire_sybils(self, owner: int) -> int:
+        sybils = self._live.sybils()
+        for sybil in sybils:
+            sybil.leave()
+            self._live.network.deregister(sybil.id)
+            self._live.drop_sybil(sybil.id)
+        self._stats.sybils_retired += len(sybils)
+        return len(sybils)
 
-    def _free_random_id(self) -> int | None:
-        space, directory = self.live.space, self.live.network.directory
-        for _ in range(8):
-            candidate = space.random_id(self.rng)
-            if not directory.knows(candidate):
-                return candidate
-        return None
+    def owner_strength(self, owner: int) -> int:
+        return 1  # live hosts are homogeneous
 
-    def _pick_target(self) -> int | None:
-        """The most loaded overloaded peer among the polled candidates."""
-        own = set(self.live.network.local_ids())
-        if self.strategy == "neighbor_injection":
-            candidates = [
-                s for s in self.live.main.successor_list if s not in own
-            ]
-        else:  # invitation: bounded poll over everything gossip knows
-            candidates = [
-                i for i in self.live.network.directory.ids() if i not in own
-            ][:_POLL_SAMPLE]
-        best_id, best_load = None, self.sybil_threshold
-        for peer in candidates:
-            try:
-                peer_load = int(
-                    self.live.network.rpc_retry(peer, "rpc_report_load")
-                )
-            except ProtocolError:
-                continue
-            if peer_load > best_load:
-                best_id, best_load = peer, peer_load
-        return best_id
+    def relocate_main(self, owner: int, target_slot: int) -> int | None:
+        raise ConfigError("relocation cannot run live")
+
+    # -- accounting ----------------------------------------------------
+    def count_messages(self, n: int = 1) -> None:
+        self._stats.messages += n
+
+    @property
+    def stats(self) -> RoundStats:
+        return self._stats
 
 
 @dataclass
@@ -462,10 +623,11 @@ class LiveNodeConfig:
     seed: int = 0
     bits: int = 64
     n_successors: int = 5
+    #: a registry name other than ``churn`` / ``relocation``
     strategy: str = "none"
     sybil_threshold: int = 0
     max_sybils: int = 5
-    #: maintenance cycles between balancer decision rounds (paper: 5)
+    #: maintenance cycles between strategy decision rounds (paper: 5)
     decision_interval: int = 5
     #: seconds between maintenance cycles (before seeded jitter)
     maintenance_interval: float = 0.2
@@ -474,6 +636,10 @@ class LiveNodeConfig:
     policy: RetryPolicy = field(default_factory=RetryPolicy)
     #: worker threads serving blocking protocol work
     workers: int = 8
+
+    def __post_init__(self) -> None:
+        if self.strategy != "none":
+            strategy_config(self)
 
 
 class LiveNode:
@@ -507,7 +673,6 @@ class LiveNode:
         self.directory = PeerDirectory()
         self.network: RemoteNetwork = None  # type: ignore[assignment]
         self.main: ChordNode = None  # type: ignore[assignment]
-        self.balancer: LiveBalancer | None = None
         self.metrics = MetricsRegistry()
         self.cycles = 0
         self._sybils: dict[int, ChordNode] = {}
@@ -517,7 +682,10 @@ class LiveNode:
         self._stopping = asyncio.Event()
         jitter_seed, sybil_seed = spawn_seeds(self.config.seed, 2)
         self._jitter_rng = make_rng(jitter_seed)
-        self._sybil_rng = make_rng(sybil_seed)
+        self.sybil_rng = make_rng(sybil_seed)
+        self.view: LiveView | None = (
+            None if self.config.strategy == "none" else LiveView(self)
+        )
 
     # ------------------------------------------------------------------
     # identities
@@ -547,7 +715,7 @@ class LiveNode:
             # stream; a future consumer grabbing either would alias.
             sanitize.install_asyncio_watch(loop)
             sanitize.track_rng(self._jitter_rng, f"node-jitter-{self.port}")
-            sanitize.track_rng(self._sybil_rng, f"node-sybil-{self.port}")
+            sanitize.track_rng(self.sybil_rng, f"node-sybil-{self.port}")
         self._executor = ThreadPoolExecutor(
             max_workers=self.config.workers, thread_name_prefix="repro-net"
         )
@@ -570,18 +738,12 @@ class LiveNode:
             node_id, self.space, self.network,
             n_successors=self.config.n_successors,
         )
-        if self.config.strategy != "none":
-            self.balancer = LiveBalancer(
-                self,
-                self.config.strategy,
-                sybil_threshold=self.config.sybil_threshold,
-                max_sybils=self.config.max_sybils,
-                rng=self._sybil_rng,
-            )
         if bootstrap is None:
             self.main.create()
         else:
             await loop.run_in_executor(self._executor, self._join_via, bootstrap)
+        if self.view is not None:
+            self.view.strategy.on_attach(self.view)
         self._tasks = [
             loop.create_task(self._maintenance_loop(), name="repro-maint"),
             loop.create_task(self._heartbeat_loop(), name="repro-gossip"),
@@ -645,7 +807,7 @@ class LiveNode:
             await loop.run_in_executor(self._executor, self._maintenance_once)
             self.cycles += 1
             if (
-                self.balancer is not None
+                self.view is not None
                 and self.cycles % self.config.decision_interval == 0
             ):
                 await loop.run_in_executor(
@@ -663,8 +825,8 @@ class LiveNode:
 
     def _decision_once(self) -> None:
         try:
-            assert self.balancer is not None
-            self.balancer.decide()
+            assert self.view is not None
+            self.view.run_round()
         except ProtocolError:
             self.metrics.inc("net.decision_errors")
 
@@ -681,9 +843,10 @@ class LiveNode:
         if not peers:
             return
         peer = peers[int(self._jitter_rng.integers(0, len(peers)))]
+        addr = self.directory.get(peer)
         try:
             value = request(
-                self.directory.get(peer),
+                addr,
                 {
                     "op": "hello",
                     "addrs": encode_payload(self.directory.snapshot()),
@@ -694,7 +857,7 @@ class LiveNode:
             self.directory.remove(peer)
             self.metrics.inc("net.heartbeat_failures")
             return
-        self.directory.merge(value.get("addrs", {}))
+        self.directory.merge(value.get("addrs", {}), source=addr)
 
     # ------------------------------------------------------------------
     # server side
@@ -754,6 +917,10 @@ class LiveNode:
             }
         if op == "stats":
             return self.stats()
+        if op == "invite":
+            return await asyncio.get_running_loop().run_in_executor(
+                self._executor, self._accept_invite, int(payload["slot"])
+            )
         if op == "client_get":
             return await self._client_call("get", int(payload["key"]))
         if op == "client_put":
@@ -765,6 +932,11 @@ class LiveNode:
             asyncio.get_running_loop().call_soon(self._stopping.set)
             return {"stopping": True}
         raise ProtocolError(f"unknown op {op!r}")
+
+    def _accept_invite(self, slot: int) -> int | None:
+        """A Sybil in ``slot``'s arc if this host's strategy helps, or
+        None (refused)."""
+        return None if self.view is None else self.view.accept_invite(slot)
 
     async def _handle_rpc(self, payload: dict[str, Any]) -> dict[str, Any]:
         self.directory.merge(decode_payload(payload.get("addrs", {})))
@@ -815,6 +987,7 @@ class LiveNode:
             "identities": identities,
             "load": sum(v["load"] for v in identities.values()),
             "n_sybils": len(self.sybils()),
+            "max_sybils": self.config.max_sybils,
             "known_peers": len(self.directory),
             "messages": self.network.total_messages(),
             "fault_stats": self.network.fault_stats(),

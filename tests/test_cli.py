@@ -57,7 +57,7 @@ class TestFlagSurface:
 
         want = keyed(json.loads(FLAG_SNAPSHOT.read_text()))
         got = keyed(flag_table(build_parser()))
-        assert len(want) == 148
+        assert len(want) == 140
         assert sorted(got) == sorted(want)
         # the two deliberate changes: --replication parses 'full' | int
         # in argparse, and --field only accepts SimulationConfig fields
@@ -101,24 +101,6 @@ class TestListCommand:
         assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert "table1" in out and "fig13_14" in out
-
-
-class TestExperimentsAlias:
-    def test_list_alias(self, capsys):
-        assert main(["experiments", "list"]) == 0
-        out = capsys.readouterr().out
-        assert "ext_failures" in out
-
-    def test_run_alias_parses_like_run(self):
-        args = build_parser().parse_args(
-            ["experiments", "run", "ext_failures", "--scale", "quick"]
-        )
-        assert args.experiment == "ext_failures"
-        assert args.scale == "quick"
-
-    def test_run_alias_executes(self, capsys):
-        assert main(["experiments", "run", "fig02_03"]) == 0
-        assert "fig02_03" in capsys.readouterr().out
 
 
 class TestRunCommand:

@@ -357,6 +357,25 @@ class TestBrokerRemote:
         thread.join(timeout=30)
         assert not thread.is_alive()
 
+    def test_idle_connection_does_not_stall_status(self, tiny_config):
+        """A peer that connects and sends nothing costs one connection
+        thread its read timeout; other requests are served meanwhile."""
+        broker = Broker(
+            _grid(tiny_config, 2),
+            cache=False,
+            trial_fn=_slow_trial,
+            listen=("127.0.0.1", 0),
+        )
+        addr, thread, _out = self._start(broker)
+        with socket.create_connection(addr, timeout=5):
+            time.sleep(0.05)  # the listener has accepted it by now
+            t0 = time.perf_counter()
+            snapshot = request(addr, {"op": OP_STATUS}, policy=WORKER_POLICY)
+            elapsed = time.perf_counter() - t0
+        assert snapshot["format"] == STATUS_FORMAT
+        assert elapsed < 0.5, elapsed
+        thread.join(timeout=30)
+
     def test_worker_without_broker_raises(self):
         with pytest.raises(TransientNetworkError):
             run_worker(

@@ -6,12 +6,12 @@ polling with hard deadlines keep them fast and non-flaky.
 """
 
 import asyncio
+import threading
 
 import pytest
 
-from repro.errors import ProtocolError, TransientNetworkError
+from repro.errors import ConfigError, ProtocolError, TransientNetworkError
 from repro.net.node import (
-    LiveBalancer,
     LiveNode,
     LiveNodeConfig,
     PeerDirectory,
@@ -145,10 +145,11 @@ class TestRemoteNetworkLocal:
         assert not net.is_alive(10)
 
 
-class TestLiveBalancerValidation:
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ProtocolError):
-            LiveBalancer(object(), "smart_neighbor_injection")
+class TestLiveViewValidation:
+    @pytest.mark.parametrize("name", ["relocation", "churn", "bogus"])
+    def test_rejects_excluded_and_unknown_strategies(self, name):
+        with pytest.raises(ConfigError):
+            LiveNode("127.0.0.1", 0, LiveNodeConfig(strategy=name))
 
 
 async def _wait_until(predicate, *, timeout=10.0, interval=0.05):
@@ -380,5 +381,227 @@ class TestLiveRing:
                 assert node.main.id == expected
             finally:
                 await node.stop()
+
+        asyncio.run(main())
+
+
+#: a strategy is configured, but no round runs unless a test drives one
+IDLE = dict(decision_interval=10**9)
+
+
+def _ring_settled(nodes):
+    """Every main node's successor and predecessor lists hold the other
+    mains in ring order."""
+    ids = sorted(n.main.id for n in nodes)
+    for node in nodes:
+        at = ids.index(node.main.id)
+        after = [ids[(at + i) % len(ids)] for i in range(1, len(ids))]
+        if node.main.successor_list != after[:5]:
+            return False
+        if node.main.predecessor_list != after[::-1][:5]:
+            return False
+    return True
+
+
+async def _settle(nodes):
+    await _wait_until(lambda: asyncio.sleep(0, _ring_settled(nodes)))
+
+
+def _off_loop(fn, *args):
+    """Run blocking protocol work off the event loop all nodes share."""
+    return asyncio.get_running_loop().run_in_executor(None, fn, *args)
+
+
+class TestLiveView:
+    def test_windows_follow_the_list_contract(self):
+        async def main():
+            nodes = await _boot_ring(
+                4, strategy="smart_neighbor_injection", **IDLE
+            )
+            try:
+                await _settle(nodes)
+                for i in range(40):
+                    await async_request(
+                        nodes[0].addr,
+                        {"op": "client_put", "key": i * 2**58, "value": i},
+                        policy=POLICY,
+                    )
+                node = nodes[0]
+                view, slot = node.view, node.main.id
+                owner_of = {n.main.id: n.addr for n in nodes}
+                for k in (1, 2, 3, 5):
+                    slots, owners, gaps = view.successor_window(slot, k)
+                    assert len(slots) == len(owners) == len(gaps)
+                    assert len(slots) == min(k, 3) and slot not in slots
+                    assert gaps == [
+                        node.space.distance(a, b)
+                        for a, b in zip([slot] + slots, slots)
+                    ]
+                    # one owner per host, never the deciding one
+                    assert 0 not in owners
+                    assert len(set(owners)) == len({
+                        owner_of[s] for s in slots
+                    })
+                    preds, pred_owners = view.predecessor_window(slot, k)
+                    assert len(preds) == len(pred_owners) == min(k, 3)
+                    assert slot not in preds and 0 not in pred_owners
+
+                sent = node.network.messages["rpc_report_load"]
+                slots, _, _, counts = await _off_loop(
+                    lambda: view.successor_window(slot, 3, counts=True)
+                )
+                assert node.network.messages["rpc_report_load"] == sent + 3
+                loads = {
+                    n.main.id: n.main.store.primary_count for n in nodes
+                }
+                assert counts == [loads[s] for s in slots]
+                assert sum(loads.values()) == 40
+            finally:
+                await _stop_all(nodes)
+
+        asyncio.run(main())
+
+    def test_overloaded_host_invites_a_predecessor_into_its_arc(self):
+        async def main():
+            nodes = await _boot_ring(2, strategy="invitation", **IDLE)
+            try:
+                await _settle(nodes)
+                # the host covering more than half the ring is above
+                # its own fair-share estimate once it holds any load
+                space = nodes[0].space
+
+                def arc(n):
+                    return space.distance(n.main.predecessor, n.main.id)
+
+                inviter = max(nodes, key=arc)
+                helper = next(n for n in nodes if n is not inviter)
+                start, end = helper.main.id, inviter.main.id
+                for i in range(30):
+                    await async_request(
+                        helper.addr,
+                        {"op": "client_put", "key": end - i, "value": i},
+                        policy=POLICY,
+                    )
+                assert inviter.main.store.primary_count == 30
+                await _off_loop(inviter.view.run_round)
+
+                counters = inviter.metrics.as_dict()["counters"]
+                assert counters["net.invitations_sent"] == 1
+                assert counters["net.invitations_refused"] == 0
+                assert counters["net.messages"] == 1  # one predecessor
+                assert counters["net.sybils_created"] == 0
+                (sybil,) = helper.sybils()
+                assert space.in_interval(
+                    sybil.id, start, end, closed_right=False
+                ) and sybil.id != start
+                assert helper.metrics.counter("net.sybils_created") == 1
+                assert sybil.store.primary_count == helper.metrics.counter(
+                    "net.tasks_acquired"
+                )
+            finally:
+                await _stop_all(nodes)
+
+        asyncio.run(main())
+
+    def test_hosts_inviting_each_other_mid_round_refuse_at_once(self):
+        """Each host holds its own round lock while it invites the
+        other; the handler refuses instead of waiting for that lock,
+        so neither invitation waits out the transport timeout."""
+        async def main():
+            nodes = await _boot_ring(2, strategy="invitation", **IDLE)
+            try:
+                await _settle(nodes)
+                a, b = nodes
+                both_mid_round = threading.Barrier(2)
+
+                def invite(host, other):
+                    view = host.view
+                    helper = view._owner(other.main.id)
+                    with view._lock:
+                        both_mid_round.wait(timeout=5)
+                        answer = view.create_sybil_in_slot_arc(
+                            helper, host.main.id
+                        )
+                        both_mid_round.wait(timeout=5)
+                    return answer
+
+                loop = asyncio.get_running_loop()
+                t0 = loop.time()
+                results = await asyncio.gather(
+                    _off_loop(invite, a, b), _off_loop(invite, b, a)
+                )
+                assert results == [None, None]
+                assert loop.time() - t0 < POLICY.timeout / 2
+                assert not a.sybils() and not b.sybils()
+            finally:
+                await _stop_all(nodes)
+
+        asyncio.run(main())
+
+
+class TestLiveDefects:
+    def test_lookup_walks_past_a_sybil_retiring_mid_lookup(self):
+        """A lookup that reaches a Sybil which retires between naming
+        its successor and answering ``rpc_closest_preceding`` walks on
+        from that successor instead of failing the request."""
+        async def main():
+            nodes = await _boot_ring(2, strategy="random_injection", **IDLE)
+            try:
+                await _settle(nodes)
+                a, b = nodes
+                await _off_loop(b.view.create_sybil_random, 0)
+                (sybil,) = b.sybils()
+                serve = b.network.dispatch
+
+                def dispatch(target, method, args, kwargs):
+                    value = serve(target, method, args, kwargs)
+                    if target == sybil.id and method == (
+                        "rpc_get_successor_list"
+                    ):
+                        b.view.retire_sybils(0)
+                    return value
+
+                b.network.dispatch = dispatch
+                a.directory.add(sybil.id, b.addr)
+                holder, _ = await _off_loop(
+                    a.main._lookup_via, sybil.id, sybil.id
+                )
+                assert not sybil.alive
+                assert holder in (a.main.id, b.main.id)
+            finally:
+                await _stop_all(nodes)
+
+        asyncio.run(main())
+
+    def test_retired_sybils_leave_every_address_book(self):
+        """Idle hosts on an empty ring retire and re-inject a Sybil
+        every round; once they stop, no address book keeps a retired
+        id, because a host's own snapshot is authoritative for it."""
+        async def main():
+            nodes = await _boot_ring(
+                3, strategy="random_injection", decision_interval=1
+            )
+            try:
+                async def thrashed():
+                    return sum(
+                        n.metrics.counter("net.sybils_retired")
+                        for n in nodes
+                    ) >= 12
+
+                await _wait_until(thrashed)
+                for node in nodes:
+                    node.config.decision_interval = 10**9
+
+                async def books_hold_only_live_ids():
+                    live = set().union(
+                        *(n.network.alive_ids() for n in nodes)
+                    )
+                    return all(
+                        set(n.directory.ids()) <= live for n in nodes
+                    )
+
+                await _wait_until(books_hold_only_live_ids, timeout=5.0)
+            finally:
+                await _stop_all(nodes)
 
         asyncio.run(main())

@@ -22,7 +22,7 @@ class TestOverburdenThreshold:
         engine = make_engine(invite_factor=2.0)
         strategy = engine.strategy
         assert isinstance(strategy, Invitation)
-        assert strategy._overburden_threshold == pytest.approx(
+        assert strategy.overburden_threshold(engine.view) == pytest.approx(
             2.0 * 10_000 / 100
         )
 
@@ -31,7 +31,7 @@ class TestOverburdenThreshold:
         view = engine.view
         view.begin_round()
         loads = view.owner_loads()
-        threshold = engine.strategy._overburden_threshold
+        threshold = Invitation.overburden_threshold(view)
         overloaded = view.network_owners()
         overloaded = overloaded[loads[overloaded] > threshold]
         assert overloaded.size > 0  # hashed assignment always has whales
