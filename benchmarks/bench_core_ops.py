@@ -279,8 +279,10 @@ def _run_sybil_storm(state, sybil_ids, n_owners, per_owner):
     ids=["slab-1k", "slab-10k", "naive-1k", "naive-10k"],
 )
 def test_sybil_storm(benchmark, cls, n_slots):
-    """Every owner injects 2 Sybils, then all Sybils are retired —
-    the worst-case structural load a strategy round can generate."""
+    """Every owner injects 2 Sybils one ``insert_slot`` at a time, then
+    each owner retires its Sybils with ``retire_sybils``.  Strategy
+    rounds commit through ``commit_round``, so this times the
+    single-slot path that main relocation and the adversary plane use."""
     per_owner = 2
     sybil_ids = _sybil_storm_ids(n_slots, per_owner)
 

@@ -27,11 +27,13 @@ The five slot columns live in two preallocated *slab* buffers with
 amortized-doubling capacity — an ``int64`` one for ids (viewed as
 ``uint64``), owners and counts, an ``int8`` one for the main flags
 (viewed as bool) and provenance — and ``ids``/``owner``/``is_main``/
-``counts``/``provenance`` are views of their live prefix.  A single join
-or leave shifts the prefix in place (one ``memmove`` per buffer) instead
-of reallocating arrays the way ``np.insert``/``np.delete`` do.  Views
-returned by the array properties (and by :meth:`remaining_keys`) are
-invalidated by the next structural mutation — read, use, and drop them.
+``counts``/``provenance`` are views of their live prefix.  Every
+structural change, a single join or leave included, moves the rows in
+:meth:`RingState._restructure`: a batch of a few events shifts the
+prefix in place (one ``memmove`` per buffer and event), a larger one
+gathers every buffer once.  Views returned by the array properties (and
+by :meth:`remaining_keys`) are invalidated by the next structural
+mutation — read, use, and drop them.
 
 The initial ring is built without a comparison sort: a bucket table over
 the top bits of the id space finds each key's slot, and a stable radix
@@ -54,11 +56,11 @@ A strategy round commits through :meth:`commit_round`: its retired
 Sybils hold no keys, so they skip the replay and leave in the same pass
 that splices in the round's new Sybils, each affected arc split once.
 
-An incrementally maintained owner → slot-positions inverted index backs
-:meth:`slots_of_owner` / :meth:`main_slot_of` (the former full-array
-scans), and :meth:`owner_loads` is cached behind a dirty flag so one
-bincount per mutation epoch serves consumption, snapshots, and time
-series alike.
+An owner → slot-positions inverted index, rebuilt lazily after each
+structural change, backs :meth:`slots_of_owner` / :meth:`main_slot_of`
+(the former full-array scans), and :meth:`owner_loads` is cached behind
+a dirty flag so one bincount per mutation epoch serves consumption,
+snapshots, and time series alike.
 """
 
 from __future__ import annotations
@@ -104,6 +106,13 @@ _MIN_CAP = 8
 #: gathered; 400 events on 10k slots 790 / 200 / 520 us
 _EDIT_IN_PLACE_EVENTS = 128
 _GATHER_SLOTS_PER_EVENT = 16
+
+#: a restructure of at most this many events shifts the slab prefix in
+#: place, one ``memmove`` per buffer and event; a larger one gathers
+#: every buffer once.  On a shared 2-vCPU Xeon one removal took 8 us
+#: shifted against 21 us gathered on 1k slots, and 23 against 118 us on
+#: 10k; from about 6 events on, shifting was no faster at either size
+_SHIFT_EVENTS = 4
 
 #: a restructure places more pending slots than this (a strategy round's
 #: hundreds of Sybils) with one vectorized searchsorted; fewer (a churn
@@ -243,132 +252,53 @@ class ConsumptionGroups(NamedTuple):
 
 
 class _OwnerIndex:
-    """Inverted index: owner → its slot *identifiers* (+ main identity).
+    """Inverted index: owner → its slot positions (+ main identity).
 
-    The index stores slot ids rather than slot positions: ids are stable
-    under the prefix shifts every insert/remove performs, so incremental
-    maintenance is one tiny in-group ``memmove`` plus a prefix-offset
-    slice update — no O(n) position-fixup passes.  Queries translate the
-    ids back to positions with one ``searchsorted`` against the (sorted)
-    live ``ids`` array.  Rebuilt lazily after batch operations, which
-    set ``dirty``.
+    Positions move with every structural change, so the ring marks the
+    index ``dirty`` after each one and the next query rebuilds it with
+    one stable argsort.
     """
 
     def __init__(self) -> None:
         self.dirty = True
-        self._n = 0
-        self._buf = np.empty(_MIN_CAP, dtype=_U64)
-        self._bins = 0
+        self._order = np.empty(0, dtype=_I64)
         self._start = np.zeros(1, dtype=_I64)
         self._cnt = np.zeros(0, dtype=_I64)
-        self._main_id = np.zeros(0, dtype=_U64)
+        self._main_pos = np.zeros(0, dtype=_I64)
         self._main_cnt = np.zeros(0, dtype=_I64)
 
-    # -- construction ---------------------------------------------------
-    def rebuild(
-        self, ids: np.ndarray, owner: np.ndarray, is_main: np.ndarray
-    ) -> None:
-        n = owner.size
-        bins = max(self._bins, int(owner.max()) + 1 if n else 1)
-        if self._buf.size < n:
-            self._buf = np.empty(_pow2_at_least(n), dtype=_U64)
-        # stable sort groups by owner; ids stay ascending within a group
-        self._buf[:n] = ids[np.argsort(owner, kind="stable")]
-        self._n = n
-        self._bins = bins
+    def rebuild(self, owner: np.ndarray, is_main: np.ndarray) -> None:
+        bins = int(owner.max()) + 1 if owner.size else 1
+        # stable sort groups by owner; positions stay ascending within
+        # a group
+        self._order = np.argsort(owner, kind="stable").astype(_I64)
         self._cnt = np.bincount(owner, minlength=bins).astype(_I64)
         self._start = np.zeros(bins + 1, dtype=_I64)
         np.cumsum(self._cnt, out=self._start[1:])
         self._main_cnt = np.bincount(
             owner[is_main], minlength=bins
         ).astype(_I64)
-        self._main_id = np.zeros(bins, dtype=_U64)
+        self._main_pos = np.zeros(bins, dtype=_I64)
         mains = np.flatnonzero(is_main)
-        self._main_id[owner[mains]] = ids[mains]
+        self._main_pos[owner[mains]] = mains
         self.dirty = False
 
-    def _grow_bins(self, bins: int) -> None:
-        extra = bins - self._bins
-        self._cnt = np.concatenate((self._cnt, np.zeros(extra, dtype=_I64)))
-        self._start = np.concatenate(
-            (self._start, np.full(extra, self._start[-1], dtype=_I64))
-        )
-        self._main_cnt = np.concatenate(
-            (self._main_cnt, np.zeros(extra, dtype=_I64))
-        )
-        self._main_id = np.concatenate(
-            (self._main_id, np.zeros(extra, dtype=_U64))
-        )
-        self._bins = bins
-
     # -- queries (index must be clean) ----------------------------------
-    def group_ids(self, owner: int) -> np.ndarray:
-        """The owner's slot identifiers, ascending (do not mutate)."""
-        if owner >= self._bins or owner < 0:
-            return np.empty(0, dtype=_U64)
-        s = int(self._start[owner])
-        return self._buf[s : s + int(self._cnt[owner])]
-
-    def slots_of(self, ids: np.ndarray, owner: int) -> np.ndarray:
-        """The owner's slot positions (ascending) in the live ring."""
-        group = self.group_ids(owner)
-        if group.size == 0:
+    def slots_of(self, owner: int) -> np.ndarray:
+        """The owner's slot positions, ascending."""
+        if owner >= self._cnt.size or owner < 0:
             return np.empty(0, dtype=_I64)
-        return ids.searchsorted(group).astype(_I64, copy=False)
+        s = int(self._start[owner])
+        return self._order[s : s + int(self._cnt[owner])].copy()
 
     def main_count(self, owner: int) -> int:
-        if owner >= self._bins or owner < 0:
+        if owner >= self._cnt.size or owner < 0:
             return 0
         return int(self._main_cnt[owner])
 
-    def main_slot(self, ids: np.ndarray, owner: int) -> int:
+    def main_slot(self, owner: int) -> int:
         """Position of the owner's main identity (requires main_count==1)."""
-        return int(ids.searchsorted(self._main_id[owner]))
-
-    # -- incremental maintenance ----------------------------------------
-    def note_insert(self, ident: int, owner: int, is_main: bool) -> None:
-        if self.dirty:
-            return
-        n = self._n
-        if owner >= self._bins:
-            self._grow_bins(owner + 1)
-        if self._buf.size < n + 1:
-            grown = np.empty(_pow2_at_least(n + 1), dtype=_U64)
-            grown[:n] = self._buf[:n]
-            self._buf = grown
-        buf = self._buf
-        s = int(self._start[owner])
-        c = int(self._cnt[owner])
-        loc = s + int(buf[s : s + c].searchsorted(_U64(ident)))
-        buf[loc + 1 : n + 1] = buf[loc:n]
-        buf[loc] = ident
-        self._start[owner + 1 :] += 1
-        self._cnt[owner] += 1
-        self._n = n + 1
-        if is_main:
-            self._main_id[owner] = ident
-            self._main_cnt[owner] += 1
-
-    def note_remove(self, ident: int, owner: int, is_main: bool) -> None:
-        if self.dirty:
-            return
-        n = self._n
-        buf = self._buf
-        s = int(self._start[owner])
-        c = int(self._cnt[owner])
-        loc = s + int(buf[s : s + c].searchsorted(_U64(ident)))
-        if loc >= n or buf[loc] != ident:  # desynced — fall back
-            self.dirty = True
-            return
-        buf[loc : n - 1] = buf[loc + 1 : n]
-        self._start[owner + 1 :] -= 1
-        self._cnt[owner] -= 1
-        self._n = n - 1
-        if is_main:
-            self._main_cnt[owner] -= 1
-            if self._main_id[owner] == ident and self._main_cnt[owner]:
-                # another main exists whose identity we don't track
-                self.dirty = True
+        return int(self._main_pos[owner])
 
 
 class RingState:
@@ -523,39 +453,6 @@ class RingState:
             _pow2_at_least(max(needed, 2 * self._ids_row.size)), self._n
         )
 
-    def _shift_insert(
-        self,
-        pos: int,
-        nid: np.uint64,
-        owner: int,
-        is_main: bool,
-        count: int,
-        prov: int,
-    ) -> None:
-        n = self._n
-        if n + 1 > self._ids_row.size:
-            self._grow(n + 1)
-        self._wide[:, pos + 1 : n + 1] = self._wide[:, pos:n]
-        self._narrow[:, pos + 1 : n + 1] = self._narrow[:, pos:n]
-        self._ids_row[pos] = nid
-        self._owner_row[pos] = owner
-        self._main_row[pos] = is_main
-        self._counts_row[pos] = count
-        self._prov_row[pos] = prov
-        self._n = n + 1
-        self._groups_cache = None
-        self._remaining = None
-        self._refresh_views()
-
-    def _shift_remove(self, pos: int) -> None:
-        n = self._n
-        self._wide[:, pos : n - 1] = self._wide[:, pos + 1 : n]
-        self._narrow[:, pos : n - 1] = self._narrow[:, pos + 1 : n]
-        self._n = n - 1
-        self._groups_cache = None
-        self._remaining = None
-        self._refresh_views()
-
     def _restructure(
         self, dead: list[int], pending: "_Pending | None" = None
     ) -> None:
@@ -564,12 +461,15 @@ class RingState:
         ``dead`` lists positions in ascending order; ``pending`` holds
         new slots sorted by id, none equal to a surviving id (one may
         reuse the id of a dropped slot).  The owner index, loads cache
-        and consumption groups are invalidated once.  Every batched
-        structure change — a churn tick, a strategy round — ends here.
+        and consumption groups are invalidated once.  Every structure
+        change ends here: a single join or leave, a churn tick, a
+        strategy round.
 
-        Every survivor moves with one gather per buffer.  The keys list
-        is edited in place unless the batch is large, when a gather or a
-        splice builds a new list (see ``_EDIT_IN_PLACE_EVENTS``).
+        A batch of at most ``_SHIFT_EVENTS`` events shifts the live
+        prefix in place, one ``memmove`` per buffer and event; a larger
+        one moves every survivor with one gather per buffer.  The keys
+        list is edited in place unless the batch is large, when a gather
+        or a splice builds a new list (see ``_EDIT_IN_PLACE_EVENTS``).
         """
         n = self._n
         m = 0 if pending is None else pending.ids.size
@@ -598,26 +498,44 @@ class RingState:
                     p - bisect.bisect_left(dead, p) + j
                     for j, p in enumerate(at)
                 ]
-        alive = np.ones(n, dtype=bool)
-        alive[dead] = False
-        gather = alive.nonzero()[0]
-        if m:
+        bufs = (self._wide, self._narrow)
+        shift = events <= _SHIFT_EVENTS
+        if shift:
+            # each pending slot's row is left stale by its shift and
+            # written below
+            width = n
+            for d in reversed(dead):
+                for buf in bufs:
+                    buf[:, d : width - 1] = buf[:, d + 1 : width]
+                width -= 1
+            for f in final:
+                for buf in bufs:
+                    buf[:, f + 1 : width + 1] = buf[:, f:width]
+                width += 1
+            rows: slice | list[int] = final
+        else:
+            alive = np.ones(n, dtype=bool)
+            alive[dead] = False
+            gather = alive.nonzero()[0]
+            if m:
+                is_old = np.ones(new_n, dtype=bool)
+                is_old[final] = False
+                survivors = gather
+                gather = np.empty(new_n, dtype=np.intp)
+                gather[is_old] = survivors
+                gather[final] = np.arange(n, n + m)
             # stage the pending slots past the live prefix, so one
             # gather places every slot
             rows = slice(n, n + m)
+        if m:
             self._ids_row[rows] = pending.ids
             self._owner_row[rows] = pending.owner
             self._main_row[rows] = pending.is_main
             self._counts_row[rows] = pending.counts
             self._prov_row[rows] = pending.provenance
-            is_old = np.ones(new_n, dtype=bool)
-            is_old[final] = False
-            survivors = gather
-            gather = np.empty(new_n, dtype=np.intp)
-            gather[is_old] = survivors
-            gather[final] = np.arange(n, n + m)
-        for buf in (self._wide, self._narrow):
-            buf[:, :new_n] = buf.take(gather, axis=1)
+        if not shift:
+            for buf in bufs:
+                buf[:, :new_n] = buf.take(gather, axis=1)
         new_keys = [] if pending is None else pending.keys
         if events <= _EDIT_IN_PLACE_EVENTS:
             keys = self.keys
@@ -641,7 +559,7 @@ class RingState:
 
     def _ensure_index(self) -> _OwnerIndex:
         if self._index.dirty:
-            self._index.rebuild(self._ids_view, self.owner, self.is_main)
+            self._index.rebuild(self._owner_view, self._main_view)
         return self._index
 
     def mark_loads_dirty(self) -> None:
@@ -755,11 +673,11 @@ class RingState:
 
     def slots_of_owner(self, owner: int) -> np.ndarray:
         """All slot indices belonging to a physical owner (ascending)."""
-        return self._ensure_index().slots_of(self._ids_view, int(owner))
+        return self._ensure_index().slots_of(int(owner))
 
     def owner_load(self, owner: int) -> int:
         """Remaining tasks across one owner's slots (indexed lookup)."""
-        slots = self._ensure_index().slots_of(self._ids_view, int(owner))
+        slots = self._ensure_index().slots_of(int(owner))
         return int(self.counts[slots].sum())
 
     def main_slot_of(self, owner: int) -> int:
@@ -771,7 +689,7 @@ class RingState:
             raise RingError(
                 f"owner {owner} has {n_mains} main slots (expected 1)"
             )
-        return index.main_slot(self._ids_view, owner)
+        return index.main_slot(owner)
 
     def owner_loads(self, n_owners: int) -> np.ndarray:
         """Remaining tasks per physical owner (int64, length ``n_owners``).
@@ -904,32 +822,43 @@ class RingState:
         main identities and benevolent-Sybil otherwise; the adversary
         plane passes an explicit code.
         """
-        nid = _U64(self.space.validate(new_id))
-        pos = int(np.searchsorted(self.ids, nid, side="left"))
-        if pos < self.n_slots and self.ids[pos] == nid:
+        nid = int(self.space.validate(new_id))
+        ids = self._ids_view
+        pos = int(ids.searchsorted(_U64(nid)))
+        if pos < self._n and ids.item(pos) == nid:
             raise IdSpaceError(f"identifier {new_id} already on the ring")
-        succ = pos if pos < self.n_slots else 0
-        pred = self.pred_id(succ)
-
-        remaining = self.remaining_keys(succ)
-        mask = in_arc_mask(remaining, pred, int(nid))
-        taken = remaining[mask]
-        kept = remaining[~mask]
-        taken_n = taken.size
-
+        succ = pos if pos < self._n else 0
+        parts, kept = _split_arc(
+            self.remaining_keys(succ), self.pred_id(succ), [nid],
+            self.space.size,
+        )
+        self.keys[succ] = kept
+        self._counts_view[succ] = kept.size
         if provenance is None:
             provenance = PROV_HONEST if is_main else PROV_BENEVOLENT
-        self._shift_insert(pos, nid, owner, is_main, taken_n, provenance)
-        self.keys.insert(pos, taken)
-        if not is_main:
-            self.n_sybil_slots += 1
+        taken = parts[0]
+        self._restructure([], _Pending(
+            ids=np.array([nid], dtype=_U64),
+            owner=np.array([owner], dtype=_I64),
+            is_main=np.array([is_main], dtype=bool),
+            counts=np.array([taken.size], dtype=_I64),
+            provenance=np.array([provenance], dtype=np.int8),
+            keys=[taken],
+        ))
+        return pos, taken.size
 
-        succ_new = succ + 1 if pos <= succ else succ
-        self.keys[succ_new] = kept
-        self._counts_row[succ_new] = kept.size
-        self._index.note_insert(int(nid), int(owner), bool(is_main))
-        self._loads_dirty = True
-        return pos, taken_n
+    def _merge(self, succ: int, buf: np.ndarray, moved: int) -> None:
+        """Hand ``buf[:moved]`` to slot ``succ``: its remaining keys
+        become the union, reshuffled so tail consumption stays uniform
+        over the merge.  Every removal's keys move here."""
+        counts = self._counts_view
+        merged = np.concatenate(
+            (buf[:moved], self.keys[succ][: counts.item(succ)])
+        )
+        # draws exactly as NaiveRingState's rng.permutation(merged)
+        self.rng.shuffle(merged)
+        self.keys[succ] = merged
+        counts[succ] = merged.size
 
     def remove_slot(self, slot: int) -> int:
         """Remove a slot, merging its remaining keys into its successor.
@@ -938,65 +867,49 @@ class RingState:
         hand-off lossless) and a Sybil quitting.  Returns the number of
         keys transferred.
         """
-        if self.n_slots <= 1:
+        if self._n <= 1:
             raise RingError("cannot remove the last slot on the ring")
-        succ = (slot + 1) % self.n_slots
-        moved = int(self.counts[slot])
+        moved = self._counts_view.item(slot)
         if moved:
-            merged = np.concatenate(
-                (self.remaining_keys(slot), self.remaining_keys(succ))
-            )
-            # reshuffle so tail-consumption stays uniform over the merge
-            # (shuffle of the concatenation == the old rng.permutation)
-            self.rng.shuffle(merged)
-            self.keys[succ] = merged
-            self._counts_row[succ] = merged.size
-        removed_id = int(self._ids_view[slot])
-        removed_owner = int(self.owner[slot])
-        removed_main = bool(self.is_main[slot])
-        if not removed_main:
-            self.n_sybil_slots -= 1
-        self.keys.pop(slot)
-        self._shift_remove(slot)
-        self._index.note_remove(removed_id, removed_owner, removed_main)
-        self._loads_dirty = True
+            self._merge((slot + 1) % self._n, self.keys[slot], moved)
+        self._restructure([slot])
         return moved
 
     def remove_owner(self, owner: int) -> int:
         """Remove every slot of a physical owner (main + Sybils).
 
-        Returns the number of keys handed off to successors.  One index
-        lookup replaces the historical rescan-after-every-removal loop;
-        slots are removed in ascending order (each removal shifts the
-        later positions down by one), which replays the sequential RNG
-        draw order exactly.
+        Returns the number of keys handed off to successors.  One batch
+        replays the sequential ascending-order removals, RNG draws
+        included, and compresses the slab once.  Raises
+        :class:`RingError`, before changing anything, if the owner holds
+        every slot on the ring.
         """
-        slots = self._ensure_index().slots_of(self._ids_view, int(owner))
-        moved = 0
-        for j, slot in enumerate(slots.tolist()):
-            moved += self.remove_slot(int(slot) - j)
+        batch = BatchRemoval(self, [owner])
+        moved = batch.remove_owner_guarded(owner)
+        if moved is None:
+            raise RingError("cannot remove the last slot on the ring")
+        batch.commit()
         return moved
 
     def retire_sybils(self, owner: int) -> int:
         """Remove the owner's Sybil slots, keeping its main identity.
 
-        Returns the number of Sybil slots removed.  One-pass like
+        Returns the number of Sybil slots removed.  One batch, like
         :meth:`remove_owner`.  Never empties the ring: when churn has
         already taken the owner's main identity, its last Sybil may be
         the last slot alive — that identity stays put (the same guard
         the engine applies to churn departures).
         """
-        slots = self._ensure_index().slots_of(self._ids_view, int(owner))
-        is_main = self.is_main
-        targets = [int(s) for s in slots.tolist() if not is_main[s]]
+        batch = BatchRemoval(self, [owner])
+        is_main = self._main_view
         removed = 0
-        for slot in targets:
-            if self.n_slots <= 1:
+        for slot in batch._owner_slots(owner):
+            if batch._live <= 1:
                 break
-            # ascending targets: each prior removal shifted this slot
-            # down by one, exactly as the sequential loop would see it
-            self.remove_slot(slot - removed)
-            removed += 1
+            if not is_main[slot]:
+                batch._remove_one(slot)
+                removed += 1
+        batch.commit()
         return removed
 
     def commit_round(
@@ -1176,21 +1089,15 @@ class RingState:
         if index.dirty:
             return
         owner = self.owner
-        ids = self._ids_view
         for o in np.unique(owner).tolist():
             expected = np.flatnonzero(owner == o)
-            group = index.group_ids(int(o))
-            if (
-                group.size != expected.size
-                or (group != ids[expected]).any()
-            ):
+            group = index.slots_of(int(o))
+            if group.size != expected.size or (group != expected).any():
                 raise RingError(f"owner index out of sync for owner {o}")
             mains = np.flatnonzero((owner == o) & self.is_main)
             if index.main_count(int(o)) != mains.size:
                 raise RingError(f"main count out of sync for owner {o}")
-            if mains.size == 1 and index.main_slot(ids, int(o)) != int(
-                mains[0]
-            ):
+            if mains.size == 1 and index.main_slot(int(o)) != int(mains[0]):
                 raise RingError(f"main identity out of sync for owner {o}")
 
     def _verify_loads_cache(self) -> None:
@@ -1207,13 +1114,15 @@ class RingState:
 class BatchRemoval:
     """Batched slot removal with sequential-equivalent key movement.
 
-    ``remove_owner``/``remove_owner_guarded`` replay the exact
+    ``remove_owner_guarded``/``crash_owner_guarded`` replay the exact
     merge-and-shuffle sequence of repeated :meth:`RingState.remove_slot`
     calls (ascending slot order, as the sequential loop produced) against
     *stable* slot positions; :meth:`commit` compresses the slab once.
     RNG consumption is bit-identical to the sequential path.  A churn
     tick begins its :class:`BatchInsertion` on the open batch, and that
     insertion's commit applies both in one slab pass.
+    :meth:`RingState.remove_owner` and :meth:`RingState.retire_sybils`
+    are each one batch.
     """
 
     def __init__(self, state: RingState, owners=None):
@@ -1261,7 +1170,7 @@ class BatchRemoval:
         # no structural op rebinds the prefix views until commit()
         self._counts = state.counts
         self._keys = state.keys
-        self._shuffle = state.rng.shuffle
+        self._merge = state._merge
 
     def _owner_slots(self, owner: int) -> list[int]:
         """Pre-batch slot positions of ``owner``, ascending."""
@@ -1270,30 +1179,13 @@ class BatchRemoval:
             if slots is not None:
                 return slots
         state = self._state
-        return state._ensure_index().slots_of(state.ids, int(owner)).tolist()
-
-    def owner_live_count(self, owner: int) -> int:
-        slots = self._owner_slots(owner)
-        if self._live == self._n:
-            return len(slots)
-        alive = self._alive
-        return sum(1 for s in slots if alive[s])
-
-    def remove_owner(self, owner: int) -> int:
-        """Queue removal of all the owner's slots; returns keys moved."""
-        moved = 0
-        alive = self._alive
-        for slot in self._owner_slots(owner):
-            if alive[slot]:
-                moved += self._remove_one(slot)
-        return moved
+        return state._ensure_index().slots_of(int(owner)).tolist()
 
     def remove_owner_guarded(self, owner: int) -> int | None:
         """Queue removal of all the owner's slots unless that would
-        empty the ring; returns keys moved, or None if guarded.
-
-        Fuses the :meth:`owner_live_count` check with the removal so the
-        engine's churn loop touches the owner's slot list once.
+        empty the ring; returns keys moved, or None (nothing queued)
+        if guarded.  The guard and the removal share one read of the
+        owner's slot list.
         """
         alive = self._alive
         slots = self._owner_slots(owner)
@@ -1361,7 +1253,7 @@ class BatchRemoval:
                     lost += moved
                 else:
                     recovered += moved
-                    self._merge_into(succ, buf, moved)
+                    self._merge(succ, buf, moved)
         return recovered, lost
 
     def ids_exist(self, idents: np.ndarray) -> np.ndarray:
@@ -1379,17 +1271,6 @@ class BatchRemoval:
         for p in path:  # path compression
             self._skip[p] = j
         return j
-
-    def _merge_into(self, succ: int, buf: np.ndarray, moved: int) -> None:
-        """Hand ``buf[:moved]`` to ``succ``: its keys become the union,
-        reshuffled exactly as :meth:`RingState.remove_slot` reshuffles
-        it."""
-        merged = np.concatenate(
-            (buf[:moved], self._keys[succ][: self._counts.item(succ)])
-        )
-        self._shuffle(merged)
-        self._keys[succ] = merged
-        self._counts[succ] = merged.size
 
     def _mark_dead(self, slot: int) -> None:
         self._keys[slot] = _EMPTY_KEYS
@@ -1414,7 +1295,7 @@ class BatchRemoval:
             succ = self._next_alive(slot)
         moved = self._counts.item(slot)
         if moved:
-            self._merge_into(succ, self._keys[slot], moved)
+            self._merge(succ, self._keys[slot], moved)
         self._mark_dead(slot)
         return moved
 

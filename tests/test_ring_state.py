@@ -153,6 +153,24 @@ class TestRemove:
         assert state.total_remaining() == before
         state.verify_invariants()
 
+    def test_remove_owner_of_every_slot_changes_nothing(self, rng):
+        """An owner holding every slot cannot leave: the raise comes
+        before any of its slots go or any merge draws from the RNG."""
+        state, _ = make_state(rng, ids=(100,), counts_space_bits=16)
+        state.insert_slot(20000, owner=0, is_main=False)
+        state.insert_slot(60000, owner=0, is_main=False)
+        ids = state.ids.tolist()
+        counts = state.counts.tolist()
+        keys = [state.remaining_keys(i).tolist() for i in range(3)]
+        rng_state = state.rng.bit_generator.state
+        with pytest.raises(RingError):
+            state.remove_owner(0)
+        assert state.ids.tolist() == ids == [100, 20000, 60000]
+        assert state.counts.tolist() == counts
+        assert [state.remaining_keys(i).tolist() for i in range(3)] == keys
+        assert state.rng.bit_generator.state == rng_state
+        state.verify_invariants()
+
     def test_retire_sybils_keeps_main(self, rng):
         state, _ = make_state(rng)
         state.insert_slot(75, owner=0, is_main=False)

@@ -246,6 +246,19 @@ def _fused_tick(state, events, replication, n_joins, next_owner):
     return outcomes, idents, acquired
 
 
+def _around_the_shift_cutoff(test):
+    """Pin ticks of 1 to 8 events, on both sides of ``_SHIFT_EVENTS``
+    (in-place shifts below it, gathers above): departures only, joins
+    only and both."""
+    for events in range(1, 9):
+        for leaves in sorted({0, events // 2, events}):
+            test = example(
+                seed=10 * events + leaves, n_nodes=20, n_keys=300,
+                leavers=list(range(leaves)), n_joins=events - leaves,
+            ).via("a tick around the shift cutoff")(test)
+    return test
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**31 - 1),
@@ -257,6 +270,7 @@ def _fused_tick(state, events, replication, n_joins, next_owner):
 @example(seed=0, n_nodes=3, n_keys=0, leavers=[0, 0], n_joins=0).via(
     "a guarded repeat leave"
 )
+@_around_the_shift_cutoff
 def test_fused_churn_tick_matches_sequential(
     seed, n_nodes, n_keys, leavers, n_joins
 ):
