@@ -8,11 +8,9 @@ BENCH_CURRENT  := benchmarks/.bench_current.json
 BENCH_TICK_BASELINE := benchmarks/BENCH_tick_engine.json
 BENCH_TICK_CURRENT  := benchmarks/.bench_tick_current.json
 
-# the paper's table/figure/claim benchmarks: 20 shape assertions
-PAPER_BENCHES := benchmarks/bench_table1.py benchmarks/bench_table2.py \
-	benchmarks/bench_fig*.py benchmarks/bench_text_claims.py \
-	benchmarks/bench_ablations.py benchmarks/bench_extensions.py \
-	benchmarks/bench_protocol.py
+# the paper's claims: every row of repro.experiments.claims.CLAIMS, plus
+# the protocol stack's Chord checks
+PAPER_BENCHES := benchmarks/bench_paper.py benchmarks/bench_protocol.py
 
 .PHONY: test lint typecheck paper-check bench bench-baseline bench-check \
 	bench-tick bench-tick-baseline bench-tick-check smoke check figures
@@ -32,8 +30,8 @@ typecheck:
 	$(PYTHON) scripts/typecheck.py
 
 # regenerate every paper table, figure and text claim at quick scale
-# and fail if any reproduced shape (e.g. Table II factors falling with
-# churn) no longer holds; timing is off, only the assertions gate
+# and fail if any claim row (e.g. Table II factors falling with churn)
+# misses its bound; timing is off, only the assertions gate
 paper-check:
 	$(PYTHON) -m pytest $(PAPER_BENCHES) -q --benchmark-disable
 

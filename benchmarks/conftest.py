@@ -1,10 +1,12 @@
 """Shared helpers for the benchmark harness.
 
-Every ``bench_*`` module regenerates one of the paper's tables or
-figures (at ``quick`` scale by default — set ``REPRO_SCALE=full`` for
-the paper's 100-trial versions) and reports the wall time through
-pytest-benchmark.  The reproduced rows are printed so the benchmark run
-doubles as the experiment log backing EXPERIMENTS.md.
+``bench_paper.py`` regenerates every experiment that has rows in
+``repro.experiments.claims.CLAIMS`` (at ``quick`` scale by default —
+set ``REPRO_SCALE=full`` for the paper's 100-trial versions) through
+the ``render`` fixture, which reports the wall time through
+pytest-benchmark and prints the reproduced rows, so the run doubles as
+the experiment log backing EXPERIMENTS.md.  ``bench_core_ops.py`` and
+``bench_protocol.py`` time the ring state and the Chord stack.
 """
 
 from __future__ import annotations

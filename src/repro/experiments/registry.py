@@ -1,7 +1,8 @@
 """Index of every reproduced experiment, keyed by stable id.
 
-Used by the CLI (``repro run <id>``), the benchmark harness, and the
-EXPERIMENTS.md generator.
+Used by the CLI (``repro run <id>``), ``repro report``, and the
+paper-claim gate (``benchmarks/bench_paper.py`` runs every experiment
+that has rows in :mod:`repro.experiments.claims`).
 """
 
 from __future__ import annotations

@@ -3,7 +3,9 @@
 ``repro report --out report/`` runs the full experiment registry and
 writes:
 
-* ``REPORT.md`` — every table in the paper's layout with notes;
+* ``REPORT.md`` — every table in the paper's layout with notes, and
+  under each experiment its paper-claim rows
+  (:mod:`repro.experiments.claims`): measured value, bound, verdict;
 * ``csv/<id>.csv`` — machine-readable rows per experiment;
 * ``manifest.json`` — per-experiment run manifests: trials run / cached
   / failed, retries, seconds per trial, cache location and schema;
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from repro.experiments.claims import check, verdicts_markdown
 from repro.experiments.registry import EXPERIMENTS
 from repro.experiments.runner import run_with_manifest, save_manifests
 from repro.experiments.spec import resolve_scale
@@ -103,10 +106,18 @@ def generate_report(
         for flag in manifest.flags():
             sections.append("")
             sections.append(f"> **⚠ {flag}**")
-        sections.append("")
         echo(f"[report]   {manifest.summary_line()}")
         for flag in manifest.flags():
             echo(f"[report]   WARNING: {flag}")
+        verdicts = check(result)
+        if verdicts:
+            sections += ["", verdicts_markdown(verdicts)]
+            held = sum(v.holds for v in verdicts)
+            echo(f"[report]   claims: {held}/{len(verdicts)} hold")
+            for v in verdicts:
+                if not v.holds:
+                    echo(f"[report]   CLAIM FAILS: {v}")
+        sections.append("")
     manifest_path = save_manifests(manifests, out / "manifest.json")
     echo(f"[report] wrote {manifest_path}")
 

@@ -26,6 +26,8 @@ class TestGenerateReport:
         assert "# Reproduction report" in text
         assert "fig02_03" in text and "fig01" in text
         assert "Figure files" in text
+        # each experiment's claim rows, measured at the report's seed
+        assert "| `fig01.median` | 699 | in [657.4, 726.6] | holds |" in text
 
     def test_csv_artifacts(self, bundle):
         out, _ = bundle
