@@ -7,6 +7,8 @@ tick-engine suite (grouped-CSR kernel vs the lexsort reference) whose
 committed reference lives in ``BENCH_tick_engine.json``.
 """
 
+import copy
+import gc
 import os
 import statistics
 import time
@@ -435,3 +437,30 @@ def test_strategy_round(benchmark, strategy):
     )
     assert result.completed
     assert result.counters["sybils_created"] > 0
+
+
+def test_strategy_one_round(benchmark):
+    """One neighbor-injection decide + commit on a mid-trial ring of
+    about 2k slots (seed 1, 1000 nodes, 100k tasks, tick 150), restored
+    fresh from a deep copy before each round: the view's Sybil actions
+    and their commit, the path ``test_sybil_storm`` does not reach."""
+    engine = TickEngine(SimulationConfig(
+        strategy="neighbor_injection", n_nodes=1000, n_tasks=100_000, seed=1
+    ))
+    while engine.tick < 149:
+        engine.step()
+    assert engine.state.n_slots > 1900
+
+    def fresh_engine():
+        copied = copy.deepcopy(engine)
+        gc.collect()  # the copy's garbage is not the round's to collect
+        return (copied,), {}
+
+    def one_round(engine):
+        engine._run_strategy_round()
+        return engine
+
+    done = benchmark.pedantic(
+        one_round, setup=fresh_engine, rounds=40, iterations=1
+    )
+    assert done.counters["sybils_created"] > engine.counters["sybils_created"]

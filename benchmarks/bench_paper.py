@@ -2,12 +2,16 @@
 
 The rows live in ``repro.experiments.claims.CLAIMS``; each experiment
 runs once at seed 0 and a failure names every row that missed its bound.
+Trials go through a cache made fresh for the session, so a cell that
+several experiments share is simulated once.
 """
 
 import pytest
 
 from repro.experiments import claims
 from repro.experiments.registry import EXPERIMENTS
+
+pytestmark = pytest.mark.usefixtures("session_trial_cache")
 
 
 @pytest.mark.parametrize("experiment", claims.claimed_experiments())

@@ -56,14 +56,14 @@ class NeighborInjection(Strategy):
             if target is None:
                 view.stats.actions_skipped += 1
                 continue
+            # the arc's start id, read before the Sybil splits the arc
+            start = self._arc_start(view, target) if avoid else None
             acquired = create(owner, target)
             if acquired is None:
                 view.stats.actions_skipped += 1
-            elif acquired == 0 and avoid:
+            elif acquired == 0 and start is not None:
                 # remember the arc (by its start id) as a dead end
-                self._failed_ranges.setdefault(owner, set()).add(
-                    self._arc_start(view, target)
-                )
+                self._failed_ranges.setdefault(owner, set()).add(start)
 
     # ------------------------------------------------------------------
     def _candidate_slots(
@@ -92,9 +92,11 @@ class NeighborInjection(Strategy):
         return slots, weights
 
     @staticmethod
-    def _arc_start(view: NetworkView, slot: int) -> int:
-        """The id that opens ``slot``'s arc: its predecessor's."""
-        return view.slot_id(view.predecessor_window(slot, 1)[0][0])
+    def _arc_start(view: NetworkView, slot: int) -> int | None:
+        """The id that opens ``slot``'s arc: its predecessor's, or None
+        while the view knows no predecessor of ``slot``."""
+        pred = view.predecessor_window(slot, 1)[0]
+        return view.slot_id(pred[0]) if pred else None
 
     def _pick_target(
         self, view: NetworkView, owner: int, k: int | None = None

@@ -61,7 +61,16 @@ class RoundStats:
 
 
 class NetworkView(abc.ABC):
-    """What a deciding node may see and do.  See module docstring."""
+    """What a deciding node may see and do.  See module docstring.
+
+    A *slot* — what ``main_slot``, ``heaviest_slot`` and the windows
+    return, and what ``slot_id``, the windows and the arc actions take
+    — is an opaque handle naming one identity: a strategy compares it
+    only for equality and never does arithmetic on it.  A handle is
+    valid until the round commits; an action that cannot be deferred
+    (a retirement that moves keys, ``relocate_main``) may commit it, so
+    read slots again after one.
+    """
 
     # -- static context ------------------------------------------------
     @property

@@ -224,7 +224,9 @@ def _split_arc(
 
 class _Pending(NamedTuple):
     """New slots awaiting :meth:`RingState._restructure`, sorted by id;
-    ``keys[j]`` holds slot ``j``'s ``counts[j]`` remaining keys."""
+    ``keys[j]`` holds slot ``j``'s ``counts[j]`` remaining keys, and
+    ``at[j]`` is its insertion point among the ring's slots before the
+    batch (``ids.searchsorted``), found once by the builder."""
 
     ids: np.ndarray
     owner: np.ndarray
@@ -232,6 +234,7 @@ class _Pending(NamedTuple):
     counts: np.ndarray
     provenance: np.ndarray
     keys: list[np.ndarray]
+    at: np.ndarray
 
 
 class ConsumptionGroups(NamedTuple):
@@ -487,11 +490,11 @@ class RingState:
         at: list[int] = []
         final: list[int] = []
         if m:
-            pos = self._ids_view.searchsorted(pending.ids)
+            pos = pending.at
             at = pos.tolist()
             if m > _VECTOR_FINAL:
                 if dead:
-                    pos -= np.searchsorted(dead, pos)
+                    pos = pos - np.searchsorted(dead, pos)
                 final = (pos + np.arange(m)).tolist()
             else:
                 final = [
@@ -844,6 +847,7 @@ class RingState:
             counts=np.array([taken.size], dtype=_I64),
             provenance=np.array([provenance], dtype=np.int8),
             keys=[taken],
+            at=np.array([pos], dtype=np.intp),
         ))
         return pos, taken.size
 
@@ -1009,6 +1013,7 @@ class RingState:
             counts=np.fromiter(map(len, part_keys), dtype=_I64, count=m),
             provenance=np.full(m, PROV_BENEVOLENT, dtype=np.int8),
             keys=part_keys,
+            at=pos,
         )
 
     # ------------------------------------------------------------------
@@ -1154,17 +1159,22 @@ class BatchRemoval:
             if arr.size:
                 if arr.min() < 0:
                     raise RingError("owner indices must be non-negative")
-                # flags past the largest listed owner stay False, and
-                # the clipped gather maps every larger owner there
-                flags = np.zeros(int(arr.max()) + 2, dtype=bool)
-                flags[arr] = True
                 ow = state.owner
-                hits = flags.take(ow, mode="clip").nonzero()[0]
-                for p, o in zip(hits.tolist(), ow[hits].tolist()):
-                    if o in grouped:
-                        grouped[o].append(p)
-                    else:
-                        grouped[o] = [p]
+                if arr.size == 1:
+                    # one owner (remove_owner, retire_sybils): one compare
+                    hits = np.flatnonzero(ow == arr[0])
+                    grouped[int(arr[0])] = hits.tolist()
+                else:
+                    # flags past the largest listed owner stay False, and
+                    # the clipped gather maps every larger owner there
+                    flags = np.zeros(int(arr.max()) + 2, dtype=bool)
+                    flags[arr] = True
+                    hits = flags.take(ow, mode="clip").nonzero()[0]
+                    for p, o in zip(hits.tolist(), ow[hits].tolist()):
+                        if o in grouped:
+                            grouped[o].append(p)
+                        else:
+                            grouped[o] = [p]
             self._slots_by_owner = grouped
         # hot references — stable for the lifetime of the batch, since
         # no structural op rebinds the prefix views until commit()
@@ -1511,13 +1521,15 @@ class BatchInsertion:
         if self._pend_ids:
             records = [self._records[i] for i in self._pend_ids]
             parts = [taken[i] for i in self._pend_ids]
+            new = np.array(self._pend_ids, dtype=_U64)
             pending = _Pending(
-                ids=np.array(self._pend_ids, dtype=_U64),
+                ids=new,
                 owner=np.array([r[0] for r in records], dtype=_I64),
                 is_main=np.array([r[1] for r in records], dtype=bool),
                 counts=np.array([p.size for p in parts], dtype=_I64),
                 provenance=np.array([r[2] for r in records], dtype=np.int8),
                 keys=parts,
+                at=self._searchsorted(new),
             )
         dead = sorted(removal._dead) if removal is not None else []
         self._state._restructure(dead, pending)

@@ -12,33 +12,42 @@ Round semantics
 
 A decision round's Sybil creations and retirements are *deferred*: the
 first action of a round opens the round (:meth:`SimView._open_round`),
-which copies the round-start ring into plain Python lists in ring order
-— ids, owners, counts — that every later action edits in place, along
-with the round's pending joins and dropped positions.  Every read a
-strategy makes afterwards — slot indices, arcs, gaps, owners, counts,
-``heaviest_slot``, ``live_owner_load`` — answers from those lists
-exactly as the ring would after applying each action on the spot.  A
-neighbourhood read — :meth:`SimView.successor_window` /
-:meth:`SimView.predecessor_window` — is a few list slices of the round
-(or of the ring while no round is open; a read never opens one).  The
-engine calls :meth:`SimView.end_round` after ``decide``; it commits the
-round with one :meth:`~repro.sim.state.RingState.commit_round`, which
-drops the retired Sybils and splices in the new ones in a single slab
-pass, so the slab is restructured once per round instead of once per
-Sybil.
+which copies the round-start ring into per-slot Python lists — ids,
+owners, counts — and links them into a ring of successor/predecessor
+handles, as a Chord node keeps its ring.  A slot's handle is its index
+into those lists: a slot of the round-start ring keeps its ring
+position (so a read made before the round opened stays valid inside
+it), and a Sybil created in the round gets the next free index.  No
+list element ever moves: a retirement unlinks its Sybils, and a
+creation appends one entry per list and links it before the slot whose
+arc it splits.  Every read a strategy makes afterwards — windows, arcs,
+gaps, owners, counts, ``heaviest_slot``, ``live_owner_load`` — answers
+from those lists exactly as the ring would after applying each action
+on the spot; a window walks the links (or slices the ring's arrays
+while no round is open; a read never opens one).  ``main_slot`` is the
+owner's round-start position.  A random creation bisects the
+round-start ids once and walks back past the few Sybils created in that
+arc.  The engine calls :meth:`SimView.end_round` after ``decide``; it
+commits the round with one :meth:`~repro.sim.state.RingState.commit_round`,
+which drops the retired Sybils and splices in the new ones in a single
+slab pass, so the slab is restructured once per round instead of once
+per Sybil.  A handle is valid until the round commits.
 
 Each action is one frame of this class under the strategy's call: a
-retirement finds, drops and books its owner's Sybils in
+retirement finds, unlinks and books its owner's Sybils in
 :meth:`SimView.retire_sybils`; a creation places or draws its id and
-hands it, with its list position, to :meth:`SimView._join_sybil`, which
-books the census, counts the keys it takes and edits the lists.  A
-Sybil that takes keys keeps the selection mask that count computed, and
-the commit splits an arc that got exactly that one new identity with it
-(two compresses) instead of recomputing the split.  Against the
-view → overlay → helper chain this replaced, ``repro profile`` of
-neighbor injection (1000 nodes, 100k tasks, seed 1; medians of 6
-alternating runs on a shared 2-vCPU host) went from decide 0.682 s /
-commit 0.102 s to 0.566 s / 0.089 s.
+hands it, with the handle of the slot whose arc it splits, to
+:meth:`SimView._join_sybil`, which books the census, counts the keys it
+takes and links the new slot.  Each slot records its base slot — the
+round-start slot whose keys its own remaining keys are a run of — so a
+keyed join reads those keys without a search.  A Sybil that takes keys
+keeps the selection mask that count computed, and the commit splits an
+arc that got exactly that one new identity with it (two compresses)
+instead of recomputing the split.  Against lists kept in ring order,
+where each action paid three ``list.insert``/``del`` memmoves and a
+``bisect``, ``repro profile`` of neighbor injection (1000 nodes, 100k
+tasks, seed 1; medians of 6 alternating runs on a shared 2-vCPU host)
+went from decide 0.679 s to 0.539 s.
 
 The round's Sybil census (``n_sybils``, ``can_add_sybil`` and the
 booking behind every creation and retirement) reads and writes Python
@@ -61,7 +70,8 @@ Deferral is exact because neither half draws randomness:
 An action the round cannot replay exactly — a retirement that would
 move keys (or retire a Sybil created this round), and every
 ``relocate_main`` — first commits the round, then runs the ring's
-per-slot primitive.
+per-slot primitive; ``relocate_main`` carries its target handle across
+that commit as the slot's identifier.
 """
 
 from __future__ import annotations
@@ -101,9 +111,9 @@ class SimView(NetworkView):
     #: the open round's state beside ``_ids``: set by :meth:`_open_round`
     #: and released by :meth:`end_round`, so no round outlives its commit
     _ROUND_STATE = (
-        "_base_ids", "_base_counts", "_owner", "_counts", "_live_loads",
-        "_load_delta", "_main_ids", "_base_sybils", "_pending",
-        "_pending_by_owner", "_taken", "_dropped", "_retired_ids",
+        "_base_counts", "_owner", "_counts", "_next", "_prev", "_base",
+        "_live_loads", "_load_delta", "_main_slots", "_base_sybils",
+        "_pending", "_pending_by_owner", "_taken", "_dropped",
     )
 
     def __init__(
@@ -122,8 +132,8 @@ class SimView(NetworkView):
         self._size = state.space.size
         self._loads: np.ndarray | None = None
         self._stats = RoundStats()
-        # the open round (see _open_round): the ring as the round's
-        # actions leave it, in ring order; None while no round is open
+        # the open round (see _open_round): each slot's id, by handle;
+        # None while no round is open
         self._ids: list[int] | None = None
         # per-round owner census: (Sybil counts, Sybil room) as lists,
         # taken on the round's first census read (see _take_census), and
@@ -169,37 +179,43 @@ class SimView(NetworkView):
                 delattr(self, name)
         self._flush_census()
 
-    def _open_round(self) -> list[int]:
-        """Open the round: copy the round-start ring into the lists the
-        round's actions edit, and return its id list.
+    def _open_round(self) -> None:
+        """Open the round: copy the round-start ring into per-handle
+        lists and link them in ring order.
 
         The ring itself is untouched until :meth:`end_round`, so its
         arrays stay the round-start ("base") ring: a slot's remaining
-        keys are always a contiguous run of the keys of the base slot
-        responsible for its identifier.
+        keys are always a contiguous run of the keys of its base slot.
+        The first ``n`` handles are the base slots, at their ring
+        positions; ``_ids[:n]`` stays the sorted round-start ids.
         """
         state = self._state
-        self._base_ids: list[int] = state.ids.tolist()
+        self._ids = ids = state.ids.tolist()
+        n = len(ids)
         self._base_counts: list[int] = state.counts.tolist()
         self._owner: list[int] = state.owner.tolist()
         self._counts = self._base_counts.copy()
+        # ring order: successor and predecessor handles; a retired
+        # slot's successor is -1
+        self._next: list[int] = [*range(1, n), 0]
+        self._prev: list[int] = [n - 1, *range(n - 1)]
+        # each slot's base slot: its own position for a base slot, the
+        # base slot of the arc it split for a new one
+        self._base: list[int] = list(range(n))
         # live owner load = round-start load + this round's transfers
         self._live_loads = state.owner_loads(self._owners.n_total)
         self._load_delta: dict[int, int] = {}
-        # each owner's main identity, and base positions of its Sybils,
+        # each owner's main position, and base positions of its Sybils,
         # built on first use: a round with few actions may need neither
-        self._main_ids: dict[int, int] | None = None
+        self._main_slots: dict[int, int] | None = None
         self._base_sybils: dict[int, list[int]] | None = None
-        # pending Sybils: ident -> owner, owner -> idents, and for each
+        # pending Sybils: ident -> owner, owner -> handles, and for each
         # one that took keys the mask of its base slot's keys it took
         self._pending: dict[int, int] = {}
         self._pending_by_owner: dict[int, list[int]] = {}
         self._taken: dict[int, np.ndarray] = {}
-        # base positions of the retired (keyless) Sybils, and their ids
+        # base positions of the retired (keyless) Sybils
         self._dropped: list[int] = []
-        self._retired_ids: set[int] = set()
-        self._ids = self._base_ids.copy()
-        return self._ids
 
     # ------------------------------------------------------------------
     # NetworkView: static context
@@ -289,38 +305,38 @@ class SimView(NetworkView):
     def main_slot(self, owner: int) -> int:
         if self._ids is None:
             return self._state.main_slot_of(owner)
-        mains = self._main_ids
+        # a main identity is never retired or created in a round: its
+        # handle is its round-start position
+        mains = self._main_slots
         if mains is None:
             state = self._state
             at = np.flatnonzero(state.is_main)
-            mains = self._main_ids = dict(
-                zip(state.owner[at].tolist(), state.ids[at].tolist())
+            mains = self._main_slots = dict(
+                zip(state.owner[at].tolist(), at.tolist())
             )
             if len(mains) != at.size:
                 mains.clear()  # a doubled main: let the ring raise
-        ident = mains.get(owner)
-        if ident is None:
-            # raises: no single main
-            ident = self._base_ids[self._state.main_slot_of(owner)]
-        return bisect_left(self._ids, ident)
+        slot = mains.get(owner)
+        if slot is None:
+            return self._state.main_slot_of(owner)  # raises: no single main
+        return slot
 
     def heaviest_slot(self, owner: int) -> int:
         if self._ids is None:
             slots = self._state.slots_of_owner(owner)
             counts = self._state.counts[slots]
             return int(slots[int(np.argmax(counts))])
-        # the owner's round positions, ascending; max() keeps the first
-        # of equal counts, like np.argmax
-        base = self._base_ids
-        retired = self._retired_ids
-        idents = [
-            base[p]
-            for p in self._state.slots_of_owner(owner).tolist()
-            if base[p] not in retired
+        # the owner's live handles in ring order from slot 0; max()
+        # keeps the first of equal counts, like np.argmax
+        nxt = self._next
+        slots = [
+            p for p in self._state.slots_of_owner(owner).tolist()
+            if nxt[p] >= 0
         ]
-        idents.extend(self._pending_by_owner.get(owner, ()))
-        ids = self._ids
-        slots = sorted(bisect_left(ids, i) for i in idents)
+        mine = self._pending_by_owner.get(owner)
+        if mine:
+            slots += mine
+            slots.sort(key=self._ids.__getitem__)
         return max(slots, key=self._counts.__getitem__)
 
     def successor_window(
@@ -328,22 +344,32 @@ class SimView(NetworkView):
     ) -> tuple[list[int], ...]:
         ids = self._ids
         if ids is not None:
-            lo = slot + 1
-            hi = lo + k
-            if hi <= len(ids):
-                # the hot read: an open round, no wrap (so k < n) — plain
-                # slices
-                arc = ids[slot:hi]
-                window = (
-                    list(range(lo, hi)), self._owner[lo:hi],
-                    list(map(sub, arc[1:], arc)),
-                )
-                return (*window, self._counts[lo:hi]) if counts else window
-            owner, count = self._owner, self._counts
-        else:
-            # no round open: the ring's own arrays
-            state = self._state
-            ids, owner, count = state.ids, state.owner, state.counts
+            # the open round: walk the successor links
+            nxt, owner, count = self._next, self._owner, self._counts
+            slots: list[int] = []
+            owners: list[int] = []
+            gaps: list[int] = []
+            tallies: list[int] = []
+            s = slot
+            a = first = ids[s]
+            # a ring of n live slots has n - 1 others
+            for _ in range(min(k, len(ids) - len(self._dropped) - 1)):
+                s = nxt[s]
+                b = ids[s]
+                slots.append(s)
+                owners.append(owner[s])
+                gaps.append(b - a)
+                if counts:
+                    tallies.append(count[s])
+                a = b
+            if a < first:  # the window wraps past the top id
+                gaps = [g % self._size for g in gaps]
+            if counts:
+                return slots, owners, gaps, tallies
+            return slots, owners, gaps
+        # no round open: the ring's own arrays
+        state = self._state
+        ids, owner, count = state.ids, state.owner, state.counts
         n = len(ids)
         hi = slot + 1 + min(k, n - 1)
         arc = _ring_slice(ids, slot, hi, n)
@@ -361,7 +387,19 @@ class SimView(NetworkView):
     def predecessor_window(
         self, slot: int, k: int
     ) -> tuple[list[int], list[int]]:
-        owner = self._state.owner if self._ids is None else self._owner
+        ids = self._ids
+        if ids is not None:
+            # the open round: walk the predecessor links
+            prv, owner = self._prev, self._owner
+            slots: list[int] = []
+            owners: list[int] = []
+            s = slot
+            for _ in range(min(k, len(ids) - len(self._dropped) - 1)):
+                s = prv[s]
+                slots.append(s)
+                owners.append(owner[s])
+            return slots, owners
+        owner = self._state.owner
         n = len(owner)
         lo = slot - min(k, n - 1)
         owners = _ring_slice(owner, lo, slot, n)
@@ -384,26 +422,20 @@ class SimView(NetworkView):
         return self._join_sybil(owner, ident, self._probed)
 
     def create_sybil_in_slot_arc(self, owner: int, slot: int) -> int | None:
-        ids = self._ids
-        if ids is None:
-            ids = self._open_round()
+        if self._ids is None:
+            self._open_round()
         ident = self._place_in_slot(slot)
         if ident is None:
             return None
-        # inside the arc (ids[slot - 1], ids[slot]): before ids[slot], or
-        # past the last id when slot 0's arc wraps
-        return self._join_sybil(
-            owner, ident, slot if ident < ids[slot] else len(ids)
-        )
+        return self._join_sybil(owner, ident, slot)
 
     def retire_sybils(self, owner: int) -> int:
         """Retire the owner's Sybils.  Deferred when every one is a base
         slot that held no keys at round start and the round-start ring
         keeps a slot once the round's retirements are dropped; otherwise
         the round commits and the ring retires them itself."""
-        ids = self._ids
-        if ids is None:
-            ids = self._open_round()
+        if self._ids is None:
+            self._open_round()
         removed = None
         # a Sybil created this round may hold keys
         if owner not in self._pending_by_owner:
@@ -418,20 +450,18 @@ class SimView(NetworkView):
             dropped = self._dropped
             if not targets:
                 removed = 0
-            elif len(self._base_ids) - len(dropped) > len(targets):
+            elif len(self._base_counts) - len(dropped) > len(targets):
                 base_counts = self._base_counts
                 for p in targets:
                     if base_counts[p]:
                         break
                 else:
-                    base = self._base_ids
-                    owners, counts = self._owner, self._counts
-                    retired = self._retired_ids
-                    for p in reversed(targets):
-                        ident = base[p]
-                        m = bisect_left(ids, ident)
-                        del ids[m], owners[m], counts[m]
-                        retired.add(ident)
+                    nxt, prv = self._next, self._prev
+                    for p in targets:  # unlink
+                        a, b = prv[p], nxt[p]
+                        nxt[a] = b
+                        prv[b] = a
+                        nxt[p] = -1
                     dropped.extend(targets)
                     removed = len(targets)
         if removed is None:
@@ -468,8 +498,13 @@ class SimView(NetworkView):
         A main-identity move is not deferred: the round so far is
         committed and the move applied to the ring directly.
         """
+        ids = self._ids
         self.end_round()
         state = self._state
+        if ids is not None:
+            # the handle names a slot of the committed round: find it on
+            # the ring by its identifier
+            target_slot = int(state.ids.searchsorted(_U64(ids[target_slot])))
         ident = self._place_in_slot(target_slot)
         if ident is None:
             return None
@@ -496,16 +531,36 @@ class SimView(NetworkView):
     # internals
     # ------------------------------------------------------------------
     def _probe(self, ident: int) -> bool:
-        """Whether ``ident`` is on the open round's ring; its bisect
-        position is left in ``_probed``."""
+        """Whether ``ident`` is on the open round's ring; the handle of
+        its live successor is left in ``_probed``."""
         ids = self._ids
-        pos = self._probed = bisect_left(ids, ident)
-        return pos < len(ids) and ids[pos] == ident
+        n = len(self._base_counts)
+        # the first live base slot at or past ident: the round keeps one
+        r = bisect_left(ids, ident, 0, n)
+        if r == n:
+            r = 0
+        nxt = self._next
+        while nxt[r] < 0:
+            r = r + 1 if r < n - 1 else 0
+        # between ident and it lie only Sybils created this round: walk
+        # back past those at or past ident, clockwise
+        size = self._size
+        d = (ids[r] - ident) % size
+        prv = self._prev
+        p = prv[r]
+        while p >= n:
+            dp = (ids[p] - ident) % size
+            if dp >= d:
+                break
+            r, d = p, dp
+            p = prv[p]
+        self._probed = r
+        return not d
 
-    def _join_sybil(self, owner: int, ident: int, pos: int) -> int:
+    def _join_sybil(self, owner: int, ident: int, succ: int) -> int:
         """Join the free identifier ``ident`` as a Sybil of ``owner`` in
-        the open round, at list position ``pos``; returns the keys it
-        acquires."""
+        the open round, in the arc of the slot ``succ``; returns the keys
+        it acquires."""
         census = self._census or self._take_census()
         if census is not None and census[1][owner] > 0:
             census[0][owner] += 1
@@ -513,20 +568,17 @@ class SimView(NetworkView):
             self._census_dirty = True
         else:
             self._register_sybil(owner)  # validates the budget
-        ids, counts = self._ids, self._counts
-        succ = pos if pos < len(ids) else 0
+        ids, counts, prv = self._ids, self._counts, self._prev
+        pred = prv[succ]
+        base = self._base[succ]
         acquired = 0
         # the new arc (pred, ident] is part of the successor's: an empty
         # successor has nothing to hand over
         if counts[succ]:
-            # its keys are a run of the keys of the base slot responsible
-            # for ident: select those past the predecessor
-            base = self._base_ids
-            r = bisect_left(base, ident)
-            if r == len(base):
-                r = 0
-            keys = self._state.keys[r][: self._base_counts[r]]
-            taken = arc_mask(keys, ids[succ - 1], ident, self._size)
+            # its keys are a run of its base slot's: select those past
+            # the predecessor
+            keys = self._state.keys[base][: self._base_counts[base]]
+            taken = arc_mask(keys, ids[pred], ident, self._size)
             acquired = int(np.count_nonzero(taken))
             if acquired:
                 counts[succ] -= acquired
@@ -535,15 +587,22 @@ class SimView(NetworkView):
                 delta[loser] = delta.get(loser, 0) - acquired
                 delta[owner] = delta.get(owner, 0) + acquired
                 self._taken[ident] = taken
-        ids.insert(pos, ident)
-        self._owner.insert(pos, owner)
-        counts.insert(pos, acquired)
+        # link the new handle between pred and succ
+        h = len(ids)
+        ids.append(ident)
+        self._owner.append(owner)
+        counts.append(acquired)
+        self._base.append(base)
+        self._next.append(succ)
+        prv.append(pred)
+        self._next[pred] = h
+        prv[succ] = h
         self._pending[ident] = owner
         mine = self._pending_by_owner.get(owner)
         if mine is None:
-            self._pending_by_owner[owner] = [ident]
+            self._pending_by_owner[owner] = [h]
         else:
-            mine.append(ident)
+            mine.append(h)
         stats = self._stats
         stats.sybils_created += 1
         stats.tasks_acquired += acquired
@@ -568,15 +627,13 @@ class SimView(NetworkView):
         if ids is None:
             start, end = self._state.slot_arc(slot)
         else:
-            start, end = ids[slot - 1], ids[slot]
+            start, end = ids[self._prev[slot]], ids[slot]
         placement = self._config.placement
         if placement == "median":
-            # the arc's keys: a run of those of the base slot responsible
-            # for its end (between rounds, the slot itself)
+            # the arc's keys: a run of those of its base slot (between
+            # rounds, the slot itself)
             state = self._state
-            r = int(state.ids.searchsorted(_U64(end)))
-            if r == state.n_slots:
-                r = 0
+            r = slot if ids is None else self._base[slot]
             keys = state.keys[r][: state.counts.item(r)]
             ident = median_in_arc(
                 keys[in_arc_mask(keys, start, end)], start, state.space

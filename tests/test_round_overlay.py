@@ -11,6 +11,7 @@ untraced as the benchmarks run it.
 
 from __future__ import annotations
 
+import copy
 import itertools
 
 import numpy as np
@@ -24,6 +25,7 @@ from repro.obs.metrics import result_fingerprint
 from repro.obs.trace import TraceRecorder
 from repro.sim.engine import TickEngine
 from repro.sim.view import SimView
+from repro.util.rng import uniform_word_id
 from tests.percall_view import PerCallSimView
 
 SYBIL_STRATEGIES = [n for n in strategy_names() if n != "none"]
@@ -127,6 +129,22 @@ class TestDifferential:
         assert_same_run(config, monkeypatch)
 
     @pytest.mark.parametrize(
+        "strategy", ["neighbor_injection", "smart_neighbor_injection"]
+    )
+    def test_avoid_failed_ranges(self, strategy, monkeypatch):
+        """A create that acquires nothing marks its arc by the start id
+        read before the Sybil splits it; both views mark, and then
+        skip, the same arcs."""
+        config = SimulationConfig(
+            strategy=strategy, n_nodes=60, n_tasks=3000,
+            avoid_failed_ranges=True, seed=7,
+        )
+        assert_same_run(config, monkeypatch)
+        engine = TickEngine(config)
+        engine.run()
+        assert engine.strategy._failed_ranges
+
+    @pytest.mark.parametrize(
         "strategy", ["random_injection", "invitation", "neighbor_injection"]
     )
     def test_tiny_rings(self, strategy, monkeypatch):
@@ -160,27 +178,53 @@ def test_golden_fingerprints(strategy, ticks, fingerprint):
     assert result_fingerprint(result) == fingerprint
 
 
-def ring_size(view) -> int:
-    return len(view.successor_window(0, 10**9)[0]) + 1
+def walk(view, engine) -> list[int]:
+    """The view's live slots in ring order from the lowest identifier,
+    walked from a live slot (a main identity's) by the widest window."""
+    start = view.main_slot(int(engine.owners.network_indices[0]))
+    slots = [start, *view.successor_window(start, 10**9)[0]]
+    low = min(range(len(slots)), key=lambda i: view.slot_id(slots[i]))
+    return slots[low:] + slots[:low]
+
+
+def slot_of(view, engine, ident: int) -> int:
+    """The view's slot whose identifier is ``ident``."""
+    return next(s for s in walk(view, engine) if view.slot_id(s) == ident)
 
 
 def read_everything(view, engine) -> dict:
-    """Every strategy-visible read, over the whole ring: each slot's
-    owner, gap and count as the one-slot window of its predecessor, and
-    the windows across the wrap."""
-    n = ring_size(view)
+    """Every strategy-visible read, over the whole ring, with each slot
+    named by its identifier: each slot's owner, gap and count as the
+    one-slot window of its predecessor, the windows across the wrap and
+    wider than the ring, and each owner's main and heaviest slots."""
+    ring = walk(view, engine)
+    n = len(ring)
     owners = engine.owners.network_indices.tolist()
-    slots = range(n)
+    name = view.slot_id
+
+    def named(window):
+        return ([name(s) for s in window[0]], *window[1:])
+
+    low, high = ring[0], ring[-1]
     return {
-        "n": n,
-        "ids": [view.slot_id(s) for s in slots],
+        "ids": [name(s) for s in ring],
         "slots": [
-            view.successor_window((s - 1) % n, 1, counts=True) for s in slots
+            named(view.successor_window(
+                view.predecessor_window(s, 1)[0][0], 1, counts=True
+            ))
+            for s in ring
         ],
-        "succ": view.successor_window(n - 1, 3, counts=True),
-        "pred": view.predecessor_window(0, 3),
-        "main": [view.main_slot(o) for o in owners],
-        "heaviest": [view.heaviest_slot(o) for o in owners],
+        "succ": named(view.successor_window(high, 3, counts=True)),
+        "pred": named(view.predecessor_window(low, 3)),
+        "wide": [
+            (
+                named(view.successor_window(low, k, counts=True)),
+                named(view.predecessor_window(high, k)),
+            )
+            for k in (n - 1, n, n + 3)
+        ],
+        "main": [name(view.main_slot(o)) for o in owners],
+        "heaviest": [name(view.heaviest_slot(o)) for o in owners],
         "live": [view.live_owner_load(o) for o in owners],
     }
 
@@ -216,8 +260,10 @@ def test_reads_match_after_every_action(placement):
             if kind == 0 and view.can_add_sybil(owner):
                 outcomes.append(view.create_sybil_random(owner))
             elif kind == 1 and view.can_add_sybil(owner):
-                n = ring_size(view)
-                outcomes.append(view.create_sybil_in_slot_arc(owner, slot % n))
+                ring = walk(view, engine)
+                outcomes.append(view.create_sybil_in_slot_arc(
+                    owner, ring[slot % len(ring)]
+                ))
             else:
                 outcomes.append(view.retire_sybils(owner))
         assert outcomes[0] == outcomes[1]
@@ -235,6 +281,214 @@ def test_reads_match_after_every_action(placement):
     assert (
         deferred.rng.bit_generator.state == per_call.rng.bit_generator.state
     )
+
+
+class TestHandles:
+    """The open round names a slot by a handle that no action moves:
+    scripted actions on both views, with slots matched by identifier,
+    must leave every read and the committed ring equal to the per-call
+    oracle's."""
+
+    @staticmethod
+    def twins(placement="midpoint", **overrides):
+        """A deferred and a per-call engine ten ticks into the same run,
+        each with a round begun, and no Sybils on the ring yet."""
+        overrides.setdefault("n_nodes", 40)
+        config = SimulationConfig(
+            strategy="none", n_tasks=2000, placement=placement, seed=11,
+            **overrides,
+        )
+        twins = (TickEngine(config), TickEngine(config))
+        per_call = twins[1]
+        per_call.view = PerCallSimView(
+            config, per_call.state, per_call.owners, per_call.rng
+        )
+        for engine in twins:
+            for _ in range(10):
+                engine.step()
+            engine.view.begin_round()
+        return twins
+
+    @staticmethod
+    def both(twins, act):
+        """``act(view, engine)`` on both views: the outcomes and every
+        read must agree."""
+        outcomes = [act(engine.view, engine) for engine in twins]
+        assert outcomes[0] == outcomes[1]
+        assert read_everything(twins[0].view, twins[0]) == read_everything(
+            twins[1].view, twins[1]
+        )
+        return outcomes[0]
+
+    @staticmethod
+    def empty(twins, idents) -> None:
+        """Consume every key of the slots at ``idents`` (between rounds),
+        so Sybils placed in their arcs take none."""
+        for engine in twins:
+            engine.view.end_round()
+            state = engine.state
+            pos = state.ids.searchsorted(np.array(idents, dtype=np.uint64))
+            state.consume_at(pos, state.counts[pos].copy())
+            engine.view.begin_round()
+
+    def create_in(self, twins, owner, ident):
+        return self.both(twins, lambda view, engine: (
+            view.create_sybil_in_slot_arc(owner, slot_of(view, engine, ident))
+        ))
+
+    @staticmethod
+    def commit(twins) -> None:
+        deferred, per_call = twins
+        for engine in twins:
+            engine.view.end_round()
+        for name in ("ids", "owner", "is_main", "counts"):
+            assert np.array_equal(
+                getattr(deferred.state, name), getattr(per_call.state, name)
+            )
+        for i in range(deferred.state.n_slots):
+            assert np.array_equal(
+                deferred.state.remaining_keys(i),
+                per_call.state.remaining_keys(i),
+            )
+        deferred.state.verify_invariants()
+        assert (
+            deferred.rng.bit_generator.state
+            == per_call.rng.bit_generator.state
+        )
+        for engine in twins:
+            engine.view.begin_round()
+
+    def adjacent_pair(self):
+        """Twins whose ring holds two adjacent keyless Sybils of one
+        owner, in the arc that the next random draw falls in; returns
+        (twins, that owner, the arc's end id, the Sybils' ids)."""
+        twins = self.twins()
+        state = twins[0].state
+        draw = uniform_word_id(copy.deepcopy(twins[0].rng), state.space.bits)
+        end = state.ids.item(
+            int(state.ids.searchsorted(np.uint64(draw))) % state.n_slots
+        )
+        self.empty(twins, [end])
+        owner = int(state.owner[state.ids.searchsorted(np.uint64(end)) - 1])
+        # midpoint placement: the first Sybil splits (pred, end], the
+        # second the arc (first, end] that end is left with
+        for _ in range(2):
+            assert self.create_in(twins, owner, end) == 0
+        sybils = list(twins[0].view._pending)  # in creation order
+        self.commit(twins)
+        assert twins[0].view.n_sybils(owner) == 2
+        return twins, owner, end, sybils
+
+    def test_random_create_in_a_merged_arc(self):
+        twins, owner, end, sybils = self.adjacent_pair()
+        assert self.both(twins, lambda v, e: v.retire_sybils(owner)) == 2
+        view = twins[0].view
+        # deferred: both unlinked from the round, not committed
+        dropped = twins[0].state.ids[view._dropped].tolist()
+        assert sorted(dropped) == sorted(sybils)
+        helper = int(twins[0].state.owner[0])
+        self.both(twins, lambda v, e: v.create_sybil_random(helper))
+        # the draw fell in the merged arc: the new slot sits before end
+        new = view._pending_by_owner[helper][0]
+        assert view.slot_id(view.successor_window(new, 1)[0][0]) == end
+        self.commit(twins)
+
+    def test_create_reuses_a_retired_id(self):
+        twins, owner, end, sybils = self.adjacent_pair()
+        self.both(twins, lambda v, e: v.retire_sybils(owner))
+        helper = int(twins[0].state.owner[0])
+        # the arc is (pred, end] again: its midpoint is the first Sybil's
+        assert self.create_in(twins, helper, end) == 0
+        assert list(twins[0].view._pending) == [sybils[0]]
+        self.commit(twins)
+
+    @pytest.mark.parametrize("placement", ["random", "midpoint"])
+    def test_wrap_at_slot_zero(self, placement):
+        twins = self.twins(placement)
+        state = twins[0].state
+        owners = twins[0].owners.network_indices.tolist()
+        # the wrapping arc (top id, lowest id] of the round-start slot 0
+        self.empty(twins, [state.ids.item(0)])
+        for owner in owners[:4]:
+            # split the arc of the lowest live id: the wrapping one
+            self.both(twins, lambda v, e, o=owner: v.create_sybil_in_slot_arc(
+                o, walk(v, e)[0]
+            ))
+        first = next(iter(twins[0].view._pending.values()))
+        self.commit(twins)
+        # a base Sybil at the wrap retires by unlinking; more join there
+        self.both(twins, lambda v, e: v.retire_sybils(first))
+        for owner in owners[4:7]:
+            self.both(twins, lambda v, e, o=owner: v.create_sybil_in_slot_arc(
+                o, walk(v, e)[0]
+            ))
+            self.both(twins, lambda v, e, o=owner: v.create_sybil_random(o))
+        assert twins[0].view._dropped
+        self.commit(twins)
+
+    def test_windows_wider_than_the_live_ring(self):
+        twins = self.twins(n_nodes=4)
+        state = twins[0].state
+        self.empty(twins, state.ids.tolist())
+        owners = twins[0].owners.network_indices.tolist()
+        ends = state.ids.tolist()
+        for owner, end in zip(owners, ends):
+            self.create_in(twins, owner, end)
+        self.commit(twins)
+        # retire three of four owners' Sybils, then add one: the live
+        # ring is shorter than the round-start ring
+        for owner in owners[:3]:
+            self.both(twins, lambda v, e, o=owner: v.retire_sybils(o))
+        self.create_in(twins, owners[0], ends[1])
+        view = twins[0].view
+        live = walk(view, twins[0])
+        assert len(live) == 6 < len(view._base_counts)
+        for slot in live:
+            for k in range(1, 10):
+                assert len(view.successor_window(slot, k)[0]) == min(k, 5)
+                assert len(view.predecessor_window(slot, k)[0]) == min(k, 5)
+        self.commit(twins)
+
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_heaviest_slot_ties(self, side):
+        """An owner whose main slot and new Sybil both hold no keys: the
+        tie goes to the lower identifier, the Sybil's (placed before the
+        main) or the main's (placed after it)."""
+        twins = self.twins()
+        state = twins[0].state
+        owner = int(twins[0].owners.network_indices[3])
+        pos = state.main_slot_of(owner)
+        main = state.ids.item(pos)
+        end = state.ids.item((pos + side) % state.n_slots)
+        self.empty(twins, [main, end])
+        self.create_in(twins, owner, end)
+        view = twins[0].view
+        (new,) = view._pending
+        assert (new < main) == (side < 0)
+        assert view.slot_id(view.heaviest_slot(owner)) == min(new, main)
+        self.commit(twins)
+
+    def test_relocate_main_after_in_round_creates(self):
+        twins = self.twins()
+        state = twins[0].state
+        owners = twins[0].owners.network_indices.tolist()
+        ends = [state.ids.item(p) for p in (5, 6, 20)]
+        self.create_in(twins, owners[0], ends[0])
+        self.create_in(twins, owners[1], ends[1])
+        view = twins[0].view
+        created = view._pending_by_owner[owners[1]][0]
+        assert created >= len(view._base_counts)  # a new handle
+        target = view.slot_id(created)
+        # into the arc of the Sybil just created, then of a base slot
+        # past the new ones
+        self.both(twins, lambda v, e: v.relocate_main(
+            owners[2], slot_of(v, e, target)
+        ))
+        self.create_in(twins, owners[3], ends[2])
+        self.both(twins, lambda v, e: v.relocate_main(
+            owners[4], slot_of(v, e, ends[2])
+        ))
+        self.commit(twins)
 
 
 class TestCommitShape:

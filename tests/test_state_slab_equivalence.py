@@ -460,6 +460,7 @@ def test_restructure_matches_per_slot_edits(seed, n_nodes, dead_frac, n_new):
         counts=np.ones(m, dtype=np.int64),
         provenance=np.full(m, 2, dtype=np.int8),
         keys=[np.array([k], dtype=np.uint64) for k in fresh.tolist()],
+        at=ids.searchsorted(fresh),
     )
     rows = [
         (int(ids[i]), int(state.owner[i]), bool(state.is_main[i]),

@@ -2,13 +2,14 @@
 
 ``NetworkView.successor_window`` / ``predecessor_window`` return a
 node's tracked neighbours with their owners (and gaps, and counts on
-request) in one call.  ``SimView`` answers them with list slices over
-the open round's lists, or over the ring while no round is open: both
-forms must equal a reference built from those lists (or the ring's
-``ids``/``owner``/``counts`` arrays), across the wrap, for windows
-wider than the ring, and on one- and two-slot rings.  ``ProtocolView``
-reads each node's successor and predecessor lists and queries loads by
-RPC; its windows and the runs built on them are pinned.
+request) in one call.  ``SimView`` answers them by walking the open
+round's successor/predecessor links, or with slices of the ring's
+arrays while no round is open: both forms must equal a reference built
+from the ring the view walks (named by identifier, with the round's
+per-slot owners and counts, or the ring's arrays), across the wrap, for
+windows wider than the ring, and on one- and two-slot rings.
+``ProtocolView`` reads each node's successor and predecessor lists and
+queries loads by RPC; its windows and the runs built on them are pinned.
 """
 
 import hashlib
@@ -23,40 +24,59 @@ from repro.core.strategy import NetworkView
 from repro.sim.engine import TickEngine
 
 
-def reference_windows(ids, owner, counts, size: int, slot: int, k: int):
-    """``(successor window with counts, predecessor window)`` of ``slot``
-    on the ring given as parallel lists in ring order."""
-    n = len(ids)
+def reference_windows(slots, ids, owner, counts, size: int, slot: int, k: int):
+    """``(successor window with counts, predecessor window)`` of the slot
+    handle ``slot`` on the ring given as parallel lists in ring order."""
+    n = len(slots)
+    i = slots.index(slot)
     m = min(k, n - 1)
-    succ = [(slot + i) % n for i in range(1, m + 1)]
-    pred = [(slot - i) % n for i in range(1, m + 1)]
+    succ = [(i + j) % n for j in range(1, m + 1)]
+    pred = [(i - j) % n for j in range(1, m + 1)]
     return (
         (
-            succ,
-            [owner[s] for s in succ],
-            [(ids[s] - ids[s - 1]) % size for s in succ],
-            [counts[s] for s in succ],
+            [slots[p] for p in succ],
+            [owner[p] for p in succ],
+            [(ids[p] - ids[p - 1]) % size for p in succ],
+            [counts[p] for p in succ],
         ),
-        (pred, [owner[s] for s in pred]),
+        ([slots[p] for p in pred], [owner[p] for p in pred]),
     )
 
 
-def ring_lists(view) -> tuple[list[int], list[int], list[int]]:
-    """The lists a view's windows read: the open round's, or the ring's
-    arrays while no round is open."""
-    if view._ids is not None:
-        return view._ids, view._owner, view._counts
+def ring_lists(view) -> tuple[list[int], ...]:
+    """``(slots, ids, owners, counts)`` of the ring a view's windows
+    read, in ring order from its lowest identifier.
+
+    The slots are walked from a live slot by the view's widest window
+    and named by ``slot_id``: the identifiers must be exactly the
+    ring's — the round-start ids without the retired ones, plus the
+    pending ones, while a round is open.  Owners and counts come from
+    the round's per-slot lists, or from the ring's arrays while no
+    round is open."""
+    start = view.main_slot(int(view.network_owners()[0]))
+    slots = [start, *view.successor_window(start, 10**9)[0]]
+    low = min(range(len(slots)), key=lambda i: view.slot_id(slots[i]))
+    slots = slots[low:] + slots[:low]
+    ids = [view.slot_id(s) for s in slots]
     state = view._state
-    return state.ids.tolist(), state.owner.tolist(), state.counts.tolist()
+    if view._ids is None:
+        ring = state.ids.tolist()
+        owner, counts = state.owner.tolist(), state.counts.tolist()
+    else:
+        retired = {state.ids.item(p) for p in view._dropped}
+        ring = sorted(set(state.ids.tolist()) - retired | set(view._pending))
+        owner, counts = view._owner, view._counts
+    assert ids == ring
+    return slots, ids, [owner[s] for s in slots], [counts[s] for s in slots]
 
 
 def assert_windows_match(view, slots) -> None:
-    ids, owner, counts = ring_lists(view)
-    n = len(ids)
+    lists = ring_lists(view)
+    n = len(lists[0])
     size = view._size
     for slot in slots:
         for k in sorted({1, 2, 5, max(n - 1, 1), n, n + 3, 10**9}):
-            succ, pred = reference_windows(ids, owner, counts, size, slot, k)
+            succ, pred = reference_windows(*lists, size, slot, k)
             assert view.successor_window(slot, k, counts=True) == succ
             assert view.successor_window(slot, k) == succ[:3]
             assert view.predecessor_window(slot, k) == pred
@@ -95,11 +115,12 @@ class TestSimView:
             if view.can_add_sybil(owner):
                 view.create_sybil_random(owner)
         assert view._ids is not None  # still deferred
-        n = len(view._ids)
+        live = ring_lists(view)[0]
+        n = len(live)
         assert n != engine.state.n_slots  # the round changed the ring
-        assert len(view.successor_window(0, 10**9)[0]) == n - 1
-        slots = sorted({0, n - 1, *script.integers(0, n, size=10).tolist()})
-        assert_windows_match(view, slots)
+        assert len(view.successor_window(live[0], 10**9)[0]) == n - 1
+        picks = {0, n - 1, *script.integers(0, n, size=10).tolist()}
+        assert_windows_match(view, [live[i] for i in sorted(picks)])
 
     @pytest.mark.parametrize("open_round", [False, True])
     def test_one_and_two_slot_rings(self, open_round):
@@ -114,7 +135,7 @@ class TestSimView:
                 view._open_round()
             assert_windows_match(view, range(n_nodes))
         # the two-slot ring: each slot's one neighbour, both ways
-        ids, owner, counts = ring_lists(view)
+        _, ids, owner, counts = ring_lists(view)
         assert view.successor_window(0, 5, counts=True) == (
             [1], [owner[1]], [ids[1] - ids[0]], [counts[1]],
         )
