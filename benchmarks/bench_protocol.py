@@ -1,17 +1,27 @@
 """Benchmarks of the protocol-level Chord stack.
 
-Tracks lookup cost (the O(log N) claim), maintenance-round cost, and the
-cross-layer validation run (paper strategies over real protocol joins).
+Tracks lookup cost (the O(log N) claim), maintenance-round cost, the
+cross-layer validation run (paper strategies over real protocol joins)
+and the cross-layer band gate: each protocol host decides through the
+same ``ChordView`` a live node runs, so the runtime factor the protocol
+simulation reaches with consumption must track the tick simulator's.
 """
 
 import numpy as np
+import pytest
 
 from repro.chord.balance import ProtocolSimulation
 from repro.chord.ring import ChordRing
 from repro.config import SimulationConfig
 from repro.hashspace.idspace import IdSpace
+from repro.sim.engine import run_simulation
 
 SPACE = IdSpace(32)
+
+#: the protocol median runtime factor lies within this fraction of the
+#: tick simulator's median, over ``BAND_SEEDS`` (fixed before any run)
+BAND = 0.15
+BAND_SEEDS = range(10)
 
 
 def test_lookup_hops(benchmark):
@@ -54,6 +64,29 @@ def test_protocol_balancing_run(benchmark):
     })
     assert out["completed"]
     assert out["sybils_created"] > 0
+
+
+@pytest.mark.parametrize(
+    "strategy",
+    ["none", "random_injection", "neighbor_injection", "invitation"],
+)
+def test_factors_agree_across_layers(strategy):
+    """40 hosts, 2,000 tasks, 32 bits, seeds 0-9: the protocol
+    simulation's median runtime factor is within ``BAND`` of the tick
+    simulator's."""
+    protocol, tick = [], []
+    for seed in BAND_SEEDS:
+        config = SimulationConfig(
+            strategy=strategy, n_nodes=40, n_tasks=2000, bits=32, seed=seed
+        )
+        protocol.append(ProtocolSimulation(config).run()["runtime_factor"])
+        tick.append(run_simulation(config).runtime_factor)
+    protocol_median, tick_median = np.median(protocol), np.median(tick)
+    print(
+        f"\n{strategy}: protocol median {protocol_median:.3f}, "
+        f"tick median {tick_median:.3f}"
+    )
+    assert abs(protocol_median - tick_median) <= BAND * tick_median
 
 
 def test_recursive_vs_iterative_lookup(benchmark):

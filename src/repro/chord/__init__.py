@@ -8,7 +8,7 @@ where million-task experiments are feasible; this package exists to
 validate those semantics and to support protocol-level demos.
 """
 
-from repro.chord.balance import ProtocolSimulation, ProtocolView
+from repro.chord.balance import ProtocolSimulation
 from repro.chord.fingers import FingerTable
 from repro.chord.latency import LatencyModel, lookup_latency_ms
 from repro.chord.network import SimNetwork
@@ -16,15 +16,16 @@ from repro.chord.node import ChordNode
 from repro.chord.ring import ChordRing
 from repro.chord.stats import RingStats, collect_ring_stats, finger_accuracy
 from repro.chord.storage import NodeStore
+from repro.chord.view import ChordView
 
 __all__ = [
     "SimNetwork",
     "ChordNode",
     "ChordRing",
+    "ChordView",
     "FingerTable",
     "NodeStore",
     "ProtocolSimulation",
-    "ProtocolView",
     "RingStats",
     "collect_ring_stats",
     "finger_accuracy",

@@ -7,275 +7,126 @@ nodes — joins are actual Chord joins, key hand-off rides the
 notify/transfer path, queries and announcements are RPCs counted by the
 network fabric.  It validates that the simulator's abstractions (instant
 acquisition of a range, lossless hand-off) are implementable, and powers
-the ``chord_protocol_demo`` example and the cross-layer integration
-tests.
+the ``chord_protocol_demo`` example and ChordReduce.
+
+Each host decides through its own :class:`~repro.chord.view.ChordView`,
+the view every live node runs, one host after another in a seeded
+order: the simulation is the live layer's deterministic twin, with
+consumption.
 
 Scale guidance: protocol runs are O(messages); keep them at ≲200 hosts /
-≲50k tasks.  The measured runtime factors agree with the tick simulator
-within trial noise (see ``tests/test_cross_layer.py``).
+≲50k tasks.  The median runtime factors of 10 seeds lie within ±15% of
+the tick simulator's (the band gate in ``benchmarks/bench_protocol.py``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
+from repro.chord.network import SimNetwork
 from repro.chord.node import ChordNode
 from repro.chord.ring import ChordRing
+from repro.chord.view import ChordView
 from repro.config import SimulationConfig
-from repro.core.registry import make_strategy
-from repro.core.strategy import NetworkView, RoundStats
-from repro.errors import IdSpaceError, ProtocolError, SimulationError
+from repro.core.strategy import RoundStats
+from repro.errors import ProtocolError, SimulationError
 from repro.hashspace.idspace import IdSpace
 from repro.util.rng import make_rng
 
-__all__ = ["ProtocolSimulation", "ProtocolView"]
+__all__ = ["ProtocolSimulation"]
 
 #: value stored under every task key
 _TASK = "task"
 
 
-@dataclass
 class _Host:
-    """A physical machine: one main protocol node plus its Sybils."""
+    """A physical machine: one main Chord node plus its Sybils.
 
-    index: int
-    main_id: int
-    strength: int
-    rate: int
-    sybil_cap: int
-    sybil_ids: list[int] = field(default_factory=list)
-    in_network: bool = True
-
-    @property
-    def node_ids(self) -> list[int]:
-        if not self.in_network:
-            return []
-        return [self.main_id, *self.sybil_ids]
-
-
-class ProtocolView(NetworkView):
-    """NetworkView over live protocol nodes.
-
-    "Slots" are protocol node *identifiers* (they are plain ints, which
-    the strategy code treats opaquely).  Topology queries use only what a
-    node knows locally: its successor list, predecessor list, and the
-    arcs derivable from them.
+    It is the host object its :class:`~repro.chord.view.ChordView`
+    reads (see there): another host's census and ``invite`` are direct
+    calls into that host's view.
     """
 
-    def __init__(self, sim: "ProtocolSimulation"):
+    def __init__(self, sim: "ProtocolSimulation", index: int, strength: int):
+        cfg = sim.config
         self._sim = sim
-        self._stats = RoundStats()
-        self._loads: np.ndarray | None = None
-
-    def begin_round(self) -> RoundStats:
-        self._loads = self._sim.host_loads()
-        self._stats = RoundStats()
-        return self._stats
-
-    # -- static context -------------------------------------------------
-    @property
-    def config(self) -> SimulationConfig:
-        return self._sim.config
-
-    @property
-    def rng(self) -> np.random.Generator:
-        return self._sim.rng
+        self.index = index
+        self.strength = strength
+        self.rate = strength if cfg.work_measurement == "strength" else 1
+        self.sybil_cap = strength if cfg.heterogeneous else cfg.max_sybils
+        self.network: SimNetwork = sim.ring.network
+        self.space: IdSpace = sim.space
+        self.rng: np.random.Generator = sim.rng
+        self.total_tasks = cfg.n_tasks
+        self.initial_nodes = cfg.n_nodes
+        self.main: ChordNode | None = None
+        self._sybils: dict[int, ChordNode] = {}
+        self.view = ChordView(self, cfg)
+        self.view.strategy.on_attach(self.view)
 
     @property
-    def total_tasks(self) -> int:
-        return self._sim.config.n_tasks
+    def in_network(self) -> bool:
+        return self.main is not None
 
-    @property
-    def initial_nodes(self) -> int:
-        return self._sim.config.n_nodes
+    # -- what the view reads besides the attributes ----------------------
+    def identities(self) -> list[ChordNode]:
+        return [] if self.main is None else [self.main, *self.sybils()]
 
-    # -- owner census ------------------------------------------------------
-    def network_owners(self) -> np.ndarray:
-        return np.array(
-            [h.index for h in self._sim.hosts if h.in_network],
-            dtype=np.int64,
-        )
+    def sybils(self) -> list[ChordNode]:
+        return list(self._sybils.values())
 
-    def owner_loads(self) -> np.ndarray:
-        if self._loads is None:
-            self._loads = self._sim.host_loads()
-        return self._loads
+    def adopt_sybil(self, node: ChordNode) -> None:
+        self._sybils[node.id] = node
+        self._sim.owner_of[node.id] = self.index
 
-    def live_owner_load(self, owner: int) -> int:
-        return self._sim.host_load(owner)
+    def drop_sybil(self, node_id: int) -> None:
+        del self._sybils[node_id]
+        del self._sim.owner_of[node_id]
 
-    def n_sybils(self, owner: int) -> int:
-        return len(self._sim.hosts[owner].sybil_ids)
+    def peer(self, node_id: int) -> int:
+        return self._sim.owner_of[node_id]
 
-    def can_add_sybil(self, owner: int) -> bool:
-        host = self._sim.hosts[owner]
-        return len(host.sybil_ids) < host.sybil_cap
+    def census(self, peer: int) -> dict[str, int]:
+        return self._sim.hosts[peer].view.census()
 
-    # -- topology (local info only) ------------------------------------
-    def main_slot(self, owner: int) -> int:
-        return self._sim.hosts[owner].main_id
+    def invite(self, peer: int, slot: int) -> int | None:
+        return self._sim.hosts[peer].view.accept_invite(slot)
 
-    def heaviest_slot(self, owner: int) -> int:
-        host = self._sim.hosts[owner]
-        node_of = self._sim.ring.network.node
-        return max(
-            host.node_ids, key=lambda nid: node_of(nid).store.primary_count
-        )
+    def book(self, stats: RoundStats) -> None:
+        stats.merge_into(self._sim.counters)
 
-    def successor_window(
-        self, slot: int, k: int, *, counts: bool = False
-    ) -> tuple[list[int], ...]:
-        network = self._sim.ring.network
-        slots = self._live(network.node(slot).successor_list, slot, k)
-        owners = [self._sim.owner_of(s) for s in slots]
-        # a successor's arc runs from its own predecessor pointer
-        space, node = self._sim.space, network.node
-        gaps = []
-        for s in slots:
-            pred = node(s).predecessor
-            gaps.append(0 if pred is None else space.distance(pred, s))
-        if counts:
-            loads = [network.rpc(s, "rpc_report_load") for s in slots]
-            return slots, owners, gaps, loads
-        return slots, owners, gaps
+    def relocate(
+        self, ident: int, join: Callable[[int], ChordNode | None]
+    ) -> ChordNode | None:
+        node = join(ident)
+        if node is not None:
+            self.main.leave()
+            self.network.deregister(self.main.id)
+            del self._sim.owner_of[self.main.id]
+            self.enter(node)
+        return node
 
-    def predecessor_window(
-        self, slot: int, k: int
-    ) -> tuple[list[int], list[int]]:
-        node = self._sim.ring.network.node(slot)
-        slots = self._live(node.predecessor_list, slot, k)
-        return slots, [self._sim.owner_of(p) for p in slots]
+    # -- membership ------------------------------------------------------
+    def enter(self, main: ChordNode) -> None:
+        """Take ``main`` as the main identity."""
+        self.main = main
+        self._sim.owner_of[main.id] = self.index
 
-    def _live(self, neighbours: list[int], slot: int, k: int) -> list[int]:
-        """The first ``k`` of ``neighbours`` that are live and not
-        ``slot`` itself."""
-        alive = self._sim.ring.network.is_alive
-        return [s for s in neighbours if s != slot and alive(s)][:k]
-
-    def slot_id(self, slot: int) -> int:
-        return slot
-
-    # -- actions -----------------------------------------------------------
-    def create_sybil_random(self, owner: int) -> int:
-        ident = self._free_random_id()
-        return self._spawn_sybil(owner, ident)
-
-    def create_sybil_in_slot_arc(self, owner: int, slot: int) -> int | None:
-        node = self._sim.ring.network.node(slot)
-        pred = node.predecessor
-        if pred is None:
-            return None
-        space = self._sim.space
-        for _ in range(8):
-            try:
-                ident = space.random_in_interval(self.rng, pred, slot)
-            except IdSpaceError:
-                return None
-            if not self._sim.ring.network.has_node(ident):
-                return self._spawn_sybil(owner, ident)
-        return None
-
-    def retire_sybils(self, owner: int) -> int:
-        host = self._sim.hosts[owner]
-        retired = 0
-        for sid in list(host.sybil_ids):
-            self._sim.ring.leave_node(sid)
-            self._sim.ring.network.deregister(sid)
-            host.sybil_ids.remove(sid)
-            self._sim.forget_owner(sid)
-            retired += 1
-        self._stats.sybils_retired += retired
-        return retired
-
-    def owner_strength(self, owner: int) -> int:
-        return self._sim.hosts[owner].strength
-
-    def relocate_main(self, owner: int, target_slot: int) -> int | None:
-        """Protocol-level identity relocation: a real leave + rejoin."""
-        host = self._sim.hosts[owner]
-        node = self._sim.ring.network.node(target_slot)
-        pred = node.predecessor
-        if pred is None:
-            return None
-        space = self._sim.space
-        ident = None
-        for _ in range(8):
-            try:
-                candidate = space.random_in_interval(self.rng, pred, target_slot)
-            except IdSpaceError:
-                return None
-            if not self._sim.ring.network.has_node(candidate):
-                ident = candidate
-                break
-        if ident is None:
-            return None
-        old_id = host.main_id
-        new_node = ChordNode(
-            ident,
-            space,
-            self._sim.ring.network,
-            n_successors=self._sim.config.num_successors,
-        )
-        try:
-            new_node.join(old_id)
-        except ProtocolError:
-            self._sim.ring.network.deregister(ident)
-            return None
-        self._sim.ring.leave_node(old_id)
-        self._sim.ring.network.deregister(old_id)
-        self._sim.forget_owner(old_id)
-        host.main_id = ident
-        self._sim.set_owner(ident, owner)
-        acquired = new_node.store.primary_count
-        self._stats.relocations += 1
-        self._stats.tasks_acquired += acquired
-        return acquired
-
-    def count_messages(self, n: int = 1) -> None:
-        self._stats.messages += n
-
-    @property
-    def stats(self) -> RoundStats:
-        return self._stats
-
-    # -- internals -------------------------------------------------------
-    def _free_random_id(self) -> int:
-        space = self._sim.space
-        for _ in range(64):
-            ident = space.random_id(self.rng)
-            if not self._sim.ring.network.has_node(ident):
-                return ident
-        raise SimulationError("could not find a free protocol identifier")
-
-    def _spawn_sybil(self, owner: int, ident: int) -> int:
-        host = self._sim.hosts[owner]
-        node = ChordNode(
-            ident,
-            self._sim.space,
-            self._sim.ring.network,
-            n_successors=self._sim.config.num_successors,
-        )
-        try:
-            node.join(host.main_id)
-        except ProtocolError:
-            # Join races a burst of Sybil retirements; one stabilization
-            # round repairs the neighbourhood (a real node would simply
-            # retry after a timeout).  Skip the action if it still fails.
-            self._sim.ring.maintenance_round()
-            try:
-                node.join(host.main_id)
-            except ProtocolError:
-                self._sim.ring.network.deregister(ident)
-                self._stats.actions_skipped += 1
-                return 0
-        host.sybil_ids.append(ident)
-        self._sim.set_owner(ident, owner)
-        acquired = node.store.primary_count
-        self._stats.sybils_created += 1
-        self._stats.tasks_acquired += acquired
-        return acquired
+    def depart(self, crash: bool) -> None:
+        """Every identity leaves: gracefully, handing its keys on, or by
+        crash-stop (no replica sync, no hand-off, no goodbye)."""
+        network = self.network
+        for node in [*self.sybils(), self.main]:
+            if crash:
+                network.crash(node.id)
+            else:
+                node.leave()
+                network.deregister(node.id)
+            del self._sim.owner_of[node.id]
+        self._sybils.clear()
+        self.main = None
 
 
 class ProtocolSimulation:
@@ -311,7 +162,8 @@ class ProtocolSimulation:
         # ring is built (a lossy bootstrap is a different experiment)
         failures = config.failures
         self.ring.network.replication_factor = failures.replication_factor
-        self._owner_of: dict[int, int] = {}
+        #: node id -> index of the host it belongs to
+        self.owner_of: dict[int, int] = {}
         self.hosts: list[_Host] = []
         self._build(converge_rounds)
         if failures.message_loss_rate > 0 or failures.crash_detection_ticks > 0:
@@ -327,33 +179,10 @@ class ProtocolSimulation:
             )
 
         # churn: the waiting pool starts at network size (§IV-A)
-        self._initial_hosts = len(self.hosts)
         self.ideal_ticks = config.n_tasks / sum(h.rate for h in self.hosts)
         if config.churn_rate > 0:
-            for offset in range(config.n_nodes):
-                index = len(self.hosts)
-                if config.heterogeneous:
-                    strength = int(self.rng.integers(1, config.max_sybils + 1))
-                else:
-                    strength = 1
-                rate = (
-                    strength if config.work_measurement == "strength" else 1
-                )
-                cap = strength if config.heterogeneous else config.max_sybils
-                self.hosts.append(
-                    _Host(
-                        index=index,
-                        main_id=-1,
-                        strength=strength,
-                        rate=rate,
-                        sybil_cap=cap,
-                        in_network=False,
-                    )
-                )
-
-        self.strategy = make_strategy(config)
-        self.view = ProtocolView(self)
-        self.strategy.on_attach(self.view)
+            for _ in range(config.n_nodes):
+                self._add_host()
         self.tick = 0
         self.total_consumed = 0
         self.counters: dict[str, int] = {
@@ -374,35 +203,19 @@ class ProtocolSimulation:
             if ident not in seen:
                 seen.add(ident)
                 ids.append(ident)
-        first = ChordNode(
-            ids[0], self.space, self.ring.network,
-            n_successors=cfg.num_successors,
-        )
-        first.create()
-        for ident in ids[1:]:
+        nodes = [
             ChordNode(
                 ident, self.space, self.ring.network,
                 n_successors=cfg.num_successors,
-            ).join(first.id)
-        self.ring.converge(max_rounds=max(converge_rounds, 2 * cfg.n_nodes))
-
-        for index, ident in enumerate(ids):
-            if cfg.heterogeneous:
-                strength = int(self.rng.integers(1, cfg.max_sybils + 1))
-            else:
-                strength = 1
-            rate = strength if cfg.work_measurement == "strength" else 1
-            cap = strength if cfg.heterogeneous else cfg.max_sybils
-            self.hosts.append(
-                _Host(
-                    index=index,
-                    main_id=ident,
-                    strength=strength,
-                    rate=rate,
-                    sybil_cap=cap,
-                )
             )
-            self._owner_of[ident] = index
+            for ident in ids
+        ]
+        nodes[0].create()
+        for node in nodes[1:]:
+            node.join(nodes[0].id)
+        self.ring.converge(max_rounds=max(converge_rounds, 2 * cfg.n_nodes))
+        for node in nodes:
+            self._add_host().enter(node)
 
         # scatter the job's tasks over the ring
         if self._items is not None:
@@ -413,32 +226,24 @@ class ProtocolSimulation:
                 key = self.space.random_id(self.rng)
                 self.ring.put(key, _TASK)
 
-    # ------------------------------------------------------------------
-    # host bookkeeping used by the view
-    # ------------------------------------------------------------------
-    def owner_of(self, node_id: int) -> int:
-        return self._owner_of[node_id]
-
-    def set_owner(self, node_id: int, owner: int) -> None:
-        self._owner_of[node_id] = owner
-
-    def forget_owner(self, node_id: int) -> None:
-        self._owner_of.pop(node_id, None)
-
-    def host_load(self, owner: int) -> int:
-        node_of = self.ring.network.node
-        return sum(
-            node_of(nid).store.primary_count
-            for nid in self.hosts[owner].node_ids
+    def _add_host(self) -> _Host:
+        """A new host outside the ring; its strength is drawn here."""
+        cfg = self.config
+        strength = (
+            int(self.rng.integers(1, cfg.max_sybils + 1))
+            if cfg.heterogeneous
+            else 1
         )
-
-    def host_loads(self) -> np.ndarray:
-        return np.array(
-            [self.host_load(h.index) for h in self.hosts], dtype=np.int64
-        )
+        host = _Host(self, len(self.hosts), strength)
+        self.hosts.append(host)
+        return host
 
     def remaining(self) -> int:
-        return int(self.host_loads().sum())
+        return sum(
+            node.store.primary_count
+            for host in self.hosts
+            for node in host.identities()
+        )
 
     # ------------------------------------------------------------------
     # the loop
@@ -449,9 +254,10 @@ class ProtocolSimulation:
         self.tick += 1
         cfg = self.config
         if cfg.decision_interval and self.tick % cfg.decision_interval == 0:
-            stats = self.view.begin_round()
-            self.strategy.decide(self.view)
-            stats.merge_into(self.counters)
+            # one round per host, in a shuffled order, as on a live ring
+            hosts = [h for h in self.hosts if h.in_network]
+            for i in self.rng.permutation(len(hosts)).tolist():
+                hosts[i].view.run_round()
             self.counters["decision_rounds"] += 1
         if cfg.churn_rate > 0:
             self._apply_churn()
@@ -479,29 +285,11 @@ class ProtocolSimulation:
                 break
             if self.rng.random() >= rate:
                 continue
-            if crash_fraction > 0 and self.rng.random() < crash_fraction:
-                for sid in list(host.sybil_ids):
-                    self.ring.network.crash(sid)
-                    self.forget_owner(sid)
-                host.sybil_ids.clear()
-                self.ring.network.crash(host.main_id)
-                self.forget_owner(host.main_id)
-                host.in_network = False
-                host.main_id = -1
-                self.counters["churn_leaves"] += 1
-                self.counters["crashes"] += 1
-                continue
-            for sid in list(host.sybil_ids):
-                self.ring.leave_node(sid)
-                self.ring.network.deregister(sid)
-                self.forget_owner(sid)
-            host.sybil_ids.clear()
-            self.ring.leave_node(host.main_id)
-            self.ring.network.deregister(host.main_id)
-            self.forget_owner(host.main_id)
-            host.in_network = False
-            host.main_id = -1
+            crash = crash_fraction > 0 and self.rng.random() < crash_fraction
+            host.depart(crash)
             self.counters["churn_leaves"] += 1
+            if crash:
+                self.counters["crashes"] += 1
         # arrivals
         for host in waiting:
             if self.rng.random() >= rate:
@@ -525,22 +313,16 @@ class ProtocolSimulation:
             except ProtocolError:
                 self.ring.network.deregister(ident)
                 continue
-            host.in_network = True
-            host.main_id = ident
-            self.set_owner(ident, host.index)
+            host.enter(node)
             self.counters["churn_joins"] += 1
 
     def _consume(self) -> int:
         consumed = 0
-        node_of = self.ring.network.node
         for host in self.hosts:
-            if not host.in_network:
-                continue
             budget = host.rate
             # heaviest identity first, like the tick engine
             nodes = sorted(
-                (node_of(nid) for nid in host.node_ids),
-                key=lambda n: -n.store.primary_count,
+                host.identities(), key=lambda n: -n.store.primary_count
             )
             for node in nodes:
                 while budget > 0 and node.store.primary_count > 0:

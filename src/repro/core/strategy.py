@@ -15,11 +15,11 @@ exposes only what the paper's §V assumptions grant a node:
 * the ability to search out an unoccupied identifier in a range and join
   there with a Sybil (shown to be cheap in the authors' prior work).
 
-The same interface is implemented three times — by the fast tick
-simulator (:class:`repro.sim.view.SimView`), the protocol-level Chord
-stack (:class:`repro.chord.balance.ProtocolView`) and each live node
-(:class:`repro.net.node.LiveView`) — so all three run the same decision
-logic.  A SybilControl-style join budget is the simulator's
+The same interface is implemented twice — by the fast tick simulator
+(:class:`repro.sim.view.SimView`) and by one Chord host
+(:class:`repro.chord.view.ChordView`), which each host of the protocol
+simulation and each live node owns — so all three layers run the same
+decision logic.  A SybilControl-style join budget is the simulator's
 defense, not a node's view: it lives on
 :class:`repro.sim.owners.OwnerRegistry`.
 """

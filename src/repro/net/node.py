@@ -16,18 +16,17 @@ body for it to live in:
   ``rpc`` sends exactly once and ``rpc_retry`` owns the resend budget,
   so the drops/retries/messages accounting matches the in-memory fabric
   count for count.
-* :class:`LiveView` — the node's
-  :class:`~repro.core.strategy.NetworkView`: a live decision round is
-  ``make_strategy(config).decide(view)``, the same :mod:`repro.core`
-  code the tick simulator and the protocol stack run.  No strategy
-  logic lives here; ``churn`` and ``relocation`` are the registry names
-  a live node cannot run.
 * :class:`LiveNode` — the asyncio shell: a TCP server for incoming
   frames, plus maintenance and gossip-heartbeat tasks with seeded
   jitter, and a decision round every ``decision_interval`` maintenance
-  cycles.  Blocking protocol work runs on a small thread pool so the
-  event loop stays responsive; Chord's own stabilization absorbs the
-  occasional interleaving between a served RPC and a maintenance cycle.
+  cycles through the node's :class:`~repro.chord.view.ChordView`, the
+  view each protocol-simulation host runs.  The node is that view's
+  host object: a peer's census is a ``stats`` op and an invitation an
+  ``invite`` op.  No strategy logic lives here; ``churn`` and
+  ``relocation`` are the registry names a live node cannot run.
+  Blocking protocol work runs on a small thread pool so the event loop
+  stays responsive; Chord's own stabilization absorbs the occasional
+  interleaving between a served RPC and a maintenance cycle.
 
 Determinism note: wall-clock time never feeds protocol *decisions* —
 jitter and Sybil placement come from generators seeded by ``--seed``.
@@ -38,25 +37,18 @@ numbers), which is exactly the live/tick split ROADMAP item 1 asks for.
 from __future__ import annotations
 
 import asyncio
-import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-import numpy as np
-
 from repro import sanitize
 from repro.chord.node import ChordNode
+from repro.chord.view import ChordView
 from repro.config import SimulationConfig
-from repro.core.registry import make_strategy, strategy_names
-from repro.core.strategy import NetworkView, RoundStats
-from repro.errors import (
-    ConfigError,
-    IdSpaceError,
-    ProtocolError,
-    TransientNetworkError,
-)
+from repro.core.registry import strategy_names
+from repro.core.strategy import RoundStats
+from repro.errors import ConfigError, ProtocolError, TransientNetworkError
 from repro.hashspace.hashing import sha1_id
 from repro.hashspace.idspace import IdSpace
 from repro.net.transport import (
@@ -75,7 +67,6 @@ __all__ = [
     "LIVE_STRATEGIES",
     "LiveNode",
     "LiveNodeConfig",
-    "LiveView",
     "PeerDirectory",
     "RemoteNetwork",
 ]
@@ -353,9 +344,6 @@ class RemoteNetwork:
 EXCLUDED = ("churn", "relocation")
 LIVE_STRATEGIES = tuple(n for n in strategy_names() if n not in EXCLUDED)
 
-#: the census of a peer whose ``stats`` op failed: it cannot help
-_NO_REPLY = {"load": 0, "n_sybils": 0, "max_sybils": 0}
-
 
 def strategy_config(cfg: LiveNodeConfig) -> SimulationConfig:
     """The strategy's view of a node config; raises :class:`ConfigError`
@@ -367,253 +355,6 @@ def strategy_config(cfg: LiveNodeConfig) -> SimulationConfig:
         max_sybils=cfg.max_sybils, num_successors=cfg.n_successors,
         seed=cfg.seed,
     )
-
-
-class LiveView(NetworkView):
-    """One live host's :class:`~repro.core.strategy.NetworkView`.
-
-    Owner ``0`` is this process, its main identity plus its Sybils; a
-    remote owner is an int interned from its host's address.  Windows
-    read the main node's own successor and predecessor lists (a gap is
-    the distance between consecutive ids); a load is one
-    ``rpc_report_load``; a remote owner's load and Sybil budget come from
-    one ``stats`` op per round, §IV-D's reply to an announcement.
-    Invitation is the one action on a remote owner: an ``invite`` op asks
-    the helper's host to inject into the inviter's arc under its own
-    threshold and budget.  One lock covers a round and the ``invite``
-    handler, which refuses rather than waits, so two hosts inviting each
-    other mid-round never deadlock.  Each round's :class:`RoundStats`
-    land in the node's metrics as ``net.<field>``, the simulator's names.
-    """
-
-    def __init__(self, live: LiveNode) -> None:
-        self._config = strategy_config(live.config)
-        self.strategy = make_strategy(self._config)
-        self._live = live
-        self._lock = threading.Lock()
-        self._stats = RoundStats()
-        self._load = 0
-        self._owners: dict[Address, int] = {}
-        self._addrs: list[Address] = [live.addr]
-        self._replies: dict[int, dict[str, Any]] = {}
-
-    def run_round(self) -> None:
-        with self._lock:
-            self._begin()
-            try:
-                self.strategy.decide(self)
-            finally:
-                self._book()
-
-    def accept_invite(self, slot: int) -> int | None:
-        """A Sybil in ``slot``'s arc, or None when this host is above
-        threshold, out of budget or mid-round."""
-        if not self._lock.acquire(blocking=False):
-            return None
-        try:
-            self._begin()
-            if self._load > self._config.sybil_threshold or (
-                not self.can_add_sybil(0)
-            ):
-                return None
-            return self.create_sybil_in_slot_arc(0, slot)
-        finally:
-            self._book()
-            self._lock.release()
-
-    def _begin(self) -> None:
-        self._stats, self._replies = RoundStats(), {}
-        self._load = self.live_owner_load(0)
-
-    def _book(self) -> None:
-        totals: dict[str, int] = {}
-        self._stats.merge_into(totals)
-        self._live.metrics.merge_counters(totals, prefix="net.")
-
-    # -- static context -------------------------------------------------
-    @property
-    def config(self) -> SimulationConfig:
-        return self._config
-
-    @property
-    def rng(self) -> np.random.Generator:
-        return self._live.sybil_rng
-
-    @property
-    def total_tasks(self) -> int:
-        """Estimated from this host's load and the arcs it covers."""
-        space = self._live.space
-        covered = sum(
-            space.distance(n.predecessor, n.id)
-            for n in self._live.identities() if n.predecessor is not None
-        )
-        return self._load * space.size // covered if covered else self._load
-
-    @property
-    def initial_nodes(self) -> int:
-        return self._live.directory.n_hosts()
-
-    # -- owner census ----------------------------------------------------
-    def network_owners(self) -> np.ndarray:
-        return np.zeros(1, dtype=np.int64)
-
-    def owner_loads(self) -> np.ndarray:
-        return np.array([self._load], dtype=np.int64)
-
-    def live_owner_load(self, owner: int) -> int:
-        if owner:
-            return int(self._reply(owner)["load"])
-        return sum(n.store.primary_count for n in self._live.identities())
-
-    def n_sybils(self, owner: int) -> int:
-        if owner:
-            return int(self._reply(owner)["n_sybils"])
-        return len(self._live.sybils())
-
-    def can_add_sybil(self, owner: int) -> bool:
-        if owner:
-            reply = self._reply(owner)
-            return int(reply["n_sybils"]) < int(reply["max_sybils"])
-        return len(self._live.sybils()) < self._config.max_sybils
-
-    def _reply(self, owner: int) -> dict[str, Any]:
-        if owner not in self._replies:
-            self._replies[owner] = self._ask(owner, {"op": "stats"}) or _NO_REPLY
-        return self._replies[owner]
-
-    def _ask(self, owner: int, payload: dict[str, Any]) -> Any:
-        """One op to a remote owner's host; None when it fails."""
-        try:
-            return request(
-                self._addrs[owner], payload, policy=self._live.config.policy
-            )
-        except ProtocolError:
-            return None
-
-    def _owner(self, ident: int) -> int:
-        if self._live.network.has_node(ident):
-            return 0
-        addr = self._live.directory.get(ident)
-        if addr not in self._owners:
-            self._owners[addr] = len(self._addrs)
-            self._addrs.append(addr)
-        return self._owners[addr]
-
-    # -- topology (local only) -------------------------------------------
-    def main_slot(self, owner: int) -> int:
-        return self._live.main.id
-
-    def heaviest_slot(self, owner: int) -> int:
-        nodes = self._live.identities()
-        return max(nodes, key=lambda n: n.store.primary_count).id
-
-    def successor_window(
-        self, slot: int, k: int, *, counts: bool = False
-    ) -> tuple[list[int], ...]:
-        net = self._live.network
-        slots = self._known(net.node(slot).successor_list, slot, k)
-        owners = [self._owner(s) for s in slots]
-        space = self._live.space
-        gaps = [space.distance(a, b) for a, b in zip([slot] + slots, slots)]
-        if not counts:
-            return slots, owners, gaps
-        loads = [int(net.rpc_retry(s, "rpc_report_load")) for s in slots]
-        return slots, owners, gaps, loads
-
-    def predecessor_window(
-        self, slot: int, k: int
-    ) -> tuple[list[int], list[int]]:
-        preds = self._read(slot, "predecessor_list") or []
-        slots = self._known(preds, slot, k)
-        return slots, [self._owner(s) for s in slots]
-
-    def _read(self, slot: int, field: str) -> Any:
-        """A slot's own ``field``: a local read, or one RPC to its host
-        (None when the slot has left)."""
-        net = self._live.network
-        if net.has_node(slot):
-            return getattr(net.node(slot), field)
-        try:
-            return net.rpc_retry(slot, f"rpc_get_{field}")
-        except ProtocolError:
-            return None
-
-    def _known(self, neighbours: list[int], slot: int, k: int) -> list[int]:
-        """The first ``k`` of ``neighbours``, bar ``slot``, whose host
-        is known."""
-        known = self._live.network.is_alive
-        return [s for s in neighbours if s != slot and known(s)][:k]
-
-    def slot_id(self, slot: int) -> int:
-        return slot
-
-    # -- actions -----------------------------------------------------------
-    def create_sybil_random(self, owner: int) -> int:
-        space = self._live.space
-        ident = self._free_id(lambda: space.random_id(self.rng))
-        return 0 if ident is None else self._spawn(ident)
-
-    def create_sybil_in_slot_arc(self, owner: int, slot: int) -> int | None:
-        if owner:
-            return self._ask(owner, {"op": "invite", "slot": slot})
-        pred = self._read(slot, "predecessor")
-        if pred is None:
-            return None
-        space = self._live.space
-        try:
-            ident = self._free_id(
-                lambda: space.random_in_interval(self.rng, int(pred), slot)
-            )
-        except IdSpaceError:
-            return None  # arc too tight to split
-        return None if ident is None else self._spawn(ident)
-
-    def _free_id(self, draw: Callable[[], int]) -> int | None:
-        for _ in range(8):
-            ident = draw()
-            if not self._live.network.is_alive(ident):
-                return ident
-        return None
-
-    def _spawn(self, ident: int) -> int:
-        live = self._live
-        sybil = ChordNode(
-            ident, live.space, live.network,
-            n_successors=live.config.n_successors,
-        )
-        try:
-            sybil.join(live.main.id)
-        except ProtocolError:
-            live.network.deregister(ident)
-            self._stats.actions_skipped += 1
-            return 0
-        live.adopt_sybil(sybil)
-        self._stats.sybils_created += 1
-        self._stats.tasks_acquired += sybil.store.primary_count
-        return sybil.store.primary_count
-
-    def retire_sybils(self, owner: int) -> int:
-        sybils = self._live.sybils()
-        for sybil in sybils:
-            sybil.leave()
-            self._live.network.deregister(sybil.id)
-            self._live.drop_sybil(sybil.id)
-        self._stats.sybils_retired += len(sybils)
-        return len(sybils)
-
-    def owner_strength(self, owner: int) -> int:
-        return 1  # live hosts are homogeneous
-
-    def relocate_main(self, owner: int, target_slot: int) -> int | None:
-        raise ConfigError("relocation cannot run live")
-
-    # -- accounting ----------------------------------------------------
-    def count_messages(self, n: int = 1) -> None:
-        self._stats.messages += n
-
-    @property
-    def stats(self) -> RoundStats:
-        return self._stats
 
 
 @dataclass
@@ -682,9 +423,12 @@ class LiveNode:
         self._stopping = asyncio.Event()
         jitter_seed, sybil_seed = spawn_seeds(self.config.seed, 2)
         self._jitter_rng = make_rng(jitter_seed)
-        self.sybil_rng = make_rng(sybil_seed)
-        self.view: LiveView | None = (
-            None if self.config.strategy == "none" else LiveView(self)
+        #: Sybil placement draws (the view's ``rng``)
+        self.rng = make_rng(sybil_seed)
+        self.view: ChordView | None = (
+            None
+            if self.config.strategy == "none"
+            else ChordView(self, strategy_config(self.config))
         )
 
     # ------------------------------------------------------------------
@@ -704,6 +448,59 @@ class LiveNode:
         self._sybils.pop(sybil_id, None)
 
     # ------------------------------------------------------------------
+    # the rest of what the view reads (see ChordView)
+    # ------------------------------------------------------------------
+    #: live hosts are homogeneous
+    strength = 1
+
+    @property
+    def sybil_cap(self) -> int:
+        return self.config.max_sybils
+
+    @property
+    def total_tasks(self) -> int:
+        """Estimated from this host's load and the arcs it covers."""
+        nodes = self.identities()
+        load = sum(n.store.primary_count for n in nodes)
+        covered = sum(
+            self.space.distance(n.predecessor, n.id)
+            for n in nodes if n.predecessor is not None
+        )
+        return load * self.space.size // covered if covered else load
+
+    @property
+    def initial_nodes(self) -> int:
+        return self.directory.n_hosts()
+
+    def peer(self, node_id: int) -> Address:
+        return self.directory.get(node_id)
+
+    def census(self, peer: Address) -> dict[str, Any] | None:
+        return self._ask(peer, {"op": "stats"})
+
+    def invite(self, peer: Address, slot: int) -> int | None:
+        return self._ask(peer, {"op": "invite", "slot": slot})
+
+    def _ask(self, addr: Address, payload: dict[str, Any]) -> Any:
+        """One op to another host; None when it fails."""
+        try:
+            return request(addr, payload, policy=self.config.policy)
+        except ProtocolError:
+            return None
+
+    def book(self, stats: RoundStats) -> None:
+        """A round's counters land in the metrics as ``net.<field>``,
+        the simulator's names."""
+        totals: dict[str, int] = {}
+        stats.merge_into(totals)
+        self.metrics.merge_counters(totals, prefix="net.")
+
+    def relocate(
+        self, ident: int, join: Callable[[int], ChordNode | None]
+    ) -> ChordNode | None:
+        raise ConfigError("relocation cannot run live")
+
+    # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     async def start(self, bootstrap: Address | None = None) -> None:
@@ -715,7 +512,7 @@ class LiveNode:
             # stream; a future consumer grabbing either would alias.
             sanitize.install_asyncio_watch(loop)
             sanitize.track_rng(self._jitter_rng, f"node-jitter-{self.port}")
-            sanitize.track_rng(self.sybil_rng, f"node-sybil-{self.port}")
+            sanitize.track_rng(self.rng, f"node-sybil-{self.port}")
         self._executor = ThreadPoolExecutor(
             max_workers=self.config.workers, thread_name_prefix="repro-net"
         )
@@ -987,7 +784,8 @@ class LiveNode:
             "identities": identities,
             "load": sum(v["load"] for v in identities.values()),
             "n_sybils": len(self.sybils()),
-            "max_sybils": self.config.max_sybils,
+            "max_sybils": self.sybil_cap,
+            "strength": self.strength,
             "known_peers": len(self.directory),
             "messages": self.network.total_messages(),
             "fault_stats": self.network.fault_stats(),

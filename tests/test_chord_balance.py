@@ -109,18 +109,64 @@ class TestStrategiesOnProtocol:
         sim.ring.verify()
 
 
-class TestAgreementWithTickSimulator:
-    def test_factors_agree_across_layers(self):
-        """The fast simulator and the protocol stack implement the same
-        semantics; their runtime factors must agree within trial noise."""
-        from repro.sim.engine import run_simulation
+class TestChordView:
+    """Each host decides through its own ``ChordView``."""
 
-        config = SimulationConfig(
-            strategy="none", n_nodes=40, n_tasks=2000, bits=32, seed=5
+    @pytest.mark.parametrize(
+        "strategy",
+        ["neighbor_injection", "smart_neighbor_injection", "invitation"],
+    )
+    def test_a_round_reads_only_the_hosts_own_nodes(self, strategy):
+        """During a host's round ``SimNetwork.node`` is called only for
+        that host's identities: every other read is an RPC."""
+        sim = make_sim(strategy, n_nodes=12, n_tasks=300)
+        network, node = sim.ring.network, sim.ring.network.node
+        read: list[int] = []
+        network.node = lambda ident: read.append(ident) or node(ident)
+        rounds: list[int] = []
+
+        def watch(host, run):
+            def round_():
+                read.clear()
+                own = {n.id for n in host.identities()}
+                run()
+                own |= {n.id for n in host.identities()}
+                assert set(read) <= own
+                rounds.append(len(read))
+            return round_
+
+        for host in sim.hosts:
+            host.view.run_round = watch(host, host.view.run_round)
+        for _ in range(4 * sim.config.decision_interval):
+            sim.step()
+        assert len(rounds) == 4 * 12
+
+    @pytest.mark.parametrize("busy", ["above_threshold", "at_cap"])
+    def test_a_helper_refuses_an_invite_it_cannot_serve(self, busy):
+        """An invite to a helper above its own threshold or at its Sybil
+        cap is refused by the helper's ``accept_invite``, even when its
+        census said it could help: it counts as refused and spawns
+        nothing."""
+        sim = make_sim(
+            "invitation", n_nodes=12, n_tasks=300,
+            sybil_threshold=0 if busy == "above_threshold" else 10**6,
         )
-        protocol = ProtocolSimulation(config).run()
-        tick = run_simulation(config)
-        # identical model, different id draws: expect the same ballpark
-        assert protocol["runtime_factor"] == pytest.approx(
-            tick.runtime_factor, rel=0.5
+        inviter = max(sim.hosts, key=lambda h: h.view.census()["load"])
+        assert inviter.view.census()["load"] > 300 / 12  # overburdened
+        preds, _ = inviter.view.predecessor_window(
+            inviter.main.id, sim.config.num_successors
         )
+        helper = sim.hosts[sim.owner_of[preds[0]]]
+        if busy == "above_threshold":
+            assert helper.view.census()["load"] > 0
+        else:
+            helper.sybil_cap = len(helper.sybils())
+        # a stale census: the helper looks idle and free to inject
+        helper.view.census = lambda: {
+            "load": 0, "n_sybils": 0, "max_sybils": 5, "strength": 1,
+        }
+        inviter.view.run_round()
+        assert sim.counters["invitations_sent"] == 1
+        assert sim.counters["invitations_refused"] == 1
+        assert sim.counters["sybils_created"] == 0
+        assert not helper.sybils()

@@ -8,8 +8,9 @@ arrays while no round is open: both forms must equal a reference built
 from the ring the view walks (named by identifier, with the round's
 per-slot owners and counts, or the ring's arrays), across the wrap, for
 windows wider than the ring, and on one- and two-slot rings.
-``ProtocolView`` reads each node's successor and predecessor lists and
-queries loads by RPC; its windows and the runs built on them are pinned.
+A protocol host's ``ChordView`` reads its own nodes' successor and
+predecessor lists and queries loads by RPC; its windows and the runs
+built on them are pinned.
 """
 
 import hashlib
@@ -18,7 +19,8 @@ import json
 import numpy as np
 import pytest
 
-from repro.chord.balance import ProtocolSimulation, ProtocolView
+from repro.chord.balance import ProtocolSimulation
+from repro.chord.view import ChordView
 from repro.config import SimulationConfig
 from repro.core.strategy import NetworkView
 from repro.sim.engine import TickEngine
@@ -151,32 +153,51 @@ def protocol_sim(strategy="neighbor_injection", **overrides):
     ))
 
 
-# ProtocolView's windows for every host's main slot (k in 1, 3, 20) of
-# the 12-host seed-3 ring, as sha256 of their JSON, with the first
-# host's k=1 and k=20 windows spelled out, and the load queries the
-# counted windows sent.  Recorded while the protocol layer still built
-# its windows from per-slot reads.
-WINDOWS_DIGEST = "f67558f57ac253c1"
+def host_windows(sim) -> list:
+    """Each in-network host's windows of its own main slot, k in 1, 3
+    and 20, read through the host's own view."""
+    reads = []
+    for host in sim.hosts:
+        if not host.in_network:
+            continue
+        view, slot = host.view, host.main.id
+        for k in (1, 3, 20):
+            reads.append([
+                slot, k, list(view.successor_window(slot, k, counts=True)),
+                list(view.successor_window(slot, k)),
+                list(view.predecessor_window(slot, k)),
+            ])
+    return reads
+
+
+# Each host's windows of the 12-host seed-3 ring (``host_windows``), as
+# sha256 of their JSON, with the first host's k=1 and k=20 windows
+# spelled out, and the load queries the counted windows sent.  Re-pinned
+# when each host got its own view: an owner is now interned per view
+# (1, 2, ... in the order that view met the hosts), and a gap is the
+# distance between consecutive ids of the successor list.
+WINDOWS_DIGEST = "71026cb9e947227f"
 FIRST_HOST_WINDOWS = {
     1: (
-        ([3733325604], [6], [247940140], [17]),
-        ([3441447623], [5]),
+        ([3733325604], [1], [247940140], [17]),
+        ([3441447623], [2]),
     ),
     20: (
         (
             [3733325604, 169217806, 367860371, 770692085],
-            [6, 8, 1, 2],
-            [247940140, 730859498, 198642565, 366412645],
+            [1, 3, 4, 5],
+            [247940140, 730859498, 198642565, 402831714],
             [17, 50, 14, 22],
         ),
-        ([3441447623], [5]),
+        ([3441447623], [2]),
     ),
 }
 WINDOW_QUERIES = 93
 
-# Whole results of short protocol runs (16 hosts, 400 tasks, seed 5),
-# recorded before the windows moved onto ProtocolView: the result dict,
-# whose network_messages is network.total_messages() at the end.
+# Whole results of short protocol runs (16 hosts, 400 tasks, seed 5):
+# the result dict, whose network_messages is network.total_messages()
+# at the end.  Re-pinned when every host began to decide through its
+# own view, in a shuffled host order drawn from the simulation's rng.
 _RUN_COMMON = {
     "churn_joins": 0, "churn_leaves": 0, "invitations_sent": 0,
     "invitations_refused": 0, "relocations": 0, "ideal_ticks": 25.0,
@@ -186,64 +207,54 @@ _RUN_COMMON = {
 }
 PINNED_RUNS = {
     "neighbor_injection": {
-        **_RUN_COMMON, "decision_rounds": 7, "sybils_created": 43,
-        "sybils_retired": 28, "tasks_acquired": 153, "messages": 0,
-        "actions_skipped": 0, "runtime_ticks": 36, "runtime_factor": 1.44,
-        "strategy_messages": 0, "network_messages": 15732,
+        **_RUN_COMMON, "decision_rounds": 7, "sybils_created": 47,
+        "sybils_retired": 31, "tasks_acquired": 166, "messages": 0,
+        "actions_skipped": 0, "runtime_ticks": 39, "runtime_factor": 1.56,
+        "strategy_messages": 0, "network_messages": 17102,
     },
     "smart_neighbor_injection": {
-        **_RUN_COMMON, "decision_rounds": 7, "sybils_created": 22,
-        "sybils_retired": 20, "tasks_acquired": 164, "messages": 184,
+        **_RUN_COMMON, "decision_rounds": 7, "sybils_created": 23,
+        "sybils_retired": 21, "tasks_acquired": 163, "messages": 185,
         "actions_skipped": 21, "runtime_ticks": 35, "runtime_factor": 1.4,
-        "strategy_messages": 184, "network_messages": 14658,
+        "strategy_messages": 185, "network_messages": 14741,
     },
     "smart_neighbor_injection-avoid": {
-        **_RUN_COMMON, "decision_rounds": 7, "sybils_created": 22,
-        "sybils_retired": 20, "tasks_acquired": 164, "messages": 181,
+        **_RUN_COMMON, "decision_rounds": 7, "sybils_created": 23,
+        "sybils_retired": 21, "tasks_acquired": 163, "messages": 181,
         "actions_skipped": 21, "runtime_ticks": 35, "runtime_factor": 1.4,
-        "strategy_messages": 181, "network_messages": 14658,
+        "strategy_messages": 181, "network_messages": 14794,
     },
     "invitation": {
-        **_RUN_COMMON, "decision_rounds": 10, "sybils_created": 9,
-        "sybils_retired": 0, "tasks_acquired": 226, "messages": 75,
-        "invitations_sent": 15, "invitations_refused": 6,
-        "actions_skipped": 0, "runtime_ticks": 52, "runtime_factor": 2.08,
-        "strategy_messages": 75, "network_messages": 18777,
+        **_RUN_COMMON, "decision_rounds": 8, "sybils_created": 6,
+        "sybils_retired": 0, "tasks_acquired": 103, "messages": 55,
+        "invitations_sent": 11, "invitations_refused": 5,
+        "actions_skipped": 0, "runtime_ticks": 43, "runtime_factor": 1.72,
+        "strategy_messages": 55, "network_messages": 15543,
     },
 }
 
 
 class TestProtocolView:
+    """``ChordView`` as the hosts of a protocol simulation run it."""
+
     def test_windows_are_the_only_neighbourhood_read(self):
         assert NetworkView.successor_window.__isabstractmethod__
         assert NetworkView.predecessor_window.__isabstractmethod__
-        assert "successor_window" in vars(ProtocolView)
-        assert "predecessor_window" in vars(ProtocolView)
+        assert "successor_window" in vars(ChordView)
+        assert "predecessor_window" in vars(ChordView)
         for gone in ("successor_slots", "predecessor_slots", "slot_owner",
                      "slot_count", "slot_gap", "join_budget_remaining"):
             assert not hasattr(NetworkView, gone)
 
     def test_windows_pinned(self):
         sim = protocol_sim()
-        view = sim.view
-        view.begin_round()
         network = sim.ring.network
         before = network.total_messages()
-        reads = []
-        for host in sim.hosts:
-            if not host.in_network:
-                continue
-            slot = host.main_id
-            for k in (1, 3, 20):
-                reads.append([
-                    slot, k, list(view.successor_window(slot, k, counts=True)),
-                    list(view.successor_window(slot, k)),
-                    list(view.predecessor_window(slot, k)),
-                ])
+        reads = host_windows(sim)
         assert network.total_messages() - before == WINDOW_QUERIES
         digest = hashlib.sha256(json.dumps(reads).encode()).hexdigest()
         assert digest[:16] == WINDOWS_DIGEST
-        slot = sim.hosts[0].main_id
+        view, slot = sim.hosts[0].view, sim.hosts[0].main.id
         for k, (succ, pred) in FIRST_HOST_WINDOWS.items():
             assert view.successor_window(slot, k, counts=True) == succ
             assert view.predecessor_window(slot, k) == pred
@@ -260,4 +271,4 @@ class TestProtocolView:
             PINNED_RUNS[name]["network_messages"]
         )
         if avoid:  # the run marked dead-end ranges and skipped them
-            assert sim.strategy._failed_ranges
+            assert any(h.view.strategy._failed_ranges for h in sim.hosts)
