@@ -439,17 +439,24 @@ def test_strategy_round(benchmark, strategy):
     assert result.counters["sybils_created"] > 0
 
 
-def test_strategy_one_round(benchmark):
-    """One neighbor-injection decide + commit on a mid-trial ring of
-    about 2k slots (seed 1, 1000 nodes, 100k tasks, tick 150), restored
-    fresh from a deep copy before each round: the view's Sybil actions
-    and their commit, the path ``test_sybil_storm`` does not reach."""
+def _engine_before_round_150():
+    """A seed-1 neighbor-injection engine (1000 nodes, 100k tasks) whose
+    next strategy round is tick 150's, on a ring of about 2k slots."""
     engine = TickEngine(SimulationConfig(
         strategy="neighbor_injection", n_nodes=1000, n_tasks=100_000, seed=1
     ))
     while engine.tick < 149:
         engine.step()
     assert engine.state.n_slots > 1900
+    return engine
+
+
+def test_strategy_one_round(benchmark):
+    """One neighbor-injection decide + commit on a mid-trial ring of
+    about 2k slots (seed 1, 1000 nodes, 100k tasks, tick 150), restored
+    fresh from a deep copy before each round: the view's Sybil actions
+    and their commit, the path ``test_sybil_storm`` does not reach."""
+    engine = _engine_before_round_150()
 
     def fresh_engine():
         copied = copy.deepcopy(engine)
@@ -464,3 +471,93 @@ def test_strategy_one_round(benchmark):
         one_round, setup=fresh_engine, rounds=40, iterations=1
     )
     assert done.counters["sybils_created"] > engine.counters["sybils_created"]
+
+
+# ----------------------------------------------------------------------
+# round commit: the tick-150 round's one commit vs its per-slot replay
+# ----------------------------------------------------------------------
+#: rounds of each round-commit benchmark
+COMMIT_ROUNDS = 15
+
+
+def _decided_round_150():
+    """The engine of ``test_strategy_one_round`` with tick 150's round
+    decided but not committed: its view holds the round's drops and
+    joins, its ring is still the round-start ring."""
+    engine = _engine_before_round_150()
+    engine.view.begin_round()
+    engine.strategy.decide(engine.view)
+    assert engine.view._dropped and engine.view._keyed
+    return engine
+
+
+def _replay_sequentially(engine) -> None:
+    """Apply the decided round to the ring one slot at a time: each
+    retired Sybil by ``remove_slot``, then each new one, in join order,
+    by ``insert_slot`` — the per-call path the round commit replaces."""
+    view, state = engine.view, engine.state
+    n = len(view._base_counts)
+    for slot in sorted(view._dropped, reverse=True):
+        state.remove_slot(slot)
+    for ident, owner in zip(view._ids[n:], view._owner[n:]):
+        state.insert_slot(ident, owner, is_main=False)
+
+
+def test_round_commit(benchmark):
+    """Commit tick 150's decided neighbor-injection round (887 retired
+    and 894 new Sybils on 1,967 slots) with one ``SimView.end_round``,
+    restored fresh from a deep copy each round.
+
+    Each round's setup first times :func:`_replay_sequentially` on its
+    own copy, and the median of the per-round sequential/commit ratios
+    is recorded as ``extra_info["speedup_vs_sequential"]`` (the ratio
+    compare_bench.py gates; a within-run ratio, like the churn storm's).
+    """
+    engine = _decided_round_150()
+    sequential_s = []
+
+    def fresh_engine():
+        replay = copy.deepcopy(engine)
+        gc.collect()
+        start = time.perf_counter()
+        _replay_sequentially(replay)
+        sequential_s.append(time.perf_counter() - start)
+        copied = copy.deepcopy(engine)
+        gc.collect()  # the copies' garbage is not the commit's to collect
+        return (copied, replay.state), {}
+
+    def commit(engine, replayed):
+        engine.view.end_round()
+        return engine, replayed
+
+    done, replayed = benchmark.pedantic(
+        commit, setup=fresh_engine, rounds=COMMIT_ROUNDS, iterations=1
+    )
+    state = done.state
+    assert state.ids.tolist() == replayed.ids.tolist()
+    assert state.counts.tolist() == replayed.counts.tolist()
+    state.verify_invariants()
+    if benchmark.stats:
+        benchmark.extra_info["speedup_vs_sequential"] = statistics.median(
+            q / c for q, c in zip(sequential_s, benchmark.stats.stats.data)
+        )
+
+
+def test_round_commit_sequential(benchmark):
+    """The same decided round applied one ``remove_slot`` /
+    ``insert_slot`` at a time (see :func:`_replay_sequentially`)."""
+    engine = _decided_round_150()
+
+    def fresh_engine():
+        copied = copy.deepcopy(engine)
+        gc.collect()
+        return (copied,), {}
+
+    def replay(engine):
+        _replay_sequentially(engine)
+        return engine
+
+    done = benchmark.pedantic(
+        replay, setup=fresh_engine, rounds=COMMIT_ROUNDS, iterations=1
+    )
+    done.state.verify_invariants()

@@ -16,8 +16,12 @@ When the current file holds the 10k-slot slab churn storm, its
 slab-vs-naive speedup (the median of per-round ratios against naive
 storms run in the same rounds, see ``bench_core_ops.py``) is printed
 and gated: below ``MIN_STORM_SPEEDUP`` (the >=5x DESIGN.md §5 claims)
-the check fails.  Like the tick-engine speedup below it is a within-run
-ratio, so it holds on a runner whose clock differs from the baseline's.
+the check fails.  The round commit gets the same treatment: when the
+current file holds ``test_round_commit``, its speedup over replaying
+the same strategy round one slot at a time is printed and gated at
+``MIN_ROUND_COMMIT_SPEEDUP``.  Like the tick-engine speedup below these
+are within-run ratios, so they hold on a runner whose clock differs
+from the baseline's.
 
 The tick-engine suite gets the same treatment: when the current file
 holds ``test_tick_engine[...]`` results, the reference-vs-numpy kernel
@@ -35,6 +39,9 @@ import sys
 
 #: slab-vs-naive churn-storm speedup at 10k slots that DESIGN.md §5 claims
 MIN_STORM_SPEEDUP = 5.0
+#: round-commit speedup over the per-slot replay of the same round: half
+#: the 27-28x measured on a shared 2-vCPU host
+MIN_ROUND_COMMIT_SPEEDUP = 13.0
 
 
 def load_stats(path: str, stat: str) -> dict[str, float]:
@@ -45,15 +52,26 @@ def load_stats(path: str, stat: str) -> dict[str, float]:
     }
 
 
-def storm_speedup(path: str, n_slots: int = 10_000) -> float | None:
-    """The paired slab-vs-naive churn-storm speedup recorded in ``path``."""
+def recorded_speedup(path: str, bench: str, key: str) -> float | None:
+    """The paired speedup ``extra_info[key]`` of benchmark ``bench``
+    recorded in ``path``."""
     with open(path) as fh:
         data = json.load(fh)
     for b in data["benchmarks"]:
-        if f"test_churn_storm_slab[{n_slots}]" in b["fullname"]:
-            speedup = b.get("extra_info", {}).get("speedup_vs_naive")
+        if b["fullname"].endswith(f"::{bench}"):
+            speedup = b.get("extra_info", {}).get(key)
             return None if speedup is None else float(speedup)
     return None
+
+
+#: (label, benchmark, extra_info key, required minimum) per gated
+#: within-run speedup
+PAIRED_SPEEDUPS = [
+    ("churn-storm slab speedup vs naive (10k slots)",
+     "test_churn_storm_slab[10000]", "speedup_vs_naive", MIN_STORM_SPEEDUP),
+    ("round-commit speedup vs per-slot replay",
+     "test_round_commit", "speedup_vs_sequential", MIN_ROUND_COMMIT_SPEEDUP),
+]
 
 
 def _tick_engine_times(stats: dict[str, float]) -> dict[tuple[str, int], float]:
@@ -133,14 +151,15 @@ def main(argv: list[str] | None = None) -> int:
     for name in sorted(set(cur) - set(base)):
         print(f"+ {name}: new benchmark (skipped)")
 
-    speedup = storm_speedup(args.current)
-    if speedup is not None:
-        print(f"\nchurn-storm slab speedup vs naive (10k slots): "
-              f"{speedup:.2f}x")
-        if speedup < MIN_STORM_SPEEDUP:
+    for label, bench, key, required in PAIRED_SPEEDUPS:
+        speedup = recorded_speedup(args.current, bench, key)
+        if speedup is None:
+            continue
+        print(f"\n{label}: {speedup:.2f}x")
+        if speedup < required:
             print(
-                f"\nFAIL: churn-storm speedup {speedup:.2f}x < required "
-                f"{MIN_STORM_SPEEDUP:.2f}x",
+                f"\nFAIL: {label} {speedup:.2f}x < required "
+                f"{required:.2f}x",
                 file=sys.stderr,
             )
             return 1

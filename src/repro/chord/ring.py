@@ -112,14 +112,19 @@ class ChordRing:
                 node.maintenance_cycle()
 
     def converge(self, max_rounds: int = 64) -> int:
-        """Run maintenance until the ring verifies, then fix all fingers.
+        """Run maintenance until the ring verifies and every successor
+        list is complete, then fix all fingers.
 
-        Returns the number of rounds used; raises :class:`RingError` when
-        the ring fails to stabilize within ``max_rounds``.
+        A ring whose successor pointers already cycle can still hold
+        lists that skip a live node (a late joiner the list's tail has
+        not seen yet); a window read from such a list credits the next
+        node with the skipped node's arc.  Returns the number of rounds
+        used; raises :class:`RingError` when the ring fails to stabilize
+        within ``max_rounds``.
         """
         for round_no in range(1, max_rounds + 1):
             self.maintenance_round()
-            if self.is_consistent():
+            if self.is_consistent() and self.successor_lists_complete():
                 for ident in self.network.alive_ids():
                     self.network.node(ident).fix_all_fingers()
                 return round_no
@@ -134,6 +139,19 @@ class ChordRing:
             return True
         except RingError:
             return False
+
+    def successor_lists_complete(self) -> bool:
+        """Whether every live node's successor list names the next
+        ``min(r, n - 1)`` live ids, in ring order."""
+        alive = self.network.alive_ids()
+        n = len(alive)
+        for i, ident in enumerate(alive):
+            node = self.network.node(ident)
+            want = min(node.n_successors, n - 1)
+            nxt = [alive[(i + k) % n] for k in range(1, want + 1)]
+            if node.successor_list[:want] != nxt:
+                return False
+        return True
 
     def verify(self) -> None:
         """Check the successor cycle and predecessor agreement.

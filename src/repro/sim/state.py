@@ -66,6 +66,7 @@ snapshots, and time series alike.
 from __future__ import annotations
 
 import bisect
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -166,6 +167,10 @@ def _spliced(
     return out
 
 
+def _as_list(seq) -> list[int]:
+    return seq if type(seq) is list else seq.tolist()
+
+
 def _ids_present(
     ids: np.ndarray, idents: np.ndarray, alive: bytearray | None
 ) -> np.ndarray:
@@ -226,15 +231,16 @@ class _Pending(NamedTuple):
     """New slots awaiting :meth:`RingState._restructure`, sorted by id;
     ``keys[j]`` holds slot ``j``'s ``counts[j]`` remaining keys, and
     ``at[j]`` is its insertion point among the ring's slots before the
-    batch (``ids.searchsorted``), found once by the builder."""
+    batch (``ids.searchsorted``), found once by the builder.  Each
+    column is an array, or a one-element list for a single insert."""
 
-    ids: np.ndarray
-    owner: np.ndarray
-    is_main: np.ndarray
-    counts: np.ndarray
-    provenance: np.ndarray
+    ids: np.ndarray | list[int]
+    owner: np.ndarray | list[int]
+    is_main: np.ndarray | list[bool]
+    counts: np.ndarray | list[int]
+    provenance: np.ndarray | list[int]
     keys: list[np.ndarray]
-    at: np.ndarray
+    at: np.ndarray | list[int]
 
 
 class ConsumptionGroups(NamedTuple):
@@ -457,25 +463,27 @@ class RingState:
         )
 
     def _restructure(
-        self, dead: list[int], pending: "_Pending | None" = None
+        self, dead, pending: "_Pending | None" = None
     ) -> None:
         """Drop the slots at ``dead`` and splice in ``pending``.
 
-        ``dead`` lists positions in ascending order; ``pending`` holds
-        new slots sorted by id, none equal to a surviving id (one may
-        reuse the id of a dropped slot).  The owner index, loads cache
-        and consumption groups are invalidated once.  Every structure
-        change ends here: a single join or leave, a churn tick, a
-        strategy round.
+        ``dead`` lists positions in ascending order: a list, or an index
+        array from a round commit; ``pending`` holds new slots sorted by
+        id, none equal to a surviving id (one may reuse the id of a
+        dropped slot).  The owner index, loads cache and consumption
+        groups are invalidated once.  Every structure change ends here:
+        a single join or leave, a churn tick, a strategy round.
 
         A batch of at most ``_SHIFT_EVENTS`` events shifts the live
-        prefix in place, one ``memmove`` per buffer and event; a larger
-        one moves every survivor with one gather per buffer.  The keys
-        list is edited in place unless the batch is large, when a gather
-        or a splice builds a new list (see ``_EDIT_IN_PLACE_EVENTS``).
+        prefix in place, one ``memmove`` per buffer and event, and
+        writes each new slot's row with scalar stores; a larger one
+        moves every survivor with one gather per buffer, indexed by
+        arrays.  The keys list is edited in place unless the batch is
+        large, when a gather or a splice builds a new list (see
+        ``_EDIT_IN_PLACE_EVENTS``).
         """
         n = self._n
-        m = 0 if pending is None else pending.ids.size
+        m = 0 if pending is None else len(pending.keys)
         events = len(dead) + m
         # a batch's crash-stop losses changed counts before it got here
         self._remaining = None
@@ -484,59 +492,58 @@ class RingState:
         new_n = n - len(dead) + m
         if n + m > self._ids_row.size:
             self._grow(n + m)
-        # insertion point of each pending slot among the pre-drop slots,
-        # and its final position: past the surviving slots before it and
-        # the earlier pending slots
-        at: list[int] = []
-        final: list[int] = []
+        # each pending slot's final position: past the surviving slots
+        # before its insertion point and the earlier pending slots
+        final: list[int] | np.ndarray = []
         if m:
-            pos = pending.at
-            at = pos.tolist()
-            if m > _VECTOR_FINAL:
-                if dead:
-                    pos = pos - np.searchsorted(dead, pos)
-                final = (pos + np.arange(m)).tolist()
-            else:
+            at = pending.at
+            if m <= _VECTOR_FINAL and type(dead) is list:
+                at = _as_list(at)
                 final = [
                     p - bisect.bisect_left(dead, p) + j
                     for j, p in enumerate(at)
                 ]
+            else:
+                pos = np.asarray(at)
+                if len(dead):
+                    pos = pos - np.searchsorted(dead, pos)
+                final = pos + np.arange(m)
         bufs = (self._wide, self._narrow)
-        shift = events <= _SHIFT_EVENTS
-        if shift:
-            # each pending slot's row is left stale by its shift and
-            # written below
+        if events <= _SHIFT_EVENTS:
             width = n
             for d in reversed(dead):
                 for buf in bufs:
                     buf[:, d : width - 1] = buf[:, d + 1 : width]
                 width -= 1
-            for f in final:
+            for j, f in enumerate(final):
                 for buf in bufs:
                     buf[:, f + 1 : width + 1] = buf[:, f:width]
                 width += 1
-            rows: slice | list[int] = final
+                # the row the shift left stale
+                self._ids_row[f] = pending.ids[j]
+                self._owner_row[f] = pending.owner[j]
+                self._main_row[f] = pending.is_main[j]
+                self._counts_row[f] = pending.counts[j]
+                self._prov_row[f] = pending.provenance[j]
         else:
             alive = np.ones(n, dtype=bool)
             alive[dead] = False
             gather = alive.nonzero()[0]
             if m:
+                # stage the pending slots past the live prefix, so one
+                # gather places every slot
+                rows = slice(n, n + m)
+                self._ids_row[rows] = pending.ids
+                self._owner_row[rows] = pending.owner
+                self._main_row[rows] = pending.is_main
+                self._counts_row[rows] = pending.counts
+                self._prov_row[rows] = pending.provenance
                 is_old = np.ones(new_n, dtype=bool)
                 is_old[final] = False
                 survivors = gather
                 gather = np.empty(new_n, dtype=np.intp)
                 gather[is_old] = survivors
                 gather[final] = np.arange(n, n + m)
-            # stage the pending slots past the live prefix, so one
-            # gather places every slot
-            rows = slice(n, n + m)
-        if m:
-            self._ids_row[rows] = pending.ids
-            self._owner_row[rows] = pending.owner
-            self._main_row[rows] = pending.is_main
-            self._counts_row[rows] = pending.counts
-            self._prov_row[rows] = pending.provenance
-        if not shift:
             for buf in bufs:
                 buf[:, :new_n] = buf.take(gather, axis=1)
         new_keys = [] if pending is None else pending.keys
@@ -548,10 +555,15 @@ class RingState:
                 keys.insert(f, k)
         elif n <= _GATHER_SLOTS_PER_EVENT * events:
             # the slab's own gather, over [survivors | staged pending]
-            staged = self.keys + new_keys
-            self.keys = [staged[i] for i in gather.tolist()]
+            staged = np.fromiter(
+                chain(self.keys, new_keys), dtype=object, count=n + m
+            )
+            self.keys = staged.take(gather).tolist()
         else:
-            self.keys = _spliced(self.keys, dead, at, new_keys)
+            at = [] if pending is None else pending.at
+            self.keys = _spliced(
+                self.keys, _as_list(dead), _as_list(at), new_keys
+            )
 
         self._n = new_n
         self._groups_cache = None
@@ -841,13 +853,8 @@ class RingState:
             provenance = PROV_HONEST if is_main else PROV_BENEVOLENT
         taken = parts[0]
         self._restructure([], _Pending(
-            ids=np.array([nid], dtype=_U64),
-            owner=np.array([owner], dtype=_I64),
-            is_main=np.array([is_main], dtype=bool),
-            counts=np.array([taken.size], dtype=_I64),
-            provenance=np.array([provenance], dtype=np.int8),
-            keys=[taken],
-            at=np.array([pos], dtype=np.intp),
+            [nid], [owner], [is_main], [taken.size], [provenance], [taken],
+            [pos],
         ))
         return pos, taken.size
 
@@ -919,102 +926,119 @@ class RingState:
     def commit_round(
         self,
         dead: list[int],
-        sybils: dict[int, int],
-        taken: dict[int, np.ndarray] | None = None,
+        ids: list[int],
+        owners: list[int],
+        keyed: dict[int, list[tuple[int, np.ndarray]]] | None = None,
     ) -> None:
-        """Drop the keyless slots at positions ``dead`` (any order) and
-        insert the Sybil slots ``sybils`` (identifier -> owner), in one
-        slab pass.
+        """Commit a strategy round in one slab pass: drop the keyless
+        slots at the distinct positions ``dead`` (any order) and insert
+        a Sybil slot ``ids[j]`` of owner ``owners[j]`` for each ``j``
+        (any order).
 
-        A strategy round commits here.  The result equals removing the
-        dead slots one by one with :meth:`remove_slot` — none holds keys,
-        so no merge reshuffle draws from the RNG — then inserting each
-        Sybil with :meth:`insert_slot`, in any order: each affected arc
-        is split once, by the rule :class:`BatchInsertion` uses.
-        ``taken`` may map a Sybil to the mask of the keys it takes from
-        the remaining keys of the slot whose arc it lands in; an arc
-        that gets that Sybil as its only new identity is split with the
-        mask, every other arc by :func:`_split_arc`'s own compare.  A
-        Sybil may reuse the id of a dropped slot.  Raises, before changing
-        anything, :class:`RingError` if a position is out of range, a
-        dropped slot holds keys or no slot would survive the drop, and
+        :class:`~repro.sim.view.SimView` hands over what its round
+        recorded, so nothing is searched for again.  ``keyed`` maps each
+        round-start slot that new Sybils took keys from to those Sybils,
+        as ``(j, mask)`` in join order, ``mask`` selecting what the Sybil
+        took from that slot's remaining keys when it joined.  A Sybil
+        not listed took no keys when it joined and never gains any: its
+        arc only shrinks, or grows by arcs of retired keyless slots.  A
+        keyed Sybil lies in its slot's round-start arc, so only those
+        arcs split, by the masks alone (see :meth:`_split_keyed`); the
+        new ids are sorted and placed with one ``searchsorted``.
+
+        The result equals removing the dead slots one by one with
+        :meth:`remove_slot` — none holds keys, so no merge reshuffle
+        draws from the RNG — then inserting each Sybil with
+        :meth:`insert_slot`, in any order.  A Sybil may reuse the id of
+        a dropped slot.  Raises, before changing anything,
+        :class:`RingError` if a position is out of range, a dropped slot
+        holds keys or no slot would survive the drop, and
         :class:`IdSpaceError` if an id is outside the space or on the
         ring and not dropped.
+
+        Replaying the recorded rounds of seed-1 1000-node / 100k-task
+        trials on a shared 2-vCPU host (each commit on a freshly
+        restored ring, minimum of 9 runs), a trial's commits summed to
+        44 ms for random injection against 69 ms when every arc was
+        searched for and split again, 66 against 109 ms for neighbor
+        injection, 54 against 72 ms for smart neighbor injection and 26
+        against 29 ms for invitation.
         """
         n = self._n
-        dead = sorted(set(dead))
-        if dead:
-            if dead[0] < 0 or dead[-1] >= n:
+        drop = np.sort(np.asarray(dead, dtype=np.intp))
+        if drop.size:
+            if drop[0] < 0 or drop[-1] >= n:
                 raise RingError(f"slot position out of range for {n} slots")
-            if len(dead) == n:
+            if drop.size == n:
                 raise RingError("cannot remove the last slot on the ring")
-            if self._counts_view[dead].any():
+            if self._counts_view[drop].any():
                 raise RingError("cannot drop a slot that holds remaining keys")
-        pending = (
-            self._sybil_pending(dead, sybils, taken or {}) if sybils else None
-        )
-        self._restructure(dead, pending)
-
-    def _sybil_pending(
-        self,
-        dead: list[int],
-        sybils: dict[int, int],
-        taken: dict[int, np.ndarray],
-    ) -> _Pending:
-        """Validate :meth:`commit_round`'s new Sybils and split the arcs
-        they land in; the ring's keys change only once all are valid."""
-        new_ids = sorted(sybils)
-        m = len(new_ids)
-        for ident in (new_ids[0], new_ids[-1]):
-            if ident < 0 or ident >= self.space.size:
-                self.space.validate(ident)  # raises
-        ids = self._ids_view
-        new = np.array(new_ids, dtype=_U64)
-        pos = ids.searchsorted(new)
-        hit = ids.take(pos, mode="clip") == new
-        if hit.any() and not set(pos[hit].tolist()).issubset(dead):
-            raise IdSpaceError("identifier already on the ring")
-        # each Sybil's live successor, whose arc it splits
-        if dead:
-            live = np.delete(np.arange(self._n), dead)
-            k = live.searchsorted(pos)
-            slots = live[k % live.size]
-            preds = live[k - 1]  # k == 0 wraps to the last live slot
-        else:
-            slots = np.where(pos < self._n, pos, 0)
-            preds = slots - 1
-        keys, counts = self.keys, self._counts_view
-        # only arcs with remaining keys split; the rest hand over none
-        busy = np.flatnonzero(counts[slots])
-        arcs: dict[int, tuple[int, list[int]]] = {}
-        for j, slot, pred in zip(
-            busy.tolist(), slots[busy].tolist(), ids[preds[busy]].tolist()
-        ):
-            if slot in arcs:
-                arcs[slot][1].append(j)
-            else:
-                arcs[slot] = (pred, [j])
-        part_keys = [_EMPTY_KEYS] * m
-        for slot, (pred, js) in arcs.items():
-            idents = [new_ids[j] for j in js]
-            lone = taken.get(idents[0]) if len(idents) == 1 else None
-            parts, kept = _split_arc(
-                keys[slot][: counts.item(slot)], pred, idents,
-                self.space.size, lone,
+        pending = None
+        if ids:
+            try:
+                new = np.array(ids, dtype=_U64)
+            except OverflowError:  # a negative id
+                for ident in ids:
+                    self.space.validate(ident)  # raises
+                raise
+            order = new.argsort()
+            new = new[order]
+            m = new.size
+            top = new.item(m - 1)
+            if top >= self.space.size:
+                self.space.validate(top)  # raises
+            at = self._ids_view.searchsorted(new)
+            hit = at[self._ids_view.take(at, mode="clip") == new]
+            if hit.size and np.setdiff1d(hit, drop).size:
+                raise IdSpaceError("identifier already on the ring")
+            counts = np.zeros(m, dtype=_I64)
+            part_keys = [_EMPTY_KEYS] * m
+            if keyed:
+                self._split_keyed(keyed, order, counts, part_keys)
+            pending = _Pending(
+                ids=new,
+                owner=np.array(owners, dtype=_I64)[order],
+                is_main=np.zeros(m, dtype=bool),
+                counts=counts,
+                provenance=np.full(m, PROV_BENEVOLENT, dtype=np.int8),
+                keys=part_keys,
+                at=at,
             )
-            for j, part in zip(js, parts):
-                part_keys[j] = part
+        self._restructure(drop, pending)
+
+    def _split_keyed(
+        self,
+        keyed: dict[int, list[tuple[int, np.ndarray]]],
+        order: np.ndarray,
+        counts: np.ndarray,
+        part_keys: list[np.ndarray],
+    ) -> None:
+        """Split each arc :meth:`commit_round` names in ``keyed`` among
+        its keyed Sybils by their masks alone, writing each Sybil's keys
+        and count at its sorted position (``order`` sorts the new ids).
+
+        A key goes to the last Sybil whose mask selected it — each join
+        took its keys from whoever held them — and stays with the slot
+        if none did: one compress per Sybil and one for the slot."""
+        keys, slot_counts = self.keys, self._counts_view
+        rank = order.argsort()
+        for slot, joins in keyed.items():
+            rest = keys[slot][: slot_counts.item(slot)]
+            if len(joins) == 1:
+                (j, claimed), = joins
+                r = rank.item(j)
+                part_keys[r] = rest.compress(claimed)
+                counts[r] = part_keys[r].size
+            else:
+                claimed = np.zeros(rest.size, dtype=bool)
+                for j, mask in reversed(joins):
+                    r = rank.item(j)
+                    part_keys[r] = rest.compress(mask & ~claimed)
+                    counts[r] = part_keys[r].size
+                    claimed |= mask
+            kept = rest.compress(~claimed)
             keys[slot] = kept
-            counts[slot] = kept.size
-        return _Pending(
-            ids=new,
-            owner=np.fromiter(map(sybils.get, new_ids), dtype=_I64, count=m),
-            is_main=np.zeros(m, dtype=bool),
-            counts=np.fromiter(map(len, part_keys), dtype=_I64, count=m),
-            provenance=np.full(m, PROV_BENEVOLENT, dtype=np.int8),
-            keys=part_keys,
-            at=pos,
-        )
+            slot_counts[slot] = kept.size
 
     # ------------------------------------------------------------------
     # batch structure changes (used by the engine's churn phase)

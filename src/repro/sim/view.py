@@ -27,11 +27,10 @@ on the spot; a window walks the links (or slices the ring's arrays
 while no round is open; a read never opens one).  ``main_slot`` is the
 owner's round-start position.  A random creation bisects the
 round-start ids once and walks back past the few Sybils created in that
-arc.  The engine calls :meth:`SimView.end_round` after ``decide``; it
-commits the round with one :meth:`~repro.sim.state.RingState.commit_round`,
-which drops the retired Sybils and splices in the new ones in a single
-slab pass, so the slab is restructured once per round instead of once
-per Sybil.  A handle is valid until the round commits.
+arc.  The per-round indexes — each owner's main position and its
+round-start Sybils — are owner-indexed lists filled from numpy on first
+use, and the three link lists share one list of handle ints.  A handle
+is valid until the round commits.
 
 Each action is one frame of this class under the strategy's call: a
 retirement finds, unlinks and books its owner's Sybils in
@@ -40,14 +39,22 @@ hands it, with the handle of the slot whose arc it splits, to
 :meth:`SimView._join_sybil`, which books the census, counts the keys it
 takes and links the new slot.  Each slot records its base slot — the
 round-start slot whose keys its own remaining keys are a run of — so a
-keyed join reads those keys without a search.  A Sybil that takes keys
-keeps the selection mask that count computed, and the commit splits an
-arc that got exactly that one new identity with it (two compresses)
-instead of recomputing the split.  Against lists kept in ring order,
-where each action paid three ``list.insert``/``del`` memmoves and a
-``bisect``, ``repro profile`` of neighbor injection (1000 nodes, 100k
-tasks, seed 1; medians of 6 alternating runs on a shared 2-vCPU host)
-went from decide 0.679 s to 0.539 s.
+keyed join reads those keys without a search, and records the selection
+mask of what it took under that base slot.
+
+The engine calls :meth:`SimView.end_round` after ``decide``.  It hands
+:meth:`~repro.sim.state.RingState.commit_round` what the round
+recorded, so the commit searches for nothing again: the dropped base
+positions, the new Sybils' ids and owners in handle order, and for each
+base slot that new Sybils took keys from, each such join's index and
+mask.  A Sybil that took no keys when it joined never gains any, so
+only those base arcs split, by their masks alone; the retired Sybils
+leave in the same slab pass that splices in the new ones.  Against a
+commit that found each new Sybil's arc again and recomputed its split,
+``repro profile`` (1000 nodes, 100k tasks, seed 1; medians of 8
+alternating runs, each pinned to one CPU of a shared 2-vCPU host) read
+neighbor injection's commit going from 0.112 to 0.061 s and random
+injection's from 0.073 to 0.041 s.
 
 The round's Sybil census (``n_sybils``, ``can_add_sybil`` and the
 booking behind every creation and retirement) reads and writes Python
@@ -112,8 +119,8 @@ class SimView(NetworkView):
     #: and released by :meth:`end_round`, so no round outlives its commit
     _ROUND_STATE = (
         "_base_counts", "_owner", "_counts", "_next", "_prev", "_base",
-        "_live_loads", "_load_delta", "_main_slots", "_base_sybils",
-        "_pending", "_pending_by_owner", "_taken", "_dropped",
+        "_live_loads", "_load_delta", "_main_slots", "_sybil_index",
+        "_pending_by_owner", "_keyed", "_dropped",
     )
 
     def __init__(
@@ -169,11 +176,14 @@ class SimView(NetworkView):
         Until this runs, ``RingState`` still holds the round-start ring;
         the engine calls it right after ``Strategy.decide``.
         """
-        if self._ids is not None:
+        ids = self._ids
+        if ids is not None:
             self._ids = None
-            if self._dropped or self._pending:
+            n = len(self._base_counts)
+            if self._dropped or len(ids) > n:
+                # the new Sybils are the handles past the base slots
                 self._state.commit_round(
-                    self._dropped, self._pending, self._taken
+                    self._dropped, ids[n:], self._owner[n:], self._keyed
                 )
             for name in self._ROUND_STATE:
                 delattr(self, name)
@@ -195,27 +205,39 @@ class SimView(NetworkView):
         self._base_counts: list[int] = state.counts.tolist()
         self._owner: list[int] = state.owner.tolist()
         self._counts = self._base_counts.copy()
-        # ring order: successor and predecessor handles; a retired
-        # slot's successor is -1
-        self._next: list[int] = [*range(1, n), 0]
-        self._prev: list[int] = [n - 1, *range(n - 1)]
         # each slot's base slot: its own position for a base slot, the
         # base slot of the arc it split for a new one
         self._base: list[int] = list(range(n))
+        # ring order: successor and predecessor handles, a retired
+        # slot's successor being -1; slices of _base, so the three
+        # lists share one set of handle ints
+        self._next: list[int] = self._base[1:] + self._base[:1]
+        self._prev: list[int] = self._base[-1:] + self._base[:-1]
         # live owner load = round-start load + this round's transfers
         self._live_loads = state.owner_loads(self._owners.n_total)
         self._load_delta: dict[int, int] = {}
-        # each owner's main position, and base positions of its Sybils,
-        # built on first use: a round with few actions may need neither
-        self._main_slots: dict[int, int] | None = None
-        self._base_sybils: dict[int, list[int]] | None = None
-        # pending Sybils: ident -> owner, owner -> handles, and for each
-        # one that took keys the mask of its base slot's keys it took
-        self._pending: dict[int, int] = {}
+        # owner-indexed: each owner's main position, and the base
+        # positions of its Sybils (see _index_sybils); built on first
+        # use: a round with few actions may need neither
+        self._main_slots: list[int] | None = None
+        self._sybil_index: tuple[list[int], list[int]] | None = None
+        # owner -> handles of its new Sybils, and for each base slot
+        # that new Sybils took keys from, (index among the new Sybils,
+        # mask of the base slot's keys it took) per Sybil, in join order
         self._pending_by_owner: dict[int, list[int]] = {}
-        self._taken: dict[int, np.ndarray] = {}
+        self._keyed: dict[int, list[tuple[int, np.ndarray]]] = {}
         # base positions of the retired (keyless) Sybils
         self._dropped: list[int] = []
+
+    @property
+    def _pending(self) -> dict[int, int]:
+        """The open round's new Sybils, identifier -> owner, in join
+        order (empty while no round is open); for inspection."""
+        ids = self._ids
+        if ids is None:
+            return {}
+        n = len(self._base_counts)
+        return dict(zip(ids[n:], self._owner[n:]))
 
     # ------------------------------------------------------------------
     # NetworkView: static context
@@ -311,13 +333,13 @@ class SimView(NetworkView):
         if mains is None:
             state = self._state
             at = np.flatnonzero(state.is_main)
-            mains = self._main_slots = dict(
-                zip(state.owner[at].tolist(), at.tolist())
-            )
-            if len(mains) != at.size:
-                mains.clear()  # a doubled main: let the ring raise
-        slot = mains.get(owner)
-        if slot is None:
+            slots = np.full(self._owners.n_total, -1, dtype=np.intp)
+            slots[state.owner[at]] = at
+            if np.count_nonzero(slots >= 0) != at.size:
+                slots.fill(-1)  # a doubled main: let the ring raise
+            mains = self._main_slots = slots.tolist()
+        slot = mains[owner]
+        if slot < 0:
             return self._state.main_slot_of(owner)  # raises: no single main
         return slot
 
@@ -439,16 +461,12 @@ class SimView(NetworkView):
         removed = None
         # a Sybil created this round may hold keys
         if owner not in self._pending_by_owner:
-            sybils = self._base_sybils
-            if sybils is None:
-                state = self._state
-                at = np.flatnonzero(~state.is_main)
-                sybils = self._base_sybils = {}
-                for p, o in zip(at.tolist(), state.owner[at].tolist()):
-                    sybils.setdefault(o, []).append(p)
-            targets = sybils.pop(owner, None)
+            slots, start = self._sybil_index or self._index_sybils()
+            targets = slots[start[owner] : start[owner + 1]]
             dropped = self._dropped
-            if not targets:
+            nxt = self._next
+            # none, or all retired earlier this round
+            if not targets or nxt[targets[0]] < 0:
                 removed = 0
             elif len(self._base_counts) - len(dropped) > len(targets):
                 base_counts = self._base_counts
@@ -456,7 +474,7 @@ class SimView(NetworkView):
                     if base_counts[p]:
                         break
                 else:
-                    nxt, prv = self._next, self._prev
+                    prv = self._prev
                     for p in targets:  # unlink
                         a, b = prv[p], nxt[p]
                         nxt[a] = b
@@ -557,6 +575,23 @@ class SimView(NetworkView):
         self._probed = r
         return not d
 
+    def _index_sybils(self) -> tuple[list[int], list[int]]:
+        """Index the round-start Sybils by owner: ``(slots, start)``,
+        owner ``o``'s base positions, ascending, being
+        ``slots[start[o]:start[o + 1]]``."""
+        state = self._state
+        at = np.flatnonzero(~state.is_main)
+        owner = state.owner[at]
+        start = np.zeros(self._owners.n_total + 1, dtype=np.intp)
+        np.cumsum(
+            np.bincount(owner, minlength=self._owners.n_total),
+            out=start[1:],
+        )
+        self._sybil_index = (
+            at[np.argsort(owner, kind="stable")].tolist(), start.tolist()
+        )
+        return self._sybil_index
+
     def _join_sybil(self, owner: int, ident: int, succ: int) -> int:
         """Join the free identifier ``ident`` as a Sybil of ``owner`` in
         the open round, in the arc of the slot ``succ``; returns the keys
@@ -571,6 +606,7 @@ class SimView(NetworkView):
         ids, counts, prv = self._ids, self._counts, self._prev
         pred = prv[succ]
         base = self._base[succ]
+        h = len(ids)
         acquired = 0
         # the new arc (pred, ident] is part of the successor's: an empty
         # successor has nothing to hand over
@@ -586,9 +622,14 @@ class SimView(NetworkView):
                 loser = self._owner[succ]
                 delta[loser] = delta.get(loser, 0) - acquired
                 delta[owner] = delta.get(owner, 0) + acquired
-                self._taken[ident] = taken
+                # the commit splits the base slot's arc by what it took
+                join = (h - len(self._base_counts), taken)
+                keyed = self._keyed.get(base)
+                if keyed is None:
+                    self._keyed[base] = [join]
+                else:
+                    keyed.append(join)
         # link the new handle between pred and succ
-        h = len(ids)
         ids.append(ident)
         self._owner.append(owner)
         counts.append(acquired)
@@ -597,7 +638,6 @@ class SimView(NetworkView):
         prv.append(pred)
         self._next[pred] = h
         prv[succ] = h
-        self._pending[ident] = owner
         mine = self._pending_by_owner.get(owner)
         if mine is None:
             self._pending_by_owner[owner] = [h]

@@ -1,19 +1,19 @@
 """RingState.commit_round: a strategy round's one-pass ring commit.
 
 A round drops its retired Sybils (slots with no keys) and splices in its
-new ones through this primitive, so it must equal the sequential
-``remove_slot`` / ``insert_slot`` calls it replaces — ids, owners,
-counts, every slot's keys in storage order, and the generator state —
-and must refuse, before changing anything, any drop that would move
-keys or empty the ring and any Sybil whose id is taken.
+new ones through this primitive, handed what ``SimView`` recorded: the
+dropped positions, the new Sybils' ids and owners, and each keyed join's
+base slot and mask.  Driven through a real ``SimView`` round, it must
+equal the sequential ``remove_slot`` / ``insert_slot`` calls it replaces
+— ids, owners, counts, every slot's keys in storage order, and the
+generator state — and it must refuse, before changing anything, any
+drop that would move keys or empty the ring and any Sybil whose id is
+taken.
 """
-
-from bisect import bisect_left
 
 import numpy as np
 import pytest
 
-import repro.sim.state as state_module
 from repro.errors import IdSpaceError, RingError
 from repro.hashspace.idspace import IdSpace
 from repro.sim.state import RingState
@@ -89,7 +89,7 @@ class TestDropKeylessSlots:
         # warm the owner index and loads cache so the drop must invalidate
         dropped.slots_of_owner(0)
         dropped.owner_loads(3)
-        dropped.commit_round(positions(dropped, (240, 75, 150)), {})
+        dropped.commit_round(positions(dropped, (240, 75, 150)), [], [])
         for slot in sorted(positions(sequential_, (75, 150, 240)),
                            reverse=True):
             assert sequential_.remove_slot(slot) == 0
@@ -105,7 +105,7 @@ class TestDropKeylessSlots:
     def test_empty_list_is_a_no_op(self):
         state = ring_with_idle_sybils()
         before = snapshot(state)
-        state.commit_round([], {})
+        state.commit_round([], [], [])
         assert snapshot(state) == before
 
     @pytest.mark.parametrize(
@@ -115,7 +115,7 @@ class TestDropKeylessSlots:
         state = ring_with_idle_sybils()
         before = snapshot(state)
         with pytest.raises(RingError, match="keys"):
-            state.commit_round(positions(state, idents), {10: 1})
+            state.commit_round(positions(state, idents), [10], [1])
         assert snapshot(state) == before
         state.verify_invariants()
 
@@ -130,9 +130,9 @@ class TestDropKeylessSlots:
         )
         # even when the round's new Sybils would keep the ring non-empty
         with pytest.raises(RingError, match="last slot"):
-            state.commit_round([0, 1], {50: 0})
+            state.commit_round([0, 1], [50], [0])
         assert state.n_slots == 2
-        state.commit_round([1], {})
+        state.commit_round([1], [], [])
         assert state.ids.tolist() == [10]
         state.verify_invariants()
 
@@ -141,15 +141,82 @@ class TestDropKeylessSlots:
         state = ring_with_idle_sybils()
         before = snapshot(state)
         with pytest.raises(RingError, match="out of range"):
-            state.commit_round([bad], {10: 1})
+            state.commit_round([bad], [10], [1])
         assert snapshot(state) == before
 
 
+def view_over(state: RingState, n_owners: int) -> SimView:
+    """A SimView with an open round over a hand-built ring: owners
+    ``0 .. n_owners - 1`` are in the network, each with the Sybil count
+    the ring holds and room for many more."""
+    config = SimulationConfig(
+        n_nodes=n_owners, n_tasks=10, bits=state.space.bits, max_sybils=64,
+    )
+    owners = OwnerRegistry(config, np.random.default_rng(0))
+    owners.n_sybils[:n_owners] = np.bincount(
+        state.owner[~state.is_main], minlength=n_owners
+    )
+    view = SimView(config, state, owners, np.random.default_rng(0))
+    view.begin_round()
+    view._open_round()
+    return view
+
+
+def spy_commits(state: RingState) -> list[tuple]:
+    """Record each ``commit_round`` call on ``state`` as ``(dropped
+    positions, {ident: owner}, {ident: mask} of the keyed joins,
+    {base slot: keyed idents})``, then commit."""
+    commits: list[tuple] = []
+    commit_round = state.commit_round
+
+    def spy(dead, ids, owners, keyed=None):
+        keyed = keyed or {}
+        commits.append((
+            list(dead),
+            dict(zip(ids, owners)),
+            {ids[j]: mask for joins in keyed.values() for j, mask in joins},
+            {base: [ids[j] for j, _ in joins]
+             for base, joins in keyed.items()},
+        ))
+        commit_round(dead, ids, owners, keyed)
+
+    state.commit_round = spy
+    return commits
+
+
+def play_round(state: RingState, n_owners: int, actions) -> tuple:
+    """Play one SimView round over ``state`` and end it.  An action is
+    ``("join", ident, owner)`` — placed by ``_probe`` and joined by
+    ``_join_sybil``, skipped when the id is taken — or ``("retire",
+    owner)`` through ``retire_sybils``.  The round must commit once (or
+    not at all).  Returns, in the sequential oracle's terms, the dropped
+    round-start positions, the joined Sybils (ident -> owner) in join
+    order, and the commit the view made (see :func:`spy_commits`)."""
+    view = view_over(state, n_owners)
+    commits = spy_commits(state)
+    sybils: dict[int, int] = {}
+    for action in actions:
+        if action[0] == "join":
+            _, ident, owner = action
+            if not view._probe(ident):
+                view._join_sybil(owner, ident, view._probed)
+                sybils[ident] = owner
+        else:
+            view.retire_sybils(action[1])
+    dead = list(view._dropped)
+    view.end_round()
+    del state.commit_round
+    assert len(commits) == (1 if dead or sybils else 0)
+    return dead, sybils, commits[0] if commits else None
+
+
 def random_round(seed: int):
-    """A seeded ring with keyed and keyless Sybils, plus one round:
-    some keyless slots to drop and Sybils to insert — fresh ids, ids
-    inside dropped arcs, reused dropped ids, several per arc, and ids
-    in slot 0's wrapping arc."""
+    """A seeded ring with keyed and keyless Sybils, plus one round's
+    actions in a shuffled order: owners whose Sybils are all keyless
+    retire them, and Sybils join at fresh ids, ids inside retired arcs,
+    reused retired ids, several per arc, and ids in slot 0's wrapping
+    arc.  An owner never joins before its own retirement (that commits
+    the round early, which the one-commit oracle does not model)."""
     rng = np.random.default_rng(seed)
     space = IdSpace(10)
     n_main = int(rng.integers(1, 8))
@@ -168,97 +235,127 @@ def random_round(seed: int):
     for slot in range(state.n_slots):
         if rng.random() < 0.5:
             state.consume_at(np.array([slot]), state.counts[[slot]].copy())
-    keyless = np.flatnonzero(state.counts == 0).tolist()
-    dead = [p for p in keyless if rng.random() < 0.6][: state.n_slots - 1]
     ids = state.ids.tolist()
-    survivors = set(ids) - {ids[p] for p in dead}
-    sybils: dict[int, int] = {}
+    live = state.n_slots
+    retiring: list[int] = []
+    for owner in range(n_main):
+        slots = np.flatnonzero((state.owner == owner) & ~state.is_main)
+        if (
+            slots.size and not state.counts[slots].any()
+            and live > slots.size and rng.random() < 0.6
+        ):
+            retiring.append(owner)
+            live -= slots.size
+    retired = [ids[p] for p in np.flatnonzero(
+        np.isin(state.owner, retiring) & ~state.is_main
+    ).tolist()]
     candidates = [int(x) for x in rng.integers(0, space.size, size=12)]
-    for p in dead:
-        # the dropped id itself, and an id inside its arc
-        candidates += [ids[p], (ids[p] - 1) % space.size]
+    for ident in retired:
+        # the retired id itself, and an id inside its arc
+        candidates += [ident, (ident - 1) % space.size]
     # slot 0's wrapping arc, on both sides of zero
     candidates += [space.size - 1, 0, (ids[-1] + 1) % space.size]
-    for ident in candidates:
-        if ident not in survivors and rng.random() < 0.7:
-            sybils[ident] = int(rng.integers(0, n_main + 3))
-    return state, dead, sybils, n_main + 3
+    actions: list[tuple] = [("retire", owner) for owner in retiring]
+    actions += [("join", ident) for ident in candidates
+                if rng.random() < 0.7]
+    order = rng.permutation(len(actions)).tolist()
+    done: set[int] = set()
+    n_owners = n_main + 3
+    played = []
+    for i in order:
+        action = actions[i]
+        if action[0] == "retire":
+            done.add(action[1])
+            played.append(action)
+            continue
+        owner = int(rng.integers(0, n_owners))
+        if owner in retiring and owner not in done:
+            owner = n_main  # an owner with no slot of its own
+        played.append(("join", action[1], owner))
+    return state, played, n_owners
+
+
+def ring_with_one_live_slot() -> RingState:
+    """Main 100 with every key (one at its own id) but 101, which owner
+    1's Sybil 101 took and consumed; its other Sybil, 102, took none."""
+    space = IdSpace(8)
+    keys = np.array([0, 10, 99, 100, 101, 180, 255], dtype=np.uint64)
+    state = RingState.build(
+        space, np.array([100], dtype=np.uint64),
+        np.zeros(1, dtype=np.int64), keys, np.random.default_rng(3),
+    )
+    state.insert_slot(101, 1, is_main=False)  # takes key 101
+    state.insert_slot(102, 1, is_main=False)  # takes nothing
+    slot = positions(state, (101,))[0]
+    state.consume_at(np.array([slot]), state.counts[[slot]].copy())
+    return state
 
 
 class TestCommitRound:
+    """Each round is played on a real SimView and committed by its
+    ``end_round``; the sequential oracle replays the same drops and
+    joins one ``remove_slot`` / ``insert_slot`` at a time."""
+
+    def check(self, build, n_owners, actions) -> tuple:
+        one, ref = build(), build()
+        one.slots_of_owner(0)  # a warm index must be invalidated
+        dead, sybils, commit = play_round(one, n_owners, actions)
+        sequential(ref, dead, sybils, list(sybils))
+        assert_same_ring(one, ref, n_owners)
+        return one, dead, sybils, commit
+
     @pytest.mark.parametrize("seed", range(40))
     def test_equals_sequential_calls(self, seed):
-        one, dead, sybils, n_owners = random_round(seed)
-        ref, _, _, _ = random_round(seed)
-        order = list(sybils)
-        np.random.default_rng(seed).shuffle(order)
-        one.slots_of_owner(0)  # a warm index must be invalidated
-        one.commit_round(dead, sybils)
-        sequential(ref, dead, sybils, order)
-        assert_same_ring(one, ref, n_owners)
+        _, actions, n_owners = random_round(seed)
+        self.check(lambda: random_round(seed)[0], n_owners, actions)
 
     def test_reuses_an_id_retired_in_the_same_round(self):
-        one, ref = ring_with_idle_sybils(), ring_with_idle_sybils()
-        dead = positions(one, (75, 150))
-        sybils = {75: 2, 150: 1, 120: 0}
-        one.commit_round(dead, sybils)
-        sequential(ref, dead, sybils, [150, 120, 75])
-        assert_same_ring(one, ref, 3)
-        assert one.owner[positions(one, (75,))[0]] == 2
+        _, dead, _, commit = self.check(ring_with_idle_sybils, 3, [
+            ("retire", 0),  # drops 75 and 150
+            ("join", 150, 1), ("join", 120, 0), ("join", 75, 2),
+        ])
+        assert len(dead) == 2
+        assert commit[1] == {150: 1, 120: 0, 75: 2}
 
     def test_sybils_inside_a_retired_arc(self):
         # 240 is dropped: 210 and 230 fall in its (keyless) old arc, so
         # they split the arc of 30, its live successor, which wraps
-        one, ref = ring_with_idle_sybils(), ring_with_idle_sybils()
-        dead = positions(one, (240,))
-        sybils = {210: 0, 230: 1, 250: 2, 5: 0}
-        one.commit_round(dead, sybils)
-        sequential(ref, dead, sybils, [5, 230, 210, 250])
-        assert_same_ring(one, ref, 3)
-        assert sum(one.counts.tolist()) == sum(ref.counts.tolist())
+        _, dead, sybils, commit = self.check(ring_with_idle_sybils, 3, [
+            ("retire", 2),
+            ("join", 5, 0), ("join", 230, 1), ("join", 210, 0),
+            ("join", 250, 2),
+        ])
+        assert dead == positions(ring_with_idle_sybils(), (240,))
+        assert list(sybils) == [5, 230, 210, 250]
+        # 5 takes 30's keys past zero; 210 and 230 take none
+        assert set(commit[2]) <= {5, 250}
 
     def test_several_sybils_in_one_arc(self):
-        one, ref = ring_with_idle_sybils(), ring_with_idle_sybils()
-        sybils = {160: 1, 180: 2, 190: 0, 199: 1}
-        one.commit_round([], sybils)
-        sequential(ref, [], sybils, [199, 160, 190, 180])
-        assert_same_ring(one, ref, 3)
-        assert one.counts[positions(one, tuple(sybils))].sum() > 0
+        # each later join takes part of an earlier new Sybil's keys
+        _, _, _, commit = self.check(ring_with_idle_sybils, 3, [
+            ("join", 199, 1), ("join", 160, 1), ("join", 190, 0),
+            ("join", 180, 2),
+        ])
+        base = positions(ring_with_idle_sybils(), (200,))[0]
+        assert len(commit[3][base]) > 1
 
     def test_ring_left_with_one_slot_splits_the_full_circle(self):
-        def ring() -> RingState:
-            space = IdSpace(8)
-            # keys all round the circle, one at the survivor's own id
-            keys = np.array([0, 10, 99, 100, 101, 180, 255], dtype=np.uint64)
-            state = RingState.build(
-                space, np.array([100], dtype=np.uint64),
-                np.zeros(1, dtype=np.int64), keys, np.random.default_rng(3),
-            )
-            state.insert_slot(101, 1, is_main=False)  # takes key 101
-            state.insert_slot(102, 1, is_main=False)  # takes nothing
-            slot = positions(state, (101,))[0]
-            state.consume_at(np.array([slot]), state.counts[[slot]].copy())
-            return state
-
-        one, ref = ring(), ring()
-        dead = positions(one, (101, 102))
         # the lone survivor (100) owns the full circle; one Sybil reuses
         # a dropped id, one sits on each side of zero
-        sybils = {101: 1, 200: 1, 5: 0, 250: 0}
-        one.commit_round(dead, sybils)
-        sequential(ref, dead, sybils, [200, 5, 250, 101])
-        assert_same_ring(one, ref, 2)
+        one, _, _, _ = self.check(ring_with_one_live_slot, 2, [
+            ("retire", 1),  # drops 101 and 102
+            ("join", 200, 1), ("join", 5, 0), ("join", 250, 0),
+            ("join", 101, 1),
+        ])
         assert one.remaining_keys(positions(one, (100,))[0]).tolist() == [
             10, 99, 100,
         ]
         assert one.remaining_keys(positions(one, (5,))[0]).tolist() == [0, 255]
 
     def test_only_inserts(self):
-        one, ref = ring_with_idle_sybils(), ring_with_idle_sybils()
-        sybils = {10: 0, 60: 1, 255: 2}
-        one.commit_round([], sybils)
-        sequential(ref, [], sybils, [255, 10, 60])
-        assert_same_ring(one, ref, 3)
+        self.check(ring_with_idle_sybils, 3, [
+            ("join", 255, 2), ("join", 10, 0), ("join", 60, 1),
+        ])
 
     @pytest.mark.parametrize(
         "sybils,match",
@@ -276,7 +373,9 @@ class TestCommitRound:
         before = snapshot(state)
         with pytest.raises(IdSpaceError, match=match):
             # 75 is dropped in this round, so only 30 and 100 collide
-            state.commit_round(positions(state, (75,)), sybils)
+            state.commit_round(
+                positions(state, (75,)), list(sybils), list(sybils.values())
+            )
         assert snapshot(state) == before
         state.verify_invariants()
 
@@ -300,111 +399,77 @@ def test_round_overlay_never_drops_the_last_base_slot():
     owners.n_sybils[:2] = 1
     view = SimView(config, state, owners, np.random.default_rng(0))
     view.begin_round()
-    commits = []
-    commit_round = state.commit_round
-
-    def spy(dead, sybils, taken=None):
-        commits.append((list(dead), dict(sybils)))
-        commit_round(dead, sybils, taken)
-
-    state.commit_round = spy
+    commits = spy_commits(state)
     view._open_round()
     assert view._join_sybil(2, 50, 1) == 0  # between 10 and 90
     assert view.retire_sybils(0) == 1
     assert commits == [] and state.ids.tolist() == [10, 90]  # deferred
     assert view.retire_sybils(1) == 1
-    assert commits == [([0], {50: 2})]
+    assert commits == [([0], {50: 2}, {}, {})]
     assert state.ids.tolist() == [50]
     view.end_round()
     state.verify_invariants()
     assert owners.n_sybils[:3].tolist() == [0, 0, 1]
 
 
-def sim_view(state: RingState, n_sybils: list[int]) -> SimView:
-    """A SimView over a hand-built ring whose owners 0.. are in the
-    network with the given Sybil counts."""
-    config = SimulationConfig(n_nodes=len(n_sybils), n_tasks=10, bits=8)
-    owners = OwnerRegistry(config, np.random.default_rng(0))
-    owners.in_network[: len(n_sybils)] = True
-    owners.n_sybils[: len(n_sybils)] = n_sybils
-    view = SimView(config, state, owners, np.random.default_rng(0))
-    view.begin_round()
-    view._open_round()
-    return view
-
-
 def join(view: SimView, owner: int, ident: int) -> int:
-    return view._join_sybil(owner, ident, bisect_left(view._ids, ident))
+    assert not view._probe(ident)
+    return view._join_sybil(owner, ident, view._probed)
 
 
 class TestMaskReuse:
-    """A Sybil that takes keys keeps its insert-time selection mask, and
-    ``commit_round`` splits an arc that got that Sybil as its only new
-    identity with it; each case must equal the commit that recomputes
-    every split by ``_split_arc``'s own compare."""
+    """A Sybil that takes keys keeps its join-time selection mask, and
+    ``commit_round`` splits only the arcs that keyed Sybils joined, by
+    those masks: a key goes to the last Sybil whose mask selected it.
+    Each case must equal the sequential oracle."""
 
-    def commit(self, view, build, monkeypatch):
-        """End the view's round, recording each split; the same round,
-        committed without masks on a fresh ring from ``build``, must
-        leave the same ring.  Returns ``(idents, mask_used)`` per split
-        and the masks the round handed over."""
+    def commit(self, view, build):
+        """End the view's round; the sequential oracle on a fresh ring
+        from ``build`` must leave the same ring.  Returns the masks the
+        round handed over and its keyed idents per arc."""
         state = view._state
-        handed: list[dict] = []
-        commit_round = state.commit_round
-
-        def spy(dead, sybils, taken=None):
-            handed.append((list(dead), dict(sybils), dict(taken or {})))
-            commit_round(dead, sybils, taken)
-
-        state.commit_round = spy
-        splits = []
-        split_arc = state_module._split_arc
-
-        def record(remaining, pred_id, idents, size, taken=None):
-            splits.append((tuple(idents), taken is not None))
-            return split_arc(remaining, pred_id, idents, size, taken)
-
-        monkeypatch.setattr(state_module, "_split_arc", record)
+        commits = spy_commits(state)
         view.end_round()
-        ours = list(splits)
-        (dead, sybils, masks), = handed
+        (dead, sybils, masks, arcs), = commits
         ref = build()
-        ref.commit_round(dead, sybils)
+        sequential(ref, dead, sybils, list(sybils))
         assert snapshot(state) == snapshot(ref)
         state.verify_invariants()
-        return ours, masks
+        return masks, sorted(arcs.values())
 
-    def test_lone_sybils_reuse_their_masks(self, monkeypatch):
-        view = sim_view(ring_with_idle_sybils(), [2, 1, 1])
+    def test_lone_sybils_reuse_their_masks(self):
+        view = view_over(ring_with_idle_sybils(), 3)
         # 80 lands in 100's arc after 75, 190 in 200's after 150; owner
         # 0 then retires 75 and 150, which leaves both masks valid
         assert join(view, 1, 80) > 0
         assert join(view, 2, 190) > 0
         assert view.retire_sybils(0) == 2
-        splits, masks = self.commit(view, ring_with_idle_sybils, monkeypatch)
+        masks, arcs = self.commit(view, ring_with_idle_sybils)
         assert sorted(masks) == [80, 190]
-        assert sorted(splits) == [((80,), True), ((190,), True)]
+        assert arcs == [[80], [190]]
 
-    def test_second_sybil_before_the_first_is_not_reused(self, monkeypatch):
-        view = sim_view(ring_with_idle_sybils(), [2, 1, 1])
+    def test_second_sybil_before_the_first_is_not_reused(self):
+        view = view_over(ring_with_idle_sybils(), 3)
         assert join(view, 1, 190) > 0
-        join(view, 2, 160)  # takes part of what 190's mask selected
-        splits, masks = self.commit(view, ring_with_idle_sybils, monkeypatch)
-        assert 190 in masks
-        assert splits == [((160, 190), False)]
+        # 160 takes part of what 190's mask selected: 190 keeps only
+        # what 160's mask did not select
+        assert join(view, 2, 160) > 0
+        masks, arcs = self.commit(view, ring_with_idle_sybils)
+        assert sorted(masks) == [160, 190]
+        assert arcs == [[190, 160]]
+        assert (masks[160] & masks[190]).any()
 
-    def test_sybil_in_an_arc_retired_this_round(self, monkeypatch):
-        view = sim_view(ring_with_idle_sybils(), [2, 1, 1])
+    def test_sybil_in_an_arc_retired_this_round(self):
+        view = view_over(ring_with_idle_sybils(), 3)
         assert view.retire_sybils(2) == 1  # drops the keyless 240
-        # 230 lands in 240's old (keyless) arc: it splits 30's arc at
-        # commit, and takes nothing
+        # 230 lands in 240's old (keyless) arc: it takes nothing, at its
+        # join or at the commit, so no arc is split
         assert join(view, 0, 230) == 0
-        splits, masks = self.commit(view, ring_with_idle_sybils, monkeypatch)
-        assert masks == {}
-        assert splits == [((230,), False)]
+        masks, arcs = self.commit(view, ring_with_idle_sybils)
+        assert masks == {} and arcs == []
 
     @pytest.mark.parametrize("n_slots", [1, 2])
-    def test_full_circle_arc(self, n_slots, monkeypatch):
+    def test_full_circle_arc(self, n_slots):
         """The survivor of a 1-slot ring (or of a 2-slot ring whose
         other slot retires) owns the full circle, keys at its own id
         included; a lone Sybil's mask must leave those with it."""
@@ -420,13 +485,13 @@ class TestMaskReuse:
                 state.insert_slot(95, 1, is_main=False)  # takes nothing
             return state
 
-        view = sim_view(build(), [0, n_slots - 1])
+        view = view_over(build(), 2)
         if n_slots == 2:
             assert view.retire_sybils(1) == 1
         assert join(view, 0, 20) == 5  # 90's 99, 180, 255, 0 and 10
-        splits, masks = self.commit(view, build, monkeypatch)
+        masks, arcs = self.commit(view, build)
         assert sorted(masks) == [20]
-        assert splits == [((20,), True)]
+        assert arcs == [[20]]
         state = view._state
         assert state.ids.tolist() == [20, 90]
         assert sorted(state.remaining_keys(1).tolist()) == [90]

@@ -20,6 +20,7 @@ import pytest
 
 from repro.config import AdversaryModel, FailureModel, SimulationConfig
 from repro.hashspace.idspace import IdSpace
+from repro.sim.arcops import arc_mask
 from repro.sim.engine import TickEngine
 from repro.sim.kernels import consume_grouped, consume_grouped_reference
 from repro.sim.state import RingState
@@ -156,12 +157,23 @@ class TestCachedRemaining:
         dead = np.flatnonzero(state.counts == 0)[:3].tolist()
         if len(dead) == state.n_slots:
             dead = dead[:-1]
-        fresh = [
-            i for i in rng.integers(0, SPACE.size, 20).tolist()
-            if not state.id_exists(i)
-        ]
-        state.commit_round(dead, dict.fromkeys(fresh, 0))
+        # one fresh Sybil per arc, each with the mask of what it takes
+        fresh: list[int] = []
+        keyed: dict[int, list] = {}
+        for ident in rng.integers(0, SPACE.size, 20).tolist():
+            slot = state.find_slot(ident)
+            if state.id_exists(ident) or slot in keyed or slot in dead:
+                continue
+            taken = arc_mask(
+                state.remaining_keys(slot), state.pred_id(slot), ident,
+                SPACE.size,
+            )
+            keyed[slot] = [(len(fresh), taken)]
+            fresh.append(ident)
+        assert any(taken.any() for (_, taken), in keyed.values())
+        state.commit_round(dead, fresh, [0] * len(fresh), keyed)
         self.check(state)
+        state.verify_invariants()
         removal = state.begin_batch_removal()
         removal.remove_owner_guarded(2)
         insertion = state.begin_batch_insertion(removal)

@@ -175,8 +175,11 @@ def host_windows(sim) -> list:
 # spelled out, and the load queries the counted windows sent.  Re-pinned
 # when each host got its own view: an owner is now interned per view
 # (1, 2, ... in the order that view met the hosts), and a gap is the
-# distance between consecutive ids of the successor list.
-WINDOWS_DIGEST = "71026cb9e947227f"
+# distance between consecutive ids of the successor list.  Re-pinned
+# again when ``ChordRing.converge`` began to wait for complete successor
+# lists: the first host's list now names 404279440, so 770692085's gap
+# is its own arc, and the longer windows send more load queries.
+WINDOWS_DIGEST = "beaef1e74897168f"
 FIRST_HOST_WINDOWS = {
     1: (
         ([3733325604], [1], [247940140], [17]),
@@ -184,20 +187,26 @@ FIRST_HOST_WINDOWS = {
     ),
     20: (
         (
-            [3733325604, 169217806, 367860371, 770692085],
-            [1, 3, 4, 5],
-            [247940140, 730859498, 198642565, 402831714],
-            [17, 50, 14, 22],
+            [3733325604, 169217806, 367860371, 404279440, 770692085],
+            [1, 3, 4, 7, 8],
+            [247940140, 730859498, 198642565, 36419069, 366412645],
+            [17, 50, 14, 4, 22],
         ),
-        ([3441447623], [2]),
+        (
+            [3441447623, 2500366905, 1860266043, 1426794759, 1017093381],
+            [2, 5, 6, 9, 10],
+        ),
     ),
 }
-WINDOW_QUERIES = 93
+WINDOW_QUERIES = 108
 
 # Whole results of short protocol runs (16 hosts, 400 tasks, seed 5):
 # the result dict, whose network_messages is network.total_messages()
 # at the end.  Re-pinned when every host began to decide through its
-# own view, in a shuffled host order drawn from the simulation's rng.
+# own view, in a shuffled host order drawn from the simulation's rng;
+# network_messages re-pinned when converge began to wait for complete
+# successor lists (more maintenance rounds at build; no other field
+# moved).
 _RUN_COMMON = {
     "churn_joins": 0, "churn_leaves": 0, "invitations_sent": 0,
     "invitations_refused": 0, "relocations": 0, "ideal_ticks": 25.0,
@@ -210,26 +219,26 @@ PINNED_RUNS = {
         **_RUN_COMMON, "decision_rounds": 7, "sybils_created": 47,
         "sybils_retired": 31, "tasks_acquired": 166, "messages": 0,
         "actions_skipped": 0, "runtime_ticks": 39, "runtime_factor": 1.56,
-        "strategy_messages": 0, "network_messages": 17102,
+        "strategy_messages": 0, "network_messages": 17283,
     },
     "smart_neighbor_injection": {
         **_RUN_COMMON, "decision_rounds": 7, "sybils_created": 23,
         "sybils_retired": 21, "tasks_acquired": 163, "messages": 185,
         "actions_skipped": 21, "runtime_ticks": 35, "runtime_factor": 1.4,
-        "strategy_messages": 185, "network_messages": 14741,
+        "strategy_messages": 185, "network_messages": 14985,
     },
     "smart_neighbor_injection-avoid": {
         **_RUN_COMMON, "decision_rounds": 7, "sybils_created": 23,
         "sybils_retired": 21, "tasks_acquired": 163, "messages": 181,
         "actions_skipped": 21, "runtime_ticks": 35, "runtime_factor": 1.4,
-        "strategy_messages": 181, "network_messages": 14794,
+        "strategy_messages": 181, "network_messages": 15038,
     },
     "invitation": {
         **_RUN_COMMON, "decision_rounds": 8, "sybils_created": 6,
         "sybils_retired": 0, "tasks_acquired": 103, "messages": 55,
         "invitations_sent": 11, "invitations_refused": 5,
         "actions_skipped": 0, "runtime_ticks": 43, "runtime_factor": 1.72,
-        "strategy_messages": 55, "network_messages": 15543,
+        "strategy_messages": 55, "network_messages": 15843,
     },
 }
 
@@ -258,6 +267,26 @@ class TestProtocolView:
         for k, (succ, pred) in FIRST_HOST_WINDOWS.items():
             assert view.successor_window(slot, k, counts=True) == succ
             assert view.predecessor_window(slot, k) == pred
+
+    def test_converged_lists_skip_no_live_node(self):
+        """A converged ring's successor lists name the next live ids:
+        host 3485385464's once skipped 404279440, and its window then
+        credited 770692085 with 402,831,714 ids instead of its arc."""
+        sim = protocol_sim()
+        ring = sim.ring
+        assert ring.successor_lists_complete()
+        alive = ring.network.alive_ids()
+        for i, ident in enumerate(alive):
+            node = ring.network.node(ident)
+            assert node.successor_list == [
+                alive[(i + k) % len(alive)]
+                for k in range(1, min(node.n_successors, len(alive) - 1) + 1)
+            ]
+        host = sim.hosts[0]
+        assert host.main.id == 3485385464
+        slots, _, gaps = host.view.successor_window(host.main.id, 5)
+        assert slots[3:] == [404279440, 770692085]
+        assert gaps[4] == 770692085 - 404279440 == 366412645
 
     @pytest.mark.parametrize("name", sorted(PINNED_RUNS))
     def test_runs_pinned(self, name):
