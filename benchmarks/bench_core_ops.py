@@ -181,20 +181,23 @@ def _run_churn_storm_naive(state, script):
 
 def _run_churn_storm_slab(state, script):
     """The engine's churn tick: the joiners' ids are tested against the
-    ring the departures leave in one vectorized call, and the joins'
-    batch insertion is begun on the open removal and commits both in
-    one slab pass."""
+    ring the departures leave in one vectorized call, and the joins go,
+    as arrays, to a batch insertion begun on the open removal that
+    commits both in one slab pass."""
     for leavers, join_ids, joiners in script:
         removal = state.begin_batch_removal(leavers)
         for owner in leavers:
             removal.remove_owner_guarded(owner)
         taken = removal.ids_exist(np.array(join_ids, dtype=np.uint64))
-        insertion = state.begin_batch_insertion(removal)
         seen = set()
+        ids, owners = [], []
         for ident, owner, hit in zip(join_ids, joiners, taken.tolist()):
             if not hit and ident not in seen:
                 seen.add(ident)
-                insertion.add(ident, owner, is_main=True)
+                ids.append(ident)
+                owners.append(owner)
+        insertion = state.begin_batch_insertion(removal)
+        insertion.add(ids, owners, is_main=True)
         insertion.commit()
         removal.commit()
 
@@ -327,18 +330,16 @@ def _sybil_laden_engine(n_slots):
     )
     engine = TickEngine(config)
     rng = np.random.default_rng(99)
-    insertion = engine.state.begin_batch_insertion()
-    injected = 0
-    owner = 0
-    while injected < n_slots - n_nodes:
+    ids: dict[int, None] = {}  # drawn order, without repeats
+    while len(ids) < n_slots - n_nodes:
         ident = int(rng.integers(0, SPACE_64.size, dtype=np.uint64))
-        if insertion.id_exists(ident):
-            continue
-        insertion.add(ident, owner, is_main=False)
-        engine.owners.register_sybil(owner)
-        injected += 1
-        owner += 1
+        if ident not in ids and not engine.state.id_exists(ident):
+            ids[ident] = None
+    insertion = engine.state.begin_batch_insertion()
+    insertion.add(list(ids), range(len(ids)), is_main=False)
     insertion.commit()
+    for owner in range(len(ids)):  # one Sybil for each of the first owners
+        engine.owners.register_sybil(owner)
     assert engine.state.n_slots == n_slots
     return engine
 

@@ -21,7 +21,8 @@ current file holds ``test_round_commit``, its speedup over replaying
 the same strategy round one slot at a time is printed and gated at
 ``MIN_ROUND_COMMIT_SPEEDUP``.  Like the tick-engine speedup below these
 are within-run ratios, so they hold on a runner whose clock differs
-from the baseline's.
+from the baseline's.  Every ratio is printed before the check fails,
+and the failure lists every gate that failed.
 
 The tick-engine suite gets the same treatment: when the current file
 holds ``test_tick_engine[...]`` results, the reference-vs-numpy kernel
@@ -151,18 +152,17 @@ def main(argv: list[str] | None = None) -> int:
     for name in sorted(set(cur) - set(base)):
         print(f"+ {name}: new benchmark (skipped)")
 
+    # every ratio is printed before any gate fails the check
+    failures: list[str] = []
     for label, bench, key, required in PAIRED_SPEEDUPS:
         speedup = recorded_speedup(args.current, bench, key)
         if speedup is None:
             continue
         print(f"\n{label}: {speedup:.2f}x")
         if speedup < required:
-            print(
-                f"\nFAIL: {label} {speedup:.2f}x < required "
-                f"{required:.2f}x",
-                file=sys.stderr,
+            failures.append(
+                f"{label} {speedup:.2f}x < required {required:.2f}x"
             )
-            return 1
 
     tick = tick_engine_speedups(cur)
     for n_slots, ratio in tick.items():
@@ -172,30 +172,31 @@ def main(argv: list[str] | None = None) -> int:
         )
     if args.require_tick_speedup is not None:
         if not tick:
-            print(
-                "\nFAIL: --require-tick-speedup given but the current "
-                "file has no tick-engine reference/numpy pair",
-                file=sys.stderr,
+            failures.append(
+                "--require-tick-speedup given but the current file has no "
+                "tick-engine reference/numpy pair"
             )
-            return 1
-        largest = max(tick)
-        if tick[largest] < args.require_tick_speedup:
-            print(
-                f"\nFAIL: tick-engine speedup at {largest} slots is "
-                f"{tick[largest]:.2f}x < required "
-                f"{args.require_tick_speedup:.2f}x",
-                file=sys.stderr,
-            )
-            return 1
+        else:
+            largest = max(tick)
+            if tick[largest] < args.require_tick_speedup:
+                failures.append(
+                    f"tick-engine speedup at {largest} slots is "
+                    f"{tick[largest]:.2f}x < required "
+                    f"{args.require_tick_speedup:.2f}x"
+                )
 
     if regressions:
-        print(
-            f"\nFAIL: {len(regressions)} benchmark(s) regressed more than "
-            f"{args.threshold:.0%} ({args.stat}):",
-            file=sys.stderr,
+        failures.append(
+            f"{len(regressions)} benchmark(s) regressed more than "
+            f"{args.threshold:.0%} ({args.stat}):"
+            + "".join(
+                f"\n  {name}: {ratio:.2f}x baseline"
+                for name, ratio in regressions
+            )
         )
-        for name, ratio in regressions:
-            print(f"  {name}: {ratio:.2f}x baseline", file=sys.stderr)
+    if failures:
+        for failure in failures:
+            print(f"\nFAIL: {failure}", file=sys.stderr)
         return 1
     print(f"\nOK: no benchmark regressed more than {args.threshold:.0%}")
     return 0

@@ -285,11 +285,14 @@ class TickEngine:
         that merges their keys at stable positions; the joins' ids come
         from one sized generator draw; a
         :class:`~repro.sim.state.BatchInsertion` begun on the open
-        removal splits the joiners' arcs and applies departures and
-        joins together.  Key movements and RNG draws replay the
-        sequential per-node order exactly, so seeded runs are
-        bit-identical to the historical one-``np.insert``/``np.delete``-
-        per-event loop while doing O(n + events) structural work.
+        removal takes every joiner at once, as arrays in join order —
+        one sort, one placement among the live slots, one split per arc
+        — and applies departures and joins together, and the registry
+        books the joins in one write.  Merges and RNG draws replay the
+        sequential per-node order exactly, and a split draws nothing, so
+        seeded runs are bit-identical to the historical
+        one-``np.insert``/``np.delete``-per-event loop while doing
+        O(n + events) structural work.
 
         ``prof`` (observed runs only) times the ``churn.depart``,
         ``churn.join`` and ``churn.commit`` sub-phases.
@@ -392,21 +395,24 @@ class TickEngine:
     def _commit_joins(
         self, removal, joining: np.ndarray, idents: list[int]
     ) -> None:
-        """Insert the joiners at their drawn ids and commit the tick."""
-        tracing = self._tracing
-        counters = self.counters
+        """Insert the joiners at their drawn ids and commit the tick: the
+        ring takes every join as one batch, and the registry books them
+        in one write."""
         insertion = self.state.begin_batch_insertion(removal)
-        for owner, ident in zip(joining.tolist(), idents):
-            acquired = insertion.add(ident, owner, is_main=True)
-            counters["churn_keys_moved"] += acquired
-            self.owners.join_network(owner, ident)
-            counters["churn_joins"] += 1
-            if tracing:
-                self._emit("churn_join", owner=owner, ident=ident,
-                           acquired=acquired)
+        moved = insertion.add(idents, joining, is_main=True)
         insertion.commit()
         if removal is not None:
             removal.commit()
+        self.owners.join_network(joining, idents)
+        counters = self.counters
+        counters["churn_keys_moved"] += moved
+        counters["churn_joins"] += len(idents)
+        if self._tracing:
+            for owner, ident, acquired in zip(
+                joining.tolist(), idents, insertion.acquired
+            ):
+                self._emit("churn_join", owner=owner, ident=ident,
+                           acquired=acquired)
 
     def _apply_arrivals(self) -> None:
         """Streaming-arrival extension: new tasks trickle in each tick."""

@@ -263,13 +263,19 @@ class OwnerRegistry:
         self._honest_network_cache = None
         self._honest_waiting_cache = None
 
-    def join_network(self, owner: int, main_id: int) -> None:
-        """Move a waiting owner into the network with a fresh main id."""
-        if self.in_network[owner]:
+    def join_network(self, owner, main_id) -> None:
+        """Move waiting owners into the network with fresh main ids.
+
+        ``owner`` is one index or an array of distinct indices, and
+        ``main_id`` the id (or ids, aligned) each joins with: a churn
+        tick books all its joins in one write.  Raises before booking
+        any if one is already in the network.
+        """
+        if self.in_network[owner].any():
             raise SimulationError(f"owner {owner} is already in the network")
         self.in_network[owner] = True
         self.n_sybils[owner] = 0
-        self.main_id[owner] = np.uint64(main_id)
+        self.main_id[owner] = main_id
         self._network_cache = None
         self._waiting_cache = None
         self._honest_network_cache = None

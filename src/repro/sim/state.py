@@ -40,16 +40,19 @@ the top bits of the id space finds each key's slot, and a stable radix
 sort on the slot index groups the keys (see :meth:`RingState.build`).
 
 Bulk structure changes go through :meth:`begin_batch_removal` /
-:meth:`begin_batch_insertion`, which replay the exact per-operation key
+:meth:`begin_batch_insertion`.  A removal replays the exact key
 movements (and therefore the exact RNG draw sequence) of the equivalent
-sequential ``remove_slot``/``insert_slot`` calls at stable slot
-positions, and restructure the slab once, at commit, in
-:meth:`RingState._restructure`: one pass that drops the dead slots and
-splices in the new ones.  A churn tick begins its insertion on the open
-removal, so its departures and joins share that one pass (with the
-radix build, the benchmark's 1000-node / 1M-task churn trials went from
-1.015 to 0.652 ms per churn-0.01 tick and from 0.282 to 0.199 ms per
-churn-0.001 tick, host-scaled, build included).  Seeded
+sequential ``remove_slot`` calls at stable slot positions.  An insertion
+takes a churn tick's joiners at once, as arrays: it sorts their ids,
+places them with one ``searchsorted`` and splits each arc they land in
+once; a split draws no randomness, so the layout equals sequential
+``insert_slot`` calls in any order.  Both restructure the slab once, at
+commit, in :meth:`RingState._restructure`: one pass that drops the dead
+slots and splices in the new ones.  A churn tick begins its insertion
+on the open removal, so its departures and joins share that one pass
+(with the radix build, the benchmark's 1000-node / 1M-task churn
+trials went from 1.015 to 0.652 ms per churn-0.01 tick and from 0.282
+to 0.199 ms per churn-0.001 tick, host-scaled, build included).  Seeded
 trajectories are bit-identical to the sequential path; the structural
 cost drops from O(events × n) array rebuilds to O(n + events) per tick.
 A strategy round commits through :meth:`commit_round`: its retired
@@ -75,6 +78,7 @@ from repro.errors import IdSpaceError, RingError
 from repro.hashspace.idspace import IdSpace
 from repro.sim.arcops import (
     arc_lengths,
+    arc_mask,
     bucket_responsible_slots,
     group_by_slot,
     in_arc_mask,
@@ -183,48 +187,49 @@ def _ids_present(
     return hit
 
 
-def _split_arc(
-    remaining: np.ndarray,
-    pred_id: int,
-    idents: list[int],
-    size: int,
-    taken: np.ndarray | None = None,
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Partition an arc's remaining keys among new identities inside it.
+def _sorted_ids(space: IdSpace, idents) -> tuple[np.ndarray, np.ndarray]:
+    """``idents`` as a sorted ``uint64`` array, and the order that sorts
+    them; raises :class:`IdSpaceError` if one is outside ``space``."""
+    try:
+        new = np.array(idents, dtype=_U64)
+    except OverflowError:  # a negative id
+        for ident in idents:
+            space.validate(ident)  # raises
+        raise
+    order = new.argsort()
+    new = new[order]
+    if new.size and new.item(-1) >= space.size:
+        space.validate(new.item(-1))  # raises
+    return new, order
 
-    ``remaining`` holds the keys of the arc ``(pred_id, slot]``, in
-    storage order; ``idents`` are the new identities in the arc.  Each
-    key goes to the first identity at or past it, clockwise, and stays
-    with the slot past the last — as sequential
-    :meth:`RingState.insert_slot` splits leave it.  Returns the keys of
-    each identity (aligned with ``idents``) and of the slot, all in
-    storage order.  ``taken`` is a lone identity's selection mask, when
-    already known.
+
+def _join_masks(
+    rest: np.ndarray,
+    pred_id: int,
+    run: list[int],
+    idents: list[int],
+    when: list[int],
+    size: int,
+) -> list[tuple[int, np.ndarray]]:
+    """What each of an arc's joiners took from the arc's remaining keys
+    ``rest`` when it joined, as ``(join index, mask)`` in join order.
+
+    ``run`` lists the joiners (indices into the sorted ids ``idents``)
+    clockwise from ``pred_id``, the arc's start, and ``when[j]`` is
+    joiner ``j``'s place in join order.  A joiner took the keys past its
+    nearest earlier-joined predecessor in the arc, as sequential
+    :meth:`RingState.insert_slot` calls would.
     """
-    if len(idents) == 1 and taken is not None:
-        return [remaining.compress(taken)], remaining.compress(~taken)
-    # offsets past pred_id + 1: a key at pred_id itself (the slot's own
-    # id on a full-circle arc) wraps to the top and stays with the slot
-    rel = remaining - _U64((pred_id + 1) % size)
-    if size < 1 << 64:
-        rel &= _U64(size - 1)
-    if len(idents) == 1:
-        taken = rel <= _U64((idents[0] - pred_id - 1) % size)
-        return [remaining.compress(taken)], remaining.compress(~taken)
-    bounds = [(p - pred_id - 1) % size for p in idents]
-    order = sorted(range(len(idents)), key=bounds.__getitem__)
-    # each key goes to the first boundary at-or-past its offset; past
-    # the last boundary it stays with the slot
-    tgt = np.array([bounds[i] for i in order], dtype=_U64).searchsorted(
-        rel, side="left"
-    )
-    grouped = remaining[np.argsort(tgt, kind="stable")]
-    parts: list[np.ndarray] = [_EMPTY_KEYS] * len(idents)
-    hi = 0
-    for i, n in zip(order, np.bincount(tgt, minlength=len(idents)).tolist()):
-        lo, hi = hi, hi + n
-        parts[i] = grouped[lo:hi]
-    return parts, grouped[hi:].copy()
+    masks: list[tuple[int, np.ndarray]] = []
+    joined: list[int] = []  # run positions joined so far, ascending
+    for c in sorted(range(len(run)), key=lambda c: when[run[c]]):
+        q = bisect.bisect_left(joined, c)
+        start = idents[run[joined[q - 1]]] if q else pred_id
+        masks.append(
+            (when[run[c]], arc_mask(rest, start, idents[run[c]], size))
+        )
+        joined.insert(q, c)
+    return masks
 
 
 class _Pending(NamedTuple):
@@ -232,7 +237,7 @@ class _Pending(NamedTuple):
     ``keys[j]`` holds slot ``j``'s ``counts[j]`` remaining keys, and
     ``at[j]`` is its insertion point among the ring's slots before the
     batch (``ids.searchsorted``), found once by the builder.  Each
-    column is an array, or a one-element list for a single insert."""
+    column is an array or a list."""
 
     ids: np.ndarray | list[int]
     owner: np.ndarray | list[int]
@@ -843,15 +848,14 @@ class RingState:
         if pos < self._n and ids.item(pos) == nid:
             raise IdSpaceError(f"identifier {new_id} already on the ring")
         succ = pos if pos < self._n else 0
-        parts, kept = _split_arc(
-            self.remaining_keys(succ), self.pred_id(succ), [nid],
-            self.space.size,
-        )
+        remaining = self.remaining_keys(succ)
+        mask = arc_mask(remaining, self.pred_id(succ), nid, self.space.size)
+        taken = remaining.compress(mask)
+        kept = remaining.compress(~mask)
         self.keys[succ] = kept
         self._counts_view[succ] = kept.size
         if provenance is None:
             provenance = PROV_HONEST if is_main else PROV_BENEVOLENT
-        taken = parts[0]
         self._restructure([], _Pending(
             [nid], [owner], [is_main], [taken.size], [provenance], [taken],
             [pos],
@@ -975,18 +979,8 @@ class RingState:
                 raise RingError("cannot drop a slot that holds remaining keys")
         pending = None
         if ids:
-            try:
-                new = np.array(ids, dtype=_U64)
-            except OverflowError:  # a negative id
-                for ident in ids:
-                    self.space.validate(ident)  # raises
-                raise
-            order = new.argsort()
-            new = new[order]
+            new, order = _sorted_ids(self.space, ids)
             m = new.size
-            top = new.item(m - 1)
-            if top >= self.space.size:
-                self.space.validate(top)  # raises
             at = self._ids_view.searchsorted(new)
             hit = at[self._ids_view.take(at, mode="clip") == new]
             if hit.size and np.setdiff1d(hit, drop).size:
@@ -1013,13 +1007,14 @@ class RingState:
         counts: np.ndarray,
         part_keys: list[np.ndarray],
     ) -> None:
-        """Split each arc :meth:`commit_round` names in ``keyed`` among
-        its keyed Sybils by their masks alone, writing each Sybil's keys
-        and count at its sorted position (``order`` sorts the new ids).
+        """Split each arc named in ``keyed`` among the new slots that
+        took keys from it — a strategy round's Sybils, a churn tick's
+        joiners — by their masks alone, writing each new slot's keys and
+        count at its sorted position (``order`` sorts the new ids).
 
-        A key goes to the last Sybil whose mask selected it — each join
+        A key goes to the last join whose mask selected it — each join
         took its keys from whoever held them — and stays with the slot
-        if none did: one compress per Sybil and one for the slot."""
+        if none did: one compress per join and one for the slot."""
         keys, slot_counts = self.keys, self._counts_view
         rank = order.argsort()
         for slot, joins in keyed.items():
@@ -1348,214 +1343,146 @@ class BatchRemoval:
 
 
 class BatchInsertion:
-    """Batched slot insertion with sequential-equivalent key partitioning.
+    """A churn tick's joins, placed together and split one arc at a time.
 
-    ``add`` resolves each new identity's predecessor/successor against
-    the *merged* view of the live ring plus already-pending insertions,
-    and partitions the successor's remaining keys exactly as a sequential
-    :meth:`RingState.insert_slot` would; :meth:`commit` splices all
-    pending slots into the slab in one pass.
-
-    Begun on an open :class:`BatchRemoval` (a churn tick's joins after
-    its departures), the batch resolves against the ring that removal
-    leaves — a slot queued for removal is not on it, and its id may be
-    drawn again — and its commit applies the removals and insertions
-    together in one :meth:`RingState._restructure` pass.  The result
-    equals committing the removal first and inserting afterwards.
+    :meth:`add` takes every joiner of the tick at once, as arrays in join
+    order, and resolves them against the ring the open
+    :class:`BatchRemoval` leaves (the ring as it is, without one): the
+    ids are sorted once and placed with one ``searchsorted`` among the
+    live slots, and each join's selection mask is taken in its arc.
+    :meth:`commit` splits each arc once by those masks, by the rule a
+    strategy round's commit uses (:meth:`RingState._split_keyed`), and
+    applies the removal's drops and the joins in one
+    :meth:`RingState._restructure` pass; ``removal.commit()`` afterwards
+    only closes the removal.  A split draws no randomness, so the final
+    layout equals sequential :meth:`RingState.insert_slot` calls in any
+    order, and :attr:`acquired` holds their per-join counts.
     """
 
     def __init__(self, state: RingState, removal: BatchRemoval | None = None):
         self._state = state
-        self._pend_ids: list[int] = []  # sorted
-        self._pend_set: set[int] = set()
-        # ident -> (owner, is_main, provenance)
-        self._records: dict[int, tuple[int, bool, int]] = {}
-        # live slot -> pending idents landing in its arc
-        self._by_slot: dict[int, list[int]] = {}
-        # live slot -> (pred_id, remaining-keys view) of its arc
-        self._arc: dict[int, tuple[int, np.ndarray]] = {}
-        # live slot -> mask of the keys its first pending identity takes
-        self._taken_mask: dict[int, np.ndarray] = {}
-        self._committed = False
-        # hot references — stable for the lifetime of the batch, since
-        # pending slots are only spliced into the slab at commit()
-        self._ids = state.ids
-        self._keys = state.keys
-        self._counts = state.counts
-        self._size = state.space.size
-        # uint64 arithmetic wraps mod 2**64 already when the space is the
-        # full 64 bits, so the reduce-mod-size masking can be skipped
-        self._mask = (
-            None if state.space.bits == 64 else _U64(state.space.max_id)
-        )
-        self._searchsorted = self._ids.searchsorted
         self._removal = removal
+        # alive flags of the pre-batch slots; None while every slot lives
         self._alive: bytearray | None = None
-        self._live = self._ids.size
         if removal is not None:
             if removal._committed or removal._sealed:
                 raise RingError("removal batch is already closed")
             removal._sealed = True
             if removal._dead:
                 self._alive = removal._alive
-                self._live = removal._live
+        self._pending: _Pending | None = None
+        # what the commit's split takes: each keyed arc's joins as (join
+        # index, mask) in join order, the order that sorts the new ids,
+        # and the pending counts and keys it fills in
+        self._split: tuple[
+            dict[int, list[tuple[int, np.ndarray]]], np.ndarray,
+            np.ndarray, list[np.ndarray],
+        ] | None = None
+        self._committed = False
+        #: keys each joiner took when it joined, in join order: those in
+        #: (its nearest earlier-joined predecessor, its id] — the count a
+        #: sequential ``insert_slot`` returns (set by :meth:`add`)
+        self.acquired: list[int] = []
 
-    def id_exists(self, ident: int) -> bool:
-        """Membership test over live plus pending identities."""
-        if ident in self._pend_set:
-            return True
-        ids = self._ids
-        # _U64 needle matters: a small python int infers int64 and makes
-        # searchsorted cast the whole uint64 array per call
-        pos = int(self._searchsorted(_U64(ident)))
-        return (
-            pos < ids.size
-            and int(ids[pos]) == ident
-            and (self._alive is None or bool(self._alive[pos]))
-        )
+    def add(self, idents, owners, *, is_main: bool) -> int:
+        """Queue the joins of identity ``idents[j]`` (a list of ints or a
+        ``uint64`` array) for owner ``owners[j]``, in join order; returns
+        the keys they take in total.  Once per batch.
 
-    def _successor(self, slot: int) -> int:
-        """The first live slot from ``slot`` on, clockwise."""
-        n = self._ids.size
-        alive = self._alive
-        while not alive[slot]:
-            slot = slot + 1 if slot + 1 < n else 0
-        return slot
-
-    def _pred_id(self, slot: int) -> int:
-        """Id of the live slot before ``slot`` (itself on a 1-slot ring)."""
-        j = slot - 1 if slot else self._ids.size - 1
-        alive = self._alive
-        if alive is not None:
-            while not alive[j]:
-                j = j - 1 if j else self._ids.size - 1
-        return self._ids.item(j)
-
-    def add(
-        self,
-        ident: int,
-        owner: int,
-        *,
-        is_main: bool,
-        provenance: int | None = None,
-    ) -> int:
-        """Queue one insertion; returns the number of keys acquired.
-
-        The acquired count is the number of keys the identity would take
-        if inserted right now — counted by a range query over the
-        enclosing live slot's arc offsets — but no keys actually move
-        until :meth:`commit`.  The first identity of an arc keeps its
-        selection mask, so the commit splits that arc with two
-        compresses.  Since splits consume no randomness, the counts and
-        the final key layout are bit-identical to sequential
-        :meth:`RingState.insert_slot` calls.
+        Raises, before queueing anything, :class:`IdSpaceError` if an id
+        is outside the space, on the ring the removal leaves, or twice
+        in the batch.
         """
-        size = self._size
-        nid = int(ident)
-        if nid < 0 or nid >= size:
-            self._state.space.validate(nid)  # raises with the right message
-        if nid in self._pend_set:
-            raise IdSpaceError(f"identifier {ident} already on the ring")
-        ids = self._ids
-        pos = int(self._searchsorted(_U64(nid)))
-        alive = self._alive
-        if pos < ids.size and ids.item(pos) == nid and (
-            alive is None or alive[pos]
-        ):
-            raise IdSpaceError(f"identifier {ident} already on the ring")
-        slot = pos if pos < ids.size else 0
-        if alive is not None and not alive[slot]:
-            slot = self._successor(slot)
-        arc = self._arc.get(slot)
-        if arc is None:
-            remaining = self._keys[slot][: self._counts.item(slot)]
-            arc = (self._pred_id(slot), remaining)
-            self._arc[slot] = arc
-        pred_id, remaining = arc
-        pend = self._pend_ids
-        if not remaining.size:
-            taken = remaining  # an empty arc: nothing to count or split
-            acquired = 0
-        else:
-            # own offset, and the offset of the nearest pending
-            # predecessor inside the same arc (keys below it were
-            # already claimed)
-            dv = (nid - pred_id) % size
-            dp = 0
-            if pend:
-                i = bisect.bisect_left(pend, nid)
-                d = (nid - pend[i - 1]) % size  # i == 0 wraps to the last
-                if d < dv:
-                    dp = dv - d
-            # count keys whose arc offset lies in (dp, dv]: shifting the
-            # arc start past dp turns the range test into one compare —
-            # a key at offset <= dp (including 0, the arc start itself)
-            # wraps to a huge value and is excluded, matching the
-            # (pred, self] rule
-            rel = remaining - _U64((pred_id + dp + 1) % size)
-            if self._mask is not None:
-                rel &= self._mask
-            taken = rel <= _U64(dv - dp - 1)
-            acquired = int(np.count_nonzero(taken))
-        if provenance is None:
-            provenance = PROV_HONEST if is_main else PROV_BENEVOLENT
-        bisect.insort(pend, nid)
-        self._pend_set.add(nid)
-        self._records[nid] = (int(owner), bool(is_main), int(provenance))
-        lst = self._by_slot.get(slot)
-        if lst is None:
-            # the arc's first identity: no pending predecessor inside
-            # the arc, so dp == 0 and the mask is exactly its share
-            self._by_slot[slot] = [nid]
-            self._taken_mask[slot] = taken
-        else:
-            lst.append(nid)
-        return acquired
+        if self._pending is not None:
+            raise RingError("batch insertion already holds its joins")
+        state = self._state
+        new, order = _sorted_ids(state.space, idents)
+        m = new.size
+        owner = np.asarray(owners, dtype=_I64)
+        if owner.shape != (m,):
+            raise RingError("one owner per joining identity")
+        if not m:
+            return 0
+        joins = new.tolist()
+        # the sorted joins[j] is the when[j]-th to join
+        when = order.tolist()
+        if len(set(joins)) < m:
+            raise IdSpaceError("identifier joins twice in one batch")
+        ids = live_ids = state.ids
+        live: np.ndarray | None = None
+        if self._alive is not None:
+            live = np.frombuffer(self._alive, dtype=bool).nonzero()[0]
+            live_ids = ids.take(live)
+        n_live = live_ids.size
+        # each id's successor among the live slots; n_live past the top
+        # live id, where the ring wraps to the first
+        place = live_ids.searchsorted(new)
+        succ = place.tolist()
+        # the ids past the top live id open the first live slot's arc:
+        # rotate them to the front, so each arc's joiners are one run of
+        # ``runs``, clockwise
+        runs = list(range(m))
+        wrapped = m - bisect.bisect_left(succ, n_live)
+        if wrapped:
+            runs = runs[m - wrapped :] + runs[: m - wrapped]
+        keys, counts, size = state.keys, state.counts, state.space.size
+        keyed: dict[int, list[tuple[int, np.ndarray]]] = {}
+        acquired = [0] * m
+        first = 0
+        while first < m:
+            k = succ[runs[first]] % n_live
+            end = first + 1
+            while end < m and succ[runs[end]] % n_live == k:
+                end += 1
+            run = runs[first:end]
+            first = end
+            # only the run's last id can equal its successor's
+            last = joins[run[-1]]
+            if live_ids.item(k) == last:
+                raise IdSpaceError(f"identifier {last} already on the ring")
+            slot = k if live is None else live.item(k)
+            rest = keys[slot][: counts.item(slot)]
+            if not rest.size:
+                continue
+            pred = live_ids.item(k - 1)
+            if len(run) > 1:
+                joined = _join_masks(rest, pred, run, joins, when, size)
+            elif k:
+                # past the first slot no arc wraps: one key compare
+                joined = [(when[run[0]], rest <= _U64(last))]
+            else:
+                joined = [(when[run[0]], arc_mask(rest, pred, last, size))]
+            keyed[slot] = joined
+            for j, mask in joined:
+                acquired[j] = int(np.count_nonzero(mask))
+        counts_out = np.zeros(m, dtype=_I64)
+        parts = [_EMPTY_KEYS] * m
+        self._split = (keyed, order, counts_out, parts)
+        self._pending = _Pending(
+            ids=new,
+            owner=owner.take(order),
+            is_main=[is_main] * m,
+            counts=counts_out,
+            provenance=[PROV_HONEST if is_main else PROV_BENEVOLENT] * m,
+            keys=parts,
+            at=place if live is None else ids.searchsorted(new),
+        )
+        self.acquired = acquired
+        return sum(acquired)
 
     def commit(self) -> None:
-        """Redistribute every affected arc, then apply the batch — and
-        the removal it was begun on, if any — in one slab pass.
-
-        Each affected arc is split once, by :func:`_split_arc`: an arc
-        with one pending identity (the common case under churn) by the
-        selection mask :meth:`add` kept, one with several by a stable
-        sort on their boundaries.
-        """
+        """Split the keyed arcs, then apply the joins and the removal
+        this batch was begun on, if any, in one slab pass."""
         if self._committed:
             raise RingError("batch insertion already committed")
         self._committed = True
         removal = self._removal
         if removal is not None and removal._committed:
             raise RingError("batch removal already committed")
-        taken: dict[int, np.ndarray] = {}
-        for slot, idents in self._by_slot.items():
-            pred_id, remaining = self._arc[slot]
-            if not remaining.size:
-                # an arc with no remaining keys has nothing to split
-                taken.update(dict.fromkeys(idents, _EMPTY_KEYS))
-                continue
-            parts, kept = _split_arc(
-                remaining, pred_id, idents, self._size, self._taken_mask[slot]
-            )
-            taken.update(zip(idents, parts))
-            self._keys[slot] = kept
-            self._counts[slot] = kept.size
-
-        pending = None
-        if self._pend_ids:
-            records = [self._records[i] for i in self._pend_ids]
-            parts = [taken[i] for i in self._pend_ids]
-            new = np.array(self._pend_ids, dtype=_U64)
-            pending = _Pending(
-                ids=new,
-                owner=np.array([r[0] for r in records], dtype=_I64),
-                is_main=np.array([r[1] for r in records], dtype=bool),
-                counts=np.array([p.size for p in parts], dtype=_I64),
-                provenance=np.array([r[2] for r in records], dtype=np.int8),
-                keys=parts,
-                at=self._searchsorted(new),
-            )
+        state = self._state
+        if self._split is not None:
+            state._split_keyed(*self._split)
         dead = sorted(removal._dead) if removal is not None else []
-        self._state._restructure(dead, pending)
+        state._restructure(dead, self._pending)
         if removal is not None:
             removal._flushed = True

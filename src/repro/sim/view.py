@@ -59,8 +59,9 @@ injection's from 0.073 to 0.041 s.
 The round's Sybil census (``n_sybils``, ``can_add_sybil`` and the
 booking behind every creation and retirement) reads and writes Python
 lists taken from the :class:`~repro.sim.owners.OwnerRegistry` on the
-round's first census read and written back whenever the round commits;
-with the join-cost defense on, those calls go to the registry instead.
+round's first census read; when the round commits, the counts of the
+owners it booked are written back, and only those.  With the join-cost
+defense on, those calls go to the registry instead.
 
 Deferral is exact because neither half draws randomness:
 
@@ -144,9 +145,8 @@ class SimView(NetworkView):
         self._ids: list[int] | None = None
         # per-round owner census: (Sybil counts, Sybil room) as lists,
         # taken on the round's first census read (see _take_census), and
-        # whether a booking has changed it since
-        self._census: tuple[list[int], list[int]] | None = None
-        self._census_dirty = False
+        # the owners whose count a booking has changed since
+        self._census: tuple[list[int], list[int], set[int]] | None = None
         # hoisted flag: the hot create path skips building event fields
         # when no sink is attached
         self._tracing = event_sink is not None
@@ -277,18 +277,19 @@ class SimView(NetworkView):
             return self._state.owner_load(owner)
         return int(self._live_loads[owner]) + self._load_delta.get(owner, 0)
 
-    def _take_census(self) -> tuple[list[int], list[int]] | None:
+    def _take_census(self) -> tuple[list[int], list[int], set[int]] | None:
         """The round's Sybil census as Python lists — each owner's Sybil
         count, and how many more it may add (0 outside the network) —
-        read and booked by the round's actions and written back by
-        :meth:`end_round`.  None with the join-cost defense on: the
-        round then reads and books through the registry."""
+        read and booked by the round's actions, plus the set of owners
+        booked, whose counts :meth:`end_round` writes back.  None with
+        the join-cost defense on: the round then reads and books through
+        the registry."""
         owners = self._owners
         if owners.join_budget is not None:
             return None
         n = owners.n_sybils
         room = np.where(owners.in_network, owners.sybil_cap - n, 0)
-        self._census = (n.tolist(), room.tolist())
+        self._census = (n.tolist(), room.tolist(), set())
         return self._census
 
     def n_sybils(self, owner: int) -> int:
@@ -304,11 +305,21 @@ class SimView(NetworkView):
         return census[1][owner] > 0
 
     def _flush_census(self) -> None:
+        """Write the census back in one registry write: the Sybil counts
+        of the owners the round booked, or, when it booked a quarter of
+        them or more (random and neighbor injection do), the whole list,
+        which is then the cheaper write."""
         census = self._census
         self._census = None
-        if self._census_dirty:
-            self._census_dirty = False
-            self._owners.n_sybils[:] = census[0]
+        if census is not None and census[2]:
+            counts, _, booked = census
+            k = len(booked)
+            if 4 * k < len(counts):
+                self._owners.n_sybils[np.fromiter(booked, np.intp, k)] = (
+                    np.fromiter(map(counts.__getitem__, booked), np.int64, k)
+                )
+            else:
+                self._owners.n_sybils[:] = counts
 
     def _register_sybil(self, owner: int) -> None:
         """Book a creation the census cannot: write the census back, and
@@ -493,7 +504,7 @@ class SimView(NetworkView):
         if census is not None and removed <= census[0][owner]:
             census[0][owner] -= removed
             census[1][owner] += removed
-            self._census_dirty = True
+            census[2].add(owner)
         else:
             self._unregister_sybils(owner, removed)
         self._stats.sybils_retired += removed
@@ -600,7 +611,7 @@ class SimView(NetworkView):
         if census is not None and census[1][owner] > 0:
             census[0][owner] += 1
             census[1][owner] -= 1
-            self._census_dirty = True
+            census[2].add(owner)
         else:
             self._register_sybil(owner)  # validates the budget
         ids, counts, prv = self._ids, self._counts, self._prev

@@ -90,5 +90,20 @@ class TestChurnTransitions:
         with pytest.raises(SimulationError):
             reg.join_network(0, main_id=5)
 
+    def test_batch_join_books_every_owner_in_one_write(self):
+        reg = registry(churn_rate=0.1)
+        assert reg.waiting_indices[:3].tolist() == [50, 51, 52]
+        reg.join_network(np.array([52, 50]), [2**64 - 1, 7])
+        assert reg.in_network[[50, 52]].all() and not reg.in_network[51]
+        assert reg.main_id[[50, 52]].tolist() == [7, 2**64 - 1]
+        assert 51 in reg.waiting_indices and 52 not in reg.waiting_indices
+        reg.validate()
+
+    def test_batch_join_rejects_before_booking_any(self):
+        reg = registry(churn_rate=0.1)
+        with pytest.raises(SimulationError):
+            reg.join_network(np.array([51, 3]), [8, 9])  # 3 is in
+        assert not reg.in_network[51] and int(reg.main_id[51]) == 0
+
     def test_validate_passes_fresh(self):
         registry(churn_rate=0.1).validate()

@@ -616,6 +616,32 @@ class TestCensus:
         assert int(owners.n_sybils[owner]) == before + 1
         owners.validate()
 
+    @pytest.mark.parametrize("k", [3, 20])
+    def test_writes_back_the_booked_owners(self, k):
+        """A round that books k owners leaves the registry as writing
+        back the whole census would.  Booking fewer than a quarter of
+        the owners, it assigns no other owner's entry: a count changed
+        behind the census survives the commit; booking more, it writes
+        the whole census back."""
+        engine = self.engine()
+        view, owners = engine.view, engine.owners
+        view.begin_round()
+        net = owners.network_indices.tolist()
+        booked = [o for o in net if view.can_add_sybil(o)][:k]
+        assert len(booked) == k
+        for owner in booked:
+            view.create_sybil_random(owner)
+        full = list(view._census[0])
+        other = next(o for o in net if o not in booked)
+        owners.n_sybils[other] += 7
+        view.end_round()
+        few = 4 * k < owners.n_total
+        assert owners.n_sybils[other] == full[other] + (7 if few else 0)
+        owners.n_sybils[other] = full[other]
+        assert owners.n_sybils.tolist() == full
+        assert all(full[o] > 0 for o in booked)
+        owners.validate()
+
     def test_errors_match_the_registry(self):
         engine = self.engine(max_sybils=1)
         view, owners = engine.view, engine.owners

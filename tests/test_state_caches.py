@@ -176,12 +176,12 @@ class TestCachedRemaining:
         state.verify_invariants()
         removal = state.begin_batch_removal()
         removal.remove_owner_guarded(2)
-        insertion = state.begin_batch_insertion(removal)
         ident = next(
             i for i in rng.integers(0, SPACE.size, 50).tolist()
-            if not insertion.id_exists(i)
+            if not removal.ids_exist(np.array([i], dtype=np.uint64))[0]
         )
-        insertion.add(ident, 2, is_main=True)
+        insertion = state.begin_batch_insertion(removal)
+        insertion.add([ident], [2], is_main=True)
         insertion.commit()
         removal.commit()
         self.check(state)

@@ -201,11 +201,16 @@ def test_batched_churn_matches_sequential(
             assert moved is None
     removal.commit()
 
-    insertion = slab.begin_batch_insertion()
+    joiners = []
     for ident in joiner_ids:
-        if insertion.id_exists(ident):
+        if slab.id_exists(ident) or ident in joiners:
             continue
-        acquired = insertion.add(ident, next_owner, is_main=True)
+        joiners.append(ident)
+    insertion = slab.begin_batch_insertion()
+    insertion.add(
+        joiners, range(next_owner, next_owner + len(joiners)), is_main=True
+    )
+    for acquired, ident in zip(insertion.acquired, joiners):
         _, naive_acquired = naive.insert_slot(
             ident, next_owner, is_main=True
         )
@@ -237,10 +242,10 @@ def _fused_tick(state, events, replication, n_joins, next_owner):
     acquired = []
     if idents:
         insertion = state.begin_batch_insertion(removal)
-        acquired = [
-            insertion.add(ident, next_owner + j, is_main=True)
-            for j, ident in enumerate(idents)
-        ]
+        insertion.add(
+            idents, range(next_owner, next_owner + len(idents)), is_main=True
+        )
+        acquired = insertion.acquired
         insertion.commit()
     removal.commit()
     return outcomes, idents, acquired
@@ -328,11 +333,17 @@ def test_fused_churn_tick_matches_two_pass(
         else:
             assert got == removal.remove_owner_guarded(owner)
     removal.commit()
-    insertion = two_pass.begin_batch_insertion()
+    drawn: list[int] = []
     for j in range(n_joins):
-        ident = draw_new_node_id(SPACE8, two_pass.rng, insertion.id_exists)
+        ident = draw_new_node_id(
+            SPACE8, two_pass.rng,
+            lambda i: two_pass.id_exists(i) or i in drawn,
+        )
         assert ident == idents[j]
-        assert insertion.add(ident, n_nodes + j, is_main=True) == acquired[j]
+        drawn.append(ident)
+    insertion = two_pass.begin_batch_insertion()
+    insertion.add(drawn, range(n_nodes, n_nodes + n_joins), is_main=True)
+    assert insertion.acquired == acquired
     insertion.commit()
     fused.verify_invariants()
     two_pass.verify_invariants()
@@ -359,10 +370,8 @@ def test_bulk_insertion_on_an_open_removal(seed, n_nodes, leavers, idents):
     idents = [i for i in sorted(idents)
               if not removal.ids_exist(np.array([i], dtype=np.uint64))[0]]
     insertion = fused.begin_batch_insertion(removal)
-    acquired = [
-        insertion.add(ident, 100 + j, is_main=False)
-        for j, ident in enumerate(idents)
-    ]
+    insertion.add(idents, range(100, 100 + len(idents)), is_main=False)
+    acquired = insertion.acquired
     insertion.commit()
     removal.commit()
 
@@ -371,10 +380,8 @@ def test_bulk_insertion_on_an_open_removal(seed, n_nodes, leavers, idents):
         removal.remove_owner_guarded(owner)
     removal.commit()
     insertion = two_pass.begin_batch_insertion()
-    assert [
-        insertion.add(ident, 100 + j, is_main=False)
-        for j, ident in enumerate(idents)
-    ] == acquired
+    insertion.add(idents, range(100, 100 + len(idents)), is_main=False)
+    assert insertion.acquired == acquired
     insertion.commit()
     fused.verify_invariants()
     assert_equivalent(fused, two_pass)
@@ -393,16 +400,153 @@ def test_joiner_may_take_an_id_that_left_this_tick():
     removal.remove_owner_guarded(owner)
     assert not removal.ids_exist(np.array([gone], dtype=np.uint64))[0]
     insertion = slab.begin_batch_insertion(removal)
-    assert not insertion.id_exists(gone)
-    acquired = insertion.add(gone, 6, is_main=True)
-    assert insertion.id_exists(gone)
+    acquired = insertion.add([gone], [6], is_main=True)
+    assert insertion.acquired == [acquired]
     insertion.commit()
     removal.commit()
+    assert slab.id_exists(gone)
 
     naive.remove_owner(owner)
     assert naive.insert_slot(gone, 6, is_main=True)[1] == acquired
     slab.verify_invariants()
     assert_equivalent(slab, naive)
+
+
+def _array_tick_matches_naive(slab, naive, leavers, joins, owners):
+    """Commit one tick on ``slab`` — the leavers on a batch removal, the
+    joins as one array batch begun on it — and replay it sequentially on
+    ``naive``: ``remove_owner`` per leaver, then ``insert_slot`` per
+    joiner in join order, each returning that join's acquired count."""
+    removal = slab.begin_batch_removal(leavers)
+    outcomes = [removal.remove_owner_guarded(o) for o in leavers]
+    insertion = slab.begin_batch_insertion(removal)
+    total = insertion.add(joins, owners, is_main=True)
+    insertion.commit()
+    removal.commit()
+    for owner, moved in zip(leavers, outcomes):
+        if naive.n_slots - naive.slots_of_owner(owner).size >= 1:
+            assert moved == naive.remove_owner(owner)
+        else:
+            assert moved is None
+    expected = [
+        naive.insert_slot(ident, owner, is_main=True)[1]
+        for ident, owner in zip(joins, owners)
+    ]
+    assert insertion.acquired == expected
+    assert total == sum(expected)
+    slab.verify_invariants()
+    naive.verify_invariants()
+    assert_equivalent(slab, naive)
+
+
+def _drain(states, slots):
+    """Consume every remaining key of ``slots`` on each ring."""
+    for state in states:
+        for slot in slots:
+            slot %= state.n_slots
+            state.consume_at(
+                np.array([slot]), np.array([state.counts[slot]])
+            )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n_nodes=st.integers(1, 40),
+    n_keys=st.integers(0, 400),
+    leavers=st.lists(st.integers(0, 39), max_size=8),
+    n_joins=st.integers(1, 64),
+    drained=st.lists(st.integers(0, 39), max_size=4),
+    reuse=st.booleans(),
+)
+@example(seed=1, n_nodes=2, n_keys=300, leavers=[], n_joins=64, drained=[],
+         reuse=False).via("64 joins into two arcs")
+@example(seed=2, n_nodes=12, n_keys=300, leavers=[3, 7], n_joins=1,
+         drained=[], reuse=True).via("one join, on a departed id")
+@example(seed=3, n_nodes=6, n_keys=0, leavers=[1], n_joins=20, drained=[],
+         reuse=False).via("every arc empty")
+def test_array_insertion_matches_sequential_inserts(
+    seed, n_nodes, n_keys, leavers, n_joins, drained, reuse
+):
+    """A tick of 1 to 64 joins handed over as arrays, with or without
+    departures in the same tick (8-bit space, so joiners share arcs,
+    wrap past the top id and reuse departed ids), equals the naive
+    ring's sequential inserts in join order: ring, key order, generator
+    state and each join's acquired count."""
+    slab, naive = build_pair(seed, n_nodes, n_keys, SPACE8)
+    _drain((slab, naive), drained)
+    leavers = [o % n_nodes for o in leavers]
+    gone = set(slab.ids[np.isin(slab.owner, leavers)].tolist())
+    # the ring the departures leave (the last slot never leaves)
+    probe = copy.deepcopy(naive)
+    for owner in leavers:
+        if probe.n_slots - probe.slots_of_owner(owner).size >= 1:
+            probe.remove_owner(owner)
+    free = sorted(set(range(SPACE8.size)) - set(probe.ids.tolist()))
+    rng = np.random.default_rng(seed)
+    joins = rng.permutation(free)[:n_joins].tolist()
+    if reuse:
+        reused = sorted(gone - set(probe.ids.tolist()))[:1]
+        joins = reused + [i for i in joins if i not in reused][: n_joins - 1]
+    owners = list(range(100, 100 + len(joins)))
+    _array_tick_matches_naive(slab, naive, leavers, joins, owners)
+
+
+def test_array_insertion_edge_cases():
+    """Every edge of the sorted placement in one tick: joiners sharing
+    an arc out of id order, a joiner past the top id and one below the
+    first (both in the first slot's wrapping arc), a joiner on the id
+    that departed this tick, and joiners into an emptied arc."""
+    space = IdSpace(8)
+    ids = np.array([10, 50, 100, 200], dtype=np.uint64)
+    keys = np.arange(0, 256, 3, dtype=np.uint64)
+    rings = [
+        cls(space, ids, np.arange(4), np.ones(4, dtype=bool),
+            [keys[(keys > lo) & (keys <= hi)] if lo < hi else
+             keys[(keys > lo) | (keys <= hi)]
+             for lo, hi in zip([200, 10, 50, 100], [10, 50, 100, 200])],
+            np.random.default_rng(0))
+        for cls in (RingState, NaiveRingState)
+    ]
+    # ids 100 and 200 hold no keys: once 100 leaves, (50, 200] is empty
+    _drain(rings, [2, 3])
+    slab, naive = rings
+    joins = [40, 230, 20, 5, 100, 150, 30, 180, 250]
+    _array_tick_matches_naive(
+        slab, naive, [2], joins, list(range(10, 10 + len(joins)))
+    )
+    assert slab.ids.tolist() == sorted([10, 50, 200] + joins)
+
+
+@pytest.mark.parametrize("bad", ["on_ring", "twice", "outside", "negative"])
+def test_array_insertion_rejects_before_changing_anything(bad):
+    """A batch with one bad id raises from ``add`` and queues nothing:
+    its commit leaves the ring as it was."""
+    slab, twin = build_pair(5, 6, 200, SPACE8, RingState)
+    free = [i for i in range(SPACE8.size) if not slab.id_exists(i)][:2]
+    joins = free + [{
+        "on_ring": int(slab.ids[1]),
+        "twice": free[0],
+        "outside": SPACE8.size,
+        "negative": -1,
+    }[bad]]
+    insertion = slab.begin_batch_insertion()
+    with pytest.raises(IdSpaceError):
+        insertion.add(joins, range(10, 13), is_main=True)
+    insertion.commit()
+    slab.verify_invariants()
+    assert_equivalent(slab, twin)
+
+
+def test_array_insertion_takes_its_joins_once():
+    slab, _ = build_pair(6, 5, 40, SPACE8)
+    insertion = slab.begin_batch_insertion()
+    free = next(i for i in range(SPACE8.size) if not slab.id_exists(i))
+    with pytest.raises(RingError):
+        insertion.add([free], [7, 8], is_main=True)  # one owner each
+    insertion.add([free], [7], is_main=True)
+    with pytest.raises(RingError):
+        insertion.add([free + 1], [8], is_main=True)
 
 
 def test_removal_is_sealed_once_an_insertion_begins():
@@ -519,7 +663,7 @@ def test_copied_ring_keeps_its_views_on_its_slab():
         removal.remove_owner_guarded(2)
         removal.remove_owner_guarded(5)
         insertion = state.begin_batch_insertion(removal)
-        insertion.add(777, 20, is_main=True)
+        insertion.add([777], [20], is_main=True)
         insertion.commit()
         removal.commit()
         state.verify_invariants()

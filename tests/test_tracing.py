@@ -1,5 +1,6 @@
 """Tests for the structured event trace."""
 
+import hashlib
 import json
 
 import pytest
@@ -107,3 +108,25 @@ class TestEngineEvents:
         )
         assert engine.trace is None
         engine.run()  # must not crash without a recorder
+
+
+#: digest of the churn_join / churn_leave stream of the seeded run in
+#: test_churn_trace_stream_is_pinned, taken while joins were still
+#: committed one call per joiner; a change to the order of those events
+#: or to any of their fields (a join's acquired count included) moves it
+CHURN_STREAM_DIGEST = "123aa439e8cedfc9"
+
+
+def test_churn_trace_stream_is_pinned():
+    trace, engine, _ = traced_run(
+        strategy="churn", n_nodes=100, n_tasks=20_000, churn_rate=0.05,
+        seed=3,
+    )
+    digest = hashlib.sha256()
+    for e in trace:
+        if e.kind in ("churn_join", "churn_leave"):
+            fields = sorted((k, int(v)) for k, v in e.fields.items())
+            digest.update(json.dumps([e.tick, e.kind, fields]).encode())
+    assert trace.kinds()["churn_join"] == engine.counters["churn_joins"]
+    assert engine.counters["churn_joins"] > 1000
+    assert digest.hexdigest()[:16] == CHURN_STREAM_DIGEST
