@@ -68,8 +68,8 @@ class NetworkView(abc.ABC):
     — is an opaque handle naming one identity: a strategy compares it
     only for equality and never does arithmetic on it.  A handle is
     valid until the round commits; an action that cannot be deferred
-    (a retirement that moves keys, ``relocate_main``) may commit it, so
-    read slots again after one.
+    (a retirement that moves keys, a ``relocate_main`` whose old main
+    holds keys) may commit it, so read slots again after one.
     """
 
     # -- static context ------------------------------------------------

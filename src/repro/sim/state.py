@@ -59,11 +59,11 @@ A strategy round commits through :meth:`commit_round`: its retired
 Sybils hold no keys, so they skip the replay and leave in the same pass
 that splices in the round's new Sybils, each affected arc split once.
 
-An owner → slot-positions inverted index, rebuilt lazily after each
-structural change, backs :meth:`slots_of_owner` / :meth:`main_slot_of`
-(the former full-array scans), and :meth:`owner_loads` is cached behind
-a dirty flag so one bincount per mutation epoch serves consumption,
-snapshots, and time series alike.
+:meth:`slots_of_owner` / :meth:`main_slot_of` compare the owner column
+once per call: no hot path asks them (a strategy round reads its own
+lists, a batch removal finds its named owners with one scan).
+:meth:`owner_loads` is cached behind a dirty flag so one bincount per
+mutation epoch serves consumption, snapshots, and time series alike.
 """
 
 from __future__ import annotations
@@ -265,56 +265,6 @@ class ConsumptionGroups(NamedTuple):
     owners: np.ndarray
 
 
-class _OwnerIndex:
-    """Inverted index: owner → its slot positions (+ main identity).
-
-    Positions move with every structural change, so the ring marks the
-    index ``dirty`` after each one and the next query rebuilds it with
-    one stable argsort.
-    """
-
-    def __init__(self) -> None:
-        self.dirty = True
-        self._order = np.empty(0, dtype=_I64)
-        self._start = np.zeros(1, dtype=_I64)
-        self._cnt = np.zeros(0, dtype=_I64)
-        self._main_pos = np.zeros(0, dtype=_I64)
-        self._main_cnt = np.zeros(0, dtype=_I64)
-
-    def rebuild(self, owner: np.ndarray, is_main: np.ndarray) -> None:
-        bins = int(owner.max()) + 1 if owner.size else 1
-        # stable sort groups by owner; positions stay ascending within
-        # a group
-        self._order = np.argsort(owner, kind="stable").astype(_I64)
-        self._cnt = np.bincount(owner, minlength=bins).astype(_I64)
-        self._start = np.zeros(bins + 1, dtype=_I64)
-        np.cumsum(self._cnt, out=self._start[1:])
-        self._main_cnt = np.bincount(
-            owner[is_main], minlength=bins
-        ).astype(_I64)
-        self._main_pos = np.zeros(bins, dtype=_I64)
-        mains = np.flatnonzero(is_main)
-        self._main_pos[owner[mains]] = mains
-        self.dirty = False
-
-    # -- queries (index must be clean) ----------------------------------
-    def slots_of(self, owner: int) -> np.ndarray:
-        """The owner's slot positions, ascending."""
-        if owner >= self._cnt.size or owner < 0:
-            return np.empty(0, dtype=_I64)
-        s = int(self._start[owner])
-        return self._order[s : s + int(self._cnt[owner])].copy()
-
-    def main_count(self, owner: int) -> int:
-        if owner >= self._cnt.size or owner < 0:
-            return 0
-        return int(self._main_cnt[owner])
-
-    def main_slot(self, owner: int) -> int:
-        """Position of the owner's main identity (requires main_count==1)."""
-        return int(self._main_pos[owner])
-
-
 class RingState:
     """Mutable ring of slots with exact task-key accounting.
 
@@ -375,7 +325,6 @@ class RingState:
         self.rng = rng
         self.n_sybil_slots = int((~is_main).sum()) if n else 0
 
-        self._index = _OwnerIndex()
         self._loads_cache: np.ndarray | None = None
         self._loads_dirty = True
         self._groups_cache: ConsumptionGroups | None = None
@@ -475,8 +424,8 @@ class RingState:
         ``dead`` lists positions in ascending order: a list, or an index
         array from a round commit; ``pending`` holds new slots sorted by
         id, none equal to a surviving id (one may reuse the id of a
-        dropped slot).  The owner index, loads cache and consumption
-        groups are invalidated once.  Every structure change ends here:
+        dropped slot).  The loads cache and consumption groups are
+        invalidated once.  Every structure change ends here:
         a single join or leave, a churn tick, a strategy round.
 
         A batch of at most ``_SHIFT_EVENTS`` events shifts the live
@@ -574,13 +523,7 @@ class RingState:
         self._groups_cache = None
         self._refresh_views()
         self.n_sybil_slots = new_n - int(np.count_nonzero(self._main_view))
-        self._index.dirty = True
         self._loads_dirty = True
-
-    def _ensure_index(self) -> _OwnerIndex:
-        if self._index.dirty:
-            self._index.rebuild(self._owner_view, self._main_view)
-        return self._index
 
     def mark_loads_dirty(self) -> None:
         """Invalidate the cached owner-loads vector.
@@ -693,23 +636,17 @@ class RingState:
 
     def slots_of_owner(self, owner: int) -> np.ndarray:
         """All slot indices belonging to a physical owner (ascending)."""
-        return self._ensure_index().slots_of(int(owner))
-
-    def owner_load(self, owner: int) -> int:
-        """Remaining tasks across one owner's slots (indexed lookup)."""
-        slots = self._ensure_index().slots_of(int(owner))
-        return int(self.counts[slots].sum())
+        return np.flatnonzero(self._owner_view == owner)
 
     def main_slot_of(self, owner: int) -> int:
         """Index of the owner's main-identity slot."""
-        index = self._ensure_index()
-        owner = int(owner)
-        n_mains = index.main_count(owner)
-        if n_mains != 1:
+        slots = self.slots_of_owner(owner)
+        mains = slots[self._main_view[slots]]
+        if mains.size != 1:
             raise RingError(
-                f"owner {owner} has {n_mains} main slots (expected 1)"
+                f"owner {int(owner)} has {mains.size} main slots (expected 1)"
             )
-        return index.main_slot(owner)
+        return int(mains[0])
 
     def owner_loads(self, n_owners: int) -> np.ndarray:
         """Remaining tasks per physical owner (int64, length ``n_owners``).
@@ -933,32 +870,34 @@ class RingState:
         ids: list[int],
         owners: list[int],
         keyed: dict[int, list[tuple[int, np.ndarray]]] | None = None,
+        mains=(),
     ) -> None:
         """Commit a strategy round in one slab pass: drop the keyless
         slots at the distinct positions ``dead`` (any order) and insert
-        a Sybil slot ``ids[j]`` of owner ``owners[j]`` for each ``j``
-        (any order).
+        a slot ``ids[j]`` of owner ``owners[j]`` for each ``j`` (any
+        order): a Sybil, or a main identity for each ``j`` in ``mains``
+        (a moved main, whose old slot is among the dropped).
 
         :class:`~repro.sim.view.SimView` hands over what its round
         recorded, so nothing is searched for again.  ``keyed`` maps each
         round-start slot that new Sybils took keys from to those Sybils,
         as ``(j, mask)`` in join order, ``mask`` selecting what the Sybil
-        took from that slot's remaining keys when it joined.  A Sybil
+        took from that slot's remaining keys when it joined.  A new slot
         not listed took no keys when it joined and never gains any: its
         arc only shrinks, or grows by arcs of retired keyless slots.  A
-        keyed Sybil lies in its slot's round-start arc, so only those
+        keyed one lies in its slot's round-start arc, so only those
         arcs split, by the masks alone (see :meth:`_split_keyed`); the
         new ids are sorted and placed with one ``searchsorted``.
 
         The result equals removing the dead slots one by one with
         :meth:`remove_slot` — none holds keys, so no merge reshuffle
-        draws from the RNG — then inserting each Sybil with
-        :meth:`insert_slot`, in any order.  A Sybil may reuse the id of
-        a dropped slot.  Raises, before changing anything,
-        :class:`RingError` if a position is out of range, a dropped slot
-        holds keys or no slot would survive the drop, and
-        :class:`IdSpaceError` if an id is outside the space or on the
-        ring and not dropped.
+        draws from the RNG — then inserting each new slot with
+        :meth:`insert_slot` (``is_main=j in mains``), in any order.  A
+        new slot may reuse the id of a dropped slot.  Raises, before
+        changing anything, :class:`RingError` if a position is out of
+        range, a dropped slot holds keys or no slot would survive the
+        drop, and :class:`IdSpaceError` if an id is outside the space or
+        on the ring and not dropped.
 
         Replaying the recorded rounds of seed-1 1000-node / 100k-task
         trials on a shared 2-vCPU host (each commit on a freshly
@@ -989,12 +928,18 @@ class RingState:
             part_keys = [_EMPTY_KEYS] * m
             if keyed:
                 self._split_keyed(keyed, order, counts, part_keys)
+            is_main = np.zeros(m, dtype=bool)
+            if len(mains):
+                is_main[mains] = True
+                is_main = is_main[order]
             pending = _Pending(
                 ids=new,
                 owner=np.array(owners, dtype=_I64)[order],
-                is_main=np.zeros(m, dtype=bool),
+                is_main=is_main,
                 counts=counts,
-                provenance=np.full(m, PROV_BENEVOLENT, dtype=np.int8),
+                provenance=np.where(
+                    is_main, PROV_HONEST, PROV_BENEVOLENT
+                ).astype(np.int8),
                 keys=part_keys,
                 at=at,
             )
@@ -1038,13 +983,10 @@ class RingState:
     # ------------------------------------------------------------------
     # batch structure changes (used by the engine's churn phase)
     # ------------------------------------------------------------------
-    def begin_batch_removal(self, owners=None) -> "BatchRemoval":
-        """Start a batched removal; call :meth:`BatchRemoval.commit`.
-
-        Pass ``owners`` (the owner indices that may be removed) when the
-        set is known up front — the batch then locates their slots with
-        one selective scan instead of consulting the full owner index.
-        """
+    def begin_batch_removal(self, owners) -> "BatchRemoval":
+        """Start a batched removal of some of ``owners`` (the owner
+        indices that may be removed: one scan locates their slots); call
+        :meth:`BatchRemoval.commit`."""
         return BatchRemoval(self, owners)
 
     def begin_batch_insertion(
@@ -1105,24 +1047,7 @@ class RingState:
             (self.provenance < 0) | (self.provenance > 2)
         ).any():
             raise RingError("slot provenance out of sync")
-        self._verify_index()
         self._verify_loads_cache()
-
-    def _verify_index(self) -> None:
-        index = self._index
-        if index.dirty:
-            return
-        owner = self.owner
-        for o in np.unique(owner).tolist():
-            expected = np.flatnonzero(owner == o)
-            group = index.slots_of(int(o))
-            if group.size != expected.size or (group != expected).any():
-                raise RingError(f"owner index out of sync for owner {o}")
-            mains = np.flatnonzero((owner == o) & self.is_main)
-            if index.main_count(int(o)) != mains.size:
-                raise RingError(f"main count out of sync for owner {o}")
-            if mains.size == 1 and index.main_slot(int(o)) != int(mains[0]):
-                raise RingError(f"main identity out of sync for owner {o}")
 
     def _verify_loads_cache(self) -> None:
         cached = self._loads_cache
@@ -1149,7 +1074,7 @@ class BatchRemoval:
     are each one batch.
     """
 
-    def __init__(self, state: RingState, owners=None):
+    def __init__(self, state: RingState, owners):
         self._state = state
         n = state.n_slots
         # bytearray, not a bool ndarray: per-event scalar indexing is the
@@ -1165,36 +1090,26 @@ class BatchRemoval:
         # removals), and once that insertion's commit applied them
         self._sealed = False
         self._flushed = False
-        if owners is None:
-            # owner queries against pre-batch positions via the index
-            state._ensure_index()
-            self._slots_by_owner: dict[int, list[int]] | None = None
-        else:
-            # the caller knows the owner set up front (the engine's
-            # churn phase does): one membership scan beats rebuilding
-            # the full owner index for a handful of departures
-            arr = np.asarray(owners, dtype=_I64)
-            grouped: dict[int, list[int]] = {}
-            if arr.size:
-                if arr.min() < 0:
-                    raise RingError("owner indices must be non-negative")
-                ow = state.owner
-                if arr.size == 1:
-                    # one owner (remove_owner, retire_sybils): one compare
-                    hits = np.flatnonzero(ow == arr[0])
-                    grouped[int(arr[0])] = hits.tolist()
-                else:
-                    # flags past the largest listed owner stay False, and
-                    # the clipped gather maps every larger owner there
-                    flags = np.zeros(int(arr.max()) + 2, dtype=bool)
-                    flags[arr] = True
-                    hits = flags.take(ow, mode="clip").nonzero()[0]
-                    for p, o in zip(hits.tolist(), ow[hits].tolist()):
-                        if o in grouped:
-                            grouped[o].append(p)
-                        else:
-                            grouped[o] = [p]
-            self._slots_by_owner = grouped
+        # each named owner's pre-batch slot positions, ascending: one
+        # membership scan of the owner column
+        arr = np.asarray(owners, dtype=_I64)
+        grouped: dict[int, list[int]] = {o: [] for o in arr.tolist()}
+        if arr.size:
+            if arr.min() < 0:
+                raise RingError("owner indices must be non-negative")
+            ow = state.owner
+            if arr.size == 1:
+                # one owner (remove_owner, retire_sybils): one compare
+                grouped[int(arr[0])] = np.flatnonzero(ow == arr[0]).tolist()
+            else:
+                # flags past the largest listed owner stay False, and
+                # the clipped gather maps every larger owner there
+                flags = np.zeros(int(arr.max()) + 2, dtype=bool)
+                flags[arr] = True
+                hits = flags.take(ow, mode="clip").nonzero()[0]
+                for p, o in zip(hits.tolist(), ow[hits].tolist()):
+                    grouped[o].append(p)
+        self._slots_by_owner = grouped
         # hot references — stable for the lifetime of the batch, since
         # no structural op rebinds the prefix views until commit()
         self._counts = state.counts
@@ -1202,13 +1117,12 @@ class BatchRemoval:
         self._merge = state._merge
 
     def _owner_slots(self, owner: int) -> list[int]:
-        """Pre-batch slot positions of ``owner``, ascending."""
-        if self._slots_by_owner is not None:
-            slots = self._slots_by_owner.get(int(owner))
-            if slots is not None:
-                return slots
-        state = self._state
-        return state._ensure_index().slots_of(int(owner)).tolist()
+        """Pre-batch slot positions of ``owner``, ascending; raises
+        :class:`RingError` for an owner not named when the batch began."""
+        slots = self._slots_by_owner.get(int(owner))
+        if slots is None:
+            raise RingError(f"owner {int(owner)} was not named for this batch")
+        return slots
 
     def remove_owner_guarded(self, owner: int) -> int | None:
         """Queue removal of all the owner's slots unless that would

@@ -11,21 +11,21 @@ Round semantics
 ---------------
 
 A decision round's Sybil creations and retirements are *deferred*: the
-first action of a round opens the round (:meth:`SimView._open_round`),
-which copies the round-start ring into per-slot Python lists — ids,
-owners, counts — and links them into a ring of successor/predecessor
-handles, as a Chord node keeps its ring.  A slot's handle is its index
-into those lists: a slot of the round-start ring keeps its ring
-position (so a read made before the round opened stays valid inside
-it), and a Sybil created in the round gets the next free index.  No
-list element ever moves: a retirement unlinks its Sybils, and a
-creation appends one entry per list and links it before the slot whose
-arc it splits.  Every read a strategy makes afterwards — windows, arcs,
-gaps, owners, counts, ``heaviest_slot``, ``live_owner_load`` — answers
-from those lists exactly as the ring would after applying each action
-on the spot; a window walks the links (or slices the ring's arrays
-while no round is open; a read never opens one).  ``main_slot`` is the
-owner's round-start position.  A random creation bisects the
+first read or action of a round opens the round
+(:meth:`SimView._open_round`; a round with neither, as induced churn's,
+opens none), which copies the round-start ring into per-slot Python
+lists — ids, owners, counts — and links them into a ring of
+successor/predecessor handles, as a Chord node keeps its ring.  A
+slot's handle is its index into those lists: a slot of the round-start
+ring keeps its ring position, and a slot created in the round gets the
+next free index.  No list element ever moves: a retirement unlinks its
+Sybils, and a creation appends one entry per list and links it before
+the slot whose arc it splits.  Every read a strategy makes — windows,
+arcs, gaps, owners, counts, ``main_slot``, ``heaviest_slot``,
+``live_owner_load`` — answers from those lists exactly as the ring
+would after applying each action on the spot; a window walks the
+links.  ``main_slot`` is the owner's round-start position, or its new
+slot once it moved in the round.  A random creation bisects the
 round-start ids once and walks back past the few Sybils created in that
 arc.  The per-round indexes — each owner's main position and its
 round-start Sybils — are owner-indexed lists filled from numpy on first
@@ -36,20 +36,22 @@ Each action is one frame of this class under the strategy's call: a
 retirement finds, unlinks and books its owner's Sybils in
 :meth:`SimView.retire_sybils`; a creation places or draws its id and
 hands it, with the handle of the slot whose arc it splits, to
-:meth:`SimView._join_sybil`, which books the census, counts the keys it
-takes and links the new slot.  Each slot records its base slot — the
-round-start slot whose keys its own remaining keys are a run of — so a
-keyed join reads those keys without a search, and records the selection
-mask of what it took under that base slot.
+:meth:`SimView._join_sybil`, which books the census and has
+:meth:`SimView._link` count the keys it takes and link the new slot.
+Each slot records its base slot — the round-start slot whose keys its
+own remaining keys are a run of — so a keyed join reads those keys
+without a search, and records the selection mask of what it took under
+that base slot.
 
 The engine calls :meth:`SimView.end_round` after ``decide``.  It hands
 :meth:`~repro.sim.state.RingState.commit_round` what the round
 recorded, so the commit searches for nothing again: the dropped base
-positions, the new Sybils' ids and owners in handle order, and for each
-base slot that new Sybils took keys from, each such join's index and
-mask.  A Sybil that took no keys when it joined never gains any, so
-only those base arcs split, by their masks alone; the retired Sybils
-leave in the same slab pass that splices in the new ones.  Against a
+positions, the new slots' ids and owners in handle order, for each
+base slot that new slots took keys from, each such join's index and
+mask, and which new slots are moved main identities.  A slot that took
+no keys when it joined never gains any, so only those base arcs split,
+by their masks alone; the retired Sybils leave in the same slab pass
+that splices in the new ones.  Against a
 commit that found each new Sybil's arc again and recomputed its split,
 ``repro profile`` (1000 nodes, 100k tasks, seed 1; medians of 8
 alternating runs, each pinned to one CPU of a shared 2-vCPU host) read
@@ -75,17 +77,23 @@ Deferral is exact because neither half draws randomness:
   slot.  A keyless departure never reaches the merge reshuffle, so the
   shared RNG stream is untouched.
 
+A main identity's move (``relocate_main``) is deferred the same way
+when its old slot is a round-start slot that held no keys at round
+start — as every mover's does at the default threshold of zero: the new
+main is linked like a Sybil, the old one unlinked and dropped like a
+retired Sybil, and the commit flags the new slot as a main.
+
 An action the round cannot replay exactly — a retirement that would
-move keys (or retire a Sybil created this round), and every
-``relocate_main`` — first commits the round, then runs the ring's
-per-slot primitive; ``relocate_main`` carries its target handle across
-that commit as the slot's identifier.
+move keys (or retire a Sybil created this round), a move whose old main
+held keys, a second move of one owner in a round — first commits the
+round, then runs the ring's per-slot primitive; ``relocate_main``
+places the new identifier in the round first, so the target handle
+needs no translation.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from operator import sub
 
 import numpy as np
 
@@ -99,19 +107,6 @@ from repro.util.rng import bounded_int
 
 __all__ = ["SimView"]
 
-_U64 = np.uint64
-
-
-def _ring_slice(seq, lo: int, hi: int, n: int) -> list[int]:
-    """``seq[lo:hi]`` of a ring of ``n`` slots as a list, wrapping past
-    either end (``-n <= lo <= hi <= 2 * n``, ``hi - lo <= n``)."""
-    if lo < 0:
-        return _ring_slice(seq, lo + n, n, n) + _ring_slice(seq, 0, hi, n)
-    if hi > n:
-        return _ring_slice(seq, lo, n, n) + _ring_slice(seq, 0, hi - n, n)
-    part = seq[lo:hi]
-    return part if type(part) is list else part.tolist()
-
 
 class SimView(NetworkView):
     """Local-information window onto the simulated network."""
@@ -121,7 +116,7 @@ class SimView(NetworkView):
     _ROUND_STATE = (
         "_base_counts", "_owner", "_counts", "_next", "_prev", "_base",
         "_live_loads", "_load_delta", "_main_slots", "_sybil_index",
-        "_pending_by_owner", "_keyed", "_dropped",
+        "_pending_by_owner", "_keyed", "_dropped", "_mains",
     )
 
     def __init__(
@@ -181,17 +176,18 @@ class SimView(NetworkView):
             self._ids = None
             n = len(self._base_counts)
             if self._dropped or len(ids) > n:
-                # the new Sybils are the handles past the base slots
+                # the new slots are the handles past the base slots
                 self._state.commit_round(
-                    self._dropped, ids[n:], self._owner[n:], self._keyed
+                    self._dropped, ids[n:], self._owner[n:], self._keyed,
+                    self._mains,
                 )
             for name in self._ROUND_STATE:
                 delattr(self, name)
         self._flush_census()
 
-    def _open_round(self) -> None:
+    def _open_round(self) -> list[int]:
         """Open the round: copy the round-start ring into per-handle
-        lists and link them in ring order.
+        lists and link them in ring order; returns the ids list.
 
         The ring itself is untouched until :meth:`end_round`, so its
         arrays stay the round-start ("base") ring: a slot's remaining
@@ -221,17 +217,21 @@ class SimView(NetworkView):
         # use: a round with few actions may need neither
         self._main_slots: list[int] | None = None
         self._sybil_index: tuple[list[int], list[int]] | None = None
-        # owner -> handles of its new Sybils, and for each base slot
-        # that new Sybils took keys from, (index among the new Sybils,
-        # mask of the base slot's keys it took) per Sybil, in join order
+        # owner -> handles of its new slots, and for each base slot
+        # that new slots took keys from, (index among the new slots,
+        # mask of the base slot's keys it took) per slot, in join order
         self._pending_by_owner: dict[int, list[int]] = {}
         self._keyed: dict[int, list[tuple[int, np.ndarray]]] = {}
-        # base positions of the retired (keyless) Sybils
+        # base positions of the dropped (keyless) slots: retired Sybils
+        # and moved mains
         self._dropped: list[int] = []
+        # indices among the new slots of the moved main identities
+        self._mains: list[int] = []
+        return ids
 
     @property
     def _pending(self) -> dict[int, int]:
-        """The open round's new Sybils, identifier -> owner, in join
+        """The open round's new slots, identifier -> owner, in join
         order (empty while no round is open); for inspection."""
         ids = self._ids
         if ids is None:
@@ -273,8 +273,7 @@ class SimView(NetworkView):
         return self._loads
 
     def live_owner_load(self, owner: int) -> int:
-        if self._ids is None:
-            return self._state.owner_load(owner)
+        self._ids or self._open_round()
         return int(self._live_loads[owner]) + self._load_delta.get(owner, 0)
 
     def _take_census(self) -> tuple[list[int], list[int], set[int]] | None:
@@ -336,31 +335,18 @@ class SimView(NetworkView):
     # NetworkView: topology
     # ------------------------------------------------------------------
     def main_slot(self, owner: int) -> int:
-        if self._ids is None:
-            return self._state.main_slot_of(owner)
-        # a main identity is never retired or created in a round: its
-        # handle is its round-start position
-        mains = self._main_slots
-        if mains is None:
-            state = self._state
-            at = np.flatnonzero(state.is_main)
-            slots = np.full(self._owners.n_total, -1, dtype=np.intp)
-            slots[state.owner[at]] = at
-            if np.count_nonzero(slots >= 0) != at.size:
-                slots.fill(-1)  # a doubled main: let the ring raise
-            mains = self._main_slots = slots.tolist()
-        slot = mains[owner]
+        self._ids or self._open_round()
+        # the round-start position, or the new handle of a main that
+        # moved this round
+        slot = (self._main_slots or self._index_mains())[owner]
         if slot < 0:
             return self._state.main_slot_of(owner)  # raises: no single main
         return slot
 
     def heaviest_slot(self, owner: int) -> int:
-        if self._ids is None:
-            slots = self._state.slots_of_owner(owner)
-            counts = self._state.counts[slots]
-            return int(slots[int(np.argmax(counts))])
+        ids = self._ids or self._open_round()
         # the owner's live handles in ring order from slot 0; max()
-        # keeps the first of equal counts, like np.argmax
+        # keeps the first of equal counts, as the ring's argmax would
         nxt = self._next
         slots = [
             p for p in self._state.slots_of_owner(owner).tolist()
@@ -369,94 +355,64 @@ class SimView(NetworkView):
         mine = self._pending_by_owner.get(owner)
         if mine:
             slots += mine
-            slots.sort(key=self._ids.__getitem__)
+            slots.sort(key=ids.__getitem__)
         return max(slots, key=self._counts.__getitem__)
 
     def successor_window(
         self, slot: int, k: int, *, counts: bool = False
     ) -> tuple[list[int], ...]:
-        ids = self._ids
-        if ids is not None:
-            # the open round: walk the successor links
-            nxt, owner, count = self._next, self._owner, self._counts
-            slots: list[int] = []
-            owners: list[int] = []
-            gaps: list[int] = []
-            tallies: list[int] = []
-            s = slot
-            a = first = ids[s]
-            # a ring of n live slots has n - 1 others
-            for _ in range(min(k, len(ids) - len(self._dropped) - 1)):
-                s = nxt[s]
-                b = ids[s]
-                slots.append(s)
-                owners.append(owner[s])
-                gaps.append(b - a)
-                if counts:
-                    tallies.append(count[s])
-                a = b
-            if a < first:  # the window wraps past the top id
-                gaps = [g % self._size for g in gaps]
+        # walk the open round's successor links
+        ids = self._ids or self._open_round()
+        nxt, owner, count = self._next, self._owner, self._counts
+        slots: list[int] = []
+        owners: list[int] = []
+        gaps: list[int] = []
+        tallies: list[int] = []
+        s = slot
+        a = first = ids[s]
+        # a ring of n live slots has n - 1 others
+        for _ in range(min(k, len(ids) - len(self._dropped) - 1)):
+            s = nxt[s]
+            b = ids[s]
+            slots.append(s)
+            owners.append(owner[s])
+            gaps.append(b - a)
             if counts:
-                return slots, owners, gaps, tallies
-            return slots, owners, gaps
-        # no round open: the ring's own arrays
-        state = self._state
-        ids, owner, count = state.ids, state.owner, state.counts
-        n = len(ids)
-        hi = slot + 1 + min(k, n - 1)
-        arc = _ring_slice(ids, slot, hi, n)
-        gaps = list(map(sub, arc[1:], arc))
-        if hi <= n:
-            slots = list(range(slot + 1, hi))
-        else:  # the window wraps: reduce slots and the wrapped gap
-            slots = [s % n for s in range(slot + 1, hi)]
+                tallies.append(count[s])
+            a = b
+        if a < first:  # the window wraps past the top id
             gaps = [g % self._size for g in gaps]
-        window = (slots, _ring_slice(owner, slot + 1, hi, n), gaps)
         if counts:
-            return (*window, _ring_slice(count, slot + 1, hi, n))
-        return window
+            return slots, owners, gaps, tallies
+        return slots, owners, gaps
 
     def predecessor_window(
         self, slot: int, k: int
     ) -> tuple[list[int], list[int]]:
-        ids = self._ids
-        if ids is not None:
-            # the open round: walk the predecessor links
-            prv, owner = self._prev, self._owner
-            slots: list[int] = []
-            owners: list[int] = []
-            s = slot
-            for _ in range(min(k, len(ids) - len(self._dropped) - 1)):
-                s = prv[s]
-                slots.append(s)
-                owners.append(owner[s])
-            return slots, owners
-        owner = self._state.owner
-        n = len(owner)
-        lo = slot - min(k, n - 1)
-        owners = _ring_slice(owner, lo, slot, n)
-        owners.reverse()
-        slots = [s + n if s < 0 else s for s in range(slot - 1, lo - 1, -1)]
+        # walk the open round's predecessor links
+        ids = self._ids or self._open_round()
+        prv, owner = self._prev, self._owner
+        slots: list[int] = []
+        owners: list[int] = []
+        s = slot
+        for _ in range(min(k, len(ids) - len(self._dropped) - 1)):
+            s = prv[s]
+            slots.append(s)
+            owners.append(owner[s])
         return slots, owners
 
     def slot_id(self, slot: int) -> int:
-        if self._ids is None:
-            return int(self._state.ids[slot])
-        return self._ids[slot]
+        return (self._ids or self._open_round())[slot]
 
     # ------------------------------------------------------------------
     # NetworkView: actions
     # ------------------------------------------------------------------
     def create_sybil_random(self, owner: int) -> int:
-        if self._ids is None:
-            self._open_round()
+        self._ids or self._open_round()
         ident = draw_new_node_id(self._state.space, self._rng, self._probe)
         return self._join_sybil(owner, ident, self._probed)
 
     def create_sybil_in_slot_arc(self, owner: int, slot: int) -> int | None:
-        if self._ids is None:
-            self._open_round()
         ident = self._place_in_slot(slot)
         if ident is None:
             return None
@@ -467,31 +423,23 @@ class SimView(NetworkView):
         slot that held no keys at round start and the round-start ring
         keeps a slot once the round's retirements are dropped; otherwise
         the round commits and the ring retires them itself."""
-        if self._ids is None:
-            self._open_round()
+        self._ids or self._open_round()
         removed = None
-        # a Sybil created this round may hold keys
+        # a Sybil created this round may hold keys (and a main moved
+        # this round is a new slot too)
         if owner not in self._pending_by_owner:
             slots, start = self._sybil_index or self._index_sybils()
             targets = slots[start[owner] : start[owner + 1]]
-            dropped = self._dropped
-            nxt = self._next
             # none, or all retired earlier this round
-            if not targets or nxt[targets[0]] < 0:
+            if not targets or self._next[targets[0]] < 0:
                 removed = 0
-            elif len(self._base_counts) - len(dropped) > len(targets):
+            elif len(self._base_counts) - len(self._dropped) > len(targets):
                 base_counts = self._base_counts
                 for p in targets:
                     if base_counts[p]:
                         break
                 else:
-                    prv = self._prev
-                    for p in targets:  # unlink
-                        a, b = prv[p], nxt[p]
-                        nxt[a] = b
-                        prv[b] = a
-                        nxt[p] = -1
-                    dropped.extend(targets)
+                    self._drop(targets)
                     removed = len(targets)
         if removed is None:
             # the departure moves keys: only the ring can replay its
@@ -524,23 +472,38 @@ class SimView(NetworkView):
         The new identity is inserted first (acquiring its share of the
         target's keys), then the old main slot is removed — its leftover
         tasks flow to its old successor, like any graceful departure.
-        A main-identity move is not deferred: the round so far is
-        committed and the move applied to the ring directly.
+        Deferred when the old main is a round-start slot that held no
+        keys at round start (and the round-start ring keeps a slot
+        without it): the new main is linked like a Sybil and the old one
+        dropped.  Otherwise the round so far is committed and the move
+        applied to the ring directly.
         """
-        ids = self._ids
-        self.end_round()
-        state = self._state
-        if ids is not None:
-            # the handle names a slot of the committed round: find it on
-            # the ring by its identifier
-            target_slot = int(state.ids.searchsorted(_U64(ids[target_slot])))
+        ids = self._ids or self._open_round()
+        # the arc and its keys are the ring's after a commit, so the
+        # identifier is placed in the round either way
         ident = self._place_in_slot(target_slot)
         if ident is None:
             return None
-        old_main = state.main_slot_of(owner)
-        pos, acquired = state.insert_slot(ident, owner, is_main=True)
-        old_idx = old_main + 1 if pos <= old_main else old_main
-        state.remove_slot(old_idx)
+        mains = self._main_slots or self._index_mains()
+        old = mains[owner]
+        n = len(self._base_counts)
+        if (
+            0 <= old < n and not self._base_counts[old]
+            and n - len(self._dropped) > 1
+        ):
+            acquired = self._link(owner, ident, target_slot)
+            mains[owner] = len(ids) - 1
+            self._mains.append(len(ids) - 1 - n)
+            self._drop([old])
+        else:
+            # the old main holds keys, or moved already: only the ring
+            # replays a keyed merge reshuffle, so commit the round so
+            # far and move there
+            self.end_round()
+            state = self._state
+            old_main = state.main_slot_of(owner)
+            pos, acquired = state.insert_slot(ident, owner, is_main=True)
+            state.remove_slot(old_main + 1 if pos <= old_main else old_main)
         self._owners.main_id[owner] = np.uint64(ident)
         self._stats.relocations += 1
         self._stats.tasks_acquired += acquired
@@ -586,6 +549,18 @@ class SimView(NetworkView):
         self._probed = r
         return not d
 
+    def _index_mains(self) -> list[int]:
+        """Index each owner's round-start main position (-1 for none,
+        and for every owner when one has two: the ring then raises)."""
+        state = self._state
+        at = np.flatnonzero(state.is_main)
+        slots = np.full(self._owners.n_total, -1, dtype=np.intp)
+        slots[state.owner[at]] = at
+        if np.count_nonzero(slots >= 0) != at.size:
+            slots.fill(-1)  # a doubled main
+        self._main_slots = slots.tolist()
+        return self._main_slots
+
     def _index_sybils(self) -> tuple[list[int], list[int]]:
         """Index the round-start Sybils by owner: ``(slots, start)``,
         owner ``o``'s base positions, ascending, being
@@ -614,6 +589,21 @@ class SimView(NetworkView):
             census[2].add(owner)
         else:
             self._register_sybil(owner)  # validates the budget
+        acquired = self._link(owner, ident, succ)
+        stats = self._stats
+        stats.sybils_created += 1
+        stats.tasks_acquired += acquired
+        # joining is at least one message (the join handshake)
+        stats.messages += 1
+        if self._tracing:
+            self._emit("sybil_created", owner=int(owner), ident=int(ident),
+                       acquired=int(acquired))
+        return acquired
+
+    def _link(self, owner: int, ident: int, succ: int) -> int:
+        """Link the free identifier ``ident`` as a new slot of ``owner``
+        in the open round, in the arc of the slot ``succ``, recording the
+        mask of the keys it takes; returns how many it takes."""
         ids, counts, prv = self._ids, self._counts, self._prev
         pred = prv[succ]
         base = self._base[succ]
@@ -654,37 +644,36 @@ class SimView(NetworkView):
             self._pending_by_owner[owner] = [h]
         else:
             mine.append(h)
-        stats = self._stats
-        stats.sybils_created += 1
-        stats.tasks_acquired += acquired
-        # joining is at least one message (the join handshake)
-        stats.messages += 1
-        if self._tracing:
-            self._emit("sybil_created", owner=int(owner), ident=int(ident),
-                       acquired=int(acquired))
         return acquired
 
+    def _drop(self, slots: list[int]) -> None:
+        """Unlink the keyless base slots ``slots`` from the round and
+        record them for the commit to drop."""
+        nxt, prv = self._next, self._prev
+        for p in slots:
+            a, b = prv[p], nxt[p]
+            nxt[a] = b
+            prv[b] = a
+            nxt[p] = -1
+        self._dropped.extend(slots)
+
     def _place_in_slot(self, slot: int) -> int | None:
-        """Choose an unoccupied identifier inside ``slot``'s arc, honouring
-        ``config.placement`` (random / midpoint / median-split), on the
-        open round or, with none open, on the ring.
+        """Choose an unoccupied identifier inside ``slot``'s arc on the
+        open round, honouring ``config.placement`` (random / midpoint /
+        median-split).
 
         Every candidate lies in the arc ``(start, end]`` between two
         adjacent identities, so the only one it can collide with is
         ``end``: no candidate needs a membership probe, and a random
         draw, strictly inside the arc, is always free.
         """
-        ids = self._ids
-        if ids is None:
-            start, end = self._state.slot_arc(slot)
-        else:
-            start, end = ids[self._prev[slot]], ids[slot]
+        ids = self._ids or self._open_round()
+        start, end = ids[self._prev[slot]], ids[slot]
         placement = self._config.placement
         if placement == "median":
-            # the arc's keys: a run of those of its base slot (between
-            # rounds, the slot itself)
+            # the arc's keys: a run of those of its base slot
             state = self._state
-            r = slot if ids is None else self._base[slot]
+            r = self._base[slot]
             keys = state.keys[r][: state.counts.item(r)]
             ident = median_in_arc(
                 keys[in_arc_mask(keys, start, end)], start, state.space

@@ -5,9 +5,10 @@ moment a strategy takes it — one ``RingState.insert_slot`` per creation,
 one ``RingState.retire_sybils`` per retiring owner — which is how the
 simulator worked before ``SimView`` deferred a round's actions into
 round lists committed once by ``end_round``.  Its reads are
-``SimView``'s own: with no action ever deferred no round opens, so every
-read goes straight to the ring.  ``tests/test_round_overlay.py`` runs
-each strategy through both views and requires identical results.
+``SimView``'s own, answered from the round they open; each action first
+ends that read-only round (it commits nothing), so a read after the
+action opens a round on the changed ring.  ``tests/test_round_overlay.py``
+runs each strategy through both views and requires identical results.
 """
 
 from __future__ import annotations
@@ -32,18 +33,21 @@ class PerCallSimView(SimView):
         return self._owners.can_add_sybil(owner)
 
     def create_sybil_random(self, owner: int) -> int:
+        self.end_round()
         ident = draw_new_node_id(
             self._state.space, self._rng, self._state.id_exists
         )
         return self._create_sybil_now(owner, ident)
 
     def create_sybil_in_slot_arc(self, owner: int, slot: int) -> int | None:
+        self.end_round()
         ident = self._place_now(slot)
         if ident is None:
             return None
         return self._create_sybil_now(owner, ident)
 
     def retire_sybils(self, owner: int) -> int:
+        self.end_round()
         removed = self._state.retire_sybils(owner)
         self._owners.unregister_sybils(owner, removed)
         self._stats.sybils_retired += removed
@@ -52,6 +56,7 @@ class PerCallSimView(SimView):
         return removed
 
     def relocate_main(self, owner: int, target_slot: int) -> int | None:
+        self.end_round()
         state = self._state
         ident = self._place_now(target_slot)
         if ident is None:

@@ -1,14 +1,15 @@
 """RingState.commit_round: a strategy round's one-pass ring commit.
 
-A round drops its retired Sybils (slots with no keys) and splices in its
-new ones through this primitive, handed what ``SimView`` recorded: the
-dropped positions, the new Sybils' ids and owners, and each keyed join's
-base slot and mask.  Driven through a real ``SimView`` round, it must
-equal the sequential ``remove_slot`` / ``insert_slot`` calls it replaces
-— ids, owners, counts, every slot's keys in storage order, and the
-generator state — and it must refuse, before changing anything, any
-drop that would move keys or empty the ring and any Sybil whose id is
-taken.
+A round drops its retired Sybils and moved keyless mains (slots with no
+keys) and splices in its new slots through this primitive, handed what
+``SimView`` recorded: the dropped positions, the new slots' ids and
+owners, each keyed join's base slot and mask, and which new slots are
+moved mains.  Driven through a real ``SimView`` round, it must equal the
+sequential ``remove_slot`` / ``insert_slot`` calls it replaces — ids,
+owners, main flags, counts, provenance, every slot's keys in storage
+order, and the generator state — and it must refuse, before changing
+anything, any drop that would move keys or empty the ring and any new
+slot whose id is taken.
 """
 
 import numpy as np
@@ -62,13 +63,16 @@ def snapshot(state: RingState) -> tuple:
     )
 
 
-def sequential(state: RingState, dead, sybils: dict[int, int], order) -> None:
+def sequential(
+    state: RingState, dead, sybils: dict[int, int], order, mains=()
+) -> None:
     """The per-call equivalent: drop each dead slot, then insert each
-    Sybil, in the given order."""
+    new slot, in the given order: a main identity if it is in
+    ``mains``, else a Sybil."""
     for slot in sorted(dead, reverse=True):
         assert state.remove_slot(slot) == 0
     for ident in order:
-        state.insert_slot(ident, sybils[ident], is_main=False)
+        state.insert_slot(ident, sybils[ident], is_main=ident in mains)
 
 
 def assert_same_ring(one: RingState, ref: RingState, n_owners: int) -> None:
@@ -86,8 +90,7 @@ def assert_same_ring(one: RingState, ref: RingState, n_owners: int) -> None:
 class TestDropKeylessSlots:
     def test_equals_sequential_removal(self):
         dropped, sequential_ = ring_with_idle_sybils(), ring_with_idle_sybils()
-        # warm the owner index and loads cache so the drop must invalidate
-        dropped.slots_of_owner(0)
+        # warm the loads cache so the drop must invalidate it
         dropped.owner_loads(3)
         dropped.commit_round(positions(dropped, (240, 75, 150)), [], [])
         for slot in sorted(positions(sequential_, (75, 150, 240)),
@@ -165,11 +168,12 @@ def view_over(state: RingState, n_owners: int) -> SimView:
 def spy_commits(state: RingState) -> list[tuple]:
     """Record each ``commit_round`` call on ``state`` as ``(dropped
     positions, {ident: owner}, {ident: mask} of the keyed joins,
-    {base slot: keyed idents})``, then commit."""
+    {base slot: keyed idents}, {idents of the new mains})``, then
+    commit."""
     commits: list[tuple] = []
     commit_round = state.commit_round
 
-    def spy(dead, ids, owners, keyed=None):
+    def spy(dead, ids, owners, keyed=None, mains=()):
         keyed = keyed or {}
         commits.append((
             list(dead),
@@ -177,8 +181,9 @@ def spy_commits(state: RingState) -> list[tuple]:
             {ids[j]: mask for joins in keyed.values() for j, mask in joins},
             {base: [ids[j] for j, _ in joins]
              for base, joins in keyed.items()},
+            {ids[j] for j in mains},
         ))
-        commit_round(dead, ids, owners, keyed)
+        commit_round(dead, ids, owners, keyed, mains)
 
     state.commit_round = spy
     return commits
@@ -187,27 +192,37 @@ def spy_commits(state: RingState) -> list[tuple]:
 def play_round(state: RingState, n_owners: int, actions) -> tuple:
     """Play one SimView round over ``state`` and end it.  An action is
     ``("join", ident, owner)`` — placed by ``_probe`` and joined by
-    ``_join_sybil``, skipped when the id is taken — or ``("retire",
-    owner)`` through ``retire_sybils``.  The round must commit once (or
-    not at all).  Returns, in the sequential oracle's terms, the dropped
-    round-start positions, the joined Sybils (ident -> owner) in join
-    order, and the commit the view made (see :func:`spy_commits`)."""
+    ``_join_sybil``, skipped when the id is taken — ``("move", ident,
+    owner)`` — ``relocate_main`` into the arc holding ``ident`` — or
+    ``("retire", owner)`` through ``retire_sybils``.  The round must
+    commit once (or not at all).  Returns, in the sequential oracle's
+    terms, the dropped round-start positions, the new slots (ident ->
+    owner) in join order, the idents of the moved mains, and the commit
+    the view made (see :func:`spy_commits`)."""
     view = view_over(state, n_owners)
     commits = spy_commits(state)
     sybils: dict[int, int] = {}
+    mains: set[int] = set()
     for action in actions:
         if action[0] == "join":
             _, ident, owner = action
             if not view._probe(ident):
                 view._join_sybil(owner, ident, view._probed)
                 sybils[ident] = owner
+        elif action[0] == "move":
+            _, ident, owner = action
+            view._probe(ident)
+            if view.relocate_main(owner, view._probed) is not None:
+                moved = view._ids[-1]
+                sybils[moved] = owner
+                mains.add(moved)
         else:
             view.retire_sybils(action[1])
     dead = list(view._dropped)
     view.end_round()
     del state.commit_round
     assert len(commits) == (1 if dead or sybils else 0)
-    return dead, sybils, commits[0] if commits else None
+    return dead, sybils, mains, commits[0] if commits else None
 
 
 def random_round(seed: int):
@@ -215,8 +230,10 @@ def random_round(seed: int):
     actions in a shuffled order: owners whose Sybils are all keyless
     retire them, and Sybils join at fresh ids, ids inside retired arcs,
     reused retired ids, several per arc, and ids in slot 0's wrapping
-    arc.  An owner never joins before its own retirement (that commits
-    the round early, which the one-commit oracle does not model)."""
+    arc; some owners whose main holds no keys move it (at most once,
+    and never when they retire).  An owner never joins before its own
+    retirement (that commits the round early, which the one-commit
+    oracle does not model)."""
     rng = np.random.default_rng(seed)
     space = IdSpace(10)
     n_main = int(rng.integers(1, 8))
@@ -272,6 +289,17 @@ def random_round(seed: int):
         if owner in retiring and owner not in done:
             owner = n_main  # an owner with no slot of its own
         played.append(("join", action[1], owner))
+    # each move drops a round-start slot too: keep one
+    for owner in range(n_main):
+        if (
+            owner in retiring or live < 2
+            or state.counts[state.main_slot_of(owner)]
+            or rng.random() < 0.5
+        ):
+            continue
+        live -= 1
+        move = ("move", int(rng.integers(0, space.size)), owner)
+        played.insert(int(rng.integers(0, len(played) + 1)), move)
     return state, played, n_owners
 
 
@@ -298,9 +326,8 @@ class TestCommitRound:
 
     def check(self, build, n_owners, actions) -> tuple:
         one, ref = build(), build()
-        one.slots_of_owner(0)  # a warm index must be invalidated
-        dead, sybils, commit = play_round(one, n_owners, actions)
-        sequential(ref, dead, sybils, list(sybils))
+        dead, sybils, mains, commit = play_round(one, n_owners, actions)
+        sequential(ref, dead, sybils, list(sybils), mains)
         assert_same_ring(one, ref, n_owners)
         return one, dead, sybils, commit
 
@@ -405,7 +432,7 @@ def test_round_overlay_never_drops_the_last_base_slot():
     assert view.retire_sybils(0) == 1
     assert commits == [] and state.ids.tolist() == [10, 90]  # deferred
     assert view.retire_sybils(1) == 1
-    assert commits == [([0], {50: 2}, {}, {})]
+    assert commits == [([0], {50: 2}, {}, {}, set())]
     assert state.ids.tolist() == [50]
     view.end_round()
     state.verify_invariants()
@@ -430,7 +457,7 @@ class TestMaskReuse:
         state = view._state
         commits = spy_commits(state)
         view.end_round()
-        (dead, sybils, masks, arcs), = commits
+        (dead, sybils, masks, arcs, _), = commits
         ref = build()
         sequential(ref, dead, sybils, list(sybils))
         assert snapshot(state) == snapshot(ref)

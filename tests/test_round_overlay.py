@@ -490,15 +490,49 @@ class TestHandles:
         ))
         self.commit(twins)
 
+    def test_relocate_keyless_mains_in_the_round(self):
+        """A move whose old main held no keys at round start joins the
+        round — into another slot's arc or into its own old one — and a
+        second move of the same owner commits the round first."""
+        twins = self.twins()
+        state = twins[0].state
+        owners = twins[0].owners.network_indices.tolist()
+        mains = [state.ids.item(state.main_slot_of(o)) for o in owners[:2]]
+        self.empty(twins, mains)
+        view = twins[0].view
+        ends = [state.ids.item(p) for p in (5, 20)]
+        self.create_in(twins, owners[3], ends[0])
+        self.both(twins, lambda v, e: v.relocate_main(
+            owners[0], slot_of(v, e, ends[1])
+        ))
+        self.both(twins, lambda v, e: v.relocate_main(
+            owners[1], slot_of(v, e, mains[1])
+        ))
+        assert len(view._mains) == 2
+        assert sorted(state.ids[view._dropped].tolist()) == sorted(mains)
+        assert state.n_slots == 40  # deferred: the ring is untouched
+        self.both(twins, lambda v, e: v.relocate_main(
+            owners[0], slot_of(v, e, ends[0])
+        ))
+        assert state.n_slots == 41 and view._mains == []  # committed
+        assert (
+            twins[0].owners.main_id.tolist()
+            == twins[1].owners.main_id.tolist()
+        )
+        self.commit(twins)
+
 
 class TestCommitShape:
     def test_paper_strategies_never_use_per_slot_primitives(self):
-        """Every Sybil action of a default run is deferred: the ring's
-        single-slot insert and retire are never called, retirements
-        never open a batch removal, and each round makes at most one
-        round commit and opens at most one batch insertion."""
+        """Every Sybil action of a default run is deferred, and so is
+        every main-identity move (at the default threshold a mover's
+        main holds no keys): the ring's single-slot insert, remove and
+        retire are never called, retirements never open a batch
+        removal, and each round makes at most one round commit and
+        opens at most one batch insertion."""
         for strategy in ("random_injection", "neighbor_injection",
-                         "smart_neighbor_injection", "invitation"):
+                         "smart_neighbor_injection", "invitation",
+                         "relocation"):
             engine = TickEngine(SimulationConfig(
                 strategy=strategy, n_nodes=100, n_tasks=5000, seed=4,
             ))
@@ -535,7 +569,10 @@ class TestCommitShape:
             assert calls.get("retire_sybils", 0) == 0
             assert calls.get("remove_slot", 0) == 0
             assert calls.get("begin_batch_removal", 0) == 0
-            assert engine.counters["sybils_created"] > 0
+            acted = "relocations" if strategy == "relocation" else (
+                "sybils_created"
+            )
+            assert engine.counters[acted] > 0
             for per_round in rounds:
                 assert per_round.get("commit_round", 0) <= 1
                 assert per_round.get("begin_batch_insertion", 0) <= 1
@@ -559,6 +596,10 @@ class TestCommitShape:
         assert engine.counters["sybils_retired"] > 0
 
     def test_idle_rounds_open_no_overlay(self, monkeypatch):
+        """A round with neither a read nor an action (induced churn's)
+        opens no round; the first read of a round opens one, which every
+        later read shares, and ending a round of reads alone commits
+        nothing and leaves no round state on the view."""
         opened = []
         real = SimView._open_round
 
@@ -572,16 +613,32 @@ class TestCommitShape:
             seed=1,
         )).run()
         assert opened == []
-        # windowed reads answer from the ring while no round is open
-        view = TickEngine(SimulationConfig(
+        engine = TickEngine(SimulationConfig(
             strategy="smart_neighbor_injection", n_nodes=20, n_tasks=500,
             seed=1,
-        )).view
+        ))
+        view = engine.view
         view.begin_round()
         for slot in range(20):
             view.successor_window(slot, 4, counts=True)
             view.predecessor_window(slot, 4)
-        assert opened == []
+            view.slot_id(slot)
+        for owner in range(20):
+            view.main_slot(owner)
+            view.heaviest_slot(owner)
+            view.live_owner_load(owner)
+        assert opened == [1]
+        commits = []
+        monkeypatch.setattr(
+            engine.state, "commit_round", lambda *a, **k: commits.append(a)
+        )
+        view.end_round()
+        assert commits == []
+        assert view._ids is None
+        assert [
+            name for name, value in vars(view).items()
+            if isinstance(value, (list, dict, set))
+        ] == []
 
 
 class TestCensus:

@@ -174,7 +174,7 @@ class TestCachedRemaining:
         state.commit_round(dead, fresh, [0] * len(fresh), keyed)
         self.check(state)
         state.verify_invariants()
-        removal = state.begin_batch_removal()
+        removal = state.begin_batch_removal([2])
         removal.remove_owner_guarded(2)
         ident = next(
             i for i in rng.integers(0, SPACE.size, 50).tolist()
@@ -189,7 +189,7 @@ class TestCachedRemaining:
     def test_crash_commit_counts_the_lost_keys(self):
         state, _ = multi_slot_ring(13)
         before = state.total_remaining()
-        removal = state.begin_batch_removal()
+        removal = state.begin_batch_removal([1])
         recovered, lost = removal.crash_owner_guarded(1, 0)
         removal.commit()
         self.check(state)

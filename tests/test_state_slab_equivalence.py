@@ -190,7 +190,7 @@ def test_batched_churn_matches_sequential(
     slab, naive = build_pair(seed, n_nodes, n_keys)
     next_owner = n_nodes
 
-    removal = slab.begin_batch_removal()
+    removal = slab.begin_batch_removal([o % n_nodes for o in leavers])
     for owner in leavers:
         owner = owner % n_nodes
         moved = removal.remove_owner_guarded(owner)
@@ -563,6 +563,24 @@ def test_removal_is_sealed_once_an_insertion_begins():
     with pytest.raises(RingError):
         removal.commit()
     slab.verify_invariants()
+
+
+def test_removal_refuses_an_owner_not_named():
+    """A batch removal knows only the owners named when it began: asking
+    for another raises before anything changes."""
+    slab, twin = build_pair(4, 5, 40, cls=RingState)
+    removal = slab.begin_batch_removal([0, 2])
+    for remove in (
+        removal.remove_owner_guarded,
+        lambda owner: removal.crash_owner_guarded(owner, None),
+    ):
+        with pytest.raises(RingError, match="not named"):
+            remove(1)
+    assert_equivalent(slab, twin)
+    assert removal.remove_owner_guarded(2) is not None
+    removal.commit()
+    slab.verify_invariants()
+    assert 2 not in slab.owner.tolist()
 
 
 @settings(max_examples=40, deadline=None)

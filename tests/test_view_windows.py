@@ -3,11 +3,11 @@
 ``NetworkView.successor_window`` / ``predecessor_window`` return a
 node's tracked neighbours with their owners (and gaps, and counts on
 request) in one call.  ``SimView`` answers them by walking the open
-round's successor/predecessor links, or with slices of the ring's
-arrays while no round is open: both forms must equal a reference built
-from the ring the view walks (named by identifier, with the round's
-per-slot owners and counts, or the ring's arrays), across the wrap, for
-windows wider than the ring, and on one- and two-slot rings.
+round's successor/predecessor links (the first read of a round opens
+it), before and after the round's actions: they must equal a reference
+built from the ring the view walks (named by identifier, with the
+round's per-slot owners and counts), across the wrap, for windows wider
+than the ring, and on one- and two-slot rings.
 A protocol host's ``ChordView`` reads its own nodes' successor and
 predecessor lists and queries loads by RPC; its windows and the runs
 built on them are pinned.
@@ -52,22 +52,17 @@ def ring_lists(view) -> tuple[list[int], ...]:
     The slots are walked from a live slot by the view's widest window
     and named by ``slot_id``: the identifiers must be exactly the
     ring's — the round-start ids without the retired ones, plus the
-    pending ones, while a round is open.  Owners and counts come from
-    the round's per-slot lists, or from the ring's arrays while no
-    round is open."""
+    pending ones.  Owners and counts come from the round's per-slot
+    lists."""
     start = view.main_slot(int(view.network_owners()[0]))
     slots = [start, *view.successor_window(start, 10**9)[0]]
     low = min(range(len(slots)), key=lambda i: view.slot_id(slots[i]))
     slots = slots[low:] + slots[:low]
     ids = [view.slot_id(s) for s in slots]
     state = view._state
-    if view._ids is None:
-        ring = state.ids.tolist()
-        owner, counts = state.owner.tolist(), state.counts.tolist()
-    else:
-        retired = {state.ids.item(p) for p in view._dropped}
-        ring = sorted(set(state.ids.tolist()) - retired | set(view._pending))
-        owner, counts = view._owner, view._counts
+    retired = {state.ids.item(p) for p in view._dropped}
+    ring = sorted(set(state.ids.tolist()) - retired | set(view._pending))
+    owner, counts = view._owner, view._counts
     assert ids == ring
     return slots, ids, [owner[s] for s in slots], [counts[s] for s in slots]
 
@@ -98,13 +93,13 @@ def sybil_engine(**overrides) -> TickEngine:
 
 class TestSimView:
     def test_closed_overlay_reads_the_ring(self):
+        """Reads before any action: the round they open is the ring."""
         engine = sybil_engine()
         view = engine.view
         view.begin_round()
         n = engine.state.n_slots
         assert n > 30  # Sybils joined
         assert_windows_match(view, range(n))
-        assert view._ids is None  # the reads opened no round
 
     def test_open_overlay_reads_the_round(self):
         engine = sybil_engine()
