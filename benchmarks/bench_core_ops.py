@@ -180,15 +180,15 @@ def _run_churn_storm_naive(state, script):
 
 
 def _run_churn_storm_slab(state, script):
-    """The engine's churn tick: the joiners' ids are tested against the
-    ring the departures leave in one vectorized call, and the joins go,
-    as arrays, to a batch insertion begun on the open removal that
-    commits both in one slab pass."""
+    """The engine's churn tick on one ring batch: the joiners' ids are
+    tested against the ring the departures leave in one vectorized
+    call, the joins go to the batch as arrays in one ``add``, and one
+    commit applies both in one slab pass."""
     for leavers, join_ids, joiners in script:
-        removal = state.begin_batch_removal(leavers)
+        batch = state.begin_batch_removal(leavers)
         for owner in leavers:
-            removal.remove_owner_guarded(owner)
-        taken = removal.ids_exist(np.array(join_ids, dtype=np.uint64))
+            batch.remove_owner_guarded(owner)
+        taken = batch.ids_exist(np.array(join_ids, dtype=np.uint64))
         seen = set()
         ids, owners = [], []
         for ident, owner, hit in zip(join_ids, joiners, taken.tolist()):
@@ -196,10 +196,8 @@ def _run_churn_storm_slab(state, script):
                 seen.add(ident)
                 ids.append(ident)
                 owners.append(owner)
-        insertion = state.begin_batch_insertion(removal)
-        insertion.add(ids, owners, is_main=True)
-        insertion.commit()
-        removal.commit()
+        batch.add(ids, owners, is_main=True)
+        batch.commit()
 
 
 @pytest.mark.parametrize("n_slots", [1_000, 10_000, 100_000])

@@ -281,16 +281,16 @@ class TickEngine:
     def _apply_churn(self, prof: Profiler | None = None) -> None:
         """One churn phase, committed in one slab pass (see DESIGN.md §5).
 
-        Departures queue on a :class:`~repro.sim.state.BatchRemoval`
-        that merges their keys at stable positions; the joins' ids come
-        from one sized generator draw; a
-        :class:`~repro.sim.state.BatchInsertion` begun on the open
-        removal takes every joiner at once, as arrays in join order —
+        The tick holds one :class:`~repro.sim.state.RingBatch` and
+        commits it once: departures queue on it and merge their keys at
+        stable positions; the joins' ids come from one sized generator
+        draw against the ring the departures leave; the batch's one
+        ``add`` takes every joiner at once, as arrays in join order —
         one sort, one placement among the live slots, one split per arc
-        — and applies departures and joins together, and the registry
-        books the joins in one write.  Merges and RNG draws replay the
-        sequential per-node order exactly, and a split draws nothing, so
-        seeded runs are bit-identical to the historical
+        — and its commit applies departures and joins together, and the
+        registry books the joins in one write.  Merges and RNG draws
+        replay the sequential per-node order exactly, and a split draws
+        nothing, so seeded runs are bit-identical to the historical
         one-``np.insert``/``np.delete``-per-event loop while doing
         O(n + events) structural work.
 
@@ -306,19 +306,19 @@ class TickEngine:
         # RNG draw (and the seeded trajectory) is unchanged.
         net = self.owners.honest_network_indices
         leaving = net[rng.random(net.size) < rate]
-        removal = None
+        batch = None
         if leaving.size:
             # one vectorized draw, gated on cf > 0 so default configs
             # consume no extra RNG and stay bit-identical
             crashing = (
                 rng.random(leaving.size) < cf if cf > 0 else None
             )
-            removal = self.state.begin_batch_removal(leaving)
+            batch = self.state.begin_batch_removal(leaving)
             ring_died = _in_phase(
-                prof, "churn.depart", self._depart, removal, leaving, crashing
+                prof, "churn.depart", self._depart, batch, leaving, crashing
             )
             if ring_died:
-                removal.commit()
+                batch.commit()
                 # everything still on the wreck is unrecoverable
                 lost = self.state.total_remaining()
                 self.counters["tasks_lost"] += lost
@@ -333,24 +333,20 @@ class TickEngine:
         joining = waiting[rng.random(waiting.size) < rate]
         idents: list[int] = []
         if joining.size:
-            exist = (
-                self.state.ids_exist if removal is None else removal.ids_exist
-            )
+            exist = self.state.ids_exist if batch is None else batch.ids_exist
             idents = _in_phase(
                 prof, "churn.join", draw_new_node_ids,
                 joining.size, self.space, rng, exist,
             )
         if idents:
-            # the insertion applies the open removal with its own slots,
-            # so the removal then only closes; batch seams and phases nest
             _in_phase(
                 prof, "churn.commit", self._commit_joins,
-                removal, joining, idents,
+                batch, joining, idents,
             )
-        elif removal is not None:
-            _in_phase(prof, "churn.commit", removal.commit)
+        elif batch is not None:
+            _in_phase(prof, "churn.commit", batch.commit)
 
-    def _depart(self, removal, leaving: np.ndarray, crashing) -> bool:
+    def _depart(self, batch, leaving: np.ndarray, crashing) -> bool:
         """Queue the departures; returns True if the ring died."""
         # hoisted flag: per-event _emit calls build a kwargs dict even
         # when no sink is attached, so the no-observer path skips them
@@ -360,7 +356,7 @@ class TickEngine:
         for i, owner in enumerate(leaving.tolist()):
             if crashing is not None and crashing[i]:
                 # crash-stop: un-replicated tasks are lost
-                res = removal.crash_owner_guarded(
+                res = batch.crash_owner_guarded(
                     owner, self.failures.replication_factor
                 )
                 if res is None:
@@ -382,7 +378,7 @@ class TickEngine:
                     )
                 continue
             # never empty the ring: the last identities stay put
-            moved = removal.remove_owner_guarded(owner)
+            moved = batch.remove_owner_guarded(owner)
             if moved is None:
                 continue
             counters["churn_keys_moved"] += moved
@@ -393,23 +389,22 @@ class TickEngine:
         return ring_died
 
     def _commit_joins(
-        self, removal, joining: np.ndarray, idents: list[int]
+        self, batch, joining: np.ndarray, idents: list[int]
     ) -> None:
-        """Insert the joiners at their drawn ids and commit the tick: the
-        ring takes every join as one batch, and the registry books them
-        in one write."""
-        insertion = self.state.begin_batch_insertion(removal)
-        moved = insertion.add(idents, joining, is_main=True)
-        insertion.commit()
-        if removal is not None:
-            removal.commit()
+        """Add the joiners at their drawn ids to the tick's batch (begun
+        here when nobody left) and commit it: the ring takes every join
+        at once, and the registry books them in one write."""
+        if batch is None:
+            batch = self.state.begin_batch_insertion()
+        moved = batch.add(idents, joining, is_main=True)
+        batch.commit()
         self.owners.join_network(joining, idents)
         counters = self.counters
         counters["churn_keys_moved"] += moved
         counters["churn_joins"] += len(idents)
         if self._tracing:
             for owner, ident, acquired in zip(
-                joining.tolist(), idents, insertion.acquired
+                joining.tolist(), idents, batch.acquired
             ):
                 self._emit("churn_join", owner=owner, ident=ident,
                            acquired=acquired)

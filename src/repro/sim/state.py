@@ -39,29 +39,30 @@ The initial ring is built without a comparison sort: a bucket table over
 the top bits of the id space finds each key's slot, and a stable radix
 sort on the slot index groups the keys (see :meth:`RingState.build`).
 
-Bulk structure changes go through :meth:`begin_batch_removal` /
-:meth:`begin_batch_insertion`.  A removal replays the exact key
-movements (and therefore the exact RNG draw sequence) of the equivalent
-sequential ``remove_slot`` calls at stable slot positions.  An insertion
-takes a churn tick's joiners at once, as arrays: it sorts their ids,
-places them with one ``searchsorted`` and splits each arc they land in
-once; a split draws no randomness, so the layout equals sequential
-``insert_slot`` calls in any order.  Both restructure the slab once, at
-commit, in :meth:`RingState._restructure`: one pass that drops the dead
-slots and splices in the new ones.  A churn tick begins its insertion
-on the open removal, so its departures and joins share that one pass
-(with the radix build, the benchmark's 1000-node / 1M-task churn
-trials went from 1.015 to 0.652 ms per churn-0.01 tick and from 0.282
-to 0.199 ms per churn-0.001 tick, host-scaled, build included).  Seeded
-trajectories are bit-identical to the sequential path; the structural
-cost drops from O(events × n) array rebuilds to O(n + events) per tick.
+A churn tick's structure change is one :class:`RingBatch`, begun with
+:meth:`begin_batch_removal` (or :meth:`begin_batch_insertion` when
+nobody leaves).  Its removals replay the exact key movements (and
+therefore the exact RNG draw sequence) of the equivalent sequential
+``remove_slot`` calls at stable slot positions.  Its one ``add`` takes
+the tick's joiners at once, as arrays: it sorts their ids, places them
+with one ``searchsorted`` among the slots the removals leave and splits
+each arc they land in once; a split draws no randomness, so the layout
+equals sequential ``insert_slot`` calls in any order.  Its one commit
+restructures the slab in :meth:`RingState._restructure`: one pass that
+drops the dead slots and splices in the new ones (with the radix build,
+the benchmark's 1000-node / 1M-task churn trials went from 1.015 to
+0.652 ms per churn-0.01 tick and from 0.282 to 0.199 ms per churn-0.001
+tick, host-scaled, build included).  Seeded trajectories are
+bit-identical to the sequential path; the structural cost drops from
+O(events × n) array rebuilds to O(n + events) per tick.
 A strategy round commits through :meth:`commit_round`: its retired
 Sybils hold no keys, so they skip the replay and leave in the same pass
 that splices in the round's new Sybils, each affected arc split once.
 
 :meth:`slots_of_owner` / :meth:`main_slot_of` compare the owner column
 once per call: no hot path asks them (a strategy round reads its own
-lists, a batch removal finds its named owners with one scan).
+lists, a churn tick's batch finds its named owners with one scan; the
+one-owner :meth:`remove_owner` / :meth:`retire_sybils` compare once).
 :meth:`owner_loads` is cached behind a dirty flag so one bincount per
 mutation epoch serves consumption, snapshots, and time series alike.
 """
@@ -87,8 +88,7 @@ from repro.sim.owners import PROV_BENEVOLENT, PROV_HONEST
 
 __all__ = [
     "RingState",
-    "BatchRemoval",
-    "BatchInsertion",
+    "RingBatch",
     "ConsumptionGroups",
     "median_in_arc",
 ]
@@ -246,6 +246,10 @@ class _Pending(NamedTuple):
     provenance: np.ndarray | list[int]
     keys: list[np.ndarray]
     at: np.ndarray | list[int]
+
+
+#: the joins of a batch whose add took none
+_NO_JOINS = _Pending([], [], [], [], [], [], [])
 
 
 class ConsumptionGroups(NamedTuple):
@@ -832,14 +836,15 @@ class RingState:
 
         Returns the number of keys handed off to successors.  One batch
         replays the sequential ascending-order removals, RNG draws
-        included, and compresses the slab once.  Raises
-        :class:`RingError`, before changing anything, if the owner holds
-        every slot on the ring.
+        included, and compresses the slab once; one compare of the owner
+        column finds the slots.  Raises :class:`RingError`, before
+        changing anything, if the owner holds every slot on the ring.
         """
-        batch = BatchRemoval(self, [owner])
-        moved = batch.remove_owner_guarded(owner)
-        if moved is None:
+        slots = self.slots_of_owner(owner).tolist()
+        if len(slots) == self._n:
             raise RingError("cannot remove the last slot on the ring")
+        batch = RingBatch(self)
+        moved = sum([batch._remove_one(slot) for slot in slots])
         batch.commit()
         return moved
 
@@ -852,10 +857,10 @@ class RingState:
         the last slot alive — that identity stays put (the same guard
         the engine applies to churn departures).
         """
-        batch = BatchRemoval(self, [owner])
+        batch = RingBatch(self)
         is_main = self._main_view
         removed = 0
-        for slot in batch._owner_slots(owner):
+        for slot in self.slots_of_owner(owner).tolist():
             if batch._live <= 1:
                 break
             if not is_main[slot]:
@@ -983,22 +988,16 @@ class RingState:
     # ------------------------------------------------------------------
     # batch structure changes (used by the engine's churn phase)
     # ------------------------------------------------------------------
-    def begin_batch_removal(self, owners) -> "BatchRemoval":
-        """Start a batched removal of some of ``owners`` (the owner
-        indices that may be removed: one scan locates their slots); call
-        :meth:`BatchRemoval.commit`."""
-        return BatchRemoval(self, owners)
+    def begin_batch_removal(self, owners) -> "RingBatch":
+        """Start a churn tick's batch: it may remove some of ``owners``
+        (the owner indices named here: one scan locates their slots),
+        then take the tick's joins; call :meth:`RingBatch.commit`."""
+        return RingBatch(self, owners)
 
-    def begin_batch_insertion(
-        self, removal: "BatchRemoval | None" = None
-    ) -> "BatchInsertion":
-        """Start a batched insertion; call :meth:`BatchInsertion.commit`.
-
-        Pass the open ``removal`` of the same tick to insert into the
-        ring it leaves; the insertion's commit then applies both in one
-        pass, and ``removal.commit()`` afterwards only closes it.
-        """
-        return BatchInsertion(self, removal)
+    def begin_batch_insertion(self) -> "RingBatch":
+        """Start the batch of a tick with joins but no departures; call
+        :meth:`RingBatch.commit`."""
+        return RingBatch(self)
 
     def median_key(self, slot: int) -> int | None:
         """Median remaining key of the slot *by ring position within its arc*.
@@ -1060,21 +1059,35 @@ class RingState:
             raise RingError("owner loads cache out of sync")
 
 
-class BatchRemoval:
-    """Batched slot removal with sequential-equivalent key movement.
+class RingBatch:
+    """One churn tick's ring change: departures, then joins, committed
+    in one slab pass.
 
-    ``remove_owner_guarded``/``crash_owner_guarded`` replay the exact
-    merge-and-shuffle sequence of repeated :meth:`RingState.remove_slot`
-    calls (ascending slot order, as the sequential loop produced) against
-    *stable* slot positions; :meth:`commit` compresses the slab once.
-    RNG consumption is bit-identical to the sequential path.  A churn
-    tick begins its :class:`BatchInsertion` on the open batch, and that
-    insertion's commit applies both in one slab pass.
+    A tick queues its departures with :meth:`remove_owner_guarded` /
+    :meth:`crash_owner_guarded`, tests new ids with :meth:`ids_exist`
+    against the ring they leave, queues its joins with one :meth:`add`
+    and calls :meth:`commit` once.  After :meth:`add`, a removal or a
+    second :meth:`add` raises :class:`RingError`, and so does a second
+    :meth:`commit`.
+
+    Removals replay the exact merge-and-shuffle sequence of repeated
+    :meth:`RingState.remove_slot` calls (ascending slot order, as the
+    sequential loop produced) against *stable* slot positions, so RNG
+    consumption is bit-identical to the sequential path.  :meth:`add`
+    takes every joiner at once, as arrays in join order: the ids are
+    sorted once and placed with one ``searchsorted`` among the live
+    slots, and each join's selection mask is taken in its arc.
+    :meth:`commit` splits each keyed arc once by those masks, by the
+    rule a strategy round's commit uses (:meth:`RingState._split_keyed`),
+    then drops the dead slots and splices in the joins in one
+    :meth:`RingState._restructure`.  A split draws no randomness, so the
+    final layout equals sequential :meth:`RingState.insert_slot` calls
+    in any order, and :attr:`acquired` holds their per-join counts.
     :meth:`RingState.remove_owner` and :meth:`RingState.retire_sybils`
-    are each one batch.
+    are each one batch without joins.
     """
 
-    def __init__(self, state: RingState, owners):
+    def __init__(self, state: RingState, owners=()):
         self._state = state
         n = state.n_slots
         # bytearray, not a bool ndarray: per-event scalar indexing is the
@@ -1085,30 +1098,33 @@ class BatchRemoval:
         self._skip: dict[int, int] = {}
         self._dead: list[int] = []
         self._live = n
+        # the joins (set by add), and what the commit's split takes
+        # besides them: each keyed arc's joins as (join index, mask) in
+        # join order, and the order that sorts the new ids
+        self._pending: _Pending | None = None
+        self._split: tuple[
+            dict[int, list[tuple[int, np.ndarray]]], np.ndarray
+        ] | None = None
         self._committed = False
-        # set once a BatchInsertion is begun on this batch (no further
-        # removals), and once that insertion's commit applied them
-        self._sealed = False
-        self._flushed = False
+        #: keys each joiner took when it joined, in join order: those in
+        #: (its nearest earlier-joined predecessor, its id] — the count a
+        #: sequential ``insert_slot`` returns (set by :meth:`add`)
+        self.acquired: list[int] = []
         # each named owner's pre-batch slot positions, ascending: one
-        # membership scan of the owner column
+        # membership scan of the owner column.  Flags past the largest
+        # listed owner stay False, and the clipped gather maps every
+        # larger owner there
         arr = np.asarray(owners, dtype=_I64)
         grouped: dict[int, list[int]] = {o: [] for o in arr.tolist()}
         if arr.size:
             if arr.min() < 0:
                 raise RingError("owner indices must be non-negative")
             ow = state.owner
-            if arr.size == 1:
-                # one owner (remove_owner, retire_sybils): one compare
-                grouped[int(arr[0])] = np.flatnonzero(ow == arr[0]).tolist()
-            else:
-                # flags past the largest listed owner stay False, and
-                # the clipped gather maps every larger owner there
-                flags = np.zeros(int(arr.max()) + 2, dtype=bool)
-                flags[arr] = True
-                hits = flags.take(ow, mode="clip").nonzero()[0]
-                for p, o in zip(hits.tolist(), ow[hits].tolist()):
-                    grouped[o].append(p)
+            flags = np.zeros(int(arr.max()) + 2, dtype=bool)
+            flags[arr] = True
+            hits = flags.take(ow, mode="clip").nonzero()[0]
+            for p, o in zip(hits.tolist(), ow[hits].tolist()):
+                grouped[o].append(p)
         self._slots_by_owner = grouped
         # hot references — stable for the lifetime of the batch, since
         # no structural op rebinds the prefix views until commit()
@@ -1117,11 +1133,17 @@ class BatchRemoval:
         self._merge = state._merge
 
     def _owner_slots(self, owner: int) -> list[int]:
-        """Pre-batch slot positions of ``owner``, ascending; raises
-        :class:`RingError` for an owner not named when the batch began."""
+        """Pre-batch positions of the slots of ``owner`` still alive in
+        this batch, ascending; raises :class:`RingError` once the batch
+        holds its joins, or for an owner not named when it began."""
+        if self._pending is not None:
+            raise RingError("ring batch already holds its joins")
         slots = self._slots_by_owner.get(int(owner))
         if slots is None:
             raise RingError(f"owner {int(owner)} was not named for this batch")
+        if self._live != self._n:
+            alive = self._alive
+            slots = [s for s in slots if alive[s]]
         return slots
 
     def remove_owner_guarded(self, owner: int) -> int | None:
@@ -1130,10 +1152,7 @@ class BatchRemoval:
         if guarded.  The guard and the removal share one read of the
         owner's slot list.
         """
-        alive = self._alive
         slots = self._owner_slots(owner)
-        if self._live != self._n:
-            slots = [s for s in slots if alive[s]]
         if self._live - len(slots) < 1:
             return None
         moved = 0
@@ -1160,14 +1179,10 @@ class BatchRemoval:
         None if removing the owner would empty the ring (the engine
         treats that as ring death).
         """
-        if self._sealed:
-            raise RingError("removal batch already feeds an insertion")
-        alive = self._alive
         slots = self._owner_slots(owner)
-        if self._live != self._n:
-            slots = [s for s in slots if alive[s]]
         if self._live - len(slots) < 1:
             return None
+        alive = self._alive
         n = self._n
         counts = self._counts
         keys = self._keys
@@ -1224,8 +1239,6 @@ class BatchRemoval:
         self._live -= 1
 
     def _remove_one(self, slot: int) -> int:
-        if self._sealed:
-            raise RingError("removal batch already feeds an insertion")
         if self._live <= 1:
             raise RingError("cannot remove the last slot on the ring")
         alive = self._alive
@@ -1242,73 +1255,17 @@ class BatchRemoval:
         self._mark_dead(slot)
         return moved
 
-    def commit(self) -> None:
-        """Drop every queued slot in one slab pass.
-
-        When a :class:`BatchInsertion` was begun on this batch its
-        commit already applied the removals together with its own
-        insertions, and this only closes the batch.
-        """
-        if self._committed:
-            raise RingError("batch removal already committed")
-        self._committed = True
-        if not self._flushed:
-            self._state._restructure(sorted(self._dead))
-
-
-class BatchInsertion:
-    """A churn tick's joins, placed together and split one arc at a time.
-
-    :meth:`add` takes every joiner of the tick at once, as arrays in join
-    order, and resolves them against the ring the open
-    :class:`BatchRemoval` leaves (the ring as it is, without one): the
-    ids are sorted once and placed with one ``searchsorted`` among the
-    live slots, and each join's selection mask is taken in its arc.
-    :meth:`commit` splits each arc once by those masks, by the rule a
-    strategy round's commit uses (:meth:`RingState._split_keyed`), and
-    applies the removal's drops and the joins in one
-    :meth:`RingState._restructure` pass; ``removal.commit()`` afterwards
-    only closes the removal.  A split draws no randomness, so the final
-    layout equals sequential :meth:`RingState.insert_slot` calls in any
-    order, and :attr:`acquired` holds their per-join counts.
-    """
-
-    def __init__(self, state: RingState, removal: BatchRemoval | None = None):
-        self._state = state
-        self._removal = removal
-        # alive flags of the pre-batch slots; None while every slot lives
-        self._alive: bytearray | None = None
-        if removal is not None:
-            if removal._committed or removal._sealed:
-                raise RingError("removal batch is already closed")
-            removal._sealed = True
-            if removal._dead:
-                self._alive = removal._alive
-        self._pending: _Pending | None = None
-        # what the commit's split takes: each keyed arc's joins as (join
-        # index, mask) in join order, the order that sorts the new ids,
-        # and the pending counts and keys it fills in
-        self._split: tuple[
-            dict[int, list[tuple[int, np.ndarray]]], np.ndarray,
-            np.ndarray, list[np.ndarray],
-        ] | None = None
-        self._committed = False
-        #: keys each joiner took when it joined, in join order: those in
-        #: (its nearest earlier-joined predecessor, its id] — the count a
-        #: sequential ``insert_slot`` returns (set by :meth:`add`)
-        self.acquired: list[int] = []
-
     def add(self, idents, owners, *, is_main: bool) -> int:
         """Queue the joins of identity ``idents[j]`` (a list of ints or a
         ``uint64`` array) for owner ``owners[j]``, in join order; returns
-        the keys they take in total.  Once per batch.
+        the keys they take in total.  Once per batch, after its removals.
 
         Raises, before queueing anything, :class:`IdSpaceError` if an id
-        is outside the space, on the ring the removal leaves, or twice
+        is outside the space, on the ring the removals leave, or twice
         in the batch.
         """
         if self._pending is not None:
-            raise RingError("batch insertion already holds its joins")
+            raise RingError("ring batch already holds its joins")
         state = self._state
         new, order = _sorted_ids(state.space, idents)
         m = new.size
@@ -1316,6 +1273,7 @@ class BatchInsertion:
         if owner.shape != (m,):
             raise RingError("one owner per joining identity")
         if not m:
+            self._pending = _NO_JOINS
             return 0
         joins = new.tolist()
         # the sorted joins[j] is the when[j]-th to join
@@ -1324,7 +1282,7 @@ class BatchInsertion:
             raise IdSpaceError("identifier joins twice in one batch")
         ids = live_ids = state.ids
         live: np.ndarray | None = None
-        if self._alive is not None:
+        if self._dead:
             live = np.frombuffer(self._alive, dtype=bool).nonzero()[0]
             live_ids = ids.take(live)
         n_live = live_ids.size
@@ -1369,34 +1327,26 @@ class BatchInsertion:
             keyed[slot] = joined
             for j, mask in joined:
                 acquired[j] = int(np.count_nonzero(mask))
-        counts_out = np.zeros(m, dtype=_I64)
-        parts = [_EMPTY_KEYS] * m
-        self._split = (keyed, order, counts_out, parts)
+        self._split = (keyed, order)
         self._pending = _Pending(
             ids=new,
             owner=owner.take(order),
             is_main=[is_main] * m,
-            counts=counts_out,
+            counts=np.zeros(m, dtype=_I64),
             provenance=[PROV_HONEST if is_main else PROV_BENEVOLENT] * m,
-            keys=parts,
+            keys=[_EMPTY_KEYS] * m,
             at=place if live is None else ids.searchsorted(new),
         )
         self.acquired = acquired
         return sum(acquired)
 
     def commit(self) -> None:
-        """Split the keyed arcs, then apply the joins and the removal
-        this batch was begun on, if any, in one slab pass."""
+        """Split the keyed arcs, then drop the dead slots and splice in
+        the joins in one slab pass."""
         if self._committed:
-            raise RingError("batch insertion already committed")
+            raise RingError("ring batch already committed")
         self._committed = True
-        removal = self._removal
-        if removal is not None and removal._committed:
-            raise RingError("batch removal already committed")
-        state = self._state
+        state, pending = self._state, self._pending
         if self._split is not None:
-            state._split_keyed(*self._split)
-        dead = sorted(removal._dead) if removal is not None else []
-        state._restructure(dead, self._pending)
-        if removal is not None:
-            removal._flushed = True
+            state._split_keyed(*self._split, pending.counts, pending.keys)
+        state._restructure(sorted(self._dead), pending)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.config import SimulationConfig
+from repro.config import AdversaryModel, FailureModel, SimulationConfig
 from repro.sim.engine import TickEngine, run_simulation
 
 
@@ -105,6 +105,69 @@ class TestChurnMechanics:
             assert consumed + engine.remaining == config.n_tasks
         assert engine.state.n_sybil_slots >= 0
         assert engine.counters["sybils_created"] > 0
+
+    def test_a_tick_opens_one_batch_and_commits_it_once(self):
+        """Each churn phase begins at most one ring batch and commits it
+        once, also on ticks where nodes both leave (some by crash-stop)
+        and join; the adversary plane's density detection, on here,
+        evicts through a batch of its own, and every batch begun in the
+        run commits exactly once."""
+        config = SimulationConfig(
+            strategy="churn", n_nodes=100, n_tasks=10_000, churn_rate=0.05,
+            failures=FailureModel(crash_fraction=0.3, replication_factor=1),
+            adversary=AdversaryModel(
+                eclipse_sybils=12, eclipse_arc_fraction=0.01,
+                attack_tick=5, detection_interval=10,
+            ),
+            seed=9,
+        )
+        engine = TickEngine(config)
+        state = engine.state
+        commits: list[int] = []  # per batch begun, in order: its commits
+
+        def counted(name):
+            begin = getattr(state, name)
+
+            def begin_counted(*args, **kwargs):
+                batch = begin(*args, **kwargs)
+                commit, k = batch.commit, len(commits)
+                commits.append(0)
+
+                def commit_counted():
+                    commits[k] += 1
+                    commit()
+
+                batch.commit = commit_counted
+                return batch
+
+            setattr(state, name, begin_counted)
+
+        counted("begin_batch_removal")
+        counted("begin_batch_insertion")
+        counters = engine.counters
+        phases = []  # per churn phase: (leaves, joins, its batches' commits)
+        apply_churn = engine._apply_churn
+
+        def churn_phase(*args):
+            first = len(commits)
+            leaves, joins = counters["churn_leaves"], counters["churn_joins"]
+            apply_churn(*args)
+            phases.append((
+                counters["churn_leaves"] - leaves,
+                counters["churn_joins"] - joins,
+                commits[first:],
+            ))
+
+        engine._apply_churn = churn_phase
+        engine.run()
+        for leaves, joins, batches in phases:
+            assert batches in ([], [1])
+            assert batches or not (leaves or joins)
+        assert any(leaves and joins for leaves, joins, _ in phases)
+        assert commits and set(commits) == {1}
+        assert len(commits) > sum(1 for *_, b in phases if b)
+        assert counters["crashes"] > 0
+        assert counters["adversary.evictions"] > 0
 
 
 class TestChurnSpeedup:

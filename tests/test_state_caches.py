@@ -174,16 +174,14 @@ class TestCachedRemaining:
         state.commit_round(dead, fresh, [0] * len(fresh), keyed)
         self.check(state)
         state.verify_invariants()
-        removal = state.begin_batch_removal([2])
-        removal.remove_owner_guarded(2)
+        batch = state.begin_batch_removal([2])
+        batch.remove_owner_guarded(2)
         ident = next(
             i for i in rng.integers(0, SPACE.size, 50).tolist()
-            if not removal.ids_exist(np.array([i], dtype=np.uint64))[0]
+            if not batch.ids_exist(np.array([i], dtype=np.uint64))[0]
         )
-        insertion = state.begin_batch_insertion(removal)
-        insertion.add([ident], [2], is_main=True)
-        insertion.commit()
-        removal.commit()
+        batch.add([ident], [2], is_main=True)
+        batch.commit()
         self.check(state)
 
     def test_crash_commit_counts_the_lost_keys(self):

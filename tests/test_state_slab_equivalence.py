@@ -224,30 +224,28 @@ def test_batched_churn_matches_sequential(
 
 
 def _fused_tick(state, events, replication, n_joins, next_owner):
-    """One churn tick in the engine's call shape: departures on a batch
-    removal, the joins' ids from one sized draw against the ring that
-    removal leaves, and — when anyone joins — a batch insertion begun on
-    the open removal whose commit applies both; without joiners the
-    removal commits alone.  ``events`` is ``[(owner, crash), ...]``."""
-    removal = state.begin_batch_removal([o for o, _ in events])
+    """One churn tick in the engine's call shape: departures on one ring
+    batch, the joins' ids from one sized draw against the ring those
+    departures leave, the joins — when anyone joins — in the batch's one
+    ``add``, and one commit applying both.  ``events`` is
+    ``[(owner, crash), ...]``."""
+    batch = state.begin_batch_removal([o for o, _ in events])
     outcomes = []
     for owner, crash in events:
         if crash:
-            outcomes.append(removal.crash_owner_guarded(owner, replication))
+            outcomes.append(batch.crash_owner_guarded(owner, replication))
         else:
-            outcomes.append(removal.remove_owner_guarded(owner))
+            outcomes.append(batch.remove_owner_guarded(owner))
     idents = draw_new_node_ids(
-        n_joins, state.space, state.rng, removal.ids_exist
+        n_joins, state.space, state.rng, batch.ids_exist
     )
     acquired = []
     if idents:
-        insertion = state.begin_batch_insertion(removal)
-        insertion.add(
+        batch.add(
             idents, range(next_owner, next_owner + len(idents)), is_main=True
         )
-        acquired = insertion.acquired
-        insertion.commit()
-    removal.commit()
+        acquired = batch.acquired
+    batch.commit()
     return outcomes, idents, acquired
 
 
@@ -359,21 +357,19 @@ def test_fused_churn_tick_matches_two_pass(
     idents=st.sets(st.integers(0, SPACE8.size - 1), max_size=12),
 )
 def test_bulk_insertion_on_an_open_removal(seed, n_nodes, leavers, idents):
-    """Sybil insertions (several may share an arc) on a batch begun on
-    an open removal resolve arcs against the ring the removal leaves,
+    """Sybil insertions (several may share an arc) added to a batch
+    after its removals resolve arcs against the ring the removals leave,
     like the two-pass path: the same acquired counts and ring."""
     fused, two_pass = build_pair(seed, n_nodes, 300, SPACE8, RingState)
     leavers = [o % n_nodes for o in leavers]
-    removal = fused.begin_batch_removal(leavers)
+    batch = fused.begin_batch_removal(leavers)
     for owner in leavers:
-        removal.remove_owner_guarded(owner)
+        batch.remove_owner_guarded(owner)
     idents = [i for i in sorted(idents)
-              if not removal.ids_exist(np.array([i], dtype=np.uint64))[0]]
-    insertion = fused.begin_batch_insertion(removal)
-    insertion.add(idents, range(100, 100 + len(idents)), is_main=False)
-    acquired = insertion.acquired
-    insertion.commit()
-    removal.commit()
+              if not batch.ids_exist(np.array([i], dtype=np.uint64))[0]]
+    batch.add(idents, range(100, 100 + len(idents)), is_main=False)
+    acquired = batch.acquired
+    batch.commit()
 
     removal = two_pass.begin_batch_removal(leavers)
     for owner in leavers:
@@ -393,17 +389,15 @@ def test_joiner_may_take_an_id_that_left_this_tick():
     slab, naive = build_pair(3, 6, 80, SPACE8)
     owner = 2
     gone = int(slab.ids[slab.slots_of_owner(owner)[0]])
-    removal = slab.begin_batch_removal([owner])
-    assert removal.ids_exist(np.array([gone], dtype=np.uint64)).tolist() == [
+    batch = slab.begin_batch_removal([owner])
+    assert batch.ids_exist(np.array([gone], dtype=np.uint64)).tolist() == [
         True
     ]
-    removal.remove_owner_guarded(owner)
-    assert not removal.ids_exist(np.array([gone], dtype=np.uint64))[0]
-    insertion = slab.begin_batch_insertion(removal)
-    acquired = insertion.add([gone], [6], is_main=True)
-    assert insertion.acquired == [acquired]
-    insertion.commit()
-    removal.commit()
+    batch.remove_owner_guarded(owner)
+    assert not batch.ids_exist(np.array([gone], dtype=np.uint64))[0]
+    acquired = batch.add([gone], [6], is_main=True)
+    assert batch.acquired == [acquired]
+    batch.commit()
     assert slab.id_exists(gone)
 
     naive.remove_owner(owner)
@@ -413,16 +407,14 @@ def test_joiner_may_take_an_id_that_left_this_tick():
 
 
 def _array_tick_matches_naive(slab, naive, leavers, joins, owners):
-    """Commit one tick on ``slab`` — the leavers on a batch removal, the
-    joins as one array batch begun on it — and replay it sequentially on
+    """Commit one tick on ``slab`` — the leavers, then the joins as one
+    ``add`` of arrays, on one ring batch — and replay it sequentially on
     ``naive``: ``remove_owner`` per leaver, then ``insert_slot`` per
     joiner in join order, each returning that join's acquired count."""
-    removal = slab.begin_batch_removal(leavers)
-    outcomes = [removal.remove_owner_guarded(o) for o in leavers]
-    insertion = slab.begin_batch_insertion(removal)
-    total = insertion.add(joins, owners, is_main=True)
-    insertion.commit()
-    removal.commit()
+    batch = slab.begin_batch_removal(leavers)
+    outcomes = [batch.remove_owner_guarded(o) for o in leavers]
+    total = batch.add(joins, owners, is_main=True)
+    batch.commit()
     for owner, moved in zip(leavers, outcomes):
         if naive.n_slots - naive.slots_of_owner(owner).size >= 1:
             assert moved == naive.remove_owner(owner)
@@ -432,7 +424,7 @@ def _array_tick_matches_naive(slab, naive, leavers, joins, owners):
         naive.insert_slot(ident, owner, is_main=True)[1]
         for ident, owner in zip(joins, owners)
     ]
-    assert insertion.acquired == expected
+    assert batch.acquired == expected
     assert total == sum(expected)
     slab.verify_invariants()
     naive.verify_invariants()
@@ -549,20 +541,29 @@ def test_array_insertion_takes_its_joins_once():
         insertion.add([free + 1], [8], is_main=True)
 
 
-def test_removal_is_sealed_once_an_insertion_begins():
+def test_batch_takes_no_removal_or_join_after_its_joins():
+    """Once a batch holds its joins, a graceful removal, a crash and a
+    second ``add`` each raise; so does a second commit."""
     slab, _ = build_pair(4, 5, 40)
-    removal = slab.begin_batch_removal([0, 1])
-    removal.remove_owner_guarded(0)
-    insertion = slab.begin_batch_insertion(removal)
+    batch = slab.begin_batch_removal([0, 1])
+    batch.remove_owner_guarded(0)
+    free = [
+        i for i in range(SPACE.size)
+        if not batch.ids_exist(np.array([i], dtype=np.uint64))[0]
+    ][:2]
+    batch.add(free[:1], [5], is_main=True)
     with pytest.raises(RingError):
-        removal.remove_owner_guarded(1)
+        batch.remove_owner_guarded(1)
     with pytest.raises(RingError):
-        slab.begin_batch_insertion(removal)
-    insertion.commit()
-    removal.commit()
+        batch.crash_owner_guarded(1, None)
     with pytest.raises(RingError):
-        removal.commit()
+        batch.add(free[1:], [6], is_main=True)
+    batch.commit()
+    with pytest.raises(RingError):
+        batch.commit()
     slab.verify_invariants()
+    assert 1 in slab.owner.tolist()
+    assert slab.owner.tolist().count(5) == 1
 
 
 def test_removal_refuses_an_owner_not_named():
@@ -677,13 +678,11 @@ def test_copied_ring_keeps_its_views_on_its_slab():
     twin = copy.deepcopy(slab)
     for state in (slab, twin):
         state.consume_at(np.array([3]), np.array([1]))
-        removal = state.begin_batch_removal([2, 5])
-        removal.remove_owner_guarded(2)
-        removal.remove_owner_guarded(5)
-        insertion = state.begin_batch_insertion(removal)
-        insertion.add([777], [20], is_main=True)
-        insertion.commit()
-        removal.commit()
+        batch = state.begin_batch_removal([2, 5])
+        batch.remove_owner_guarded(2)
+        batch.remove_owner_guarded(5)
+        batch.add([777], [20], is_main=True)
+        batch.commit()
         state.verify_invariants()
     assert_equivalent(twin, slab)
     assert twin.counts.base is not None

@@ -119,8 +119,7 @@ class TestSimView:
         picks = {0, n - 1, *script.integers(0, n, size=10).tolist()}
         assert_windows_match(view, [live[i] for i in sorted(picks)])
 
-    @pytest.mark.parametrize("open_round", [False, True])
-    def test_one_and_two_slot_rings(self, open_round):
+    def test_one_and_two_slot_rings(self):
         for n_nodes in (1, 2):
             engine = TickEngine(SimulationConfig(
                 strategy="neighbor_injection", n_nodes=n_nodes, n_tasks=40,
@@ -128,8 +127,6 @@ class TestSimView:
             ))
             view = engine.view
             view.begin_round()
-            if open_round:
-                view._open_round()
             assert_windows_match(view, range(n_nodes))
         # the two-slot ring: each slot's one neighbour, both ways
         _, ids, owner, counts = ring_lists(view)
