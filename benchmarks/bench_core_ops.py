@@ -51,19 +51,42 @@ def test_initial_assignment_1m_keys(benchmark):
     assert slots.shape == keys.shape
 
 
+#: rounds of the paired ring build (each also builds the naive ring)
+BUILD_ROUNDS = 15
+
+
 def test_ring_build_1m_keys(benchmark):
     """The full ``RingState.build``: one million keys onto 1000 nodes
-    (bucketed lookup, radix grouping, per-slot key arrays)."""
+    (bucketed ``int32`` lookup, one in-place sort of composite
+    slot/index words, per-slot slices of one grouped key block).
+
+    Each round's setup first times ``NaiveRingState.build`` (binary
+    search, stable ``argsort``, per-slot copies) on the same input, and
+    the median of the per-round naive/slab ratios is recorded as
+    ``extra_info["speedup_vs_naive"]`` (the ratio compare_bench.py
+    gates, paired like the churn storm's).
+    """
     rng = np.random.default_rng(0)
     ids = draw_unique_ids(1000, SPACE_64, rng)
     owners = np.arange(1000, dtype=np.int64)
     keys = draw_task_keys(1_000_000, SPACE_64, rng)
+    naive_s = []
+
+    def time_naive():
+        start = time.perf_counter()
+        NaiveRingState.build(SPACE_64, ids, owners, keys, rng)
+        naive_s.append(time.perf_counter() - start)
+        return (), {}
 
     def build():
         return RingState.build(SPACE_64, ids, owners, keys, rng)
 
-    state = benchmark(build)
+    state = benchmark.pedantic(build, setup=time_naive, rounds=BUILD_ROUNDS)
     assert state.total_remaining() == keys.size
+    if benchmark.stats:
+        benchmark.extra_info["speedup_vs_naive"] = statistics.median(
+            n / s for n, s in zip(naive_s, benchmark.stats.stats.data)
+        )
 
 
 def test_engine_tick_throughput_baseline(benchmark):

@@ -7,10 +7,10 @@ per-element Python work — they are the hot primitives behind initial task
 assignment, joins, and Sybil splits.
 
 :func:`responsible_slots` is the plain ``searchsorted`` lookup and the
-reference the tests hold :func:`bucket_responsible_slots` to; the ring
-build uses the bucketed form plus :func:`group_by_slot`, which together
-replace a binary search per key and a comparison sort by two linear
-passes.
+reference the tests hold :func:`bucket_responsible_slots` to.  The ring
+build uses the bucketed form, which replaces a binary search per key by
+a table lookup in ``int32``, then :func:`slot_grouping`, which groups
+the keys by slot with one in-place sort of narrow composite words.
 
 All arcs follow the Chord convention used throughout the library: the
 node with identifier ``end`` and predecessor ``start`` is responsible for
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import IdSpaceError
+from repro.errors import IdSpaceError, RingError
 
 __all__ = [
     "in_arc_mask",
@@ -31,7 +31,7 @@ __all__ = [
     "arc_lengths",
     "responsible_slots",
     "bucket_responsible_slots",
-    "group_by_slot",
+    "slot_grouping",
     "slot_arc_starts",
 ]
 
@@ -131,8 +131,10 @@ def bucket_responsible_slots(
     any key of the bucket that no id of the bucket precedes.  The table
     width ``b`` comes from ``bits`` and the ring size (a width taken from
     the ``uint64`` word would put every key of a narrow space in one
-    bucket).  A key whose bucket holds ids then steps past the ones below
-    it, one vectorized pass per id, over a shrinking set of keys.
+    bucket).  A key whose bucket holds an id (one byte gather of a
+    per-bucket flag finds them) then steps past the ids below it, one
+    vectorized pass per id, over a shrinking set of keys.  The table,
+    the buckets and the result are ``int32`` below 2**31 slots.
 
     The table costs O(2**b); when there are too few keys to repay it the
     plain binary search runs instead.  Either way the result equals
@@ -146,40 +148,61 @@ def bucket_responsible_slots(
     b = min(bits, (n - 1).bit_length() + _BUCKET_EXTRA_BITS, _MAX_BUCKET_BITS)
     if keys.size < 1 << b:
         return responsible_slots(ids, keys)
+    index = np.int32 if n < 1 << 31 else np.intp
     shift = _U64(bits - b)
-    table = np.zeros((1 << b) + 1, dtype=np.intp)
-    np.cumsum(
-        np.bincount((ids >> shift).astype(np.intp), minlength=1 << b),
-        out=table[1:],
+    id_bucket = (ids >> shift).astype(np.intp)
+    table = np.zeros((1 << b) + 1, dtype=index)
+    np.cumsum(np.bincount(id_bucket, minlength=1 << b), out=table[1:])
+    holds_id = np.zeros(1 << b, dtype=bool)
+    holds_id[id_bucket] = True
+    bucket = np.right_shift(
+        keys, shift, out=np.empty(keys.size, dtype=index), casting="unsafe"
     )
-    bucket = (keys >> shift).astype(np.intp)
     idx = table[bucket]
-    # keys whose bucket still holds an id at or past idx (so idx < n)
-    act = np.flatnonzero(idx != table[bucket + 1])
+    act = np.flatnonzero(holds_id[bucket])
     while act.size:
         act = act[ids[idx[act]] < keys[act]]
         idx[act] += 1
+        # keys whose bucket still holds an id at or past idx
         act = act[idx[act] != table[bucket[act] + 1]]
+    del bucket
     idx[idx == n] = 0
     return idx
 
 
-def group_by_slot(slot_idx: np.ndarray, n_slots: int) -> np.ndarray:
-    """Stable grouping permutation of ``slot_idx`` (values < ``n_slots``).
+def slot_grouping(
+    slot_idx: np.ndarray, n_slots: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stable grouping of ``slot_idx`` (values < ``n_slots``) by value.
 
-    Equal to ``np.argsort(slot_idx, kind="stable")`` — a stable grouping
-    is unique — but computed by stable sorts on 16-bit digits, which
-    NumPy runs as radix sorts: one pass below 65,536 slots, two LSD
-    passes (low digit, then high) up to 2**32.
+    Returns ``(order, bounds)``: ``order`` equals
+    ``np.argsort(slot_idx, kind="stable")`` — a stable grouping is
+    unique — and entry ``i``'s group is ``order[bounds[s] : bounds[s +
+    1]]`` for ``s = slot_idx[i]``.  It sorts, in place, the distinct
+    words ``(slot << ib) | i``, where ``ib`` bits hold any index ``i``:
+    ``uint32`` when they fit in 32 bits, else ``uint64``.  Distinct
+    words leave any sort algorithm one order, the stable one; the low
+    bits of each sorted word are its ``order`` entry.  Raises
+    :class:`RingError` when the words need more than 64 bits.
     """
     slot_idx = np.asarray(slot_idx)
-    if n_slots <= 1 << 16:
-        return np.argsort(slot_idx.astype(np.uint16), kind="stable")
-    if n_slots > 1 << 32:
-        raise IdSpaceError("group_by_slot supports at most 2**32 slots")
-    order = np.argsort((slot_idx & 0xFFFF).astype(np.uint16), kind="stable")
-    high = (slot_idx[order] >> 16).astype(np.uint16)
-    return order[np.argsort(high, kind="stable")]
+    k = slot_idx.size
+    ib = max(k - 1, 0).bit_length()
+    width = (n_slots - 1).bit_length() + ib
+    if width > 64:
+        raise RingError(
+            f"{n_slots} slots and {k} entries need {width}-bit sort words"
+        )
+    word = np.uint32 if width <= 32 else np.uint64
+    order = slot_idx.astype(word)
+    order <<= word(ib)
+    order |= np.arange(k, dtype=word)
+    order.sort()
+    # slot s's group starts at its lowest possible word, s << ib
+    starts = np.arange(1, n_slots, dtype=word) << word(ib)
+    bounds = np.concatenate(([0], order.searchsorted(starts), [k]))
+    order &= word((1 << ib) - 1)
+    return order, bounds
 
 
 def slot_arc_starts(ids: np.ndarray) -> np.ndarray:

@@ -30,14 +30,19 @@ amortized-doubling capacity — an ``int64`` one for ids (viewed as
 ``counts``/``provenance`` are views of their live prefix.  Every
 structural change, a single join or leave included, moves the rows in
 :meth:`RingState._restructure`: a batch of a few events shifts the
-prefix in place (one ``memmove`` per buffer and event), a larger one
-gathers every buffer once.  Views returned by the array properties (and
-by :meth:`remaining_keys`) are invalidated by the next structural
-mutation — read, use, and drop them.
+prefix in place (one ``memmove`` per buffer and run of survivors
+between two events), a larger one gathers every buffer once.  Views
+returned by the array properties (and by :meth:`remaining_keys`) are
+invalidated by the next structural mutation — read, use, and drop them.
 
-The initial ring is built without a comparison sort: a bucket table over
-the top bits of the id space finds each key's slot, and a stable radix
-sort on the slot index groups the keys (see :meth:`RingState.build`).
+The initial ring is built with one sort over narrow words: a bucket
+table over the top bits of the id space finds each key's slot in
+``int32``, and one in-place sort of distinct ``(slot, generation
+index)`` words, ``uint32`` where they fit, groups the keys in
+generation order within each slot.  Every slot's key array starts as a
+slice of the one grouped block, which nothing writes in place: merges
+concatenate, splits compress, and :meth:`RingState.add_tasks` assigns
+new arrays (see :meth:`RingState.build`).
 
 A churn tick's structure change is one :class:`RingBatch`, begun with
 :meth:`begin_batch_removal` (or :meth:`begin_batch_insertion` when
@@ -49,12 +54,13 @@ with one ``searchsorted`` among the slots the removals leave and splits
 each arc they land in once; a split draws no randomness, so the layout
 equals sequential ``insert_slot`` calls in any order.  Its one commit
 restructures the slab in :meth:`RingState._restructure`: one pass that
-drops the dead slots and splices in the new ones (with the radix build,
-the benchmark's 1000-node / 1M-task churn trials went from 1.015 to
-0.652 ms per churn-0.01 tick and from 0.282 to 0.199 ms per churn-0.001
-tick, host-scaled, build included).  Seeded trajectories are
-bit-identical to the sequential path; the structural cost drops from
-O(events × n) array rebuilds to O(n + events) per tick.
+drops the dead slots and splices in the new ones (with the sort-free
+build that preceded the composite sort, the benchmark's 1000-node /
+1M-task churn trials went from 1.015 to 0.652 ms per churn-0.01 tick
+and from 0.282 to 0.199 ms per churn-0.001 tick, host-scaled, build
+included).  Seeded trajectories are bit-identical to the sequential
+path; the structural cost drops from O(events × n) array rebuilds to
+O(n + events) per tick.
 A strategy round commits through :meth:`commit_round`: its retired
 Sybils hold no keys, so they skip the replay and leave in the same pass
 that splices in the round's new Sybils, each affected arc split once.
@@ -81,8 +87,8 @@ from repro.sim.arcops import (
     arc_lengths,
     arc_mask,
     bucket_responsible_slots,
-    group_by_slot,
     in_arc_mask,
+    slot_grouping,
 )
 from repro.sim.owners import PROV_BENEVOLENT, PROV_HONEST
 
@@ -113,10 +119,11 @@ _EDIT_IN_PLACE_EVENTS = 128
 _GATHER_SLOTS_PER_EVENT = 16
 
 #: a restructure of at most this many events shifts the slab prefix in
-#: place, one ``memmove`` per buffer and event; a larger one gathers
-#: every buffer once.  On a shared 2-vCPU Xeon one removal took 8 us
-#: shifted against 21 us gathered on 1k slots, and 23 against 118 us on
-#: 10k; from about 6 events on, shifting was no faster at either size
+#: place, one ``memmove`` per buffer and run of survivors between two
+#: events; a larger one gathers every buffer once.  On a shared 2-vCPU
+#: Xeon one removal took 8 us shifted against 21 us gathered on 1k
+#: slots, and 23 against 118 us on 10k; from about 6 events on,
+#: shifting was no faster at either size
 _SHIFT_EVENTS = 4
 
 #: a restructure places more pending slots than this (a strategy round's
@@ -432,9 +439,10 @@ class RingState:
         invalidated once.  Every structure change ends here:
         a single join or leave, a churn tick, a strategy round.
 
-        A batch of at most ``_SHIFT_EVENTS`` events shifts the live
-        prefix in place, one ``memmove`` per buffer and event, and
-        writes each new slot's row with scalar stores; a larger one
+        A batch of at most ``_SHIFT_EVENTS`` events moves each run of
+        survivors between two events once, in place, by its own shift
+        (one ``memmove`` per buffer and run), and writes each new
+        slot's row with scalar stores; a larger one
         moves every survivor with one gather per buffer, indexed by
         arrays.  The keys list is edited in place unless the batch is
         large, when a gather or a splice builds a new list (see
@@ -468,16 +476,29 @@ class RingState:
                 final = pos + np.arange(m)
         bufs = (self._wide, self._narrow)
         if events <= _SHIFT_EVENTS:
-            width = n
-            for d in reversed(dead):
+            # the survivors between two events are a run with its own
+            # shift; moving left-shifted runs in ascending order and
+            # right-shifted ones in descending order, no run overwrites
+            # one not yet moved
+            dead_l = _as_list(dead)
+            cuts = sorted(
+                [(d + 1, -1) for d in dead_l]
+                + [(p, 1) for p in (_as_list(pending.at) if m else ())]
+            )
+            left: list[tuple[int, int, int]] = []
+            right: list[tuple[int, int, int]] = []
+            shift = 0
+            for c, (lo, step) in enumerate(cuts):
+                shift += step
+                hi = cuts[c + 1][0] if c + 1 < len(cuts) else n
+                if hi - 1 in dead_l:  # a run ends before a dropped slot
+                    hi -= 1
+                if lo < hi and shift:
+                    (left if shift < 0 else right).append((lo, hi, shift))
+            for lo, hi, by in left + right[::-1]:
                 for buf in bufs:
-                    buf[:, d : width - 1] = buf[:, d + 1 : width]
-                width -= 1
+                    buf[:, lo + by : hi + by] = buf[:, lo:hi]
             for j, f in enumerate(final):
-                for buf in bufs:
-                    buf[:, f + 1 : width + 1] = buf[:, f:width]
-                width += 1
-                # the row the shift left stale
                 self._ids_row[f] = pending.ids[j]
                 self._owner_row[f] = pending.owner[j]
                 self._main_row[f] = pending.is_main[j]
@@ -564,7 +585,9 @@ class RingState:
         ``node_ids`` must be unique.  ``task_keys`` are assigned to the
         responsible slot by the ``(pred, self]`` rule; within a slot they
         keep their (random) generation order, which realizes the
-        uniform-consumption-order invariant for free.
+        uniform-consumption-order invariant for free.  The keys are
+        grouped by :func:`~repro.sim.arcops.slot_grouping` and taken
+        once into one block; each slot holds a slice of it.
         """
         node_ids = np.asarray(node_ids, dtype=_U64)
         node_owners = np.asarray(node_owners, dtype=_I64)
@@ -578,14 +601,15 @@ class RingState:
         is_main = np.ones(ids.size, dtype=bool)
 
         task_keys = np.asarray(task_keys, dtype=_U64)
-        slot_idx = bucket_responsible_slots(ids, task_keys, space.bits)
-        grouped = task_keys[group_by_slot(slot_idx, ids.size)]
-        per_slot = np.bincount(slot_idx, minlength=ids.size)
-        offsets = np.concatenate(([0], np.cumsum(per_slot))).tolist()
-        keys = [
-            grouped[offsets[i] : offsets[i + 1]].copy()
-            for i in range(ids.size)
-        ]
+        order, bounds = slot_grouping(
+            bucket_responsible_slots(ids, task_keys, space.bits), ids.size
+        )
+        grouped = task_keys[order]
+        del order
+        # slices of the one grouped block: no slot's key array is ever
+        # written in place (merges concatenate, splits compress)
+        bounds = bounds.tolist()
+        keys = [grouped[bounds[i] : bounds[i + 1]] for i in range(ids.size)]
         return cls(space, ids, owner, is_main, keys, rng)
 
     # ------------------------------------------------------------------
@@ -724,28 +748,30 @@ class RingState:
         keys = np.asarray(keys, dtype=_U64)
         if keys.size == 0:
             return
-        slot_idx = bucket_responsible_slots(self.ids, keys, self.space.bits)
-        affected = np.unique(slot_idx)
+        order, bounds = slot_grouping(
+            bucket_responsible_slots(self.ids, keys, self.space.bits),
+            self.n_slots,
+        )
+        fresh_grouped = keys[order]
+        del order
+        per_slot = np.diff(bounds)
+        affected = np.flatnonzero(per_slot)
         counts = self.counts
         old_sizes = counts[affected]
-        fresh_sizes = np.bincount(slot_idx, minlength=self.n_slots)[affected]
-        group_sizes = old_sizes + fresh_sizes
+        group_sizes = old_sizes + per_slot[affected]
         total = int(group_sizes.sum())
 
         # lay out [old | fresh] per affected slot, grouped
         flat = np.empty(total, dtype=_U64)
-        fresh_grouped = keys[np.argsort(slot_idx, kind="stable")]
         offsets = np.concatenate(([0], np.cumsum(group_sizes)))
-        fresh_off = 0
+        bounds = bounds.tolist()
         for g, slot in enumerate(affected.tolist()):
             lo = int(offsets[g])
             old_n = int(old_sizes[g])
-            new_n = int(fresh_sizes[g])
             flat[lo : lo + old_n] = self.remaining_keys(slot)
-            flat[lo + old_n : lo + old_n + new_n] = fresh_grouped[
-                fresh_off : fresh_off + new_n
+            flat[lo + old_n : int(offsets[g + 1])] = fresh_grouped[
+                bounds[slot] : bounds[slot + 1]
             ]
-            fresh_off += new_n
         # uniform shuffle within each group: sort by (group, random rank)
         labels = np.repeat(np.arange(affected.size), group_sizes)
         ranks = self.rng.random(total)

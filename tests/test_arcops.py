@@ -3,16 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.errors import IdSpaceError
+from repro.errors import IdSpaceError, RingError
 from repro.sim.arcops import (
     arc_length,
     arc_lengths,
     arc_mask,
     bucket_responsible_slots,
-    group_by_slot,
     in_arc_mask,
     responsible_slots,
     slot_arc_starts,
+    slot_grouping,
 )
 
 
@@ -158,10 +158,9 @@ class TestBucketResponsibleSlots:
             rng.integers(0, 2**64, size=n_ids, dtype=np.uint64)
         )
         keys = _edge_keys(ids, bits, rng)
-        np.testing.assert_array_equal(
-            bucket_responsible_slots(ids, keys, bits),
-            responsible_slots(ids, keys),
-        )
+        got = bucket_responsible_slots(ids, keys, bits)
+        np.testing.assert_array_equal(got, responsible_slots(ids, keys))
+        assert got.dtype == np.int32
 
     @pytest.mark.parametrize("bits", [8, 64])
     def test_ids_at_the_edges_of_the_space(self, bits):
@@ -201,24 +200,56 @@ class TestBucketResponsibleSlots:
 
 
 class TestGroupBySlot:
+    """:func:`slot_grouping` equals the stable argsort, and its bounds
+    count each slot's entries, on both sides of the 32-bit word."""
+
+    @staticmethod
+    def check(slot_idx, n_slots):
+        order, bounds = slot_grouping(slot_idx, n_slots)
+        np.testing.assert_array_equal(
+            order, np.argsort(slot_idx, kind="stable")
+        )
+        np.testing.assert_array_equal(
+            np.diff(bounds), np.bincount(slot_idx, minlength=n_slots)
+        )
+        return order
+
     @pytest.mark.parametrize("n_slots", [1, 3, 1000, 65_536, 70_000])
     def test_equals_stable_argsort(self, n_slots):
         rng = np.random.default_rng(n_slots)
         slot_idx = rng.integers(0, n_slots, size=50_000)
-        # pin the extremes so both radix digits see their full range
+        # pin the extremes: the top slot's words reach the top bits
         slot_idx[:2] = (0, n_slots - 1)
-        np.testing.assert_array_equal(
-            group_by_slot(slot_idx, n_slots),
-            np.argsort(slot_idx, kind="stable"),
-        )
+        self.check(slot_idx, n_slots)
 
-    def test_two_digit_path_is_stable_on_ties(self):
-        """Above 65,536 slots keys of one slot keep their input order."""
-        slot_idx = np.array([70_000, 5, 70_000, 65_536, 5, 65_536] * 3)
-        order = group_by_slot(slot_idx, 70_001)
-        np.testing.assert_array_equal(
-            order, np.argsort(slot_idx, kind="stable")
-        )
+    @pytest.mark.parametrize(
+        "n_slots, size, word",
+        [
+            (1000, 1 << 22, np.uint32),  # 10 + 22 bits: exactly 32
+            (1024, (1 << 21) + 1, np.uint32),  # slot 1023 fills the top
+            (1025, (1 << 21) + 1, np.uint64),  # 11 + 22 bits
+            (70_000, 70_000, np.uint64),  # 17 + 17 bits
+        ],
+    )
+    def test_word_width(self, n_slots, size, word):
+        rng = np.random.default_rng(size)
+        slot_idx = rng.integers(0, n_slots, size=size).astype(np.int32)
+        slot_idx[-2:] = (n_slots - 1, 0)
+        assert self.check(slot_idx, n_slots).dtype == word
+
+    def test_ties_keep_input_order_in_64_bit_words(self):
+        slot_idx = np.tile([70_000, 5, 70_000, 65_536, 5, 65_536], 11_000)
+        order = self.check(slot_idx, 70_001)  # 17 + 17 bits
+        assert order.dtype == np.uint64
+        assert order[:3].tolist() == [1, 4, 7]
+
+    def test_no_entries(self):
+        order, bounds = slot_grouping(np.empty(0, dtype=np.int32), 4)
+        assert order.size == 0 and bounds.tolist() == [0] * 5
+
+    def test_words_past_64_bits_raise(self):
+        with pytest.raises(RingError):
+            slot_grouping(np.zeros(2, dtype=np.int32), 1 << 64)
 
 
 class TestSlotArcStarts:

@@ -82,3 +82,15 @@ def test_a_slowdown_past_the_threshold_fails(tmp_path, capsys, storm):
     out, err = capsys.readouterr()
     assert "round-commit speedup vs per-slot replay: 24.00x" in out
     assert "4 benchmark(s) regressed more than 20%" in err
+
+
+@pytest.mark.parametrize("build, code", [(5.5, 0), (4.0, 1)])
+def test_the_ring_build_ratio_is_gated(tmp_path, capsys, build, code):
+    name = "benchmarks/bench_core_ops.py::test_ring_build_1m_keys"
+    base = _write(tmp_path / "base.json", [_bench(name, 1.0)])
+    cur = _write(
+        tmp_path / "cur.json", [_bench(name, 1.0, speedup_vs_naive=build)]
+    )
+    assert compare_bench.main([base, cur]) == code
+    out = capsys.readouterr().out
+    assert f"ring-build speedup vs naive (1M keys): {build:.2f}x" in out

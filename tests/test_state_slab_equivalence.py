@@ -22,8 +22,12 @@ from hypothesis import strategies as st
 from repro.errors import IdSpaceError, RingError
 from repro.hashspace.idspace import IdSpace
 from repro.sim.reference import NaiveRingState
-from repro.sim.state import RingState, _Pending
-from repro.sim.workload import draw_new_node_id, draw_new_node_ids
+from repro.sim.state import _SHIFT_EVENTS, RingState, _Pending
+from repro.sim.workload import (
+    draw_new_node_id,
+    draw_new_node_ids,
+    draw_unique_ids,
+)
 
 SPACE = IdSpace(12)
 #: a space small enough that joiners collide with live ids and draw the
@@ -431,6 +435,36 @@ def _array_tick_matches_naive(slab, naive, leavers, joins, owners):
     assert_equivalent(slab, naive)
 
 
+@pytest.mark.parametrize(
+    "leaving, joining",
+    [
+        ([3], [12]),  # a leave before a join
+        ([12], [3]),  # a leave after a join
+        ([7], [7]),  # a join at a dropped position
+        ([0, 19], [20]),  # a join past the top id, both ends leaving
+        ([], [5, 12]),  # two right-moving runs
+        ([2], [6, 10, 14]),  # runs moving left, not at all, right, right
+        ([4, 9, 15], [12]),  # left-moving runs around a join
+    ],
+)
+def test_shift_path_tick_matches_sequential(leaving, joining):
+    """A tick of at most ``_SHIFT_EVENTS`` events moves each run of
+    survivors between two events once; it equals the naive ring's
+    sequential removals and inserts.  ``leaving`` names slot positions,
+    ``joining`` the slot whose arc a join lands in (the position past
+    the last slot: the arc past the top id)."""
+    assert len(leaving) + len(joining) <= _SHIFT_EVENTS
+    slab, naive = build_pair(21, 20, 400)
+    ids = slab.ids.tolist() + [SPACE.size]
+    joins = [(ids[p - 1] + ids[p]) // 2 if p else ids[0] // 2
+             for p in joining]
+    assert not set(joins) & set(ids)
+    leavers = [int(slab.owner[p]) for p in leaving]
+    _array_tick_matches_naive(
+        slab, naive, leavers, joins, list(range(100, 100 + len(joins)))
+    )
+
+
 def _drain(states, slots):
     """Consume every remaining key of ``slots`` on each ring."""
     for state in states:
@@ -649,8 +683,9 @@ def test_restructure_matches_per_slot_edits(seed, n_nodes, dead_frac, n_new):
 @pytest.mark.parametrize("bits", [8, 16, 32, 48, 64])
 @pytest.mark.parametrize("n_nodes", [1, 7, 300])
 def test_build_matches_naive_build(bits, n_nodes):
-    """The bucketed, radix-grouped build equals the reference build:
-    ids, owners, and every slot's keys in order."""
+    """The bucketed build, grouped by one sort of composite words,
+    equals the reference build: ids, owners, and every slot's keys in
+    order."""
     space = IdSpace(bits)
     rng = np.random.default_rng(bits + n_nodes)
     n_nodes = min(n_nodes, space.size)
@@ -669,6 +704,44 @@ def test_build_matches_naive_build(bits, n_nodes):
     )
     assert_equivalent(slab, naive)
     assert [k.size for k in slab.keys] == slab.counts.tolist()
+
+
+@pytest.mark.parametrize(
+    "bits, n_nodes, n_keys, word_bits",
+    [
+        (64, 1024, (1 << 21) + 1, 32),  # the top slot fills a uint32
+        (64, 1025, (1 << 21) + 1, 33),  # one slot more: uint64
+        (32, 70_000, 70_000, 34),  # more than 65,536 slots
+        (8, 256, 70_000, 25),  # every id of the space
+    ],
+)
+def test_build_at_the_sort_word_edges(bits, n_nodes, n_keys, word_bits):
+    """Either side of the ``uint32``/``uint64`` sort word, with keys
+    equal to ids and at both ends of the space, the build equals the
+    reference build."""
+    assert (n_nodes - 1).bit_length() + (n_keys - 1).bit_length() == (
+        word_bits
+    )
+    space = IdSpace(bits)
+    rng = np.random.default_rng(n_nodes)
+    ids = draw_unique_ids(n_nodes, space, rng)
+    edges = np.concatenate(
+        (ids[:1000], np.array([0, space.max_id], np.uint64))
+    )
+    keys = rng.integers(0, space.size, size=n_keys, dtype=np.uint64)
+    keys[rng.choice(n_keys, size=edges.size, replace=False)] = edges
+    owners = np.arange(n_nodes)
+    slab = RingState.build(space, ids, owners, keys, np.random.default_rng(0))
+    naive = NaiveRingState.build(
+        space, ids, owners, keys, np.random.default_rng(0)
+    )
+    np.testing.assert_array_equal(slab.ids, naive.ids)
+    np.testing.assert_array_equal(slab.owner, naive.owner)
+    np.testing.assert_array_equal(slab.counts, naive.counts)
+    # equal counts: equal concatenations mean equal slots, in order
+    np.testing.assert_array_equal(
+        np.concatenate(slab.keys), np.concatenate(naive.keys)
+    )
 
 
 def test_copied_ring_keeps_its_views_on_its_slab():
@@ -690,7 +763,7 @@ def test_copied_ring_keeps_its_views_on_its_slab():
 
 
 def test_build_above_one_radix_digit():
-    """More than 65,535 slots takes the two-pass radix grouping."""
+    """More than 65,536 slots: 17 + 19 bits of sort word, ``uint64``."""
     space = IdSpace(32)
     rng = np.random.default_rng(11)
     ids = np.unique(rng.integers(0, space.size, size=70_000,
