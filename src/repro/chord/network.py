@@ -47,15 +47,75 @@ from repro.util.rng import make_rng
 if TYPE_CHECKING:  # pragma: no cover
     from repro.chord.node import ChordNode
 
-__all__ = ["SimNetwork"]
+__all__ = ["MessagePlane", "SimNetwork"]
 
 
-class SimNetwork:
+class MessagePlane:
+    """The resend loop and message accounting every RPC fabric shares.
+
+    A subclass supplies ``rpc(target_id, method, *args, **kwargs)``: one
+    send that counts itself in ``messages`` and, when it is lost in
+    transit, counts a drop and raises :class:`TransientNetworkError`.
+    :class:`SimNetwork` delivers through a dict and
+    :class:`repro.net.node.RemoteNetwork` over TCP, so live
+    ``fault_stats()`` compare count for count with simulated ones.
+    """
+
+    def __init__(self, transient_retries: int = 2) -> None:
+        self.messages: Counter[str] = Counter()
+        #: transparent resends :meth:`rpc_retry` may spend per call
+        self.transient_retries = transient_retries
+        self.drops = 0
+        self.retries = 0
+        self.fallbacks = 0
+
+    def rpc_retry(
+        self, target_id: int, method: str, *args: Any, **kwargs: Any
+    ) -> Any:
+        """Like ``rpc``, but re-send after transient drops.
+
+        Spends at most ``transient_retries`` resends; each one counts a
+        message (it is one) and a retry.  Dead/unknown endpoints are
+        not retried — a timeout there is a detection, not noise.
+
+        Exact accounting per call (pinned by tests): with ``k`` transit
+        drops and budget ``b = transient_retries``,
+
+        * ``k <= b`` (eventually delivered): ``k + 1`` messages,
+          ``k`` retries, ``k`` drops;
+        * ``k > b`` (budget exhausted, raises): ``b + 1`` messages,
+          ``b`` retries, ``b + 1`` drops — the final failed send is a
+          message and a drop but not a retry, because nothing is
+          re-sent after it.
+        """
+        attempts = self.transient_retries
+        while True:
+            try:
+                return self.rpc(target_id, method, *args, **kwargs)
+            except TransientNetworkError:
+                if attempts <= 0:
+                    raise
+                attempts -= 1
+                self.retries += 1
+
+    def total_messages(self) -> int:
+        return sum(self.messages.values())
+
+    def fault_stats(self) -> dict[str, int]:
+        """Fault-plane accounting alongside the message counts."""
+        return {
+            "drops": self.drops,
+            "retries": self.retries,
+            "fallbacks": self.fallbacks,
+        }
+
+
+class SimNetwork(MessagePlane):
     """Registry of protocol nodes plus the message accounting fabric."""
 
     def __init__(self) -> None:
+        super().__init__()
         self._nodes: dict[int, "ChordNode"] = {}
-        self.messages = Counter()
         #: per-id count of pending forced drops: the next N RPCs to the
         #: id fail in transit.  A Counter (not a set) so repeated arming
         #: stacks — forcing a *chain* of drops is how the retry
@@ -71,14 +131,9 @@ class SimNetwork:
         self.crash_detection_ticks = 0
         #: successor backups kept by each node (None == full list)
         self.replication_factor: int | None = None
-        #: transparent resends :meth:`rpc_retry` may spend per call
-        self.transient_retries = 2
         #: logical clock (advanced by the driving simulation's ticks)
         self.clock = 0
         self._crashed_at: dict[int, int] = {}
-        self.drops = 0
-        self.retries = 0
-        self.fallbacks = 0
 
     # ------------------------------------------------------------------
     # membership
@@ -248,39 +303,7 @@ class SimNetwork:
             raise err
         return getattr(node, method)(*args, **kwargs)
 
-    def rpc_retry(
-        self, target_id: int, method: str, *args: Any, **kwargs: Any
-    ) -> Any:
-        """Like :meth:`rpc`, but re-send after transient drops.
-
-        Spends at most ``transient_retries`` resends; each one counts a
-        message (it is one) and a retry.  Dead/unknown endpoints are
-        not retried — a timeout there is a detection, not noise.
-
-        Exact accounting per call (pinned by tests): with ``k`` transit
-        drops and budget ``b = transient_retries``,
-
-        * ``k <= b`` (eventually delivered): ``k + 1`` messages,
-          ``k`` retries, ``k`` drops;
-        * ``k > b`` (budget exhausted, raises): ``b + 1`` messages,
-          ``b`` retries, ``b + 1`` drops — the final failed send is a
-          message and a drop but not a retry, because nothing is
-          re-sent after it.
-        """
-        attempts = self.transient_retries
-        while True:
-            try:
-                return self.rpc(target_id, method, *args, **kwargs)
-            except TransientNetworkError:
-                if attempts <= 0:
-                    raise
-                attempts -= 1
-                self.retries += 1
-
     # ------------------------------------------------------------------
-    def total_messages(self) -> int:
-        return sum(self.messages.values())
-
     def reset_messages(self) -> None:
         """Zero the whole message plane: per-method counts *and* the
         fault counters (``drops``/``retries``/``fallbacks``).
@@ -299,11 +322,3 @@ class SimNetwork:
         self.drops = 0
         self.retries = 0
         self.fallbacks = 0
-
-    def fault_stats(self) -> dict[str, int]:
-        """Fault-plane accounting alongside the message counts."""
-        return {
-            "drops": self.drops,
-            "retries": self.retries,
-            "fallbacks": self.fallbacks,
-        }

@@ -583,6 +583,7 @@ def _cmd_list() -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.experiments.registry import EXPERIMENTS
     from repro.experiments.runner import run_with_manifest, save_manifests
+    from repro.fabric.broker import trial_summary
     from repro.viz.export import write_csv, write_json
 
     ids = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
@@ -593,7 +594,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
         manifests.append(manifest)
         print(result.render())
-        print(f"  ({manifest.summary_line()})\n")
+        print(f"  ({trial_summary(manifest.counters, manifest.wall_s)})\n")
         if args.csv:
             path = (
                 args.csv
@@ -700,8 +701,8 @@ def _parse_sweep_values(spec: str) -> list:
 
 
 def _print_sweep_result(args, values, sets, t0) -> int:
+    from repro.fabric.broker import fabric_metrics, trial_summary
     from repro.sim.persistence import save_sweep
-    from repro.sim.trials import run_stats
     from repro.util.tables import format_table
 
     rows = [
@@ -716,10 +717,8 @@ def _print_sweep_result(args, values, sets, t0) -> int:
             f"({'CRN' if args.crn else 'decorrelated'} seeds)",
         )
     )
-    print(
-        f"  ({run_stats().summary_line()}, "
-        f"{time.perf_counter() - t0:.1f}s wall)"
-    )
+    counters = fabric_metrics().as_dict()["counters"]
+    print(f"  ({trial_summary(counters, time.perf_counter() - t0)})")
     if args.out:
         path = save_sweep(sets, args.out)
         print(f"  wrote {path}")
@@ -727,11 +726,12 @@ def _print_sweep_result(args, values, sets, t0) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.sim.trials import reset_run_stats, sweep
+    from repro.fabric.broker import reset_fabric_metrics
+    from repro.sim.trials import sweep
 
     values = _parse_sweep_values(args.values)
     base = _from_args(SimulationConfig, args, _SIM_CORE)
-    reset_run_stats()
+    reset_fabric_metrics()
     t0 = time.perf_counter()
     sets = sweep(
         base,
@@ -762,9 +762,9 @@ def _default_status_file() -> Path:
 def _cmd_fabric_run(args: argparse.Namespace) -> int:
     import json as _json
 
-    from repro.fabric.broker import Broker
+    from repro.fabric.broker import Broker, reset_fabric_metrics
     from repro.net.transport import parse_address
-    from repro.sim.trials import reset_run_stats, sweep_grid
+    from repro.sim.trials import sweep_grid
 
     values = _parse_sweep_values(args.values)
     base = _from_args(SimulationConfig, args, _SIM_CORE)
@@ -773,7 +773,7 @@ def _cmd_fabric_run(args: argparse.Namespace) -> int:
     )
     status_path = args.status_file or _default_status_file()
     listen = parse_address(args.listen) if args.listen else None
-    reset_run_stats()
+    reset_fabric_metrics()
     t0 = time.perf_counter()
     broker = Broker(
         grid,

@@ -11,7 +11,7 @@ import time
 from typing import Callable
 
 from repro.errors import ExperimentError
-from repro.sim.trials import fabric_metrics, reset_run_stats, run_stats
+from repro.fabric.broker import fabric_metrics, reset_fabric_metrics
 from repro.experiments import (
     ablations,
     ext_adversarial,
@@ -80,11 +80,13 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run one experiment by id.
 
-    Trial accounting for the run (trials run/cached/failed, retries,
-    seconds per trial) is collected across every ``run_trials`` call the
-    experiment makes and attached as ``result.meta["run_stats"]``; the
-    CLI and the report builder surface it, and
-    :mod:`repro.experiments.runner` folds it into the run manifest.
+    Trial accounting for the run is the ``fabric.*`` registry that every
+    broker the experiment starts (each ``run_trials`` and ``sweep``
+    call) merges into one collector: trials run/cached/failed, retries,
+    truncated or lossy trials and fresh-run milliseconds.  It is
+    attached as ``result.meta["fabric_metrics"]``, and
+    :mod:`repro.experiments.runner` carries it into the run manifest,
+    whose summary line the CLI and the report builder print.
     """
     try:
         _, fn = EXPERIMENTS[experiment_id]
@@ -93,11 +95,10 @@ def run_experiment(
             f"unknown experiment {experiment_id!r}; known: "
             f"{sorted(EXPERIMENTS)}"
         ) from None
-    reset_run_stats()
+    reset_fabric_metrics()
     # wall_s is reporting metadata, never simulation state
     t0 = time.perf_counter()  # reprolint: disable=R002 (wall-clock meta)
     result = fn(scale=scale, seed=seed, n_jobs=n_jobs)
-    result.meta["run_stats"] = run_stats().as_dict()
     result.meta["fabric_metrics"] = fabric_metrics().as_dict()
     result.meta["wall_s"] = round(
         time.perf_counter() - t0, 3  # reprolint: disable=R002 (meta)

@@ -16,7 +16,7 @@ writes:
 This is the artifact a reviewer would attach to a reproduction claim.
 A killed ``repro report`` is cheap to restart: completed trials are in
 the content-addressed cache, so the re-run recomputes only what is
-missing (the manifest's ``trials_cached`` counts show it).
+missing (the manifest's ``fabric.cached`` counts show it).
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from repro.experiments.claims import check, verdicts_markdown
 from repro.experiments.registry import EXPERIMENTS
 from repro.experiments.runner import run_with_manifest, save_manifests
 from repro.experiments.spec import resolve_scale
+from repro.fabric.broker import trial_summary
 from repro.viz.export import write_csv
 
 __all__ = ["generate_report"]
@@ -100,13 +101,12 @@ def generate_report(
         sections.append("```")
         sections.append(result.render())
         sections.append("```")
-        sections.append(
-            f"({manifest.summary_line()}; rows in `csv/{exp_id}.csv`)"
-        )
+        summary = trial_summary(manifest.counters, manifest.wall_s)
+        sections.append(f"({summary}; rows in `csv/{exp_id}.csv`)")
         for flag in manifest.flags():
             sections.append("")
             sections.append(f"> **⚠ {flag}**")
-        echo(f"[report]   {manifest.summary_line()}")
+        echo(f"[report]   {summary}")
         for flag in manifest.flags():
             echo(f"[report]   WARNING: {flag}")
         verdicts = check(result)

@@ -6,12 +6,15 @@ were computed fresh, which came from the content-addressed cache, which
 failed and were retried, and how long a trial costs.  This module wraps
 :func:`repro.experiments.registry.run_experiment` to produce that record
 — a :class:`RunManifest` per experiment — which the CLI prints after
-every run and ``repro report`` persists as ``manifest.json``.
+every run and ``repro report`` persists as ``manifest.json``.  Its
+``metrics`` block holds the ``fabric.*`` counters the experiment's
+brokers booked, each trial outcome once;
+:func:`repro.fabric.broker.trial_summary` prints them as one line.
 
 Resume workflow: because completion is recorded per trial in the cache
 (see :mod:`repro.sim.cache`), there is no separate checkpoint file —
 re-running an interrupted experiment or sweep *is* the resume, and the
-manifest's ``trials_cached`` count shows how much work the interruption
+manifest's ``fabric.cached`` count shows how much work the interruption
 preserved.
 """
 
@@ -35,8 +38,9 @@ from repro.sim.cache import (
 __all__ = ["RunManifest", "run_with_manifest", "save_manifests"]
 
 # v2 added the unified ``metrics`` block (counters/gauges registry, see
-# repro.obs.metrics); ``run_stats`` stays for v1 consumers.
-MANIFEST_FORMAT = "repro.run_manifest.v2"
+# repro.obs.metrics); v3 dropped the v1 trial-accounting dict and its
+# ``trials.*`` counters, which repeated the ``fabric.*`` ones.
+MANIFEST_FORMAT = "repro.run_manifest.v3"
 
 
 @dataclass
@@ -52,7 +56,6 @@ class RunManifest:
     cache_dir: str
     cache_enabled: bool
     cache_schema: int
-    run_stats: dict[str, Any] = field(default_factory=dict)
     metrics: dict[str, Any] = field(default_factory=dict)
 
     def as_dict(self) -> dict[str, Any]:
@@ -67,44 +70,25 @@ class RunManifest:
             "cache_dir": self.cache_dir,
             "cache_enabled": self.cache_enabled,
             "cache_schema": self.cache_schema,
-            "run_stats": dict(self.run_stats),
             "metrics": dict(self.metrics),
         }
 
-    def summary_line(self) -> str:
-        stats = self.run_stats
-        total = stats.get("trials_run", 0) + stats.get("trials_cached", 0)
-        parts = [
-            f"{total} trials",
-            f"{stats.get('trials_cached', 0)} cached",
-            f"{stats.get('trials_run', 0)} run",
-        ]
-        if stats.get("retries"):
-            parts.append(f"{stats['retries']} retried")
-        if stats.get("trials_failed"):
-            parts.append(f"{stats['trials_failed']} FAILED")
-        if stats.get("trials_truncated"):
-            parts.append(f"{stats['trials_truncated']} TRUNCATED")
-        if stats.get("trials_data_loss"):
-            parts.append(f"{stats['trials_data_loss']} with data loss")
-        avg = stats.get("avg_trial_seconds", 0.0)
-        if avg:
-            parts.append(f"{avg:.3f}s/trial")
-        parts.append(f"{self.wall_s:.1f}s wall")
-        return ", ".join(parts)
+    @property
+    def counters(self) -> dict[str, int]:
+        return self.metrics.get("counters", {})
 
     def flags(self) -> list[str]:
         """Warnings the report must surface next to this experiment's
         numbers: aggregates silently containing truncated or lossy
         trials misrepresent the runtime factors."""
         out: list[str] = []
-        truncated = self.run_stats.get("trials_truncated", 0)
+        truncated = self.counters.get("fabric.truncated", 0)
         if truncated:
             out.append(
                 f"{truncated} trial(s) hit max_ticks without finishing — "
                 "their runtime factors understate the truth"
             )
-        lossy = self.run_stats.get("trials_data_loss", 0)
+        lossy = self.counters.get("fabric.data_loss", 0)
         if lossy:
             out.append(
                 f"{lossy} trial(s) lost tasks to failures — factors are "
@@ -125,16 +109,10 @@ def run_with_manifest(
     result = run_experiment(
         experiment_id, scale=scale, seed=seed, n_jobs=n_jobs
     )
-    run_stats = dict(result.meta.get("run_stats", {}))
     wall_s = float(result.meta.get("wall_s", 0.0))
     registry = MetricsRegistry()
-    for key, value in run_stats.items():
-        if key.endswith("_seconds"):
-            registry.gauge(f"trials.{key}", float(value))
-        else:
-            registry.inc(f"trials.{key}", int(value))
-    # dispatch-layer accounting from the fabric broker(s) the experiment
-    # ran under: queue counters, retries, lease expiries, remote settles
+    # trial accounting from the fabric broker(s) the experiment ran
+    # under: outcomes, retries, lease expiries, remote settles
     fabric = result.meta.get("fabric_metrics", {})
     registry.merge_counters(fabric.get("counters", {}))
     registry.merge_gauges(fabric.get("gauges", {}))
@@ -149,7 +127,6 @@ def run_with_manifest(
         cache_dir=str(default_cache_dir()),
         cache_enabled=cache_enabled(),
         cache_schema=CACHE_SCHEMA_VERSION,
-        run_stats=run_stats,
         metrics=registry.as_dict(),
     )
     return result, manifest

@@ -66,9 +66,9 @@ class ExperimentResult:
     notes:
         Reading guidance / deviations.
     meta:
-        Execution metadata attached by the registry/runner — trial
-        accounting (run/cached/failed/retried counts, seconds per
-        trial) and wall-clock; feeds the run manifest.
+        Execution metadata attached by the registry — the ``fabric.*``
+        trial accounting (run/cached/failed/retried counts, fresh-run
+        milliseconds) and wall-clock; feeds the run manifest.
     """
 
     experiment_id: str

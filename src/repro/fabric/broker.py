@@ -61,7 +61,7 @@ from concurrent.futures import (
     wait,
 )
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from repro.errors import ConfigError, ProtocolError, TrialError
 from repro.fabric.protocol import (
@@ -92,7 +92,14 @@ from repro.obs.metrics import MetricsRegistry
 from repro.sim.cache import TrialCache, get_cache
 from repro.sim.results import SimulationResult, TrialSet
 
-__all__ = ["STATUS_FORMAT", "Broker"]
+__all__ = [
+    "STATUS_FORMAT",
+    "Broker",
+    "fabric_metrics",
+    "merge_fabric_metrics",
+    "reset_fabric_metrics",
+    "trial_summary",
+]
 
 STATUS_FORMAT = "repro.fabric_status.v1"
 
@@ -126,9 +133,11 @@ class Broker:
         :data:`STATUS_FORMAT`) is atomically rewritten about twice a
         second — ``repro fabric status`` reads it without touching the
         broker.
-    metrics:
-        A :class:`MetricsRegistry` to stream ``fabric.*`` counters and
-        gauges into (one is created if omitted).
+
+    The broker books every trial outcome once, as ``fabric.*`` counters
+    in its own :attr:`metrics` registry, and merges that registry into
+    the module collector (:func:`fabric_metrics`) when :meth:`run`
+    ends.
     """
 
     def __init__(
@@ -141,7 +150,6 @@ class Broker:
         timeout: float | None = None,
         trial_fn: Callable | None = None,
         progress: Callable[[dict], None] | None = None,
-        metrics: MetricsRegistry | None = None,
         listen: Address | None = None,
         lease_timeout: float = 120.0,
         poll_interval: float = 0.05,
@@ -176,7 +184,7 @@ class Broker:
         self._timeout = timeout
         self._trial_fn = trial_fn
         self._progress = progress
-        self._metrics = metrics if metrics is not None else MetricsRegistry()
+        self._metrics = MetricsRegistry()
         self._listen = listen
         self._lease_timeout = lease_timeout
         self._poll = poll_interval
@@ -191,7 +199,6 @@ class Broker:
         self._started: float | None = None
         self._last_status_write = 0.0
         self._run_seconds = 0.0
-        self._runs_settled = 0
 
     # ------------------------------------------------------------------
     # public surface
@@ -254,9 +261,7 @@ class Broker:
             with self._lock:
                 self._snapshot_locked()  # refresh final queue gauges
             self._write_status(force=True)
-            from repro.sim import trials as _trials
-
-            _trials.merge_fabric_metrics(self._metrics)
+            merge_fabric_metrics(self._metrics)
         return self._finish()
 
     # ------------------------------------------------------------------
@@ -270,8 +275,6 @@ class Broker:
         """
         if self._cache is None:
             return
-        from repro.sim import trials as _trials
-
         events = []
         for unit in self._queue.units:
             if unit.key is None:
@@ -284,6 +287,7 @@ class Broker:
                 st.status = CACHED
                 st.result = cached
                 self._metrics.inc("fabric.cached")
+                self._book_outcome_locked(cached)
                 events.append(
                     {
                         "trial": unit.trial,
@@ -292,7 +296,6 @@ class Broker:
                         "seconds": 0.0,
                     }
                 )
-            _trials.record_trial_cached(cached)
         for event in events:
             self._emit(event)
         self._write_status(force=True)
@@ -320,13 +323,10 @@ class Broker:
         unit's current owner, so a requeued unit is not double-penalized
         by its previous owner's post-mortem.
         """
-        from repro.sim import trials as _trials
-
         st = self._queue.state[uid]
         unit = self._queue.units[uid]
         if st.status in SETTLED_STATES:
             return None
-        remote = source not in _LOCAL_SOURCES
 
         if status == "ok":
             assert isinstance(payload, SimulationResult)
@@ -336,12 +336,17 @@ class Broker:
             st.attempts += 1
             st.owner = source
             st.deadline = None
-            self._runs_settled += 1
+            # fabric.run_ms tracks the rounded running total, so per-trial
+            # rounding never accumulates
+            run_ms = round(self._run_seconds * 1000)
             self._run_seconds += seconds
+            self._metrics.inc(
+                "fabric.run_ms", round(self._run_seconds * 1000) - run_ms
+            )
             self._metrics.inc("fabric.done")
-            if remote:
+            if source not in _LOCAL_SOURCES:
                 self._metrics.inc("fabric.remote_settled")
-            _trials.record_trial_run(payload, seconds, remote=remote)
+            self._book_outcome_locked(payload)
             if self._cache is not None and unit.key is not None:
                 self._cache.store(unit.key, payload)
             return {
@@ -360,17 +365,22 @@ class Broker:
             st.owner = None
             st.deadline = None
             self._metrics.inc("fabric.failed")
-            _trials.record_trials_failed(1)
         else:
             self._queue.requeue(uid)
             self._metrics.inc("fabric.retries")
-            _trials.record_retries(1)
         return {
             "trial": unit.trial,
             "point": unit.point,
             "status": "err",
             "seconds": seconds,
         }
+
+    def _book_outcome_locked(self, result: SimulationResult) -> None:
+        """Count a settled trial's ending: a cut-off run, lost tasks."""
+        if result.truncated:
+            self._metrics.inc("fabric.truncated")
+        if result.lost_data:
+            self._metrics.inc("fabric.data_loss")
 
     def _emit(self, event: dict) -> None:
         if self._progress is not None:
@@ -659,7 +669,7 @@ class Broker:
         now = time.perf_counter()
         counts = self._queue.counts()
         remaining = counts[QUEUED] + counts[RUNNING]
-        avg = self._run_seconds / self._runs_settled if self._runs_settled else 0.0
+        avg = self._run_seconds / counts[DONE] if counts[DONE] else 0.0
         active = sorted(
             name
             for name, seen in self._workers_seen.items()
@@ -779,6 +789,66 @@ class Broker:
                     results[unit.trial] = st.result
             out.append(TrialSet(config=point.config, results=results))
         return out
+
+
+# ----------------------------------------------------------------------
+# the run's trial accounting
+# ----------------------------------------------------------------------
+# Every finished broker merges its ``fabric.*`` registry into this one
+# collector, so an experiment's manifest and a sweep's summary line can
+# report every broker the run started without threading a registry
+# through each experiment signature.  Brokers finish on whichever
+# thread ran them, so every touch goes through the lock.
+_FABRIC_METRICS = MetricsRegistry()
+_FABRIC_LOCK = threading.Lock()
+
+
+def reset_fabric_metrics() -> None:
+    """Zero the collector (call before an experiment or a sweep)."""
+    global _FABRIC_METRICS
+    with _FABRIC_LOCK:
+        _FABRIC_METRICS = MetricsRegistry()
+
+
+def fabric_metrics() -> MetricsRegistry:
+    """A copy of the collector: every broker finished since the reset."""
+    snapshot = MetricsRegistry()
+    with _FABRIC_LOCK:
+        snapshot.merge(_FABRIC_METRICS)
+    return snapshot
+
+
+def merge_fabric_metrics(registry: MetricsRegistry) -> None:
+    """Fold one broker's registry into the collector (thread-safe)."""
+    with _FABRIC_LOCK:
+        _FABRIC_METRICS.merge(registry)
+
+
+def trial_summary(counters: Mapping[str, int], wall_s: float) -> str:
+    """One line of trial accounting read off the ``fabric.*`` counters.
+
+    ``repro run``, ``repro report``, ``repro sweep`` and ``repro fabric
+    run`` all print it, e.g. ``12 trials, 3 cached, 9 run, 0.041s/trial,
+    1.2s wall``; the smoke table's resume rows parse the ``<N> cached``
+    phrase.
+    """
+    done = counters.get("fabric.done", 0)
+    cached = counters.get("fabric.cached", 0)
+    parts = [f"{done + cached} trials", f"{cached} cached", f"{done} run"]
+    for name, label in (
+        ("fabric.remote_settled", "remote"),
+        ("fabric.retries", "retried"),
+        ("fabric.failed", "FAILED"),
+        ("fabric.truncated", "TRUNCATED"),
+        ("fabric.data_loss", "with data loss"),
+    ):
+        if counters.get(name):
+            parts.append(f"{counters[name]} {label}")
+    if done:
+        avg = counters.get("fabric.run_ms", 0) / done / 1000
+        parts.append(f"{avg:.3f}s/trial")
+    parts.append(f"{wall_s:.1f}s wall")
+    return ", ".join(parts)
 
 
 def _kill_workers(executor: ProcessPoolExecutor) -> None:

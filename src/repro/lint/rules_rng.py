@@ -219,11 +219,6 @@ _PARALLEL_MODULES = {
 #: because its merge discipline provably removes scheduling order from
 #: every fingerprinted output:
 PARALLELISM_ALLOWLIST = (
-    # The trial runner's semantic surface: threading.Lock around the
-    # module-level RunStats collector, which the fabric settles into
-    # from its dispatch *and* listener threads.  Dispatch itself lives
-    # in repro/fabric/.
-    "repro/sim/trials.py",
     # The trial-fabric broker: fans out *whole trials*, each sealed with
     # its own spawned SeedSequence fixed at queue-build time; results
     # are keyed by (point, trial) unit index, so neither local pool

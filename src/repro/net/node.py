@@ -37,12 +37,12 @@ numbers), which is exactly the live/tick split ROADMAP item 1 asks for.
 from __future__ import annotations
 
 import asyncio
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro import sanitize
+from repro.chord.network import MessagePlane
 from repro.chord.node import ChordNode
 from repro.chord.view import ChordView
 from repro.config import SimulationConfig
@@ -179,14 +179,16 @@ class PeerDirectory:
         self._prune()
 
 
-class RemoteNetwork:
+class RemoteNetwork(MessagePlane):
     """The ``SimNetwork`` facade backed by TCP instead of a dict.
 
     Implements exactly the surface :class:`~repro.chord.node.ChordNode`
-    touches.  The accounting contract is the in-memory one: every send
-    is a message, every transit failure a drop, every ``rpc_retry``
-    resend a retry, every holder re-resolution a fallback — so live
-    ``fault_stats()`` are comparable with simulated ones.
+    touches.  The accounting contract is the in-memory one, and
+    :class:`~repro.chord.network.MessagePlane` holds it for both: every
+    send is a message, every transit failure a drop, every
+    ``rpc_retry`` resend a retry, every holder re-resolution a
+    fallback — so live ``fault_stats()`` are comparable with simulated
+    ones.
     """
 
     def __init__(
@@ -197,18 +199,14 @@ class RemoteNetwork:
         policy: RetryPolicy | None = None,
         transient_retries: int = 2,
     ) -> None:
+        super().__init__(transient_retries)
         self.directory = directory
         self.local_addr = local_addr
-        # one attempt per rpc(): the resend budget lives in rpc_retry,
-        # exactly where SimNetwork keeps it
+        # one attempt per rpc(): the resend budget lives in the
+        # rpc_retry both networks share
         self._policy = (policy or RetryPolicy()).single_shot()
         self._local: dict[int, ChordNode] = {}
-        self.messages: Counter[str] = Counter()
-        self.transient_retries = transient_retries
         self.replication_factor: int | None = None
-        self.drops = 0
-        self.retries = 0
-        self.fallbacks = 0
 
     # ------------------------------------------------------------------
     # membership (local identities only; remote ones arrive via gossip)
@@ -308,35 +306,6 @@ class RemoteNetwork:
             raise
         self.directory.merge(value.get("addrs", {}), source=addr)
         return value.get("r")
-
-    def rpc_retry(
-        self, target_id: int, method: str, *args: Any, **kwargs: Any
-    ) -> Any:
-        """Bounded transparent resends on transient failures only.
-
-        Same accounting invariant as ``SimNetwork.rpc_retry``: each
-        resend is a message and a retry; dead endpoints never retry.
-        """
-        attempts = self.transient_retries
-        while True:
-            try:
-                return self.rpc(target_id, method, *args, **kwargs)
-            except TransientNetworkError:
-                if attempts <= 0:
-                    raise
-                attempts -= 1
-                self.retries += 1
-
-    # ------------------------------------------------------------------
-    def total_messages(self) -> int:
-        return sum(self.messages.values())
-
-    def fault_stats(self) -> dict[str, int]:
-        return {
-            "drops": self.drops,
-            "retries": self.retries,
-            "fallbacks": self.fallbacks,
-        }
 
 
 #: Registry strategies a live node cannot run: ``relocation`` moves the

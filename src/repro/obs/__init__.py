@@ -21,8 +21,8 @@ Modules
     injectable clock, plus the :data:`NULL_PROFILER` no-op.
 ``metrics``
     :class:`MetricsRegistry` — a counters/gauges registry unifying
-    engine counters, trial-runner stats, and profiler timings for the
-    run manifest; ``result_fingerprint()`` for bit-identity checks.
+    engine counters, the fabric broker's trial outcomes, and profiler
+    timings for the run manifest; ``result_fingerprint()`` for bit-identity checks.
 """
 
 from repro.obs.metrics import (

@@ -1,10 +1,10 @@
 """Counters/gauges registry unifying a run's accounting.
 
-The repo grew three unrelated pockets of run accounting: the engine's
-``counters`` dict (sybils created, churn joins/leaves, crashes, tasks
-lost...), the trial runner's :class:`~repro.sim.trials.RunStats`
-(run/cached/failed, retries, wall-clock), and the failure-model
-counters folded into the engine's.  :class:`MetricsRegistry` gives them
+A run's accounting comes from two pockets: the engine's ``counters``
+dict (sybils created, churn joins/leaves, crashes, tasks lost...), and
+the fabric broker's trial outcomes (done/cached/failed, retries,
+truncated or lossy trials, fresh-run milliseconds).  Phase timings
+ride along when a profiler ran.  :class:`MetricsRegistry` gives them
 one namespaced home so the run manifest can carry a single ``metrics``
 block.
 
@@ -12,8 +12,9 @@ Conventions:
 
 * **counters** are monotonically accumulated integers, **gauges** are
   point-in-time floats (timings, averages).
-* names are dotted: ``sim.*`` for engine counters, ``trials.*`` for
-  runner stats, ``profile.*`` for phase timings.
+* names are dotted: ``sim.*`` for engine counters, ``fabric.*`` for
+  trial outcomes (booked by :class:`~repro.fabric.broker.Broker`),
+  ``profile.*`` for phase timings.
 * ``as_dict()`` sorts keys, so serialized output is deterministic.
 
 Nothing here feeds back into simulation state; the registry is written
@@ -30,7 +31,6 @@ from typing import TYPE_CHECKING, Any, Mapping
 if TYPE_CHECKING:  # avoid an import cycle at runtime
     from repro.obs.profile import PhaseProfiler
     from repro.sim.results import SimulationResult
-    from repro.sim.trials import RunStats
 
 __all__ = ["MetricsRegistry", "collect_run_metrics", "result_fingerprint"]
 
@@ -65,6 +65,11 @@ class MetricsRegistry:
         for key, value in mapping.items():
             self.gauge(f"{prefix}{key}", float(value))
 
+    def merge(self, other: "MetricsRegistry") -> None:
+        """Add ``other``'s counters to these; its gauges overwrite."""
+        self.merge_counters(other._counters)
+        self.merge_gauges(other._gauges)
+
     # ------------------------------------------------------------------
     def as_dict(self) -> dict[str, Any]:
         """``{"counters": {...}, "gauges": {...}}`` with sorted keys."""
@@ -86,35 +91,22 @@ class MetricsRegistry:
 def collect_run_metrics(
     *,
     engine_counters: Mapping[str, int] | None = None,
-    run_stats: "RunStats | None" = None,
     profiler: "PhaseProfiler | None" = None,
     fabric: "MetricsRegistry | None" = None,
 ) -> MetricsRegistry:
     """Fold the run's accounting sources into one registry.
 
-    Engine counters land under ``sim.``, trial-runner stats under
-    ``trials.`` (integer fields as counters, timings as gauges), and
-    profiler phase times under ``profile.`` (``*_calls`` counters,
-    ``*_seconds`` gauges).  A fabric broker's registry (already
-    ``fabric.``-namespaced: queue depth gauges, done/cached/failed/
-    retry counters) merges verbatim.  Every source is optional — pass
-    what the run actually had.
+    Engine counters land under ``sim.`` and profiler phase times under
+    ``profile.`` (``*_calls`` counters, ``*_seconds`` gauges).  A fabric
+    broker's registry (already ``fabric.``-namespaced: queue depth
+    gauges, trial outcome counters) merges verbatim.  Every source is
+    optional — pass what the run actually had.
     """
     registry = MetricsRegistry()
     if engine_counters is not None:
         registry.merge_counters(engine_counters, prefix="sim.")
     if fabric is not None:
-        exported = fabric.as_dict()
-        registry.merge_counters(exported["counters"])
-        registry.merge_gauges(exported["gauges"])
-    if run_stats is not None:
-        stats = run_stats.as_dict()
-        for key, value in stats.items():
-            name = f"trials.{key}"
-            if key.endswith("_seconds"):
-                registry.gauge(name, float(value))
-            else:
-                registry.inc(name, int(value))
+        registry.merge(fabric)
     if profiler is not None and getattr(profiler, "enabled", False):
         for name, seconds in profiler.seconds.items():
             registry.gauge(f"profile.{name}_seconds", seconds)

@@ -14,13 +14,7 @@ from repro.sim.persistence import (
 )
 from repro.sim.results import SimulationResult, TrialSet
 from repro.sim.state import RingState
-from repro.sim.trials import (
-    RunStats,
-    TrialFailure,
-    run_trial,
-    run_trials,
-    sweep,
-)
+from repro.sim.trials import TrialFailure, run_trial, run_trials, sweep
 from repro.obs.trace import TraceEvent, TraceRecorder
 from repro.sim.view import SimView
 from repro.sim.workload import (
@@ -58,5 +52,4 @@ __all__ = [
     "TrialCache",
     "trial_key",
     "TrialFailure",
-    "RunStats",
 ]

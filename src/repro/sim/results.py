@@ -85,6 +85,29 @@ class SimulationResult:
         return int(self.counters.get("tasks_lost", 0))
 
     @property
+    def truncated(self) -> bool:
+        """Whether the run hit ``max_ticks`` without finishing.
+
+        Its runtime factor understates the truth (the run was cut off,
+        not done), so any aggregate containing it deserves a flag.
+        Results persisted before termination reasons existed carry
+        ``termination_reason=None``; an incomplete one of those can only
+        be a truncation.
+        """
+        return not self.completed and self.termination_reason in (
+            None,
+            "max_ticks",
+        )
+
+    @property
+    def lost_data(self) -> bool:
+        """Whether crashes or ring death destroyed tasks."""
+        return self.tasks_lost > 0 or self.termination_reason in (
+            "data_loss",
+            "ring_empty",
+        )
+
+    @property
     def completed_fraction(self) -> float:
         """Share of injected work that actually ran to completion."""
         injected = self.total_injected
@@ -163,30 +186,13 @@ class TrialSet:
 
     @property
     def n_truncated(self) -> int:
-        """Trials that hit ``max_ticks`` without finishing.
-
-        Their runtime factors understate the truth (the run was cut off,
-        not done), so any aggregate containing them deserves a flag.
-        Results persisted before termination reasons existed carry
-        ``termination_reason=None``; an incomplete one of those can only
-        be a truncation.
-        """
-        return sum(
-            1
-            for r in self.results
-            if not r.completed
-            and r.termination_reason in (None, "max_ticks")
-        )
+        """Trials that hit ``max_ticks`` without finishing."""
+        return sum(r.truncated for r in self.results)
 
     @property
     def n_data_loss(self) -> int:
         """Trials that lost tasks to crashes or ring death."""
-        return sum(
-            1
-            for r in self.results
-            if r.tasks_lost > 0
-            or r.termination_reason in ("data_loss", "ring_empty")
-        )
+        return sum(r.lost_data for r in self.results)
 
     @property
     def mean_completed_work_factor(self) -> float:

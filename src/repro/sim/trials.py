@@ -2,8 +2,8 @@
 
 Every table in the paper is "the average of 100 trials".  This module
 is the *semantic* surface for running N independent trials of a
-configuration — seeding rules, failure records, run statistics — while
-the actual dispatch lives in :mod:`repro.fabric`: :func:`run_trials`
+configuration — seeding rules and failure records — while the actual
+dispatch lives in :mod:`repro.fabric`: :func:`run_trials`
 and :func:`sweep` build a trial grid and hand it to a
 :class:`~repro.fabric.broker.Broker` (single-process by default), so
 every caller gains the fabric's incremental caching, retry machinery and
@@ -37,8 +37,7 @@ Environment knobs
 from __future__ import annotations
 
 import os
-import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from hashlib import sha256
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -46,7 +45,6 @@ import numpy as np
 
 from repro.errors import ConfigError
 from repro.config import SimulationConfig
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import Profiler
 from repro.obs.trace import TraceSink
 from repro.sim.cache import TrialCache
@@ -64,9 +62,6 @@ __all__ = [
     "sweep_grid",
     "default_n_jobs",
     "TrialFailure",
-    "RunStats",
-    "reset_run_stats",
-    "run_stats",
 ]
 
 TrialFn = Callable[
@@ -115,7 +110,7 @@ def default_n_jobs() -> int:
 
 
 # ----------------------------------------------------------------------
-# failure records and run statistics
+# failure records
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class TrialFailure:
@@ -139,161 +134,6 @@ class TrialFailure:
             f"spawn_key={self.spawn_key}) failed after "
             f"{self.attempts} attempt(s): {self.error}"
         )
-
-
-@dataclass
-class RunStats:
-    """Aggregate accounting of trial work since the last reset.
-
-    Accumulated by every :func:`run_trials` call into a module-level
-    collector so the CLI and the experiment report can surface
-    done/cached/failed counts and wall-clock per trial without threading
-    a stats object through every experiment signature.
-
-    ``trials_remote`` counts trials settled by attached ``repro fabric
-    worker`` processes (a subset of ``trials_run``).
-    """
-
-    trials_run: int = 0
-    trials_cached: int = 0
-    trials_failed: int = 0
-    trials_remote: int = 0
-    retries: int = 0
-    trial_seconds: float = 0.0
-    trials_truncated: int = 0
-    trials_data_loss: int = 0
-
-    @property
-    def trials_total(self) -> int:
-        return self.trials_run + self.trials_cached
-
-    @property
-    def avg_trial_seconds(self) -> float:
-        return self.trial_seconds / self.trials_run if self.trials_run else 0.0
-
-    def note_outcome(self, result: SimulationResult) -> None:
-        """Record a settled trial's ending (truncation / data loss)."""
-        if not result.completed and result.termination_reason in (
-            None,
-            "max_ticks",
-        ):
-            self.trials_truncated += 1
-        if result.tasks_lost > 0 or result.termination_reason in (
-            "data_loss",
-            "ring_empty",
-        ):
-            self.trials_data_loss += 1
-
-    def as_dict(self) -> dict:
-        return {
-            "trials_run": self.trials_run,
-            "trials_cached": self.trials_cached,
-            "trials_failed": self.trials_failed,
-            "trials_remote": self.trials_remote,
-            "retries": self.retries,
-            "trial_seconds": round(self.trial_seconds, 4),
-            "avg_trial_seconds": round(self.avg_trial_seconds, 4),
-            "trials_truncated": self.trials_truncated,
-            "trials_data_loss": self.trials_data_loss,
-        }
-
-    def summary_line(self) -> str:
-        parts = [
-            f"{self.trials_total} trials",
-            f"{self.trials_cached} cached",
-            f"{self.trials_run} run",
-        ]
-        if self.trials_remote:
-            parts.append(f"{self.trials_remote} remote")
-        if self.retries:
-            parts.append(f"{self.retries} retried")
-        if self.trials_failed:
-            parts.append(f"{self.trials_failed} FAILED")
-        if self.trials_truncated:
-            parts.append(f"{self.trials_truncated} TRUNCATED")
-        if self.trials_data_loss:
-            parts.append(f"{self.trials_data_loss} with data loss")
-        if self.trials_run:
-            parts.append(f"{self.avg_trial_seconds:.3f}s/trial")
-        return ", ".join(parts)
-
-
-# The collector is mutated from wherever the fabric settles trials —
-# the broker's dispatch thread *and* its listener thread (remote
-# settles) — so every touch goes through the lock below.  A bare
-# ``_RUN_STATS.trials_run += 1`` is a read-modify-write and loses
-# updates under that concurrency (the pre-fabric bug this fixes).
-# ``_FABRIC_METRICS`` rides along: each finished broker merges its
-# ``fabric.*`` registry here so experiment manifests can carry queue /
-# lease / remote accounting without threading a registry through every
-# experiment signature.
-_RUN_STATS = RunStats()
-_FABRIC_METRICS = MetricsRegistry()
-_RUN_STATS_LOCK = threading.Lock()
-
-
-def reset_run_stats() -> None:
-    """Zero the module-level collectors (call before an experiment)."""
-    global _RUN_STATS, _FABRIC_METRICS
-    with _RUN_STATS_LOCK:
-        _RUN_STATS = RunStats()
-        _FABRIC_METRICS = MetricsRegistry()
-
-
-def run_stats() -> RunStats:
-    """Snapshot of the collector since the last reset."""
-    with _RUN_STATS_LOCK:
-        return replace(_RUN_STATS)
-
-
-def fabric_metrics() -> MetricsRegistry:
-    """Accumulated ``fabric.*`` metrics since the last reset."""
-    snapshot = MetricsRegistry()
-    with _RUN_STATS_LOCK:
-        exported = _FABRIC_METRICS.as_dict()
-    snapshot.merge_counters(exported["counters"])
-    snapshot.merge_gauges(exported["gauges"])
-    return snapshot
-
-
-def merge_fabric_metrics(registry: MetricsRegistry) -> None:
-    """Fold one broker's registry into the module collector
-    (thread-safe; called by :meth:`repro.fabric.broker.Broker.run`)."""
-    exported = registry.as_dict()
-    with _RUN_STATS_LOCK:
-        _FABRIC_METRICS.merge_counters(exported["counters"])
-        _FABRIC_METRICS.merge_gauges(exported["gauges"])
-
-
-def record_trial_run(
-    result: SimulationResult, seconds: float, *, remote: bool = False
-) -> None:
-    """Thread-safe accounting for one freshly computed trial."""
-    with _RUN_STATS_LOCK:
-        _RUN_STATS.trials_run += 1
-        _RUN_STATS.trial_seconds += seconds
-        if remote:
-            _RUN_STATS.trials_remote += 1
-        _RUN_STATS.note_outcome(result)
-
-
-def record_trial_cached(result: SimulationResult) -> None:
-    """Thread-safe accounting for one cache-settled trial."""
-    with _RUN_STATS_LOCK:
-        _RUN_STATS.trials_cached += 1
-        _RUN_STATS.note_outcome(result)
-
-
-def record_retries(n: int = 1) -> None:
-    """Thread-safe accounting for ``n`` trial re-dispatches."""
-    with _RUN_STATS_LOCK:
-        _RUN_STATS.retries += n
-
-
-def record_trials_failed(n: int = 1) -> None:
-    """Thread-safe accounting for ``n`` trials failed beyond retry."""
-    with _RUN_STATS_LOCK:
-        _RUN_STATS.trials_failed += n
 
 
 # ----------------------------------------------------------------------

@@ -180,7 +180,47 @@ class TestCacheCLI:
         assert "cached" in out and "run" in out
         data = json.loads(manifest.read_text())
         assert data["runs"][0]["experiment_id"] == "fig01"
-        assert "run_stats" in data["runs"][0]
+
+    @pytest.mark.parametrize(
+        "experiment, n_trials", [("fig01", 0), ("two_runs", 6)]
+    )
+    def test_run_manifest_v3_books_each_trial_once(
+        self, experiment, n_trials, monkeypatch, tmp_path, capsys,
+        tiny_config,
+    ):
+        """A v3 manifest carries each trial outcome once, as ``fabric.*``
+        counters: fig01 runs no trials, ``two_runs`` runs three trials
+        fresh and then the same three from the cache."""
+        from repro.cli import main
+        from repro.experiments import registry
+        from repro.experiments.spec import ExperimentResult
+
+        def two_runs(scale=None, seed=0, n_jobs=1):
+            run_trials(tiny_config, 3)
+            run_trials(tiny_config, 3)
+            return ExperimentResult(
+                experiment_id="two_runs", title="t", headers=[], rows=[]
+            )
+
+        monkeypatch.setitem(
+            registry.EXPERIMENTS, "two_runs", ("two runs", two_runs)
+        )
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        manifest = tmp_path / "manifest.json"
+        assert main(["run", experiment, "--manifest", str(manifest)]) == 0
+        data = json.loads(manifest.read_text())
+        assert data["format"] == "repro.run_manifest.v3"
+        run = data["runs"][0]
+        assert run["format"] == "repro.run_manifest.v3"
+        assert "run_stats" not in run
+        counters = run["metrics"]["counters"]
+        assert not [name for name in counters if name.startswith("trials.")]
+        done = counters.get("fabric.done", 0)
+        cached = counters.get("fabric.cached", 0)
+        assert done + cached == n_trials
+        assert cached == n_trials // 2
+        out = capsys.readouterr().out
+        assert f"{n_trials} trials, {cached} cached, {done} run" in out
 
 
 class TestTempFileHygiene:

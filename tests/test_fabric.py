@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import socket
+import sys
 import threading
 import time
 from concurrent.futures import Future
@@ -32,6 +33,11 @@ from repro.fabric import (
     TrialQueue,
     run_worker,
 )
+from repro.fabric.broker import (
+    fabric_metrics,
+    merge_fabric_metrics,
+    reset_fabric_metrics,
+)
 from repro.fabric.protocol import (
     OP_LEASE,
     OP_SETTLE,
@@ -46,18 +52,7 @@ from repro.fabric.protocol import (
 from repro.fabric.queue import DONE, QUEUED, RUNNING
 from repro.net.transport import RetryPolicy, request
 from repro.sim.cache import TrialCache
-from repro.sim.trials import (
-    record_retries,
-    record_trial_cached,
-    record_trial_run,
-    record_trials_failed,
-    reset_run_stats,
-    run_stats,
-    run_trial,
-    run_trials,
-    sweep,
-    sweep_grid,
-)
+from repro.sim.trials import run_trial, run_trials, sweep, sweep_grid
 
 WORKER_POLICY = RetryPolicy(timeout=2.0, retries=1, backoff=0.01)
 
@@ -205,12 +200,12 @@ class TestBrokerLocal:
         cache = TrialCache(tmp_path)
         run_trials(tiny_config, 2, cache=cache)  # pre-populate 2 of 5
         assert cache.stores == 2
-        reset_run_stats()
+        reset_fabric_metrics()
         broker = Broker(_grid(tiny_config, 5), cache=cache)
         sets = broker.run()
-        stats = run_stats()
-        assert stats.trials_cached == 2
-        assert stats.trials_run == 3
+        collected = fabric_metrics()
+        assert collected.counter("fabric.cached") == 2
+        assert collected.counter("fabric.done") == 3
         assert broker.metrics.counter("fabric.cached") == 2
         assert broker.metrics.counter("fabric.done") == 3
         serial = run_trials(tiny_config, 5, cache=False)
@@ -536,35 +531,37 @@ class TestDispatchRaces:
         assert broker.metrics.counter("fabric.done") == 1
         assert broker.metrics.counter("fabric.retries") == 1
 
-    def test_run_stats_accumulator_is_thread_safe(self, tiny_config):
-        """RACE FIX 3: settles arrive concurrently from the pool waiter
-        and the listener thread; the module stats accumulator must not
-        lose updates."""
-        result = run_trial(
-            tiny_config, np.random.SeedSequence(tiny_config.seed)
-        )
-        reset_run_stats()
+    def test_fabric_collector_merges_are_thread_safe(self, tiny_config):
+        """RACE FIX 3: brokers finish on whichever thread ran them, and
+        each merges its ``fabric.*`` registry into the one module
+        collector; concurrent merges must not lose counts."""
+        broker = Broker(_grid(tiny_config, 2), cache=False)
+        broker.run()
+        one = broker.metrics.as_dict()["counters"]
+        assert one["fabric.done"] == 2
+        reset_fabric_metrics()
         n_threads, per_thread = 8, 200
 
         def hammer():
             for _ in range(per_thread):
-                record_trial_run(result, 0.001)
-                record_trial_cached(result)
-                record_retries()
-                record_trials_failed()
+                merge_fabric_metrics(broker.metrics)
+
+        # switch threads often enough that an unlocked merge loses counts
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
 
         threads = [threading.Thread(target=hammer) for _ in range(n_threads)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        stats = run_stats()
-        expect = n_threads * per_thread
-        assert stats.trials_run == expect
-        assert stats.trials_cached == expect
-        assert stats.retries == expect
-        assert stats.trials_failed == expect
-        assert stats.trial_seconds == pytest.approx(expect * 0.001)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(switch_interval)
+        merges = n_threads * per_thread
+        assert fabric_metrics().as_dict()["counters"] == {
+            name: merges * count for name, count in one.items()
+        }
 
 
 # ----------------------------------------------------------------------

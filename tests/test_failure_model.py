@@ -29,7 +29,12 @@ from repro.hashspace.idspace import IdSpace
 from repro.sim.cache import trial_key
 from repro.sim.engine import TickEngine
 from repro.sim.persistence import result_from_dict, result_to_dict
-from repro.sim.trials import reset_run_stats, run_stats, run_trials
+from repro.fabric.broker import (
+    fabric_metrics,
+    reset_fabric_metrics,
+    trial_summary,
+)
+from repro.sim.trials import run_trials
 
 
 def _loads_sha16(result) -> str:
@@ -276,17 +281,18 @@ class TestCrashChurn:
 # ----------------------------------------------------------------------
 class TestTrialAccounting:
     def test_data_loss_trials_are_counted(self):
-        reset_run_stats()
+        reset_fabric_metrics()
         trials = run_trials(_crash_config(0), 3, cache=False)
         assert trials.n_data_loss == 3
         assert trials.n_truncated == 0
         assert trials.mean_completed_work_factor > trials.mean_factor
-        stats = run_stats()
-        assert stats.trials_data_loss == 3
-        assert "with data loss" in stats.summary_line()
+        counters = fabric_metrics().as_dict()["counters"]
+        assert counters["fabric.data_loss"] == 3
+        assert "fabric.truncated" not in counters
+        assert "3 with data loss" in trial_summary(counters, 0.0)
 
     def test_truncated_trials_are_counted(self):
-        reset_run_stats()
+        reset_fabric_metrics()
         config = SimulationConfig(
             n_nodes=50, n_tasks=5000, seed=6, max_ticks=3
         )
@@ -296,19 +302,21 @@ class TestTrialAccounting:
         )
         assert trials.n_truncated == 2
         assert trials.n_data_loss == 0
-        stats = run_stats()
-        assert stats.trials_truncated == 2
-        assert "TRUNCATED" in stats.summary_line()
+        counters = fabric_metrics().as_dict()["counters"]
+        assert counters["fabric.truncated"] == 2
+        assert "fabric.data_loss" not in counters
+        assert "2 TRUNCATED" in trial_summary(counters, 0.0)
 
     def test_cache_hits_repeat_outcome_accounting(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         config = _crash_config(0)
         run_trials(config, 2)
-        reset_run_stats()
+        reset_fabric_metrics()
         run_trials(config, 2)  # all cached now
-        stats = run_stats()
-        assert stats.trials_cached == 2
-        assert stats.trials_data_loss == 2
+        counters = fabric_metrics().as_dict()["counters"]
+        assert counters["fabric.cached"] == 2
+        assert counters["fabric.data_loss"] == 2
+        assert "fabric.done" not in counters
 
 
 # ----------------------------------------------------------------------

@@ -158,7 +158,7 @@ class TestR002NondeterminismHazard:
         assert len(findings) == 3
         assert all("PARALLELISM_ALLOWLIST" in f.message for f in findings)
 
-    def test_parallelism_allowlist_covers_shard_and_trials(self, tmp_path):
+    def test_parallelism_allowlist_covers_the_fabric_broker(self, tmp_path):
         source = (
             "import multiprocessing as mp\n"
             "from concurrent.futures import ProcessPoolExecutor\n"
@@ -167,12 +167,21 @@ class TestR002NondeterminismHazard:
             tmp_path,
             {
                 # the sanctioned fixed-order-merge module
-                "repro/sim/trials.py": source,
+                "repro/fabric/broker.py": source,
                 # out-of-scope layer: the analysis CLI may pool freely
                 "repro/viz/pool.py": source,
             },
         )
         assert run_rules(tmp_path, "R002") == []
+
+    def test_trial_runner_is_not_allowlisted(self, tmp_path):
+        """The trial runner only seeds and delegates to the broker; it
+        holds no lock and spawns nothing, so a threading import there
+        is a finding."""
+        write_tree(tmp_path, {"repro/sim/trials.py": "import threading\n"})
+        findings = run_rules(tmp_path, "R002")
+        assert rule_ids(findings) == {"R002"}
+        assert len(findings) == 1
 
 
 class TestR003Uint64Arithmetic:

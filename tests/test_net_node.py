@@ -133,6 +133,43 @@ class TestRemoteNetworkLocal:
         with pytest.raises(ProtocolError):
             net.dispatch(10, "fail", [], {})  # would kill the node
 
+    @pytest.mark.parametrize("drops", [0, 1, 2, 3])
+    def test_rpc_retry_accounting_under_transit_drops(
+        self, drops, monkeypatch
+    ):
+        """``RemoteNetwork`` spends its resend budget exactly as
+        ``SimNetwork`` does (tests/test_chord_network.py pins the same
+        counts): k <= b drops deliver with k+1 messages / k retries /
+        k drops; k > b raises after b+1 messages / b retries / b+1
+        drops."""
+        import repro.net.node as node_module
+
+        sends = []
+
+        def flaky_request(addr, envelope, *, policy):
+            sends.append(envelope["method"])
+            if len(sends) <= drops:
+                raise TransientNetworkError("stubbed transit drop")
+            return {"r": True, "addrs": {}}
+
+        monkeypatch.setattr(node_module, "request", flaky_request)
+        net = self._net()
+        net.directory.add(20, ("127.0.0.1", 2))
+        budget = net.transient_retries
+        assert budget == 2
+        if drops <= budget:
+            assert net.rpc_retry(20, "rpc_ping") is True
+            expect = (drops + 1, drops, drops)
+        else:
+            with pytest.raises(TransientNetworkError):
+                net.rpc_retry(20, "rpc_ping")
+            expect = (budget + 1, budget, budget + 1)
+        assert (net.total_messages(), net.retries, net.drops) == expect
+        assert len(sends) == expect[0]
+        assert net.fault_stats() == {
+            "drops": expect[2], "retries": expect[1], "fallbacks": 0,
+        }
+
     def test_deregister_tombstones_directory(self):
         from repro.chord.node import ChordNode
         from repro.hashspace.idspace import IdSpace

@@ -29,7 +29,7 @@ from repro.obs import (
 )
 from repro.sim.engine import TickEngine
 from repro.sim.persistence import result_from_dict, result_to_dict
-from repro.sim.trials import RunStats, run_trial
+from repro.sim.trials import run_trial
 
 
 class FakeClock:
@@ -286,17 +286,23 @@ class TestMetricsRegistry:
         prof = PhaseProfiler(clock=FakeClock())
         with prof.phase("churn"):
             pass
-        stats = RunStats(trials_run=3, trials_cached=1, trial_seconds=1.2)
+        fabric = MetricsRegistry()
+        fabric.inc("fabric.done", 3)
+        fabric.inc("fabric.cached", 1)
+        fabric.inc("fabric.run_ms", 1200)
+        fabric.gauge("fabric.queued", 0.0)
         reg = collect_run_metrics(
             engine_counters={"churn_joins": 7, "decision_rounds": 4},
-            run_stats=stats,
             profiler=prof,
+            fabric=fabric,
         )
         data = reg.as_dict()
         assert data["counters"]["sim.churn_joins"] == 7
-        assert data["counters"]["trials.trials_run"] == 3
+        assert data["counters"]["fabric.done"] == 3
+        assert data["counters"]["fabric.cached"] == 1
         assert data["counters"]["profile.churn_calls"] == 1
-        assert data["gauges"]["trials.trial_seconds"] == pytest.approx(1.2)
+        assert data["counters"]["fabric.run_ms"] == 1200
+        assert data["gauges"]["fabric.queued"] == 0.0
         assert data["gauges"]["profile.churn_seconds"] == pytest.approx(0.25)
         assert "profile.total_seconds" in data["gauges"]
 

@@ -9,14 +9,12 @@ import pytest
 import repro.fabric.broker as broker_module
 from repro.config import SimulationConfig
 from repro.errors import ConfigError, TrialError
-from repro.sim.trials import (
-    default_n_jobs,
-    reset_run_stats,
-    run_stats,
-    run_trial,
-    run_trials,
-    sweep,
+from repro.fabric.broker import (
+    fabric_metrics,
+    reset_fabric_metrics,
+    trial_summary,
 )
+from repro.sim.trials import default_n_jobs, run_trial, run_trials, sweep
 
 
 # ----------------------------------------------------------------------
@@ -127,13 +125,13 @@ class TestFaultTolerance:
         self, tiny_config, tmp_path, monkeypatch
     ):
         monkeypatch.setenv("REPRO_TEST_FLAKY_DIR", str(tmp_path))
-        reset_run_stats()
+        reset_fabric_metrics()
         recovered = run_trials(
             tiny_config, 3, trial_fn=_flaky_trial, retries=1, cache=False
         )
         plain = run_trials(tiny_config, 3, cache=False)
         assert np.array_equal(recovered.factors, plain.factors)
-        assert run_stats().retries == 1
+        assert fabric_metrics().counter("fabric.retries") == 1
 
     def test_retries_exhausted(self, tiny_config):
         with pytest.raises(TrialError) as excinfo:
@@ -224,15 +222,20 @@ class TestAggregation:
         from repro.sim.cache import TrialCache
 
         cache = TrialCache(tmp_path)
-        reset_run_stats()
+        reset_fabric_metrics()
+        t0 = time.perf_counter()
         run_trials(tiny_config, 3, cache=cache)
+        run_ms = (time.perf_counter() - t0) * 1000
         run_trials(tiny_config, 3, cache=cache)
-        stats = run_stats()
-        assert stats.trials_run == 3
-        assert stats.trials_cached == 3
-        assert stats.trials_total == 6
-        assert stats.trial_seconds > 0
-        assert "3 cached" in stats.summary_line()
+        counters = fabric_metrics().as_dict()["counters"]
+        assert counters["fabric.done"] == 3
+        assert counters["fabric.cached"] == 3
+        assert counters["fabric.done"] + counters["fabric.cached"] == 6
+        # fresh-run time, booked once per fresh trial, never per cache hit
+        assert 0 < counters["fabric.run_ms"] <= round(run_ms) + 1
+        line = trial_summary(counters, 1.0)
+        assert "6 trials" in line and "3 cached" in line
+        assert "3 run" in line and line.endswith("1.0s wall")
 
 
 class TestSweep:
