@@ -424,12 +424,12 @@ def broker_counters(addr: tuple[str, int]) -> dict[str, int]:
 
 
 def with_listener(act: Callable[[Ctx, tuple[str, int]], Any]) -> Leg:
-    """``repro fabric run --listen`` with ``act`` on its attach socket."""
+    """``repro sweep --listen`` with ``act`` on its attach socket."""
 
     def leg(ctx: Ctx) -> tuple[bytes, dict, Any]:
         out, status = ctx.tmp / "fabric.json", ctx.tmp / "status.json"
         broker = subprocess.Popen(
-            cli("fabric", "run", *GRID, "--jobs", 2, "--listen", "127.0.0.1:0",
+            cli("sweep", *GRID, "--jobs", 2, "--listen", "127.0.0.1:0",
                 "--lease-timeout", 2, "--status-file", status, "--out", out),
             env=child_env(ctx.tmp / "cache", DELAY_MS), cwd=REPO,
             stdout=subprocess.PIPE, text=True,
@@ -494,7 +494,7 @@ def stalled_worker(ctx: Ctx) -> tuple[bytes, dict, int]:
 def worker_loss_absorbed(base: bytes, run: tuple[bytes, dict, Any]) -> str:
     doc, counters, _ = run
     assert counters.get("fabric.remote_leases", 0) >= 1, counters
-    assert doc == base, "fabric run differs from the serial baseline"
+    assert doc == base, "listening sweep differs from the serial baseline"
     return digest(doc)
 
 
@@ -502,7 +502,7 @@ def lease_expired(base: bytes, run: tuple[bytes, dict, int]) -> str:
     doc, counters, worker_rc = run
     assert counters.get("fabric.lease_expired", 0) >= 1, counters
     assert worker_rc == 0, f"resumed worker exited {worker_rc}"
-    assert doc == base, "fabric run differs from the serial baseline"
+    assert doc == base, "listening sweep differs from the serial baseline"
     return digest(doc)
 
 
@@ -514,7 +514,7 @@ def broker_counts_bad_frames(base: bytes, run: tuple[bytes, dict, Any]) -> str:
     doc, final, (sent, live) = run
     assert live.get("fabric.bad_frames") == sent, live
     assert final.get("fabric.bad_frames") == sent, final
-    assert doc == base, "fabric run differs from the serial baseline"
+    assert doc == base, "listening sweep differs from the serial baseline"
     return digest(doc)
 
 
@@ -555,7 +555,7 @@ ROWS = [
     Row("fabric-worker-kill", baseline, with_listener(kill_worker),
         worker_loss_absorbed),
     Row("fabric-broker-kill-resume", baseline,
-        killed_then_resumed("fabric", "run", "--jobs", "2"),
+        killed_then_resumed("sweep", "--jobs", "2"),
         resume_is_identical),
     Row("fabric-hostile-frames", baseline, with_listener(hostile_broker),
         broker_counts_bad_frames),

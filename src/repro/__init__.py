@@ -44,7 +44,6 @@ from repro.sim import (
     run_simulation,
     run_trial,
     run_trials,
-    sweep,
 )
 
 __version__ = "1.0.0"
@@ -57,7 +56,6 @@ __all__ = [
     "run_simulation",
     "run_trial",
     "run_trials",
-    "sweep",
     "SimulationResult",
     "TrialSet",
     "TrialCache",

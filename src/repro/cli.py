@@ -25,10 +25,15 @@ Subcommands
 ``repro theory [--nodes N] [--tasks T]``
     Print the closed-form predictions for a network size next to a
     fresh measurement.
-``repro sweep --field F --values a,b,c [--out PATH] ...``
-    One-dimensional parameter sweep; ``--out`` persists every TrialSet
-    to one JSON document.  Interrupted sweeps resume from the trial
-    cache — re-running the same command recomputes only missing trials.
+``repro sweep --field F --values a,b,c [--out PATH] [--listen HOST:PORT] ...``
+    One-dimensional parameter sweep under one fabric broker; ``--out``
+    persists every TrialSet to one JSON document.  Interrupted sweeps
+    resume from the trial cache — re-running the same command recomputes
+    only missing trials.  With ``--listen``, remote ``repro fabric
+    worker`` processes may attach mid-sweep; the broker prints a
+    ``REPRO-FABRIC-READY {...}`` line once its socket is bound.
+``repro fabric worker --connect HOST:PORT`` / ``repro fabric status``
+    Run trials for a listening sweep; show a sweep's live progress.
 ``repro cache [--clear]``
     Show (or empty) the content-addressed trial cache.
 ``repro lint [paths] [--json] [--select R00x,...]``
@@ -261,15 +266,15 @@ def _add_sim_core(parser: argparse.ArgumentParser, **defaults: Any) -> None:
 
 
 def _add_trial_options(
-    parser: argparse.ArgumentParser,
-    *,
-    trials: int,
-    jobs: int = 1,
-    jobs_help: str | None = None,
+    parser: argparse.ArgumentParser, *, trials: int
 ) -> None:
     """How a batch of trials runs: count, workers, cache, retry, timeout."""
     parser.add_argument("--trials", type=int, default=trials)
-    parser.add_argument("--jobs", type=int, default=jobs, help=jobs_help)
+    parser.add_argument(
+        "--jobs", type=int, default=1,
+        help="local worker processes (0 = auto, honors REPRO_N_JOBS; "
+        "1 = in-process)",
+    )
     parser.add_argument(
         "--no-cache", action="store_true",
         help="recompute every trial (skip the content-addressed cache)",
@@ -283,28 +288,6 @@ def _add_trial_options(
         help="seconds without a trial completion before workers are "
         "considered hung (parallel runs)",
     )
-
-
-def _add_sweep_grid(parser: argparse.ArgumentParser, **jobs: Any) -> None:
-    """The sweep-grid flags ``sweep`` and ``fabric run`` share."""
-    parser.add_argument(
-        "--field", required=True,
-        choices=[f.name for f in fields(SimulationConfig)],
-        help="SimulationConfig field to vary",
-    )
-    parser.add_argument(
-        "--values", required=True,
-        help="comma-separated values (JSON literals: 0.01, 1000, ...)",
-    )
-    _add_sim_core(parser)
-    parser.add_argument("--out", type=Path, default=None,
-                        help="persist every TrialSet to this JSON file")
-    parser.add_argument(
-        "--crn", action="store_true",
-        help="common random numbers: reuse identical trial seeds at "
-        "every sweep point (variance reduction; off by default)",
-    )
-    _add_trial_options(parser, trials=3, **jobs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -346,44 +329,49 @@ def build_parser() -> argparse.ArgumentParser:
         "raises when two concurrent consumers share one RNG stream",
     )
 
-    _add_sweep_grid(
-        sub.add_parser(
-            "sweep", help="one-dimensional parameter sweep with resume"
-        )
+    sweep_p = sub.add_parser(
+        "sweep",
+        help="one-dimensional parameter sweep under a fabric broker "
+        "(resumable; workers may attach mid-sweep)",
     )
-
-    fab_p = sub.add_parser(
-        "fabric",
-        help="distributed trial fabric: broker, attachable workers, status",
+    sweep_p.add_argument(
+        "--field", required=True,
+        choices=[f.name for f in fields(SimulationConfig)],
+        help="SimulationConfig field to vary",
     )
-    fab_sub = fab_p.add_subparsers(dest="fabric_command", required=True)
-
-    fab_run = fab_sub.add_parser(
-        "run",
-        help="run a sweep grid under a fabric broker (resumable; "
-        "workers may attach mid-sweep)",
+    sweep_p.add_argument(
+        "--values", required=True,
+        help="comma-separated values (JSON literals: 0.01, 1000, ...)",
     )
-    _add_sweep_grid(
-        fab_run,
-        jobs=0,
-        jobs_help="local worker processes (0 = auto, honors REPRO_N_JOBS; "
-        "1 = in-process)",
+    _add_sim_core(sweep_p)
+    sweep_p.add_argument("--out", type=Path, default=None,
+                         help="persist every TrialSet to this JSON file")
+    sweep_p.add_argument(
+        "--crn", action="store_true",
+        help="common random numbers: reuse identical trial seeds at "
+        "every sweep point (variance reduction; off by default)",
     )
-    fab_run.add_argument(
+    _add_trial_options(sweep_p, trials=3)
+    sweep_p.add_argument(
         "--listen", default=None, metavar="HOST:PORT",
         help="accept remote `repro fabric worker` processes here "
         "(port 0 = ephemeral; the bound address is printed on a "
         "REPRO-FABRIC-READY line)",
     )
-    fab_run.add_argument(
+    sweep_p.add_argument(
         "--lease-timeout", type=float, default=120.0,
         help="seconds before a silent remote worker's unit is requeued",
     )
-    fab_run.add_argument(
+    sweep_p.add_argument(
         "--status-file", type=Path, default=None,
         help="live status JSON path (default: <cache dir>/"
         "fabric-status.json)",
     )
+
+    fab_p = sub.add_parser(
+        "fabric", help="distributed trial fabric: attachable workers, status"
+    )
+    fab_sub = fab_p.add_subparsers(dest="fabric_command", required=True)
 
     fab_worker = fab_sub.add_parser(
         "worker", help="attach to a broker and run trials until told to stop"
@@ -700,54 +688,8 @@ def _parse_sweep_values(spec: str) -> list:
     return values
 
 
-def _print_sweep_result(args, values, sets, t0) -> int:
-    from repro.fabric.broker import fabric_metrics, trial_summary
-    from repro.sim.persistence import save_sweep
-    from repro.util.tables import format_table
-
-    rows = [
-        [value, ts.config.seed, ts.n_trials, ts.mean_factor]
-        for value, ts in zip(values, sets)
-    ]
-    print(
-        format_table(
-            [args.field, "point seed", "trials", "mean factor"],
-            rows,
-            title=f"sweep over {args.field} "
-            f"({'CRN' if args.crn else 'decorrelated'} seeds)",
-        )
-    )
-    counters = fabric_metrics().as_dict()["counters"]
-    print(f"  ({trial_summary(counters, time.perf_counter() - t0)})")
-    if args.out:
-        path = save_sweep(sets, args.out)
-        print(f"  wrote {path}")
-    return 0
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.fabric.broker import reset_fabric_metrics
-    from repro.sim.trials import sweep
-
-    values = _parse_sweep_values(args.values)
-    base = _from_args(SimulationConfig, args, _SIM_CORE)
-    reset_fabric_metrics()
-    t0 = time.perf_counter()
-    sets = sweep(
-        base,
-        args.field,
-        values,
-        args.trials,
-        n_jobs=args.jobs,
-        common_random_numbers=args.crn,
-        retries=args.retries,
-        timeout=args.timeout,
-    )
-    return _print_sweep_result(args, values, sets, t0)
-
-
-#: Line prefix `repro fabric run --listen` prints once its attach socket
-#: is bound, followed by a JSON object with host/port/status_file —
+#: Line prefix `repro sweep --listen` prints once its attach socket is
+#: bound, followed by a JSON object with host/port/status_file —
 #: orchestration (the fabric rows of scripts/smoke.py) waits for it
 #: exactly like LocalCluster waits for REPRO-SERVE-READY.
 FABRIC_READY_PREFIX = "REPRO-FABRIC-READY "
@@ -759,12 +701,14 @@ def _default_status_file() -> Path:
     return default_cache_dir() / "fabric-status.json"
 
 
-def _cmd_fabric_run(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> int:
     import json as _json
 
-    from repro.fabric.broker import Broker, reset_fabric_metrics
+    from repro.fabric.broker import Broker, trial_summary
     from repro.net.transport import parse_address
+    from repro.sim.persistence import save_sweep
     from repro.sim.trials import sweep_grid
+    from repro.util.tables import format_table
 
     values = _parse_sweep_values(args.values)
     base = _from_args(SimulationConfig, args, _SIM_CORE)
@@ -773,7 +717,6 @@ def _cmd_fabric_run(args: argparse.Namespace) -> int:
     )
     status_path = args.status_file or _default_status_file()
     listen = parse_address(args.listen) if args.listen else None
-    reset_fabric_metrics()
     t0 = time.perf_counter()
     broker = Broker(
         grid,
@@ -800,7 +743,24 @@ def _cmd_fabric_run(args: argparse.Namespace) -> int:
             flush=True,
         )
     sets = broker.run()
-    return _print_sweep_result(args, values, sets, t0)
+    rows = [
+        [value, ts.config.seed, ts.n_trials, ts.mean_factor]
+        for value, ts in zip(values, sets)
+    ]
+    print(
+        format_table(
+            [args.field, "point seed", "trials", "mean factor"],
+            rows,
+            title=f"sweep over {args.field} "
+            f"({'CRN' if args.crn else 'decorrelated'} seeds)",
+        )
+    )
+    counters = broker.metrics.as_dict()["counters"]
+    print(f"  ({trial_summary(counters, time.perf_counter() - t0)})")
+    if args.out:
+        path = save_sweep(sets, args.out)
+        print(f"  wrote {path}")
+    return 0
 
 
 def _cmd_fabric_worker(args: argparse.Namespace) -> int:
@@ -1245,8 +1205,6 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "sweep":
         return _cmd_sweep(args)
     if args.command == "fabric":
-        if args.fabric_command == "run":
-            return _cmd_fabric_run(args)
         if args.fabric_command == "worker":
             return _cmd_fabric_worker(args)
         return _cmd_fabric_status(args)

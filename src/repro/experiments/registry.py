@@ -81,9 +81,9 @@ def run_experiment(
     """Run one experiment by id.
 
     Trial accounting for the run is the ``fabric.*`` registry that every
-    broker the experiment starts (each ``run_trials`` and ``sweep``
-    call) merges into one collector: trials run/cached/failed, retries,
-    truncated or lossy trials and fresh-run milliseconds.  It is
+    broker the experiment starts (one per ``run_trials`` call) merges
+    into one collector: trials run/cached/failed, retries, truncated or
+    lossy trials and fresh-run milliseconds.  It is
     attached as ``result.meta["fabric_metrics"]``, and
     :mod:`repro.experiments.runner` carries it into the run manifest,
     whose summary line the CLI and the report builder print.

@@ -115,7 +115,6 @@ def run_with_manifest(
     # under: outcomes, retries, lease expiries, remote settles
     fabric = result.meta.get("fabric_metrics", {})
     registry.merge_counters(fabric.get("counters", {}))
-    registry.merge_gauges(fabric.get("gauges", {}))
     registry.gauge("run.wall_seconds", wall_s)
     manifest = RunManifest(
         experiment_id=experiment_id,

@@ -8,8 +8,9 @@ drains it with a local process pool, optionally accepts remote
 streams every settled result into the content-addressed trial cache —
 which is also the resume story.  See ``docs/fabric.md``.
 
-:func:`repro.sim.trials.run_trials` and :func:`~repro.sim.trials.sweep`
-delegate here, so every experiment uses the fabric without knowing it.
+:func:`repro.sim.trials.run_trials` delegates here, so every experiment
+uses the fabric without knowing it; ``repro sweep`` runs one broker over
+:func:`repro.sim.trials.sweep_grid`.
 """
 
 from repro.fabric.broker import STATUS_FORMAT, Broker

@@ -61,7 +61,7 @@ from concurrent.futures import (
     wait,
 )
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Literal, Mapping, Sequence
 
 from repro.errors import ConfigError, ProtocolError, TrialError
 from repro.fabric.protocol import (
@@ -145,7 +145,7 @@ class Broker:
         grid: Sequence[GridPoint],
         *,
         n_jobs: int = 1,
-        cache: TrialCache | bool | None = None,
+        cache: TrialCache | Literal[False] | None = None,
         retries: int = 1,
         timeout: float | None = None,
         trial_fn: Callable | None = None,
@@ -169,16 +169,11 @@ class Broker:
             raise ConfigError(f"n_jobs must be >= 0, got {n_jobs}")
 
         grid = list(grid)
-        if cache is None or cache is True:
-            seeded = any(p.config.seed is not None for p in grid)
-            cache_obj = get_cache() if (cache or seeded) else None
-        elif cache is False:
-            cache_obj = None
-        else:
-            cache_obj = cache
-
-        self._cache = cache_obj
-        self._queue = TrialQueue(grid, keyed=cache_obj is not None)
+        # seedless configs are never cached
+        if cache is None and any(p.config.seed is not None for p in grid):
+            cache = get_cache()
+        self._cache = cache if cache is not False else None
+        self._queue = TrialQueue(grid, keyed=self._cache is not None)
         self._n_jobs = n_jobs
         self._retries = retries
         self._timeout = timeout
@@ -258,8 +253,6 @@ class Broker:
         finally:
             self._shutdown.set()
             self._close_listener()
-            with self._lock:
-                self._snapshot_locked()  # refresh final queue gauges
             self._write_status(force=True)
             merge_fabric_metrics(self._metrics)
         return self._finish()
@@ -677,10 +670,6 @@ class Broker:
         )
         slots = max(1, self._n_jobs + len(active))
         eta = remaining * avg / slots if avg else None
-        self._metrics.gauge("fabric.queued", counts[QUEUED])
-        self._metrics.gauge("fabric.running", counts[RUNNING])
-        if eta is not None:
-            self._metrics.gauge("fabric.eta_seconds", round(eta, 2))
 
         points = []
         for p, point in enumerate(self._queue.points):
@@ -795,16 +784,16 @@ class Broker:
 # the run's trial accounting
 # ----------------------------------------------------------------------
 # Every finished broker merges its ``fabric.*`` registry into this one
-# collector, so an experiment's manifest and a sweep's summary line can
-# report every broker the run started without threading a registry
-# through each experiment signature.  Brokers finish on whichever
-# thread ran them, so every touch goes through the lock.
+# collector, so an experiment's manifest can report every broker the
+# experiment started without threading a registry through each
+# experiment signature.  Brokers finish on whichever thread ran them,
+# so every touch goes through the lock.
 _FABRIC_METRICS = MetricsRegistry()
 _FABRIC_LOCK = threading.Lock()
 
 
 def reset_fabric_metrics() -> None:
-    """Zero the collector (call before an experiment or a sweep)."""
+    """Zero the collector (call before an experiment)."""
     global _FABRIC_METRICS
     with _FABRIC_LOCK:
         _FABRIC_METRICS = MetricsRegistry()
@@ -827,10 +816,9 @@ def merge_fabric_metrics(registry: MetricsRegistry) -> None:
 def trial_summary(counters: Mapping[str, int], wall_s: float) -> str:
     """One line of trial accounting read off the ``fabric.*`` counters.
 
-    ``repro run``, ``repro report``, ``repro sweep`` and ``repro fabric
-    run`` all print it, e.g. ``12 trials, 3 cached, 9 run, 0.041s/trial,
-    1.2s wall``; the smoke table's resume rows parse the ``<N> cached``
-    phrase.
+    ``repro run``, ``repro report`` and ``repro sweep`` all print it,
+    e.g. ``12 trials, 3 cached, 9 run, 0.041s/trial, 1.2s wall``; the
+    smoke table's resume rows parse the ``<N> cached`` phrase.
     """
     done = counters.get("fabric.done", 0)
     cached = counters.get("fabric.cached", 0)

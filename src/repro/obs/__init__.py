@@ -18,7 +18,7 @@ Modules
 ``profile``
     :class:`PhaseProfiler` — wall-clock accounting per engine phase
     (strategy / churn / arrivals / consumption / measurement) with an
-    injectable clock, plus the :data:`NULL_PROFILER` no-op.
+    injectable clock.
 ``metrics``
     :class:`MetricsRegistry` — a counters/gauges registry unifying
     engine counters, the fabric broker's trial outcomes, and profiler
@@ -30,7 +30,7 @@ from repro.obs.metrics import (
     collect_run_metrics,
     result_fingerprint,
 )
-from repro.obs.profile import NULL_PROFILER, NullProfiler, PhaseProfiler
+from repro.obs.profile import PhaseProfiler
 from repro.obs.serialize import jsonable
 from repro.obs.trace import (
     JsonlTraceSink,
@@ -43,8 +43,6 @@ from repro.obs.trace import (
 __all__ = [
     "JsonlTraceSink",
     "MetricsRegistry",
-    "NULL_PROFILER",
-    "NullProfiler",
     "PhaseProfiler",
     "TraceEvent",
     "TraceRecorder",

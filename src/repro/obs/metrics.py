@@ -98,16 +98,16 @@ def collect_run_metrics(
 
     Engine counters land under ``sim.`` and profiler phase times under
     ``profile.`` (``*_calls`` counters, ``*_seconds`` gauges).  A fabric
-    broker's registry (already ``fabric.``-namespaced: queue depth
-    gauges, trial outcome counters) merges verbatim.  Every source is
-    optional — pass what the run actually had.
+    broker's registry (already ``fabric.``-namespaced trial outcome
+    counters) merges verbatim.  Every source is optional — pass what
+    the run actually had.
     """
     registry = MetricsRegistry()
     if engine_counters is not None:
         registry.merge_counters(engine_counters, prefix="sim.")
     if fabric is not None:
         registry.merge(fabric)
-    if profiler is not None and getattr(profiler, "enabled", False):
+    if profiler is not None:
         for name, seconds in profiler.seconds.items():
             registry.gauge(f"profile.{name}_seconds", seconds)
             registry.inc(f"profile.{name}_calls", profiler.calls.get(name, 0))

@@ -18,48 +18,21 @@ Two determinism rules shape the design:
   observer: attaching one must leave seeded runs bit-identical, which
   the ``obs-trace`` row of ``make smoke`` enforces.
 
-:data:`NULL_PROFILER` is the engine's default — a shared no-op whose
-``phase()`` returns a reusable empty context, keeping the unprofiled
-hot path at two attribute lookups per phase.
+:class:`~repro.sim.engine.TickEngine` takes ``profiler=None`` by
+default and then times nothing: an unprofiled tick calls its phases
+directly and enters no context at all.  Any object with a
+``phase(name)`` context manager can stand in for a profiler.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Union
+from typing import Any, Callable
 
-__all__ = ["NULL_PROFILER", "NullProfiler", "PhaseProfiler", "PHASES"]
+__all__ = ["PhaseProfiler", "PHASES"]
 
 # the engine's phase names, in execution order
 PHASES = ("strategy", "churn", "arrivals", "consumption", "measurement")
-
-
-class _NullContext:
-    """Reusable do-nothing context manager."""
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc: object) -> bool:
-        return False
-
-
-_NULL_CTX = _NullContext()
-
-
-class NullProfiler:
-    """No-op stand-in used when profiling is off (the default)."""
-
-    enabled = False
-
-    def phase(self, name: str) -> _NullContext:
-        return _NULL_CTX
-
-    def as_dict(self) -> dict[str, Any]:
-        return {}
-
-
-NULL_PROFILER = NullProfiler()
 
 
 class _PhaseTimer:
@@ -94,8 +67,6 @@ class PhaseProfiler:
     ``clock`` defaults to ``time.perf_counter``; inject a deterministic
     counter for byte-stable test output.
     """
-
-    enabled = True
 
     def __init__(self, clock: Callable[[], float] | None = None) -> None:
         if clock is None:
@@ -162,7 +133,3 @@ class PhaseProfiler:
                 share = 100.0 * sec / total if total > 0 else 0.0
                 parts.append(f"{part}={sec:.4f}s ({share:.1f}%)")
         return f"profile: {total:.4f}s total; " + ", ".join(parts)
-
-
-# Either profiler can be attached to an engine.
-Profiler = Union[PhaseProfiler, NullProfiler]

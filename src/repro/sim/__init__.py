@@ -14,7 +14,7 @@ from repro.sim.persistence import (
 )
 from repro.sim.results import SimulationResult, TrialSet
 from repro.sim.state import RingState
-from repro.sim.trials import TrialFailure, run_trial, run_trials, sweep
+from repro.sim.trials import TrialFailure, run_trial, run_trials
 from repro.obs.trace import TraceEvent, TraceRecorder
 from repro.sim.view import SimView
 from repro.sim.workload import (
@@ -36,7 +36,6 @@ __all__ = [
     "SimView",
     "run_trial",
     "run_trials",
-    "sweep",
     "draw_unique_ids",
     "draw_task_keys",
     "draw_new_node_id",

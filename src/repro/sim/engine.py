@@ -27,11 +27,10 @@ owner has exactly one slot and the per-tick cost is two NumPy ops over
 the slot arrays; with Sybils the engine consumes over the owner-grouped
 CSR layout cached by :meth:`RingState.consumption_groups` using the
 NumPy kernels in :mod:`repro.sim.kernels` — no per-owner Python loops
-at all, and no per-tick sort between structural mutations.  When
-neither a trace sink nor a real profiler is attached, ``step()`` skips
-every piece of observability bookkeeping (no phase contexts, no event
-dicts); see ``docs/scaling.md``.  A trial runs in one process;
-parallelism lives at the trial layer (:mod:`repro.fabric`).
+at all, and no per-tick sort between structural mutations.  Without a
+profiler ``step()`` enters no phase context, and without a trace sink
+it builds no event dicts; see ``docs/scaling.md``.  A trial runs in one
+process; parallelism lives at the trial layer (:mod:`repro.fabric`).
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from repro.hashspace.idspace import IdSpace
 from repro.metrics.histograms import histogram, shared_edges
 from repro.metrics.timeseries import TickSeries
 from repro.config import SimulationConfig
-from repro.obs.profile import NULL_PROFILER, Profiler
+from repro.obs.profile import PhaseProfiler
 from repro.obs.trace import TraceSink
 from repro.sim.adversary import AdversaryPlane
 from repro.sim.kernels import consume_fast, consume_grouped
@@ -80,20 +79,15 @@ class TickEngine:
         strategy: Strategy | None = None,
         rng: np.random.Generator | None = None,
         trace: TraceSink | None = None,
-        profiler: Profiler | None = None,
+        profiler: PhaseProfiler | None = None,
     ):
         self.config = config
         self.trace = trace
         # both trace and profiler are pure observers: attaching them
         # must leave seeded results bit-identical (no RNG draws, no
         # state writes) — the obs rows of `make smoke` pin this
-        self.profiler: Profiler = (
-            profiler if profiler is not None else NULL_PROFILER
-        )
-        # observer flags are fixed at construction: when neither sink is
-        # real, step() times no phase
+        self.profiler = profiler
         self._tracing = trace is not None
-        self._observed = self._tracing or self.profiler is not NULL_PROFILER
         self.rng = rng if rng is not None else make_rng(config.seed)
         if sanitize.enabled():
             # Every engine claims the single global stream under one
@@ -185,17 +179,16 @@ class TickEngine:
         """Advance one tick; returns the number of tasks consumed.
 
         Each phase runs through :func:`_in_phase`, which times it only
-        when something observes the run: with no trace sink and no real
-        profiler, ``prof`` is ``None`` and the tick enters no profiler
-        context at all.  Observed or not, the phases mutate identical
-        state in identical order (the ``obs-trace`` smoke row pins
-        this).
+        when a profiler is attached: without one the tick enters no
+        profiler context at all.  Profiled or not, the phases mutate
+        identical state in identical order (the ``obs-trace`` smoke row
+        pins this).
         """
         if self.finished or self.terminated:
             return 0
         self.tick += 1
         cfg = self.config
-        prof = self.profiler if self._observed else None
+        prof = self.profiler
         if cfg.decision_interval and self.tick % cfg.decision_interval == 0:
             _in_phase(prof, "strategy", self._run_strategy_round, prof)
         if cfg.churn_rate > 0:
@@ -267,10 +260,10 @@ class TickEngine:
         if self.trace is not None:
             self.trace.record(self.tick, kind, **fields)
 
-    def _run_strategy_round(self, prof: Profiler | None = None) -> None:
+    def _run_strategy_round(self, prof: PhaseProfiler | None = None) -> None:
         """One decision round: the strategy decides, then the view
         commits the round's deferred actions to the ring.  ``prof``
-        (observed runs only) times the ``strategy.decide`` and
+        (profiled runs only) times the ``strategy.decide`` and
         ``strategy.commit`` sub-phases."""
         stats = self.view.begin_round()
         _in_phase(prof, "strategy.decide", self.strategy.decide, self.view)
@@ -278,7 +271,7 @@ class TickEngine:
         stats.merge_into(self.counters)
         self.counters["decision_rounds"] += 1
 
-    def _apply_churn(self, prof: Profiler | None = None) -> None:
+    def _apply_churn(self, prof: PhaseProfiler | None = None) -> None:
         """One churn phase, committed in one slab pass (see DESIGN.md §5).
 
         The tick holds one :class:`~repro.sim.state.RingBatch` and
@@ -294,7 +287,7 @@ class TickEngine:
         one-``np.insert``/``np.delete``-per-event loop while doing
         O(n + events) structural work.
 
-        ``prof`` (observed runs only) times the ``churn.depart``,
+        ``prof`` (profiled runs only) times the ``churn.depart``,
         ``churn.join`` and ``churn.commit`` sub-phases.
         """
         rate = self.config.churn_rate
@@ -527,10 +520,10 @@ class TickEngine:
         return dict(self._snapshot_loads)
 
 
-def _in_phase(prof: Profiler | None, name: str, fn, *args):
+def _in_phase(prof: PhaseProfiler | None, name: str, fn, *args):
     """``fn(*args)``, timed as phase ``name`` when ``prof`` is given.
 
-    An unobserved tick passes no profiler, so it enters no context at all.
+    An unprofiled tick passes no profiler, so it enters no context at all.
     """
     if prof is None:
         return fn(*args)

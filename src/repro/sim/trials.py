@@ -3,11 +3,12 @@
 Every table in the paper is "the average of 100 trials".  This module
 is the *semantic* surface for running N independent trials of a
 configuration — seeding rules and failure records — while the actual
-dispatch lives in :mod:`repro.fabric`: :func:`run_trials`
-and :func:`sweep` build a trial grid and hand it to a
-:class:`~repro.fabric.broker.Broker` (single-process by default), so
-every caller gains the fabric's incremental caching, retry machinery and
-remote-worker attach path without signature changes.
+dispatch lives in :mod:`repro.fabric`: :func:`run_trials` builds a
+one-point trial grid and hands it to a
+:class:`~repro.fabric.broker.Broker` (single-process by default), and
+:func:`sweep_grid` builds the grid of a one-dimensional sweep for one
+broker to drain, so every caller gains the fabric's incremental caching
+and retry machinery.
 
 Seeding: trial *i* of a config with seed *s* always uses the *i*-th child
 of ``SeedSequence(s)``, so results are bit-reproducible regardless of
@@ -39,13 +40,13 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from hashlib import sha256
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Literal, Sequence
 
 import numpy as np
 
 from repro.errors import ConfigError
 from repro.config import SimulationConfig
-from repro.obs.profile import Profiler
+from repro.obs.profile import PhaseProfiler
 from repro.obs.trace import TraceSink
 from repro.sim.cache import TrialCache
 from repro.sim.engine import TickEngine
@@ -58,7 +59,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "run_trial",
     "run_trials",
-    "sweep",
     "sweep_grid",
     "default_n_jobs",
     "TrialFailure",
@@ -74,7 +74,7 @@ def run_trial(
     seed_seq: np.random.SeedSequence | None = None,
     *,
     trace: "TraceSink | None" = None,
-    profiler: "Profiler | None" = None,
+    profiler: PhaseProfiler | None = None,
 ) -> SimulationResult:
     """Run one trial; ``seed_seq`` overrides the config seed when given.
 
@@ -144,7 +144,7 @@ def run_trials(
     n_trials: int,
     *,
     n_jobs: int = 1,
-    cache: TrialCache | bool | None = None,
+    cache: TrialCache | Literal[False] | None = None,
     retries: int = 1,
     timeout: float | None = None,
     trial_fn: TrialFn | None = None,
@@ -168,9 +168,8 @@ def run_trials(
         debug), 0 = :func:`default_n_jobs` (honors ``REPRO_N_JOBS``).
     cache:
         ``None`` — use the default content-addressed cache (honors
-        ``REPRO_CACHE`` / ``REPRO_CACHE_DIR``); ``False`` — disable;
-        ``True`` — force the default cache; or a
-        :class:`~repro.sim.cache.TrialCache` instance.  Seedless configs
+        ``REPRO_CACHE`` / ``REPRO_CACHE_DIR``); ``False`` — disable; or
+        a :class:`~repro.sim.cache.TrialCache` instance.  Seedless configs
         (``seed=None``) are never cached.
     retries:
         Re-dispatches of a failed trial (fresh worker, same seed) before
@@ -233,10 +232,20 @@ def sweep_grid(
 ) -> "list[GridPoint]":
     """The :class:`~repro.fabric.queue.GridPoint` list for a 1-D sweep.
 
-    This is the seed-derivation half of :func:`sweep`, split out so the
-    CLI's ``repro fabric run`` can build the identical grid (identical
-    per-point seeds, hence identical cache keys) and hand it to a
-    broker with fabric-only knobs attached.
+    Run it with ``Broker(sweep_grid(...), ...).run()``, one
+    :class:`~repro.sim.results.TrialSet` per value: the whole grid drains
+    through one broker, so work units interleave freely across points
+    and remote workers may join mid-sweep (``repro sweep --listen``).
+
+    Each point gets its own seed, derived from ``(base.seed, field,
+    value)`` — historically every point reused ``base.seed`` verbatim,
+    which silently ran *identical* trial seed streams at every parameter
+    value (common random numbers).  CRN is a legitimate
+    variance-reduction design, but it must be a choice, not an accident:
+    pass ``common_random_numbers=True`` to opt back in.  Completion is
+    recorded per trial in the content-addressed cache, so an interrupted
+    sweep re-run resumes at the first missing trial and the merged
+    result is bit-identical to an uninterrupted run.
     """
     from repro.fabric.queue import GridPoint
 
@@ -252,52 +261,3 @@ def sweep_grid(
         points.append(GridPoint(config=point, n_trials=n_trials))
     return points
 
-
-def sweep(
-    base: SimulationConfig,
-    field: str,
-    values: Sequence,
-    n_trials: int,
-    *,
-    n_jobs: int = 1,
-    common_random_numbers: bool = False,
-    cache: TrialCache | bool | None = None,
-    retries: int = 1,
-    timeout: float | None = None,
-    progress: Callable[[dict], None] | None = None,
-) -> list[TrialSet]:
-    """Run a one-dimensional parameter sweep (a row or column of a table).
-
-    Each sweep point gets its own seed, derived from ``(base.seed,
-    field, value)`` — historically every point reused ``base.seed``
-    verbatim, which silently ran *identical* trial seed streams at every
-    parameter value (common random numbers).  CRN is a legitimate
-    variance-reduction design, but it must be a choice, not an accident:
-    pass ``common_random_numbers=True`` to opt back in.
-
-    The whole grid runs under **one** broker: one worker pool for the
-    sweep (instead of one per point), work units interleaving freely
-    across points, and — through ``repro fabric run`` — remote workers
-    that join mid-sweep.  Completion is recorded per trial in the
-    content-addressed cache, so an interrupted sweep re-run resumes at
-    the first missing trial and the merged result is bit-identical to an
-    uninterrupted run.
-    """
-    from repro.fabric.broker import Broker
-
-    grid = sweep_grid(
-        base,
-        field,
-        values,
-        n_trials,
-        common_random_numbers=common_random_numbers,
-    )
-    broker = Broker(
-        grid,
-        n_jobs=n_jobs,
-        cache=cache,
-        retries=retries,
-        timeout=timeout,
-        progress=progress,
-    )
-    return broker.run()

@@ -9,7 +9,8 @@ from repro.config import SimulationConfig
 from repro.sim import cache as cache_mod
 from repro.sim.cache import TrialCache, cache_enabled, get_cache, trial_key
 from repro.sim.persistence import save_sweep
-from repro.sim.trials import run_trial, run_trials, sweep
+from repro.fabric import Broker
+from repro.sim.trials import run_trial, run_trials, sweep_grid
 
 
 def seed_children(config, n):
@@ -126,9 +127,8 @@ class TestSweepResume:
         sweep that lost part of its work resumes from the cache and
         serializes byte-identically to an uninterrupted run."""
         values = [0.0, 0.01]
-        baseline = sweep(
-            tiny_config, "churn_rate", values, 3, cache=False
-        )
+        grid = sweep_grid(tiny_config, "churn_rate", values, 3)
+        baseline = Broker(grid, cache=False).run()
         cache = TrialCache(tmp_path)
         # "interruption": only the first point's first trials completed
         run_trials(
@@ -140,7 +140,7 @@ class TestSweepResume:
             cache=cache,
         )
         assert cache.stores == 2
-        resumed = sweep(tiny_config, "churn_rate", values, 3, cache=cache)
+        resumed = Broker(grid, cache=cache).run()
         assert cache.hits == 2
         base_path = tmp_path / "base.json"
         res_path = tmp_path / "resumed.json"
@@ -150,7 +150,9 @@ class TestSweepResume:
 
     def test_sweep_points_share_nothing(self, tiny_config, tmp_path):
         cache = TrialCache(tmp_path)
-        sweep(tiny_config, "churn_rate", [0.0, 0.01], 2, cache=cache)
+        Broker(
+            sweep_grid(tiny_config, "churn_rate", [0.0, 0.01], 2), cache=cache
+        ).run()
         keys = {p.name for p in cache.entries()}
         assert len(keys) == 4  # 2 points x 2 trials, no collisions
 
@@ -221,6 +223,42 @@ class TestCacheCLI:
         assert cached == n_trials // 2
         out = capsys.readouterr().out
         assert f"{n_trials} trials, {cached} cached, {done} run" in out
+
+    def test_manifest_holds_no_queue_gauges(
+        self, monkeypatch, tmp_path, tiny_config
+    ):
+        """Queue depth and ETA describe a live broker: its status
+        document reports them, a finished run's manifest carries none."""
+        from repro.experiments import registry
+        from repro.experiments.runner import run_with_manifest
+        from repro.experiments.spec import ExperimentResult
+        from repro.fabric import GridPoint
+
+        statuses = []
+
+        def one_broker(scale=None, seed=0, n_jobs=1):
+            broker = Broker([GridPoint(config=tiny_config, n_trials=3)])
+            statuses.append(broker.status())
+            broker.run()
+            statuses.append(broker.status())
+            return ExperimentResult(
+                experiment_id="one_broker", title="t", headers=[], rows=[]
+            )
+
+        monkeypatch.setitem(
+            registry.EXPERIMENTS, "one_broker", ("one broker", one_broker)
+        )
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        _, manifest = run_with_manifest("one_broker")
+        assert manifest.counters["fabric.done"] == 3
+        queue_state = {"fabric.queued", "fabric.running", "fabric.eta_seconds"}
+        for block in manifest.as_dict()["metrics"].values():
+            assert not queue_state & set(block)
+        before, after = statuses
+        assert (before["queued"], before["running"]) == (3, 0)
+        assert before["eta_seconds"] is None  # no settled runs yet
+        assert (after["queued"], after["running"]) == (0, 0)
+        assert after["eta_seconds"] == 0.0
 
 
 class TestTempFileHygiene:

@@ -57,17 +57,16 @@ class TestFlagSurface:
 
         want = keyed(json.loads(FLAG_SNAPSHOT.read_text()))
         got = keyed(flag_table(build_parser()))
-        assert len(want) == 140
+        assert len(want) == 126
         assert sorted(got) == sorted(want)
         # the two deliberate changes: --replication parses 'full' | int
         # in argparse, and --field only accepts SimulationConfig fields
         del got[("simulate", "--replication")]["type"]
         del want[("simulate", "--replication")]["type"]
-        for command in ("sweep", "fabric run"):
-            assert got[(command, "--field")].pop("choices") == [
-                f.name for f in fields(SimulationConfig)
-            ]
-            del want[(command, "--field")]["choices"]
+        assert got[("sweep", "--field")].pop("choices") == [
+            f.name for f in fields(SimulationConfig)
+        ]
+        del want[("sweep", "--field")]["choices"]
         for key in want:
             assert got[key] == want[key], key
 
@@ -172,6 +171,48 @@ class TestSimulateCommand:
             main(["simulate", "--replication", "lots"])
 
 
+class TestSweepCommand:
+    GRID = ["--field", "churn_rate", "--values", "0,0.01", "--nodes", "30",
+            "--tasks", "600", "--trials", "2", "--seed", "7"]
+
+    def test_listen_matches_plain_sweep(self, capsys, tmp_path, monkeypatch):
+        """``--listen`` runs the same grid under a listening broker: one
+        READY line, the plain sweep's ``--out`` bytes, a finished status
+        document.  Each run gets its own cache, so both compute."""
+        plain, listened = tmp_path / "plain.json", tmp_path / "listen.json"
+        status = tmp_path / "status.json"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache-a"))
+        assert main(["sweep", *self.GRID, "--out", str(plain)]) == 0
+        out = capsys.readouterr().out
+        assert cli.FABRIC_READY_PREFIX not in out
+        assert "4 trials, 0 cached, 4 run" in out
+        # without --status-file the document lands in the cache dir
+        default = json.loads(
+            (tmp_path / "cache-a" / "fabric-status.json").read_text()
+        )
+        assert default["done"] == default["total"] == 4
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache-b"))
+        assert main([
+            "sweep", *self.GRID, "--listen", "127.0.0.1:0",
+            "--status-file", str(status), "--out", str(listened),
+        ]) == 0
+        out = capsys.readouterr().out
+        ready = [
+            line for line in out.splitlines()
+            if line.startswith(cli.FABRIC_READY_PREFIX)
+        ]
+        assert len(ready) == 1
+        info = json.loads(ready[0][len(cli.FABRIC_READY_PREFIX):])
+        assert info["status_file"] == str(status)
+        assert info["units"] == 4 and info["port"] > 0
+        assert "4 trials, 0 cached, 4 run" in out
+        assert listened.read_bytes() == plain.read_bytes()
+        doc = json.loads(status.read_text())
+        assert doc["done"] == doc["total"] == 4
+        assert doc["listen"] == f"{info['host']}:{info['port']}"
+
+
 class TestUsageErrors:
     """A value the config rejects is a one-line usage error, exit 2."""
 
@@ -188,8 +229,15 @@ class TestUsageErrors:
                 ["sweep", "--field", "bogus", "--values", "1"],
                 "invalid choice: 'bogus'",
             ),
+            (
+                ["fabric", "run", "--field", "churn_rate", "--values", "0"],
+                "invalid choice: 'run'",
+            ),
         ],
-        ids=["crash-fraction", "nodes", "stress-duration", "sweep-field"],
+        ids=[
+            "crash-fraction", "nodes", "stress-duration", "sweep-field",
+            "fabric-run",
+        ],
     )
     def test_reported_as_usage_error(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:

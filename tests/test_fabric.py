@@ -52,7 +52,7 @@ from repro.fabric.protocol import (
 from repro.fabric.queue import DONE, QUEUED, RUNNING
 from repro.net.transport import RetryPolicy, request
 from repro.sim.cache import TrialCache
-from repro.sim.trials import run_trial, run_trials, sweep, sweep_grid
+from repro.sim.trials import run_trial, run_trials, sweep_grid
 
 WORKER_POLICY = RetryPolicy(timeout=2.0, retries=1, backoff=0.01)
 
@@ -191,7 +191,10 @@ class TestBrokerLocal:
     def test_one_broker_runs_whole_grid(self, tiny_config):
         grid = sweep_grid(tiny_config, "churn_rate", [0.0, 0.01], 2)
         sets = Broker(grid, cache=False).run()
-        direct = sweep(tiny_config, "churn_rate", [0.0, 0.01], 2, cache=False)
+        direct = [
+            run_trials(point.config, point.n_trials, cache=False)
+            for point in grid
+        ]
         for got, want in zip(sets, direct):
             assert got.config == want.config
             assert np.array_equal(got.factors, want.factors)

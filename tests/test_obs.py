@@ -17,7 +17,6 @@ import repro.obs.profile as obs_profile
 from repro.cli import main
 from repro.config import AdversaryModel, SimulationConfig
 from repro.obs import (
-    NULL_PROFILER,
     JsonlTraceSink,
     MetricsRegistry,
     PhaseProfiler,
@@ -237,12 +236,6 @@ class TestPhaseProfiler:
         sub = prof.as_dict()["phases"]["strategy"]["sub"]
         assert list(sub) == ["strategy.commit", "strategy.decide"]
 
-    def test_null_profiler_is_inert(self):
-        with NULL_PROFILER.phase("anything"):
-            pass
-        assert NULL_PROFILER.as_dict() == {}
-        assert not NULL_PROFILER.enabled
-
     def test_engine_records_every_phase(self):
         prof = PhaseProfiler()
         config = SimulationConfig(
@@ -307,7 +300,7 @@ class TestMetricsRegistry:
         assert "profile.total_seconds" in data["gauges"]
 
     def test_collect_skips_disabled_profiler(self):
-        reg = collect_run_metrics(profiler=NULL_PROFILER)
+        reg = collect_run_metrics(profiler=None)
         assert reg.as_dict() == {"counters": {}, "gauges": {}}
 
 

@@ -1,12 +1,12 @@
 """Observer-overhead guard: the no-observer tick path is bookkeeping-free.
 
-PR 6's hot-path contract: when no trace sink is attached and the
-profiler is ``NULL_PROFILER``, ``step()`` must not touch observability
-machinery at all — no ``_emit`` calls (each builds a kwargs dict), no
-null-profiler context entries, and zero allocations attributable to the
-``repro/obs`` layer.  The tracemalloc check is the micro-benchmark
-form of the assertion: it counts observability allocations per tick and
-demands exactly none.
+The hot-path contract: when no trace sink and no profiler are attached
+(``profiler=None``, the default), ``step()`` must not touch
+observability machinery at all — no ``_emit`` calls (each builds a
+kwargs dict), no profiler phase entered, and zero allocations
+attributable to the ``repro/obs`` layer.  The tracemalloc check is the
+micro-benchmark form of the assertion: it counts observability
+allocations per tick and demands exactly none.
 """
 
 import tracemalloc
@@ -14,7 +14,7 @@ import tracemalloc
 import pytest
 
 from repro.config import SimulationConfig
-from repro.obs.profile import NULL_PROFILER, PhaseProfiler
+from repro.obs.profile import PhaseProfiler
 from repro.obs.trace import TraceRecorder
 from repro.sim.engine import TickEngine
 
@@ -40,17 +40,25 @@ def test_no_observer_path_never_calls_emit():
     assert engine.tick == 25
 
 
-def test_no_observer_path_never_enters_profiler_contexts(monkeypatch):
-    engine = TickEngine(CHURNY)
-    null_ctx_cls = type(NULL_PROFILER.phase("x"))
+def _step_with_phase_tripwire(monkeypatch, engine):
+    def tripwire(self, name):  # pragma: no cover - must not run
+        raise AssertionError(f"profiler phase {name!r} entered unprofiled")
 
-    def tripwire(self):  # pragma: no cover - must not run
-        raise AssertionError("null profiler context entered on fast path")
-
-    monkeypatch.setattr(null_ctx_cls, "__enter__", tripwire)
+    monkeypatch.setattr(PhaseProfiler, "phase", tripwire)
     for _ in range(10):
         engine.step()
     assert engine.tick == 10
+
+
+def test_no_observer_path_never_enters_profiler_contexts(monkeypatch):
+    _step_with_phase_tripwire(monkeypatch, TickEngine(CHURNY))
+
+
+def test_traced_unprofiled_path_never_enters_profiler_contexts(monkeypatch):
+    """A trace sink alone times nothing: no profiler, no phase."""
+    engine = TickEngine(CHURNY, trace=TraceRecorder())
+    _step_with_phase_tripwire(monkeypatch, engine)
+    assert len(engine.trace) > 0
 
 
 def test_observed_path_still_profiles_and_traces():
@@ -134,16 +142,16 @@ def test_disabled_adversary_allocates_nothing():
 
 def test_observer_flags_capture_construction_state():
     unobserved = TickEngine(CHURNY)
-    assert unobserved._observed is False
     assert unobserved._tracing is False
-    assert unobserved.profiler is NULL_PROFILER
+    assert unobserved.profiler is None
 
-    profiled = TickEngine(CHURNY, profiler=PhaseProfiler())
-    assert profiled._observed is True
+    profiler = PhaseProfiler()
+    profiled = TickEngine(CHURNY, profiler=profiler)
+    assert profiled.profiler is profiler
     assert profiled._tracing is False
 
     traced = TickEngine(CHURNY, trace=TraceRecorder())
-    assert traced._observed is True
+    assert traced.profiler is None
     assert traced._tracing is True
 
 

@@ -10,11 +10,17 @@ import repro.fabric.broker as broker_module
 from repro.config import SimulationConfig
 from repro.errors import ConfigError, TrialError
 from repro.fabric.broker import (
+    Broker,
     fabric_metrics,
     reset_fabric_metrics,
     trial_summary,
 )
-from repro.sim.trials import default_n_jobs, run_trial, run_trials, sweep
+from repro.sim.trials import (
+    default_n_jobs,
+    run_trial,
+    run_trials,
+    sweep_grid,
+)
 
 
 # ----------------------------------------------------------------------
@@ -240,7 +246,7 @@ class TestAggregation:
 
 class TestSweep:
     def test_sweep_varies_field(self, tiny_config):
-        sets = sweep(tiny_config, "n_tasks", [300, 600], n_trials=2)
+        sets = Broker(sweep_grid(tiny_config, "n_tasks", [300, 600], 2)).run()
         assert sets[0].config.n_tasks == 300
         assert sets[1].config.n_tasks == 600
         assert all(ts.n_trials == 2 for ts in sets)
@@ -250,25 +256,31 @@ class TestSweep:
         seed streams (with_updates preserves `seed`), silently running
         common random numbers at every parameter value.  A field that
         does not affect the dynamics exposes this directly."""
-        sets = sweep(tiny_config, "max_ticks", [10**6, 2 * 10**6], 3)
+        sets = Broker(
+            sweep_grid(tiny_config, "max_ticks", [10**6, 2 * 10**6], 3)
+        ).run()
         assert sets[0].config.seed != sets[1].config.seed
         assert not np.array_equal(sets[0].factors, sets[1].factors)
 
     def test_sweep_crn_opt_in(self, tiny_config):
-        sets = sweep(
-            tiny_config, "max_ticks", [10**6, 2 * 10**6], 3,
-            common_random_numbers=True,
-        )
+        sets = Broker(
+            sweep_grid(
+                tiny_config, "max_ticks", [10**6, 2 * 10**6], 3,
+                common_random_numbers=True,
+            )
+        ).run()
         assert sets[0].config.seed == sets[1].config.seed == tiny_config.seed
         assert np.array_equal(sets[0].factors, sets[1].factors)
 
     def test_sweep_seeds_reproducible(self, tiny_config):
-        a = sweep(tiny_config, "churn_rate", [0.0, 0.01], 2)
-        b = sweep(tiny_config, "churn_rate", [0.0, 0.01], 2)
+        a, b = (
+            Broker(sweep_grid(tiny_config, "churn_rate", [0.0, 0.01], 2)).run()
+            for _ in range(2)
+        )
         for x, y in zip(a, b):
             assert x.config.seed == y.config.seed
             assert np.array_equal(x.factors, y.factors)
 
     def test_sweep_over_seed_field(self, tiny_config):
-        sets = sweep(tiny_config, "seed", [1, 2], 2)
+        sets = Broker(sweep_grid(tiny_config, "seed", [1, 2], 2)).run()
         assert [ts.config.seed for ts in sets] == [1, 2]
