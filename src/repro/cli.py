@@ -268,7 +268,7 @@ def _add_sim_core(parser: argparse.ArgumentParser, **defaults: Any) -> None:
 def _add_trial_options(
     parser: argparse.ArgumentParser, *, trials: int
 ) -> None:
-    """How a batch of trials runs: count, workers, cache, retry, timeout."""
+    """How a batch of trials runs: count, workers, cache, retry."""
     parser.add_argument("--trials", type=int, default=trials)
     parser.add_argument(
         "--jobs", type=int, default=1,
@@ -282,11 +282,6 @@ def _add_trial_options(
     parser.add_argument(
         "--retries", type=int, default=1,
         help="re-dispatches of a failed trial (fresh worker, same seed)",
-    )
-    parser.add_argument(
-        "--timeout", type=float, default=None,
-        help="seconds without a trial completion before workers are "
-        "considered hung (parallel runs)",
     )
 
 
@@ -360,7 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_p.add_argument(
         "--lease-timeout", type=float, default=120.0,
-        help="seconds before a silent remote worker's unit is requeued",
+        help="seconds a worker, local or remote, may hold a unit "
+        "without settling it before the unit is requeued as timed out",
     )
     sweep_p.add_argument(
         "--status-file", type=Path, default=None,
@@ -626,7 +622,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         args.trials,
         n_jobs=args.jobs,
         retries=args.retries,
-        timeout=args.timeout,
     )
     summary = trials.factor_summary()
     payload = {
@@ -722,7 +717,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         grid,
         n_jobs=args.jobs,
         retries=args.retries,
-        timeout=args.timeout,
         listen=listen,
         lease_timeout=args.lease_timeout,
         status_path=status_path,

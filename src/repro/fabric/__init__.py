@@ -3,10 +3,11 @@
 ``repro.fabric`` turns the multi-trial runner into a small distributed
 system with exact-reproducibility guarantees: a :class:`~.broker.Broker`
 flattens a sweep grid into a deterministic :class:`~.queue.TrialQueue`,
-drains it with a local process pool, optionally accepts remote
-``repro fabric worker`` processes over :mod:`repro.net.transport`, and
-streams every settled result into the content-addressed trial cache —
-which is also the resume story.  See ``docs/fabric.md``.
+drains it with workers that lease units over :mod:`repro.net.transport`
+— local processes it starts itself and, optionally, remote
+``repro fabric worker`` processes — and streams every settled result
+into the content-addressed trial cache, which is also the resume story.
+See ``docs/fabric.md``.
 
 :func:`repro.sim.trials.run_trials` delegates here, so every experiment
 uses the fabric without knowing it; ``repro sweep`` runs one broker over

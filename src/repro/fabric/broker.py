@@ -1,15 +1,18 @@
 """The trial-fabric broker: one work queue, many workers, exact results.
 
 The broker owns a :class:`~repro.fabric.queue.TrialQueue` (a flattened
-sweep grid) and drains it from two directions at once:
+sweep grid) and drains it with one worker protocol: ``open_listener()``
+binds a TCP port speaking :mod:`repro.net.transport` frames, and
+workers lease units over it, run them, and settle results mid-sweep.
 
-* a **local pool** of spawn-context ``ProcessPoolExecutor`` workers
-  (``n_jobs`` slots; ``n_jobs=1`` runs trials in-process, so unpicklable
-  ``trial_fn``\\ s keep working), and
-* a **socket attach path**: ``open_listener()`` binds a TCP port
-  speaking :mod:`repro.net.transport` frames, and any number of
-  ``repro fabric worker`` processes — on this host or others — lease
-  units, run them, and settle results mid-sweep.
+* ``n_jobs > 1`` binds the attach socket (the ``listen`` address, else a
+  private ``127.0.0.1:0``) and starts up to ``n_jobs`` spawn-context
+  processes running :func:`~repro.fabric.worker.run_worker` against it;
+* ``n_jobs=1`` runs trials in-process (so unpicklable ``trial_fn``\\ s
+  keep working) while the listener, if one was asked for, still serves
+  attached workers;
+* any number of ``repro fabric worker`` processes — on this host or
+  others — may attach to a ``listen`` address either way.
 
 Determinism is structural, not cooperative: every unit's seed is fixed
 at queue-build time (``SeedSequence(entropy, spawn_key)``) and results
@@ -23,19 +26,15 @@ Failure handling (all under one lock, all through ``_settle_locked``):
 
 * an erroring trial is requeued until its attempt budget (``retries + 1``)
   is spent, then marked failed;
-* a remote worker that dies mid-trial simply stops renewing its lease —
-  after ``lease_timeout`` the unit is settled as an error (and usually
-  requeued), so one dead worker loses at most its in-flight unit;
+* a worker that stops renewing its lease — dead, hung or stalled, local
+  or remote — has its unit settled as a timeout after ``lease_timeout``
+  (and usually requeued), so one bad worker loses at most its in-flight
+  unit; a local worker whose lease expired is then killed and replaced;
+* a local worker that exits has its leased unit settled as "worker
+  died" at once, and a replacement starts while live units remain;
 * duplicate settles (a "dead" worker's result racing its own lease
   expiry) are dropped or harmlessly accepted — trials are pure functions
-  of ``(config, seed path)``, so any settle for a unit is *the* answer;
-* a zero-completion window of ``timeout`` seconds on the local pool
-  means the in-flight workers are hung: they are killed and their units
-  retried.  Two races the old per-batch dispatcher had are fixed here:
-  an empty ``wait()`` is re-checked against ``Future.done()`` before
-  declaring a timeout, and a future that completes between that check
-  and its ``cancel()`` has its (real) result consumed instead of being
-  discarded and re-run.
+  of ``(config, seed path)``, so any settle for a unit is *the* answer.
 
 Wall-clock time in this module is scheduling metadata — lease deadlines,
 ETA estimates, status-file rate limiting.  It never touches simulation
@@ -45,6 +44,7 @@ allowlist.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import multiprocessing as mp
 import os
@@ -52,14 +52,9 @@ import socket
 import tempfile
 import threading
 import time
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    BrokenExecutor,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
+from concurrent.futures import ThreadPoolExecutor
+from multiprocessing.connection import wait
+from multiprocessing.process import BaseProcess
 from pathlib import Path
 from typing import Any, Callable, Literal, Mapping, Sequence
 
@@ -82,6 +77,7 @@ from repro.fabric.queue import (
     TrialQueue,
     execute_unit,
 )
+from repro.fabric.worker import run_worker
 from repro.net.transport import (
     Address,
     format_address,
@@ -103,9 +99,6 @@ __all__ = [
 
 STATUS_FORMAT = "repro.fabric_status.v1"
 
-#: Local dispatch sources (everything else is a remote worker name).
-_LOCAL_SOURCES = ("local", "pool")
-
 #: How long after its last lease/settle a remote worker still counts as
 #: "active" in status snapshots and ETA parallelism estimates.
 _WORKER_ACTIVE_WINDOW = 10.0
@@ -115,19 +108,21 @@ class Broker:
     """Run a trial grid to completion across local and remote workers.
 
     Parameters mirror :func:`repro.sim.trials.run_trials` where they
-    overlap (``n_jobs``, ``cache``, ``retries``, ``timeout``,
-    ``trial_fn``, ``progress``); the fabric-only knobs are:
+    overlap (``n_jobs``, ``cache``, ``retries``, ``trial_fn``,
+    ``progress``); the fabric-only knobs are:
 
     listen:
         ``(host, port)`` to accept remote workers on (port 0 = ephemeral;
         :meth:`open_listener` returns the bound address).  ``None``
-        (default) runs purely local.
+        (default) accepts none; ``n_jobs > 1`` then binds a private
+        loopback port for its own workers.
     lease_timeout:
-        Seconds a remote worker may hold a unit without settling it
-        before the broker declares the worker dead and requeues the unit.
+        Seconds a worker, local or remote, may hold a unit without
+        settling it before the broker settles the unit as timed out
+        (and kills the worker, if it started it).
     poll_interval:
-        Dispatch-loop tick; bounds how quickly lease expiry and status
-        updates are noticed.
+        Dispatch-loop tick, and the local workers' empty-queue poll;
+        bounds how quickly lease expiry and status updates are noticed.
     status_path:
         If set, a JSON status document (format
         :data:`STATUS_FORMAT`) is atomically rewritten about twice a
@@ -147,7 +142,6 @@ class Broker:
         n_jobs: int = 1,
         cache: TrialCache | Literal[False] | None = None,
         retries: int = 1,
-        timeout: float | None = None,
         trial_fn: Callable | None = None,
         progress: Callable[[dict], None] | None = None,
         listen: Address | None = None,
@@ -176,7 +170,6 @@ class Broker:
         self._queue = TrialQueue(grid, keyed=self._cache is not None)
         self._n_jobs = n_jobs
         self._retries = retries
-        self._timeout = timeout
         self._trial_fn = trial_fn
         self._progress = progress
         self._metrics = MetricsRegistry()
@@ -186,11 +179,18 @@ class Broker:
         self._status_path = Path(status_path) if status_path else None
 
         self._lock = threading.Lock()
+        # progress callbacks arrive from connection threads too; this
+        # keeps them from ever running concurrently
+        self._emit_lock = threading.Lock()
         self._shutdown = threading.Event()
         self._lsock: socket.socket | None = None
         self._listener: threading.Thread | None = None
         self._bound: Address | None = None
         self._workers_seen: dict[str, float] = {}
+        # local workers: the live processes, and every name ever started
+        # (a killed worker's in-flight settle must still count as local)
+        self._workers: dict[str, BaseProcess] = {}
+        self._local_names: set[str] = set()
         self._started: float | None = None
         self._last_status_write = 0.0
         self._run_seconds = 0.0
@@ -210,9 +210,12 @@ class Broker:
         """Bind the attach socket and start serving workers; idempotent."""
         if self._listen is None:
             raise ConfigError("broker was constructed without listen=")
+        return self._bind(self._listen)
+
+    def _bind(self, addr: Address) -> Address:
         if self._bound is not None:
             return self._bound
-        sock = socket.create_server(self._listen)
+        sock = socket.create_server(addr)
         sock.settimeout(self._poll * 4)
         self._lsock = sock
         self._bound = sock.getsockname()[:2]
@@ -237,19 +240,12 @@ class Broker:
         """
         self._started = time.perf_counter()
         self._probe_cache()
-        if self._listen is not None and self._bound is None:
+        if self._listen is not None:
             self.open_listener()
         try:
             with self._lock:
-                live = sum(
-                    1
-                    for st in self._queue.state
-                    if st.status not in SETTLED_STATES
-                )
-            if self._n_jobs > 1 and live > 1:
-                self._run_pool()
-            else:
-                self._run_serial()
+                parallel = self._n_jobs > 1 and self._queue.n_live() > 1
+            self._dispatch(self._bind(("127.0.0.1", 0)) if parallel else None)
         finally:
             self._shutdown.set()
             self._close_listener()
@@ -337,7 +333,7 @@ class Broker:
                 "fabric.run_ms", round(self._run_seconds * 1000) - run_ms
             )
             self._metrics.inc("fabric.done")
-            if source not in _LOCAL_SOURCES:
+            if self._is_remote(source):
                 self._metrics.inc("fabric.remote_settled")
             self._book_outcome_locked(payload)
             if self._cache is not None and unit.key is not None:
@@ -375,12 +371,22 @@ class Broker:
         if result.lost_data:
             self._metrics.inc("fabric.data_loss")
 
+    def _is_remote(self, source: str) -> bool:
+        """Whether ``source`` is an attached worker, not one of ours."""
+        return source != "local" and source not in self._local_names
+
     def _emit(self, event: dict) -> None:
         if self._progress is not None:
-            self._progress(event)
+            with self._emit_lock:
+                self._progress(event)
 
     def _expire_leases_locked(self, now: float) -> list[dict]:
-        """Requeue units whose remote lease lapsed; returns progress events."""
+        """Settle units whose lease lapsed as timeouts; returns progress
+        events.
+
+        A local holder is killed only after its unit is settled, so the
+        kill books as a timeout, never as a worker death.
+        """
         events = []
         for uid in self._queue.expired(now):
             owner = self._queue.state[uid].owner or "?"
@@ -388,170 +394,117 @@ class Broker:
             event = self._settle_locked(
                 uid,
                 "err",
-                f"lease expired (worker {owner!r} stopped responding)",
+                f"trial timed out: lease expired after "
+                f"{self._lease_timeout}s (worker {owner!r} stopped "
+                f"responding)",
                 0.0,
                 source=owner,
             )
             if event is not None:
                 events.append(event)
+            proc = self._workers.get(owner)
+            if proc is not None:
+                proc.kill()
         return events
 
     # ------------------------------------------------------------------
-    # local execution: serial
+    # local execution
     # ------------------------------------------------------------------
-    def _run_serial(self) -> None:
-        """In-process dispatch loop (``n_jobs=1``); remote workers may
-        still drain the queue concurrently through the listener."""
-        while not self._shutdown.is_set():
-            now = time.perf_counter()
-            with self._lock:
-                events = self._expire_leases_locked(now)
-                unit = self._queue.lease("local", None)
-                settled = self._queue.all_settled()
-            for event in events:
-                self._emit(event)
-            if unit is None:
-                if settled:
-                    return
-                # Remote workers own every live unit; wait for settles
-                # (or lease expiries) to come through the listener.
-                time.sleep(self._poll)
-                self._write_status()
-                continue
-            config = self._queue.config_for(unit)
-            out = execute_unit(
-                (self._trial_fn, config, unit.uid, unit.seed_seq())
-            )
-            self._settle(out[0], out[1], out[2], out[3], source="local")
-            self._write_status()
+    def _dispatch(self, addr: Address | None) -> None:
+        """The dispatch loop: run until every unit settles.
 
-    # ------------------------------------------------------------------
-    # local execution: process pool
-    # ------------------------------------------------------------------
-    def _new_executor(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=min(self._n_jobs, len(self._queue)),
-            mp_context=mp.get_context("spawn"),
-        )
-
-    def _run_pool(self) -> None:
-        """Local pool dispatch: keep ``n_jobs`` units in flight, settle
-        completions incrementally, survive broken pools and hangs."""
-        executor = self._new_executor()
-        futures: dict[Future, int] = {}
-        last_completion = time.perf_counter()
+        With ``addr`` None, units run in-process, one per pass.  Else
+        up to ``n_jobs`` spawned :func:`~repro.fabric.worker.run_worker`
+        processes lease over ``addr`` like attached workers; one that
+        exits has its leased unit settled as an error at once, and is
+        replaced while live units remain.  Either way attached workers
+        may drain the queue alongside, and every local worker is killed
+        and reaped before this returns or raises.
+        """
         try:
-            while not self._shutdown.is_set():
-                now = time.perf_counter()
-                leased: list = []
+            while True:
+                unit = None
                 with self._lock:
-                    events = self._expire_leases_locked(now)
-                    while len(futures) + len(leased) < self._n_jobs:
-                        unit = self._queue.lease("pool", None)
-                        if unit is None:
-                            break
-                        leased.append(unit)
-                    settled = self._queue.all_settled()
+                    events = self._expire_leases_locked(time.perf_counter())
+                    for name, proc in list(self._workers.items()):
+                        if not proc.is_alive():
+                            del self._workers[name]
+                            events += self._worker_exited_locked(
+                                name, proc.exitcode
+                            )
+                    live = self._queue.n_live()
+                    if addr is None:
+                        unit = self._queue.lease("local", None)
+                    # spawned under the lock, so each worker is known as
+                    # local before its first request is served
+                    want = 0 if addr is None else min(self._n_jobs, live)
+                    while len(self._workers) < want:
+                        name = f"local-{os.getpid()}-{len(self._local_names)}"
+                        proc = mp.get_context("spawn").Process(
+                            target=run_worker,
+                            args=(addr,),
+                            kwargs={"name": name, "trial_fn": self._trial_fn,
+                                    "poll_interval": self._poll},
+                            name=name,
+                            daemon=True,
+                        )
+                        proc.start()
+                        self._workers[name] = proc
+                        self._local_names.add(name)
+                    sentinels = [p.sentinel for p in self._workers.values()]
                 for event in events:
                     self._emit(event)
-                if leased and not futures:
-                    # The pool was idle (e.g. remote workers held the
-                    # only live units); the hang window starts now, not
-                    # at the last completion before the idle stretch.
-                    last_completion = now
-                for unit in leased:
-                    args = (
+                if not live:
+                    return
+                if unit is not None:
+                    status, payload, seconds = execute_unit(
                         self._trial_fn,
                         self._queue.config_for(unit),
-                        unit.uid,
                         unit.seed_seq(),
                     )
-                    try:
-                        fut = executor.submit(execute_unit, args)
-                    except BrokenExecutor:
-                        executor.shutdown(wait=False, cancel_futures=True)
-                        executor = self._new_executor()
-                        fut = executor.submit(execute_unit, args)
-                    futures[fut] = unit.uid
-
-                if not futures:
-                    if settled:
-                        return
-                    # Everything live is leased remotely.
-                    time.sleep(self._poll)
-                    self._write_status()
-                    continue
-
-                done, _ = wait(
-                    set(futures),
-                    timeout=self._poll,
-                    return_when=FIRST_COMPLETED,
-                )
-                if not done:
-                    # RACE FIX (1/2): a future can complete between
-                    # wait() timing out and this bookkeeping; re-check
-                    # before treating the window as progress-free.
-                    done = {fut for fut in futures if fut.done()}
-                if done:
-                    last_completion = time.perf_counter()
-                    self._consume(done, futures)
-                elif (
-                    self._timeout is not None
-                    and time.perf_counter() - last_completion > self._timeout
-                ):
-                    executor = self._expire_window(executor, futures)
-                    futures = {}
-                    last_completion = time.perf_counter()
+                    self._settle(unit.uid, status, payload, seconds, "local")
+                else:
+                    # wait out a poll, or less if a local worker exits
+                    wait(sentinels, timeout=self._poll)
                 self._write_status()
         finally:
-            executor.shutdown(wait=False, cancel_futures=True)
+            self._stop_workers()
 
-    def _consume(self, done: set, futures: dict) -> None:
-        """Settle finished futures in deterministic (uid) order."""
-        for fut in sorted(done, key=futures.__getitem__):
-            uid = futures.pop(fut)
-            try:
-                _, status, payload, seconds = fut.result()
-            # pool boundary: BrokenProcessPool / unpickle failures
-            except BaseException as exc:  # reprolint: disable=R004 (pool boundary)
-                status, payload, seconds = "err", f"worker died: {exc!r}", 0.0
-            self._settle(uid, status, payload, seconds, source="pool")
-
-    def _expire_window(
-        self, executor: ProcessPoolExecutor, futures: dict
-    ) -> ProcessPoolExecutor:
-        """Handle a zero-completion timeout window: kill and retry.
-
-        Every in-flight future is cancelled and its worker killed — but
-        a future that completed *between the window check and here* is
-        RACE FIX (2/2): its result is real and consumed normally, where
-        the old dispatcher discarded it and re-ran the trial.  The
-        completed set is taken *before* the kill: once the workers die,
-        the pool's manager thread fails the still-running futures with
-        ``BrokenProcessPool``, and those are timeouts, not worker deaths.
-        """
-        stranded = sorted(futures, key=futures.__getitem__)
-        for fut in stranded:
-            fut.cancel()
-        finished = {
-            fut for fut in stranded if fut.done() and not fut.cancelled()
-        }
-        _kill_workers(executor)
-        executor.shutdown(wait=False, cancel_futures=True)
-        self._consume(finished, futures)
-        for fut in stranded:
-            if fut in finished:
-                continue
-            uid = futures.pop(fut)
-            self._settle(
-                uid,
-                "err",
-                f"trial timed out (no completion within "
-                f"{self._timeout}s window)",
-                float(self._timeout or 0.0),
-                source="pool",
+    def _worker_exited_locked(
+        self, name: str, exitcode: int | None
+    ) -> list[dict]:
+        """Settle the unit an exited local worker held as an error."""
+        held = [
+            uid
+            for uid, st in enumerate(self._queue.state)
+            if st.status == RUNNING and st.owner == name
+        ]
+        if not held and exitcode is not None and exitcode > 0:
+            # it raised outside any trial (say, it could not reach the
+            # broker); a replacement would do the same, forever
+            raise TrialError(
+                f"local fabric worker {name!r} exited with code "
+                f"{exitcode} outside a trial"
             )
-        return self._new_executor()
+        events = []
+        for uid in held:
+            event = self._settle_locked(
+                uid, "err", f"worker died (exit code {exitcode})", 0.0, name
+            )
+            if event is not None:
+                events.append(event)
+        return events
+
+    def _stop_workers(self) -> None:
+        """Kill and join every local worker.  Every unit is settled, or
+        the run is failing, so no worker holds anything worth waiting
+        for: results live in the broker and its cache, never in one."""
+        with self._lock:
+            procs = list(self._workers.values())
+            self._workers.clear()
+        for proc in procs:
+            proc.kill()
+            proc.join()
 
     # ------------------------------------------------------------------
     # remote workers (listener thread)
@@ -598,15 +551,18 @@ class Broker:
             worker = str(request.get("worker", "?"))
             with self._lock:
                 events = self._expire_leases_locked(now)
-                self._workers_seen[worker] = now
-                if self._queue.all_settled() or self._shutdown.is_set():
+                remote = self._is_remote(worker)
+                if remote:
+                    self._workers_seen[worker] = now
+                if not self._queue.n_live() or self._shutdown.is_set():
                     value: dict[str, Any] = {"unit": None, "shutdown": True}
                 else:
                     unit = self._queue.lease(worker, now + self._lease_timeout)
                     if unit is None:
                         value = {"unit": None, "shutdown": False}
                     else:
-                        self._metrics.inc("fabric.remote_leases")
+                        if remote:
+                            self._metrics.inc("fabric.remote_leases")
                         value = {
                             "unit": unit_to_wire(
                                 unit, self._queue.config_for(unit)
@@ -632,10 +588,11 @@ class Broker:
             except (KeyError, TypeError, ValueError, ProtocolError) as exc:
                 return {"ok": False, "kind": "app", "error": str(exc)}
             with self._lock:
-                self._workers_seen[worker] = now
+                if self._is_remote(worker):
+                    self._workers_seen[worker] = now
             accepted = self._settle(uid, status, payload, seconds, worker)
             with self._lock:
-                settled = self._queue.all_settled()
+                settled = not self._queue.n_live()
             return {
                 "ok": True,
                 "value": {"accepted": accepted, "shutdown": settled},
@@ -648,10 +605,12 @@ class Broker:
 
     def _close_listener(self) -> None:
         if self._lsock is not None:
-            try:
+            # shutting down first wakes the listener's blocked accept()
+            # now, not at its next timeout; both calls are best-effort
+            with contextlib.suppress(OSError):
+                self._lsock.shutdown(socket.SHUT_RDWR)
+            with contextlib.suppress(OSError):
                 self._lsock.close()
-            except OSError:  # pragma: no cover - close is best-effort
-                pass
         if self._listener is not None:
             self._listener.join(timeout=2.0)
 
@@ -837,13 +796,3 @@ def trial_summary(counters: Mapping[str, int], wall_s: float) -> str:
         parts.append(f"{avg:.3f}s/trial")
     parts.append(f"{wall_s:.1f}s wall")
     return ", ".join(parts)
-
-
-def _kill_workers(executor: ProcessPoolExecutor) -> None:
-    """Best-effort SIGKILL of a pool's workers (hung-trial recovery)."""
-    processes = getattr(executor, "_processes", None) or {}
-    for proc in list(processes.values()):
-        try:
-            proc.kill()
-        except (OSError, AttributeError):
-            pass

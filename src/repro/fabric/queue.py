@@ -15,8 +15,8 @@ cached / failed, attempt counts, lease deadlines).  It is deliberately
 *not* thread-safe on its own — the broker serializes all access under a
 single lock, which keeps the state machine auditable in one place.
 
-:func:`execute_unit` is the picklable worker entry point shared by the
-local process pool and remote fabric workers; it is the direct
+:func:`execute_unit` runs one unit, for the broker's in-process serial
+path and for every fabric worker, local or remote; it is the direct
 descendant of the old ``trials._trial_worker``.
 """
 
@@ -54,7 +54,7 @@ __all__ = [
 ]
 
 #: Unit lifecycle states.  ``queued`` units sit in the dispatch deque;
-#: ``running`` units are leased to a local pool slot or a remote worker;
+#: ``running`` units are leased to the serial path or to a worker;
 #: the three settled states are terminal.
 QUEUED = "queued"
 RUNNING = "running"
@@ -154,9 +154,8 @@ class TrialQueue:
     def lease(self, owner: str, deadline: float | None) -> WorkUnit | None:
         """Hand the next queued unit to ``owner``, or None if none queued.
 
-        ``deadline`` (broker-clock seconds) bounds remote leases; local
-        pool leases pass ``None`` — a hung local worker is handled by the
-        broker's completion-timeout window instead.
+        ``deadline`` (broker-clock seconds) bounds a worker's lease; the
+        broker's in-process serial path passes ``None``.
         """
         while self._queue:
             uid = self._queue.popleft()
@@ -194,8 +193,9 @@ class TrialQueue:
             out[st.status] += 1
         return out
 
-    def all_settled(self) -> bool:
-        return all(st.status in SETTLED_STATES for st in self.state)
+    def n_live(self) -> int:
+        """Units not yet settled (queued or running)."""
+        return sum(1 for st in self.state if st.status not in SETTLED_STATES)
 
     def failed_units(self) -> list[tuple[WorkUnit, UnitState]]:
         return [
@@ -206,21 +206,20 @@ class TrialQueue:
 
 
 def execute_unit(
-    args: tuple[
-        "TrialFn | None", SimulationConfig, int, np.random.SeedSequence
-    ]
-) -> tuple[int, str, object, float]:
+    trial_fn: "TrialFn | None",
+    config: SimulationConfig,
+    seed_seq: np.random.SeedSequence,
+) -> tuple[str, object, float]:
     """Run one work unit; exceptions come back as data.
 
-    Returns ``(uid, "ok", result, seconds)`` or ``(uid, "err",
-    traceback_string, seconds)`` — a raising trial must not take down the
-    pool (or a remote worker's lease loop).  Shared verbatim by the
-    in-process serial path, the local ``ProcessPoolExecutor`` (picklable
-    module-level function) and ``repro fabric worker``.
+    Returns ``("ok", result, seconds)`` or ``("err", traceback_string,
+    seconds)`` — a raising trial must not take down a worker's lease
+    loop.  Shared verbatim by the broker's in-process serial path and
+    :func:`~repro.fabric.worker.run_worker`, which every fabric worker
+    runs, local or remote.
     """
     from repro.sim.trials import run_trial
 
-    trial_fn, config, uid, seed_seq = args
     delay_ms = os.environ.get("REPRO_TRIAL_DELAY_MS")
     if delay_ms:
         time.sleep(int(delay_ms) / 1000.0)
@@ -230,9 +229,9 @@ def execute_unit(
         fn = trial_fn if trial_fn is not None else run_trial
         result = fn(config, seed_seq)
         elapsed = time.perf_counter() - t0  # reprolint: disable=R002 (meta)
-        return (uid, "ok", result, elapsed)
+        return ("ok", result, elapsed)
     # worker boundary: *any* failure must come back as data, not take
-    # down the pool
+    # down the worker
     except BaseException:  # reprolint: disable=R004 (worker boundary)
         elapsed = time.perf_counter() - t0  # reprolint: disable=R002 (meta)
-        return (uid, "err", traceback.format_exc(limit=20), elapsed)
+        return ("err", traceback.format_exc(limit=20), elapsed)

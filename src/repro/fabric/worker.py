@@ -4,7 +4,9 @@ A worker is a plain synchronous pull loop against a broker's attach
 socket — no state survives between iterations, which is exactly why a
 worker can join a sweep mid-grid or die mid-trial without hurting
 anything: the broker's lease timeout returns its in-flight unit to the
-queue, and every trial it *did* settle is already in the cache.
+queue, and every trial it *did* settle is already in the cache.  The
+same loop serves ``repro fabric worker`` on any host and the local
+processes a broker with ``n_jobs > 1`` spawns for itself.
 
 Workers use :func:`repro.net.transport.request` (retry policy, backoff
 and error taxonomy included), so transient broker hiccups are absorbed;
@@ -77,9 +79,11 @@ def run_worker(
     (default ``worker-<pid>``).  ``trial_fn`` mirrors
     :func:`repro.sim.trials.run_trials` — it replaces
     :func:`~repro.sim.trials.run_trial` for fault-injection tests and
-    custom engines.  ``max_units`` bounds how many units this worker
-    settles (testing hook).  ``sleep`` is injectable so empty-queue
-    polling is unit-testable without real waits.
+    custom engines.  ``poll_interval`` is the wait after an empty lease;
+    a broker's own local workers poll at its ``poll_interval``.
+    ``max_units`` bounds how many units this worker settles (testing
+    hook).  ``sleep`` is injectable so empty-queue polling is
+    unit-testable without real waits.
 
     Raises :class:`~repro.errors.TransientNetworkError` only when the
     broker was *never* reachable; once first contact succeeds, a vanished
@@ -110,9 +114,7 @@ def run_worker(
             continue
 
         uid, config, seed_seq = unit_from_wire(wire_unit)
-        _, status, payload, seconds = execute_unit(
-            (trial_fn, config, uid, seed_seq)
-        )
+        status, payload, seconds = execute_unit(trial_fn, config, seed_seq)
         settle: dict = {
             "op": OP_SETTLE,
             "worker": worker_name,

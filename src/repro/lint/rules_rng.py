@@ -221,11 +221,11 @@ _PARALLEL_MODULES = {
 PARALLELISM_ALLOWLIST = (
     # The trial-fabric broker: fans out *whole trials*, each sealed with
     # its own spawned SeedSequence fixed at queue-build time; results
-    # are keyed by (point, trial) unit index, so neither local pool
-    # completion order nor remote settle arrival order can reorder
-    # anything observable.  Uses threading (listener + one lock),
-    # concurrent.futures/multiprocessing (local pool) and socket (the
-    # worker attach path).
+    # are keyed by (point, trial) unit index, so the settle arrival
+    # order of its workers, local or remote, cannot reorder anything
+    # observable.  Uses threading (listener, connection threads, one
+    # lock), multiprocessing (the local fabric workers it spawns) and
+    # socket (the lease protocol every worker speaks).
     "repro/fabric/broker.py",
     # The live layer (repro/net/) runs on real sockets by design; it is
     # strictly additive — nothing in the simulation path imports it, so

@@ -68,7 +68,7 @@ that splices in the round's new Sybils, each affected arc split once.
 :meth:`slots_of_owner` / :meth:`main_slot_of` compare the owner column
 once per call: no hot path asks them (a strategy round reads its own
 lists, a churn tick's batch finds its named owners with one scan; the
-one-owner :meth:`remove_owner` / :meth:`retire_sybils` compare once).
+one-owner :meth:`retire_sybils` compares once).
 :meth:`owner_loads` is cached behind a dirty flag so one bincount per
 mutation epoch serves consumption, snapshots, and time series alike.
 """
@@ -84,7 +84,6 @@ import numpy as np
 from repro.errors import IdSpaceError, RingError
 from repro.hashspace.idspace import IdSpace
 from repro.sim.arcops import (
-    arc_lengths,
     arc_mask,
     bucket_responsible_slots,
     in_arc_mask,
@@ -640,10 +639,6 @@ class RingState:
         """The slot's responsibility arc ``(pred_id, own_id]``."""
         return self.pred_id(slot), int(self.ids[slot])
 
-    def gaps(self) -> np.ndarray:
-        """Responsibility-arc length of every slot (uint64)."""
-        return arc_lengths(self.ids, self.space.size)
-
     def id_exists(self, ident: int) -> bool:
         ids = self._ids_view
         # _U64 needles matter: a small python int infers int64 and makes
@@ -654,13 +649,6 @@ class RingState:
     def ids_exist(self, idents: np.ndarray) -> np.ndarray:
         """:meth:`id_exists` over a ``uint64`` array (bool array)."""
         return _ids_present(self._ids_view, idents, None)
-
-    def find_slot(self, key: int) -> int:
-        """Index of the slot responsible for ``key``."""
-        if self.n_slots == 0:
-            raise RingError("empty ring")
-        pos = int(np.searchsorted(self.ids, _U64(key), side="left"))
-        return pos if pos < self.n_slots else 0
 
     def slots_of_owner(self, owner: int) -> np.ndarray:
         """All slot indices belonging to a physical owner (ascending)."""
@@ -857,28 +845,12 @@ class RingState:
         self._restructure([slot])
         return moved
 
-    def remove_owner(self, owner: int) -> int:
-        """Remove every slot of a physical owner (main + Sybils).
-
-        Returns the number of keys handed off to successors.  One batch
-        replays the sequential ascending-order removals, RNG draws
-        included, and compresses the slab once; one compare of the owner
-        column finds the slots.  Raises :class:`RingError`, before
-        changing anything, if the owner holds every slot on the ring.
-        """
-        slots = self.slots_of_owner(owner).tolist()
-        if len(slots) == self._n:
-            raise RingError("cannot remove the last slot on the ring")
-        batch = RingBatch(self)
-        moved = sum([batch._remove_one(slot) for slot in slots])
-        batch.commit()
-        return moved
-
     def retire_sybils(self, owner: int) -> int:
         """Remove the owner's Sybil slots, keeping its main identity.
 
-        Returns the number of Sybil slots removed.  One batch, like
-        :meth:`remove_owner`.  Never empties the ring: when churn has
+        Returns the number of Sybil slots removed.  One
+        :class:`RingBatch` without joins, replaying the sequential
+        ascending-order removals.  Never empties the ring: when churn has
         already taken the owner's main identity, its last Sybil may be
         the last slot alive — that identity stays put (the same guard
         the engine applies to churn departures).
@@ -1109,8 +1081,7 @@ class RingBatch:
     :meth:`RingState._restructure`.  A split draws no randomness, so the
     final layout equals sequential :meth:`RingState.insert_slot` calls
     in any order, and :attr:`acquired` holds their per-join counts.
-    :meth:`RingState.remove_owner` and :meth:`RingState.retire_sybils`
-    are each one batch without joins.
+    :meth:`RingState.retire_sybils` is one batch without joins.
     """
 
     def __init__(self, state: RingState, owners=()):

@@ -15,8 +15,8 @@ of ``SeedSequence(s)``, so results are bit-reproducible regardless of
 ``n_jobs``, caching, retries, interruption, or which fabric worker ran
 the trial.
 
-Fault tolerance: trials are dispatched individually (not ``Pool.map``),
-so one crashed or raising worker cannot discard its finished siblings.
+Fault tolerance: trials are leased to workers one at a time, so one
+crashed, hung or raising worker cannot discard its finished siblings.
 Failed trials are retried with the same seed up to ``retries`` times;
 what still fails raises a structured :class:`~repro.errors.TrialError`
 naming each trial index and seed path.  Completed results are persisted
@@ -146,7 +146,6 @@ def run_trials(
     n_jobs: int = 1,
     cache: TrialCache | Literal[False] | None = None,
     retries: int = 1,
-    timeout: float | None = None,
     trial_fn: TrialFn | None = None,
     progress: Callable[[dict], None] | None = None,
 ) -> TrialSet:
@@ -154,8 +153,8 @@ def run_trials(
 
     A thin wrapper over a single-point
     :class:`~repro.fabric.broker.Broker` grid — the fabric owns
-    dispatch, caching, retries and timeouts; this function owns nothing
-    but the signature.
+    dispatch, caching, retries and hung-worker timeouts (the broker's
+    ``lease_timeout``); this function owns nothing but the signature.
 
     Parameters
     ----------
@@ -166,6 +165,8 @@ def run_trials(
     n_jobs:
         Worker processes; 1 = in-process (deterministic *and* easier to
         debug), 0 = :func:`default_n_jobs` (honors ``REPRO_N_JOBS``).
+        More than one runs that many fabric workers on a private
+        loopback port (see :class:`~repro.fabric.broker.Broker`).
     cache:
         ``None`` — use the default content-addressed cache (honors
         ``REPRO_CACHE`` / ``REPRO_CACHE_DIR``); ``False`` — disable; or
@@ -174,10 +175,6 @@ def run_trials(
     retries:
         Re-dispatches of a failed trial (fresh worker, same seed) before
         giving up.
-    timeout:
-        Seconds to wait for the next trial completion before declaring
-        in-flight workers hung, killing them and retrying (parallel runs
-        only).
     trial_fn:
         Replacement for :func:`run_trial` ``(config, seed_seq) ->
         SimulationResult`` — must be picklable for ``n_jobs > 1``.  Used
@@ -203,7 +200,6 @@ def run_trials(
         n_jobs=n_jobs,
         cache=cache,
         retries=retries,
-        timeout=timeout,
         trial_fn=trial_fn,
         progress=progress,
     )

@@ -57,7 +57,7 @@ class TestFlagSurface:
 
         want = keyed(json.loads(FLAG_SNAPSHOT.read_text()))
         got = keyed(flag_table(build_parser()))
-        assert len(want) == 126
+        assert len(want) == 124
         assert sorted(got) == sorted(want)
         # the two deliberate changes: --replication parses 'full' | int
         # in argparse, and --field only accepts SimulationConfig fields

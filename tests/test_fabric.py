@@ -1,21 +1,21 @@
 """Tests for the trial fabric: queue, broker, protocol, remote workers.
 
-The fabric's contract is exact: whatever mixture of local pool slots and
-remote workers drains the queue, the assembled TrialSets are
-bit-identical to a serial run.  These tests exercise the dispatch state
-machine directly (lease/settle/expiry), the wire codecs, an in-thread
-remote worker against a live broker socket, and the three dispatch-loop
-races fixed in this module's lineage.
+The fabric's contract is exact: whatever mixture of local and remote
+workers drains the queue, the assembled TrialSets are bit-identical to
+a serial run.  These tests exercise the dispatch state machine directly
+(lease/settle/expiry), the wire codecs, the broker's own spawned
+workers, an in-thread remote worker against a live broker socket, and
+the thread-safety of the run-wide metrics collector.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
 import socket
 import sys
 import threading
 import time
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -64,6 +64,27 @@ def _grid(config, n_trials=4):
 def _slow_trial(config, seed_seq):
     time.sleep(0.1)
     return run_trial(config, seed_seq)
+
+
+def _failing_trial(config, seed_seq):
+    if seed_seq.spawn_key[-1] == 1:
+        raise RuntimeError("injected failure")
+    return run_trial(config, seed_seq)
+
+
+def _refuse_to_unpickle():
+    raise RuntimeError("trial_fn cannot be rebuilt in a worker")
+
+
+class _UnshippableTrial:
+    """Pickles in the broker, raises when a worker unpickles it: the
+    worker dies at start-up, before it could lease anything."""
+
+    def __call__(self, config, seed_seq):  # pragma: no cover
+        return run_trial(config, seed_seq)
+
+    def __reduce__(self):
+        return (_refuse_to_unpickle, ())
 
 
 # ----------------------------------------------------------------------
@@ -242,6 +263,43 @@ class TestBrokerLocal:
         assert doc["done"] == 2
         assert doc["queued"] == doc["running"] == 0
         assert not list(status_path.parent.glob(".tmp-status-*"))
+
+    @pytest.mark.slow
+    def test_run_reaps_its_workers(self, tiny_config):
+        """Every local worker is reaped before run() returns or raises."""
+        Broker(_grid(tiny_config, 4), n_jobs=2, cache=False).run()
+        assert multiprocessing.active_children() == []
+        broker = Broker(
+            _grid(tiny_config, 3), n_jobs=2, cache=False,
+            trial_fn=_failing_trial, retries=0,
+        )
+        with pytest.raises(TrialError):
+            broker.run()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.slow
+    def test_worker_that_cannot_start_fails_the_run(self, tiny_config):
+        """A worker exiting with an error outside any trial would do so
+        again on every replacement: the run stops instead of respawning
+        forever."""
+        broker = Broker(
+            _grid(tiny_config, 2), n_jobs=2, cache=False,
+            trial_fn=_UnshippableTrial(),
+        )
+        with pytest.raises(TrialError, match="outside a trial"):
+            broker.run()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.slow
+    def test_local_workers_are_not_remote(self, tiny_config):
+        broker = Broker(_grid(tiny_config, 4), n_jobs=2, cache=False)
+        broker.run()
+        assert broker.metrics.counter("fabric.remote_leases") == 0
+        assert broker.metrics.counter("fabric.remote_settled") == 0
+        assert broker.metrics.counter("fabric.done") == 4
+        status = broker.status()
+        assert status["remote_workers"] == []
+        assert status["local_slots"] == 2
 
     def test_snapshot_counts_and_eta(self, tiny_config):
         broker = Broker(_grid(tiny_config, 3), cache=False)
@@ -477,65 +535,11 @@ class TestSettleStateMachine:
 
 
 # ----------------------------------------------------------------------
-# regression: the dispatch-loop races this PR fixes
+# regression: the run-wide collector is shared across threads
 # ----------------------------------------------------------------------
 class TestDispatchRaces:
-    def test_empty_wait_rechecks_done_futures(self, tiny_config, monkeypatch):
-        """RACE FIX 1: wait() can time out in the same instant a future
-        completes.  With a pathological wait that never reports
-        completions, the done() re-check must still consume every result
-        — the timeout window is never wrongly declared progress-free."""
-        from repro.fabric import broker as broker_mod
-
-        monkeypatch.setattr(
-            broker_mod, "wait", lambda fs, timeout, return_when: (set(), fs)
-        )
-        expired = []
-        monkeypatch.setattr(
-            Broker,
-            "_expire_window",
-            lambda self, executor, futures: expired.append(True),
-        )
-        serial = run_trials(tiny_config, 3, n_jobs=1, cache=False)
-        broker = Broker(
-            _grid(tiny_config, 3), n_jobs=2, cache=False, timeout=30.0
-        )
-        sets = broker.run()
-        assert expired == []  # completions were seen in time
-        assert broker.metrics.counter("fabric.retries") == 0
-        assert np.array_equal(sets[0].factors, serial.factors)
-
-    def test_expire_window_rescues_completed_future(self, tiny_config):
-        """RACE FIX 2: a future that completes between the timeout check
-        and its cancel() carries a real result; the old dispatcher threw
-        it away and re-ran the trial."""
-        broker = Broker(
-            _grid(tiny_config, 2), n_jobs=2, cache=False, timeout=0.1
-        )
-        result = run_trial(
-            tiny_config, np.random.SeedSequence(tiny_config.seed)
-        )
-        with broker._lock:
-            broker._queue.lease("pool", None)
-            broker._queue.lease("pool", None)
-        raced = Future()  # completed just before the window expired
-        raced.set_result((0, "ok", result, 0.02))
-        hung = Future()  # genuinely stuck: cancel() will take it
-        futures = {raced: 0, hung: 1}
-        executor = broker._new_executor()
-        try:
-            replacement = broker._expire_window(executor, futures)
-            replacement.shutdown(wait=False, cancel_futures=True)
-        finally:
-            executor.shutdown(wait=False, cancel_futures=True)
-        assert broker._queue.state[0].status == DONE  # rescued, not re-run
-        assert broker._queue.state[0].result is result
-        assert broker._queue.state[1].status == QUEUED  # requeued for retry
-        assert broker.metrics.counter("fabric.done") == 1
-        assert broker.metrics.counter("fabric.retries") == 1
-
     def test_fabric_collector_merges_are_thread_safe(self, tiny_config):
-        """RACE FIX 3: brokers finish on whichever thread ran them, and
+        """Brokers finish on whichever thread ran them, and
         each merges its ``fabric.*`` registry into the one module
         collector; concurrent merges must not lose counts."""
         broker = Broker(_grid(tiny_config, 2), cache=False)

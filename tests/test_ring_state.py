@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import IdSpaceError, RingError
 from repro.hashspace.idspace import IdSpace
+from repro.sim.arcops import arc_lengths, responsible_slots
 from repro.sim.state import RingState
 
 
@@ -56,23 +57,12 @@ class TestBuild:
 
 
 class TestQueries:
-    def test_find_slot(self, rng):
-        state, _ = make_state(rng)
-        assert state.find_slot(60) == 1  # (50, 100]
-        assert state.find_slot(100) == 1
-        assert state.find_slot(101) == 2
-        assert state.find_slot(250) == 0  # wraps
-        assert state.find_slot(10) == 0
-
     def test_slot_arc_and_gap(self, rng):
         state, _ = make_state(rng)
         assert state.slot_arc(1) == (50, 100)
-        assert int(state.gaps()[1]) == 50
-        assert int(state.gaps()[0]) == (50 - 200) % 256
-
-    def test_gaps_sum_to_space(self, rng):
-        state, _ = make_state(rng)
-        assert int(state.gaps().sum()) == 256
+        gaps = arc_lengths(state.ids, state.space.size)
+        assert int(gaps[1]) == 50
+        assert int(gaps[0]) == (50 - 200) % 256
 
     def test_owner_helpers(self, rng):
         state, _ = make_state(rng)
@@ -84,7 +74,7 @@ class TestInsert:
     def test_insert_acquires_exact_keys(self, rng):
         state, _ = make_state(rng)
         before = state.total_remaining()
-        succ = state.find_slot(75)
+        succ = int(responsible_slots(state.ids, [75])[0])
         expected = int(
             sum(
                 1
@@ -148,13 +138,15 @@ class TestRemove:
         state.insert_slot(75, owner=0, is_main=False)
         state.insert_slot(220, owner=0, is_main=False)
         before = state.total_remaining()
-        state.remove_owner(0)
+        batch = state.begin_batch_removal([0])
+        assert batch.remove_owner_guarded(0) is not None
+        batch.commit()
         assert state.slots_of_owner(0).size == 0
         assert state.total_remaining() == before
         state.verify_invariants()
 
     def test_remove_owner_of_every_slot_changes_nothing(self, rng):
-        """An owner holding every slot cannot leave: the raise comes
+        """An owner holding every slot cannot leave: the guard refuses
         before any of its slots go or any merge draws from the RNG."""
         state, _ = make_state(rng, ids=(100,), counts_space_bits=16)
         state.insert_slot(20000, owner=0, is_main=False)
@@ -163,8 +155,9 @@ class TestRemove:
         counts = state.counts.tolist()
         keys = [state.remaining_keys(i).tolist() for i in range(3)]
         rng_state = state.rng.bit_generator.state
-        with pytest.raises(RingError):
-            state.remove_owner(0)
+        batch = state.begin_batch_removal([0])
+        assert batch.remove_owner_guarded(0) is None
+        batch.commit()
         assert state.ids.tolist() == ids == [100, 20000, 60000]
         assert state.counts.tolist() == counts
         assert [state.remaining_keys(i).tolist() for i in range(3)] == keys

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.errors import IdSpaceError
 from repro.hashspace.idspace import IdSpace
+from repro.sim.arcops import responsible_slots
 from repro.sim.state import RingState
 
 SPACE = IdSpace(12)
@@ -74,11 +75,11 @@ def test_insert_then_remove_restores_load(seed, split):
     state = build(seed, n_nodes=5, n_keys=120)
     if state.id_exists(split):
         return
-    succ = state.find_slot(split)
+    succ = int(responsible_slots(state.ids, [split])[0])
     succ_load = int(state.counts[succ])
     pos, acquired = state.insert_slot(split, owner=99, is_main=False)
     state.remove_slot(pos)
     state.verify_invariants()
-    restored = state.find_slot(split)
+    restored = int(responsible_slots(state.ids, [split])[0])
     assert int(state.counts[restored]) == succ_load
     assert acquired <= succ_load

@@ -20,7 +20,7 @@ import pytest
 
 from repro.config import AdversaryModel, FailureModel, SimulationConfig
 from repro.hashspace.idspace import IdSpace
-from repro.sim.arcops import arc_mask
+from repro.sim.arcops import arc_mask, responsible_slots
 from repro.sim.engine import TickEngine
 from repro.sim.kernels import consume_grouped, consume_grouped_reference
 from repro.sim.state import RingState
@@ -135,7 +135,9 @@ class TestCachedRemaining:
         self.check(state)
         state.retire_sybils(0)
         self.check(state)
-        state.remove_owner(1)
+        batch = state.begin_batch_removal([1])
+        batch.remove_owner_guarded(1)
+        batch.commit()
         self.check(state)
         state.counts[:] //= 2  # a caller mutating counts directly ...
         state.mark_loads_dirty()  # ... says so
@@ -161,7 +163,7 @@ class TestCachedRemaining:
         fresh: list[int] = []
         keyed: dict[int, list] = {}
         for ident in rng.integers(0, SPACE.size, 20).tolist():
-            slot = state.find_slot(ident)
+            slot = int(responsible_slots(state.ids, [ident])[0])
             if state.id_exists(ident) or slot in keyed or slot in dead:
                 continue
             taken = arc_mask(

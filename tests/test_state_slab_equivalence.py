@@ -52,6 +52,14 @@ def build_pair(seed, n_nodes, n_keys, space=SPACE, cls=NaiveRingState):
     return slab, other
 
 
+def batch_remove_owner(state, owner):
+    """Remove every slot of ``owner`` the engine's way: one churn batch."""
+    batch = state.begin_batch_removal([owner])
+    moved = batch.remove_owner_guarded(owner)
+    batch.commit()
+    return moved
+
+
 def assert_equivalent(slab, naive, *, exact_order=True):
     assert slab.n_slots == naive.n_slots
     assert slab.n_sybil_slots == naive.n_sybil_slots
@@ -128,7 +136,7 @@ def test_slab_matches_naive_reference(seed, n_nodes, n_keys, ops):
             owner = int(op_rng.integers(0, next_owner))
             if slab.n_slots - slab.slots_of_owner(owner).size < 1:
                 continue
-            assert slab.remove_owner(owner) == naive.remove_owner(owner)
+            assert batch_remove_owner(slab, owner) == naive.remove_owner(owner)
         elif kind == "retire_sybils":
             owner = int(op_rng.integers(0, next_owner))
             assert slab.retire_sybils(owner) == naive.retire_sybils(owner)
@@ -815,7 +823,7 @@ class TestRetireSybilsEdgeCases:
         last one stays put instead of emptying the ring."""
         slab, naive = _orphan_sybil_pair(n_extra_sybils=1)
         # remove the other owner entirely: ring is now sybil-only
-        assert slab.remove_owner(1) == naive.remove_owner(1)
+        assert batch_remove_owner(slab, 1) == naive.remove_owner(1)
         n_sybils = slab.n_slots
         assert bool((~slab.is_main).all()) and n_sybils == 3
         got = slab.retire_sybils(0)

@@ -1,14 +1,15 @@
 """Tests for multi-trial execution, fault tolerance and seed management."""
 
+import multiprocessing.context
 import os
 import time
 
 import numpy as np
 import pytest
 
-import repro.fabric.broker as broker_module
 from repro.config import SimulationConfig
 from repro.errors import ConfigError, TrialError
+from repro.fabric import GridPoint
 from repro.fabric.broker import (
     Broker,
     fabric_metrics,
@@ -46,7 +47,7 @@ def _flaky_trial(config, seed_seq):
 
 def _crashing_trial(config, seed_seq):
     """Trial 2 hard-kills its worker on the first attempt (no traceback,
-    no cleanup — the way a segfault or OOM kill looks to the pool)."""
+    no cleanup — the way a segfault or OOM kill looks to the broker)."""
     index = seed_seq.spawn_key[-1]
     marker = os.path.join(os.environ["REPRO_TEST_FLAKY_DIR"], f"c{index}")
     if index == 2 and not os.path.exists(marker):
@@ -158,45 +159,57 @@ class TestFaultTolerance:
         self, tiny_config, tmp_path, monkeypatch
     ):
         """A hard worker death (os._exit) loses only the in-flight
-        trials; one retry in a fresh pool completes the set with results
-        bit-identical to a serial run."""
+        trial; one retry on a replacement worker completes the set with
+        results bit-identical to a serial run.  The death is caught when
+        the worker exits, long before its lease would expire."""
         monkeypatch.setenv("REPRO_TEST_FLAKY_DIR", str(tmp_path))
-        recovered = run_trials(
-            tiny_config, 4, n_jobs=2, trial_fn=_crashing_trial, retries=2,
-            cache=False,
+        lease_timeout = 60.0
+        broker = Broker(
+            [GridPoint(tiny_config, 4)], n_jobs=2, trial_fn=_crashing_trial,
+            retries=2, cache=False, lease_timeout=lease_timeout,
         )
+        t0 = time.perf_counter()
+        recovered = broker.run()[0]
+        elapsed = time.perf_counter() - t0
         serial = run_trials(tiny_config, 4, cache=False)
         assert np.array_equal(recovered.factors, serial.factors)
+        assert elapsed < lease_timeout / 2, elapsed
+        assert broker.metrics.counter("fabric.retries") == 1
+        assert broker.metrics.counter("fabric.lease_expired") == 0
 
     @pytest.mark.slow
     def test_hung_workers_time_out(self, tiny_config):
+        broker = Broker(
+            [GridPoint(tiny_config, 2)], n_jobs=2, trial_fn=_hanging_trial,
+            retries=0, cache=False, lease_timeout=3.0,
+        )
         with pytest.raises(TrialError) as excinfo:
-            run_trials(
-                tiny_config, 2, n_jobs=2, trial_fn=_hanging_trial,
-                retries=0, timeout=3.0, cache=False,
-            )
+            broker.run()
         assert all("timed out" in f.error for f in excinfo.value.failures)
 
     @pytest.mark.slow
     def test_hung_workers_time_out_on_a_slow_kill(
         self, tiny_config, monkeypatch
     ):
-        """A loaded host: the pool's manager thread sees the killed
-        workers die before the broker settles the window, and fails
-        their futures with BrokenProcessPool.  They still report as
-        timeouts, not as worker deaths."""
-        kill = broker_module._kill_workers
+        """A loaded host: a killed hung worker is dead and reaped long
+        before the broker gets on with its dispatch loop.  Its unit was
+        settled before the kill, so it still reports as a timeout, not
+        as a worker death."""
+        kill = multiprocessing.context.SpawnProcess.kill
 
-        def slow_kill(executor):
-            kill(executor)
+        def slow_kill(proc):
+            kill(proc)
             time.sleep(1.0)
 
-        monkeypatch.setattr(broker_module, "_kill_workers", slow_kill)
+        monkeypatch.setattr(
+            multiprocessing.context.SpawnProcess, "kill", slow_kill
+        )
+        broker = Broker(
+            [GridPoint(tiny_config, 2)], n_jobs=2, trial_fn=_hanging_trial,
+            retries=0, cache=False, lease_timeout=2.0,
+        )
         with pytest.raises(TrialError) as excinfo:
-            run_trials(
-                tiny_config, 2, n_jobs=2, trial_fn=_hanging_trial,
-                retries=0, timeout=2.0, cache=False,
-            )
+            broker.run()
         errors = [f.error for f in excinfo.value.failures]
         assert len(errors) == 2
         assert all("timed out" in e for e in errors), errors
