@@ -354,9 +354,11 @@ def build_parser() -> argparse.ArgumentParser:
         "REPRO-FABRIC-READY line)",
     )
     sweep_p.add_argument(
-        "--lease-timeout", type=float, default=120.0,
-        help="seconds a worker, local or remote, may hold a unit "
-        "without settling it before the unit is requeued as timed out",
+        "--lease-timeout", type=float, default=None,
+        help="seconds a worker may hold a unit without settling it "
+        "before the unit is requeued as timed out (default: 120 for "
+        "attached workers, none for --jobs workers; a value given here "
+        "holds both)",
     )
     sweep_p.add_argument(
         "--status-file", type=Path, default=None,

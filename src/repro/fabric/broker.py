@@ -6,8 +6,9 @@ binds a TCP port speaking :mod:`repro.net.transport` frames, and
 workers lease units over it, run them, and settle results mid-sweep.
 
 * ``n_jobs > 1`` binds the attach socket (the ``listen`` address, else a
-  private ``127.0.0.1:0``) and starts up to ``n_jobs`` spawn-context
-  processes running :func:`~repro.fabric.worker.run_worker` against it;
+  private ``127.0.0.1:0`` that serves none but the broker's own workers)
+  and starts up to ``n_jobs`` spawn-context processes running
+  :func:`~repro.fabric.worker.run_worker` against it;
 * ``n_jobs=1`` runs trials in-process (so unpicklable ``trial_fn``\\ s
   keep working) while the listener, if one was asked for, still serves
   attached workers;
@@ -26,10 +27,11 @@ Failure handling (all under one lock, all through ``_settle_locked``):
 
 * an erroring trial is requeued until its attempt budget (``retries + 1``)
   is spent, then marked failed;
-* a worker that stops renewing its lease — dead, hung or stalled, local
-  or remote — has its unit settled as a timeout after ``lease_timeout``
+* an attached worker that stops renewing its lease — dead, hung or
+  stalled — has its unit settled as a timeout after ``lease_timeout``
   (and usually requeued), so one bad worker loses at most its in-flight
-  unit; a local worker whose lease expired is then killed and replaced;
+  unit; local workers are held to an explicit ``lease_timeout`` too, and
+  one whose lease expired is then killed and replaced;
 * a local worker that exits has its leased unit settled as "worker
   died" at once, and a replacement starts while live units remain;
 * duplicate settles (a "dead" worker's result racing its own lease
@@ -48,6 +50,7 @@ import contextlib
 import json
 import multiprocessing as mp
 import os
+import secrets
 import socket
 import tempfile
 import threading
@@ -89,6 +92,7 @@ from repro.sim.cache import TrialCache, get_cache
 from repro.sim.results import SimulationResult, TrialSet
 
 __all__ = [
+    "DEFAULT_LEASE_TIMEOUT",
     "STATUS_FORMAT",
     "Broker",
     "fabric_metrics",
@@ -98,6 +102,10 @@ __all__ = [
 ]
 
 STATUS_FORMAT = "repro.fabric_status.v1"
+
+#: Seconds an attached worker may hold a unit when ``lease_timeout`` is
+#: not given.
+DEFAULT_LEASE_TIMEOUT = 120.0
 
 #: How long after its last lease/settle a remote worker still counts as
 #: "active" in status snapshots and ETA parallelism estimates.
@@ -115,11 +123,15 @@ class Broker:
         ``(host, port)`` to accept remote workers on (port 0 = ephemeral;
         :meth:`open_listener` returns the bound address).  ``None``
         (default) accepts none; ``n_jobs > 1`` then binds a private
-        loopback port for its own workers.
+        loopback port that refuses every request not from its own
+        workers, whose names carry a random secret.
     lease_timeout:
-        Seconds a worker, local or remote, may hold a unit without
-        settling it before the broker settles the unit as timed out
-        (and kills the worker, if it started it).
+        Seconds a worker may hold a unit without settling it before the
+        broker settles the unit as timed out (and kills the worker, if
+        it started it).  ``None`` (default) holds attached workers to
+        :data:`DEFAULT_LEASE_TIMEOUT` and the broker's own workers to
+        no deadline: a local worker's death shows at once through its
+        process, and one trial may run for minutes.
     poll_interval:
         Dispatch-loop tick, and the local workers' empty-queue poll;
         bounds how quickly lease expiry and status updates are noticed.
@@ -145,13 +157,13 @@ class Broker:
         trial_fn: Callable | None = None,
         progress: Callable[[dict], None] | None = None,
         listen: Address | None = None,
-        lease_timeout: float = 120.0,
+        lease_timeout: float | None = None,
         poll_interval: float = 0.05,
         status_path: Path | str | None = None,
     ):
         if retries < 0:
             raise ConfigError(f"retries must be >= 0, got {retries}")
-        if lease_timeout <= 0:
+        if lease_timeout is not None and lease_timeout <= 0:
             raise ConfigError(
                 f"lease_timeout must be > 0, got {lease_timeout}"
             )
@@ -186,6 +198,8 @@ class Broker:
         self._lsock: socket.socket | None = None
         self._listener: threading.Thread | None = None
         self._bound: Address | None = None
+        # bound for local workers only: serves no other name
+        self._private = False
         self._workers_seen: dict[str, float] = {}
         # local workers: the live processes, and every name ever started
         # (a killed worker's in-flight settle must still count as local)
@@ -245,6 +259,7 @@ class Broker:
         try:
             with self._lock:
                 parallel = self._n_jobs > 1 and self._queue.n_live() > 1
+                self._private = parallel and self._listen is None
             self._dispatch(self._bind(("127.0.0.1", 0)) if parallel else None)
         finally:
             self._shutdown.set()
@@ -375,6 +390,12 @@ class Broker:
         """Whether ``source`` is an attached worker, not one of ours."""
         return source != "local" and source not in self._local_names
 
+    def _lease_for(self, worker: str) -> float | None:
+        """How long ``worker`` may hold a unit; None is no deadline."""
+        if self._lease_timeout is None and self._is_remote(worker):
+            return DEFAULT_LEASE_TIMEOUT
+        return self._lease_timeout
+
     def _emit(self, event: dict) -> None:
         if self._progress is not None:
             with self._emit_lock:
@@ -395,7 +416,7 @@ class Broker:
                 uid,
                 "err",
                 f"trial timed out: lease expired after "
-                f"{self._lease_timeout}s (worker {owner!r} stopped "
+                f"{self._lease_for(owner)}s (worker {owner!r} stopped "
                 f"responding)",
                 0.0,
                 source=owner,
@@ -439,7 +460,12 @@ class Broker:
                     # local before its first request is served
                     want = 0 if addr is None else min(self._n_jobs, live)
                     while len(self._workers) < want:
-                        name = f"local-{os.getpid()}-{len(self._local_names)}"
+                        # the secret keeps any other process from leasing
+                        # or settling as this worker
+                        name = (
+                            f"local-{os.getpid()}-{len(self._local_names)}"
+                            f"-{secrets.token_hex(8)}"
+                        )
                         proc = mp.get_context("spawn").Process(
                             target=run_worker,
                             args=(addr,),
@@ -547,8 +573,16 @@ class Broker:
     def _handle_request(self, request: dict) -> dict:
         op = request.get("op")
         now = time.perf_counter()
+        worker = str(request.get("worker", "?"))
+        with self._lock:
+            foreign = self._private and worker not in self._local_names
+        if foreign:
+            return {
+                "ok": False,
+                "kind": "app",
+                "error": "this port serves only the broker's own workers",
+            }
         if op == OP_LEASE:
-            worker = str(request.get("worker", "?"))
             with self._lock:
                 events = self._expire_leases_locked(now)
                 remote = self._is_remote(worker)
@@ -557,7 +591,10 @@ class Broker:
                 if not self._queue.n_live() or self._shutdown.is_set():
                     value: dict[str, Any] = {"unit": None, "shutdown": True}
                 else:
-                    unit = self._queue.lease(worker, now + self._lease_timeout)
+                    lease = self._lease_for(worker)
+                    unit = self._queue.lease(
+                        worker, None if lease is None else now + lease
+                    )
                     if unit is None:
                         value = {"unit": None, "shutdown": False}
                     else:
@@ -573,7 +610,6 @@ class Broker:
                 self._emit(event)
             return {"ok": True, "value": value}
         if op == OP_SETTLE:
-            worker = str(request.get("worker", "?"))
             try:
                 uid = int(request["uid"])
                 status = str(request["status"])

@@ -192,9 +192,8 @@ WALLCLOCK_ALLOWLIST = (
     # Subprocess startup/shutdown deadlines: timeouts on real child
     # processes are inherently wall-clock; nothing feeds results.
     "repro/net/cluster.py",
-    # The trial-fabric broker: lease deadlines, hang-timeout windows,
-    # ETA estimates and status-file rate limiting are scheduling
-    # metadata.  Results are assembled by unit index from seeds fixed at
+    # The trial-fabric broker: lease deadlines, ETA estimates and
+    # status-file rate limiting are scheduling metadata.  Results are assembled by unit index from seeds fixed at
     # queue-build time, so no clock read can reach a fingerprint (the
     # fabric rows of `make smoke` hold broker output bit-identical to
     # serial).

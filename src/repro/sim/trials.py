@@ -153,8 +153,9 @@ def run_trials(
 
     A thin wrapper over a single-point
     :class:`~repro.fabric.broker.Broker` grid — the fabric owns
-    dispatch, caching, retries and hung-worker timeouts (the broker's
-    ``lease_timeout``); this function owns nothing but the signature.
+    dispatch, caching and retries, and settles a dead worker's trial
+    the moment its process exits; this function owns nothing but the
+    signature.
 
     Parameters
     ----------

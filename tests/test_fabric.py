@@ -33,6 +33,7 @@ from repro.fabric import (
     TrialQueue,
     run_worker,
 )
+from repro.fabric import broker as broker_mod
 from repro.fabric.broker import (
     fabric_metrics,
     merge_fabric_metrics,
@@ -63,6 +64,11 @@ def _grid(config, n_trials=4):
 
 def _slow_trial(config, seed_seq):
     time.sleep(0.1)
+    return run_trial(config, seed_seq)
+
+
+def _long_trial(config, seed_seq):
+    time.sleep(0.8)
     return run_trial(config, seed_seq)
 
 
@@ -300,6 +306,66 @@ class TestBrokerLocal:
         status = broker.status()
         assert status["remote_workers"] == []
         assert status["local_slots"] == 2
+
+    @pytest.mark.slow
+    def test_private_port_serves_only_its_own_workers(self, tiny_config):
+        """Without ``listen`` the loopback port is the broker's own: a
+        foreign lease, settle or status request is refused, and a forged
+        result never reaches the run."""
+        serial = run_trials(tiny_config, 4, n_jobs=1, cache=False)
+        forged = result_to_wire(serial.results[1])
+        broker = Broker(
+            _grid(tiny_config, 4), n_jobs=2, cache=False, trial_fn=_slow_trial
+        )
+        out = {}
+        thread = threading.Thread(
+            target=lambda: out.setdefault("sets", broker.run()), daemon=True
+        )
+        thread.start()
+        deadline = time.perf_counter() + 30
+        while broker.status()["listen"] is None:
+            assert time.perf_counter() < deadline, "no private port bound"
+            time.sleep(0.01)
+        host, port = broker.status()["listen"].rsplit(":", 1)
+        addr = (host, int(port))
+        for frame in (
+            {"op": OP_LEASE, "worker": "intruder"},
+            {"op": OP_SETTLE, "worker": "local", "uid": 0, "status": "ok",
+             "seconds": 0.01, "result": forged},
+            {"op": OP_STATUS},
+        ):
+            with pytest.raises(ProtocolError, match="own workers"):
+                request(addr, frame, policy=WORKER_POLICY)
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert np.array_equal(out["sets"][0].factors, serial.factors)
+        assert broker.metrics.counter("fabric.done") == 4
+        assert broker.metrics.counter("fabric.remote_leases") == 0
+
+    @pytest.mark.slow
+    def test_local_trial_may_outlast_the_attached_lease(
+        self, tiny_config, monkeypatch
+    ):
+        """With no ``lease_timeout`` given, an attached worker's lease
+        lapses at the default while the broker's own live workers run
+        trials longer than that to the end."""
+        monkeypatch.setattr(broker_mod, "DEFAULT_LEASE_TIMEOUT", 0.2)
+        serial = run_trials(tiny_config, 3, n_jobs=1, cache=False)
+        broker = Broker(
+            _grid(tiny_config, 3), n_jobs=2, cache=False,
+            trial_fn=_long_trial, listen=("127.0.0.1", 0),
+        )
+        addr = broker.open_listener()
+        # a zombie attached worker: leases one unit, never settles it
+        lease = request(
+            addr, {"op": OP_LEASE, "worker": "zombie"}, policy=WORKER_POLICY
+        )
+        assert lease["unit"] is not None
+        sets = broker.run()
+        assert np.array_equal(sets[0].factors, serial.factors)
+        assert broker.metrics.counter("fabric.lease_expired") == 1
+        assert broker.metrics.counter("fabric.retries") == 1
+        assert broker.metrics.counter("fabric.done") == 3
 
     def test_snapshot_counts_and_eta(self, tiny_config):
         broker = Broker(_grid(tiny_config, 3), cache=False)
